@@ -60,6 +60,7 @@ from .runio import (
 SEED_ROLES = {"data": 0, "init": 1, "train": 2, "estimate": 3}
 
 PRECONDITIONER_CHOICES = ("none", "hessian", "diag", "adam-nu", "adam-mu")
+FD_STEP_HELP = "finite-difference step of the --cost loss curvature probes (kl curvature is exact)"
 
 
 def _role_seed(master: int, role: str) -> np.random.SeedSequence:
@@ -523,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--r-max", type=float, default=None)
     p_est.add_argument("--rel-tol", type=float, default=1e-4)
     p_est.add_argument("--max-iters", type=int, default=500)
-    p_est.add_argument("--fd-step", type=float, default=1e-3)
+    p_est.add_argument("--fd-step", type=float, default=1e-3, help=FD_STEP_HELP)
     p_est.add_argument("--precond-file", type=str, default=None, help="load a saved preconditioner")
     p_est.add_argument("--save-precond", type=str, default=None, help="save the preconditioner used")
     add_seed(p_est)
@@ -549,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--r-max", type=float, default=None)
     p_sweep.add_argument("--rel-tol", type=float, default=1e-4)
     p_sweep.add_argument("--max-iters", type=int, default=500)
-    p_sweep.add_argument("--fd-step", type=float, default=1e-3)
+    p_sweep.add_argument("--fd-step", type=float, default=1e-3, help=FD_STEP_HELP)
     p_sweep.add_argument("--precond-file", type=str, default=None)
     add_seed(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)

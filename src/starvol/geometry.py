@@ -142,7 +142,11 @@ class SearchOptions:
 
 @dataclass(frozen=True)
 class RadialSample:
-    """One ray: direction, importance norm, boundary radius, log contribution."""
+    """One ray: direction, importance norm, boundary radius, log contribution.
+
+    In an estimate, ``direction`` is a read-only row view of the block of all
+    k directions.
+    """
 
     direction: np.ndarray
     log_importance_norm: float
@@ -241,6 +245,37 @@ def find_radius(
     return lo, False
 
 
+def _sample_directions(
+    precond: Preconditioner, rngs: Sequence[np.random.Generator]
+) -> tuple[np.ndarray, list[float]]:
+    """Draw one importance-shaped unit direction per random stream.
+
+    Row i is a uniform sphere point (a normalized Gaussian draw from
+    ``rngs[i]``) mapped through the preconditioner and renormalized; its
+    entry in the returned list is the log of its pre-normalization length.
+    All rows go through one ``apply`` call, so a dense map costs one matrix
+    product; it maps the block in place. The block is returned read-only.
+    """
+    block = np.empty((len(rngs), precond.dim))
+    for row, rng in zip(block, rngs):
+        u = rng.standard_normal(precond.dim)
+        norm_u = float(np.linalg.norm(u))
+        while norm_u == 0.0:  # probability zero in practice, loop for safety
+            u = rng.standard_normal(precond.dim)
+            norm_u = float(np.linalg.norm(u))
+        np.divide(u, norm_u, out=row)
+    if precond.kind == "identity":
+        block.setflags(write=False)
+        return block, [0.0] * len(rngs)
+    precond.apply(block, out=block)
+    norms = [float(np.linalg.norm(v)) for v in block]
+    if not all(0.0 < x < math.inf for x in norms):
+        raise PreconditionerError("preconditioner produced a zero or non-finite direction")
+    block /= np.array(norms)[:, None]
+    block.setflags(write=False)
+    return block, [math.log(x) for x in norms]
+
+
 def sample_direction(
     precond: Preconditioner, rng: np.random.Generator
 ) -> tuple[np.ndarray, float]:
@@ -249,21 +284,10 @@ def sample_direction(
     A uniform sphere point u (normalized Gaussian draw) is mapped through the
     preconditioner; the result is renormalized and the log of its
     pre-normalization length is returned as the importance correction. The
-    identity map returns log-norm 0.0 exactly.
+    identity map returns log-norm 0.0 exactly. The direction is read-only.
     """
-    u = rng.standard_normal(precond.dim)
-    norm_u = float(np.linalg.norm(u))
-    while norm_u == 0.0:  # probability zero in practice, loop for safety
-        u = rng.standard_normal(precond.dim)
-        norm_u = float(np.linalg.norm(u))
-    u = u / norm_u
-    if precond.kind == "identity":
-        return u, 0.0
-    v = precond.apply(u)
-    norm_v = float(np.linalg.norm(v))
-    if norm_v == 0.0 or not math.isfinite(norm_v):
-        raise PreconditionerError("preconditioner produced a zero or non-finite direction")
-    return v / norm_v, math.log(norm_v)
+    block, log_norms = _sample_directions(precond, [rng])
+    return block[0], log_norms[0]
 
 
 def lebesgue_log_term(sample: RadialSample, n: int) -> float:
@@ -586,16 +610,18 @@ def estimate_local_volume(
         )
     search_opts = replace(opts, r_max=_resolve_r_max(spec.measure, n, opts))
     master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = master.spawn(k)
+    directions, log_norms = _sample_directions(
+        precond, [np.random.default_rng(child) for child in master.spawn(k)]
+    )
 
     def draw_one(i: int) -> RadialSample:
-        rng = np.random.default_rng(children[i])
-        direction, log_norm = sample_direction(precond, rng)
+        direction = directions[i]
+        log_norm = log_norms[i]
         try:
             radius, truncated = find_radius(spec, direction, search_opts)
         except (RadiusSearchError, CostEvaluationError):
             return RadialSample(
-                direction=_readonly(direction),
+                direction=direction,
                 log_importance_norm=log_norm,
                 radius=math.nan,
                 truncated=False,
@@ -603,13 +629,13 @@ def estimate_local_volume(
                 failed=True,
             )
         if spec.measure.kind == "lebesgue":
-            partial = RadialSample(_readonly(direction), log_norm, radius, truncated, 0.0)
+            partial = RadialSample(direction, log_norm, radius, truncated, 0.0)
             term = lebesgue_log_term(partial, n)
         else:
             log_integral = gaussian_radial_log_integral(
                 spec.anchor, direction, radius, spec.measure.sigma, n
             )
-            partial = RadialSample(_readonly(direction), log_norm, radius, truncated, 0.0)
+            partial = RadialSample(direction, log_norm, radius, truncated, 0.0)
             term = gaussian_log_term(partial, log_integral, n)
         return replace(partial, log_term=term)
 

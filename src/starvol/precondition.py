@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,21 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _max_asymmetry(mat: np.ndarray) -> float:
+    diff = mat - mat.T
+    return float(np.max(np.abs(diff, out=diff)))
+
+
+def _cholesky_log_det(mat: np.ndarray) -> float | None:
+    """Log determinant from a Cholesky factorization; None if not positive definite."""
+    try:
+        chol = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return None
+    log_det = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+    return log_det if math.isfinite(log_det) else None
+
+
 @dataclass(frozen=True)
 class Preconditioner:
     """Linear direction-sampling map: identity, positive diagonal, or dense SPD.
@@ -64,6 +79,9 @@ class Preconditioner:
     scale: np.ndarray | None = None  # (dim,) positive, kind == "diagonal"
     matrix: np.ndarray | None = None  # (dim, dim) SPD, kind == "dense"
     source: str = ""
+    # log determinant of `matrix`, from the Cholesky factorization that
+    # validated it; set only by the constructors that factorized this matrix
+    _log_det: float | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def identity(cls, dim: int) -> "Preconditioner":
@@ -85,15 +103,13 @@ class Preconditioner:
         mat = np.asarray(matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
             raise PreconditionerError("dense preconditioner must be a square matrix")
-        asym = float(np.max(np.abs(mat - mat.T)))
+        asym = _max_asymmetry(mat)
         if asym > SYMMETRY_ATOL:
             raise PreconditionerError(f"matrix not symmetric (max asymmetry {asym:.3e})")
-        eigvals = np.linalg.eigvalsh(mat)
-        if not np.all(eigvals > 0):
-            raise PreconditionerError(
-                f"matrix not positive definite (min eigenvalue {eigvals.min():.3e})"
-            )
-        return cls("dense", mat.shape[0], matrix=_readonly(mat), source=source)
+        log_det = _cholesky_log_det(mat)
+        if log_det is None:
+            raise PreconditionerError("matrix not positive definite (Cholesky factorization failed)")
+        return cls("dense", mat.shape[0], matrix=_readonly(mat), source=source, _log_det=log_det)
 
     # -- determinant handling -------------------------------------------------
 
@@ -102,10 +118,12 @@ class Preconditioner:
             return 0.0
         if self.kind == "diagonal":
             return float(np.sum(np.log(self.scale)))
-        eigvals = np.linalg.eigvalsh(self.matrix)
-        if not np.all(eigvals > 0):
+        if self._log_det is not None:
+            return self._log_det
+        log_det = _cholesky_log_det(self.matrix)
+        if log_det is None:
             raise PreconditionerError("dense preconditioner lost positive definiteness")
-        return float(np.sum(np.log(eigvals)))
+        return log_det
 
     def normalize_unit_det(self) -> "Preconditioner":
         """Return a copy rescaled so that the determinant is exactly one.
@@ -115,22 +133,36 @@ class Preconditioner:
         """
         if self.kind == "identity":
             return self
-        shift = math.exp(-self.log_det() / self.dim)
+        log_det = self.log_det()
+        shift = math.exp(-log_det / self.dim)
         if self.kind == "diagonal":
             return replace(self, scale=_readonly(self.scale * shift))
-        return replace(self, matrix=_readonly(self.matrix * shift))
+        return replace(
+            self,
+            matrix=_readonly(self.matrix * shift),
+            _log_det=log_det + self.dim * math.log(shift),
+        )
 
     # -- application ----------------------------------------------------------
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """Map a direction vector through the preconditioner."""
-        if u.shape != (self.dim,):
-            raise PreconditionerError(f"expected vector of shape ({self.dim},), got {u.shape}")
+    def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Map a direction of shape (dim,), or each row of a (k, dim) block.
+
+        ``out``, if given, receives the result and may be ``u`` itself, so a
+        block can be mapped without a second block's worth of memory.
+        """
+        if u.ndim not in (1, 2) or u.shape[-1] != self.dim:
+            raise PreconditionerError(
+                f"expected shape ({self.dim},) or (k, {self.dim}), got {u.shape}"
+            )
         if self.kind == "identity":
-            return u
+            if out is None:
+                return u
+            np.copyto(out, u)
+            return out
         if self.kind == "diagonal":
-            return self.scale * u
-        return self.matrix @ u
+            return np.multiply(self.scale, u, out=out)
+        return np.matmul(u, self.matrix.T, out=out)
 
     def describe(self) -> str:
         tag = self.source or self.kind
@@ -176,18 +208,21 @@ class Preconditioner:
 def from_hessian(hessian: np.ndarray, eps: float, source: str = "hessian") -> "Preconditioner":
     """Build a unit-determinant dense preconditioner from a curvature matrix.
 
-    Eigenvalues d are mapped to 1 / (sqrt(|d|) + eps), so stiff directions
-    shrink and flat ones stretch; negative curvature is folded in by the
-    absolute value. With eps = 0 on a positive-definite quadratic this is the
-    exact inverse-square-root shaping, so eps = 0 is allowed as long as no
-    eigenvalue is zero.
+    Eigenvalues d are mapped to s proportional to 1 / (sqrt(|d|) + eps), so
+    stiff directions shrink and flat ones stretch; negative curvature is
+    folded in by the absolute value. With eps = 0 on a positive-definite
+    quadratic this is the exact inverse-square-root shaping, so eps = 0 is
+    allowed as long as no eigenvalue is zero. The unit determinant is set on
+    the spectrum in log space, by subtracting the mean of log s, so one
+    eigendecomposition suffices; :meth:`Preconditioner.dense` then validates
+    the recomposed matrix with one Cholesky factorization.
     """
     mat = np.asarray(hessian, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
         raise PreconditionerError("hessian must be a square matrix")
     if eps < 0:
         raise PreconditionerError(f"eps must be >= 0, got {eps}")
-    asym = float(np.max(np.abs(mat - mat.T)))
+    asym = _max_asymmetry(mat)
     if asym > SYMMETRY_ATOL:
         raise PreconditionerError(f"hessian not symmetric (max asymmetry {asym:.3e})")
     try:
@@ -197,11 +232,13 @@ def from_hessian(hessian: np.ndarray, eps: float, source: str = "hessian") -> "P
     denom = np.sqrt(np.abs(eigvals)) + eps
     if np.any(denom <= 0) or not np.all(np.isfinite(denom)):
         raise PreconditionerError("zero curvature encountered with eps = 0")
-    shaped = 1.0 / denom
-    mapped = (eigvecs * shaped) @ eigvecs.T
-    mapped = 0.5 * (mapped + mapped.T)
-    raw = Preconditioner("dense", mat.shape[0], matrix=_readonly(mapped), source=source)
-    return raw.normalize_unit_det()
+    log_shaped = -np.log(denom)
+    shaped = np.exp(log_shaped - np.mean(log_shaped))
+    # V s V^T as (V sqrt(s)) (V sqrt(s))^T, a symmetric product
+    eigvecs *= np.sqrt(shaped)
+    mapped = eigvecs @ eigvecs.T
+    del eigvecs  # free it before the validation allocates its own n x n arrays
+    return Preconditioner.dense(mapped, source=source)
 
 
 def from_diagonal(

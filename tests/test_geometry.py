@@ -346,6 +346,55 @@ class TestEstimateLocalVolume:
         for s, p in zip(serial.samples, parallel.samples):
             assert s.log_term == p.log_term
 
+    @pytest.mark.parametrize(
+        "precond",
+        [
+            Preconditioner.identity(7),
+            Preconditioner.diagonal(np.array([3.0, 0.5, 1.0, 2.0, 0.25, 1.5, 0.8])),
+            Ellipsoid(
+                np.array([2.0, 1.0, 0.25, 0.5, 1.5, 0.8, 1.2]),
+                rotation=np.linalg.qr(np.random.default_rng(4).normal(size=(7, 7)))[0],
+            ).exact_preconditioner(),
+        ],
+        ids=["identity", "diagonal", "dense"],
+    )
+    def test_directions_match_per_ray_sampling(self, precond):
+        # the estimate maps all k directions in one block; ray i must still be
+        # the draw sample_direction makes from child stream i
+        e = Ellipsoid(np.array([2.0, 1.0, 0.25, 0.5, 1.5, 0.8, 1.2]))
+        est = estimate_local_volume(e.neighborhood(), precond, k=16, seed=21)
+        children = np.random.SeedSequence(21).spawn(16)
+        for sample, child in zip(est.samples, children):
+            want, log_norm = sample_direction(precond, np.random.default_rng(child))
+            if precond.kind == "dense":
+                np.testing.assert_allclose(sample.direction, want, rtol=0, atol=1e-13)
+                assert sample.log_importance_norm == pytest.approx(log_norm, abs=1e-13)
+            else:
+                np.testing.assert_array_equal(sample.direction, want)
+                assert sample.log_importance_norm == log_norm
+
+    def test_dense_thread_count_does_not_change_result(self):
+        rotation = np.linalg.qr(np.random.default_rng(6).normal(size=(5, 5)))[0]
+        e = Ellipsoid(np.array([1.0, 2.0, 0.5, 0.25, 3.0]), rotation=rotation)
+        p = Preconditioner.dense(rotation @ np.diag([1.5, 1.0, 0.5, 2.0, 0.8]) @ rotation.T)
+        serial = estimate_local_volume(e.neighborhood(), p, k=64, seed=14)
+        parallel = estimate_local_volume(
+            e.neighborhood(), p, k=64, opts=SearchOptions(threads=4), seed=14
+        )
+        assert serial.log_volume == parallel.log_volume
+        for s, q in zip(serial.samples, parallel.samples):
+            assert s.log_term == q.log_term
+            np.testing.assert_array_equal(s.direction, q.direction)
+
+    def test_sample_directions_are_readonly(self):
+        e = Ellipsoid(np.array([1.0, 2.0, 0.5]))
+        est = estimate_local_volume(
+            e.neighborhood(), Preconditioner.diagonal(np.array([2.0, 1.0, 0.5])), k=4, seed=2
+        )
+        for s in est.samples:
+            with pytest.raises(ValueError):
+                s.direction[0] = 1.0
+
     def test_failed_rays_count_as_zero_mass(self):
         # cost turns non-finite past a wall, so rays into the wall fail and
         # must drag the average down instead of being resampled

@@ -372,6 +372,51 @@ class TestHessian:
         hess = hessian_full("kl", anchor, (anchor, inputs))
         eigs = np.linalg.eigvalsh(hess)
         assert eigs.min() > -1e-6
+        assert eigs.min() >= -1e-12 * eigs.max()
+
+    def test_kl_one_layer_matches_kronecker_closed_form(self):
+        # logits z = x~ Theta with x~ = [x, 1] and Theta = [W; b] packed
+        # row-major, so the Gauss-Newton matrix is (1/m) sum_i x~x~^T (x) F_i
+        anchor, _ = init_params(((3, 4),), rng=np.random.default_rng(40))
+        inputs = np.random.default_rng(41).normal(size=(9, 3))
+        probs = np.exp(log_softmax(forward_logits(anchor, inputs)))
+        want = np.zeros((anchor.n, anchor.n))
+        for x, p in zip(inputs, probs):
+            xt = np.append(x, 1.0)
+            want += np.kron(np.outer(xt, xt), np.diag(p) - np.outer(p, p))
+        want /= len(inputs)
+        got = hessian_full("kl", anchor, (anchor, inputs))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape", [((3, 5), (5, 4)), ((2, 3), (3, 4), (4, 3))])
+    def test_kl_matches_gradient_differences(self, shape):
+        anchor, _ = init_params(shape, rng=np.random.default_rng(42))
+        inputs = np.random.default_rng(43).normal(size=(11, shape[0][0]))
+        probe = (
+            lambda flat: kl_value_and_grad(anchor, flat, inputs)[0],
+            lambda flat: kl_value_and_grad(anchor, flat, inputs)[1],
+        )
+        want = hessian_full(probe, anchor, None, h=1e-4)
+        got = hessian_full("kl", anchor, (anchor, inputs))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(got, got.T)
+
+    def test_kl_diag_is_diagonal_of_full(self):
+        anchor, _ = init_params(((4, 6), (6, 3)), rng=np.random.default_rng(44))
+        inputs = np.random.default_rng(45).normal(size=(15, 4))
+        full = hessian_full("kl", anchor, (anchor, inputs))
+        diag = hessian_diag("kl", anchor, (anchor, inputs))
+        np.testing.assert_allclose(diag, np.diag(full), rtol=1e-14, atol=0)
+
+    def test_kl_requires_the_anchor(self):
+        anchor, _ = init_params(((2, 3), (3, 2)), rng=np.random.default_rng(46))
+        inputs = np.random.default_rng(47).normal(size=(5, 2))
+        moved = MlpParams(anchor.flat + 1e-3, anchor.shape)
+        for probe in (hessian_full, hessian_diag):
+            with pytest.raises(ValueError, match="anchor"):
+                probe("kl", moved, (anchor, inputs))
+            with pytest.raises(ValueError, match="step"):
+                probe("kl", anchor, (anchor, inputs), h=0.0)
 
     def test_validation(self):
         params, _ = init_params(((2, 2),), rng=np.random.default_rng(0))

@@ -78,6 +78,28 @@ class TestFromHessian:
             from_hessian(np.array([[1.0, 0.5], [0.0, 1.0]]), eps=0.1)
 
 
+    def test_single_eigendecomposition(self, monkeypatch):
+        # the unit determinant is set on the spectrum, so no second
+        # eigenvalue pass may run
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        rng = np.random.default_rng(29)
+        a = rng.normal(size=(6, 6))
+        p = from_hessian(a @ a.T + 0.1 * np.eye(6), eps=0.1)
+        assert p.log_det() == pytest.approx(0.0, abs=1e-12)
+
+    def test_wide_spectrum_has_unit_determinant(self):
+        # 24 decades of curvature; the spectrum is shuffled so eigh must sort
+        # it, while the recomposition stays exact
+        spectrum = np.random.default_rng(31).permutation(np.logspace(-12.0, 12.0, 64))
+        p = from_hessian(np.diag(spectrum), eps=0.0)
+        sign, logdet = np.linalg.slogdet(p.matrix)
+        assert sign == 1.0
+        assert logdet == pytest.approx(0.0, abs=1e-10)
+
+
 class TestFromDiagonal:
     def test_inverse_power_shaping(self):
         p = from_diagonal(np.array([16.0, 1.0]), eps=0.0, exponent=0.5)
@@ -121,9 +143,28 @@ class TestApply:
         p = Preconditioner.dense(mat)
         np.testing.assert_allclose(p.apply(np.array([1.0, 1.0])), [3.0, 3.0])
 
+    def test_block_maps_each_row(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(4, 4))
+        block = rng.normal(size=(5, 4))
+        for p in (
+            Preconditioner.identity(4),
+            Preconditioner.diagonal(np.array([2.0, 0.5, 1.0, 3.0])),
+            Preconditioner.dense(a @ a.T + np.eye(4)),
+        ):
+            mapped = p.apply(block)
+            assert mapped.shape == block.shape
+            for row, got in zip(block, mapped):
+                np.testing.assert_allclose(got, p.apply(row), rtol=1e-14, atol=1e-14)
+            in_place = block.copy()
+            assert p.apply(in_place, out=in_place) is in_place
+            np.testing.assert_array_equal(in_place, mapped)
+
     def test_shape_mismatch_is_error(self):
         with pytest.raises(PreconditionerError, match="shape"):
             Preconditioner.identity(3).apply(np.zeros(4))
+        with pytest.raises(PreconditionerError, match="shape"):
+            Preconditioner.identity(3).apply(np.zeros((2, 2, 3)))
 
 
 class TestDescribeAndValidation:
@@ -143,6 +184,29 @@ class TestDescribeAndValidation:
     def test_dense_rejects_indefinite(self):
         with pytest.raises(PreconditionerError, match="positive definite"):
             Preconditioner.dense(np.diag([1.0, -1.0]))
+
+    def test_dense_log_det_from_one_cholesky(self, monkeypatch):
+        # validation and log_det share the factorization; no eigenvalue pass
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(5, 5))
+        mat = a @ a.T + 0.5 * np.eye(5)
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
+        p = Preconditioner.dense(mat)
+        assert p.log_det() == pytest.approx(np.linalg.slogdet(mat)[1], rel=1e-12)
+        q = p.normalize_unit_det()
+        assert q.log_det() == pytest.approx(0.0, abs=1e-12)
+        assert len(calls) == 1
+
+    def test_direct_dense_construction_checks_definiteness(self):
+        p = Preconditioner("dense", 2, matrix=np.diag([1.0, -1.0]))
+        with pytest.raises(PreconditionerError, match="lost positive definiteness"):
+            p.log_det()
 
     def test_identity_rejects_bad_dim(self):
         with pytest.raises(PreconditionerError, match="dimension"):
