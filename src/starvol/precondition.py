@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,9 +79,6 @@ class Preconditioner:
     scale: np.ndarray | None = None  # (dim,) positive, kind == "diagonal"
     matrix: np.ndarray | None = None  # (dim, dim) SPD, kind == "dense"
     source: str = ""
-    # log determinant of `matrix`, from the Cholesky factorization that
-    # validated it; set only by the constructors that factorized this matrix
-    _log_det: float | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def identity(cls, dim: int) -> "Preconditioner":
@@ -106,10 +103,9 @@ class Preconditioner:
         asym = _max_asymmetry(mat)
         if asym > SYMMETRY_ATOL:
             raise PreconditionerError(f"matrix not symmetric (max asymmetry {asym:.3e})")
-        log_det = _cholesky_log_det(mat)
-        if log_det is None:
+        if _cholesky_log_det(mat) is None:
             raise PreconditionerError("matrix not positive definite (Cholesky factorization failed)")
-        return cls("dense", mat.shape[0], matrix=_readonly(mat), source=source, _log_det=log_det)
+        return cls("dense", mat.shape[0], matrix=_readonly(mat), source=source)
 
     # -- determinant handling -------------------------------------------------
 
@@ -118,8 +114,6 @@ class Preconditioner:
             return 0.0
         if self.kind == "diagonal":
             return float(np.sum(np.log(self.scale)))
-        if self._log_det is not None:
-            return self._log_det
         log_det = _cholesky_log_det(self.matrix)
         if log_det is None:
             raise PreconditionerError("dense preconditioner lost positive definiteness")
@@ -133,23 +127,20 @@ class Preconditioner:
         """
         if self.kind == "identity":
             return self
-        log_det = self.log_det()
-        shift = math.exp(-log_det / self.dim)
+        shift = math.exp(-self.log_det() / self.dim)
         if self.kind == "diagonal":
             return replace(self, scale=_readonly(self.scale * shift))
-        return replace(
-            self,
-            matrix=_readonly(self.matrix * shift),
-            _log_det=log_det + self.dim * math.log(shift),
-        )
+        return replace(self, matrix=_readonly(self.matrix * shift))
 
     # -- application ----------------------------------------------------------
 
     def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Map a direction of shape (dim,), or each row of a (k, dim) block.
 
-        ``out``, if given, receives the result and may be ``u`` itself, so a
-        block can be mapped without a second block's worth of memory.
+        ``out``, if given, receives the result and may be ``u`` itself. For
+        the identity and diagonal kinds that maps a block in place without a
+        second block's worth of memory; the dense product cannot overwrite
+        its own input, so numpy still buffers a copy of ``u`` there.
         """
         if u.ndim not in (1, 2) or u.shape[-1] != self.dim:
             raise PreconditionerError(
