@@ -21,7 +21,7 @@ from .geometry import (
     lebesgue_log_term,
     sample_direction,
 )
-from .logspace import LogScalar, log_erf_diff, log_sphere_area, log_sum_exp
+from .logspace import log_sphere_area, log_sum_exp
 from .precondition import DEFAULT_EPS, Preconditioner, PreconditionerError, from_diagonal, from_hessian
 
 __version__ = "0.1.0"
@@ -30,7 +30,6 @@ __all__ = [
     "CostEvaluationError",
     "DEFAULT_EPS",
     "EstimationError",
-    "LogScalar",
     "MeasureSpec",
     "NeighborhoodSpec",
     "Preconditioner",
@@ -46,7 +45,6 @@ __all__ = [
     "gaussian_log_term",
     "gaussian_radial_log_integral",
     "lebesgue_log_term",
-    "log_erf_diff",
     "log_sphere_area",
     "log_sum_exp",
     "sample_direction",

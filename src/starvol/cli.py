@@ -9,6 +9,7 @@ index, so thread count never changes results.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 import time
@@ -410,8 +411,6 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     write_sweep_csv(out, rows, SWEEP_FIELDS)
     if len(summary) > 2:
-        import json
-
         out.with_suffix(".summary.json").write_text(json.dumps(summary, sort_keys=True))
     print(f"{len(rows)} sweep rows -> {out}")
     return 0
@@ -439,8 +438,6 @@ def cmd_validate(args) -> int:
         print(line)
     print(f"{len(results) - failures}/{len(results)} checks passed")
     if args.out:
-        import json
-
         payload = [r.__dict__ for r in results]
         Path(args.out).write_text(json.dumps(payload, sort_keys=True, default=float))
     return 1 if failures else 0
@@ -483,8 +480,6 @@ def cmd_mdl(args) -> int:
         "n": estimate.n,
         "checkpoint": str(args.checkpoint),
     }
-    import json
-
     Path(args.out).write_text(json.dumps(payload, sort_keys=True))
     print(f"kl_term={dl.kl_term:.4f} data_term={dl.data_term:.4f} total={dl.total:.4f} nats")
     return 0

@@ -6,8 +6,12 @@ Lebesgue or diagonal-Gaussian reference measure is the anchor's local
 volume. The estimator samples directions (optionally importance-shaped by
 a unit-determinant preconditioner), finds the boundary radius along each
 ray by doubling and bisection, converts each ray into a log contribution,
-and aggregates with log-sum-exp. Everything is carried in natural-log
-space because the volumes involved underflow any linear representation.
+and aggregates with log-sum-exp. Under a Gaussian measure a ray's
+contribution is a one-dimensional radial integral, computed everywhere by
+the same route: bracket the log-concave integrand where it is within 60
+nats of its maximum and apply one Gauss-Legendre rule. Everything is
+carried in natural-log space because the volumes involved underflow any
+linear representation.
 """
 
 from __future__ import annotations
@@ -18,14 +22,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf, erfcx
+from numpy.polynomial.legendre import leggauss
 
-from .logspace import (
-    log_erf_diff,
-    log_gamma_inc_lower,
-    log_sphere_area,
-    log_sum_exp,
-)
+from .logspace import log_sphere_area, log_sum_exp
 from .precondition import Preconditioner, PreconditionerError
 
 __all__ = [
@@ -51,11 +50,10 @@ CostFn = Callable[[np.ndarray], float]
 # radius cap defaults: hard ceiling for Lebesgue, measure-adapted for Gaussian
 LEBESGUE_R_MAX = 1e6
 GAUSSIAN_R_MAX_SIGMAS = 20.0
-# the forward moment recurrence is tried up to here, guarded by an a-priori
-# roundoff-amplification budget; past the cap (or on a budget rejection) the
-# second-order expansion of the exponent takes over, whose error shrinks
-# with dimension and is already below 1e-4 relative at the crossover
-EXACT_RADIAL_MAX_DIM = 128
+# the radial integral's bracket ends where the integrand has fallen by
+# e^-60 from its maximum; one Gauss-Legendre rule covers the bracket
+_RADIAL_DROP_NATS = 60.0
+_GL_NODES, _GL_WEIGHTS = leggauss(64)
 
 
 class RadiusSearchError(RuntimeError):
@@ -307,188 +305,24 @@ def lebesgue_log_term(sample: RadialSample, n: int) -> float:
     )
 
 
-def _scaled_exp_log_integral(btil: float, reff: float) -> tuple[float, float]:
-    """Base case of the moment recurrence, in peak-relative units.
+def _edge(h, target: float, top: float, inside: float, outside: float) -> float:
+    """Locate where h falls to ``target`` between ``inside`` and ``outside``.
 
-    Returns (shift, log_k0) where shift is the max of -p^2/2 - btil*p over
-    [0, reff] and log_k0 = log int_0^reff e^{-p^2/2 - btil p} dp - shift.
-    Each sign case is arranged around erfcx so no large exponent is ever
-    formed and no two nearly-equal logs are subtracted.
+    h is monotone on the segment from ``top`` outward, at least ``target`` at
+    ``inside`` and below it past the crossing. Bisection keeps the outer
+    point, so the result is never closer to ``top`` than the crossing; it
+    stops once the bracket is within 1/64 of that point's distance from
+    ``top``, or after 64 halvings.
     """
-    sq2 = math.sqrt(2.0)
-    alpha = btil / sq2
-    beta = (reff + btil) / sq2
-    half_log = 0.5 * math.log(math.pi / 2.0)
-    if btil >= 0.0:
-        # exponential peaks at the left edge
-        shift = 0.0
-        edge = -0.5 * reff * reff - btil * reff
-        diff = float(erfcx(alpha)) - math.exp(edge) * float(erfcx(beta))
-        return shift, half_log + math.log(diff)
-    if -btil >= reff:
-        # peak at or beyond the right edge
-        shift = -0.5 * reff * reff - btil * reff
-        gap = 0.5 * reff * reff + btil * reff
-        diff = float(erfcx(-beta)) - math.exp(gap) * float(erfcx(-alpha))
-        return shift, half_log + math.log(diff)
-    # interior peak: erf arguments straddle zero, plain difference is safe
-    shift = 0.5 * btil * btil
-    diff = float(erf(beta)) - float(erf(alpha))
-    return shift, half_log + math.log(diff)
-
-
-def _radial_log_integral_exact(a: float, b: float, radius: float, n: int) -> float | None:
-    """Exact log of int_0^radius r^{n-1} e^{-(a r^2 + 2 b r)/2} dr, small n.
-
-    Rescales to unit quadratic coefficient, then runs the integration-by-
-    parts recurrence J_m = (m-1) J_{m-2} - b J_{m-1} - boundary upward from
-    the erf base case. All J are positive; running values are renormalized
-    to dodge overflow and the domain is capped far past the last stationary
-    point, where the integrand has dropped by e^{-800}. Returns None if
-    cancellation ever produces a nonpositive value, in which case the
-    caller falls back to the expansion path.
-    """
-    sqrt_a = math.sqrt(a)
-    btil = b / sqrt_a
-    rtil = radius * sqrt_a
-    disc = btil * btil + 4.0 * (n - 1)
-    rstar = (-btil + math.sqrt(disc)) / 2.0
-    reff = min(rtil, rstar + 40.0)
-
-    # Forward roundoff amplification per step is the ratio of the summed
-    # operands to the result. The order-m integrand mass sits near
-    # g_m = min(stationary point of order m, reff), so the ratio is about
-    # (m-1)/(g_m g_{m-1}) + b/g_m for the subtractive b > 0 case, plus a
-    # boundary-cancellation term when reff is left of the peak. Reject the
-    # recurrence once the compounded budget implies worse than ~1e-9.
-    amp_log = 0.0
-    g_prev = 0.0
-    for m in range(1, n):
-        if btil > 0.0:
-            peak_m = 2.0 * m / (btil + math.sqrt(btil * btil + 4.0 * m))
-        else:
-            peak_m = (-btil + math.sqrt(btil * btil + 4.0 * m)) / 2.0
-        g_m = min(peak_m, reff)
-        step = max(btil, 0.0) / g_m
-        if m >= 2:
-            step += (m - 1) / (g_m * g_prev)
-            step += max(0.0, (m - 1) / reff - btil - reff) / reff
-        if step > 1.0:
-            amp_log += math.log(step)
-        g_prev = g_m
-    if amp_log > math.log(1e7):
-        return None
-
-    shift, log_k0 = _scaled_exp_log_integral(btil, reff)
-    k_prev2 = math.exp(log_k0)
-    edge_log = -0.5 * reff * reff - btil * reff - shift
-    tail = math.exp(edge_log) if edge_log > -745.0 else 0.0
-    base_mass = math.exp(-shift) if shift < 745.0 else 0.0
-    k_prev1 = -btil * k_prev2 - (tail - base_mass)
-    if not (k_prev1 > 0.0 and math.isfinite(k_prev1)):
-        return None
-
-    offset = 0.0
-    boundary = tail * reff
-    for m in range(2, n):
-        k_m = (m - 1) * k_prev2 - btil * k_prev1 - boundary
-        if not (k_m > 0.0 and math.isfinite(k_m)):
-            return None
-        k_prev2, k_prev1 = k_prev1, k_m
-        boundary *= reff
-        high = max(k_prev2, k_prev1)
-        if high > 1e250 or (high < 1e-250 and high > 0.0):
-            scale = 1.0 / high
-            k_prev2 *= scale
-            k_prev1 *= scale
-            boundary *= scale
-            offset -= math.log(scale)
-
-    return -0.5 * n * math.log(a) + shift + offset + math.log(k_prev1)
-
-
-def _radial_log_integral_backward(a: float, b: float, radius: float, n: int) -> float | None:
-    """Exact log of the radial integral when the mass is pinned to the edge.
-
-    With the domain ending left of the integrand's stationary point the
-    upward recurrence cancels catastrophically, but the same relation read
-    downward, I_{p-1} = (I_{p+1} + b I_p + R^p e^{phi(R)}) / p, contracts
-    errors instead of amplifying them. Seeding two orders far above n with
-    zeros costs nothing: the boundary forcing regenerates the true solution
-    while the seed's contribution decays by the modeled contraction factor
-    per step. Returns None when the contraction model cannot certify the
-    seed washout (the domain reaches the stationary point) or when b < 0
-    cancellation would exceed the roundoff budget.
-    """
-    sqrt_a = math.sqrt(a)
-    btil = b / sqrt_a
-    rtil = radius * sqrt_a
-    disc = btil * btil + 4.0 * (n - 1)
-    rstar = (-btil + math.sqrt(disc)) / 2.0
-    reff = min(rtil, rstar + 40.0)
-    if reff >= rstar:
-        return None
-
-    # certify the zero seed: accumulate per-order contraction w_p until the
-    # product is far below roundoff, giving the seed order M. The running
-    # product may rise before it falls; its peak bounds how much any injected
-    # roundoff is amplified on the way down, and for b < 0 the operand ratio
-    # bounds the extra cancellation per step.
-    log_w_sum = 0.0
-    peak_amp = 0.0
-    op_log_max = 0.0
-    seed_order = None
-    p = n
-    while p <= n + 4096:
-        if btil > 0.0:
-            peak_p = 2.0 * p / (btil + math.sqrt(btil * btil + 4.0 * p))
-        else:
-            peak_p = (-btil + math.sqrt(btil * btil + 4.0 * p)) / 2.0
-        g = min(peak_p, reff)
-        w = (g * g + abs(btil) * g) / p
-        log_w_sum += math.log(w)
-        if log_w_sum > peak_amp:
-            peak_amp = log_w_sum
-        if btil < 0.0:
-            slope = p / reff - reff - btil
-            op = (g * g - btil * g + g * slope) / p
-            if op > 1.0:
-                op_log_max = max(op_log_max, math.log(op))
-        if log_w_sum < -45.0:
-            seed_order = p
+    for _ in range(64):
+        if abs(outside - inside) <= abs(outside - top) / 64:
             break
-        p += 1
-    if seed_order is None or peak_amp + op_log_max > math.log(1e7):
-        return None
-
-    if btil >= 0.0:
-        shift = 0.0
-    elif -btil <= reff:
-        shift = 0.5 * btil * btil
-    else:
-        shift = -0.5 * reff * reff - btil * reff
-    log_edge = -0.5 * reff * reff - btil * reff - shift
-    log_r = math.log(reff)
-    # scale so the boundary forcing enters at unit magnitude at the seed
-    offset = log_edge + seed_order * log_r
-    b_edge = 1.0
-    i_hi = 0.0  # I_{p+1}
-    i_lo = 0.0  # I_p
-    for p in range(seed_order, n - 1, -1):
-        i_new = (i_hi + btil * i_lo + b_edge) / p
-        if not (i_new > 0.0 and math.isfinite(i_new)):
-            return None
-        i_hi, i_lo = i_lo, i_new
-        b_edge /= reff
-        high = max(i_hi, i_lo, b_edge)
-        if high > 1e250 or high < 1e-250:
-            scale = 1.0 / high
-            i_hi *= scale
-            i_lo *= scale
-            b_edge *= scale
-            offset -= math.log(scale)
-
-    return -0.5 * n * math.log(a) + shift + offset + math.log(i_lo)
+        mid = 0.5 * (inside + outside)
+        if h(mid) >= target:
+            inside = mid
+        else:
+            outside = mid
+    return outside
 
 
 def gaussian_radial_log_integral(
@@ -501,68 +335,71 @@ def gaussian_radial_log_integral(
     """Log of the Gaussian mass integral along one ray.
 
     Computes log of int_0^radius rho(anchor + r * direction) r^{n-1} dr for
-    the zero-mean diagonal Gaussian density rho with stds sigma. The
-    log-integrand is h(r) = const - (a r^2 + 2 b r) / 2 + (n - 1) log r with
-    a = sum(d_i^2 / s_i^2) and b = sum(anchor_i d_i / s_i^2). Exact routes:
-    n = 1 completes the square to an erf difference, b = 0 is a lower
-    incomplete gamma, n <= EXACT_RADIAL_MAX_DIM runs the moment recurrence
-    upward, and rays cut off left of the integrand's peak run it downward
-    at any dimension. Whatever remains is handled by expanding h to second
-    order around its stationary point r* = (-b + sqrt(b^2 + 4a(n-1))) / (2a)
-    and evaluating the resulting truncated Gaussian in log space; the
-    expansion error shrinks with dimension and the exact routes cover the
-    regimes where it would not.
+    the zero-mean diagonal Gaussian density rho with stds sigma; radius may
+    be infinite. In whitened coordinates x = anchor / sigma, w = direction /
+    sigma, with a = |w|^2, b~ = x.w / sqrt(a) and x_perp the part of x
+    across w, the substitution p = r sqrt(a) gives
+
+        (2 pi)^{-n/2} / prod(sigma) * e^{-|x_perp|^2 / 2} * a^{-n/2}
+            * int_0^{radius sqrt(a)} e^{h(p)} dp,
+        h(p) = -(p + b~)^2 / 2 + (n - 1) log p.
+
+    Splitting off x_perp keeps the large terms |x|^2 / 2 and b~^2 / 2 from
+    cancelling in floating point.
+
+    One route serves every n and b. h is concave, so on the interval it
+    peaks at top = min(p*, radius sqrt(a)), p* being its stationary point,
+    and falls monotonically on either side. Bisection finds where h has
+    dropped 60 nats below h(top) on each side (after doubling outward on
+    the right), and one 64-node Gauss-Legendre rule integrates
+    e^{h - h(top)} over that bracket. Concavity bounds the mass left
+    outside the bracket by about e^-60 of the mass inside, so a ray is
+    never overestimated beyond the rule's roundoff.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    sig2 = sigma * sigma
-    a = float(np.sum(direction * direction / sig2))
+    # whitened coordinates: the anchor x and the direction w, with x split
+    # along w; the part of x across w only scales the ray's density
+    x = anchor / sigma
+    w = direction / sigma
+    a = float(w @ w)
     if not (a > 0 and math.isfinite(a)):
         raise ValueError("degenerate direction for gaussian integral")
-    b = float(np.sum(anchor * direction / sig2))
-    c0 = float(np.sum(anchor * anchor / sig2))
-    base = -0.5 * float(np.sum(np.log(2.0 * math.pi * sig2))) - 0.5 * c0
+    b = float(x @ w)
+    across = x - (b / a) * w
+    base = -0.5 * n * math.log(2.0 * math.pi) - float(np.sum(np.log(sigma)))
+    base -= 0.5 * float(across @ across)
 
-    if n == 1:
-        # integrand is exactly Gaussian in r: complete the square
-        center = -b / a
-        s = a ** -0.5
-        sq2 = math.sqrt(2.0)
-        return (
-            base
-            + 0.5 * b * b / a
-            + 0.5 * math.log(math.pi / 2.0)
-            + math.log(s)
-            + log_erf_diff((0.0 - center) / (s * sq2), (radius - center) / (s * sq2))
-        )
+    sqrt_a = math.sqrt(a)
+    bt = b / sqrt_a
+    p_max = radius * sqrt_a
 
-    if b == 0.0:
-        # centered ray: int_0^R e^{-a r^2 / 2} r^{n-1} dr has a closed form,
-        # (1/2) (2/a)^{n/2} gamma_lower(n/2, a R^2 / 2); keep it exact so
-        # whole-space masses normalize to machine precision
-        half = 0.5 * n
-        x = math.inf if math.isinf(radius) else 0.5 * a * radius * radius
-        log_gamma = log_gamma_inc_lower(half, x)
-        return base - math.log(2.0) + half * (math.log(2.0) - math.log(a)) + log_gamma
+    def h(p: float) -> float:
+        # 0 log 0 = 0: for n = 1, h is defined at p = 0
+        return -0.5 * (p + bt) ** 2 + ((n - 1) * math.log(p) if n > 1 else 0.0)
 
-    if n <= EXACT_RADIAL_MAX_DIM:
-        exact = _radial_log_integral_exact(a, b, min(radius, LEBESGUE_R_MAX), n)
-        if exact is not None:
-            return base + exact
-    # edge-pinned rays are exact at any dimension via the downward recurrence
-    exact = _radial_log_integral_backward(a, b, min(radius, LEBESGUE_R_MAX), n)
-    if exact is not None:
-        return base + exact
+    # p* = (sqrt(bt^2 + 4(n-1)) - bt) / 2, split so neither sign of bt cancels;
+    # the denominator is at least 2 for n >= 2, and the floor only turns the
+    # n = 1, bt = 0 case (p* = 0) into 0 / 1
+    root = math.hypot(bt, 2.0 * math.sqrt(n - 1))
+    peak = max(-bt, 0.0) + 2.0 * (n - 1) / max(root + abs(bt), 1.0)
+    top = min(peak, p_max)
+    h_top = h(top)
+    target = h_top - _RADIAL_DROP_NATS
 
-    disc = b * b + 4.0 * a * (n - 1)
-    rstar = (-b + math.sqrt(max(disc, 0.0))) / (2.0 * a)
-    g_star = -0.5 * (a * rstar * rstar + 2.0 * b * rstar) + (n - 1) * math.log(rstar)
-    curvature = a + (n - 1) / (rstar * rstar)
-    s = curvature ** -0.5
-    sq2 = math.sqrt(2.0)
-    z0 = (0.0 - rstar) / (s * sq2)
-    z1 = (radius - rstar) / (s * sq2)
-    return base + g_star + math.log(s) + 0.5 * math.log(math.pi / 2.0) + log_erf_diff(z0, z1)
+    lo = _edge(h, target, top, top, 0.0)
+    # h falls at least as fast as -(p - top)^2 / 2 right of top, so doubling
+    # from a unit step passes the drop within a few steps
+    inside, outside = top, min(top + 1.0, p_max)
+    while outside < p_max and h(outside) >= target:
+        inside, outside = outside, min(2.0 * outside - top, p_max)
+    hi = _edge(h, target, top, inside, outside)
+
+    half = 0.5 * (hi - lo)
+    p = (lo + hi) * 0.5 + half * _GL_NODES
+    vals = np.exp(-0.5 * (p + bt) ** 2 + (n - 1) * np.log(p) - h_top)
+    total = half * float(_GL_WEIGHTS @ vals)
+    return base + h_top + math.log(total) - 0.5 * n * math.log(a)
 
 
 def gaussian_log_term(sample: RadialSample, log_integral: float, n: int) -> float:

@@ -1,65 +1,25 @@
-"""Log-domain scalars and numerically stable special functions.
+"""Log-domain primitives: overflow-free sums and sphere areas.
 
 Volumes and measures in this package span millions of orders of magnitude,
 so every quantity is carried as its natural logarithm. This module holds
-the primitives that make that workable: overflow-free log-sum-exp, the log
-surface area of the unit sphere in n dimensions, a cancellation-free log of
-error-function differences, and a log-domain lower incomplete gamma.
+the primitives that make that workable: overflow-free log-sum-exp and the
+log surface area of the unit sphere in n dimensions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf, erfcx, gammainc, gammaln
+from scipy.special import gammaln
 
 __all__ = [
-    "LogScalar",
     "log_sum_exp",
     "log_sphere_area",
-    "log_erf_diff",
-    "log_gamma_inc_lower",
 ]
 
 NEG_INF = float("-inf")
-
-
-@dataclass(frozen=True)
-class LogScalar:
-    """A non-negative quantity stored as its natural logarithm.
-
-    ``log_value = -inf`` encodes exact zero, so degenerate Monte Carlo
-    samples can enter aggregations without special casing. Addition uses
-    the max-shifted form and cannot overflow; multiplication is exact
-    addition of logs.
-    """
-
-    log_value: float
-
-    @classmethod
-    def zero(cls) -> "LogScalar":
-        return cls(NEG_INF)
-
-    @classmethod
-    def from_linear(cls, value: float) -> "LogScalar":
-        if value < 0:
-            raise ValueError(f"LogScalar requires a non-negative value, got {value}")
-        return cls(math.log(value) if value > 0 else NEG_INF)
-
-    def to_linear(self) -> float:
-        return math.exp(self.log_value)
-
-    def __add__(self, other: "LogScalar") -> "LogScalar":
-        return LogScalar(float(np.logaddexp(self.log_value, other.log_value)))
-
-    def __mul__(self, other: "LogScalar") -> "LogScalar":
-        return LogScalar(self.log_value + other.log_value)
-
-    def __float__(self) -> float:
-        return self.to_linear()
 
 
 def log_sum_exp(terms: Sequence[float] | np.ndarray) -> float:
@@ -82,69 +42,3 @@ def log_sphere_area(n: int) -> float:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     return math.log(2.0) + 0.5 * n * math.log(math.pi) - float(gammaln(0.5 * n))
-
-
-def _log_erfc(x: float) -> float:
-    # log(erfc(x)) for x >= 0, via the scaled complementary error function
-    if math.isinf(x):
-        return NEG_INF
-    return math.log(float(erfcx(x))) - x * x
-
-
-def _log1mexp(x: float) -> float:
-    # log(1 - exp(x)) for x < 0; the two forms cover both rounding regimes
-    if x >= 0.0:
-        return NEG_INF
-    if x > -math.log(2.0):
-        return math.log(-math.expm1(x))
-    return math.log1p(-math.exp(x))
-
-
-def log_erf_diff(a: float, b: float) -> float:
-    """Log of erf(b) - erf(a) for a < b, stable in both tails.
-
-    For 0 <= a < b the difference equals erfc(a) - erfc(b) and is formed in
-    log space from the scaled complementary error function, so arguments
-    deep in the right tail keep full precision instead of collapsing to
-    log(0 - 0). Intervals straddling zero add two positive magnitudes and
-    need no special care; intervals left of zero are reflected.
-    """
-    if not a < b:
-        raise ValueError("empty integration interval")
-    if b <= 0:
-        return log_erf_diff(-b, -a)
-    if a < 0:
-        return math.log(float(erf(b)) - float(erf(a)))
-    la = _log_erfc(a)
-    lb = _log_erfc(b)
-    return la + _log1mexp(lb - la)
-
-
-def log_gamma_inc_lower(s: float, x: float) -> float:
-    """Log of the lower incomplete gamma integral int_0^x t^{s-1} e^{-t} dt.
-
-    Delegates to the regularized routine while it retains precision and
-    falls back to the ascending series in log space once the regularized
-    value underflows (x far below s).
-    """
-    if s <= 0:
-        raise ValueError(f"shape parameter must be positive, got {s}")
-    if x < 0:
-        raise ValueError(f"upper limit must be non-negative, got {x}")
-    if x == 0:
-        return NEG_INF
-    p = float(gammainc(s, x))
-    if p > 1e-290:
-        return float(gammaln(s)) + math.log(p)
-    # ascending series: gamma_lower(s, x) = x^s e^{-x} sum_k x^k / (s (s+1) ... (s+k));
-    # reached only when x << s, where the ratio x / (s + k) < 1 guarantees convergence
-    term = 1.0 / s
-    total = term
-    k = 1
-    while k <= 100000:
-        term *= x / (s + k)
-        total += term
-        if term < total * 1e-18:
-            break
-        k += 1
-    return s * math.log(x) - x + math.log(total)

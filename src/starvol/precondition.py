@@ -64,6 +64,18 @@ def _cholesky_log_det(mat: np.ndarray) -> float | None:
     return log_det if math.isfinite(log_det) else None
 
 
+def _frozen_dense(mat: np.ndarray, source: str) -> "Preconditioner":
+    """Wrap a symmetric matrix that no caller will write again.
+
+    Checks positive definiteness with one Cholesky factorization, then makes
+    ``mat`` read-only in place rather than copying it.
+    """
+    if _cholesky_log_det(mat) is None:
+        raise PreconditionerError("matrix not positive definite (Cholesky factorization failed)")
+    mat.setflags(write=False)
+    return Preconditioner("dense", mat.shape[0], matrix=mat, source=source)
+
+
 @dataclass(frozen=True)
 class Preconditioner:
     """Linear direction-sampling map: identity, positive diagonal, or dense SPD.
@@ -103,9 +115,7 @@ class Preconditioner:
         asym = _max_asymmetry(mat)
         if asym > SYMMETRY_ATOL:
             raise PreconditionerError(f"matrix not symmetric (max asymmetry {asym:.3e})")
-        if _cholesky_log_det(mat) is None:
-            raise PreconditionerError("matrix not positive definite (Cholesky factorization failed)")
-        return cls("dense", mat.shape[0], matrix=_readonly(mat), source=source)
+        return _frozen_dense(_readonly(mat), source)
 
     # -- determinant handling -------------------------------------------------
 
@@ -205,8 +215,9 @@ def from_hessian(hessian: np.ndarray, eps: float, source: str = "hessian") -> "P
     quadratic this is the exact inverse-square-root shaping, so eps = 0 is
     allowed as long as no eigenvalue is zero. The unit determinant is set on
     the spectrum in log space, by subtracting the mean of log s, so one
-    eigendecomposition suffices; :meth:`Preconditioner.dense` then validates
-    the recomposed matrix with one Cholesky factorization.
+    eigendecomposition suffices. The recomposed matrix is exactly symmetric
+    by construction, so only the input's symmetry is checked; the result is
+    validated with one Cholesky factorization and frozen without a copy.
     """
     mat = np.asarray(hessian, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
@@ -229,7 +240,7 @@ def from_hessian(hessian: np.ndarray, eps: float, source: str = "hessian") -> "P
     eigvecs *= np.sqrt(shaped)
     mapped = eigvecs @ eigvecs.T
     del eigvecs  # free it before the validation allocates its own n x n arrays
-    return Preconditioner.dense(mapped, source=source)
+    return _frozen_dense(mapped, source)
 
 
 def from_diagonal(

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -56,6 +57,55 @@ def quad_log_integral(anchor, direction, radius, sigma, n):
     )
     assert err < 1e-9 * abs(val)
     return shift + math.log(val)
+
+
+def mp_log_integral(n, x0, s, radius):
+    """Arbitrary-precision reference for the integral along an axis-aligned ray.
+
+    The ray starts at anchor x0 * e1 and runs along e1 through the isotropic
+    Gaussian with std s in n dimensions, so the log-integrand is
+    base - (a r^2 + 2 b r) / 2 + (n - 1) log r with a = 1 / s^2 and
+    b = x0 / s^2, all taken exactly from the float inputs. For n = 1 the
+    maximum can sit at r = 0, and the integral is a closed-form difference
+    of erfc at 50 digits, reflected so both terms are tail values. Otherwise
+    the log-integrand is shifted by its maximum on [0, radius] and
+    integrated at 30 digits, with breakpoints spaced by its curvature width
+    around that maximum.
+    """
+    with mp.workdps(50 if n == 1 else 30):
+        x0, s = mp.mpf(x0), mp.mpf(s)
+        A, B = 1 / (s * s), x0 / (s * s)
+        base = -mp.mpf(n) / 2 * mp.log(2 * mp.pi) - n * mp.log(s) - x0 * x0 / (2 * s * s)
+        R = mp.inf if math.isinf(radius) else mp.mpf(radius)
+        if n == 1:
+            c = mp.sqrt(2 * A)
+            lower, upper = B / c, (A * R + B) / c
+            if upper <= 0:  # erfc(u) - erfc(v) = erfc(-v) - erfc(-u)
+                lower, upper = -upper, -lower
+            val = mp.sqrt(mp.pi / (2 * A)) * (mp.erfc(lower) - mp.erfc(upper))
+            return float(base + B * B / (2 * A) + mp.log(val))
+
+        def h(r):
+            return -(A * r * r + 2 * B * r) / 2 + (n - 1) * mp.log(r)
+
+        top = min((-B + mp.sqrt(B * B + 4 * A * (n - 1))) / (2 * A), R)
+        shift = h(top)
+        width = 1 / mp.sqrt(A + (n - 1) / (top * top))
+        # past 40 widths beyond the maximum h has fallen by hundreds of nats,
+        # far below the working precision, so the range ends there
+        end = min(R, top + 40 * width)
+        marks = sorted(top + k * width for k in (-40, -10, -3, 0, 3, 10))
+        points = [mp.mpf(0)] + [p for p in marks if 0 < p < end] + [end]
+        val = mp.quad(lambda r: mp.exp(h(r) - shift) if r > 0 else mp.mpf(0), points)
+        return float(base + shift + mp.log(val))
+
+
+def _axis_ray(n, x0, s):
+    anchor = np.zeros(n)
+    anchor[0] = x0
+    direction = np.zeros(n)
+    direction[0] = 1.0
+    return anchor, direction, np.full(n, s)
 
 
 class TestFindRadius:
@@ -200,7 +250,7 @@ class TestGaussianRadialIntegral:
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_orthogonal_anchor_against_quadrature(self):
-        # anchor perpendicular to the ray, exercising the centered route
+        # anchor perpendicular to the ray (b = 0)
         anchor = np.array([2.0, 0.0, 0.0])
         d = np.array([0.0, 1.0, 0.0])
         sigma = np.ones(3)
@@ -234,7 +284,7 @@ class TestGaussianRadialIntegral:
         want = quad_log_integral(anchor, d, 1.5 * rstar, sigma, n)
         assert got == pytest.approx(want, abs=1e-8)
 
-    def test_high_n_expansion_accuracy(self):
+    def test_high_n_against_quadrature(self):
         n = 200
         rng = np.random.default_rng(200)
         for _ in range(4):
@@ -250,7 +300,36 @@ class TestGaussianRadialIntegral:
             radius = rstar * float(rng.uniform(1.0, 3.0))
             got = gaussian_radial_log_integral(anchor, d, radius, sigma, n)
             want = quad_log_integral(anchor, d, radius, sigma, n)
-            assert got == pytest.approx(want, rel=1e-3)
+            assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 128, 129, 500, 4810, 10_000])
+    def test_against_mpmath_across_regimes(self, n):
+        # both signs of the rescaled slope b~ = b / sqrt(a) up to 1e3, rays
+        # ending far before the integrand's peak r*, at it, far past it, and
+        # the whole ray
+        s = 0.7
+        for btil in (-1e3, -7.5, 0.0, 0.4, 1e3):
+            peak = (-btil + math.sqrt(btil * btil + 4.0 * (n - 1))) / 2.0
+            scale = s * (peak if peak > 0 else 1.0 / max(btil, 1.0))
+            for ratio in (0.03, 1.0, 10.0, math.inf):
+                anchor, d, sigma = _axis_ray(n, btil * s, s)
+                got = gaussian_radial_log_integral(anchor, d, ratio * scale, sigma, n)
+                ref = mp_log_integral(n, btil * s, s, ratio * scale)
+                assert math.isfinite(ref)
+                assert abs(got - ref) <= 1e-10 * max(abs(ref), 1.0), (btil, ratio, got, ref)
+
+    @pytest.mark.parametrize(
+        "n, b, radius", [(10, -20.0, 2.0), (500, -45.0, 20.0), (4810, -300.0, 100.0)]
+    )
+    def test_ray_ending_before_peak_is_not_overestimated(self, n, b, radius):
+        # rays heading toward the prior mean that end before the integrand
+        # peaks; an expansion about the peak overestimated these by 9.3, 83.5
+        # and 1117 nats. Only float roundoff of the summed terms may remain.
+        anchor, d, sigma = _axis_ray(n, b, 1.0)
+        got = gaussian_radial_log_integral(anchor, d, radius, sigma, n)
+        ref = mp_log_integral(n, b, 1.0, radius)
+        assert got <= ref + 1e-14 * abs(ref)
+        assert got == pytest.approx(ref, rel=1e-13)
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError, match="radius"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from starvol import precondition
 from starvol.precondition import (
     DEFAULT_EPS,
     Preconditioner,
@@ -89,6 +90,28 @@ class TestFromHessian:
         a = rng.normal(size=(6, 6))
         p = from_hessian(a @ a.T + 0.1 * np.eye(6), eps=0.1)
         assert p.log_det() == pytest.approx(0.0, abs=1e-12)
+
+    def test_one_symmetry_check_and_no_copy(self, monkeypatch):
+        # the recomposed matrix is symmetric by construction: only the input
+        # is scanned for asymmetry, and the result is frozen in place
+        calls = []
+        real = precondition._max_asymmetry
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return real(mat)
+
+        def no_copy(arr):
+            raise AssertionError("recomposed matrix copied")
+
+        monkeypatch.setattr(precondition, "_max_asymmetry", counting)
+        monkeypatch.setattr(precondition, "_readonly", no_copy)
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(40, 40))
+        p = from_hessian(a @ a.T + 0.1 * np.eye(40), eps=0.1)
+        assert len(calls) == 1
+        assert np.array_equal(p.matrix, p.matrix.T)
+        assert not p.matrix.flags.writeable
 
     def test_wide_spectrum_has_unit_determinant(self):
         # 24 decades of curvature; the spectrum is shuffled so eigh must sort
