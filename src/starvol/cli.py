@@ -62,6 +62,26 @@ SEED_ROLES = {"data": 0, "init": 1, "train": 2, "estimate": 3}
 
 PRECONDITIONER_CHOICES = ("none", "hessian", "diag", "adam-nu", "adam-mu")
 FD_STEP_HELP = "finite-difference step of the --cost loss curvature probes (kl curvature is exact)"
+PRECOND_FILE_HELP = "load a saved preconditioner (a sweep accepts it over cutoffs or checkpoints only)"
+
+# flags shared by estimate and sweep, defined once in an argparse parent
+# parser (with --seed); an estimate record lists each under "config"
+ESTIMATE_FLAGS = (
+    ("--cost", {"choices": ("kl", "loss"), "default": "kl"}),
+    ("--cutoff", {"type": float, "default": 1e-2}),
+    ("--k", {"type": int, "default": 100}),
+    ("--preconditioner", {"choices": PRECONDITIONER_CHOICES, "default": "none"}),
+    ("--eps", {"type": float, "default": None, "help": "damping (default depends on kind)"}),
+    ("--exponent", {"type": float, "default": 0.5}),
+    ("--measure", {"choices": ("lebesgue", "gaussian"), "default": "gaussian"}),
+    ("--threads", {"type": int, "default": 1}),
+    ("--r-init", {"type": float, "default": 1.0}),
+    ("--r-max", {"type": float, "default": None}),
+    ("--rel-tol", {"type": float, "default": 1e-4}),
+    ("--max-iters", {"type": int, "default": 500}),
+    ("--fd-step", {"type": float, "default": 1e-3, "help": FD_STEP_HELP}),
+    ("--precond-file", {"type": str, "default": None, "help": PRECOND_FILE_HELP}),
+)
 
 
 def _role_seed(master: int, role: str) -> np.random.SeedSequence:
@@ -184,89 +204,90 @@ def cmd_train(args) -> int:
 # -- estimate ------------------------------------------------------------------
 
 
-def _build_cost(args_cost: str, ckpt, train_ds, val_ds):
-    """Return (cost handle, data payload for curvature probes)."""
-    if args_cost == "kl":
-        cost = make_kl_cost(ckpt.params, val_ds.inputs)
-        return cost, (ckpt.params, val_ds.inputs)
-    if args_cost == "loss":
-        cost = make_loss_cost(ckpt.params.shape, train_ds)
-        return cost, train_ds
-    raise ValueError(f"unknown cost {args_cost!r}")
+class _CheckpointEstimator:
+    """Local-volume estimates on one checkpoint, for estimate and sweep alike.
 
+    The datasets, cost, measure and search options are built once. Each
+    curvature probe runs at most once, and a preconditioner is reused while
+    consecutive estimates share (name, eps). Only the latest map is kept, so
+    a dense one is dropped before the next is built.
+    """
 
-def _build_preconditioner(name, ckpt, cost_kind, data, eps, exponent, fd_step):
-    if name == "none":
-        return Preconditioner.identity(ckpt.params.n)
-    eps = DEFAULT_EPS[name] if eps is None else float(eps)
-    if name == "hessian":
-        hess = hessian_full(cost_kind, ckpt.params, data, h=fd_step)
-        return from_hessian(hess, eps, source="hessian")
-    if name == "diag":
-        diag = hessian_diag(cost_kind, ckpt.params, data, h=fd_step)
-        return from_diagonal(diag, eps, exponent, source="diag")
-    if name == "adam-nu":
-        return from_diagonal(ckpt.adam.nu, eps, exponent, source="adam-nu")
-    if name == "adam-mu":
-        return from_diagonal(np.abs(ckpt.adam.mu), eps, exponent, source="adam-mu")
-    raise ValueError(f"unknown preconditioner {name!r}")
-
-
-def _estimate_once(args, ckpt, cutoff, precond_name, eps, seed):
-    config = ckpt.config
-    train_ds, val_ds, _ = _build_datasets(config, int(config["seed"]))
-    cost, data = _build_cost(args.cost, ckpt, train_ds, val_ds)
-    if args.precond_file:
-        precond = Preconditioner.load(args.precond_file)
-    else:
-        precond = _build_preconditioner(
-            precond_name, ckpt, args.cost, data, eps, args.exponent, args.fd_step
+    def __init__(self, args, ckpt: Checkpoint):
+        self.args = args
+        self.ckpt = ckpt
+        train_ds, val_ds, _ = _build_datasets(ckpt.config, int(ckpt.config["seed"]))
+        if args.cost == "kl":
+            self.cost = make_kl_cost(ckpt.params, val_ds.inputs)
+            self.data = (ckpt.params, val_ds.inputs)
+        elif args.cost == "loss":
+            self.cost = make_loss_cost(ckpt.params.shape, train_ds)
+            self.data = train_ds
+        else:
+            raise ValueError(f"unknown cost {args.cost!r}")
+        gaussian = args.measure == "gaussian"
+        self.measure = MeasureSpec.gaussian(ckpt.sigma) if gaussian else MeasureSpec.lebesgue()
+        self.opts = SearchOptions(
+            r_init=args.r_init,
+            r_max=args.r_max,
+            rel_tol=args.rel_tol,
+            max_iters=args.max_iters,
+            threads=args.threads,
         )
-    measure = (
-        MeasureSpec.gaussian(ckpt.sigma) if args.measure == "gaussian" else MeasureSpec.lebesgue()
-    )
-    spec = NeighborhoodSpec(anchor=ckpt.params.flat, cost=cost, cutoff=cutoff, measure=measure)
-    opts = SearchOptions(
-        r_init=args.r_init,
-        r_max=args.r_max,
-        rel_tol=args.rel_tol,
-        max_iters=args.max_iters,
-        threads=args.threads,
-    )
-    estimate = estimate_local_volume(spec, precond, args.k, opts, seed)
-    return estimate, precond
+        # what each map is shaped from: Adam's moments, and the curvature
+        # probes' results once first asked for
+        self._curvature = {"adam-nu": ckpt.adam.nu, "adam-mu": np.abs(ckpt.adam.mu)}
+        self._key = self._precond = None
+
+    def _build(self, name: str, eps: float) -> Preconditioner:
+        args, params = self.args, self.ckpt.params
+        if args.precond_file:
+            return Preconditioner.load(args.precond_file)
+        if name == "none":
+            return Preconditioner.identity(params.n)
+        if name not in self._curvature:
+            probe = hessian_full if name == "hessian" else hessian_diag
+            self._curvature[name] = probe(args.cost, params, self.data, h=args.fd_step)
+        if name == "hessian":
+            return from_hessian(self._curvature[name], eps, source=name)
+        return from_diagonal(self._curvature[name], eps, args.exponent, source=name)
+
+    def preconditioner(self, name: str, eps: float | None) -> Preconditioner:
+        if name not in PRECONDITIONER_CHOICES:
+            raise PreconditionerError("unknown preconditioner")
+        key = (name, DEFAULT_EPS[name] if eps is None else eps)
+        if key != self._key:
+            self._key = self._precond = None  # drop the old map before building the next
+            self._precond = self._build(*key)
+            self._key = key
+        return self._precond
+
+    def estimate(self, cutoff: float, name: str, eps: float | None, seed: int):
+        spec = NeighborhoodSpec(
+            anchor=self.ckpt.params.flat, cost=self.cost, cutoff=cutoff, measure=self.measure
+        )
+        return estimate_local_volume(spec, self.preconditioner(name, eps), self.args.k, self.opts, seed)
 
 
 def cmd_estimate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     seed = _resolve_seed(args.seed)
     start = time.perf_counter()
-    estimate, precond = _estimate_once(args, ckpt, args.cutoff, args.preconditioner, args.eps, seed)
+    estimator = _CheckpointEstimator(args, ckpt)
+    estimate = estimator.estimate(args.cutoff, args.preconditioner, args.eps, seed)
     wall = time.perf_counter() - start
 
-    resolved = {
-        "checkpoint": str(args.checkpoint),
-        "cost": args.cost,
-        "cutoff": args.cutoff,
-        "k": args.k,
-        "preconditioner": args.preconditioner,
-        "eps": DEFAULT_EPS[args.preconditioner] if args.eps is None else args.eps,
-        "exponent": args.exponent,
-        "measure": args.measure,
-        "threads": args.threads,
-        "r_init": args.r_init,
-        "r_max": args.r_max,
-        "rel_tol": args.rel_tol,
-        "max_iters": args.max_iters,
-        "fd_step": args.fd_step,
-        "precond_file": args.precond_file,
-    }
+    resolved = {"checkpoint": str(args.checkpoint)}
+    for flag, _ in ESTIMATE_FLAGS:
+        dest = flag[2:].replace("-", "_")
+        resolved[dest] = getattr(args, dest)
+    resolved["eps"] = DEFAULT_EPS[args.preconditioner] if args.eps is None else args.eps
     record = make_run_record("estimate", seed, resolved, estimate, wall)
     out = Path(args.out)
     write_jsonl(out, record)
     write_samples_csv(out.with_suffix(".samples.csv"), estimate)
     if args.save_precond:
-        precond.save(args.save_precond)
+        estimator.preconditioner(args.preconditioner, args.eps).save(args.save_precond)
 
     bound = " (lower bound: truncated rays)" if estimate.lower_bound_only else ""
     print(
@@ -296,6 +317,35 @@ SWEEP_FIELDS = [
 ]
 
 
+def _sweep_points(args) -> list[tuple]:
+    """The sweep's points, each (value, checkpoint, cutoff, preconditioner, eps).
+
+    A checkpoint of None stands for the synthetic quadratic target.
+    """
+    kind = args.kind
+    if kind == "checkpoint":
+        paths = [p for p in args.checkpoints.split(",") if p]
+        if not paths:
+            raise ValueError("sweep --kind checkpoint requires --checkpoints")
+        ckpts = sorted((load_checkpoint(p) for p in paths), key=lambda ckpt: ckpt.step)
+        return [(c.step, c, args.cutoff, args.preconditioner, args.eps) for c in ckpts]
+    values = [v for v in args.values.split(",") if v]
+    if not values:
+        raise ValueError(f"sweep --kind {kind} requires --values")
+    if kind == "cutoff" and args.target == "quadratic":
+        return [(float(v), None, float(v), "none", None) for v in values]
+    if args.checkpoint is None:
+        raise ValueError(f"sweep --kind {kind} requires --checkpoint")
+    if args.precond_file and kind in ("preconditioner", "eps"):
+        raise ValueError(f"--precond-file would replace every swept value of --kind {kind}")
+    ckpt = load_checkpoint(args.checkpoint)
+    if kind == "cutoff":
+        return [(float(v), ckpt, float(v), args.preconditioner, args.eps) for v in values]
+    if kind == "preconditioner":
+        return [(v, ckpt, args.cutoff, v, args.eps) for v in values]
+    return [(float(v), ckpt, args.cutoff, args.preconditioner, float(v)) for v in values]
+
+
 def _quadratic_estimate(n, cutoff, k, seed, threads):
     anchor = np.zeros(n)
 
@@ -311,102 +361,53 @@ def _quadratic_estimate(n, cutoff, k, seed, threads):
 def cmd_sweep(args) -> int:
     seed = _resolve_seed(args.seed)
     rows = []
-    summary: dict = {"kind": args.kind, "seed": seed}
-
-    def add_row(value, estimate, status="ok"):
-        if estimate is None:
-            rows.append(
-                {
-                    "kind": args.kind,
-                    "value": value,
-                    "n": "",
-                    "k": args.k,
-                    "cutoff": args.cutoff,
-                    "measure": args.measure,
-                    "preconditioner": args.preconditioner,
-                    "log_volume": "",
-                    "log10_volume": "",
-                    "truncated_count": "",
-                    "failed_count": "",
-                    "status": status,
-                }
-            )
-            return
-        rows.append(
-            {
-                "kind": args.kind,
-                "value": value,
-                "n": estimate.n,
-                "k": estimate.k,
-                "cutoff": estimate.cutoff,
-                "measure": estimate.measure.kind,
-                "preconditioner": estimate.preconditioner_id,
-                "log_volume": repr(estimate.log_volume),
-                "log10_volume": repr(estimate.log10_volume),
-                "truncated_count": estimate.truncated_count,
-                "failed_count": estimate.failed_count,
-                "status": status,
-            }
+    done = []  # (value, log volume) of each point that succeeded
+    estimator = None
+    for value, ckpt, cutoff, name, eps in _sweep_points(args):
+        # a failed point's row still names its own cutoff and preconditioner
+        row = {
+            "kind": args.kind,
+            "value": value,
+            "k": args.k,
+            "cutoff": cutoff,
+            "measure": args.measure,
+            "preconditioner": name,
+        }
+        try:
+            if ckpt is None:
+                est = _quadratic_estimate(args.n, cutoff, args.k, seed, args.threads)
+            else:
+                if estimator is None or estimator.ckpt is not ckpt:
+                    estimator = None  # free the last checkpoint's curvature and map first
+                    estimator = _CheckpointEstimator(args, ckpt)
+                est = estimator.estimate(cutoff, name, eps, seed)
+        except (EstimationError, CostEvaluationError, PreconditionerError) as exc:
+            rows.append({**row, "status": f"failed: {exc}"})
+            continue
+        row.update(
+            n=est.n,
+            measure=est.measure.kind,
+            preconditioner=est.preconditioner_id,
+            log_volume=repr(est.log_volume),
+            log10_volume=repr(est.log10_volume),
+            truncated_count=est.truncated_count,
+            failed_count=est.failed_count,
+            status="ok",
         )
+        rows.append(row)
+        done.append((value, est.log_volume))
 
-    if args.kind == "cutoff":
-        values = [float(v) for v in args.values.split(",")]
-        points = []
-        for cutoff in values:
-            try:
-                if args.target == "quadratic":
-                    est = _quadratic_estimate(args.n, cutoff, args.k, seed, args.threads)
-                else:
-                    ckpt = load_checkpoint(args.checkpoint)
-                    est, _ = _estimate_once(args, ckpt, cutoff, args.preconditioner, args.eps, seed)
-                add_row(cutoff, est)
-                points.append((math.log(cutoff), est.log_volume))
-            except (EstimationError, CostEvaluationError, PreconditionerError) as exc:
-                add_row(cutoff, None, status=f"failed: {exc}")
-        if len(points) >= 2:
-            xs, ys = zip(*points)
-            slope = float(np.polyfit(xs, ys, 1)[0])
-            summary["log_log_slope"] = slope
-            print(f"fitted log-log slope of volume vs cutoff: {slope:.4f}")
-    elif args.kind == "checkpoint":
-        paths = [p for p in args.checkpoints.split(",") if p]
-        loaded = sorted(((load_checkpoint(p), p) for p in paths), key=lambda cp: cp[0].step)
-        for ckpt, path in loaded:
-            try:
-                est, _ = _estimate_once(args, ckpt, args.cutoff, args.preconditioner, args.eps, seed)
-                add_row(ckpt.step, est)
-            except (EstimationError, CostEvaluationError, PreconditionerError) as exc:
-                add_row(ckpt.step, None, status=f"failed: {exc}")
-    elif args.kind == "preconditioner":
-        names = [v for v in args.values.split(",") if v]
-        ckpt = load_checkpoint(args.checkpoint)
-        for name in names:
-            if name not in PRECONDITIONER_CHOICES:
-                add_row(name, None, status="failed: unknown preconditioner")
-                continue
-            try:
-                est, _ = _estimate_once(args, ckpt, args.cutoff, name, args.eps, seed)
-                add_row(name, est)
-            except (EstimationError, CostEvaluationError, PreconditionerError) as exc:
-                add_row(name, None, status=f"failed: {exc}")
-    elif args.kind == "eps":
-        values = [float(v) for v in args.values.split(",")]
-        ckpt = load_checkpoint(args.checkpoint)
-        best = None
-        for eps in values:
-            try:
-                est, _ = _estimate_once(args, ckpt, args.cutoff, args.preconditioner, eps, seed)
-                add_row(eps, est)
-                if best is None or est.log_volume > best[1]:
-                    best = (eps, est.log_volume)
-            except (EstimationError, CostEvaluationError, PreconditionerError) as exc:
-                add_row(eps, None, status=f"failed: {exc}")
-        if best is not None:
-            summary["best_eps"] = best[0]
-            summary["best_log_volume"] = best[1]
-            print(f"largest estimate at eps={best[0]} (log_volume={best[1]:.4f})")
-    else:
-        raise ValueError(f"unknown sweep kind {args.kind!r}")
+    summary: dict = {"kind": args.kind, "seed": seed}
+    if args.kind == "cutoff" and len(done) >= 2:
+        xs = [math.log(cutoff) for cutoff, _ in done]
+        slope = float(np.polyfit(xs, [log_volume for _, log_volume in done], 1)[0])
+        summary["log_log_slope"] = slope
+        print(f"fitted log-log slope of volume vs cutoff: {slope:.4f}")
+    if args.kind == "eps" and done:
+        eps, best = max(done, key=lambda pair: pair[1])
+        summary["best_eps"] = eps
+        summary["best_log_volume"] = best
+        print(f"largest estimate at eps={eps} (log_volume={best:.4f})")
 
     out = Path(args.out)
     write_sweep_csv(out, rows, SWEEP_FIELDS)
@@ -504,50 +505,27 @@ def build_parser() -> argparse.ArgumentParser:
     add_seed(p_train)
     p_train.set_defaults(func=cmd_train)
 
-    p_est = sub.add_parser("estimate", help="estimate a checkpoint's local volume")
+    shared = argparse.ArgumentParser(add_help=False)
+    for flag, options in ESTIMATE_FLAGS:
+        shared.add_argument(flag, **options)
+    add_seed(shared)
+
+    p_est = sub.add_parser("estimate", parents=[shared], help="estimate a checkpoint's local volume")
     p_est.add_argument("--checkpoint", type=str, required=True)
-    p_est.add_argument("--cost", choices=("kl", "loss"), default="kl")
-    p_est.add_argument("--cutoff", type=float, default=1e-2)
-    p_est.add_argument("--k", type=int, default=100)
-    p_est.add_argument("--preconditioner", choices=PRECONDITIONER_CHOICES, default="none")
-    p_est.add_argument("--eps", type=float, default=None, help="damping (default depends on kind)")
-    p_est.add_argument("--exponent", type=float, default=0.5)
-    p_est.add_argument("--measure", choices=("lebesgue", "gaussian"), default="gaussian")
-    p_est.add_argument("--threads", type=int, default=1)
     p_est.add_argument("--out", type=str, default="runs.jsonl")
-    p_est.add_argument("--r-init", type=float, default=1.0)
-    p_est.add_argument("--r-max", type=float, default=None)
-    p_est.add_argument("--rel-tol", type=float, default=1e-4)
-    p_est.add_argument("--max-iters", type=int, default=500)
-    p_est.add_argument("--fd-step", type=float, default=1e-3, help=FD_STEP_HELP)
-    p_est.add_argument("--precond-file", type=str, default=None, help="load a saved preconditioner")
     p_est.add_argument("--save-precond", type=str, default=None, help="save the preconditioner used")
-    add_seed(p_est)
     p_est.set_defaults(func=cmd_estimate)
 
-    p_sweep = sub.add_parser("sweep", help="sweep cutoff, checkpoints, preconditioners, or eps")
+    p_sweep = sub.add_parser(
+        "sweep", parents=[shared], help="sweep cutoff, checkpoints, preconditioners, or eps"
+    )
     p_sweep.add_argument("--kind", choices=("cutoff", "checkpoint", "preconditioner", "eps"), required=True)
     p_sweep.add_argument("--values", type=str, default="", help="comma-separated sweep values")
     p_sweep.add_argument("--checkpoint", type=str, default=None)
     p_sweep.add_argument("--checkpoints", type=str, default="", help="comma-separated checkpoint files")
     p_sweep.add_argument("--target", choices=("checkpoint", "quadratic"), default="checkpoint")
     p_sweep.add_argument("--n", type=int, default=100, help="dimension for --target quadratic")
-    p_sweep.add_argument("--cost", choices=("kl", "loss"), default="kl")
-    p_sweep.add_argument("--cutoff", type=float, default=1e-2)
-    p_sweep.add_argument("--k", type=int, default=100)
-    p_sweep.add_argument("--preconditioner", choices=PRECONDITIONER_CHOICES, default="none")
-    p_sweep.add_argument("--eps", type=float, default=None)
-    p_sweep.add_argument("--exponent", type=float, default=0.5)
-    p_sweep.add_argument("--measure", choices=("lebesgue", "gaussian"), default="gaussian")
-    p_sweep.add_argument("--threads", type=int, default=1)
     p_sweep.add_argument("--out", type=str, default="sweep.csv")
-    p_sweep.add_argument("--r-init", type=float, default=1.0)
-    p_sweep.add_argument("--r-max", type=float, default=None)
-    p_sweep.add_argument("--rel-tol", type=float, default=1e-4)
-    p_sweep.add_argument("--max-iters", type=int, default=500)
-    p_sweep.add_argument("--fd-step", type=float, default=1e-3, help=FD_STEP_HELP)
-    p_sweep.add_argument("--precond-file", type=str, default=None)
-    add_seed(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the closed-form self-check suites")

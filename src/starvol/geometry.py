@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .logspace import log_sphere_area, log_sum_exp
-from .precondition import Preconditioner, PreconditionerError
+from .precondition import Preconditioner, PreconditionerError, _readonly
 
 __all__ = [
     "CostFn",
@@ -70,12 +70,6 @@ class CostEvaluationError(RuntimeError):
 
 class EstimationError(RuntimeError):
     """No estimate could be formed at all."""
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)

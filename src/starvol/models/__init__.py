@@ -7,11 +7,8 @@ from .mdl import DescriptionLength, description_length
 from .mlp import (
     MlpParams,
     forward_logits,
-    grad,
     init_params,
-    kl_cost,
     log_softmax,
-    loss_cost,
     make_kl_cost,
     make_loss_cost,
     param_count,
@@ -42,15 +39,12 @@ __all__ = [
     "adam_update",
     "description_length",
     "forward_logits",
-    "grad",
     "hessian_diag",
     "hessian_full",
     "init_params",
-    "kl_cost",
     "load_checkpoint",
     "load_csv",
     "log_softmax",
-    "loss_cost",
     "make_blobs",
     "make_kl_cost",
     "make_loss_cost",

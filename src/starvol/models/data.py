@@ -8,6 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ..precondition import _readonly
+
 __all__ = ["Dataset", "load_csv", "make_blobs", "make_spirals", "split_dataset"]
 
 
@@ -26,10 +28,9 @@ class Dataset:
     classes: int | None = None
 
     def __post_init__(self):
-        inputs = np.array(self.inputs, dtype=float, copy=True)
+        inputs = _readonly(self.inputs)
         if inputs.ndim != 2 or inputs.shape[0] == 0:
             raise ValueError("inputs must be a non-empty (m, d) matrix")
-        inputs.setflags(write=False)
         object.__setattr__(self, "inputs", inputs)
         if self.labels is not None:
             labels = np.array(self.labels, dtype=int, copy=True)

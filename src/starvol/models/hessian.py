@@ -126,25 +126,15 @@ def _kl_hessian_diag(params: MlpParams, data) -> np.ndarray:
     return diag
 
 
-def _grad_fn(cost_kind, shape, data):
+def _cost_and_grad(cost_kind, shape, data):
     # a (cost, grad) callable pair stands in for the named network costs,
     # which keeps the probes testable against pure quadratic surrogates
     if isinstance(cost_kind, tuple):
-        return cost_kind[1]
+        return cost_kind
     if cost_kind == "loss":
         if not isinstance(data, Dataset):
             raise ValueError("loss curvature requires a Dataset")
-        return lambda flat: loss_value_and_grad(flat, shape, data)[1]
-    raise ValueError(f"unknown cost kind {cost_kind!r}")
-
-
-def _cost_fn(cost_kind, shape, data):
-    if isinstance(cost_kind, tuple):
-        return cost_kind[0]
-    if cost_kind == "loss":
-        if not isinstance(data, Dataset):
-            raise ValueError("loss curvature requires a Dataset")
-        return make_loss_cost(shape, data)
+        return make_loss_cost(shape, data), lambda flat: loss_value_and_grad(flat, shape, data)[1]
     raise ValueError(f"unknown cost kind {cost_kind!r}")
 
 
@@ -163,7 +153,7 @@ def hessian_full(cost_kind: str, params: MlpParams, data, h: float = 1e-3) -> np
         raise ValueError(f"step must be positive, got {h}")
     if cost_kind == "kl":
         return _kl_hessian_full(params, data)
-    grad = _grad_fn(cost_kind, params.shape, data)
+    _, grad = _cost_and_grad(cost_kind, params.shape, data)
     flat = params.flat
     hess = np.empty((n, n))
     probe = flat.copy()
@@ -188,7 +178,7 @@ def hessian_diag(cost_kind: str, params: MlpParams, data, h: float = 1e-3) -> np
         raise ValueError(f"step must be positive, got {h}")
     if cost_kind == "kl":
         return _kl_hessian_diag(params, data)
-    cost = _cost_fn(cost_kind, params.shape, data)
+    cost, _ = _cost_and_grad(cost_kind, params.shape, data)
     flat = params.flat
     c0 = cost(flat)
     diag = np.empty(params.n)

@@ -11,23 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ..geometry import MeasureSpec
+from ..precondition import _readonly
 from .data import Dataset
 
 __all__ = [
     "MlpParams",
     "Shape",
     "forward_logits",
-    "grad",
     "init_params",
-    "kl_cost",
     "kl_value_and_grad",
     "log_softmax",
-    "loss_cost",
     "loss_value_and_grad",
     "make_kl_cost",
     "make_loss_cost",
@@ -66,13 +64,12 @@ class MlpParams:
 
     def __post_init__(self):
         shape = _validate_shape(self.shape)
-        flat = np.array(self.flat, dtype=float, copy=True)
+        flat = _readonly(self.flat)
         if flat.ndim != 1 or flat.size != param_count(shape):
             raise ValueError(
                 f"flat vector of length {flat.size} does not match shape {shape} "
                 f"(expected {param_count(shape)})"
             )
-        flat.setflags(write=False)
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "shape", shape)
 
@@ -165,21 +162,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 # -- costs ------------------------------------------------------------------
-
-
-def loss_cost(params: MlpParams, dataset: Dataset) -> float:
-    """Mean cross-entropy of the dataset labels, in nats."""
-    if dataset.labels is None:
-        raise ValueError("loss cost requires a labeled dataset")
-    lp = log_softmax(_forward(params.flat, params.shape, dataset.inputs))
-    return float(-np.mean(lp[np.arange(dataset.m), dataset.labels]))
-
-
-def kl_cost(anchor: MlpParams, params: MlpParams, inputs: np.ndarray) -> float:
-    """Mean KL from the anchor's predictive distribution to the candidate's."""
-    if anchor.shape != params.shape:
-        raise ValueError("anchor and candidate must share the same layer shape")
-    return make_kl_cost(anchor, inputs)(params.flat)
 
 
 def make_loss_cost(shape: Shape, dataset: Dataset) -> Callable[[np.ndarray], float]:
@@ -291,16 +273,3 @@ def kl_value_and_grad(
     dlogits = (np.exp(q_lp) - anchor_p) / m
     return value, _backward(shape, layers, activations, dlogits)
 
-
-def grad(cost_kind: str, params: MlpParams, data) -> np.ndarray:
-    """Gradient dispatcher.
-
-    ``cost_kind`` is "loss" with a labeled Dataset, or "kl" with a tuple
-    (anchor: MlpParams, inputs: ndarray).
-    """
-    if cost_kind == "loss":
-        return loss_value_and_grad(params.flat, params.shape, data)[1]
-    if cost_kind == "kl":
-        anchor, inputs = data
-        return kl_value_and_grad(anchor, params.flat, inputs)[1]
-    raise ValueError(f"unknown cost kind {cost_kind!r}")

@@ -27,7 +27,7 @@ from .geometry import (
     estimate_local_volume,
 )
 from .logspace import log_sum_exp
-from .precondition import Preconditioner
+from .precondition import Preconditioner, _readonly
 
 __all__ = [
     "CheckResult",
@@ -62,18 +62,16 @@ class Ellipsoid:
     rotation: np.ndarray | None = None
 
     def __post_init__(self):
-        radii = np.array(self.radii, dtype=float, copy=True)
+        radii = _readonly(self.radii)
         if radii.ndim != 1 or radii.size == 0 or np.any(radii <= 0):
             raise ValueError("radii must be a vector of positive reals")
-        radii.setflags(write=False)
         object.__setattr__(self, "radii", radii)
         if self.rotation is not None:
-            q = np.array(self.rotation, dtype=float, copy=True)
+            q = _readonly(self.rotation)
             if q.shape != (radii.size, radii.size):
                 raise ValueError("rotation shape does not match radii")
             if not np.allclose(q.T @ q, np.eye(radii.size), atol=1e-9):
                 raise ValueError("rotation must be orthogonal")
-            q.setflags(write=False)
             object.__setattr__(self, "rotation", q)
 
     @property

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import starvol.cli as cli
 from starvol.cli import main
 from starvol.precondition import Preconditioner
 from starvol.runio import read_jsonl
@@ -34,6 +35,18 @@ TRAIN_CONFIG = {
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap the named cli functions; return a dict their calls count into."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    return counts
 
 
 @pytest.fixture(scope="session")
@@ -220,6 +233,104 @@ class TestSweep:
         best = max(rows, key=lambda r: float(r["log_volume"]))
         assert summary["best_eps"] == float(best["value"])
         assert summary["best_log_volume"] == float(best["log_volume"])
+
+    @pytest.mark.parametrize("kind, name, counts", [
+        # one curvature probe; each eps still shapes its own map
+        ("eps", "hessian", {"hessian_full": 1, "from_hessian": 3}),
+        ("cutoff", "hessian", {"hessian_full": 1, "from_hessian": 1}),
+        ("cutoff", "diag", {"hessian_diag": 1, "from_diagonal": 1}),
+    ])
+    def test_sweep_probes_curvature_once(self, kind, name, counts, final_checkpoint, tmp_path, monkeypatch):
+        calls = _count_calls(monkeypatch, *counts)
+        rc = main([
+            "sweep", "--kind", kind, "--preconditioner", name,
+            "--values", "0.01,0.1,1.0", "--checkpoint", str(final_checkpoint),
+            "--k", "4", "--out", str(tmp_path / "sweep.csv"), "--seed", "1",
+        ])
+        assert rc == 0
+        assert calls == counts
+
+    def test_cutoff_sweep_rows_match_estimate_runs(self, final_checkpoint, tmp_path):
+        cutoffs = ("1e-3", "1e-2", "1e-1")
+        shared = [
+            "--checkpoint", str(final_checkpoint), "--k", "5",
+            "--preconditioner", "diag", "--seed", "7",
+        ]
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--kind", "cutoff", "--values", ",".join(cutoffs), "--out", str(out), *shared]) == 0
+        rows = _read_csv(out)
+        assert len(rows) == len(cutoffs)
+        for cutoff, row in zip(cutoffs, rows):
+            record_path = tmp_path / f"estimate-{cutoff}.jsonl"
+            assert main(["estimate", "--cutoff", cutoff, "--out", str(record_path), *shared]) == 0
+            (record,) = read_jsonl(record_path)
+            assert row["status"] == "ok"
+            assert row["log_volume"] == repr(record["log_volume"])
+            assert row["log10_volume"] == repr(record["log10_volume"])
+            assert row["preconditioner"] == record["preconditioner"]
+            assert row["cutoff"] == repr(record["cutoff"])
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--kind", "eps", "--values", "0.1"], "--checkpoint"),
+        (["--kind", "cutoff", "--values", "0.1"], "--checkpoint"),
+        (["--kind", "preconditioner", "--values", "none"], "--checkpoint"),
+        (["--kind", "checkpoint"], "--checkpoints"),
+    ])
+    def test_missing_input_exits_2(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().endswith(f"requires {flag}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, values", [("preconditioner", "none,adam-nu"), ("eps", "0.01,0.1")])
+    def test_precond_file_rejected_over_maps(self, kind, values, final_checkpoint, tmp_path, capsys):
+        saved = tmp_path / "precond.json"
+        Preconditioner.identity(26).save(saved)
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", "--kind", kind, "--values", values, "--checkpoint", str(final_checkpoint),
+            "--preconditioner", "adam-nu", "--precond-file", str(saved), "--out", str(out),
+        ])
+        assert rc == 2
+        assert "--precond-file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_precond_file_accepted_over_cutoffs(self, final_checkpoint, tmp_path):
+        saved = tmp_path / "precond.json"
+        Preconditioner.diagonal(np.linspace(0.5, 2.0, 26), source="saved").save(saved)
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", "--kind", "cutoff", "--values", "1e-2,1e-1", "--checkpoint", str(final_checkpoint),
+            "--precond-file", str(saved), "--k", "4", "--out", str(out), "--seed", "1",
+        ])
+        assert rc == 0
+        assert [r["preconditioner"] for r in _read_csv(out)] == ["saved[diagonal,n=26]"] * 2
+
+    def test_failed_rows_describe_their_own_point(self, final_checkpoint, tmp_path):
+        out = tmp_path / "precond.csv"
+        rc = main([
+            "sweep", "--kind", "preconditioner", "--values", "adam-nu,bogus", "--cutoff", "0.05",
+            "--checkpoint", str(final_checkpoint), "--k", "4", "--out", str(out), "--seed", "1",
+        ])
+        assert rc == 0
+        bogus = _read_csv(out)[1]
+        assert bogus["status"] == "failed: unknown preconditioner"
+        assert (bogus["preconditioner"], bogus["cutoff"]) == ("bogus", "0.05")
+
+        # the anchor's training loss is about 0.1, so a 1e-6 loss cutoff fails
+        out = tmp_path / "cutoff.csv"
+        rc = main([
+            "sweep", "--kind", "cutoff", "--cost", "loss", "--values", "1e-6,2.0",
+            "--preconditioner", "adam-mu", "--checkpoint", str(final_checkpoint),
+            "--k", "4", "--out", str(out), "--seed", "1",
+        ])
+        assert rc == 0
+        failed, ok = _read_csv(out)
+        assert failed["status"].startswith("failed: anchor cost")
+        assert (failed["cutoff"], failed["preconditioner"]) == ("1e-06", "adam-mu")
+        assert (ok["status"], ok["cutoff"]) == ("ok", "2.0")
+        # one successful point fits no slope, so no summary is written
+        assert not out.with_suffix(".summary.json").exists()
 
 
 class TestValidate:
