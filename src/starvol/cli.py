@@ -9,6 +9,7 @@ index, so thread count never changes results.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -44,7 +45,7 @@ from .models import (
     split_dataset,
 )
 from .models.train import AdamHyper
-from .precondition import DEFAULT_EPS, Preconditioner, PreconditionerError, from_diagonal, from_hessian
+from .precondition import DEFAULT_EPS, Preconditioner, PreconditionerError, eigendecompose, from_diagonal
 from .runio import (
     DEFAULT_CONFIG,
     default_seed,
@@ -63,6 +64,8 @@ SEED_ROLES = {"data": 0, "init": 1, "train": 2, "estimate": 3}
 PRECONDITIONER_CHOICES = ("none", "hessian", "diag", "adam-nu", "adam-mu")
 FD_STEP_HELP = "finite-difference step of the --cost loss curvature probes (kl curvature is exact)"
 PRECOND_FILE_HELP = "load a saved preconditioner (a sweep accepts it over cutoffs or checkpoints only)"
+EXPONENT_HELP = "shape curvature d as 1/(|d|^exponent + eps), for hessian and diagonal maps alike"
+TARGET_HELP = "quadratic: a synthetic |x|^2/2 cost, always with Lebesgue measure and the identity map"
 
 # flags shared by estimate and sweep, defined once in an argparse parent
 # parser (with --seed); an estimate record lists each under "config"
@@ -72,7 +75,7 @@ ESTIMATE_FLAGS = (
     ("--k", {"type": int, "default": 100}),
     ("--preconditioner", {"choices": PRECONDITIONER_CHOICES, "default": "none"}),
     ("--eps", {"type": float, "default": None, "help": "damping (default depends on kind)"}),
-    ("--exponent", {"type": float, "default": 0.5}),
+    ("--exponent", {"type": float, "default": 0.5, "help": EXPONENT_HELP}),
     ("--measure", {"choices": ("lebesgue", "gaussian"), "default": "gaussian"}),
     ("--threads", {"type": int, "default": 1}),
     ("--r-init", {"type": float, "default": 1.0}),
@@ -204,13 +207,18 @@ def cmd_train(args) -> int:
 # -- estimate ------------------------------------------------------------------
 
 
+def _search_options(args) -> SearchOptions:
+    return SearchOptions(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchOptions)})
+
+
 class _CheckpointEstimator:
     """Local-volume estimates on one checkpoint, for estimate and sweep alike.
 
-    The datasets, cost, measure and search options are built once. Each
-    curvature probe runs at most once, and a preconditioner is reused while
-    consecutive estimates share (name, eps). Only the latest map is kept, so
-    a dense one is dropped before the next is built.
+    The datasets, cost, measure, search options and any ``--precond-file``
+    map are built once. Each curvature probe runs at most once, and the full
+    Hessian is kept only as its eigendecomposition. Every estimate shapes its
+    map from that spectrum in O(n), sharing the eigenvectors without a copy,
+    so a sweep over eps runs one eigendecomposition.
     """
 
     def __init__(self, args, ckpt: Checkpoint):
@@ -227,40 +235,29 @@ class _CheckpointEstimator:
             raise ValueError(f"unknown cost {args.cost!r}")
         gaussian = args.measure == "gaussian"
         self.measure = MeasureSpec.gaussian(ckpt.sigma) if gaussian else MeasureSpec.lebesgue()
-        self.opts = SearchOptions(
-            r_init=args.r_init,
-            r_max=args.r_max,
-            rel_tol=args.rel_tol,
-            max_iters=args.max_iters,
-            threads=args.threads,
-        )
-        # what each map is shaped from: Adam's moments, and the curvature
-        # probes' results once first asked for
-        self._curvature = {"adam-nu": ckpt.adam.nu, "adam-mu": np.abs(ckpt.adam.mu)}
-        self._key = self._precond = None
-
-    def _build(self, name: str, eps: float) -> Preconditioner:
-        args, params = self.args, self.ckpt.params
-        if args.precond_file:
-            return Preconditioner.load(args.precond_file)
-        if name == "none":
-            return Preconditioner.identity(params.n)
-        if name not in self._curvature:
-            probe = hessian_full if name == "hessian" else hessian_diag
-            self._curvature[name] = probe(args.cost, params, self.data, h=args.fd_step)
-        if name == "hessian":
-            return from_hessian(self._curvature[name], eps, source=name)
-        return from_diagonal(self._curvature[name], eps, args.exponent, source=name)
+        self.opts = _search_options(args)
+        self._loaded = Preconditioner.load(args.precond_file) if args.precond_file else None
+        # (spectrum, basis) each map is shaped from: Adam's moments on the
+        # coordinate axes, and each curvature probe's result once asked for
+        self._curvature = {"adam-nu": (ckpt.adam.nu, None), "adam-mu": (np.abs(ckpt.adam.mu), None)}
 
     def preconditioner(self, name: str, eps: float | None) -> Preconditioner:
         if name not in PRECONDITIONER_CHOICES:
             raise PreconditionerError("unknown preconditioner")
-        key = (name, DEFAULT_EPS[name] if eps is None else eps)
-        if key != self._key:
-            self._key = self._precond = None  # drop the old map before building the next
-            self._precond = self._build(*key)
-            self._key = key
-        return self._precond
+        args, params = self.args, self.ckpt.params
+        if self._loaded is not None:
+            return self._loaded
+        if name == "none":
+            return Preconditioner.identity(params.n)
+        if name not in self._curvature:
+            probe = hessian_full if name == "hessian" else hessian_diag
+            curvature = probe(args.cost, params, self.data, h=args.fd_step)
+            self._curvature[name] = (
+                eigendecompose(curvature) if name == "hessian" else (curvature, None)
+            )
+        spectrum, basis = self._curvature[name]
+        eps = DEFAULT_EPS[name] if eps is None else eps
+        return from_diagonal(spectrum, eps, args.exponent, source=name, basis=basis)
 
     def estimate(self, cutoff: float, name: str, eps: float | None, seed: int):
         spec = NeighborhoodSpec(
@@ -346,15 +343,13 @@ def _sweep_points(args) -> list[tuple]:
     return [(float(v), ckpt, args.cutoff, args.preconditioner, float(v)) for v in values]
 
 
-def _quadratic_estimate(n, cutoff, k, seed, threads):
-    anchor = np.zeros(n)
-
+def _quadratic_estimate(args, cutoff: float, seed: int):
     def cost(x: np.ndarray) -> float:
         return 0.5 * float(np.dot(x, x))
 
-    spec = NeighborhoodSpec(anchor=anchor, cost=cost, cutoff=cutoff, measure=MeasureSpec.lebesgue())
+    spec = NeighborhoodSpec(np.zeros(args.n), cost, cutoff, MeasureSpec.lebesgue())
     return estimate_local_volume(
-        spec, Preconditioner.identity(n), k, SearchOptions(threads=threads), seed
+        spec, Preconditioner.identity(args.n), args.k, _search_options(args), seed
     )
 
 
@@ -370,15 +365,15 @@ def cmd_sweep(args) -> int:
             "value": value,
             "k": args.k,
             "cutoff": cutoff,
-            "measure": args.measure,
+            "measure": "lebesgue" if ckpt is None else args.measure,
             "preconditioner": name,
         }
         try:
             if ckpt is None:
-                est = _quadratic_estimate(args.n, cutoff, args.k, seed, args.threads)
+                est = _quadratic_estimate(args, cutoff, seed)
             else:
                 if estimator is None or estimator.ckpt is not ckpt:
-                    estimator = None  # free the last checkpoint's curvature and map first
+                    estimator = None  # free the last checkpoint's curvature first
                     estimator = _CheckpointEstimator(args, ckpt)
                 est = estimator.estimate(cutoff, name, eps, seed)
         except (EstimationError, CostEvaluationError, PreconditionerError) as exc:
@@ -523,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", type=str, default="", help="comma-separated sweep values")
     p_sweep.add_argument("--checkpoint", type=str, default=None)
     p_sweep.add_argument("--checkpoints", type=str, default="", help="comma-separated checkpoint files")
-    p_sweep.add_argument("--target", choices=("checkpoint", "quadratic"), default="checkpoint")
+    targets = ("checkpoint", "quadratic")
+    p_sweep.add_argument("--target", choices=targets, default="checkpoint", help=TARGET_HELP)
     p_sweep.add_argument("--n", type=int, default=100, help="dimension for --target quadratic")
     p_sweep.add_argument("--out", type=str, default="sweep.csv")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -245,8 +245,9 @@ def _sample_directions(
     Row i is a uniform sphere point (a normalized Gaussian draw from
     ``rngs[i]``) mapped through the preconditioner and renormalized; its
     entry in the returned list is the log of its pre-normalization length.
-    All rows go through one ``apply`` call, so a dense map costs one matrix
-    product; it maps the block in place. The block is returned read-only.
+    All rows go through one ``apply`` call, so a dense map costs two matrix
+    products for the whole block; it maps the block in place. The block is
+    returned read-only.
     """
     block = np.empty((len(rngs), precond.dim))
     for row, rng in zip(block, rngs):

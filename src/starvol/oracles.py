@@ -118,11 +118,8 @@ class Ellipsoid:
         )
 
     def exact_preconditioner(self) -> Preconditioner:
-        """The zero-variance direction shaper: proportional to A^{-1/2}."""
-        if self.rotation is None:
-            return Preconditioner.diagonal(self.radii, source="exact").normalize_unit_det()
-        mat = self.rotation @ np.diag(self.radii) @ self.rotation.T
-        return Preconditioner.dense(mat, source="exact").normalize_unit_det()
+        """The zero-variance direction shaper A^{-1/2}: the radii along the rotation's columns."""
+        return Preconditioner.diagonal(self.radii, "exact", self.rotation).normalize_unit_det()
 
 
 def ellipsoid_radius(e: Ellipsoid, direction: np.ndarray) -> float:

@@ -154,6 +154,33 @@ class TestEstimate:
         assert record["preconditioner"].startswith("adam-nu[")
         assert Preconditioner.load(saved).describe() == record["preconditioner"]
 
+    def test_hessian_map_reloads_bit_identically(self, final_checkpoint, tmp_path):
+        # the saved file keeps the scales and the eigenvector basis exactly,
+        # so the same seed reproduces the same estimate
+        saved = tmp_path / "precond.json"
+        shared = ["--checkpoint", str(final_checkpoint), "--k", "6", "--seed", "4"]
+        assert main([
+            "estimate", "--preconditioner", "hessian", "--save-precond", str(saved),
+            "--out", str(tmp_path / "a.jsonl"), *shared,
+        ]) == 0
+        assert main(["estimate", "--precond-file", str(saved), "--out", str(tmp_path / "b.jsonl"), *shared]) == 0
+        (first,), (second,) = read_jsonl(tmp_path / "a.jsonl"), read_jsonl(tmp_path / "b.jsonl")
+        assert first["preconditioner"] == second["preconditioner"] == "hessian[dense,n=26]"
+        assert first["log_volume"] == second["log_volume"]
+        assert first["log_terms"] == second["log_terms"]
+
+    def test_exponent_shapes_hessian_map(self, final_checkpoint, tmp_path):
+        volumes = {}
+        for exponent in ("0.5", "1.0"):
+            out = tmp_path / f"e{exponent}.jsonl"
+            assert main([
+                "estimate", "--checkpoint", str(final_checkpoint), "--k", "6",
+                "--preconditioner", "hessian", "--exponent", exponent,
+                "--out", str(out), "--seed", "3",
+            ]) == 0
+            volumes[exponent] = read_jsonl(out)[0]["log_volume"]
+        assert volumes["0.5"] != volumes["1.0"]
+
     def test_loss_cost_works(self, final_checkpoint, tmp_path):
         out = tmp_path / "runs.jsonl"
         rc = main([
@@ -235,20 +262,44 @@ class TestSweep:
         assert summary["best_log_volume"] == float(best["log_volume"])
 
     @pytest.mark.parametrize("kind, name, counts", [
-        # one curvature probe; each eps still shapes its own map
-        ("eps", "hessian", {"hessian_full": 1, "from_hessian": 3}),
-        ("cutoff", "hessian", {"hessian_full": 1, "from_hessian": 1}),
-        ("cutoff", "diag", {"hessian_diag": 1, "from_diagonal": 1}),
+        # one curvature probe and at most one eigendecomposition; every point
+        # shapes its own map from the cached spectrum in O(n)
+        ("eps", "hessian", {"hessian_full": 1, "eigh": 1, "from_diagonal": 3}),
+        ("cutoff", "hessian", {"hessian_full": 1, "eigh": 1, "from_diagonal": 3}),
+        ("cutoff", "diag", {"hessian_diag": 1, "eigh": 0, "from_diagonal": 3}),
     ])
     def test_sweep_probes_curvature_once(self, kind, name, counts, final_checkpoint, tmp_path, monkeypatch):
-        calls = _count_calls(monkeypatch, *counts)
+        calls = _count_calls(monkeypatch, *(key for key in counts if key != "eigh"))
+        real_eigh = np.linalg.eigh
+
+        def counted_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return real_eigh(*args, **kwargs)
+
+        calls["eigh"] = 0
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         rc = main([
             "sweep", "--kind", kind, "--preconditioner", name,
             "--values", "0.01,0.1,1.0", "--checkpoint", str(final_checkpoint),
             "--k", "4", "--out", str(tmp_path / "sweep.csv"), "--seed", "1",
         ])
         assert rc == 0
+        assert all(r["status"] == "ok" for r in _read_csv(tmp_path / "sweep.csv"))
         assert calls == counts
+
+    def test_quadratic_sweep_honours_search_flags(self, tmp_path):
+        # three bisection steps cannot reach the 1e-4 tolerance, so every
+        # ray fails and each point writes a failed row
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", "--kind", "cutoff", "--target", "quadratic", "--n", "20",
+            "--k", "8", "--values", "1e-2,1e-1", "--max-iters", "3",
+            "--out", str(out), "--seed", "1",
+        ])
+        assert rc == 0
+        rows = _read_csv(out)
+        assert [r["status"] for r in rows] == ["failed: no valid samples"] * 2
+        assert {(r["measure"], r["preconditioner"]) for r in rows} == {("lebesgue", "none")}
 
     def test_cutoff_sweep_rows_match_estimate_runs(self, final_checkpoint, tmp_path):
         cutoffs = ("1e-3", "1e-2", "1e-1")

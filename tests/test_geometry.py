@@ -374,6 +374,20 @@ class TestEstimateLocalVolume:
         assert est.log_volume == pytest.approx(ellipsoid_log_volume_exact(e), abs=1e-6)
         assert est.preconditioner_id == "exact[diagonal,n=6]"
 
+    def test_rotated_exact_preconditioner_kills_variance(self):
+        # the factored dense map V (s * V^T u): every ray of a rotated
+        # ellipsoid must recover the exact volume
+        q, _ = np.linalg.qr(np.random.default_rng(19).normal(size=(12, 12)))
+        e = Ellipsoid(np.geomspace(0.1, 10.0, 12), rotation=q)
+        p = e.exact_preconditioner()
+        assert p.describe() == "exact[dense,n=12]"
+        assert p.log_det() == pytest.approx(0.0, abs=1e-12)
+        est = estimate_local_volume(
+            e.neighborhood(), p, k=32, opts=SearchOptions(rel_tol=1e-10), seed=2
+        )
+        exact = ellipsoid_log_volume_exact(e)
+        assert max(abs(s.log_term - exact) for s in est.samples) < 1e-6
+
     def test_plain_monte_carlo_converges(self):
         e = Ellipsoid(np.array([2.0, 1.0, 0.5]))
         est = estimate_local_volume(e.neighborhood(), Preconditioner.identity(3), k=4096, seed=3)

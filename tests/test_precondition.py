@@ -1,5 +1,7 @@
 """Tests for unit-determinant preconditioner construction and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,20 @@ from starvol.precondition import (
     from_diagonal,
     from_hessian,
 )
+
+
+def _matrix(p):
+    """The dense map's matrix V diag(s) V^T, recomposed for comparison only."""
+    return (p.basis * p.scale) @ p.basis.T
+
+
+def _forbid(monkeypatch, *names):
+    """Make the named np.linalg routines raise if called."""
+    for name in names:
+        def forbidden(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} called")
+
+        monkeypatch.setattr(np.linalg, name, forbidden)
 
 
 class TestNormalization:
@@ -37,7 +53,7 @@ class TestNormalization:
         a = rng.normal(size=(6, 6))
         mat = a @ a.T + 0.5 * np.eye(6)
         p = Preconditioner.dense(mat).normalize_unit_det()
-        sign, logdet = np.linalg.slogdet(p.matrix)
+        sign, logdet = np.linalg.slogdet(_matrix(p))
         assert sign == 1.0
         assert logdet == pytest.approx(0.0, abs=1e-10)
 
@@ -46,7 +62,7 @@ class TestFromHessian:
     def test_diagonal_hessian_inverse_sqrt(self):
         p = from_hessian(np.diag([4.0, 1.0]), eps=0.0)
         expected = np.diag([np.sqrt(0.5), np.sqrt(2.0)])
-        np.testing.assert_allclose(p.matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(_matrix(p), expected, atol=1e-12)
 
     def test_eigenvalue_shaping_matches_oracle(self):
         # result spectrum must be the normalized 1/(sqrt(|d|)+eps) image of
@@ -58,13 +74,17 @@ class TestFromHessian:
         p = from_hessian(mat, eps=eps)
         raw = 1.0 / (np.sqrt(np.linalg.eigvalsh(mat)) + eps)
         want = np.sort(raw * np.exp(-np.mean(np.log(raw))))
-        got = np.sort(np.linalg.eigvalsh(p.matrix))
-        np.testing.assert_allclose(got, want, rtol=1e-10)
+        np.testing.assert_allclose(np.sort(p.scale), want, rtol=1e-10)
+        # the basis diagonalizes the input, column by column with the scales
+        rotated = p.basis.T @ mat @ p.basis
+        np.testing.assert_allclose(rotated, np.diag(np.diag(rotated)), atol=1e-10)
+        shaped = 1.0 / (np.sqrt(np.diag(rotated)) + eps)
+        np.testing.assert_allclose(p.scale, shaped * np.exp(-np.mean(np.log(shaped))), rtol=1e-10)
 
     def test_negative_curvature_folded_by_abs(self):
         p = from_hessian(np.diag([-4.0, 1.0]), eps=0.0)
         q = from_hessian(np.diag([4.0, 1.0]), eps=0.0)
-        np.testing.assert_allclose(p.matrix, q.matrix, atol=1e-12)
+        np.testing.assert_allclose(_matrix(p), _matrix(q), atol=1e-12)
 
     def test_zero_curvature_without_damping_is_error(self):
         with pytest.raises(PreconditionerError, match="zero curvature"):
@@ -82,45 +102,45 @@ class TestFromHessian:
     def test_single_eigendecomposition(self, monkeypatch):
         # the unit determinant is set on the spectrum, so no second
         # eigenvalue pass may run
-        def forbidden(*args, **kwargs):
-            raise AssertionError("eigvalsh called")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        _forbid(monkeypatch, "eigvalsh")
         rng = np.random.default_rng(29)
         a = rng.normal(size=(6, 6))
         p = from_hessian(a @ a.T + 0.1 * np.eye(6), eps=0.1)
         assert p.log_det() == pytest.approx(0.0, abs=1e-12)
 
     def test_one_symmetry_check_and_no_copy(self, monkeypatch):
-        # the recomposed matrix is symmetric by construction: only the input
-        # is scanned for asymmetry, and the result is frozen in place
+        # only the input is scanned for asymmetry, and the eigenvectors become
+        # the map's basis in place: only the O(n) scale vectors are copied
         calls = []
-        real = precondition._max_asymmetry
+        real_asym, real_readonly = precondition._max_asymmetry, precondition._readonly
 
         def counting(mat):
             calls.append(mat.shape)
-            return real(mat)
+            return real_asym(mat)
 
-        def no_copy(arr):
-            raise AssertionError("recomposed matrix copied")
+        def vectors_only(arr):
+            assert np.ndim(arr) == 1, "a square matrix was copied"
+            return real_readonly(arr)
 
         monkeypatch.setattr(precondition, "_max_asymmetry", counting)
-        monkeypatch.setattr(precondition, "_readonly", no_copy)
+        monkeypatch.setattr(precondition, "_readonly", vectors_only)
         rng = np.random.default_rng(12)
         a = rng.normal(size=(40, 40))
         p = from_hessian(a @ a.T + 0.1 * np.eye(40), eps=0.1)
-        assert len(calls) == 1
-        assert np.array_equal(p.matrix, p.matrix.T)
-        assert not p.matrix.flags.writeable
+        assert calls == [(40, 40)]
+        assert not p.basis.flags.writeable
+        np.testing.assert_allclose(p.basis.T @ p.basis, np.eye(40), atol=1e-12)
 
-    def test_wide_spectrum_has_unit_determinant(self):
+    def test_wide_spectrum_has_unit_determinant(self, monkeypatch):
         # 24 decades of curvature; the spectrum is shuffled so eigh must sort
-        # it, while the recomposition stays exact
+        # it. The determinant comes from the scales alone: no factorization
+        # and no second eigenvalue pass
+        _forbid(monkeypatch, "cholesky", "eigvalsh")
         spectrum = np.random.default_rng(31).permutation(np.logspace(-12.0, 12.0, 64))
         p = from_hessian(np.diag(spectrum), eps=0.0)
-        sign, logdet = np.linalg.slogdet(p.matrix)
-        assert sign == 1.0
-        assert logdet == pytest.approx(0.0, abs=1e-10)
+        assert p.log_det() == pytest.approx(0.0, abs=1e-12)
+        raw = 1.0 / np.sqrt(np.sort(spectrum))
+        np.testing.assert_allclose(p.scale, raw * np.exp(-np.mean(np.log(raw))), rtol=1e-12)
 
 
 class TestFromDiagonal:
@@ -166,6 +186,19 @@ class TestApply:
         p = Preconditioner.dense(mat)
         np.testing.assert_allclose(p.apply(np.array([1.0, 1.0])), [3.0, 3.0])
 
+    def test_factored_block_matches_recomposed_rows(self):
+        # the map is applied as V (s * V^T u) and never recomposed; compare
+        # with the rows of V diag(s) V^T built here
+        rng = np.random.default_rng(17)
+        q, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+        p = Preconditioner.diagonal(rng.uniform(0.2, 3.0, size=9), basis=q)
+        block = rng.normal(size=(6, 9))
+        want = block @ (q @ np.diag(p.scale) @ q.T)
+        np.testing.assert_allclose(p.apply(block), want, rtol=0, atol=1e-13)
+        in_place = block.copy()
+        assert p.apply(in_place, out=in_place) is in_place
+        np.testing.assert_allclose(in_place, want, rtol=0, atol=1e-13)
+
     def test_block_maps_each_row(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(4, 4))
@@ -209,23 +242,26 @@ class TestDescribeAndValidation:
             Preconditioner.dense(np.diag([1.0, -1.0]))
 
     def test_dense_log_det_without_eigvalsh(self, monkeypatch):
-        # validation and log_det use Cholesky factorizations; no eigenvalue pass
-        def forbidden(*args, **kwargs):
-            raise AssertionError("eigvalsh called")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        # one eigendecomposition on construction; log_det is the sum of the
+        # log scales, with no factorization and no eigenvalue pass
         rng = np.random.default_rng(8)
         a = rng.normal(size=(5, 5))
         mat = a @ a.T + 0.5 * np.eye(5)
+        want = np.linalg.slogdet(mat)[1]
+        _forbid(monkeypatch, "cholesky", "eigvalsh")
         p = Preconditioner.dense(mat)
-        assert p.log_det() == pytest.approx(np.linalg.slogdet(mat)[1], rel=1e-12)
+        assert p.log_det() == pytest.approx(want, rel=1e-12)
         q = p.normalize_unit_det()
         assert q.log_det() == pytest.approx(0.0, abs=1e-12)
+        assert q.basis is p.basis
 
-    def test_direct_dense_construction_checks_definiteness(self):
-        p = Preconditioner("dense", 2, matrix=np.diag([1.0, -1.0]))
-        with pytest.raises(PreconditionerError, match="lost positive definiteness"):
-            p.log_det()
+    def test_dense_map_holds_one_square_array(self):
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(6, 6))
+        p = from_hessian(a @ a.T + np.eye(6), eps=0.1)
+        arrays = [v for v in vars(p).values() if isinstance(v, np.ndarray)]
+        assert sorted(arr.shape for arr in arrays) == [(6,), (6, 6)]
+        assert p.kind == "dense"
 
     def test_identity_rejects_bad_dim(self):
         with pytest.raises(PreconditionerError, match="dimension"):
@@ -254,8 +290,49 @@ class TestSerialization:
         path = tmp_path / "precond.json"
         p.save(path)
         q = Preconditioner.load(path)
-        np.testing.assert_array_equal(q.matrix, p.matrix)
+        assert json.loads(path.read_text())["version"] == 2
+        np.testing.assert_array_equal(q.scale, p.scale)
+        np.testing.assert_array_equal(q.basis, p.basis)
         assert q.describe() == p.describe()
+
+    def test_version_one_dense_file_loads(self, tmp_path):
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=(5, 5))
+        mat = a @ a.T + np.eye(5)
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({
+            "format": "starvol-preconditioner", "version": 1, "kind": "dense", "dim": 5,
+            "source": "hessian", "scale": None, "matrix": mat.tolist(),
+        }))
+        p = Preconditioner.load(path)
+        assert p.describe() == "hessian[dense,n=5]"
+        block = rng.normal(size=(4, 5))
+        np.testing.assert_allclose(p.apply(block), block @ mat, rtol=0, atol=1e-12)
+        assert p.log_det() == pytest.approx(np.linalg.slogdet(mat)[1], abs=1e-12)
+
+    def test_version_one_diagonal_file_loads(self, tmp_path):
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({
+            "format": "starvol-preconditioner", "version": 1, "kind": "diagonal", "dim": 2,
+            "source": "adam-nu", "scale": [2.0, 0.5], "matrix": None,
+        }))
+        p = Preconditioner.load(path)
+        assert p.describe() == "adam-nu[diagonal,n=2]"
+        np.testing.assert_array_equal(p.scale, [2.0, 0.5])
+
+    @pytest.mark.parametrize("basis, match", [
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.001]], "not orthonormal"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "basis shape"),
+        ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]], "basis shape"),
+    ])
+    def test_rejects_bad_basis(self, basis, match, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "format": "starvol-preconditioner", "version": 2, "dim": 3,
+            "source": "hessian", "scale": [1.0, 2.0, 0.5], "basis": basis,
+        }))
+        with pytest.raises(PreconditionerError, match=match):
+            Preconditioner.load(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"
