@@ -5,18 +5,19 @@ inside which a cost function stays below a cutoff. Its size under a
 Lebesgue or diagonal-Gaussian reference measure is the anchor's local
 volume. The estimator samples directions (optionally importance-shaped by
 a unit-determinant preconditioner), finds the boundary radius along each
-ray by doubling and bisection, converts each ray into a log contribution,
-and aggregates with log-sum-exp. Under a Gaussian measure a ray's
-contribution is a one-dimensional radial integral, computed everywhere by
-the same route: bracket the log-concave integrand where it is within 60
-nats of its maximum and apply one Gauss-Legendre rule. Everything is
-carried in natural-log space because the volumes involved underflow any
-linear representation.
+ray by doubling and a safeguarded secant search, converts each ray into a
+log contribution, and aggregates with log-sum-exp. Under a Gaussian
+measure a ray's contribution is a one-dimensional radial integral,
+computed everywhere by the same route: bracket the log-concave integrand
+where it is within 60 nats of its maximum and apply one Gauss-Legendre
+rule. Everything is carried in natural-log space because the volumes
+involved underflow any linear representation.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -57,7 +58,10 @@ _GL_NODES, _GL_WEIGHTS = leggauss(64)
 
 
 class RadiusSearchError(RuntimeError):
-    """Bracketing or bisection failed to converge; carries the last bracket."""
+    """The radius search ran out of evaluations or found no interior point.
+
+    Carries the last bracket (lower, upper) of the boundary radius.
+    """
 
     def __init__(self, message: str, bracket: tuple[float, float] | None = None):
         super().__init__(message)
@@ -145,7 +149,11 @@ class RadialSample:
     radius: float
     truncated: bool
     log_term: float
-    failed: bool = False
+    failure: str = ""  # "" for a good ray, else "<error class>: <message>"
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.failure)
 
 
 @dataclass(frozen=True)
@@ -175,6 +183,11 @@ class VolumeEstimate:
         # a truncated Lebesgue ray hides unbounded mass beyond the cap
         return self.measure.kind == "lebesgue" and self.truncated_count > 0
 
+    @property
+    def failed_by_reason(self) -> dict[str, int]:
+        """Number of failed rays for each distinct failure reason."""
+        return dict(Counter(s.failure for s in self.samples if s.failed))
+
 
 def find_radius(
     spec: NeighborhoodSpec,
@@ -184,11 +197,24 @@ def find_radius(
     """Find the boundary radius along a ray from the anchor.
 
     Doubles outward from ``r_init`` until the cost crosses the cutoff, then
-    bisects the bracket until its width is below ``rel_tol`` times the lower
+    narrows the bracket until its width is below ``rel_tol`` times the lower
     end. Returns ``(radius, truncated)``; the cost at the returned radius is
     strictly below the cutoff. If doubling reaches ``r_max`` without a
     crossing the radius is capped there and flagged truncated. Assumes the
     anchor itself satisfies the cutoff.
+
+    The bracket is narrowed by a safeguarded Illinois secant method (Dowell
+    & Jarratt 1971) on f(t) = log(cost(e^t) / cutoff): near the anchor the
+    cost is roughly quadratic in r, so f is nearly linear in t = log r.
+    Whenever the same end is kept twice in a row its f is halved. Each step
+    aims half a tolerance past the secant root, toward the end that was not
+    just moved, and at least a quarter tolerance inside the bracket, so an
+    accurate root closes the bracket with the next evaluation. A plain
+    bisection step is taken instead while the lower end is 0 or has a
+    non-positive cost, when the secant root is not strictly inside, and when
+    the last two evaluations did not halve the bracket. So any three
+    evaluations in a row at least halve the bracket, and the search never
+    takes much more than three times bisection's evaluations.
     """
     opts = opts or SearchOptions()
     if opts.r_init <= 0:
@@ -196,6 +222,7 @@ def find_radius(
     r_max = opts.r_max if opts.r_max is not None else LEBESGUE_R_MAX
     anchor = spec.anchor
     cutoff = spec.cutoff
+    log_cutoff = math.log(cutoff)
     evals = 0
 
     def cost_at(r: float) -> float:
@@ -203,35 +230,60 @@ def find_radius(
         evals += 1
         value = float(spec.cost(anchor + r * direction))
         if not math.isfinite(value):
-            raise CostEvaluationError(f"cost evaluation failed: non-finite value at radius {r!r}")
+            raise CostEvaluationError(f"cost evaluation failed: non-finite value {value!r}")
         return value
 
-    lo = 0.0
-    hi = None
+    def log_ratio(value: float) -> float | None:
+        # f is undefined where the cost is not positive; such an end bisects
+        return math.log(value) - log_cutoff if value > 0.0 else None
+
+    lo, f_lo = 0.0, None
+    hi = f_hi = None
     r = min(opts.r_init, r_max)
     while evals < opts.max_iters:
-        if cost_at(r) >= cutoff:
-            hi = r
+        value = cost_at(r)
+        if value >= cutoff:
+            hi, f_hi = r, log_ratio(value)
             break
-        lo = r
+        lo, f_lo = r, log_ratio(value)
         if r >= r_max:
             return r_max, True
         r = min(2.0 * r, r_max)
     if hi is None:
         raise RadiusSearchError("bracketing exhausted max_iters", bracket=(lo, r))
 
+    moved = None  # the end the last evaluation of this stage moved
+    widths = [hi - lo]  # bracket width after each evaluation of this stage
     while not (lo > 0.0 and hi - lo <= opts.rel_tol * lo):
         if evals >= opts.max_iters:
             raise RadiusSearchError(
-                f"bisection did not converge to rel_tol={opts.rel_tol}", bracket=(lo, hi)
+                f"radius search did not converge to rel_tol={opts.rel_tol}", bracket=(lo, hi)
             )
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # bracket already at float resolution
-        if cost_at(mid) < cutoff:
-            lo = mid
+        r = mid
+        stalled = len(widths) >= 3 and widths[-1] > 0.5 * widths[-3]
+        if lo > 0.0 and f_lo is not None and f_lo < f_hi and not stalled:
+            root = lo * (hi / lo) ** (f_lo / (f_lo - f_hi))
+            if lo < root < hi:
+                tol = opts.rel_tol * lo
+                aim = root + 0.5 * tol if moved == "lo" else root - 0.5 * tol
+                step = min(max(aim, lo + 0.25 * tol), hi - 0.25 * tol)
+                if lo < step < hi:
+                    r = step
+        value = cost_at(r)
+        side = "lo" if value < cutoff else "hi"
+        if side == "lo":
+            lo, f_lo = r, log_ratio(value)
+            if moved == "lo":
+                f_hi *= 0.5
         else:
-            hi = mid
+            hi, f_hi = r, log_ratio(value)
+            if moved == "hi" and f_lo is not None:
+                f_lo *= 0.5
+        moved = side
+        widths.append(hi - lo)
     if lo <= 0.0:
         raise RadiusSearchError("no interior point found along ray", bracket=(lo, hi))
     return lo, False
@@ -451,14 +503,14 @@ def estimate_local_volume(
         log_norm = log_norms[i]
         try:
             radius, truncated = find_radius(spec, direction, search_opts)
-        except (RadiusSearchError, CostEvaluationError):
+        except (RadiusSearchError, CostEvaluationError) as exc:
             return RadialSample(
                 direction=direction,
                 log_importance_norm=log_norm,
                 radius=math.nan,
                 truncated=False,
                 log_term=float("-inf"),
-                failed=True,
+                failure=f"{type(exc).__name__}: {exc}",
             )
         if spec.measure.kind == "lebesgue":
             partial = RadialSample(direction, log_norm, radius, truncated, 0.0)
@@ -478,7 +530,9 @@ def estimate_local_volume(
         samples = [draw_one(i) for i in range(k)]
 
     if all(s.failed for s in samples):
-        raise EstimationError("no valid samples")
+        reasons = Counter(s.failure for s in samples)
+        listed = "; ".join(f"{count} rays: {reason}" for reason, count in sorted(reasons.items()))
+        raise EstimationError(f"no valid samples ({listed})")
     log_volume = log_sum_exp([s.log_term for s in samples]) - math.log(k)
     return VolumeEstimate(
         log_volume=log_volume,

@@ -104,18 +104,26 @@ def _merge_into(dst: dict, src: dict) -> None:
 
 
 def build_id() -> str:
-    """Identify the code that produced a record: git commit if available."""
+    """Identify the code that produced a record.
+
+    The git commit, when the package is the ``src/starvol`` of the git
+    checkout it sits in; otherwise (an installed copy, or a copy inside some
+    other repository) the package version.
+    """
+    package = Path(__file__).resolve().parent
     try:
         head = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "rev-parse", "--show-toplevel", "--short", "HEAD"],
             capture_output=True,
             text=True,
-            cwd=Path(__file__).parent,
+            cwd=package,
             timeout=5,
         )
         if head.returncode == 0:
-            return f"git:{head.stdout.strip()}"
-    except (OSError, subprocess.SubprocessError):
+            top, commit = head.stdout.split()
+            if Path(top).resolve() / "src" / "starvol" == package:
+                return f"git:{commit}"
+    except (OSError, subprocess.SubprocessError, ValueError):
         pass
     return "starvol-0.1.0"
 
@@ -143,6 +151,7 @@ def make_run_record(
         "max_log_term": estimate.max_log_term,
         "truncated_count": estimate.truncated_count,
         "failed_count": estimate.failed_count,
+        "failed_by_reason": estimate.failed_by_reason,
         "lower_bound_only": estimate.lower_bound_only,
         "log_terms": [s.log_term for s in estimate.samples],
         "wall_time_s": wall_time_s,
@@ -167,11 +176,11 @@ def write_samples_csv(path: str | Path, estimate: VolumeEstimate) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["sample", "radius", "truncated", "failed", "log_importance_norm", "log_term"]
+            ["sample", "radius", "truncated", "failed", "failure", "log_importance_norm", "log_term"]
         )
         for i, s in enumerate(estimate.samples):
             writer.writerow(
-                [i, repr(s.radius), int(s.truncated), int(s.failed), repr(s.log_importance_norm), repr(s.log_term)]
+                [i, repr(s.radius), int(s.truncated), int(s.failed), s.failure, repr(s.log_importance_norm), repr(s.log_term)]
             )
 
 

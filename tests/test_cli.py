@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import starvol
 import starvol.cli as cli
 from starvol.cli import main
+from starvol.geometry import MeasureSpec, NeighborhoodSpec, estimate_local_volume
 from starvol.precondition import Preconditioner
-from starvol.runio import read_jsonl
+from starvol.runio import make_run_record, read_jsonl, write_samples_csv
 
 TRAIN_CONFIG = {
     "dataset": {
@@ -112,9 +116,11 @@ class TestEstimate:
         assert math.isfinite(record["log_volume"])
         assert record["log10_volume"] == record["log_volume"] / math.log(10.0)
         assert len(record["log_terms"]) == 8
+        assert record["failed_by_reason"] == {}
         samples = _read_csv(out.with_suffix(".samples.csv"))
         assert len(samples) == 8
         assert all(float(r["radius"]) > 0 for r in samples if r["failed"] == "0")
+        assert all(r["failure"] == "" for r in samples)
 
     def test_rerun_appends_identical_record(self, final_checkpoint, tmp_path):
         out = tmp_path / "runs.jsonl"
@@ -288,8 +294,9 @@ class TestSweep:
         assert calls == counts
 
     def test_quadratic_sweep_honours_search_flags(self, tmp_path):
-        # three bisection steps cannot reach the 1e-4 tolerance, so every
-        # ray fails and each point writes a failed row
+        # three cost evaluations cannot narrow the bracket to the 1e-4
+        # tolerance, so every ray fails and each point writes a failed row
+        # that names the reason
         out = tmp_path / "sweep.csv"
         rc = main([
             "sweep", "--kind", "cutoff", "--target", "quadratic", "--n", "20",
@@ -298,7 +305,8 @@ class TestSweep:
         ])
         assert rc == 0
         rows = _read_csv(out)
-        assert [r["status"] for r in rows] == ["failed: no valid samples"] * 2
+        reason = "RadiusSearchError: radius search did not converge to rel_tol=0.0001"
+        assert [r["status"] for r in rows] == [f"failed: no valid samples (8 rays: {reason})"] * 2
         assert {(r["measure"], r["preconditioner"]) for r in rows} == {("lebesgue", "none")}
 
     def test_cutoff_sweep_rows_match_estimate_runs(self, final_checkpoint, tmp_path):
@@ -401,6 +409,58 @@ class TestValidate:
         )
         assert proc.returncode == 0, proc.stderr
         assert "checks passed" in proc.stdout
+
+
+class TestRunRecords:
+    def test_failure_reasons_reach_record_and_samples(self, tmp_path):
+        # rays that run into the non-finite wall fail; the others do not
+        def cost(x):
+            return float("nan") if x[0] > 0.5 else 0.5 * float(np.sum(x * x))
+
+        spec = NeighborhoodSpec(np.zeros(3), cost, 0.5, MeasureSpec.lebesgue())
+        est = estimate_local_volume(spec, Preconditioner.identity(3), k=16, seed=17)
+        reason = "CostEvaluationError: cost evaluation failed: non-finite value nan"
+        assert 0 < est.failed_count < 16
+        record = make_run_record("estimate", 17, {}, est, 0.0)
+        assert record["failed_by_reason"] == {reason: est.failed_count}
+        write_samples_csv(tmp_path / "s.csv", est)
+        rows = _read_csv(tmp_path / "s.csv")
+        assert [r["failure"] for r in rows] == [reason if r["failed"] == "1" else "" for r in rows]
+
+    @staticmethod
+    def _build_id_of_copy(root: Path, package_parent: str) -> tuple[str, str]:
+        """Copy the package under a fresh git repository at ``root``.
+
+        Returns (the build id the copy records, the repository's short head).
+        """
+        git = ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@example.com",
+               "-c", "commit.gpgsign=false"]
+        root.mkdir()
+        subprocess.run([*git, "init", "-q"], check=True)
+        (root / "README").write_text("unrelated\n")
+        subprocess.run([*git, "add", "README"], check=True)
+        subprocess.run([*git, "commit", "-q", "-m", "init"], check=True)
+        head = subprocess.run([*git, "rev-parse", "--short", "HEAD"], check=True,
+                              capture_output=True, text=True).stdout.strip()
+        shutil.copytree(Path(starvol.__file__).parent, root / package_parent / "starvol",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from starvol.runio import build_id; print(build_id())"],
+            capture_output=True, text=True, timeout=120, cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / package_parent)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip(), head
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_build_id_ignores_an_unrelated_repository(self, tmp_path):
+        build, _ = self._build_id_of_copy(tmp_path / "other", "lib")
+        assert build == "starvol-0.1.0"
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_build_id_records_the_checkout_holding_the_package(self, tmp_path):
+        build, head = self._build_id_of_copy(tmp_path / "checkout", "src")
+        assert build == f"git:{head}"
 
 
 @pytest.fixture(scope="session")

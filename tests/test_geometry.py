@@ -108,7 +108,100 @@ def _axis_ray(n, x0, s):
     return anchor, direction, np.full(n, s)
 
 
+def _bisection_evals(profile, r_init, rel_tol):
+    """Cost evaluations the doubling-and-bisection search spends on a 1-D ray.
+
+    The reference for the secant search's evaluation budget: the same
+    doubling bracket, then plain halving until the width is at most
+    rel_tol times the lower end. The profile must cross the cutoff 1.
+    """
+    evals = 0
+
+    def inside(r):
+        nonlocal evals
+        evals += 1
+        return profile(r) < 1.0
+
+    lo, r = 0.0, r_init
+    while inside(r):
+        lo, r = r, 2.0 * r
+    hi = r
+    while not (lo > 0.0 and hi - lo <= rel_tol * lo):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return evals
+
+
+# radial cost profiles along a ray, all crossing the cutoff 1 once
+RADIAL_PROFILES = {
+    "quadratic": lambda r: 0.5 * r * r,
+    "step": lambda r: 0.0 if r < 0.7 else 5.0,
+    "negative-inside": lambda r: r * r - 0.5,
+    "steep-exponential": lambda r: math.exp(min(40.0 * r, 700.0)) - 1.0,
+    "kink": lambda r: 0.3 * r if r < 0.6 else 0.18 + 5.0 * (r - 0.6),
+    "flat-then-wall": lambda r: 0.01 if r < 0.8 else 0.01 + 1e4 * (r - 0.8),
+}
+
+
+def _profile_search(profile, opts):
+    """find_radius on the 1-D ray of ``profile``; returns (radius, evaluations)."""
+    evals = 0
+
+    def cost(x):
+        nonlocal evals
+        evals += 1
+        return profile(float(x[0]))
+
+    spec = NeighborhoodSpec(np.zeros(1), cost, 1.0, MeasureSpec.lebesgue())
+    radius, truncated = find_radius(spec, np.array([1.0]), opts)
+    assert not truncated
+    return radius, evals
+
+
 class TestFindRadius:
+    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-10])
+    @pytest.mark.parametrize("r_init", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("name", sorted(RADIAL_PROFILES))
+    def test_secant_search_contract(self, name, r_init, rel_tol):
+        profile = RADIAL_PROFILES[name]
+        opts = SearchOptions(r_init=r_init, rel_tol=rel_tol)
+        radius, evals = _profile_search(profile, opts)
+        assert profile(radius) < 1.0
+        # the bracket is at most rel_tol * radius wide, so the cutoff is
+        # reached within that distance outward
+        assert profile(radius * (1.0 + 3.0 * rel_tol)) >= 1.0
+        reference = _bisection_evals(profile, r_init, rel_tol)
+        assert evals <= 2 * reference
+        if name == "quadratic":
+            assert 2 * evals <= reference
+        assert _profile_search(profile, opts) == (radius, evals)
+
+    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-10])
+    @pytest.mark.parametrize("r_init", [0.01, 1.0, 100.0])
+    def test_shallow_step_stays_within_three_bisections(self, r_init, rel_tol):
+        # a jump from far below the cutoff to just above it puts every
+        # secant root next to the outer end, so each secant step gains only
+        # a quarter tolerance; the stall guard then bisects every third step
+        def profile(r):
+            return 1e-6 if r < 0.7 else 1.0001
+
+        radius, evals = _profile_search(profile, SearchOptions(r_init=r_init, rel_tol=rel_tol))
+        assert profile(radius) < 1.0 <= profile(radius * (1.0 + 3.0 * rel_tol))
+        assert evals <= 3 * _bisection_evals(profile, r_init, rel_tol)
+
+    def test_budget_exhaustion_mid_search_carries_bracket(self):
+        # doubling takes two evaluations (1 inside, 2 outside), so a budget
+        # of three runs out inside the bracket around sqrt(2)
+        with pytest.raises(RadiusSearchError, match="did not converge") as info:
+            _profile_search(RADIAL_PROFILES["quadratic"], SearchOptions(max_iters=3))
+        lo, hi = info.value.bracket
+        assert 1.0 <= lo < math.sqrt(2.0) < hi <= 2.0
+
     def test_quadratic_boundary_per_axis(self):
         e = Ellipsoid(np.array([0.5, 1.0]))
         spec = e.neighborhood()
@@ -502,10 +595,13 @@ class TestEstimateLocalVolume:
         assert math.isfinite(est.log_volume)
         ball = math.log(4.0 * math.pi / 3.0)
         assert est.log_volume < ball
+        reason = "CostEvaluationError: cost evaluation failed: non-finite value nan"
         for s in est.samples:
+            assert s.failure == (reason if s.failed else "")
             if s.failed:
                 assert s.log_term == float("-inf")
                 assert math.isnan(s.radius)
+        assert est.failed_by_reason == {reason: est.failed_count}
 
     def test_all_rays_failing_is_an_error(self):
         def cost(x):
