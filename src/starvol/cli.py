@@ -291,7 +291,7 @@ def cmd_estimate(args) -> int:
         f"log_volume={estimate.log_volume:.6f} log10={estimate.log10_volume:.4f} "
         f"k={estimate.k} n={estimate.n} measure={estimate.measure.kind} "
         f"preconditioner={estimate.preconditioner_id} truncated={estimate.truncated_count} "
-        f"failed={estimate.failed_count}{bound}"
+        f"failed={estimate.failed_count} evals_per_ray={estimate.evals_per_ray:.2f}{bound}"
     )
     return 0
 

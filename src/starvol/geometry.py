@@ -46,6 +46,12 @@ __all__ = [
     "sample_direction",
 ]
 
+# A cost handle maps a full parameter vector to a scalar. It may also carry
+# a ray form as the function attribute ``along``: ``cost.along(origin)``
+# returns ``line``, and ``line(direction)`` returns ``r -> cost(origin + r *
+# direction)``, equal up to rounding but cheaper per evaluation (the MLP
+# costs compute their first layer once per ray). ``functools.wraps`` copies
+# the attribute, so a wrapped handle keeps the same path.
 CostFn = Callable[[np.ndarray], float]
 
 # radius cap defaults: hard ceiling for Lebesgue, measure-adapted for Gaussian
@@ -60,16 +66,27 @@ _GL_NODES, _GL_WEIGHTS = leggauss(64)
 class RadiusSearchError(RuntimeError):
     """The radius search ran out of evaluations or found no interior point.
 
-    Carries the last bracket (lower, upper) of the boundary radius.
+    Carries the last bracket (lower, upper) of the boundary radius and the
+    cost evaluations the search had made.
     """
 
-    def __init__(self, message: str, bracket: tuple[float, float] | None = None):
+    def __init__(
+        self, message: str, bracket: tuple[float, float] | None = None, evals: int = 0
+    ):
         super().__init__(message)
         self.bracket = bracket
+        self.evals = evals
 
 
 class CostEvaluationError(RuntimeError):
-    """The cost function returned a non-finite value."""
+    """The cost function returned a non-finite value.
+
+    Carries the cost evaluations made along the ray, this one included.
+    """
+
+    def __init__(self, message: str, evals: int = 0):
+        super().__init__(message)
+        self.evals = evals
 
 
 class EstimationError(RuntimeError):
@@ -105,6 +122,10 @@ class NeighborhoodSpec:
     it must be safe to call concurrently (pure numpy closures are). The
     anchor itself is required to lie inside its own neighborhood, which the
     estimator checks once before sampling.
+
+    When the cost carries a ray form (``cost.along``, see ``CostFn``), it is
+    bound to the anchor once here, and ``line`` hands out its rays; any
+    other cost is evaluated at ``anchor + r * direction``.
     """
 
     anchor: np.ndarray
@@ -119,6 +140,15 @@ class NeighborhoodSpec:
             raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
         if self.measure.kind == "gaussian" and self.measure.sigma.size != anchor.size:
             raise ValueError("measure sigma length does not match anchor dimension")
+        along = getattr(self.cost, "along", None)
+        object.__setattr__(self, "_line", along(anchor) if along is not None else None)
+
+    def line(self, direction: np.ndarray) -> Callable[[float], float]:
+        """The cost along one ray from the anchor, as a function of the radius."""
+        if self._line is not None:
+            return self._line(direction)
+        cost, anchor = self.cost, self.anchor
+        return lambda r: cost(anchor + r * direction)
 
     @property
     def dim(self) -> int:
@@ -141,7 +171,8 @@ class RadialSample:
     """One ray: direction, importance norm, boundary radius, log contribution.
 
     In an estimate, ``direction`` is a read-only row view of the block of all
-    k directions.
+    k directions, and ``evals`` counts the cost evaluations of the ray's
+    radius search, up to its failure for a failed ray.
     """
 
     direction: np.ndarray
@@ -150,6 +181,7 @@ class RadialSample:
     truncated: bool
     log_term: float
     failure: str = ""  # "" for a good ray, else "<error class>: <message>"
+    evals: int = 0
 
     @property
     def failed(self) -> bool:
@@ -188,20 +220,31 @@ class VolumeEstimate:
         """Number of failed rays for each distinct failure reason."""
         return dict(Counter(s.failure for s in self.samples if s.failed))
 
+    @property
+    def cost_evals(self) -> int:
+        """Cost evaluations of all radius searches (the anchor check excluded)."""
+        return sum(s.evals for s in self.samples)
+
+    @property
+    def evals_per_ray(self) -> float:
+        """Mean cost evaluations per ray, failed rays included."""
+        return self.cost_evals / self.k
+
 
 def find_radius(
     spec: NeighborhoodSpec,
     direction: np.ndarray,
     opts: SearchOptions | None = None,
-) -> tuple[float, bool]:
+) -> tuple[float, bool, int]:
     """Find the boundary radius along a ray from the anchor.
 
     Doubles outward from ``r_init`` until the cost crosses the cutoff, then
     narrows the bracket until its width is below ``rel_tol`` times the lower
-    end. Returns ``(radius, truncated)``; the cost at the returned radius is
-    strictly below the cutoff. If doubling reaches ``r_max`` without a
-    crossing the radius is capped there and flagged truncated. Assumes the
-    anchor itself satisfies the cutoff.
+    end. Returns ``(radius, truncated, evals)``; the cost at the returned
+    radius is strictly below the cutoff, and ``evals`` counts the cost
+    evaluations made. If doubling reaches ``r_max`` without a crossing the
+    radius is capped there and flagged truncated. Assumes the anchor itself
+    satisfies the cutoff. Every evaluation goes through ``spec.line``.
 
     The bracket is narrowed by a safeguarded Illinois secant method (Dowell
     & Jarratt 1971) on f(t) = log(cost(e^t) / cutoff): near the anchor the
@@ -220,7 +263,7 @@ def find_radius(
     if opts.r_init <= 0:
         raise ValueError(f"r_init must be positive, got {opts.r_init}")
     r_max = opts.r_max if opts.r_max is not None else LEBESGUE_R_MAX
-    anchor = spec.anchor
+    cost_along = spec.line(direction)
     cutoff = spec.cutoff
     log_cutoff = math.log(cutoff)
     evals = 0
@@ -228,9 +271,11 @@ def find_radius(
     def cost_at(r: float) -> float:
         nonlocal evals
         evals += 1
-        value = float(spec.cost(anchor + r * direction))
+        value = float(cost_along(r))
         if not math.isfinite(value):
-            raise CostEvaluationError(f"cost evaluation failed: non-finite value {value!r}")
+            raise CostEvaluationError(
+                f"cost evaluation failed: non-finite value {value!r}", evals=evals
+            )
         return value
 
     def log_ratio(value: float) -> float | None:
@@ -247,17 +292,19 @@ def find_radius(
             break
         lo, f_lo = r, log_ratio(value)
         if r >= r_max:
-            return r_max, True
+            return r_max, True, evals
         r = min(2.0 * r, r_max)
     if hi is None:
-        raise RadiusSearchError("bracketing exhausted max_iters", bracket=(lo, r))
+        raise RadiusSearchError("bracketing exhausted max_iters", bracket=(lo, r), evals=evals)
 
     moved = None  # the end the last evaluation of this stage moved
     widths = [hi - lo]  # bracket width after each evaluation of this stage
     while not (lo > 0.0 and hi - lo <= opts.rel_tol * lo):
         if evals >= opts.max_iters:
             raise RadiusSearchError(
-                f"radius search did not converge to rel_tol={opts.rel_tol}", bracket=(lo, hi)
+                f"radius search did not converge to rel_tol={opts.rel_tol}",
+                bracket=(lo, hi),
+                evals=evals,
             )
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -285,8 +332,8 @@ def find_radius(
         moved = side
         widths.append(hi - lo)
     if lo <= 0.0:
-        raise RadiusSearchError("no interior point found along ray", bracket=(lo, hi))
-    return lo, False
+        raise RadiusSearchError("no interior point found along ray", bracket=(lo, hi), evals=evals)
+    return lo, False, evals
 
 
 def _sample_directions(
@@ -502,7 +549,7 @@ def estimate_local_volume(
         direction = directions[i]
         log_norm = log_norms[i]
         try:
-            radius, truncated = find_radius(spec, direction, search_opts)
+            radius, truncated, evals = find_radius(spec, direction, search_opts)
         except (RadiusSearchError, CostEvaluationError) as exc:
             return RadialSample(
                 direction=direction,
@@ -511,15 +558,15 @@ def estimate_local_volume(
                 truncated=False,
                 log_term=float("-inf"),
                 failure=f"{type(exc).__name__}: {exc}",
+                evals=exc.evals,
             )
+        partial = RadialSample(direction, log_norm, radius, truncated, 0.0, evals=evals)
         if spec.measure.kind == "lebesgue":
-            partial = RadialSample(direction, log_norm, radius, truncated, 0.0)
             term = lebesgue_log_term(partial, n)
         else:
             log_integral = gaussian_radial_log_integral(
                 spec.anchor, direction, radius, spec.measure.sigma, n
             )
-            partial = RadialSample(direction, log_norm, radius, truncated, 0.0)
             term = gaussian_log_term(partial, log_integral, n)
         return replace(partial, log_term=term)
 

@@ -327,7 +327,7 @@ def run_ellipsoid_suite(seed: int = 0) -> list[CheckResult]:
     for _ in range(20):
         u = rng.standard_normal(n)
         u /= np.linalg.norm(u)
-        found, truncated = find_radius(spec, u, SearchOptions(rel_tol=1e-10))
+        found, truncated, _ = find_radius(spec, u, SearchOptions(rel_tol=1e-10))
         exact = ellipsoid_radius(e, u)
         worst = max(worst, abs(found / exact - 1.0))
         assert not truncated

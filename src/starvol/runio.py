@@ -152,6 +152,8 @@ def make_run_record(
         "truncated_count": estimate.truncated_count,
         "failed_count": estimate.failed_count,
         "failed_by_reason": estimate.failed_by_reason,
+        "cost_evals": estimate.cost_evals,
+        "evals_per_ray": estimate.evals_per_ray,
         "lower_bound_only": estimate.lower_bound_only,
         "log_terms": [s.log_term for s in estimate.samples],
         "wall_time_s": wall_time_s,
@@ -176,11 +178,11 @@ def write_samples_csv(path: str | Path, estimate: VolumeEstimate) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["sample", "radius", "truncated", "failed", "failure", "log_importance_norm", "log_term"]
+            ["sample", "radius", "truncated", "failed", "failure", "evals", "log_importance_norm", "log_term"]
         )
         for i, s in enumerate(estimate.samples):
             writer.writerow(
-                [i, repr(s.radius), int(s.truncated), int(s.failed), s.failure, repr(s.log_importance_norm), repr(s.log_term)]
+                [i, repr(s.radius), int(s.truncated), int(s.failed), s.failure, s.evals, repr(s.log_importance_norm), repr(s.log_term)]
             )
 
 

@@ -121,6 +121,9 @@ class TestEstimate:
         assert len(samples) == 8
         assert all(float(r["radius"]) > 0 for r in samples if r["failed"] == "0")
         assert all(r["failure"] == "" for r in samples)
+        assert record["cost_evals"] == sum(int(r["evals"]) for r in samples)
+        assert record["evals_per_ray"] == record["cost_evals"] / 8
+        assert 1 <= record["evals_per_ray"] <= 500
 
     def test_rerun_appends_identical_record(self, final_checkpoint, tmp_path):
         out = tmp_path / "runs.jsonl"
@@ -426,6 +429,10 @@ class TestRunRecords:
         write_samples_csv(tmp_path / "s.csv", est)
         rows = _read_csv(tmp_path / "s.csv")
         assert [r["failure"] for r in rows] == [reason if r["failed"] == "1" else "" for r in rows]
+        # a failed ray keeps the evaluations it made before failing
+        assert [int(r["evals"]) for r in rows] == [s.evals for s in est.samples]
+        assert all(s.evals >= 1 for s in est.samples)
+        assert record["cost_evals"] == est.cost_evals
 
     @staticmethod
     def _build_id_of_copy(root: Path, package_parent: str) -> tuple[str, str]:

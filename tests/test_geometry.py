@@ -1,5 +1,6 @@
 """Tests for boundary search, radial integrals, and the volume estimator."""
 
+import functools
 import math
 
 import mpmath as mp
@@ -22,6 +23,7 @@ from starvol.geometry import (
     sample_direction,
 )
 from starvol.logspace import log_sphere_area
+from starvol.models import init_params, make_kl_cost
 from starvol.oracles import Ellipsoid, ellipsoid_log_volume_exact, ellipsoid_radius
 from starvol.precondition import Preconditioner
 
@@ -158,8 +160,9 @@ def _profile_search(profile, opts):
         return profile(float(x[0]))
 
     spec = NeighborhoodSpec(np.zeros(1), cost, 1.0, MeasureSpec.lebesgue())
-    radius, truncated = find_radius(spec, np.array([1.0]), opts)
+    radius, truncated, counted = find_radius(spec, np.array([1.0]), opts)
     assert not truncated
+    assert counted == evals
     return radius, evals
 
 
@@ -201,13 +204,14 @@ class TestFindRadius:
             _profile_search(RADIAL_PROFILES["quadratic"], SearchOptions(max_iters=3))
         lo, hi = info.value.bracket
         assert 1.0 <= lo < math.sqrt(2.0) < hi <= 2.0
+        assert info.value.evals == 3
 
     def test_quadratic_boundary_per_axis(self):
         e = Ellipsoid(np.array([0.5, 1.0]))
         spec = e.neighborhood()
         opts = SearchOptions(rel_tol=1e-10)
-        r1, t1 = find_radius(spec, np.array([1.0, 0.0]), opts)
-        r2, t2 = find_radius(spec, np.array([0.0, -1.0]), opts)
+        r1, t1, _ = find_radius(spec, np.array([1.0, 0.0]), opts)
+        r2, t2, _ = find_radius(spec, np.array([0.0, -1.0]), opts)
         assert not t1 and not t2
         assert r1 == pytest.approx(0.5, rel=1e-9)
         assert r2 == pytest.approx(1.0, rel=1e-9)
@@ -220,7 +224,7 @@ class TestFindRadius:
         for _ in range(20):
             d = rng.standard_normal(5)
             d /= np.linalg.norm(d)
-            r, truncated = find_radius(spec, d, opts)
+            r, truncated, _ = find_radius(spec, d, opts)
             assert not truncated
             assert spec.cost(spec.anchor + r * d) < spec.cutoff
             # the cutoff crossing sits within the relative bracket width
@@ -231,7 +235,7 @@ class TestFindRadius:
         spec = NeighborhoodSpec(
             anchor=np.zeros(2), cost=lambda x: 0.0, cutoff=1.0, measure=MeasureSpec.lebesgue()
         )
-        r, truncated = find_radius(spec, np.array([1.0, 0.0]), SearchOptions(r_max=32.0))
+        r, truncated, _ = find_radius(spec, np.array([1.0, 0.0]), SearchOptions(r_max=32.0))
         assert truncated
         assert r == 32.0
 
@@ -242,6 +246,7 @@ class TestFindRadius:
         with pytest.raises(RadiusSearchError) as info:
             find_radius(spec, np.array([1.0]), SearchOptions(max_iters=3))
         assert info.value.bracket is not None
+        assert info.value.evals == 3
 
     def test_non_finite_cost_is_error(self):
         spec = NeighborhoodSpec(
@@ -250,8 +255,9 @@ class TestFindRadius:
             cutoff=1.0,
             measure=MeasureSpec.lebesgue(),
         )
-        with pytest.raises(CostEvaluationError):
+        with pytest.raises(CostEvaluationError) as info:
             find_radius(spec, np.array([1.0]))
+        assert info.value.evals == 1
 
     def test_r_init_must_be_positive(self):
         spec = Ellipsoid(np.ones(2)).neighborhood()
@@ -598,10 +604,25 @@ class TestEstimateLocalVolume:
         reason = "CostEvaluationError: cost evaluation failed: non-finite value nan"
         for s in est.samples:
             assert s.failure == (reason if s.failed else "")
+            assert s.evals >= 1
             if s.failed:
                 assert s.log_term == float("-inf")
                 assert math.isnan(s.radius)
         assert est.failed_by_reason == {reason: est.failed_count}
+        assert est.cost_evals == sum(s.evals for s in est.samples)
+
+    def test_cost_evals_count_every_search_evaluation(self):
+        calls = 0
+
+        def cost(x):
+            nonlocal calls
+            calls += 1
+            return 0.5 * float(x @ x)
+
+        spec = NeighborhoodSpec(np.zeros(3), cost, 0.5, MeasureSpec.lebesgue())
+        est = estimate_local_volume(spec, Preconditioner.identity(3), k=16, seed=3)
+        assert est.cost_evals == calls - 1  # the anchor check is not a search evaluation
+        assert all(s.evals >= 2 for s in est.samples)
 
     def test_all_rays_failing_is_an_error(self):
         def cost(x):
@@ -663,3 +684,75 @@ class TestSpecValidation:
     def test_gaussian_measure_validation(self):
         with pytest.raises(ValueError, match="positive"):
             MeasureSpec.gaussian(np.array([1.0, -1.0]))
+
+
+def _mlp_spec(cost=None):
+    """A KL neighborhood of a small trained-size network under its init measure."""
+    rng = np.random.default_rng(41)
+    params, measure = init_params(((6, 8), (8, 3)), rng=rng)
+    inputs = rng.normal(size=(40, 6))
+    cost = cost if cost is not None else make_kl_cost(params, inputs)
+    return NeighborhoodSpec(params.flat, cost, 1e-2, measure)
+
+
+class TestRayForm:
+    def test_line_of_a_plain_cost_evaluates_the_point(self):
+        e = Ellipsoid(np.array([1.0, 2.0]))
+        spec = e.neighborhood()
+        d = np.array([0.6, 0.8])
+        assert spec.line(d)(0.7) == spec.cost(spec.anchor + 0.7 * d)
+
+    def test_line_uses_the_cost_ray_form(self):
+        bound = []
+
+        def cost(x):
+            raise AssertionError("the search must not call the full cost")
+
+        def along(origin):
+            bound.append(origin)
+            return lambda direction: lambda r: 0.5 * r * r
+
+        cost.along = along
+        spec = NeighborhoodSpec(np.zeros(2), cost, 1.0, MeasureSpec.lebesgue())
+        assert len(bound) == 1 and bound[0] is spec.anchor
+        radius, truncated, evals = find_radius(spec, np.array([1.0, 0.0]), SearchOptions(rel_tol=1e-10))
+        assert not truncated and evals > 0
+        assert radius == pytest.approx(math.sqrt(2.0), rel=1e-9)
+
+    def test_wrapped_cost_keeps_the_ray_form(self):
+        spec = _mlp_spec()
+
+        @functools.wraps(spec.cost)
+        def wrapped(flat):
+            return spec.cost(flat)
+
+        assert wrapped.along is spec.cost.along
+        p = Preconditioner.identity(spec.dim)
+        a = estimate_local_volume(spec, p, k=16, seed=5)
+        b = estimate_local_volume(_mlp_spec(wrapped), p, k=16, seed=5)
+        assert a.log_volume == b.log_volume
+        assert [s.log_term for s in a.samples] == [s.log_term for s in b.samples]
+        assert [s.evals for s in a.samples] == [s.evals for s in b.samples]
+
+    def test_thread_count_does_not_change_ray_form_result(self):
+        spec = _mlp_spec()
+        p = Preconditioner.identity(spec.dim)
+        serial = estimate_local_volume(spec, p, k=32, seed=6)
+        parallel = estimate_local_volume(spec, p, k=32, opts=SearchOptions(threads=4), seed=6)
+        assert serial.log_volume == parallel.log_volume
+        for s, q in zip(serial.samples, parallel.samples):
+            assert (s.log_term, s.radius, s.evals) == (q.log_term, q.radius, q.evals)
+
+    def test_ray_form_radii_match_plain_evaluation(self):
+        spec = _mlp_spec()
+        full = spec.cost
+        plain = _mlp_spec(lambda flat: full(flat))
+        assert not hasattr(plain.cost, "along")
+        p = Preconditioner.identity(spec.dim)
+        opts = SearchOptions()
+        a = estimate_local_volume(spec, p, k=32, opts=opts, seed=7)
+        b = estimate_local_volume(plain, p, k=32, opts=opts, seed=7)
+        assert a.failed_count == b.failed_count == 0
+        for s, q in zip(a.samples, b.samples):
+            assert s.radius == pytest.approx(q.radius, rel=opts.rel_tol)
+        assert a.log_volume == pytest.approx(b.log_volume, abs=spec.dim * opts.rel_tol)

@@ -10,7 +10,10 @@ from starvol.models.data import Dataset, make_blobs, split_dataset
 from starvol.models.hessian import hessian_diag, hessian_full
 from starvol.models.mdl import description_length
 from starvol.models.mlp import (
+    _BLOCK_MULADDS,
     MlpParams,
+    _blocks,
+    _first_layer,
     forward_logits,
     init_params,
     kl_value_and_grad,
@@ -158,6 +161,16 @@ class TestLossCost:
         with pytest.raises(ValueError, match="labeled"):
             make_loss_cost(params.shape, Dataset(np.zeros((3, 2))))
 
+    def test_label_beyond_output_width_is_rejected(self):
+        data = Dataset(np.zeros((3, 2)), np.array([0, 7, 1]))
+        with pytest.raises(ValueError, match="label 7 >= network output width 2"):
+            make_loss_cost(((2, 4), (4, 2)), data)
+
+    def test_input_width_checked_up_front(self):
+        data = make_blobs(dim=3, classes=2, per_class=4, seed=0)
+        with pytest.raises(ValueError, match="input width 3 != network fan-in 4"):
+            make_loss_cost(((4, 2),), data)
+
 
 class TestKlCost:
     def test_zero_at_anchor(self):
@@ -193,6 +206,65 @@ class TestKlCost:
         anchor, _ = init_params(((2, 2),), rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="non-empty"):
             make_kl_cost(anchor, np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="input width 1 != network fan-in 2"):
+            make_kl_cost(anchor, np.zeros((5, 1)))
+
+
+RAY_SHAPES = {
+    "no-hidden": ((5, 3),),
+    "one-hidden": ((5, 7), (7, 3)),
+    "two-hidden": ((5, 6), (6, 4), (4, 3)),
+    "64-64-10": ((64, 64), (64, 10)),
+}
+
+
+class TestRayForm:
+    @staticmethod
+    def _cost(kind, shape, seed):
+        rng = np.random.default_rng(seed)
+        params, _ = init_params(shape, rng=rng)
+        x = rng.normal(size=(512 if shape[0][0] == 64 else 40, shape[0][0]))
+        if kind == "kl":
+            return params, make_kl_cost(params, x)
+        labels = rng.integers(0, shape[-1][1], size=x.shape[0])
+        return params, make_loss_cost(shape, Dataset(x, labels))
+
+    @pytest.mark.parametrize("kind", ["kl", "loss"])
+    @pytest.mark.parametrize("name", sorted(RAY_SHAPES))
+    def test_line_matches_full_evaluation(self, kind, name):
+        params, cost = self._cost(kind, RAY_SHAPES[name], 31)
+        rng = np.random.default_rng(32)
+        origin = params.flat + 0.1 * rng.normal(size=params.n)
+        d = rng.normal(size=params.n)
+        d /= np.linalg.norm(d)
+        line = cost.along(origin)(d)
+        for r in np.geomspace(1e-6, 10.0, 29):
+            assert abs(line(r) - cost(origin + r * d)) <= 1e-13
+        # repeated evaluations of one ray reuse its scratch array
+        assert line(0.5) == line(0.5)
+        assert line(0.0) == cost(origin)
+
+    @pytest.mark.parametrize(
+        "m, fan_in, fan_out",
+        [(512, 64, 64), (300, 64, 64), (1, 64, 64), (40, 5, 7), (7, 1024, 1024), (3, 600, 2000)],
+    )
+    def test_first_layer_blocks_are_bounded(self, m, fan_in, fan_out):
+        blocks = _blocks(m, fan_in, fan_out)
+        covered = np.zeros((m, fan_out), dtype=int)
+        for rows, cols in blocks:
+            count = (rows.stop - rows.start) * fan_in * (cols.stop - cols.start)
+            assert 0 < count <= _BLOCK_MULADDS
+            covered[rows, cols] += 1
+        assert np.all(covered == 1)
+        if m * fan_in * fan_out > _BLOCK_MULADDS:
+            assert len(blocks) > 1
+        rng = np.random.default_rng(m)
+        x, w, b = rng.normal(size=(m, fan_in)), rng.normal(size=(fan_in, fan_out)), rng.normal(size=fan_out)
+        np.testing.assert_allclose(_first_layer(x, w, b), x @ w + b, rtol=1e-12, atol=1e-10)
+
+    def test_block_limit_is_64_rows_at_64x64(self):
+        assert _BLOCK_MULADDS <= 1 << 19
+        assert [rows.stop - rows.start for rows, _ in _blocks(512, 64, 64)] == [64] * 8
 
 
 class TestGradients:

@@ -97,7 +97,7 @@ class TestEllipsoidRadius:
         for _ in range(10):
             u = rng.standard_normal(5)
             u /= np.linalg.norm(u)
-            found, _ = find_radius(spec, u, SearchOptions(rel_tol=1e-9))
+            found, _, _ = find_radius(spec, u, SearchOptions(rel_tol=1e-9))
             assert found == pytest.approx(ellipsoid_radius(e, u), rel=1e-8)
 
     def test_zero_direction_is_error(self):
