@@ -419,12 +419,19 @@ def _edge(h, target: float, top: float, inside: float, outside: float) -> float:
     return outside
 
 
+def _gaussian_constants(anchor: np.ndarray, sigma: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """The whitened anchor and the log normalizer of the density, per estimate."""
+    return anchor / sigma, -0.5 * n * math.log(2.0 * math.pi) - float(np.sum(np.log(sigma)))
+
+
 def gaussian_radial_log_integral(
     anchor: np.ndarray,
     direction: np.ndarray,
     radius: float,
     sigma: np.ndarray,
     n: int,
+    *,
+    constants: tuple[np.ndarray, float] | None = None,
 ) -> float:
     """Log of the Gaussian mass integral along one ray.
 
@@ -449,19 +456,21 @@ def gaussian_radial_log_integral(
     e^{h - h(top)} over that bracket. Concavity bounds the mass left
     outside the bracket by about e^-60 of the mass inside, so a ray is
     never overestimated beyond the rule's roundoff.
+
+    ``constants``, if given, is ``_gaussian_constants(anchor, sigma, n)``,
+    which an estimator computes once for all of its rays.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     # whitened coordinates: the anchor x and the direction w, with x split
     # along w; the part of x across w only scales the ray's density
-    x = anchor / sigma
+    x, base = constants or _gaussian_constants(anchor, sigma, n)
     w = direction / sigma
     a = float(w @ w)
     if not (a > 0 and math.isfinite(a)):
         raise ValueError("degenerate direction for gaussian integral")
     b = float(x @ w)
     across = x - (b / a) * w
-    base = -0.5 * n * math.log(2.0 * math.pi) - float(np.sum(np.log(sigma)))
     base -= 0.5 * float(across @ across)
 
     sqrt_a = math.sqrt(a)
@@ -544,6 +553,8 @@ def estimate_local_volume(
     directions, log_norms = _sample_directions(
         precond, [np.random.default_rng(child) for child in master.spawn(k)]
     )
+    if spec.measure.kind == "gaussian":
+        constants = _gaussian_constants(spec.anchor, spec.measure.sigma, n)
 
     def draw_one(i: int) -> RadialSample:
         direction = directions[i]
@@ -565,7 +576,7 @@ def estimate_local_volume(
             term = lebesgue_log_term(partial, n)
         else:
             log_integral = gaussian_radial_log_integral(
-                spec.anchor, direction, radius, spec.measure.sigma, n
+                spec.anchor, direction, radius, spec.measure.sigma, n, constants=constants
             )
             term = gaussian_log_term(partial, log_integral, n)
         return replace(partial, log_term=term)

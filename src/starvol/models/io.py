@@ -1,8 +1,9 @@
 """Checkpoint files: flat parameters, layer shape, Adam buffers, init sigmas.
 
-Checkpoints are versioned JSON with arrays as plain float lists. Python's
-float repr round-trips exactly, so saving the same state twice produces
-byte-identical files and loading recovers bit-identical vectors.
+Checkpoints are versioned JSON with each array stored as the base64 text of
+its float64 bytes (see ``starvol.codec``), so saving the same state twice
+produces byte-identical files and loading recovers bit-identical vectors.
+Version-1 files, which stored plain float lists, load through the same code.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
+from ..codec import decode_array, write_json
 from .mlp import MlpParams
 from .train import AdamHyper, AdamState
 
 __all__ = ["Checkpoint", "load_checkpoint", "save_checkpoint"]
 
 FORMAT_NAME = "starvol-checkpoint"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # arrays as base64 float64 strings; version 1 stored float lists
 
 
 @dataclass(frozen=True)
@@ -32,14 +34,14 @@ class Checkpoint:
 
 
 def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
-    payload = {
+    write_json(path, {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "step": checkpoint.step,
         "shape": [[int(i), int(o)] for i, o in checkpoint.params.shape],
-        "flat": [float(x) for x in checkpoint.params.flat],
-        "adam_mu": [float(x) for x in checkpoint.adam.mu],
-        "adam_nu": [float(x) for x in checkpoint.adam.nu],
+        "flat": checkpoint.params.flat,
+        "adam_mu": checkpoint.adam.mu,
+        "adam_nu": checkpoint.adam.nu,
         "adam_step": checkpoint.adam.step,
         "hyper": {
             "lr": checkpoint.adam.hyper.lr,
@@ -47,26 +49,25 @@ def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
             "beta2": checkpoint.adam.hyper.beta2,
             "adam_eps": checkpoint.adam.hyper.adam_eps,
         },
-        "sigma": [float(x) for x in checkpoint.sigma],
+        "sigma": checkpoint.sigma,
         "config": checkpoint.config,
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True))
+    })
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     data = json.loads(Path(path).read_text())
     if data.get("format") != FORMAT_NAME:
         raise ValueError(f"not a checkpoint file: {path}")
-    if data.get("version") != FORMAT_VERSION:
+    if data.get("version") not in (1, FORMAT_VERSION):
         raise ValueError(f"unsupported checkpoint version {data.get('version')}")
     shape = tuple((int(i), int(o)) for i, o in data["shape"])
-    params = MlpParams(np.asarray(data["flat"], dtype=float), shape)
+    params = MlpParams(decode_array(data["flat"]), shape)
     hyper = AdamHyper(**data["hyper"])
     adam = AdamState(
-        mu=np.asarray(data["adam_mu"], dtype=float),
-        nu=np.asarray(data["adam_nu"], dtype=float),
+        mu=decode_array(data["adam_mu"]),
+        nu=decode_array(data["adam_nu"]),
         step=int(data["adam_step"]),
         hyper=hyper,
     )
-    sigma = np.asarray(data["sigma"], dtype=float)
+    sigma = decode_array(data["sigma"])
     return Checkpoint(params=params, adam=adam, sigma=sigma, step=int(data["step"]), config=data["config"])

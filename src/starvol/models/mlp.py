@@ -30,6 +30,7 @@ __all__ = [
     "init_params",
     "kl_value_and_grad",
     "log_softmax",
+    "loss_value",
     "loss_value_and_grad",
     "make_kl_cost",
     "make_loss_cost",
@@ -346,6 +347,23 @@ def _backward(
             # tanh'(z) = 1 - tanh(z)^2, and a_prev is already tanh(z)
             delta = (delta @ w.T) * (1.0 - a_prev * a_prev)
     return grads
+
+
+def loss_value(flat: np.ndarray, shape: Shape, dataset: Dataset) -> float:
+    """Mean cross-entropy from forward passes alone, in row chunks.
+
+    Each chunk is small enough that every layer's product stays within
+    ``_BLOCK_MULADDS`` and so runs on the calling thread.
+    """
+    if dataset.labels is None:
+        raise ValueError("loss requires a labeled dataset")
+    step = max(1, _BLOCK_MULADDS // max(i * o for i, o in shape))
+    total = 0.0
+    for start in range(0, dataset.m, step):
+        rows = slice(start, start + step)
+        lp = _class_log_probs(_forward(flat, shape, dataset.inputs[rows]))
+        total -= float(np.sum(lp[dataset.labels[rows], np.arange(lp.shape[1])]))
+    return total / dataset.m
 
 
 def loss_value_and_grad(

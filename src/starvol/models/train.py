@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .mlp import MlpParams, loss_value_and_grad
+from .mlp import MlpParams, loss_value, loss_value_and_grad
 
 __all__ = [
     "AdamHyper",
@@ -101,7 +101,8 @@ def adam_train(
     Batch order comes from a generator seeded by ``config.seed`` alone, so a
     rerun reproduces the trajectory bit for bit. Checkpoints (parameters plus
     Adam buffers) are recorded at step 0, every ``checkpoint_every`` steps,
-    and at the final step; each record also logs full-set losses.
+    and at the final step; each record also logs full-set losses, from
+    forward passes alone.
     """
     if dataset.labels is None:
         raise ValueError("training requires a labeled dataset")
@@ -125,11 +126,11 @@ def adam_train(
         checkpoints.append(MlpParams(flat, shape))
         adam_states.append(AdamState(mu.copy(), nu.copy(), step, config.hyper))
         steps.append(step)
-        row = {"step": step, "train_loss": loss_value_and_grad(flat, shape, dataset)[0]}
+        row = {"step": step, "train_loss": loss_value(flat, shape, dataset)}
         if val_dataset is not None:
-            row["val_loss"] = loss_value_and_grad(flat, shape, val_dataset)[0]
+            row["val_loss"] = loss_value(flat, shape, val_dataset)
         if poison is not None:
-            row["poison_loss"] = loss_value_and_grad(flat, shape, poison.dataset)[0]
+            row["poison_loss"] = loss_value(flat, shape, poison.dataset)
         metrics.append(row)
 
     record()

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import starvol
 import starvol.cli as cli
@@ -279,14 +280,14 @@ class TestSweep:
     ])
     def test_sweep_probes_curvature_once(self, kind, name, counts, final_checkpoint, tmp_path, monkeypatch):
         calls = _count_calls(monkeypatch, *(key for key in counts if key != "eigh"))
-        real_eigh = np.linalg.eigh
+        real_eigh = scipy.linalg.eigh
 
         def counted_eigh(*args, **kwargs):
             calls["eigh"] += 1
             return real_eigh(*args, **kwargs)
 
         calls["eigh"] = 0
-        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
         rc = main([
             "sweep", "--kind", kind, "--preconditioner", name,
             "--values", "0.01,0.1,1.0", "--checkpoint", str(final_checkpoint),

@@ -1,5 +1,7 @@
-"""Tests for the classifier stack: params, costs, gradients, Adam, curvature, MDL."""
+"""Tests for the classifier stack: params, costs, gradients, Adam, curvature, MDL,
+checkpoint files."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from starvol.geometry import MeasureSpec, VolumeEstimate
 from starvol.models.data import Dataset, make_blobs, split_dataset
 from starvol.models.hessian import hessian_diag, hessian_full
+from starvol.models.io import Checkpoint, load_checkpoint, save_checkpoint
 from starvol.models.mdl import description_length
 from starvol.models.mlp import (
     _BLOCK_MULADDS,
@@ -19,6 +22,7 @@ from starvol.models.mlp import (
     kl_value_and_grad,
     layer_sigmas,
     log_softmax,
+    loss_value,
     loss_value_and_grad,
     make_kl_cost,
     make_loss_cost,
@@ -359,6 +363,20 @@ class TestTraining:
         for row in result.metrics:
             assert set(row) == {"step", "train_loss", "val_loss", "poison_loss"}
 
+    def test_logged_loss_is_a_forward_pass_in_row_chunks(self, monkeypatch):
+        # 200 rows of a 64-wide layer take four chunks of at most 64 rows
+        params, _ = init_params(((64, 64), (64, 10)), rng=np.random.default_rng(5))
+        data = make_blobs(dim=64, classes=10, per_class=20, seed=5)
+        want = loss_value_and_grad(params.flat, params.shape, data)[0]
+        assert loss_value(params.flat, params.shape, data) == pytest.approx(want, rel=1e-14)
+        import starvol.models.mlp as mlp
+
+        rows = []
+        real_forward = mlp._forward
+        monkeypatch.setattr(mlp, "_forward", lambda f, s, x: rows.append(len(x)) or real_forward(f, s, x))
+        loss_value(params.flat, params.shape, data)
+        assert rows == [64, 64, 64, 8]
+
     def test_training_reduces_loss_and_reruns_bitwise(self):
         params, data = self._setup()
         config = TrainConfig(epochs=60, batch_size=10, seed=4, hyper=AdamHyper(lr=0.05))
@@ -562,3 +580,55 @@ class TestDescriptionLength:
             description_length(
                 self._volume(0.0, 7), anchor, MeasureSpec.gaussian(np.ones(6)), data
             )
+
+
+class TestCheckpointFile:
+    @staticmethod
+    def _checkpoint():
+        params, data = TestTraining._setup(3)
+        params, measure = init_params(params.shape, rng=np.random.default_rng(3))
+        result = adam_train(params, data, TrainConfig(epochs=2, batch_size=5, seed=2))
+        return Checkpoint(params=result.checkpoints[-1], adam=result.adam_states[-1],
+                          sigma=measure.sigma, step=result.steps[-1], config={"seed": 7, "b": [1, 2]})
+
+    @staticmethod
+    def _assert_same(a, b):
+        for x, y in ((a.params.flat, b.params.flat), (a.adam.mu, b.adam.mu),
+                     (a.adam.nu, b.adam.nu), (a.sigma, b.sigma)):
+            np.testing.assert_array_equal(x.view(np.uint64), np.asarray(y).view(np.uint64))
+        assert (a.step, a.adam.step, a.adam.hyper, a.config) == (b.step, b.adam.step, b.adam.hyper, b.config)
+        assert a.params.shape == b.params.shape
+
+    def test_round_trip_and_resave_are_exact(self, tmp_path):
+        ckpt = self._checkpoint()
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_checkpoint(first, ckpt)
+        loaded = load_checkpoint(first)
+        self._assert_same(loaded, ckpt)
+        save_checkpoint(second, loaded)
+        assert first.read_bytes() == second.read_bytes()
+        data = json.loads(first.read_text())
+        assert data["version"] == 2
+        assert all(isinstance(data[key], str) for key in ("flat", "adam_mu", "adam_nu", "sigma"))
+
+    def test_version_one_list_file_loads_bit_identically(self, tmp_path):
+        ckpt = self._checkpoint()
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({
+            "format": "starvol-checkpoint", "version": 1, "step": ckpt.step,
+            "shape": [list(layer) for layer in ckpt.params.shape],
+            "flat": [float(x) for x in ckpt.params.flat],
+            "adam_mu": [float(x) for x in ckpt.adam.mu],
+            "adam_nu": [float(x) for x in ckpt.adam.nu],
+            "adam_step": ckpt.adam.step,
+            "hyper": {"lr": 0.01, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8},
+            "sigma": [float(x) for x in ckpt.sigma],
+            "config": ckpt.config,
+        }, sort_keys=True))
+        self._assert_same(load_checkpoint(path), ckpt)
+
+    def test_unknown_version_rejected(self, tmp_path):
+        path = tmp_path / "v9.json"
+        path.write_text(json.dumps({"format": "starvol-checkpoint", "version": 9}))
+        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+            load_checkpoint(path)

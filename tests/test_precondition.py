@@ -1,15 +1,24 @@
 """Tests for unit-determinant preconditioner construction and serialization."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from starvol import precondition
+from starvol.codec import decode_array, write_json
+from starvol.geometry import MeasureSpec, NeighborhoodSpec, estimate_local_volume
+from starvol.models import hessian_full, init_params, make_kl_cost
 from starvol.precondition import (
     DEFAULT_EPS,
+    ORTHONORMAL_ATOL,
     Preconditioner,
     PreconditionerError,
+    eigendecompose,
     from_diagonal,
     from_hessian,
 )
@@ -290,7 +299,7 @@ class TestSerialization:
         path = tmp_path / "precond.json"
         p.save(path)
         q = Preconditioner.load(path)
-        assert json.loads(path.read_text())["version"] == 2
+        assert json.loads(path.read_text())["version"] == 3
         np.testing.assert_array_equal(q.scale, p.scale)
         np.testing.assert_array_equal(q.basis, p.basis)
         assert q.describe() == p.describe()
@@ -338,4 +347,197 @@ class TestSerialization:
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else", "version": 1}')
         with pytest.raises(PreconditionerError, match="not a preconditioner file"):
+            Preconditioner.load(path)
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr, dtype=float).view(np.uint64)
+
+
+def _tiny_kl():
+    """A tiny MLP's anchor, its KL cost and measure, and its Gauss-Newton matrix.
+
+    Six inputs and three classes give rank at most 12 in n = 31, so the
+    spectrum has a cluster of 19 zero eigenvalues.
+    """
+    anchor, measure = init_params(((3, 4), (4, 3)), rng=np.random.default_rng(61))
+    inputs = np.random.default_rng(62).normal(size=(6, 3))
+    return anchor, inputs, measure, hessian_full("kl", anchor, (anchor, inputs))
+
+
+class TestNonFiniteCurvature:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cells", [[(1, 2)], [(2, 1)], [(1, 2), (2, 1)], [(3, 3)]],
+                             ids=["upper", "lower", "both", "diagonal"])
+    def test_matrix_rejected(self, value, cells):
+        # LAPACK reads one triangle only, so a NaN in the other once gave a
+        # silently wrong spectrum
+        mat = np.eye(4)
+        for cell in cells:
+            mat[cell] = value
+        for build in (eigendecompose, lambda m: from_hessian(m, eps=0.1), Preconditioner.dense):
+            with pytest.raises(PreconditionerError, match="non-finite"):
+                build(mat)
+
+    def test_found_in_any_row_block(self, monkeypatch):
+        monkeypatch.setattr(precondition, "_BLOCK_ENTRIES", 12)  # one row per block
+        mat = np.eye(12)
+        mat[11, 0] = mat[0, 11] = np.nan
+        with pytest.raises(PreconditionerError, match="non-finite"):
+            eigendecompose(mat)
+        mat[11, 0] = mat[0, 11] = 0.0
+        mat[10, 11] = 1e-6
+        with pytest.raises(PreconditionerError, match="not symmetric"):
+            eigendecompose(mat)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_diagonal_vector_rejected(self, value):
+        for eps in (0.0, 0.1):
+            with pytest.raises(PreconditionerError, match="non-finite"):
+                from_diagonal(np.array([1.0, value, 2.0]), eps=eps)
+
+
+class TestEigendecompose:
+    @staticmethod
+    def _check_against_numpy(mat):
+        got_vals, got_vecs = eigendecompose(mat)
+        want_vals = np.linalg.eigh(mat)[0]
+        top = np.max(np.abs(want_vals))
+        assert np.max(np.abs(got_vals - want_vals)) <= 1e-13 * top
+        residual = mat @ got_vecs - got_vecs * got_vals
+        assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(mat))
+        gram = got_vecs.T @ got_vecs
+        assert np.max(np.abs(gram - np.eye(len(mat)))) <= ORTHONORMAL_ATOL
+        assert got_vecs.flags.c_contiguous and not got_vecs.flags.writeable
+
+    def test_rank_deficient_gauss_newton(self):
+        *_, hess = _tiny_kl()
+        assert np.sum(np.linalg.eigvalsh(hess) < 1e-12) >= 19
+        self._check_against_numpy(hess)
+
+    def test_eigenvalue_repeated_100_times(self):
+        rng = np.random.default_rng(63)
+        q, _ = np.linalg.qr(rng.normal(size=(130, 130)))
+        spectrum = np.concatenate([np.full(100, 2.5), np.linspace(0.1, 40.0, 30)])
+        mat = (q * spectrum) @ q.T
+        mat = 0.5 * (mat + mat.T)
+        self._check_against_numpy(mat)
+
+    def test_memory_growth_is_two_matrices(self):
+        # the decomposition may hold LAPACK's copy of the input and the
+        # eigenvectors, about 2 n^2 floats; numpy's divide-and-conquer route
+        # measured 4.4 n^2 at this n. scipy.linalg is imported before the
+        # baseline, so only the decomposition is measured
+        script = """
+import resource, numpy as np, scipy.linalg
+from starvol.precondition import eigendecompose
+n = 1500
+x = np.linspace(0.0, 3.0, n)
+h = np.empty((n, n))  # exp(-|x_i - x_j|), built in place without temporaries
+np.subtract.outer(x, x, out=h); np.abs(h, out=h); np.negative(h, out=h); np.exp(h, out=h)
+peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+base = peak()
+eigendecompose(h)
+print((peak() - base) / (n * n * 8))
+"""
+        src = Path(precondition.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) <= 2.6
+
+
+class TestArrayCodec:
+    def test_float64_round_trip_is_bit_exact(self, tmp_path):
+        values = np.array([-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308,
+                           np.inf, -np.inf, np.nan, 1.0 / 3.0, -7.25])
+        path = tmp_path / "a.json"
+        write_json(path, {"a": values})
+        got = decode_array(json.loads(path.read_text())["a"])
+        np.testing.assert_array_equal(_bits(got), _bits(values))
+        assert not got.flags.writeable
+
+    def test_file_is_json_dumps_with_strings(self, tmp_path):
+        rng = np.random.default_rng(64)
+        big = rng.normal(size=(3 << 20) // 8 * 2 + 5)  # spans three base64 pieces
+        payload = {"z": [1, {"b": 2.5, "a": None}], "big": big, "a": "text", "m": big[:7].reshape(7, 1)}
+        path = tmp_path / "p.json"
+        write_json(path, payload)
+        strings = {key: decode_array(json.loads(path.read_text())[key]) for key in ("big", "m")}
+        np.testing.assert_array_equal(_bits(strings["big"]), _bits(big))
+        expected = json.loads(path.read_text())
+        assert path.read_text() == json.dumps(expected, sort_keys=True)
+        assert decode_array(expected["m"], (7, 1)).shape == (7, 1)
+
+    def test_lists_decode_too(self):
+        assert decode_array([[1.0, 2.0], [3.0, 4.0]]).shape == (2, 2)
+        assert not decode_array([1.0]).flags.writeable
+
+
+class TestDenseMapOnDisk:
+    def test_resave_is_byte_identical(self, tmp_path):
+        *_, hess = _tiny_kl()
+        p = from_hessian(hess, eps=0.1)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        p.save(first)
+        Preconditioner.load(first).save(second)
+        assert first.read_bytes() == second.read_bytes()
+        data = json.loads(first.read_text())
+        assert data["version"] == 3
+        assert isinstance(data["basis"], str) and isinstance(data["scale"], str)
+
+    def test_old_list_files_load_bit_identically(self, tmp_path):
+        *_, hess = _tiny_kl()
+        p = from_hessian(hess, eps=0.1, source="hessian")
+        for version in (1, 2):
+            path = tmp_path / f"v{version}.json"
+            path.write_text(json.dumps({
+                "format": "starvol-preconditioner", "version": version, "dim": p.dim,
+                "source": "hessian", "scale": p.scale.tolist(),
+                "basis": p.basis.tolist() if version == 2 else None,
+            }, sort_keys=True))
+            q = Preconditioner.load(path)
+            np.testing.assert_array_equal(_bits(q.scale), _bits(p.scale))
+            if version == 2:
+                np.testing.assert_array_equal(_bits(q.basis), _bits(p.basis))
+        # a version-1 dense map is its matrix, decomposed on load like a fresh one
+        mat = hess + np.eye(len(hess))
+        path = tmp_path / "v1-dense.json"
+        path.write_text(json.dumps({
+            "format": "starvol-preconditioner", "version": 1, "kind": "dense", "dim": len(mat),
+            "source": "hessian", "scale": None, "matrix": mat.tolist(),
+        }))
+        q, fresh = Preconditioner.load(path), Preconditioner.dense(mat)
+        np.testing.assert_array_equal(_bits(q.scale), _bits(fresh.scale))
+        np.testing.assert_array_equal(_bits(q.basis), _bits(fresh.basis))
+
+    def test_reloaded_map_has_same_layout_and_estimate(self, tmp_path):
+        anchor, inputs, measure, hess = _tiny_kl()
+        fresh = from_hessian(hess, eps=0.1)
+        fresh.save(tmp_path / "p.json")
+        loaded = Preconditioner.load(tmp_path / "p.json")
+        for attr in ("c_contiguous", "f_contiguous", "writeable"):
+            assert getattr(loaded.basis.flags, attr) == getattr(fresh.basis.flags, attr)
+        block = np.random.default_rng(65).normal(size=(8, anchor.n))
+        np.testing.assert_array_equal(_bits(loaded.apply(block)), _bits(fresh.apply(block)))
+        spec = NeighborhoodSpec(anchor=anchor.flat, cost=make_kl_cost(anchor, inputs),
+                                cutoff=1e-2, measure=measure)
+        a, b = (estimate_local_volume(spec, pre, 6, seed=3) for pre in (fresh, loaded))
+        assert a.log_volume == b.log_volume
+        assert [s.log_term for s in a.samples] == [s.log_term for s in b.samples]
+
+    def test_orthonormality_checked_in_every_row_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(precondition, "_BLOCK_ENTRIES", 8)  # two rows per block
+        q, _ = np.linalg.qr(np.random.default_rng(66).normal(size=(5, 5)))
+        q[:, 4] *= 1.0 + 1e-6  # only the last column's norm is off
+        path = tmp_path / "p.json"
+        Preconditioner.diagonal(np.ones(5), basis=q).save(path)
+        with pytest.raises(PreconditionerError, match="not orthonormal"):
+            Preconditioner.load(path)
+
+    def test_malformed_array_rejected(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"format": "starvol-preconditioner", "version": 3, "dim": 2,
+                                    "source": "", "scale": "AAAA", "basis": None}))
+        with pytest.raises(PreconditionerError, match="malformed"):
             Preconditioner.load(path)
