@@ -62,7 +62,6 @@ from .runio import (
 SEED_ROLES = {"data": 0, "init": 1, "train": 2, "estimate": 3}
 
 PRECONDITIONER_CHOICES = ("none", "hessian", "diag", "adam-nu", "adam-mu")
-FD_STEP_HELP = "finite-difference step of the --cost loss curvature probes (kl curvature is exact)"
 PRECOND_FILE_HELP = "load a saved preconditioner (a sweep accepts it over cutoffs or checkpoints only)"
 EXPONENT_HELP = "shape curvature d as 1/(|d|^exponent + eps), for hessian and diagonal maps alike"
 TARGET_HELP = "quadratic: a synthetic |x|^2/2 cost, always with Lebesgue measure and the identity map"
@@ -82,7 +81,6 @@ ESTIMATE_FLAGS = (
     ("--r-max", {"type": float, "default": None}),
     ("--rel-tol", {"type": float, "default": 1e-4}),
     ("--max-iters", {"type": int, "default": 500}),
-    ("--fd-step", {"type": float, "default": 1e-3, "help": FD_STEP_HELP}),
     ("--precond-file", {"type": str, "default": None, "help": PRECOND_FILE_HELP}),
 )
 
@@ -251,7 +249,7 @@ class _CheckpointEstimator:
             return Preconditioner.identity(params.n)
         if name not in self._curvature:
             probe = hessian_full if name == "hessian" else hessian_diag
-            curvature = probe(args.cost, params, self.data, h=args.fd_step)
+            curvature = probe(args.cost, params, self.data)
             self._curvature[name] = (
                 eigendecompose(curvature) if name == "hessian" else (curvature, None)
             )
@@ -400,9 +398,9 @@ def cmd_sweep(args) -> int:
         print(f"fitted log-log slope of volume vs cutoff: {slope:.4f}")
     if args.kind == "eps" and done:
         eps, best = max(done, key=lambda pair: pair[1])
-        summary["best_eps"] = eps
-        summary["best_log_volume"] = best
-        print(f"largest estimate at eps={eps} (log_volume={best:.4f})")
+        summary.update(best_eps=eps, best_log_volume=best, grid_size=len(done))
+        print(f"largest estimate at eps={eps} (log_volume={best:.4f}) of grid_size={len(done)}; "
+              f"it overshoots by 10^m with probability <= {len(done)}*10^-m, not 10^-m")
 
     out = Path(args.out)
     write_sweep_csv(out, rows, SWEEP_FIELDS)

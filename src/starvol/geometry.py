@@ -157,13 +157,21 @@ class NeighborhoodSpec:
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Knobs for the radius search and the sampling loop."""
+    """Knobs for the radius search and the sampling loop, validated once here."""
 
     r_init: float = 1.0
     r_max: float | None = None  # None = measure-dependent default
     rel_tol: float = 1e-4
     max_iters: int = 500
     threads: int = 1
+
+    def __post_init__(self):
+        for name, value in (("r_init", self.r_init), ("r_max", self.r_max), ("rel_tol", self.rel_tol)):
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name, value in (("max_iters", self.max_iters), ("threads", self.threads)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -260,8 +268,6 @@ def find_radius(
     takes much more than three times bisection's evaluations.
     """
     opts = opts or SearchOptions()
-    if opts.r_init <= 0:
-        raise ValueError(f"r_init must be positive, got {opts.r_init}")
     r_max = opts.r_max if opts.r_max is not None else LEBESGUE_R_MAX
     cost_along = spec.line(direction)
     cutoff = spec.cutoff

@@ -1,23 +1,20 @@
-"""Curvature probes for the classifier costs.
+"""Exact curvature probes for the classifier costs.
 
-For the KL cost the probes are exact. At the anchor the candidate's
-predictive distribution equals the anchor's, so the residual term of the
-KL Hessian vanishes and the Hessian is the Gauss-Newton (Fisher) matrix
-(1/m) sum_i J_i^T F_i J_i, with J_i the logit Jacobian of example i and
-F_i = diag(p_i) - p_i p_i^T the softmax Fisher of the anchor's
-probabilities. Writing F_i = sum_c p_ic (e_c - p_i)(e_c - p_i)^T gives a
-factor B with B^T B equal to that matrix: example i contributes one row per
-class c, sqrt(p_ic / m) (J_ic - sum_c' p_ic' J_ic'). One batched backward
-pass of those C logit seeds per chunk of examples yields, per layer, the
-seeds delta reaching the layer, and the layer's block of row (i, c) is the
-Kronecker product of the layer input (with a 1 for the bias) and
-delta[i, c]. The probes contract that structure directly, so B itself is
-never stored.
-
-The loss cost, and a ``(cost, grad)`` callable pair standing in for a cost,
-keep finite differences: the full matrix uses central differences of the
-gradient (one gradient pair per column, then symmetrization) and the
-diagonal uses second differences of the cost.
+Both costs are a mean cross-entropy against target probabilities t_i: the
+anchor's predictions for KL (plus a constant entropy term), the one-hot
+labels for the loss. With q_i the candidate's probabilities, the Hessian is
+the Gauss-Newton matrix B^T B plus a residual term weighted by the logit
+gradient (q_i - t_i) / m. Example i contributes one row of B per class c,
+sqrt(q_ic / m) (J_ic - sum_c' q_ic' J_ic'), with J_i its logit Jacobian.
+One backward pass per chunk of examples carries to each layer's
+pre-activation u_l those C seeds, the gradient gamma_l, and each example's
+residual Hessian R_l with respect to u_l: R_L = 0 at the logits and
+R_l = D_l W_{l+1} R_{l+1} W_{l+1}^T D_l + diag((gamma_{l+1} W_{l+1}^T) tanh''(u_l)),
+with D_l = diag(tanh'(u_l)). A layer's parameter block is the Kronecker
+product of its input (with a 1 for the bias) and these pieces, and the
+probes contract that structure directly, so B is never stored. Where the
+logit gradient is exactly zero, as at the KL anchor, the residual is
+skipped and the Hessian is the Gauss-Newton (Fisher) matrix.
 """
 
 from __future__ import annotations
@@ -25,58 +22,88 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .mlp import MlpParams, _forward_cache, log_softmax, loss_value_and_grad, make_loss_cost
+from .mlp import MlpParams, _check_inputs, _forward_cache, log_softmax
 
 __all__ = ["hessian_diag", "hessian_full"]
 
 FULL_HESSIAN_MAX_DIM = 10_000
-# examples per chunk of the KL probes: bounds their working memory
+# examples per chunk of the probes: at most CHUNK, and fewer for layers wider
+# than 64, so that a chunk's (fan_out, fan_out) blocks per example hold at
+# most CHUNK_FLOATS floats; this bounds the probes' working memory
 # independently of the number of examples
-KL_CHUNK = 512
+CHUNK = 512
+CHUNK_FLOATS = 1 << 21
 # rows per step when the lower triangle is mirrored from the upper one
 MIRROR_BLOCK = 512
 
 
-def _kl_factors(params: MlpParams, data):
-    """Yield, per chunk of examples, a list of (inputs, seeds) per layer.
+def _factors(cost_kind: str, params: MlpParams, data):
+    """Yield, per chunk of examples, a list of (inputs, seeds, grad, resid) per layer.
 
-    ``inputs`` is the layer input with a trailing column of ones, shape
-    (chunk, fan_in + 1); ``seeds`` is delta, shape (chunk, classes,
-    fan_out). Row (i, c) of B restricted to the layer is
-    kron(inputs[i], seeds[i, c]), in the flat packing order (weights
-    row-major, then bias).
+    ``inputs`` (chunk, fan_in + 1) is the layer input with a column of ones,
+    and row (i, c) of B restricted to the layer is kron(inputs[i],
+    seeds[i, c]) in the flat packing order (weights row-major, then bias).
+    ``seeds`` (chunk, classes, fan_out) is delta, ``grad`` (chunk, fan_out)
+    gamma and ``resid`` (chunk, fan_out, fan_out) R; grad and resid are None
+    where they are zero: R at the logits, and both where q equals the targets.
     """
-    anchor, inputs = data
-    if anchor.shape != params.shape or not np.array_equal(anchor.flat, params.flat):
-        raise ValueError(
-            "kl curvature is exact only at the anchor: params must equal the anchor in data"
-        )
-    x = np.asarray(inputs, dtype=float)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("kl curvature requires a non-empty (m, d) input matrix")
     shape = params.shape
+    classes = shape[-1][1]
+    if cost_kind == "kl":
+        anchor, x = data
+        if not isinstance(anchor, MlpParams) or anchor.shape != shape:
+            raise ValueError("kl curvature requires an anchor of the same shape as params")
+        moved = not np.array_equal(anchor.flat, params.flat)
+    elif cost_kind == "loss":
+        if not isinstance(data, Dataset) or data.labels is None:
+            raise ValueError("loss curvature requires a labeled Dataset")
+        x = data.inputs
+        if data.labels.max() >= classes:
+            raise ValueError(f"label {data.labels.max()} >= network output width {classes}")
+    else:
+        raise ValueError(f"unknown cost kind {cost_kind!r}")
+    x = np.asarray(x, dtype=float)
+    _check_inputs(shape, x)
     m = x.shape[0]
-    eye = np.eye(shape[-1][1])
-    for start in range(0, m, KL_CHUNK):
-        logits, activations, layers = _forward_cache(params.flat, shape, x[start : start + KL_CHUNK])
-        p = np.exp(log_softmax(logits))
-        # delta[i, c] = sqrt(p_ic / m) (e_c - p_i)
-        delta = np.sqrt(p / m)[:, :, None] * (eye - p[:, None, :])
+    eye = np.eye(classes)
+    step = max(1, min(CHUNK, CHUNK_FLOATS // max(fan_out for _, fan_out in shape) ** 2))
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
+        logits, activations, layers = _forward_cache(params.flat, shape, x[rows])
+        q = np.exp(log_softmax(logits))
+        # delta[i, c] = sqrt(q_ic / m) (e_c - q_i)
+        delta = np.sqrt(q / m)[:, :, None] * (eye - q[:, None, :])
+        if cost_kind == "loss":
+            targets = eye[data.labels[rows]]
+        else:  # the anchor's probabilities by the candidate's route; q itself at the anchor
+            targets = np.exp(log_softmax(_forward_cache(anchor.flat, shape, x[rows])[0])) if moved else q
+        grad = (q - targets) / m
+        grad = grad if grad.any() else None
+        resid = None
         factors = []
         for layer in range(len(shape) - 1, -1, -1):
             a_prev = activations[layer]
-            factors.append((np.hstack([a_prev, np.ones((len(a_prev), 1))]), delta))
+            factors.append((np.hstack([a_prev, np.ones((len(a_prev), 1))]), delta, grad, resid))
             if layer > 0:
+                w = layers[layer][0]
                 # tanh'(z) = 1 - tanh(z)^2, and a_prev is already tanh(z)
-                delta = (delta @ layers[layer][0].T) * (1.0 - a_prev * a_prev)[:, None, :]
+                slope = 1.0 - a_prev * a_prev
+                delta = (delta @ w.T) * slope[:, None, :]
+                if grad is not None:
+                    back = grad @ w.T
+                    if resid is None:
+                        resid = np.zeros((len(a_prev), w.shape[0], w.shape[0]))
+                    else:
+                        resid = slope[:, :, None] * (w @ resid @ w.T) * slope[:, None, :]
+                    # tanh''(z) = -2 tanh(z) tanh'(z)
+                    diag = np.arange(w.shape[0])
+                    resid[:, diag, diag] += back * (-2.0 * a_prev * slope)
+                    grad = back * slope
         yield factors[::-1]
 
 
 def _layer_starts(params: MlpParams) -> list[int]:
-    starts = [0]
-    for fan_in, fan_out in params.shape:
-        starts.append(starts[-1] + fan_in * fan_out + fan_out)
-    return starts
+    return np.cumsum([0] + [fan_in * fan_out + fan_out for fan_in, fan_out in params.shape]).tolist()
 
 
 def _mirror_upper(mat: np.ndarray) -> None:
@@ -89,20 +116,47 @@ def _mirror_upper(mat: np.ndarray) -> None:
         mat[start + rows, start + cols] = mat[start + cols, start + rows]
 
 
-def _kl_hessian_full(params: MlpParams, data) -> np.ndarray:
-    # block (l, k) of B^T B at rows (j, o), columns (j', o') is
-    # sum_i in_l[i, j] in_k[i, j'] g[i, o, o'] with g[i] = seeds_l[i]^T seeds_k[i]:
-    # one product per input row j over the examples, not over examples x classes
+def hessian_full(cost_kind: str, params: MlpParams, data, h: float | None = None) -> np.ndarray:
+    """Exact, exactly symmetric Hessian of a classifier cost at ``params``.
+
+    ``"kl"`` takes data ``(anchor, inputs)``, ``"loss"`` a labeled Dataset.
+    At the KL anchor this is the Gauss-Newton matrix B^T B; elsewhere, and
+    for the loss, the residual term is added (see the module docstring).
+    ``h`` is accepted for old callers and ignored.
+    """
     n = params.n
+    if n > FULL_HESSIAN_MAX_DIM:
+        raise ValueError(f"full hessian limited to {FULL_HESSIAN_MAX_DIM} parameters, got {n}")
+    # block (l, k) at rows (j, o), columns (j', o') is sum_i in_l[i, j] in_k[i, j'] g[i, o, o']
+    # with g[i] = seeds_l[i]^T seeds_k[i] plus the residual: one product per
+    # input row j over the examples, not over examples x classes
     starts = _layer_starts(params)
+    weights = [w for w, _ in params.layers()]
     hess = np.zeros((n, n))
-    for factors in _kl_factors(params, data):
-        for l, (in_l, seeds_l) in enumerate(factors):
+    for factors in _factors(cost_kind, params, data):
+        for l, (in_l, seeds_l, _, resid_l) in enumerate(factors):
             out_l = seeds_l.shape[2]
             for k in range(l, len(factors)):
-                in_k, seeds_k = factors[k]
+                in_k, seeds_k, grad_k, resid_k = factors[k]
                 out_k = seeds_k.shape[2]
-                g = (seeds_l.transpose(0, 2, 1) @ seeds_k).reshape(len(in_l), out_l * out_k)
+                g = seeds_l.transpose(0, 2, 1) @ seeds_k
+                if k == l and resid_l is not None:
+                    g += resid_l
+                elif k > l and grad_k is not None:
+                    # jac is P_lk, layer k's input differentiated by layer l's pre-activation
+                    slope = 1.0 - in_k[:, :-1] ** 2
+                    if k == l + 1:
+                        jac = slope[:, :, None] * np.eye(out_l)
+                    else:
+                        jac = (jac @ weights[k - 1]) * slope[:, None, :]
+                    if resid_k is not None:
+                        g += jac @ weights[k] @ resid_k
+                    # sum_i in_l[i, j] jac[i, o, j'] gamma_k[i, o'] at rows (j, o), on layer k's weights
+                    weight_cols = slice(starts[k], starts[k + 1] - out_k)
+                    for o in range(out_l):
+                        cross = (jac[:, o, :, None] * grad_k[:, None, :]).reshape(len(in_l), -1)
+                        hess[starts[l] + o : starts[l + 1] : out_l, weight_cols] += in_l.T @ cross
+                g = g.reshape(len(in_l), out_l * out_k)
                 for j in range(in_l.shape[1]):
                     first = j if k == l else 0  # the upper triangle suffices
                     t = (in_l[:, j, None] * in_k[:, first:]).T @ g
@@ -116,78 +170,19 @@ def _kl_hessian_full(params: MlpParams, data) -> np.ndarray:
     return hess
 
 
-def _kl_hessian_diag(params: MlpParams, data) -> np.ndarray:
+def hessian_diag(cost_kind: str, params: MlpParams, data, h: float | None = None) -> np.ndarray:
+    """Exact diagonal of :func:`hessian_full` (same arguments), without the n x n matrix.
+
+    Per layer, the input squares contracted with the Gauss-Newton column
+    sums of squares plus the diagonal of R.
+    """
     starts = _layer_starts(params)
     diag = np.zeros(params.n)
-    for factors in _kl_factors(params, data):
-        for l, (in_l, seeds_l) in enumerate(factors):
-            sq = (in_l * in_l).T @ np.einsum("ico,ico->io", seeds_l, seeds_l)
+    for factors in _factors(cost_kind, params, data):
+        for l, (in_l, seeds_l, _, resid_l) in enumerate(factors):
+            curv = np.einsum("ico,ico->io", seeds_l, seeds_l)
+            if resid_l is not None:
+                curv += np.einsum("ioo->io", resid_l)
+            sq = (in_l * in_l).T @ curv
             diag[starts[l] : starts[l + 1]] += sq.ravel()
-    return diag
-
-
-def _cost_and_grad(cost_kind, shape, data):
-    # a (cost, grad) callable pair stands in for the named network costs,
-    # which keeps the probes testable against pure quadratic surrogates
-    if isinstance(cost_kind, tuple):
-        return cost_kind
-    if cost_kind == "loss":
-        if not isinstance(data, Dataset):
-            raise ValueError("loss curvature requires a Dataset")
-        return make_loss_cost(shape, data), lambda flat: loss_value_and_grad(flat, shape, data)[1]
-    raise ValueError(f"unknown cost kind {cost_kind!r}")
-
-
-def hessian_full(cost_kind: str, params: MlpParams, data, h: float = 1e-3) -> np.ndarray:
-    """Full symmetric Hessian.
-
-    ``"kl"`` with data ``(anchor, inputs)`` returns the exact Gauss-Newton
-    matrix B^T B and requires ``params`` to be the anchor; ``h`` is
-    validated but unused. Otherwise central differences of the gradient
-    with step ``h``.
-    """
-    n = params.n
-    if n > FULL_HESSIAN_MAX_DIM:
-        raise ValueError(f"full hessian limited to {FULL_HESSIAN_MAX_DIM} parameters, got {n}")
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
-    if cost_kind == "kl":
-        return _kl_hessian_full(params, data)
-    _, grad = _cost_and_grad(cost_kind, params.shape, data)
-    flat = params.flat
-    hess = np.empty((n, n))
-    probe = flat.copy()
-    for j in range(n):
-        probe[j] = flat[j] + h
-        g_plus = grad(probe)
-        probe[j] = flat[j] - h
-        g_minus = grad(probe)
-        probe[j] = flat[j]
-        hess[:, j] = (g_plus - g_minus) / (2.0 * h)
-    return 0.5 * (hess + hess.T)
-
-
-def hessian_diag(cost_kind: str, params: MlpParams, data, h: float = 1e-3) -> np.ndarray:
-    """Hessian diagonal.
-
-    ``"kl"`` returns the exact Gauss-Newton diagonal, the column sums of
-    B squared, under the same conditions as :func:`hessian_full`.
-    Otherwise second differences of the cost: (c+ - 2 c0 + c-) / h^2.
-    """
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
-    if cost_kind == "kl":
-        return _kl_hessian_diag(params, data)
-    cost, _ = _cost_and_grad(cost_kind, params.shape, data)
-    flat = params.flat
-    c0 = cost(flat)
-    diag = np.empty(params.n)
-    probe = flat.copy()
-    for i in range(params.n):
-        probe[i] = flat[i] + h
-        c_plus = cost(probe)
-        probe[i] = flat[i] - h
-        c_minus = cost(probe)
-        probe[i] = flat[i]
-        diag[i] = (c_plus - 2.0 * c0 + c_minus) / (h * h)
     return diag

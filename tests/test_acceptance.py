@@ -358,7 +358,7 @@ def test_11_preconditioner_benefit(mlp_run):
     # probability), so the largest result is the most accurate one
     eps_grid = (1e-4, 1e-2, 1.0)
     naive = median_vol(Preconditioner.identity(params.n))
-    diag_curv = hessian_diag("kl", params, data, h=1e-3)
+    diag_curv = hessian_diag("kl", params, data)
     diag_best = max(
         (median_vol(from_diagonal(diag_curv, eps, 0.5, source="diag")), eps) for eps in eps_grid
     )
@@ -366,7 +366,7 @@ def test_11_preconditioner_benefit(mlp_run):
         (median_vol(from_diagonal(adam.nu, eps, 0.5, source="adam-nu")), eps) for eps in eps_grid
     )
     full = median_vol(
-        from_hessian(hessian_full("kl", params, data, h=1e-3), DEFAULT_EPS["hessian"], source="hessian")
+        from_hessian(hessian_full("kl", params, data), DEFAULT_EPS["hessian"], source="hessian")
     )
     ok = diag_best[0] >= naive and nu_best[0] >= naive
     dt = time.perf_counter() - t0

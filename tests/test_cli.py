@@ -200,6 +200,35 @@ class TestEstimate:
         assert rc == 0
         assert math.isfinite(read_jsonl(out)[0]["log_volume"])
 
+    @pytest.mark.parametrize("name", ["hessian", "diag"])
+    def test_loss_curvature_maps(self, name, final_checkpoint, tmp_path):
+        out = tmp_path / "runs.jsonl"
+        rc = main([
+            "estimate", "--checkpoint", str(final_checkpoint), "--cost", "loss",
+            "--cutoff", "2.0", "--preconditioner", name, "--k", "4", "--out", str(out), "--seed", "4",
+        ])
+        assert rc == 0
+        (record,) = read_jsonl(out)
+        assert math.isfinite(record["log_volume"])
+        assert record["preconditioner"].startswith(f"{name}[")
+        assert "fd_step" not in record["config"]
+
+    def test_fd_step_is_rejected(self, final_checkpoint, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main([
+                "estimate", "--checkpoint", str(final_checkpoint), "--cost", "loss",
+                "--fd-step", "1e-3", "--out", str(tmp_path / "o.jsonl"),
+            ])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--r-max", "nan"), ("--rel-tol", "-1"), ("--threads", "-3")])
+    def test_invalid_search_option_exits_2(self, flag, value, final_checkpoint, tmp_path, capsys):
+        out = tmp_path / "o.jsonl"
+        rc = main(["estimate", "--checkpoint", str(final_checkpoint), flag, value, "--out", str(out)])
+        assert rc == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_seed_is_fallback_only(self, final_checkpoint, tmp_path, monkeypatch):
         monkeypatch.setenv("STARVOL_SEED", "77")
         out_env = tmp_path / "env.jsonl"
@@ -270,6 +299,8 @@ class TestSweep:
         best = max(rows, key=lambda r: float(r["log_volume"]))
         assert summary["best_eps"] == float(best["value"])
         assert summary["best_log_volume"] == float(best["log_volume"])
+        # the maximum over the grid weakens the one-sided guarantee by this factor
+        assert summary["grid_size"] == 2
 
     @pytest.mark.parametrize("kind, name, counts", [
         # one curvature probe and at most one eigendecomposition; every point

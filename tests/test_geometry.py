@@ -264,6 +264,19 @@ class TestFindRadius:
         with pytest.raises(ValueError, match="r_init"):
             find_radius(spec, np.array([1.0, 0.0]), SearchOptions(r_init=0.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("r_init", -1.0), ("r_init", math.inf), ("r_init", math.nan),
+        ("r_max", 0.0), ("r_max", math.nan), ("r_max", math.inf),
+        ("rel_tol", -1.0), ("rel_tol", 0.0), ("rel_tol", math.nan),
+        ("max_iters", 0), ("threads", -3), ("threads", 0),
+    ])
+    def test_options_are_validated_when_built(self, field, value):
+        # each value used to be accepted: r_max=nan was never reached, r_max=0
+        # returned radius 0, rel_tol=-1 ran to float resolution and
+        # threads=-3 ran serially
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SearchOptions(**{field: value})
+
 
 class TestSampleDirection:
     def test_identity_unit_norm_zero_correction(self):

@@ -9,6 +9,7 @@ import pytest
 
 from starvol.geometry import MeasureSpec, VolumeEstimate
 from starvol.models.data import Dataset, make_blobs, split_dataset
+import starvol.models.hessian as hessian_module
 from starvol.models.hessian import hessian_diag, hessian_full
 from starvol.models.io import Checkpoint, load_checkpoint, save_checkpoint
 from starvol.models.mdl import description_length
@@ -419,31 +420,58 @@ class TestTraining:
             adam_train(params, Dataset(data.inputs), TrainConfig(epochs=1, batch_size=4))
 
 
+def _richardson_hessian(grad, flat, h=1e-3):
+    """Hessian by Richardson-extrapolated central differences of ``grad``, symmetrized.
+
+    (4 D(h/2) - D(h)) / 3 cancels the h^2 error of the central difference
+    D(h), leaving O(h^4) truncation and O(eps / h) rounding.
+    """
+
+    def central(step):
+        cols = []
+        for j in range(flat.size):
+            probe = np.zeros(flat.size)
+            probe[j] = step
+            cols.append((grad(flat + probe) - grad(flat - probe)) / (2.0 * step))
+        return np.array(cols).T
+
+    hess = (4.0 * central(h / 2) - central(h)) / 3.0
+    return 0.5 * (hess + hess.T)
+
+
+HIDDEN_SHAPES = [((3, 4),), ((3, 5), (5, 4)), ((2, 3), (3, 4), (4, 3))]
+
+
 class TestHessian:
-    @staticmethod
-    def _quadratic_pair(mat):
-        cost = lambda flat: 0.5 * float(flat @ mat @ flat)
-        grad = lambda flat: mat @ flat
-        return (cost, grad)
-
-    def test_full_recovers_quadratic_exactly(self):
-        mat = np.array([[4.0, 1.0], [1.0, 3.0]])
-        params = MlpParams(np.array([0.3, -0.2]), ((1, 1),))
-        hess = hessian_full(self._quadratic_pair(mat), params, None)
-        np.testing.assert_allclose(hess, mat, atol=1e-9)
-
-    def test_diag_recovers_quadratic_diagonal(self):
-        mat = np.array([[4.0, 1.0], [1.0, 3.0]])
-        params = MlpParams(np.array([0.3, -0.2]), ((1, 1),))
-        diag = hessian_diag(self._quadratic_pair(mat), params, None)
-        np.testing.assert_allclose(diag, [4.0, 3.0], atol=1e-6)
-
     def test_diag_agrees_with_full_on_loss(self):
         params, _ = init_params(((2, 4), (4, 2)), rng=np.random.default_rng(18))
         data = make_blobs(dim=2, classes=2, per_class=8, seed=8)
         full = hessian_full("loss", params, data)
         diag = hessian_diag("loss", params, data)
-        np.testing.assert_allclose(diag, np.diag(full), atol=1e-4)
+        np.testing.assert_allclose(diag, np.diag(full), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("shape", HIDDEN_SHAPES)
+    def test_loss_matches_gradient_differences(self, shape):
+        # 0, 1 and 2 hidden layers: the residual term is diagonal in the
+        # pre-activations of the last hidden layer and dense below it
+        params, _ = init_params(shape, rng=np.random.default_rng(48))
+        data = make_blobs(dim=shape[0][0], classes=shape[-1][1], per_class=5, seed=49)
+        want = _richardson_hessian(lambda flat: loss_value_and_grad(flat, shape, data)[1], params.flat)
+        got = hessian_full("loss", params, data)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+        np.testing.assert_array_equal(got, got.T)
+        np.testing.assert_allclose(hessian_diag("loss", params, data), np.diag(got), rtol=1e-13, atol=0)
+
+    def test_chunks_sum_to_the_whole(self, monkeypatch):
+        # layers wider than 64 take chunks of fewer than 512 examples; here
+        # two examples per chunk, against one chunk for all 21
+        params, _ = init_params(((3, 5), (5, 4), (4, 3)), rng=np.random.default_rng(51))
+        data = make_blobs(dim=3, classes=3, per_class=7, seed=52)
+        whole = hessian_full("loss", params, data), hessian_diag("loss", params, data)
+        monkeypatch.setattr(hessian_module, "CHUNK_FLOATS", 2 * 5 * 5)
+        parts = hessian_full("loss", params, data), hessian_diag("loss", params, data)
+        for got, want in zip(parts, whole):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_kl_hessian_at_anchor_is_psd(self):
         anchor, _ = init_params(((2, 4), (4, 2)), rng=np.random.default_rng(19))
@@ -471,14 +499,23 @@ class TestHessian:
     def test_kl_matches_gradient_differences(self, shape):
         anchor, _ = init_params(shape, rng=np.random.default_rng(42))
         inputs = np.random.default_rng(43).normal(size=(11, shape[0][0]))
-        probe = (
-            lambda flat: kl_value_and_grad(anchor, flat, inputs)[0],
-            lambda flat: kl_value_and_grad(anchor, flat, inputs)[1],
-        )
-        want = hessian_full(probe, anchor, None, h=1e-4)
+        want = _richardson_hessian(lambda flat: kl_value_and_grad(anchor, flat, inputs)[1], anchor.flat)
         got = hessian_full("kl", anchor, (anchor, inputs))
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
         np.testing.assert_array_equal(got, got.T)
+
+    @pytest.mark.parametrize("shape", HIDDEN_SHAPES)
+    def test_kl_off_anchor_matches_gradient_differences(self, shape):
+        # away from the anchor the residual term is not zero, and is included
+        anchor, _ = init_params(shape, rng=np.random.default_rng(46))
+        inputs = np.random.default_rng(47).normal(size=(11, shape[0][0]))
+        moved = MlpParams(anchor.flat + 0.3 * np.random.default_rng(50).normal(size=anchor.n), shape)
+        want = _richardson_hessian(lambda flat: kl_value_and_grad(anchor, flat, inputs)[1], moved.flat)
+        got = hessian_full("kl", moved, (anchor, inputs))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+        gauss_newton = hessian_full("kl", anchor, (anchor, inputs))
+        assert np.max(np.abs(got - gauss_newton)) > 1e-3
+        np.testing.assert_allclose(hessian_diag("kl", moved, (anchor, inputs)), np.diag(got), rtol=1e-13, atol=0)
 
     def test_kl_diag_is_diagonal_of_full(self):
         anchor, _ = init_params(((4, 6), (6, 3)), rng=np.random.default_rng(44))
@@ -487,23 +524,18 @@ class TestHessian:
         diag = hessian_diag("kl", anchor, (anchor, inputs))
         np.testing.assert_allclose(diag, np.diag(full), rtol=1e-14, atol=0)
 
-    def test_kl_requires_the_anchor(self):
-        anchor, _ = init_params(((2, 3), (3, 2)), rng=np.random.default_rng(46))
-        inputs = np.random.default_rng(47).normal(size=(5, 2))
-        moved = MlpParams(anchor.flat + 1e-3, anchor.shape)
-        for probe in (hessian_full, hessian_diag):
-            with pytest.raises(ValueError, match="anchor"):
-                probe("kl", moved, (anchor, inputs))
-            with pytest.raises(ValueError, match="step"):
-                probe("kl", anchor, (anchor, inputs), h=0.0)
-
     def test_validation(self):
         params, _ = init_params(((2, 2),), rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="step"):
-            hessian_diag("loss", params, make_blobs(2, 2, 2), h=0.0)
         big = MlpParams(np.zeros(param_count(((100, 100),))), ((100, 100),))
         with pytest.raises(ValueError, match="limited"):
             hessian_full("loss", big, make_blobs(100, 2, 1))
+        with pytest.raises(ValueError, match="unknown cost kind"):
+            hessian_diag("bogus", params, make_blobs(2, 2, 2))
+        with pytest.raises(ValueError, match="labeled"):
+            hessian_diag("loss", params, Dataset(make_blobs(2, 2, 2).inputs))
+        other, _ = init_params(((2, 3), (3, 2)), rng=np.random.default_rng(1))
+        with pytest.raises(ValueError, match="same shape"):
+            hessian_diag("kl", params, (other, np.zeros((3, 2))))
 
 
 class TestDescriptionLength:
