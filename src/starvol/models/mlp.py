@@ -28,7 +28,6 @@ __all__ = [
     "Shape",
     "forward_logits",
     "init_params",
-    "kl_value_and_grad",
     "log_softmax",
     "loss_value",
     "loss_value_and_grad",
@@ -162,11 +161,17 @@ def _blocks(m: int, fan_in: int, fan_out: int) -> list[tuple[slice, slice]]:
     ]
 
 
+def _blocked_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w, multiplied in ``_blocks``."""
+    out = np.empty((x.shape[0], w.shape[1]))
+    for rows, cols in _blocks(x.shape[0], *w.shape):
+        np.matmul(x[rows], w[:, cols], out=out[rows, cols])
+    return out
+
+
 def _first_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The first layer's pre-activation x @ w + b, multiplied in blocks."""
-    z = np.empty((x.shape[0], w.shape[1]))
-    for rows, cols in _blocks(x.shape[0], *w.shape):
-        np.matmul(x[rows], w[:, cols], out=z[rows, cols])
+    z = _blocked_matmul(x, w)
     z += b
     return z
 
@@ -175,11 +180,15 @@ def _head(z: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndar
     """Logits from the first layer's pre-activation z, which it overwrites.
 
     ``layers`` are the (weight, bias) pairs after the first layer; with none,
-    z already holds the logits.
+    z already holds the logits. A layer whose product holds at least
+    2 * ``_BLOCK_MULADDS`` multiply-adds is multiplied in blocks, as the
+    first layer is; a smaller one stays one product, which the KL readout
+    on 512 rows (512 x 64 x 10) measured as running on the calling thread.
     """
     a = z
     for w, b in layers:
-        a = np.tanh(a, out=a) @ w + b
+        a = np.tanh(a, out=a)
+        a = (_blocked_matmul(a, w) if a.shape[0] * w.size >= 2 * _BLOCK_MULADDS else a @ w) + b
     return a
 
 
@@ -380,21 +389,3 @@ def loss_value_and_grad(
     probs[np.arange(m), dataset.labels] -= 1.0
     dlogits = probs / m
     return value, _backward(shape, layers, activations, dlogits)
-
-
-def kl_value_and_grad(
-    anchor: MlpParams, flat: np.ndarray, inputs: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean KL from the anchor and its gradient with respect to the candidate."""
-    x = np.asarray(inputs, dtype=float)
-    shape = anchor.shape
-    anchor_lp = log_softmax(_forward(anchor.flat, shape, x))
-    anchor_p = np.exp(anchor_lp)
-    row_entropy = np.sum(anchor_p * anchor_lp, axis=1)
-    logits, activations, layers = _forward_cache(flat, shape, x)
-    q_lp = log_softmax(logits)
-    m = x.shape[0]
-    value = float(np.mean(row_entropy - np.sum(anchor_p * q_lp, axis=1)))
-    dlogits = (np.exp(q_lp) - anchor_p) / m
-    return value, _backward(shape, layers, activations, dlogits)
-

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .geometry import (
     CostFn,
@@ -138,7 +137,7 @@ def ellipsoid_log_volume_exact(e: Ellipsoid) -> float:
     n = e.dim
     return (
         0.5 * n * math.log(math.pi)
-        - float(gammaln(0.5 * n + 1.0))
+        - math.lgamma(0.5 * n + 1.0)
         + float(np.sum(np.log(e.radii)))
     )
 

@@ -50,10 +50,10 @@ class TestLogSphereArea:
         assert log_sphere_area(3) == pytest.approx(math.log(4.0 * math.pi), abs=1e-12)
         assert log_sphere_area(3) == pytest.approx(2.531024, abs=1e-6)
 
-    def test_high_dimension_against_mpmath(self):
-        n = 4810
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 127, 128, 4810, 19210, 10**6, 10**7])
+    def test_matches_mpmath(self, n):
         want = mp.log(2) + mp.mpf(n) / 2 * mp.log(mp.pi) - mp.loggamma(mp.mpf(n) / 2)
-        assert log_sphere_area(n) == pytest.approx(float(want), abs=1e-10)
+        assert abs((log_sphere_area(n) - want) / want) <= 2e-15
 
     def test_recurrence(self):
         # area(n + 2) = area(n) * 2 pi / n

@@ -13,14 +13,18 @@ import starvol.models.hessian as hessian_module
 from starvol.models.hessian import hessian_diag, hessian_full
 from starvol.models.io import Checkpoint, load_checkpoint, save_checkpoint
 from starvol.models.mdl import description_length
+import starvol.models.mlp as mlp_module
 from starvol.models.mlp import (
     _BLOCK_MULADDS,
     MlpParams,
+    _backward,
     _blocks,
     _first_layer,
+    _forward,
+    _forward_cache,
+    _head,
     forward_logits,
     init_params,
-    kl_value_and_grad,
     layer_sigmas,
     log_softmax,
     loss_value,
@@ -37,6 +41,23 @@ from starvol.models.train import (
     adam_train,
     adam_update,
 )
+
+
+def kl_value_and_grad(
+    anchor: MlpParams, flat: np.ndarray, inputs: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean KL from the anchor and its gradient with respect to the candidate."""
+    x = np.asarray(inputs, dtype=float)
+    shape = anchor.shape
+    anchor_lp = log_softmax(_forward(anchor.flat, shape, x))
+    anchor_p = np.exp(anchor_lp)
+    row_entropy = np.sum(anchor_p * anchor_lp, axis=1)
+    logits, activations, layers = _forward_cache(flat, shape, x)
+    q_lp = log_softmax(logits)
+    m = x.shape[0]
+    value = float(np.mean(row_entropy - np.sum(anchor_p * q_lp, axis=1)))
+    dlogits = (np.exp(q_lp) - anchor_p) / m
+    return value, _backward(shape, layers, activations, dlogits)
 
 
 class TestParams:
@@ -215,20 +236,22 @@ class TestKlCost:
             make_kl_cost(anchor, np.zeros((5, 1)))
 
 
+# name -> (shape, input rows); at 2,000 rows the 64 x 10 readout is blocked
 RAY_SHAPES = {
-    "no-hidden": ((5, 3),),
-    "one-hidden": ((5, 7), (7, 3)),
-    "two-hidden": ((5, 6), (6, 4), (4, 3)),
-    "64-64-10": ((64, 64), (64, 10)),
+    "no-hidden": (((5, 3),), 40),
+    "one-hidden": (((5, 7), (7, 3)), 40),
+    "two-hidden": (((5, 6), (6, 4), (4, 3)), 40),
+    "64-64-10": (((64, 64), (64, 10)), 512),
+    "64-64-10-2000-rows": (((64, 64), (64, 10)), 2000),
 }
 
 
 class TestRayForm:
     @staticmethod
-    def _cost(kind, shape, seed):
+    def _cost(kind, shape, rows, seed):
         rng = np.random.default_rng(seed)
         params, _ = init_params(shape, rng=rng)
-        x = rng.normal(size=(512 if shape[0][0] == 64 else 40, shape[0][0]))
+        x = rng.normal(size=(rows, shape[0][0]))
         if kind == "kl":
             return params, make_kl_cost(params, x)
         labels = rng.integers(0, shape[-1][1], size=x.shape[0])
@@ -237,7 +260,7 @@ class TestRayForm:
     @pytest.mark.parametrize("kind", ["kl", "loss"])
     @pytest.mark.parametrize("name", sorted(RAY_SHAPES))
     def test_line_matches_full_evaluation(self, kind, name):
-        params, cost = self._cost(kind, RAY_SHAPES[name], 31)
+        params, cost = self._cost(kind, *RAY_SHAPES[name], 31)
         rng = np.random.default_rng(32)
         origin = params.flat + 0.1 * rng.normal(size=params.n)
         d = rng.normal(size=params.n)
@@ -266,6 +289,25 @@ class TestRayForm:
         rng = np.random.default_rng(m)
         x, w, b = rng.normal(size=(m, fan_in)), rng.normal(size=(fan_in, fan_out)), rng.normal(size=fan_out)
         np.testing.assert_allclose(_first_layer(x, w, b), x @ w + b, rtol=1e-12, atol=1e-10)
+
+    def test_large_later_layers_are_blocked(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        z, w, b = rng.normal(size=(2000, 64)), rng.normal(size=(64, 10)), rng.normal(size=10)
+        want = np.tanh(z) @ w + b
+        calls = []
+        real = mlp_module._blocked_matmul
+
+        def counted(x, w):
+            calls.append(x.shape)
+            return real(x, w)
+
+        monkeypatch.setattr(mlp_module, "_blocked_matmul", counted)
+        got = _head(z.copy(), [(w, b)])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert calls == [(2000, 64)]
+        # the KL readout on 512 rows stays one product
+        _head(z[:512].copy(), [(w, b)])
+        assert calls == [(2000, 64)]
 
     def test_block_limit_is_64_rows_at_64x64(self):
         assert _BLOCK_MULADDS <= 1 << 19

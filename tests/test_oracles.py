@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -113,6 +114,12 @@ class TestExactVolume:
         assert ellipsoid_log_volume_exact(Ellipsoid(np.ones(3))) == pytest.approx(
             math.log(4.0 * math.pi / 3.0), rel=1e-14
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 127, 128, 4810, 19210, 10**6, 10**7])
+    def test_unit_ball_matches_mpmath(self, n):
+        with mp.workdps(40):
+            want = mp.mpf(n) / 2 * mp.log(mp.pi) - mp.loggamma(mp.mpf(n) / 2 + 1)
+        assert abs((ellipsoid_log_volume_exact(Ellipsoid(np.ones(n))) - want) / want) <= 2e-15
 
     def test_scaling_law(self):
         radii = np.array([0.2, 1.0, 3.0, 0.7])

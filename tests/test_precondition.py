@@ -446,6 +446,24 @@ print((peak() - base) / (n * n * 8))
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) <= 2.6
 
+    def test_scipy_is_loaded_only_to_decompose(self):
+        # importing the package loads numpy alone; the decomposition is the
+        # one route that loads scipy (for LAPACK's MRRR driver)
+        script = """
+import sys
+import numpy as np
+import starvol, starvol.cli, starvol.models, starvol.oracles
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+from starvol.precondition import eigendecompose
+eigendecompose(np.diag([1.0, 2.0, 3.0]))
+print("scipy.linalg" in sys.modules)
+"""
+        src = Path(precondition.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "True"]
+
 
 class TestArrayCodec:
     def test_float64_round_trip_is_bit_exact(self, tmp_path):
