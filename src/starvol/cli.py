@@ -64,6 +64,7 @@ SEED_ROLES = {"data": 0, "init": 1, "train": 2, "estimate": 3}
 PRECONDITIONER_CHOICES = ("none", "hessian", "diag", "adam-nu", "adam-mu")
 PRECOND_FILE_HELP = "load a saved preconditioner (a sweep accepts it over cutoffs or checkpoints only)"
 EXPONENT_HELP = "shape curvature d as 1/(|d|^exponent + eps), for hessian and diagonal maps alike"
+R_INIT_HELP = "radius of each ray's first cost evaluation; the search takes its later steps from the costs it measures"
 TARGET_HELP = "quadratic: a synthetic |x|^2/2 cost, always with Lebesgue measure and the identity map"
 
 # flags shared by estimate and sweep, defined once in an argparse parent
@@ -77,7 +78,7 @@ ESTIMATE_FLAGS = (
     ("--exponent", {"type": float, "default": 0.5, "help": EXPONENT_HELP}),
     ("--measure", {"choices": ("lebesgue", "gaussian"), "default": "gaussian"}),
     ("--threads", {"type": int, "default": 1}),
-    ("--r-init", {"type": float, "default": 1.0}),
+    ("--r-init", {"type": float, "default": 1.0, "help": R_INIT_HELP}),
     ("--r-max", {"type": float, "default": None}),
     ("--rel-tol", {"type": float, "default": 1e-4}),
     ("--max-iters", {"type": int, "default": 500}),

@@ -5,13 +5,14 @@ inside which a cost function stays below a cutoff. Its size under a
 Lebesgue or diagonal-Gaussian reference measure is the anchor's local
 volume. The estimator samples directions (optionally importance-shaped by
 a unit-determinant preconditioner), finds the boundary radius along each
-ray by doubling and a safeguarded secant search, converts each ray into a
-log contribution, and aggregates with log-sum-exp. Under a Gaussian
-measure a ray's contribution is a one-dimensional radial integral,
-computed everywhere by the same route: bracket the log-concave integrand
-where it is within 60 nats of its maximum and apply one Gauss-Legendre
-rule. Everything is carried in natural-log space because the volumes
-involved underflow any linear representation.
+ray by an extrapolated bracket and safeguarded inverse quadratic
+interpolation, converts each ray into a log contribution, and aggregates
+with log-sum-exp. Under a Gaussian measure a ray's contribution is a
+one-dimensional radial integral, computed everywhere by the same route:
+bracket the log-concave integrand where it is within 60 nats of its
+maximum and apply one Gauss-Legendre rule. Everything is carried in
+natural-log space because the volumes involved underflow any linear
+representation.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ GAUSSIAN_R_MAX_SIGMAS = 20.0
 # e^-60 from its maximum; one Gauss-Legendre rule covers the bracket
 _RADIAL_DROP_NATS = 60.0
 _GL_NODES, _GL_WEIGHTS = leggauss(64)
+# the radius search's predicted bracket step goes this factor of the
+# predicted distance in log r, so a slightly steepening cost still brackets
+_BRACKET_PAST = 1.05
 
 
 class RadiusSearchError(RuntimeError):
@@ -239,40 +243,86 @@ class VolumeEstimate:
         return self.cost_evals / self.k
 
 
+def _crossing(points: list[tuple[float, float]]) -> float | None:
+    """Where the search model puts f = 0, in t = log r, from its last points.
+
+    ``points`` are the (t, f) pairs to interpolate, oldest first: inverse
+    quadratic interpolation (t as a quadratic in f) through three, the
+    secant through two, and the default slope 2 from one. None where the
+    model has no crossing (equal f values, or a secant slope that is not
+    positive).
+    """
+    if len(points) == 3:
+        (ta, fa), (tb, fb), (tc, fc) = points
+        if fa != fb and fb != fc and fa != fc:
+            return (
+                ta * fb * fc / ((fa - fb) * (fa - fc))
+                + tb * fa * fc / ((fb - fa) * (fb - fc))
+                + tc * fa * fb / ((fc - fa) * (fc - fb))
+            )
+        points = points[1:]
+    if len(points) == 2:
+        (ta, fa), (tb, fb) = points
+        slope = (fb - fa) / (tb - ta) if tb != ta else 0.0
+        return tb - fb / slope if slope > 0.0 else None
+    t, f = points[0]
+    return t - 0.5 * f
+
+
 def find_radius(
     spec: NeighborhoodSpec,
     direction: np.ndarray,
     opts: SearchOptions | None = None,
+    *,
+    anchor_cost: float = 0.0,
 ) -> tuple[float, bool, int]:
     """Find the boundary radius along a ray from the anchor.
 
-    Doubles outward from ``r_init`` until the cost crosses the cutoff, then
-    narrows the bracket until its width is below ``rel_tol`` times the lower
-    end. Returns ``(radius, truncated, evals)``; the cost at the returned
-    radius is strictly below the cutoff, and ``evals`` counts the cost
-    evaluations made. If doubling reaches ``r_max`` without a crossing the
-    radius is capped there and flagged truncated. Assumes the anchor itself
-    satisfies the cutoff. Every evaluation goes through ``spec.line``.
+    Brackets the cutoff crossing outward from ``r_init``, then narrows the
+    bracket until its width is at most ``rel_tol`` times the lower end.
+    Returns ``(radius, truncated, evals)``; the cost at the returned radius
+    is strictly below the cutoff, so the search never overshoots, and
+    ``evals`` counts the cost evaluations made along the ray. If the bracket
+    stage reaches ``r_max`` without a crossing the radius is capped there
+    and flagged truncated. Every evaluation goes through ``spec.line``.
 
-    The bracket is narrowed by a safeguarded Illinois secant method (Dowell
-    & Jarratt 1971) on f(t) = log(cost(e^t) / cutoff): near the anchor the
-    cost is roughly quadratic in r, so f is nearly linear in t = log r.
-    Whenever the same end is kept twice in a row its f is halved. Each step
-    aims half a tolerance past the secant root, toward the end that was not
-    just moved, and at least a quarter tolerance inside the bracket, so an
-    accurate root closes the bracket with the next evaluation. A plain
-    bisection step is taken instead while the lower end is 0 or has a
-    non-positive cost, when the secant root is not strictly inside, and when
-    the last two evaluations did not halve the bracket. So any three
-    evaluations in a row at least halve the bracket, and the search never
-    takes much more than three times bisection's evaluations.
+    Both stages steer by one model, f(t) = log((cost(e^t) - c0) / (cutoff -
+    c0)) with t = log r and c0 = ``anchor_cost``, which must be below the
+    cutoff. The estimator passes the cost at the anchor, evaluated once per
+    estimate; the default 0 suits costs that vanish at the anchor. Any
+    other c0 changes how many evaluations a ray takes, never the contract
+    above. Near the anchor the cost is c0 plus a term roughly quadratic in
+    r, so f is nearly linear in t with slope about 2, and exactly linear
+    for c0 + q r^p. f is undefined where the cost is at most c0.
+
+    The bracket stage steps 5% past the crossing that the slope through the
+    last two points predicts (slope 2 from a single point); where f is
+    undefined, or after a predicted step failed to bracket, it at least
+    doubles r. The narrowing stage interpolates the crossing by inverse
+    quadratic interpolation through the last three points where f is
+    defined (the secant through two, slope 2 from one; Brent 1973), and
+    aims half a tolerance past it, toward the end that was not just moved,
+    and at least a quarter tolerance inside the bracket, so an accurate
+    estimate closes the bracket with the next evaluation. It bisects
+    instead when the estimate lies outside the bracket, when f is undefined
+    at a positive lower end, and when the last two evaluations did not
+    halve the bracket.
+
+    Worst case: the bracket stage takes at most 2 + log2(r / r_init)
+    evaluations to reach a crossing at r, since every step after the first
+    prediction at least doubles r; and any three narrowing evaluations in a
+    row at least halve the bracket [lo, hi], so narrowing takes at most
+    about 3 log2((hi - lo) / (rel_tol lo)).
     """
     opts = opts or SearchOptions()
     r_max = opts.r_max if opts.r_max is not None else LEBESGUE_R_MAX
     cost_along = spec.line(direction)
-    cutoff = spec.cutoff
-    log_cutoff = math.log(cutoff)
+    cutoff, c0 = spec.cutoff, anchor_cost
+    if not c0 < cutoff:
+        raise ValueError(f"anchor_cost must be below the cutoff {cutoff!r}, got {c0!r}")
+    log_span = math.log(cutoff - c0)
     evals = 0
+    known: list[tuple[float, float]] = []  # (t, f) where f is defined, oldest first
 
     def cost_at(r: float) -> float:
         nonlocal evals
@@ -282,24 +332,33 @@ def find_radius(
             raise CostEvaluationError(
                 f"cost evaluation failed: non-finite value {value!r}", evals=evals
             )
+        if value > c0:
+            known.append((math.log(r), math.log(value - c0) - log_span))
         return value
 
-    def log_ratio(value: float) -> float | None:
-        # f is undefined where the cost is not positive; such an end bisects
-        return math.log(value) - log_cutoff if value > 0.0 else None
-
-    lo, f_lo = 0.0, None
-    hi = f_hi = None
+    lo, lo_value, hi = 0.0, c0, None
     r = min(opts.r_init, r_max)
+    predicted = False  # a predicted step was taken, so the next one failed to bracket
     while evals < opts.max_iters:
         value = cost_at(r)
         if value >= cutoff:
-            hi, f_hi = r, log_ratio(value)
+            hi = r
             break
-        lo, f_lo = r, log_ratio(value)
+        lo, lo_value = r, value
         if r >= r_max:
             return r_max, True, evals
-        r = min(2.0 * r, r_max)
+        step = 2.0 * r
+        if value > c0:  # f is defined at r, so the model predicts a crossing
+            t = known[-1][0]
+            root = _crossing(known[-2:])
+            if root is not None and root > t:
+                ahead = math.exp(min(t + _BRACKET_PAST * (root - t), math.log(r_max)))
+                # a crossing predicted within half a tolerance is bracketed
+                # half a tolerance out, which closes the bracket at once
+                ahead = max(ahead, r * (1.0 + 0.5 * opts.rel_tol))
+                step = max(ahead, step) if predicted else ahead
+                predicted = True
+        r = min(step, r_max)
     if hi is None:
         raise RadiusSearchError("bracketing exhausted max_iters", bracket=(lo, r), evals=evals)
 
@@ -317,25 +376,20 @@ def find_radius(
             break  # bracket already at float resolution
         r = mid
         stalled = len(widths) >= 3 and widths[-1] > 0.5 * widths[-3]
-        if lo > 0.0 and f_lo is not None and f_lo < f_hi and not stalled:
-            root = lo * (hi / lo) ** (f_lo / (f_lo - f_hi))
-            if lo < root < hi:
-                tol = opts.rel_tol * lo
-                aim = root + 0.5 * tol if moved == "lo" else root - 0.5 * tol
-                step = min(max(aim, lo + 0.25 * tol), hi - 0.25 * tol)
-                if lo < step < hi:
-                    r = step
+        modeled = lo == 0.0 or lo_value > c0  # else f is undefined at lo
+        root = _crossing(known[-3:]) if modeled and not stalled else None
+        if root is not None and (lo == 0.0 or math.log(lo) <= root) and root <= math.log(hi):
+            root = math.exp(root)
+            tol = opts.rel_tol * (lo if lo > 0.0 else 0.5 * root)
+            aim = root + 0.5 * tol if moved == "lo" else root - 0.5 * tol
+            step = min(max(aim, lo + 0.25 * tol), hi - 0.25 * tol)
+            if lo < step < hi:
+                r = step
         value = cost_at(r)
-        side = "lo" if value < cutoff else "hi"
-        if side == "lo":
-            lo, f_lo = r, log_ratio(value)
-            if moved == "lo":
-                f_hi *= 0.5
+        if value < cutoff:
+            lo, lo_value, moved = r, value, "lo"
         else:
-            hi, f_hi = r, log_ratio(value)
-            if moved == "hi" and f_lo is not None:
-                f_lo *= 0.5
-        moved = side
+            hi, moved = r, "hi"
         widths.append(hi - lo)
     if lo <= 0.0:
         raise RadiusSearchError("no interior point found along ray", bracket=(lo, hi), evals=evals)
@@ -566,7 +620,9 @@ def estimate_local_volume(
         direction = directions[i]
         log_norm = log_norms[i]
         try:
-            radius, truncated, evals = find_radius(spec, direction, search_opts)
+            radius, truncated, evals = find_radius(
+                spec, direction, search_opts, anchor_cost=anchor_cost
+            )
         except (RadiusSearchError, CostEvaluationError) as exc:
             return RadialSample(
                 direction=direction,

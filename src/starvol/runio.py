@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import json
 import math
 import os
@@ -103,12 +104,14 @@ def _merge_into(dst: dict, src: dict) -> None:
             dst[key] = copy.deepcopy(value)
 
 
+@functools.cache
 def build_id() -> str:
     """Identify the code that produced a record.
 
     The git commit, when the package is the ``src/starvol`` of the git
     checkout it sits in; otherwise (an installed copy, or a copy inside some
-    other repository) the package version.
+    other repository) the package version. Computed once per process: the
+    ``git`` call takes milliseconds, and every run record asks for it.
     """
     package = Path(__file__).resolve().parent
     try:

@@ -15,6 +15,7 @@ import scipy.linalg
 
 import starvol
 import starvol.cli as cli
+import starvol.runio as runio
 from starvol.cli import main
 from starvol.geometry import MeasureSpec, NeighborhoodSpec, estimate_local_volume
 from starvol.precondition import Preconditioner
@@ -124,7 +125,8 @@ class TestEstimate:
         assert all(r["failure"] == "" for r in samples)
         assert record["cost_evals"] == sum(int(r["evals"]) for r in samples)
         assert record["evals_per_ray"] == record["cost_evals"] / 8
-        assert 1 <= record["evals_per_ray"] <= 500
+        # 5.62 measured (45 evaluations on 8 rays), plus a margin of 0.88
+        assert 1 <= record["evals_per_ray"] <= 6.5
 
     def test_rerun_appends_identical_record(self, final_checkpoint, tmp_path):
         out = tmp_path / "runs.jsonl"
@@ -329,13 +331,13 @@ class TestSweep:
         assert calls == counts
 
     def test_quadratic_sweep_honours_search_flags(self, tmp_path):
-        # three cost evaluations cannot narrow the bracket to the 1e-4
-        # tolerance, so every ray fails and each point writes a failed row
-        # that names the reason
+        # two cost evaluations cannot narrow the bracket to the 1e-4
+        # tolerance (on this quadratic the search needs three), so every ray
+        # fails and each point writes a failed row that names the reason
         out = tmp_path / "sweep.csv"
         rc = main([
             "sweep", "--kind", "cutoff", "--target", "quadratic", "--n", "20",
-            "--k", "8", "--values", "1e-2,1e-1", "--max-iters", "3",
+            "--k", "8", "--values", "1e-2,1e-1", "--max-iters", "2",
             "--out", str(out), "--seed", "1",
         ])
         assert rc == 0
@@ -490,6 +492,15 @@ class TestRunRecords:
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip(), head
+
+    def test_build_id_is_computed_once_per_process(self, monkeypatch):
+        first = runio.build_id()
+
+        def no_subprocess(*args, **kwargs):
+            raise AssertionError("build_id started a subprocess again")
+
+        monkeypatch.setattr(subprocess, "run", no_subprocess)
+        assert runio.build_id() == first
 
     @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
     def test_build_id_ignores_an_unrelated_repository(self, tmp_path):

@@ -23,9 +23,19 @@ from starvol.geometry import (
     sample_direction,
 )
 from starvol.logspace import log_sphere_area
-from starvol.models import init_params, make_kl_cost
+from starvol.models import (
+    AdamHyper,
+    TrainConfig,
+    adam_train,
+    hessian_full,
+    init_params,
+    make_blobs,
+    make_kl_cost,
+    make_loss_cost,
+    split_dataset,
+)
 from starvol.oracles import Ellipsoid, ellipsoid_log_volume_exact, ellipsoid_radius
-from starvol.precondition import Preconditioner
+from starvol.precondition import Preconditioner, eigendecompose, from_diagonal
 
 
 def quad_log_integral(anchor, direction, radius, sigma, n):
@@ -111,11 +121,11 @@ def _axis_ray(n, x0, s):
 
 
 def _bisection_evals(profile, r_init, rel_tol):
-    """Cost evaluations the doubling-and-bisection search spends on a 1-D ray.
+    """Cost evaluations a doubling-and-bisection search spends on a 1-D ray.
 
-    The reference for the secant search's evaluation budget: the same
-    doubling bracket, then plain halving until the width is at most
-    rel_tol times the lower end. The profile must cross the cutoff 1.
+    The reference for the radius search's evaluation budget: a doubling
+    bracket, then plain halving until the width is at most rel_tol times
+    the lower end. The profile must cross the cutoff 1.
     """
     evals = 0
 
@@ -147,11 +157,19 @@ RADIAL_PROFILES = {
     "steep-exponential": lambda r: math.exp(min(40.0 * r, 700.0)) - 1.0,
     "kink": lambda r: 0.3 * r if r < 0.6 else 0.18 + 5.0 * (r - 0.6),
     "flat-then-wall": lambda r: 0.01 if r < 0.8 else 0.01 + 1e4 * (r - 0.8),
+    # dips below its anchor cost 0.2 out to r = 1, where the search model
+    # log(cost - 0.2) is undefined, then crosses at (1 + sqrt(4.2)) / 2
+    "descent": lambda r: 0.2 - r + r * r,
 }
 
 
 def _profile_search(profile, opts):
-    """find_radius on the 1-D ray of ``profile``; returns (radius, evaluations)."""
+    """find_radius on the 1-D ray of ``profile``; returns (radius, evaluations).
+
+    The anchor cost profile(0) is handed to the search, as the estimator
+    does, and is not counted as a search evaluation.
+    """
+    anchor_cost = profile(0.0)
     evals = 0
 
     def cost(x):
@@ -160,7 +178,7 @@ def _profile_search(profile, opts):
         return profile(float(x[0]))
 
     spec = NeighborhoodSpec(np.zeros(1), cost, 1.0, MeasureSpec.lebesgue())
-    radius, truncated, counted = find_radius(spec, np.array([1.0]), opts)
+    radius, truncated, counted = find_radius(spec, np.array([1.0]), opts, anchor_cost=anchor_cost)
     assert not truncated
     assert counted == evals
     return radius, evals
@@ -197,9 +215,35 @@ class TestFindRadius:
         assert profile(radius) < 1.0 <= profile(radius * (1.0 + 3.0 * rel_tol))
         assert evals <= 3 * _bisection_evals(profile, r_init, rel_tol)
 
+    @pytest.mark.parametrize("r_init", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("c0", [0.0, 0.3, -2.0])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_power_profile_meets_its_closed_form_root(self, p, c0, r_init):
+        # the cost c0 + q r^p reaches the cutoff 1 at ((1 - c0) / q)^(1/p); on
+        # it the search model log((cost - c0) / (1 - c0)) is exactly linear
+        # in log r, with slope p
+        q = 0.7
+        root = ((1.0 - c0) / q) ** (1.0 / p)
+
+        def profile(r):
+            return c0 + q * r**p
+
+        opts = SearchOptions(r_init=r_init)
+        radius, evals = _profile_search(profile, opts)
+        assert profile(radius) < 1.0 and radius < root
+        assert root - radius <= opts.rel_tol * radius
+        if p == 2:
+            assert evals <= 4
+
+    def test_anchor_cost_must_be_below_the_cutoff(self):
+        spec = Ellipsoid(np.ones(2)).neighborhood()
+        with pytest.raises(ValueError, match="anchor_cost must be below"):
+            find_radius(spec, np.array([1.0, 0.0]), anchor_cost=spec.cutoff)
+
     def test_budget_exhaustion_mid_search_carries_bracket(self):
-        # doubling takes two evaluations (1 inside, 2 outside), so a budget
-        # of three runs out inside the bracket around sqrt(2)
+        # the bracket stage takes two evaluations (1 inside, then a step 5%
+        # past the crossing at sqrt(2) that slope 2 predicts, outside), so a
+        # budget of three runs out inside the bracket around sqrt(2)
         with pytest.raises(RadiusSearchError, match="did not converge") as info:
             _profile_search(RADIAL_PROFILES["quadratic"], SearchOptions(max_iters=3))
         lo, hi = info.value.bracket
@@ -769,3 +813,49 @@ class TestRayForm:
         for s, q in zip(a.samples, b.samples):
             assert s.radius == pytest.approx(q.radius, rel=opts.rel_tol)
         assert a.log_volume == pytest.approx(b.log_volume, abs=spec.dim * opts.rel_tol)
+
+
+@pytest.fixture(scope="module")
+def small_trained_net():
+    """A 676-parameter tanh net (16 -> 32 -> 4) after 8 Adam epochs on blobs."""
+    full = make_blobs(dim=16, classes=4, per_class=100, noise=1.0, center_scale=0.5, seed=5)
+    train, val = split_dataset(full, [240, 160], seed=5)
+    params, measure = init_params(((16, 32), (32, 4)), "fan_in", np.random.default_rng(6))
+    config = TrainConfig(epochs=8, batch_size=32, seed=7, hyper=AdamHyper(lr=0.01),
+                         checkpoint_every=10_000)
+    params = adam_train(params, train, config).checkpoints[-1]
+    return params, measure, train, val
+
+
+class TestSearchBudget:
+    # mean cost evaluations per ray, k=64, seed 0, Gaussian measure; the
+    # bounds sit at or below the targets for the radius search (naive rays
+    # 4.4, hessian-map rays 6.5, loss rays 5.5) and above the measured
+    # counts: kl identity 4.14, kl hessian 5.98, loss identity 5.06, loss
+    # hessian 5.98 (the doubling-and-secant search took 4.91, 8.94, 8.77 and
+    # 10.75)
+    @pytest.mark.parametrize("kind, map_kind, bound", [
+        ("kl", "identity", 4.4),
+        ("kl", "hessian", 6.5),
+        ("loss", "identity", 5.5),
+        ("loss", "hessian", 6.5),
+    ])
+    def test_evaluations_per_ray_on_a_trained_net(self, small_trained_net, kind, map_kind, bound):
+        params, measure, train, val = small_trained_net
+        if kind == "kl":
+            cost, data = make_kl_cost(params, val.inputs), (params, val.inputs)
+        else:
+            cost, data = make_loss_cost(params.shape, train), train
+        anchor_cost = cost(params.flat)
+        cutoff = 1e-2 if kind == "kl" else anchor_cost + 1e-2
+        spec = NeighborhoodSpec(params.flat, cost, cutoff, measure)
+        if map_kind == "identity":
+            precond = Preconditioner.identity(params.n)
+        else:
+            spectrum, basis = eigendecompose(hessian_full(kind, params, data))
+            precond = from_diagonal(spectrum, 0.1, 0.5, source="hessian", basis=basis)
+        est = estimate_local_volume(spec, precond, k=64, seed=0)
+        assert est.failed_count == 0 and est.truncated_count == 0
+        assert est.evals_per_ray <= bound
+        for s in est.samples:
+            assert cost(params.flat + s.radius * s.direction) < cutoff
