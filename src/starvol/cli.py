@@ -61,7 +61,7 @@ from .runio import (
 # fixed roles for deriving independent streams from the master seed
 SEED_ROLES = {"data": 0, "init": 1, "train": 2, "estimate": 3}
 
-PRECONDITIONER_CHOICES = ("none", "hessian", "diag", "adam-nu", "adam-mu")
+PRECONDITIONER_CHOICES = ("none", "hessian", "diag", "adam-nu")
 PRECOND_FILE_HELP = "load a saved preconditioner (a sweep accepts it over cutoffs or checkpoints only)"
 EXPONENT_HELP = "shape curvature d as 1/(|d|^exponent + eps), for hessian and diagonal maps alike"
 R_INIT_HELP = "radius of each ray's first cost evaluation; the search takes its later steps from the costs it measures"
@@ -236,9 +236,9 @@ class _CheckpointEstimator:
         self.measure = MeasureSpec.gaussian(ckpt.sigma) if gaussian else MeasureSpec.lebesgue()
         self.opts = _search_options(args)
         self._loaded = Preconditioner.load(args.precond_file) if args.precond_file else None
-        # (spectrum, basis) each map is shaped from: Adam's moments on the
+        # (spectrum, basis) each map is shaped from: Adam's second moment on the
         # coordinate axes, and each curvature probe's result once asked for
-        self._curvature = {"adam-nu": (ckpt.adam.nu, None), "adam-mu": (np.abs(ckpt.adam.mu), None)}
+        self._curvature = {"adam-nu": (ckpt.adam.nu, None)}
 
     def preconditioner(self, name: str, eps: float | None) -> Preconditioner:
         if name not in PRECONDITIONER_CHOICES:

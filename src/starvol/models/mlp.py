@@ -29,7 +29,6 @@ __all__ = [
     "forward_logits",
     "init_params",
     "log_softmax",
-    "loss_value",
     "loss_value_and_grad",
     "make_kl_cost",
     "make_loss_cost",
@@ -338,41 +337,32 @@ def _backward(
     activations: list[np.ndarray],
     dlogits: np.ndarray,
 ) -> np.ndarray:
+    """Flat gradient from the logits' gradient; each layer's part is written
+    straight into its views of the flat vector."""
     grads = np.empty(param_count(shape))
-    offsets = []
-    idx = 0
-    for fan_in, fan_out in shape:
-        offsets.append(idx)
-        idx += fan_in * fan_out + fan_out
     delta = dlogits
-    for layer in range(len(shape) - 1, -1, -1):
-        fan_in, fan_out = shape[layer]
+    for layer, (gw, gb) in reversed(list(enumerate(_layer_views(grads, shape)))):
         a_prev = activations[layer]
-        start = offsets[layer]
-        grads[start : start + fan_in * fan_out] = (a_prev.T @ delta).ravel()
-        grads[start + fan_in * fan_out : start + fan_in * fan_out + fan_out] = delta.sum(axis=0)
+        np.matmul(a_prev.T, delta, out=gw)
+        np.sum(delta, axis=0, out=gb)
         if layer > 0:
-            w = layers[layer][0]
             # tanh'(z) = 1 - tanh(z)^2, and a_prev is already tanh(z)
-            delta = (delta @ w.T) * (1.0 - a_prev * a_prev)
+            delta = (delta @ layers[layer][0].T) * (1.0 - a_prev * a_prev)
     return grads
 
 
-def loss_value(flat: np.ndarray, shape: Shape, dataset: Dataset) -> float:
-    """Mean cross-entropy from forward passes alone, in row chunks.
-
-    Each chunk is small enough that every layer's product stays within
-    ``_BLOCK_MULADDS`` and so runs on the calling thread.
-    """
-    if dataset.labels is None:
-        raise ValueError("loss requires a labeled dataset")
-    step = max(1, _BLOCK_MULADDS // max(i * o for i, o in shape))
-    total = 0.0
-    for start in range(0, dataset.m, step):
-        rows = slice(start, start + step)
-        lp = _class_log_probs(_forward(flat, shape, dataset.inputs[rows]))
-        total -= float(np.sum(lp[dataset.labels[rows], np.arange(lp.shape[1])]))
-    return total / dataset.m
+def _loss_and_grad(
+    flat: np.ndarray, shape: Shape, x: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of rows ``x`` against ``labels``, and its gradient."""
+    logits, activations, layers = _forward_cache(flat, shape, x)
+    lp = log_softmax(logits)
+    rows = np.arange(x.shape[0])
+    value = float(-np.mean(lp[rows, labels]))
+    probs = np.exp(lp, out=lp)
+    probs[rows, labels] -= 1.0
+    probs /= x.shape[0]
+    return value, _backward(shape, layers, activations, probs)
 
 
 def loss_value_and_grad(
@@ -381,11 +371,4 @@ def loss_value_and_grad(
     """Cross-entropy and its gradient via one backward pass."""
     if dataset.labels is None:
         raise ValueError("loss gradient requires a labeled dataset")
-    logits, activations, layers = _forward_cache(flat, shape, dataset.inputs)
-    lp = log_softmax(logits)
-    m = dataset.m
-    value = float(-np.mean(lp[np.arange(m), dataset.labels]))
-    probs = np.exp(lp)
-    probs[np.arange(m), dataset.labels] -= 1.0
-    dlogits = probs / m
-    return value, _backward(shape, layers, activations, dlogits)
+    return _loss_and_grad(flat, shape, dataset.inputs, dataset.labels)

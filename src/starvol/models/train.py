@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .mlp import MlpParams, loss_value, loss_value_and_grad
+from .mlp import MlpParams, _loss_and_grad, loss_value_and_grad, make_loss_cost
 
 __all__ = [
     "AdamHyper",
@@ -73,6 +73,17 @@ class TrainResult:
     metrics: tuple[dict, ...]
 
 
+def _adam_step(flat, g, mu, nu, step: int, hyper: AdamHyper) -> None:
+    """One bias-corrected Adam step in place on ``flat``, ``mu`` and ``nu``."""
+    mu *= hyper.beta1
+    mu += (1.0 - hyper.beta1) * g
+    nu *= hyper.beta2
+    nu += (1.0 - hyper.beta2) * g * g
+    mu_hat = mu / (1.0 - hyper.beta1**step)
+    nu_hat = nu / (1.0 - hyper.beta2**step)
+    flat -= hyper.lr * mu_hat / (np.sqrt(nu_hat) + hyper.adam_eps)
+
+
 def adam_update(
     flat: np.ndarray,
     g: np.ndarray,
@@ -81,12 +92,9 @@ def adam_update(
     step: int,
     hyper: AdamHyper,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One bias-corrected Adam step; ``step`` is the new 1-based step index."""
-    mu = hyper.beta1 * mu + (1.0 - hyper.beta1) * g
-    nu = hyper.beta2 * nu + (1.0 - hyper.beta2) * g * g
-    mu_hat = mu / (1.0 - hyper.beta1**step)
-    nu_hat = nu / (1.0 - hyper.beta2**step)
-    flat = flat - hyper.lr * mu_hat / (np.sqrt(nu_hat) + hyper.adam_eps)
+    """One bias-corrected Adam step on copies; ``step`` is the new 1-based step index."""
+    flat, mu, nu = (np.array(a, dtype=float) for a in (flat, mu, nu))
+    _adam_step(flat, g, mu, nu, step, hyper)
     return flat, mu, nu
 
 
@@ -100,14 +108,16 @@ def adam_train(
 
     Batch order comes from a generator seeded by ``config.seed`` alone, so a
     rerun reproduces the trajectory bit for bit. Checkpoints (parameters plus
-    Adam buffers) are recorded at step 0, every ``checkpoint_every`` steps,
-    and at the final step; each record also logs full-set losses, from
-    forward passes alone.
+    Adam buffers) are recorded at step 0, every ``checkpoint_every`` steps
+    (0: none in between), and at the final step; each record also logs
+    full-set losses, each the value of ``make_loss_cost`` on its set.
     """
     if dataset.labels is None:
         raise ValueError("training requires a labeled dataset")
     if config.epochs < 1 or config.batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
+    if config.checkpoint_every < 0:
+        raise ValueError("checkpoint_every must be >= 0")
     shape = params.shape
     rng = np.random.default_rng(config.seed)
     flat = params.flat.copy()
@@ -116,6 +126,8 @@ def adam_train(
     step = 0
     cap = math.log(dataset.num_classes)
     poison = config.poison
+    logged = {"train_loss": dataset, "val_loss": val_dataset, "poison_loss": poison and poison.dataset}
+    losses = {key: make_loss_cost(shape, data) for key, data in logged.items() if data is not None}
 
     checkpoints: list[MlpParams] = []
     adam_states: list[AdamState] = []
@@ -126,29 +138,24 @@ def adam_train(
         checkpoints.append(MlpParams(flat, shape))
         adam_states.append(AdamState(mu.copy(), nu.copy(), step, config.hyper))
         steps.append(step)
-        row = {"step": step, "train_loss": loss_value(flat, shape, dataset)}
-        if val_dataset is not None:
-            row["val_loss"] = loss_value(flat, shape, val_dataset)
-        if poison is not None:
-            row["poison_loss"] = loss_value(flat, shape, poison.dataset)
-        metrics.append(row)
+        metrics.append({"step": step, **{key: cost(flat) for key, cost in losses.items()}})
 
     record()
+    inputs, labels = dataset.inputs, dataset.labels
     for _ in range(config.epochs):
         perm = rng.permutation(dataset.m)
         for start in range(0, dataset.m, config.batch_size):
-            batch = dataset.subset(perm[start : start + config.batch_size])
-            loss, g = loss_value_and_grad(flat, shape, batch)
-            objective = loss
+            idx = perm[start : start + config.batch_size]
+            objective, g = _loss_and_grad(flat, shape, inputs[idx], labels[idx])
             if poison is not None:
                 poison_loss, poison_g = loss_value_and_grad(flat, shape, poison.dataset)
-                objective = loss - poison.alpha * min(poison_loss, cap)
+                objective -= poison.alpha * min(poison_loss, cap)
                 if poison_loss < cap:
-                    g = g - poison.alpha * poison_g
+                    g -= poison.alpha * poison_g
             if not math.isfinite(objective):
                 raise TrainingError(f"non-finite objective at step {step + 1}")
             step += 1
-            flat, mu, nu = adam_update(flat, g, mu, nu, step, config.hyper)
+            _adam_step(flat, g, mu, nu, step, config.hyper)
             if config.checkpoint_every > 0 and step % config.checkpoint_every == 0:
                 record()
     if steps[-1] != step:

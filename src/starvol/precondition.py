@@ -35,7 +35,6 @@ DEFAULT_EPS = {
     "hessian": 0.1,
     "diag": 0.01,
     "adam-nu": 0.001,
-    "adam-mu": 0.001,
 }
 
 FORMAT_NAME = "starvol-preconditioner"

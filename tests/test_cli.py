@@ -417,13 +417,13 @@ class TestSweep:
         out = tmp_path / "cutoff.csv"
         rc = main([
             "sweep", "--kind", "cutoff", "--cost", "loss", "--values", "1e-6,2.0",
-            "--preconditioner", "adam-mu", "--checkpoint", str(final_checkpoint),
+            "--preconditioner", "diag", "--checkpoint", str(final_checkpoint),
             "--k", "4", "--out", str(out), "--seed", "1",
         ])
         assert rc == 0
         failed, ok = _read_csv(out)
         assert failed["status"].startswith("failed: anchor cost")
-        assert (failed["cutoff"], failed["preconditioner"]) == ("1e-06", "adam-mu")
+        assert (failed["cutoff"], failed["preconditioner"]) == ("1e-06", "diag")
         assert (ok["status"], ok["cutoff"]) == ("ok", "2.0")
         # one successful point fits no slope, so no summary is written
         assert not out.with_suffix(".summary.json").exists()

@@ -4,6 +4,7 @@ checkpoint files."""
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -27,7 +28,6 @@ from starvol.models.mlp import (
     init_params,
     layer_sigmas,
     log_softmax,
-    loss_value,
     loss_value_and_grad,
     make_kl_cost,
     make_loss_cost,
@@ -58,6 +58,81 @@ def kl_value_and_grad(
     value = float(np.mean(row_entropy - np.sum(anchor_p * q_lp, axis=1)))
     dlogits = (np.exp(q_lp) - anchor_p) / m
     return value, _backward(shape, layers, activations, dlogits)
+
+
+def reference_loss_and_grad(flat: np.ndarray, shape, data: Dataset) -> tuple[float, np.ndarray]:
+    """Reference cross-entropy and gradient: a fresh array for every product,
+    and the layers' gradients concatenated in packing order."""
+    layers = MlpParams(flat, shape).layers()
+    acts = [data.inputs]
+    for w, b in layers[:-1]:
+        acts.append(np.tanh(acts[-1] @ w + b))
+    w, b = layers[-1]
+    lp = log_softmax(acts[-1] @ w + b)
+    rows = np.arange(data.m)
+    value = float(-np.mean(lp[rows, data.labels]))
+    probs = np.exp(lp)
+    probs[rows, data.labels] -= 1.0
+    delta = probs / data.m
+    parts = []
+    for layer in range(len(shape) - 1, -1, -1):
+        parts[:0] = [(acts[layer].T @ delta).ravel(), delta.sum(axis=0)]
+        if layer > 0:
+            delta = (delta @ layers[layer][0].T) * (1.0 - acts[layer] * acts[layer])
+    return value, np.concatenate(parts)
+
+
+def reference_loss(flat: np.ndarray, shape, data: Dataset) -> float:
+    """Reference logged loss: forward passes over row chunks, summed."""
+    step = max(1, _BLOCK_MULADDS // max(i * o for i, o in shape))
+    total = 0.0
+    for start in range(0, data.m, step):
+        rows = slice(start, start + step)
+        lp = log_softmax(_forward(flat, shape, data.inputs[rows]))
+        total -= float(np.sum(lp[np.arange(lp.shape[0]), data.labels[rows]]))
+    return total / data.m
+
+
+def reference_train(params: MlpParams, data: Dataset, config: TrainConfig, val: Dataset):
+    """Reference training loop: ``Dataset.subset`` batches, out-of-place Adam.
+
+    Returns one (flat, mu, nu, losses) tuple per checkpoint and the number
+    of steps on which the poison term pushed.
+    """
+    h, poison, shape = config.hyper, config.poison, params.shape
+    rng = np.random.default_rng(config.seed)
+    flat = params.flat.copy()
+    mu, nu = np.zeros_like(flat), np.zeros_like(flat)
+    step = pushes = 0
+    cap = math.log(data.num_classes)
+    out = []
+
+    def record():
+        losses = {"step": step, "train_loss": reference_loss(flat, shape, data),
+                  "val_loss": reference_loss(flat, shape, val),
+                  "poison_loss": reference_loss(flat, shape, poison.dataset)}
+        out.append((flat, mu, nu, losses))
+
+    record()
+    for _ in range(config.epochs):
+        perm = rng.permutation(data.m)
+        for start in range(0, data.m, config.batch_size):
+            _, g = reference_loss_and_grad(flat, shape, data.subset(perm[start : start + config.batch_size]))
+            poison_loss, poison_g = reference_loss_and_grad(flat, shape, poison.dataset)
+            if poison_loss < cap:
+                g = g - poison.alpha * poison_g
+                pushes += 1
+            step += 1
+            mu = h.beta1 * mu + (1.0 - h.beta1) * g
+            nu = h.beta2 * nu + (1.0 - h.beta2) * g * g
+            mu_hat = mu / (1.0 - h.beta1**step)
+            nu_hat = nu / (1.0 - h.beta2**step)
+            flat = flat - h.lr * mu_hat / (np.sqrt(nu_hat) + h.adam_eps)
+            if step % config.checkpoint_every == 0:
+                record()
+    if out[-1][3]["step"] != step:
+        record()
+    return out, pushes
 
 
 class TestParams:
@@ -181,6 +256,26 @@ class TestLossCost:
         flat = np.array([50.0, 0.0])  # single logit pushes hard with the sign of x
         params = MlpParams(np.concatenate([[0.0, 50.0], [0.0, 0.0]]), ((1, 2),))
         assert make_loss_cost(params.shape, data)(params.flat) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 20.0])
+    def test_matches_mpmath_forward_pass(self, scale):
+        # at scale 20 the logit gaps reach 21, so class probabilities span e^-21
+        params, _ = init_params(((3, 4), (4, 2)), rng=np.random.default_rng(41))
+        params = MlpParams(scale * params.flat, params.shape)
+        data = make_blobs(dim=3, classes=2, per_class=3, seed=42)
+        (w1, b1), (w2, b2) = params.layers()
+        with mp.workdps(50):
+            total = mp.mpf(0)
+            for x, label in zip(data.inputs, data.labels):
+                h = [mp.tanh(mp.fsum(mp.mpf(x[i]) * mp.mpf(w1[i, j]) for i in range(3)) + mp.mpf(b1[j]))
+                     for j in range(4)]
+                z = [mp.fsum(h[i] * mp.mpf(w2[i, c]) for i in range(4)) + mp.mpf(b2[c]) for c in range(2)]
+                top = max(z)
+                total += top + mp.log(mp.fsum(mp.exp(v - top) for v in z)) - z[label]
+            want = float(total / data.m)
+        for got in (make_loss_cost(params.shape, data)(params.flat),
+                    loss_value_and_grad(params.flat, params.shape, data)[0]):
+            assert abs(got - want) <= 1e-13 * want
 
     def test_requires_labels(self):
         params, _ = init_params(((2, 2),), rng=np.random.default_rng(0))
@@ -359,7 +454,10 @@ class TestAdam:
         ref_flat, ref_mu, ref_nu = flat.copy(), mu.copy(), nu.copy()
         for step in range(1, 6):
             g = rng.normal(size=6)
+            args = (flat, g, mu, nu)
+            before = [a.copy() for a in args]
             flat, mu, nu = adam_update(flat, g, mu, nu, step, hyper)
+            assert all(np.array_equal(a, b) for a, b in zip(args, before))  # arguments untouched
             ref_mu = 0.8 * ref_mu + 0.2 * g
             ref_nu = 0.95 * ref_nu + 0.05 * g * g
             m_hat = ref_mu / (1.0 - 0.8**step)
@@ -406,19 +504,59 @@ class TestTraining:
         for row in result.metrics:
             assert set(row) == {"step", "train_loss", "val_loss", "poison_loss"}
 
-    def test_logged_loss_is_a_forward_pass_in_row_chunks(self, monkeypatch):
-        # 200 rows of a 64-wide layer take four chunks of at most 64 rows
+    def test_logged_loss_is_the_loss_cost_in_calling_thread_products(self):
+        # 1,000 rows of the 64 -> 64 -> 10 fixture: both layers are multiplied in blocks
         params, _ = init_params(((64, 64), (64, 10)), rng=np.random.default_rng(5))
-        data = make_blobs(dim=64, classes=10, per_class=20, seed=5)
-        want = loss_value_and_grad(params.flat, params.shape, data)[0]
-        assert loss_value(params.flat, params.shape, data) == pytest.approx(want, rel=1e-14)
-        import starvol.models.mlp as mlp
+        data = make_blobs(dim=64, classes=10, per_class=100, seed=5)
+        result = adam_train(params, data, TrainConfig(epochs=1, batch_size=250, checkpoint_every=2))
+        cost = make_loss_cost(params.shape, data)
+        assert result.steps == (0, 2, 4)
+        assert [row["train_loss"] for row in result.metrics] == [cost(c.flat) for c in result.checkpoints]
 
-        rows = []
-        real_forward = mlp._forward
-        monkeypatch.setattr(mlp, "_forward", lambda f, s, x: rows.append(len(x)) or real_forward(f, s, x))
-        loss_value(params.flat, params.shape, data)
-        assert rows == [64, 64, 64, 8]
+        products = []
+
+        class Recorded(np.ndarray):
+            """Weights that log the multiply-adds of every product they enter."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    (m, k), (_, n) = inputs[0].shape, inputs[1].shape
+                    products.append(m * k * n)
+                inputs = tuple(np.asarray(a) for a in inputs)
+                if "out" in kwargs:
+                    kwargs["out"] = tuple(np.asarray(a) for a in kwargs["out"])
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        assert cost(params.flat.view(Recorded)) == cost(params.flat)
+        # 16 first-layer blocks of 64 rows, 3 readout blocks of at most 409 rows
+        assert len(products) == 19
+        assert max(products) <= _BLOCK_MULADDS
+
+    def test_trajectory_matches_the_reference_loop_bit_for_bit(self):
+        # 23 rows in batches of 7 (the last holds 2), 16 steps, a checkpoint every 3
+        data = make_blobs(dim=4, classes=3, per_class=12, seed=21)
+        train, val, poison_rows = split_dataset(data, [23, 7, 6], seed=22)
+        train = Dataset(train.inputs, train.labels, classes=3)
+        poison = Dataset(poison_rows.inputs, poison_rows.labels, classes=3)
+        params, _ = init_params(((4, 8), (8, 3)), rng=np.random.default_rng(23))
+        config = TrainConfig(
+            epochs=4, batch_size=7, seed=24, checkpoint_every=3,
+            hyper=AdamHyper(lr=0.05, beta1=0.8, beta2=0.95, adam_eps=1e-7),
+            poison=PoisonConfig(poison, alpha=0.5),
+        )
+        result = adam_train(params, train, config, val_dataset=val)
+        want, pushes = reference_train(params, train, config, val)
+        assert 0 < pushes < 16  # the capped poison term is both on and off
+        assert result.steps == (0, 3, 6, 9, 12, 15, 16)
+        assert len(want) == len(result.steps)
+        for ckpt, state, row, (flat, mu, nu, losses) in zip(
+            result.checkpoints, result.adam_states, result.metrics, want
+        ):
+            assert np.array_equal(ckpt.flat, flat)
+            assert np.array_equal(state.mu, mu) and np.array_equal(state.nu, nu)
+            assert row.keys() == losses.keys() and row["step"] == losses["step"]
+            for key in ("train_loss", "val_loss", "poison_loss"):
+                assert row[key] == pytest.approx(losses[key], rel=1e-14, abs=0.0)
 
     def test_training_reduces_loss_and_reruns_bitwise(self):
         params, data = self._setup()
@@ -460,6 +598,8 @@ class TestTraining:
             adam_train(params, data, TrainConfig(epochs=0, batch_size=4))
         with pytest.raises(ValueError, match="labeled"):
             adam_train(params, Dataset(data.inputs), TrainConfig(epochs=1, batch_size=4))
+        with pytest.raises(ValueError, match="checkpoint_every must be >= 0"):
+            adam_train(params, data, TrainConfig(epochs=1, batch_size=4, checkpoint_every=-1))
 
 
 def _richardson_hessian(grad, flat, h=1e-3):

@@ -177,7 +177,6 @@ class TestFromDiagonal:
             "hessian": 0.1,
             "diag": 0.01,
             "adam-nu": 0.001,
-            "adam-mu": 0.001,
         }
 
 
