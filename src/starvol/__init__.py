@@ -16,7 +16,6 @@ from .geometry import (
     VolumeEstimate,
     estimate_local_volume,
     find_radius,
-    gaussian_log_term,
     gaussian_radial_log_integral,
     lebesgue_log_term,
     sample_direction,
@@ -42,7 +41,6 @@ __all__ = [
     "find_radius",
     "from_diagonal",
     "from_hessian",
-    "gaussian_log_term",
     "gaussian_radial_log_integral",
     "lebesgue_log_term",
     "log_sphere_area",

@@ -63,7 +63,6 @@ SEED_ROLES = {"data": 0, "init": 1, "train": 2, "estimate": 3}
 
 PRECONDITIONER_CHOICES = ("none", "hessian", "diag", "adam-nu")
 PRECOND_FILE_HELP = "load a saved preconditioner (a sweep accepts it over cutoffs or checkpoints only)"
-EXPONENT_HELP = "shape curvature d as 1/(|d|^exponent + eps), for hessian and diagonal maps alike"
 R_INIT_HELP = "radius of each ray's first cost evaluation; the search takes its later steps from the costs it measures"
 TARGET_HELP = "quadratic: a synthetic |x|^2/2 cost, always with Lebesgue measure and the identity map"
 
@@ -75,7 +74,6 @@ ESTIMATE_FLAGS = (
     ("--k", {"type": int, "default": 100}),
     ("--preconditioner", {"choices": PRECONDITIONER_CHOICES, "default": "none"}),
     ("--eps", {"type": float, "default": None, "help": "damping (default depends on kind)"}),
-    ("--exponent", {"type": float, "default": 0.5, "help": EXPONENT_HELP}),
     ("--measure", {"choices": ("lebesgue", "gaussian"), "default": "gaussian"}),
     ("--threads", {"type": int, "default": 1}),
     ("--r-init", {"type": float, "default": 1.0, "help": R_INIT_HELP}),
@@ -160,7 +158,7 @@ def cmd_train(args) -> int:
 
     tr = config["train"]
     poison = None
-    if poison_ds is not None and float(tr["poison_alpha"]) > 0:
+    if poison_ds is not None and float(tr["poison_alpha"]) != 0:  # PoisonConfig refuses alpha < 0
         poison = PoisonConfig(dataset=poison_ds, alpha=float(tr["poison_alpha"]))
     train_seed = int(_role_seed(master_seed, "train").generate_state(1)[0])
     train_cfg = TrainConfig(
@@ -256,7 +254,7 @@ class _CheckpointEstimator:
             )
         spectrum, basis = self._curvature[name]
         eps = DEFAULT_EPS[name] if eps is None else eps
-        return from_diagonal(spectrum, eps, args.exponent, source=name, basis=basis)
+        return from_diagonal(spectrum, eps, source=name, basis=basis)
 
     def estimate(self, cutoff: float, name: str, eps: float | None, seed: int):
         spec = NeighborhoodSpec(

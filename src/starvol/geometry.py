@@ -3,16 +3,21 @@
 A neighborhood is the largest star-shaped region around an anchor point
 inside which a cost function stays below a cutoff. Its size under a
 Lebesgue or diagonal-Gaussian reference measure is the anchor's local
-volume. The estimator samples directions (optionally importance-shaped by
-a unit-determinant preconditioner), finds the boundary radius along each
-ray by an extrapolated bracket and safeguarded inverse quadratic
-interpolation, converts each ray into a log contribution, and aggregates
-with log-sum-exp. Under a Gaussian measure a ray's contribution is a
-one-dimensional radial integral, computed everywhere by the same route:
-bracket the log-concave integrand where it is within 60 nats of its
-maximum and apply one Gauss-Legendre rule. Everything is carried in
-natural-log space because the volumes involved underflow any linear
-representation.
+volume. An estimate runs in four stages over its block of k rays:
+
+- sample: one block of directions, one random stream per ray, optionally
+  importance-shaped by a unit-determinant preconditioner;
+- search: the boundary radius along each ray, by an extrapolated bracket
+  and safeguarded inverse quadratic interpolation; the only per-ray stage,
+  and the only one that runs on threads;
+- integrate: under a Gaussian measure, each good ray's one-dimensional
+  radial integral, all in one vectorized call. One route serves every ray:
+  bracket the log-concave integrand where it is within 60 nats of its
+  maximum and apply one Gauss-Legendre rule;
+- aggregate: every ray's log contribution in one pass, then log-sum-exp.
+
+Everything is carried in natural-log space because the volumes involved
+underflow any linear representation.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ __all__ = [
     "VolumeEstimate",
     "estimate_local_volume",
     "find_radius",
-    "gaussian_log_term",
     "gaussian_radial_log_integral",
     "lebesgue_log_term",
     "sample_direction",
@@ -62,6 +66,9 @@ GAUSSIAN_R_MAX_SIGMAS = 20.0
 # e^-60 from its maximum; one Gauss-Legendre rule covers the bracket
 _RADIAL_DROP_NATS = 60.0
 _GL_NODES, _GL_WEIGHTS = leggauss(64)
+# the radial integral whitens a block of directions in slices of this many
+# entries, which keeps its temporaries small
+_BLOCK_ENTRIES = 2**16
 # the radius search's predicted bracket step goes this factor of the
 # predicted distance in log r, so a slightly steepening cost still brackets
 _BRACKET_PAST = 1.05
@@ -459,47 +466,43 @@ def lebesgue_log_term(sample: RadialSample, n: int) -> float:
     )
 
 
-def _edge(h, target: float, top: float, inside: float, outside: float) -> float:
-    """Locate where h falls to ``target`` between ``inside`` and ``outside``.
+def _edge(h, target: np.ndarray, top: np.ndarray, inside, outside) -> np.ndarray:
+    """Locate, row by row, where h falls to ``target`` between ``inside`` and ``outside``.
 
-    h is monotone on the segment from ``top`` outward, at least ``target`` at
-    ``inside`` and below it past the crossing. Bisection keeps the outer
-    point, so the result is never closer to ``top`` than the crossing; it
-    stops once the bracket is within 1/64 of that point's distance from
-    ``top``, or after 64 halvings.
+    h is monotone on each row's segment from ``top`` outward, at least
+    ``target`` at ``inside`` and below it past the crossing. Bisection keeps
+    the outer point, so no row's result is closer to ``top`` than its
+    crossing; a row stops once its bracket is within 1/64 of that point's
+    distance from ``top``, or after 64 halvings.
     """
     for _ in range(64):
-        if abs(outside - inside) <= abs(outside - top) / 64:
+        open_ = np.abs(outside - inside) > np.abs(outside - top) / 64
+        if not open_.any():
             break
         mid = 0.5 * (inside + outside)
-        if h(mid) >= target:
-            inside = mid
-        else:
-            outside = mid
+        up = h(mid) >= target
+        inside = np.where(open_ & up, mid, inside)
+        outside = np.where(open_ & ~up, mid, outside)
     return outside
-
-
-def _gaussian_constants(anchor: np.ndarray, sigma: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """The whitened anchor and the log normalizer of the density, per estimate."""
-    return anchor / sigma, -0.5 * n * math.log(2.0 * math.pi) - float(np.sum(np.log(sigma)))
 
 
 def gaussian_radial_log_integral(
     anchor: np.ndarray,
     direction: np.ndarray,
-    radius: float,
+    radius: float | np.ndarray,
     sigma: np.ndarray,
     n: int,
-    *,
-    constants: tuple[np.ndarray, float] | None = None,
-) -> float:
-    """Log of the Gaussian mass integral along one ray.
+) -> float | np.ndarray:
+    """Log of the Gaussian mass integral along one ray, or along each of a block.
 
     Computes log of int_0^radius rho(anchor + r * direction) r^{n-1} dr for
     the zero-mean diagonal Gaussian density rho with stds sigma; radius may
-    be infinite. In whitened coordinates x = anchor / sigma, w = direction /
-    sigma, with a = |w|^2, b~ = x.w / sqrt(a) and x_perp the part of x
-    across w, the substitution p = r sqrt(a) gives
+    be infinite. An (n,) direction and a scalar radius give a float; a
+    (k, n) block of directions and (k,) radii give one value per row, each
+    the same as that row integrated alone. In whitened coordinates
+    x = anchor / sigma, w = direction / sigma, with a = |w|^2,
+    b~ = x.w / sqrt(a) and x_perp the part of x across w, the substitution
+    p = r sqrt(a) gives
 
         (2 pi)^{-n/2} / prod(sigma) * e^{-|x_perp|^2 / 2} * a^{-n/2}
             * int_0^{radius sqrt(a)} e^{h(p)} dp,
@@ -515,59 +518,64 @@ def gaussian_radial_log_integral(
     the right), and one 64-node Gauss-Legendre rule integrates
     e^{h - h(top)} over that bracket. Concavity bounds the mass left
     outside the bracket by about e^-60 of the mass inside, so a ray is
-    never overestimated beyond the rule's roundoff.
-
-    ``constants``, if given, is ``_gaussian_constants(anchor, sigma, n)``,
-    which an estimator computes once for all of its rays.
+    never overestimated beyond the rule's roundoff. Every step runs on all
+    rows at once; the block is whitened in slices of at most
+    ``_BLOCK_ENTRIES`` entries, and nothing is multiplied by BLAS.
     """
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    # whitened coordinates: the anchor x and the direction w, with x split
+    block = np.asarray(direction, dtype=float)
+    radii = np.asarray(radius, dtype=float).reshape(-1)
+    rows = block.reshape(-1, block.shape[-1])
+    if not np.all(radii > 0):
+        raise ValueError(f"radius must be positive, got {radii[~(radii > 0)][0]}")
+    # whitened coordinates: the anchor x and each direction w, with x split
     # along w; the part of x across w only scales the ray's density
-    x, base = constants or _gaussian_constants(anchor, sigma, n)
-    w = direction / sigma
-    a = float(w @ w)
-    if not (a > 0 and math.isfinite(a)):
-        raise ValueError("degenerate direction for gaussian integral")
-    b = float(x @ w)
-    across = x - (b / a) * w
-    base -= 0.5 * float(across @ across)
+    x = anchor / sigma
+    base = -0.5 * n * math.log(2.0 * math.pi) - float(np.sum(np.log(sigma)))
+    a, b, across = np.empty((3, len(rows)))
+    step = max(1, _BLOCK_ENTRIES // rows.shape[1])
+    for part in (slice(i, i + step) for i in range(0, len(rows), step)):
+        w = rows[part] / sigma
+        a[part], b[part] = np.einsum("ij,ij->i", w, w), np.einsum("ij,j->i", w, x)
+        if not np.all((a[part] > 0) & np.isfinite(a[part])):
+            raise ValueError("degenerate direction for gaussian integral")
+        w *= (b[part] / a[part])[:, None]
+        across[part] = np.einsum("ij,ij->i", np.subtract(x, w, out=w), w)
+    base = base - 0.5 * across
 
-    sqrt_a = math.sqrt(a)
-    bt = b / sqrt_a
-    p_max = radius * sqrt_a
+    # one column per ray, so the same h serves the edges and the rule's nodes
+    sqrt_a = np.sqrt(a)[:, None]
+    bt = b[:, None] / sqrt_a
+    p_max = radii[:, None] * sqrt_a
 
-    def h(p: float) -> float:
+    def h(p: np.ndarray) -> np.ndarray:
         # 0 log 0 = 0: for n = 1, h is defined at p = 0
-        return -0.5 * (p + bt) ** 2 + ((n - 1) * math.log(p) if n > 1 else 0.0)
+        return -0.5 * (p + bt) ** 2 + ((n - 1) * np.log(p) if n > 1 else 0.0)
 
     # p* = (sqrt(bt^2 + 4(n-1)) - bt) / 2, split so neither sign of bt cancels;
     # the denominator is at least 2 for n >= 2, and the floor only turns the
     # n = 1, bt = 0 case (p* = 0) into 0 / 1
-    root = math.hypot(bt, 2.0 * math.sqrt(n - 1))
-    peak = max(-bt, 0.0) + 2.0 * (n - 1) / max(root + abs(bt), 1.0)
-    top = min(peak, p_max)
+    root = np.hypot(bt, 2.0 * math.sqrt(n - 1))
+    peak = np.maximum(-bt, 0.0) + 2.0 * (n - 1) / np.maximum(root + np.abs(bt), 1.0)
+    top = np.minimum(peak, p_max)
     h_top = h(top)
     target = h_top - _RADIAL_DROP_NATS
 
-    lo = _edge(h, target, top, top, 0.0)
+    lo = _edge(h, target, top, top, np.zeros_like(top))
     # h falls at least as fast as -(p - top)^2 / 2 right of top, so doubling
     # from a unit step passes the drop within a few steps
-    inside, outside = top, min(top + 1.0, p_max)
-    while outside < p_max and h(outside) >= target:
-        inside, outside = outside, min(2.0 * outside - top, p_max)
+    inside, outside = top, np.minimum(top + 1.0, p_max)
+    grow = (outside < p_max) & (h(outside) >= target)
+    while grow.any():
+        inside = np.where(grow, outside, inside)
+        outside = np.where(grow, np.minimum(2.0 * outside - top, p_max), outside)
+        grow &= (outside < p_max) & (h(outside) >= target)
     hi = _edge(h, target, top, inside, outside)
 
     half = 0.5 * (hi - lo)
-    p = (lo + hi) * 0.5 + half * _GL_NODES
-    vals = np.exp(-0.5 * (p + bt) ** 2 + (n - 1) * np.log(p) - h_top)
-    total = half * float(_GL_WEIGHTS @ vals)
-    return base + h_top + math.log(total) - 0.5 * n * math.log(a)
-
-
-def gaussian_log_term(sample: RadialSample, log_integral: float, n: int) -> float:
-    """Log of one ray's Gaussian mass contribution (importance-corrected)."""
-    return log_sphere_area(n) + log_integral - n * sample.log_importance_norm
+    vals = np.exp(h((lo + hi) * 0.5 + half * _GL_NODES) - h_top)
+    total = half[:, 0] * np.einsum("ij,j->i", vals, _GL_WEIGHTS)
+    out = base + h_top[:, 0] + np.log(total) - 0.5 * n * np.log(a)
+    return float(out[0]) if block.ndim == 1 else out
 
 
 def _resolve_r_max(measure: MeasureSpec, n: int, opts: SearchOptions) -> float:
@@ -613,50 +621,48 @@ def estimate_local_volume(
     directions, log_norms = _sample_directions(
         precond, [np.random.default_rng(child) for child in master.spawn(k)]
     )
-    if spec.measure.kind == "gaussian":
-        constants = _gaussian_constants(spec.anchor, spec.measure.sigma, n)
 
-    def draw_one(i: int) -> RadialSample:
-        direction = directions[i]
-        log_norm = log_norms[i]
+    def search(i: int) -> tuple[float, bool, int, str]:
         try:
-            radius, truncated, evals = find_radius(
-                spec, direction, search_opts, anchor_cost=anchor_cost
-            )
+            return (*find_radius(spec, directions[i], search_opts, anchor_cost=anchor_cost), "")
         except (RadiusSearchError, CostEvaluationError) as exc:
-            return RadialSample(
-                direction=direction,
-                log_importance_norm=log_norm,
-                radius=math.nan,
-                truncated=False,
-                log_term=float("-inf"),
-                failure=f"{type(exc).__name__}: {exc}",
-                evals=exc.evals,
-            )
-        partial = RadialSample(direction, log_norm, radius, truncated, 0.0, evals=evals)
-        if spec.measure.kind == "lebesgue":
-            term = lebesgue_log_term(partial, n)
-        else:
-            log_integral = gaussian_radial_log_integral(
-                spec.anchor, direction, radius, spec.measure.sigma, n, constants=constants
-            )
-            term = gaussian_log_term(partial, log_integral, n)
-        return replace(partial, log_term=term)
+            return math.nan, False, exc.evals, f"{type(exc).__name__}: {exc}"
 
     if opts.threads > 1:
         with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            samples = list(pool.map(draw_one, range(k)))
+            found = list(pool.map(search, range(k)))
     else:
-        samples = [draw_one(i) for i in range(k)]
-
-    if all(s.failed for s in samples):
-        reasons = Counter(s.failure for s in samples)
-        listed = "; ".join(f"{count} rays: {reason}" for reason, count in sorted(reasons.items()))
+        found = [search(i) for i in range(k)]
+    radii, truncated, evals, failures = zip(*found)
+    good = [i for i in range(k) if not failures[i]]
+    if not good:
+        reasons = sorted(Counter(failures).items())
+        listed = "; ".join(f"{count} rays: {reason}" for reason, count in reasons)
         raise EstimationError(f"no valid samples ({listed})")
-    log_volume = log_sum_exp([s.log_term for s in samples]) - math.log(k)
+
+    if spec.measure.kind == "gaussian":
+        offset = log_sphere_area(n)
+        # the good rows are copied only when a ray failed: the copy costs peak memory
+        block = directions if len(good) == k else directions[good]
+        radial = gaussian_radial_log_integral(
+            spec.anchor, block, np.array([radii[i] for i in good]), spec.measure.sigma, n
+        ).tolist()
+    else:
+        offset = log_sphere_area(n) - math.log(n)
+        radial = [n * math.log(radii[i]) for i in good]
+    terms = [-math.inf] * k
+    for i, value in zip(good, radial):
+        terms[i] = offset + value - n * log_norms[i]
+    samples = tuple(
+        RadialSample(
+            directions[i], log_norms[i], radii[i], truncated[i], terms[i], failures[i], evals[i]
+        )
+        for i in range(k)
+    )
+    log_volume = log_sum_exp(terms) - math.log(k)
     return VolumeEstimate(
         log_volume=log_volume,
-        samples=tuple(samples),
+        samples=samples,
         k=k,
         n=n,
         preconditioner_id=precond.describe(),

@@ -38,6 +38,15 @@ class AdamHyper:
     beta2: float = 0.999
     adam_eps: float = 1e-8
 
+    def __post_init__(self):
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0:
+            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
+
 
 @dataclass(frozen=True)
 class AdamState:
@@ -53,6 +62,10 @@ class AdamState:
 class PoisonConfig:
     dataset: Dataset
     alpha: float = 1.0
+
+    def __post_init__(self):
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be non-negative and finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from starvol import geometry
 from starvol.geometry import (
     CostEvaluationError,
     EstimationError,
@@ -487,6 +488,46 @@ class TestGaussianRadialIntegral:
         assert got <= ref + 1e-14 * abs(ref)
         assert got == pytest.approx(ref, rel=1e-13)
 
+    @pytest.mark.parametrize("n", [1, 2, 10, 4810])
+    def test_block_rows_match_single_rays_and_mpmath(self, n):
+        # one block: b~ = x.w / sqrt(a) of both signs up to 30, each ray cut
+        # at half and twice the integrand's peak radius, and one whole ray
+        s, reach = 0.7, 30.0
+        rng = np.random.default_rng(n)
+        anchor = np.zeros(n)
+        anchor[0] = reach * s
+        cosines = (-1.0, 1.0) if n == 1 else (-1.0, -0.5, -0.1, 0.0, 0.3, 1.0)
+        rows, radii = [], []
+        for c in cosines:
+            d = np.zeros(n)
+            d[0] = c
+            if n > 1:
+                u = rng.standard_normal(n - 1)
+                d[1:] = math.sqrt(1.0 - c * c) * u / np.linalg.norm(u)
+            bt = reach * c
+            peak = (math.sqrt(bt * bt + 4.0 * (n - 1)) - bt) / 2.0
+            scale = s * (peak if peak > 0 else 1.0 / max(bt, 1.0))
+            for ratio in (0.5, 2.0):
+                rows.append(d)
+                radii.append(ratio * scale)
+        rows.append(rows[0])
+        radii.append(math.inf)
+        block, radii = np.array(rows), np.array(radii)
+        sigma = np.full(n, s)
+        got = gaussian_radial_log_integral(anchor, block, radii, sigma, n)
+        assert got.shape == (len(rows),)
+        for row, radius, value in zip(block, radii, got):
+            alone = gaussian_radial_log_integral(anchor, row, radius, sigma, n)
+            assert isinstance(alone, float)
+            assert value == pytest.approx(alone, rel=1e-14)
+            # rotate the ray onto the first axis: the anchor's part along
+            # it is the oracle's, the part across it scales the density
+            with mp.workdps(30):
+                along = mp.fsum(mp.mpf(x) * mp.mpf(y) for x, y in zip(anchor, row))
+                across = mp.mpf(anchor[0]) ** 2 - along**2
+                ref = mp_log_integral(n, along, s, radius) - float(across / (2 * mp.mpf(s) ** 2))
+            assert abs(value - ref) <= 1e-9 * max(abs(ref), 1.0), (radius, value, ref)
+
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError, match="radius"):
             gaussian_radial_log_integral(np.zeros(2), np.array([1.0, 0.0]), 0.0, np.ones(2), 2)
@@ -667,6 +708,37 @@ class TestEstimateLocalVolume:
                 assert math.isnan(s.radius)
         assert est.failed_by_reason == {reason: est.failed_count}
         assert est.cost_evals == sum(s.evals for s in est.samples)
+
+    def test_one_radial_integral_call_covers_the_good_rays(self, monkeypatch):
+        # rays into the wall fail; the Gaussian estimate integrates the
+        # others in one call, and a Lebesgue estimate never integrates
+        def cost(x):
+            return float("nan") if x[0] > 0.5 else 0.5 * float(x @ x)
+
+        blocks = []
+        integrate = geometry.gaussian_radial_log_integral
+
+        def counted(anchor, direction, radius, sigma, n):
+            blocks.append(direction.shape)
+            return integrate(anchor, direction, radius, sigma, n)
+
+        monkeypatch.setattr(geometry, "gaussian_radial_log_integral", counted)
+        n, sigma = 3, np.array([0.5, 1.0, 2.0])
+        spec = NeighborhoodSpec(np.zeros(n), cost, 0.5, MeasureSpec.gaussian(sigma))
+        est = estimate_local_volume(spec, Preconditioner.diagonal(sigma), k=32, seed=17)
+        assert 0 < est.failed_count < 32
+        assert blocks == [(32 - est.failed_count, n)]
+        for s in est.samples:
+            if s.failed:
+                assert s.log_term == -math.inf
+                assert s.failure.startswith("CostEvaluationError: ")
+            else:
+                alone = integrate(spec.anchor, s.direction, s.radius, sigma, n)
+                want = log_sphere_area(n) + alone - n * s.log_importance_norm
+                assert s.log_term == pytest.approx(want, rel=1e-14)
+        lebesgue = NeighborhoodSpec(np.zeros(n), cost, 0.5, MeasureSpec.lebesgue())
+        assert estimate_local_volume(lebesgue, Preconditioner.identity(n), k=32, seed=17).failed_count
+        assert len(blocks) == 1
 
     def test_cost_evals_count_every_search_evaluation(self):
         calls = 0

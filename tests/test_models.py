@@ -467,12 +467,32 @@ class TestAdam:
             np.testing.assert_allclose(mu, ref_mu, rtol=1e-12)
             np.testing.assert_allclose(nu, ref_nu, rtol=1e-12)
 
-    def test_zero_learning_rate_freezes_params(self):
-        flat = np.array([1.0, -2.0])
-        out, _, _ = adam_update(
-            flat, np.array([5.0, 5.0]), np.zeros(2), np.zeros(2), 1, AdamHyper(lr=0.0)
-        )
-        np.testing.assert_array_equal(out, flat)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr", 0.0),
+            ("lr", -0.05),
+            ("lr", math.inf),
+            ("lr", math.nan),
+            ("beta1", 1.0),
+            ("beta1", -0.1),
+            ("beta2", 1.5),
+            ("beta2", math.nan),
+            ("adam_eps", 0.0),
+            ("adam_eps", -1.0),
+        ],
+    )
+    def test_hyper_is_validated_when_built(self, field, value):
+        # beta1 = 1 used to train until a misleading "non-finite objective"
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            AdamHyper(**{field: value})
+
+    @pytest.mark.parametrize("alpha", [-0.5, math.inf, math.nan])
+    def test_poison_alpha_is_validated_when_built(self, alpha):
+        poison = make_blobs(dim=3, classes=2, per_class=3, seed=9)
+        with pytest.raises(ValueError, match="^alpha must be"):
+            PoisonConfig(poison, alpha=alpha)
+        assert PoisonConfig(poison, alpha=0.0).alpha == 0.0
 
 
 class TestTraining:
