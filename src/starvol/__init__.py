@@ -17,8 +17,7 @@ from .geometry import (
     estimate_local_volume,
     find_radius,
     gaussian_radial_log_integral,
-    lebesgue_log_term,
-    sample_direction,
+    sample_directions,
 )
 from .logspace import log_sphere_area, log_sum_exp
 from .precondition import DEFAULT_EPS, Preconditioner, PreconditionerError, from_diagonal, from_hessian
@@ -42,9 +41,8 @@ __all__ = [
     "from_diagonal",
     "from_hessian",
     "gaussian_radial_log_integral",
-    "lebesgue_log_term",
     "log_sphere_area",
     "log_sum_exp",
-    "sample_direction",
+    "sample_directions",
     "__version__",
 ]

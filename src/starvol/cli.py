@@ -135,12 +135,6 @@ def _build_datasets(config: dict, master_seed: int):
     return splits[0], splits[1], (splits[2] if poison_size > 0 else None)
 
 
-def _model_shape(config: dict, input_dim: int, classes: int):
-    hidden = [int(h) for h in config["model"]["hidden"]]
-    widths = [input_dim, *hidden, classes]
-    return tuple((widths[i], widths[i + 1]) for i in range(len(widths) - 1))
-
-
 # -- train ---------------------------------------------------------------------
 
 
@@ -151,10 +145,9 @@ def cmd_train(args) -> int:
     config["seed"] = master_seed
 
     train_ds, val_ds, poison_ds = _build_datasets(config, master_seed)
-    classes = int(config["dataset"]["classes"]) if config["dataset"]["kind"] != "csv" else train_ds.num_classes
-    shape = _model_shape(config, train_ds.dim, classes)
+    widths = [train_ds.dim, *(int(h) for h in config["model"]["hidden"]), train_ds.num_classes]
     init_rng = np.random.default_rng(_role_seed(master_seed, "init"))
-    params, measure = init_params(shape, config["model"]["init"], init_rng)
+    params, measure = init_params(tuple(zip(widths, widths[1:])), config["model"]["init"], init_rng)
 
     tr = config["train"]
     poison = None

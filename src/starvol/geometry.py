@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,8 +48,7 @@ __all__ = [
     "estimate_local_volume",
     "find_radius",
     "gaussian_radial_log_integral",
-    "lebesgue_log_term",
-    "sample_direction",
+    "sample_directions",
 ]
 
 # A cost handle maps a full parameter vector to a scalar. It may also carry
@@ -106,10 +106,24 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Reference measure: Lebesgue, or a zero-mean diagonal Gaussian."""
+    """Reference measure: Lebesgue, or a zero-mean diagonal Gaussian, validated once here."""
 
     kind: str  # "lebesgue" | "gaussian"
-    sigma: np.ndarray | None = None  # (n,) positive stds, kind == "gaussian"
+    sigma: np.ndarray | None = None  # (n,) positive stds, given exactly when kind == "gaussian"
+
+    def __post_init__(self):
+        if self.kind not in ("lebesgue", "gaussian"):
+            raise ValueError(f"measure kind must be 'lebesgue' or 'gaussian', got {self.kind!r}")
+        if (self.sigma is None) == (self.kind == "gaussian"):
+            raise ValueError("sigma must be given for a gaussian measure and only then")
+        if self.kind == "lebesgue":
+            return
+        arr = np.asarray(self.sigma, dtype=float)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError("gaussian measure requires a vector of per-coordinate stds")
+        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+            raise ValueError("gaussian measure requires positive finite sigmas")
+        object.__setattr__(self, "sigma", _readonly(arr))
 
     @classmethod
     def lebesgue(cls) -> "MeasureSpec":
@@ -117,12 +131,15 @@ class MeasureSpec:
 
     @classmethod
     def gaussian(cls, sigma: np.ndarray) -> "MeasureSpec":
-        arr = np.asarray(sigma, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("gaussian measure requires a vector of per-coordinate stds")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise ValueError("gaussian measure requires positive finite sigmas")
-        return cls("gaussian", _readonly(arr))
+        return cls("gaussian", sigma)
+
+    @cached_property
+    def r_max(self) -> float:
+        """Default radius cap of a search, computed once for all rays: 20 sqrt(n) max sigma
+        for a Gaussian, ``LEBESGUE_R_MAX`` for Lebesgue."""
+        if self.kind == "gaussian":
+            return GAUSSIAN_R_MAX_SIGMAS * math.sqrt(self.sigma.size) * float(np.max(self.sigma))
+        return LEBESGUE_R_MAX
 
 
 @dataclass(frozen=True)
@@ -131,8 +148,9 @@ class NeighborhoodSpec:
 
     The cost handle must accept a full parameter vector and return a scalar;
     it must be safe to call concurrently (pure numpy closures are). The
-    anchor itself is required to lie inside its own neighborhood, which the
-    estimator checks once before sampling.
+    anchor must lie inside its own neighborhood: building the spec evaluates
+    the cost there once, keeps it as ``anchor_cost``, and raises
+    ``EstimationError`` unless it is below the cutoff.
 
     When the cost carries a ray form (``cost.along``, see ``CostFn``), it is
     bound to the anchor once here, and ``line`` hands out its rays; any
@@ -143,6 +161,7 @@ class NeighborhoodSpec:
     cost: CostFn
     cutoff: float
     measure: MeasureSpec
+    anchor_cost: float = field(init=False)
 
     def __post_init__(self):
         anchor = _readonly(np.atleast_1d(np.asarray(self.anchor, dtype=float)))
@@ -153,6 +172,14 @@ class NeighborhoodSpec:
             raise ValueError("measure sigma length does not match anchor dimension")
         along = getattr(self.cost, "along", None)
         object.__setattr__(self, "_line", along(anchor) if along is not None else None)
+        anchor_cost = float(self.cost(anchor))
+        if not math.isfinite(anchor_cost):
+            raise CostEvaluationError("cost evaluation failed at the anchor")
+        if anchor_cost >= self.cutoff:
+            raise EstimationError(
+                f"anchor cost {anchor_cost!r} is not below the cutoff {self.cutoff!r}"
+            )
+        object.__setattr__(self, "anchor_cost", anchor_cost)
 
     def line(self, direction: np.ndarray) -> Callable[[float], float]:
         """The cost along one ray from the anchor, as a function of the radius."""
@@ -171,7 +198,7 @@ class SearchOptions:
     """Knobs for the radius search and the sampling loop, validated once here."""
 
     r_init: float = 1.0
-    r_max: float | None = None  # None = measure-dependent default
+    r_max: float | None = None  # None = the measure's default cap, MeasureSpec.r_max
     rel_tol: float = 1e-4
     max_iters: int = 500
     threads: int = 1
@@ -241,7 +268,7 @@ class VolumeEstimate:
 
     @property
     def cost_evals(self) -> int:
-        """Cost evaluations of all radius searches (the anchor check excluded)."""
+        """Cost evaluations of all radius searches (the spec's anchor evaluation excluded)."""
         return sum(s.evals for s in self.samples)
 
     @property
@@ -277,11 +304,7 @@ def _crossing(points: list[tuple[float, float]]) -> float | None:
 
 
 def find_radius(
-    spec: NeighborhoodSpec,
-    direction: np.ndarray,
-    opts: SearchOptions | None = None,
-    *,
-    anchor_cost: float = 0.0,
+    spec: NeighborhoodSpec, direction: np.ndarray, opts: SearchOptions | None = None
 ) -> tuple[float, bool, int]:
     """Find the boundary radius along a ray from the anchor.
 
@@ -290,17 +313,16 @@ def find_radius(
     Returns ``(radius, truncated, evals)``; the cost at the returned radius
     is strictly below the cutoff, so the search never overshoots, and
     ``evals`` counts the cost evaluations made along the ray. If the bracket
-    stage reaches ``r_max`` without a crossing the radius is capped there
-    and flagged truncated. Every evaluation goes through ``spec.line``.
+    stage reaches the cap (``opts.r_max``, or else the measure's
+    ``r_max``) without a crossing, the radius is capped there and flagged
+    truncated. Every evaluation goes through ``spec.line``.
 
     Both stages steer by one model, f(t) = log((cost(e^t) - c0) / (cutoff -
-    c0)) with t = log r and c0 = ``anchor_cost``, which must be below the
-    cutoff. The estimator passes the cost at the anchor, evaluated once per
-    estimate; the default 0 suits costs that vanish at the anchor. Any
-    other c0 changes how many evaluations a ray takes, never the contract
-    above. Near the anchor the cost is c0 plus a term roughly quadratic in
-    r, so f is nearly linear in t with slope about 2, and exactly linear
-    for c0 + q r^p. f is undefined where the cost is at most c0.
+    c0)) with t = log r and c0 = ``spec.anchor_cost``, which the spec keeps
+    below the cutoff. Near the anchor the cost is c0 plus a term roughly
+    quadratic in r, so f is nearly linear in t with slope about 2, and
+    exactly linear for c0 + q r^p. f is undefined where the cost is at most
+    c0.
 
     The bracket stage steps 5% past the crossing that the slope through the
     last two points predicts (slope 2 from a single point); where f is
@@ -322,11 +344,9 @@ def find_radius(
     about 3 log2((hi - lo) / (rel_tol lo)).
     """
     opts = opts or SearchOptions()
-    r_max = opts.r_max if opts.r_max is not None else LEBESGUE_R_MAX
+    r_max = opts.r_max if opts.r_max is not None else spec.measure.r_max
     cost_along = spec.line(direction)
-    cutoff, c0 = spec.cutoff, anchor_cost
-    if not c0 < cutoff:
-        raise ValueError(f"anchor_cost must be below the cutoff {cutoff!r}, got {c0!r}")
+    cutoff, c0 = spec.cutoff, spec.anchor_cost
     log_span = math.log(cutoff - c0)
     evals = 0
     known: list[tuple[float, float]] = []  # (t, f) where f is defined, oldest first
@@ -403,7 +423,7 @@ def find_radius(
     return lo, False, evals
 
 
-def _sample_directions(
+def sample_directions(
     precond: Preconditioner, rngs: Sequence[np.random.Generator]
 ) -> tuple[np.ndarray, list[float]]:
     """Draw one importance-shaped unit direction per random stream.
@@ -412,8 +432,8 @@ def _sample_directions(
     ``rngs[i]``) mapped through the preconditioner and renormalized; its
     entry in the returned list is the log of its pre-normalization length.
     All rows go through one ``apply`` call, so a dense map costs two matrix
-    products for the whole block; it maps the block in place. The block is
-    returned read-only.
+    products for the whole block; it maps the block in place. The identity
+    map gives log-norm 0.0 exactly. The block is returned read-only.
     """
     block = np.empty((len(rngs), precond.dim))
     for row, rng in zip(block, rngs):
@@ -433,37 +453,6 @@ def _sample_directions(
     block /= np.array(norms)[:, None]
     block.setflags(write=False)
     return block, [math.log(x) for x in norms]
-
-
-def sample_direction(
-    precond: Preconditioner, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
-    """Draw one importance-shaped unit direction.
-
-    A uniform sphere point u (normalized Gaussian draw) is mapped through the
-    preconditioner; the result is renormalized and the log of its
-    pre-normalization length is returned as the importance correction. The
-    identity map returns log-norm 0.0 exactly. The direction is read-only.
-    """
-    block, log_norms = _sample_directions(precond, [rng])
-    return block[0], log_norms[0]
-
-
-def lebesgue_log_term(sample: RadialSample, n: int) -> float:
-    """Log of one ray's Lebesgue cone contribution.
-
-    log |S^{n-1}| - log n + n log r - n log |v|, the exact volume of the
-    cone slice the ray represents, importance-corrected by the draw's
-    pre-normalization length.
-    """
-    if not sample.radius > 0:
-        raise ValueError(f"radius must be positive, got {sample.radius}")
-    return (
-        log_sphere_area(n)
-        - math.log(n)
-        + n * math.log(sample.radius)
-        - n * sample.log_importance_norm
-    )
 
 
 def _edge(h, target: np.ndarray, top: np.ndarray, inside, outside) -> np.ndarray:
@@ -578,14 +567,6 @@ def gaussian_radial_log_integral(
     return float(out[0]) if block.ndim == 1 else out
 
 
-def _resolve_r_max(measure: MeasureSpec, n: int, opts: SearchOptions) -> float:
-    if opts.r_max is not None:
-        return opts.r_max
-    if measure.kind == "gaussian":
-        return GAUSSIAN_R_MAX_SIGMAS * math.sqrt(n) * float(np.max(measure.sigma))
-    return LEBESGUE_R_MAX
-
-
 def estimate_local_volume(
     spec: NeighborhoodSpec,
     precond: Preconditioner,
@@ -609,22 +590,14 @@ def estimate_local_volume(
         raise ValueError(f"k must be >= 1, got {k}")
     if precond.dim != n:
         raise ValueError(f"preconditioner dimension {precond.dim} != anchor dimension {n}")
-    anchor_cost = float(spec.cost(spec.anchor))
-    if not math.isfinite(anchor_cost):
-        raise CostEvaluationError("cost evaluation failed at the anchor")
-    if anchor_cost >= spec.cutoff:
-        raise EstimationError(
-            f"anchor cost {anchor_cost!r} is not below the cutoff {spec.cutoff!r}"
-        )
-    search_opts = replace(opts, r_max=_resolve_r_max(spec.measure, n, opts))
     master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    directions, log_norms = _sample_directions(
+    directions, log_norms = sample_directions(
         precond, [np.random.default_rng(child) for child in master.spawn(k)]
     )
 
     def search(i: int) -> tuple[float, bool, int, str]:
         try:
-            return (*find_radius(spec, directions[i], search_opts, anchor_cost=anchor_cost), "")
+            return (*find_radius(spec, directions[i], opts), "")
         except (RadiusSearchError, CostEvaluationError) as exc:
             return math.nan, False, exc.evals, f"{type(exc).__name__}: {exc}"
 
@@ -648,6 +621,7 @@ def estimate_local_volume(
             spec.anchor, block, np.array([radii[i] for i in good]), spec.measure.sigma, n
         ).tolist()
     else:
+        # the exact volume of the ray's cone slice, |S^{n-1}| r^n / n
         offset = log_sphere_area(n) - math.log(n)
         radial = [n * math.log(radii[i]) for i in good]
     terms = [-math.inf] * k

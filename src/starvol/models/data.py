@@ -116,7 +116,10 @@ def make_spirals(
 
 
 def load_csv(path: str | Path) -> Dataset:
-    """Load a comma-separated table whose last column is an integer label."""
+    """Load a comma-separated table whose last column is an integer label.
+
+    Its class count is the whole table's largest label plus one, which a split keeps.
+    """
     path = Path(path)
     table = np.loadtxt(path, delimiter=",", ndmin=2)
     if table.shape[1] < 2:
@@ -124,7 +127,8 @@ def load_csv(path: str | Path) -> Dataset:
     labels = table[:, -1]
     if not np.allclose(labels, np.round(labels)):
         raise ValueError("last csv column must hold integer labels")
-    return Dataset(table[:, :-1], labels.astype(int), name=path.stem)
+    labels = labels.astype(int)
+    return Dataset(table[:, :-1], labels, name=path.stem, classes=int(labels.max()) + 1)
 
 
 def split_dataset(dataset: Dataset, sizes: Sequence[int], seed: int = 0) -> list[Dataset]:

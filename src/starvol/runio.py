@@ -13,7 +13,6 @@ import copy
 import csv
 import functools
 import json
-import math
 import os
 import subprocess
 from datetime import datetime, timezone
@@ -150,7 +149,7 @@ def make_run_record(
         "measure": estimate.measure.kind,
         "preconditioner": estimate.preconditioner_id,
         "log_volume": estimate.log_volume,
-        "log10_volume": estimate.log_volume / math.log(10.0),
+        "log10_volume": estimate.log10_volume,
         "max_log_term": estimate.max_log_term,
         "truncated_count": estimate.truncated_count,
         "failed_count": estimate.failed_count,

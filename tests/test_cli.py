@@ -18,6 +18,7 @@ import starvol.cli as cli
 import starvol.runio as runio
 from starvol.cli import main
 from starvol.geometry import MeasureSpec, NeighborhoodSpec, estimate_local_volume
+from starvol.models import load_csv
 from starvol.precondition import Preconditioner
 from starvol.runio import make_run_record, read_jsonl, write_samples_csv
 
@@ -114,6 +115,37 @@ class TestTrain:
         assert "poison_loss" in rows[0]
         assert all(math.isfinite(float(r["poison_loss"])) for r in rows)
 
+    @staticmethod
+    def _output_width(tmp_path, dataset, seed):
+        """Train a 4-unit net on ``dataset``; return its final checkpoint's layer shape."""
+        cfg = tmp_path / f"{dataset['kind']}.json"
+        cfg.write_text(json.dumps({
+            "dataset": dataset,
+            "model": {"hidden": [4], "init": "fan_in"},
+            "train": {"epochs": 2, "batch_size": 8, "lr": 0.05, "checkpoint_every": 100},
+        }))
+        out = tmp_path / f"run-{seed}"
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--seed", str(seed)]) == 0
+        return json.loads(sorted(out.glob("checkpoint_step*.json"))[-1].read_text())["shape"]
+
+    def test_spirals_train_two_logits(self, tmp_path):
+        # the default config's "classes": 4 describes blobs; spirals have two
+        dataset = {"kind": "spirals", "dim": 2, "train": 32, "val": 16, "poison": 0, "noise": 0.1}
+        assert self._output_width(tmp_path, dataset, 1) == [[2, 4], [4, 2]]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_csv_width_counts_every_label_of_the_table(self, seed, tmp_path):
+        # class 2 is one row of 40, so the train splits of seeds 0, 2 and 3
+        # miss it; the width still counts it
+        rng = np.random.default_rng(0)
+        labels = np.arange(40) % 2
+        labels[17] = 2
+        path = tmp_path / "table.csv"
+        np.savetxt(path, np.column_stack([rng.normal(size=(40, 2)), labels]), delimiter=",")
+        assert load_csv(path).classes == 3
+        dataset = {"kind": "csv", "path": str(path), "train": 20, "val": 20, "poison": 0}
+        assert self._output_width(tmp_path, dataset, seed) == [[2, 4], [4, 3]]
+
 
 class TestEstimate:
     def test_record_and_samples(self, final_checkpoint, tmp_path):
@@ -201,6 +233,22 @@ class TestEstimate:
         ])
         assert rc == 0
         assert math.isfinite(read_jsonl(out)[0]["log_volume"])
+
+    def test_anchor_outside_its_neighborhood_exits_2(
+        self, final_checkpoint, tmp_path, capsys, monkeypatch
+    ):
+        # the anchor's training loss is about 0.1; the spec rejects it before
+        # any curvature is probed
+        counts = _count_calls(monkeypatch, "hessian_full")
+        out = tmp_path / "o.jsonl"
+        rc = main([
+            "estimate", "--checkpoint", str(final_checkpoint), "--cost", "loss", "--cutoff", "0.05",
+            "--preconditioner", "hessian", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "anchor cost" in capsys.readouterr().err
+        assert counts == {"hessian_full": 0}
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["hessian", "diag"])
     def test_loss_curvature_maps(self, name, final_checkpoint, tmp_path):

@@ -20,8 +20,7 @@ from starvol.geometry import (
     estimate_local_volume,
     find_radius,
     gaussian_radial_log_integral,
-    lebesgue_log_term,
-    sample_direction,
+    sample_directions,
 )
 from starvol.logspace import log_sphere_area
 from starvol.models import (
@@ -167,10 +166,9 @@ RADIAL_PROFILES = {
 def _profile_search(profile, opts):
     """find_radius on the 1-D ray of ``profile``; returns (radius, evaluations).
 
-    The anchor cost profile(0) is handed to the search, as the estimator
-    does, and is not counted as a search evaluation.
+    The spec evaluates the anchor cost profile(0) when it is built; that
+    evaluation is not counted as a search evaluation.
     """
-    anchor_cost = profile(0.0)
     evals = 0
 
     def cost(x):
@@ -179,7 +177,9 @@ def _profile_search(profile, opts):
         return profile(float(x[0]))
 
     spec = NeighborhoodSpec(np.zeros(1), cost, 1.0, MeasureSpec.lebesgue())
-    radius, truncated, counted = find_radius(spec, np.array([1.0]), opts, anchor_cost=anchor_cost)
+    assert spec.anchor_cost == profile(0.0)
+    evals = 0
+    radius, truncated, counted = find_radius(spec, np.array([1.0]), opts)
     assert not truncated
     assert counted == evals
     return radius, evals
@@ -237,9 +237,11 @@ class TestFindRadius:
             assert evals <= 4
 
     def test_anchor_cost_must_be_below_the_cutoff(self):
-        spec = Ellipsoid(np.ones(2)).neighborhood()
-        with pytest.raises(ValueError, match="anchor_cost must be below"):
-            find_radius(spec, np.array([1.0, 0.0]), anchor_cost=spec.cutoff)
+        # the spec checks the anchor once, so no search starts from outside
+        with pytest.raises(EstimationError, match="anchor cost 1.0 is not below the cutoff 1.0"):
+            NeighborhoodSpec(np.zeros(2), lambda x: 1.0, 1.0, MeasureSpec.lebesgue())
+        with pytest.raises(CostEvaluationError, match="at the anchor"):
+            NeighborhoodSpec(np.zeros(2), lambda x: math.inf, 1.0, MeasureSpec.lebesgue())
 
     def test_budget_exhaustion_mid_search_carries_bracket(self):
         # the bracket stage takes two evaluations (1 inside, then a step 5%
@@ -323,10 +325,16 @@ class TestFindRadius:
             SearchOptions(**{field: value})
 
 
+def one_direction(precond, rng):
+    """One direction and its log-norm, drawn as row 0 of a one-row block."""
+    block, log_norms = sample_directions(precond, [rng])
+    return block[0], log_norms[0]
+
+
 class TestSampleDirection:
     def test_identity_unit_norm_zero_correction(self):
         rng = np.random.default_rng(0)
-        v, log_norm = sample_direction(Preconditioner.identity(16), rng)
+        v, log_norm = one_direction(Preconditioner.identity(16), rng)
         assert log_norm == 0.0
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
@@ -336,7 +344,7 @@ class TestSampleDirection:
         p = Preconditioner.diagonal(np.array([2.0, 1.0, 0.25]))
         rng = np.random.default_rng(1)
         for _ in range(10):
-            v, log_norm = sample_direction(p, rng)
+            v, log_norm = one_direction(p, rng)
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
             back = v / p.scale
             assert np.linalg.norm(back) == pytest.approx(math.exp(-log_norm), rel=1e-12)
@@ -344,47 +352,69 @@ class TestSampleDirection:
     def test_shaping_prefers_stretched_axes(self):
         e = Ellipsoid(np.array([8.0, 1.0, 1.0, 1.0]))
         p = e.exact_preconditioner()
-        rng = np.random.default_rng(2)
-        long_axis = np.mean([abs(sample_direction(p, rng)[0][0]) for _ in range(2000)])
-        rng = np.random.default_rng(2)
-        raw = np.mean(
-            [abs(sample_direction(Preconditioner.identity(4), rng)[0][0]) for _ in range(2000)]
-        )
+        # one block of 2000 rows drawn in turn from one stream
+        long_axis = np.mean(np.abs(sample_directions(p, [np.random.default_rng(2)] * 2000)[0][:, 0]))
+        identity = Preconditioner.identity(4)
+        raw = np.mean(np.abs(sample_directions(identity, [np.random.default_rng(2)] * 2000)[0][:, 0]))
         assert long_axis > 2.0 * raw
 
     def test_reproducible_for_equal_seeds(self):
         p = Preconditioner.diagonal(np.array([3.0, 0.5]))
-        v1, l1 = sample_direction(p, np.random.default_rng(9))
-        v2, l2 = sample_direction(p, np.random.default_rng(9))
+        v1, l1 = one_direction(p, np.random.default_rng(9))
+        v2, l2 = one_direction(p, np.random.default_rng(9))
         assert l1 == l2
         np.testing.assert_array_equal(v1, v2)
 
 
 class TestLebesgueLogTerm:
-    def _sample(self, radius, log_norm=0.0):
-        return RadialSample(
-            direction=np.array([1.0]),
-            log_importance_norm=log_norm,
-            radius=radius,
-            truncated=False,
-            log_term=0.0,
-        )
+    """The aggregate stage's Lebesgue term: log |S^{n-1}| - log n + n log r - n log |v|."""
+
+    @staticmethod
+    def _ball(n, radius, precond=None, k=8):
+        # every ray of a centered ball meets the boundary at its radius
+        def cost(x):
+            return 0.5 * float(x @ x) / radius**2
+
+        spec = NeighborhoodSpec(np.zeros(n), cost, 0.5, MeasureSpec.lebesgue())
+        precond = precond if precond is not None else Preconditioner.identity(n)
+        return estimate_local_volume(spec, precond, k, SearchOptions(rel_tol=1e-12), seed=4)
 
     def test_unit_disk(self):
-        assert lebesgue_log_term(self._sample(1.0), 2) == pytest.approx(math.log(math.pi))
+        for s in self._ball(2, 1.0).samples:
+            assert s.log_term == pytest.approx(math.log(math.pi) + 2.0 * math.log(s.radius), rel=1e-14)
+            assert s.log_term == pytest.approx(math.log(math.pi), abs=1e-10)
 
     def test_ball_radius_two(self):
         want = math.log(32.0 * math.pi / 3.0)
-        assert lebesgue_log_term(self._sample(2.0), 3) == pytest.approx(want, rel=1e-14)
+        for s in self._ball(3, 2.0).samples:
+            assert s.log_term == pytest.approx(want + 3.0 * math.log(s.radius / 2.0), rel=1e-14)
+            assert s.log_term == pytest.approx(want, abs=1e-10)
 
     def test_importance_correction_scales_with_dim(self):
-        base = lebesgue_log_term(self._sample(1.5), 5)
-        shifted = lebesgue_log_term(self._sample(1.5, log_norm=0.3), 5)
-        assert shifted == pytest.approx(base - 5 * 0.3, rel=1e-12)
+        p = Preconditioner.diagonal(np.array([2.0, 1.0, 0.25, 0.5, 1.5]))
+        est = self._ball(5, 1.5, p)
+        base = log_sphere_area(5) - math.log(5.0)
+        for s in est.samples:
+            assert s.log_importance_norm != 0.0
+            want = base + 5 * math.log(s.radius) - 5 * s.log_importance_norm
+            assert s.log_term == pytest.approx(want, rel=1e-14)
 
     def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError, match="radius"):
-            lebesgue_log_term(self._sample(0.0), 2)
+        # a ray with no positive radius inside fails and adds zero mass, so
+        # no term is ever formed from a radius of 0
+        def cost(x):
+            return 0.5 * float(x[0] ** 2) if x[0] >= 0.0 else 5.0
+
+        spec = NeighborhoodSpec(np.zeros(1), cost, 1.0, MeasureSpec.lebesgue())
+        est = estimate_local_volume(
+            spec, Preconditioner.identity(1), 16, SearchOptions(max_iters=20), seed=1
+        )
+        assert 0 < est.failed_count < 16
+        for s in est.samples:
+            if s.direction[0] < 0.0:
+                assert s.failed and s.log_term == -math.inf and math.isnan(s.radius)
+            else:
+                assert s.log_term == pytest.approx(math.log(2.0 * math.sqrt(2.0)), abs=1e-3)
 
 
 class TestGaussianRadialIntegral:
@@ -650,12 +680,12 @@ class TestEstimateLocalVolume:
     )
     def test_directions_match_per_ray_sampling(self, precond):
         # the estimate maps all k directions in one block; ray i must still be
-        # the draw sample_direction makes from child stream i
+        # the one-row draw from child stream i
         e = Ellipsoid(np.array([2.0, 1.0, 0.25, 0.5, 1.5, 0.8, 1.2]))
         est = estimate_local_volume(e.neighborhood(), precond, k=16, seed=21)
         children = np.random.SeedSequence(21).spawn(16)
         for sample, child in zip(est.samples, children):
-            want, log_norm = sample_direction(precond, np.random.default_rng(child))
+            want, log_norm = one_direction(precond, np.random.default_rng(child))
             if precond.kind == "dense":
                 np.testing.assert_allclose(sample.direction, want, rtol=0, atol=1e-13)
                 assert sample.log_importance_norm == pytest.approx(log_norm, abs=1e-13)
@@ -762,10 +792,10 @@ class TestEstimateLocalVolume:
             estimate_local_volume(spec, Preconditioner.identity(2), k=4, seed=0)
 
     def test_anchor_must_satisfy_cutoff(self):
+        # the check runs when the spec is built, before any estimate
         e = Ellipsoid(np.ones(2))
-        spec = NeighborhoodSpec(np.array([5.0, 0.0]), e.cost(), 0.5, MeasureSpec.lebesgue())
-        with pytest.raises(EstimationError, match="anchor cost"):
-            estimate_local_volume(spec, Preconditioner.identity(2), k=4)
+        with pytest.raises(EstimationError, match="anchor cost 12.5 is not below the cutoff 0.5"):
+            NeighborhoodSpec(np.array([5.0, 0.0]), e.cost(), 0.5, MeasureSpec.lebesgue())
 
     def test_argument_validation(self):
         e = Ellipsoid(np.ones(2))
@@ -814,6 +844,28 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="positive"):
             MeasureSpec.gaussian(np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("kind, sigma, match", [
+        # a misspelled kind must not quietly measure under Lebesgue
+        ("Gaussian", np.ones(3), "kind"),
+        ("gauss", np.ones(3), "kind"),
+        ("gaussian", None, "only then"),
+        ("lebesgue", np.ones(3), "only then"),
+        ("gaussian", np.array([1.0, math.nan]), "positive finite"),
+    ])
+    def test_measure_is_validated_when_built(self, kind, sigma, match):
+        with pytest.raises(ValueError, match=match):
+            MeasureSpec(kind, sigma)
+
+    def test_direct_gaussian_measure_equals_the_factory(self):
+        sigma = np.array([0.5, 1.0, 2.0])
+        direct = MeasureSpec("gaussian", sigma)
+        assert not direct.sigma.flags.writeable
+        np.testing.assert_array_equal(direct.sigma, MeasureSpec.gaussian(sigma).sigma)
+
+    def test_measure_sets_the_default_radius_cap(self):
+        assert MeasureSpec.gaussian(np.array([0.5, 2.0, 1.0])).r_max == 20.0 * math.sqrt(3.0) * 2.0
+        assert MeasureSpec.lebesgue().r_max == 1e6
+
 
 def _mlp_spec(cost=None):
     """A KL neighborhood of a small trained-size network under its init measure."""
@@ -832,10 +884,11 @@ class TestRayForm:
         assert spec.line(d)(0.7) == spec.cost(spec.anchor + 0.7 * d)
 
     def test_line_uses_the_cost_ray_form(self):
-        bound = []
+        bound, full = [], []
 
         def cost(x):
-            raise AssertionError("the search must not call the full cost")
+            full.append(x)
+            return 0.0
 
         def along(origin):
             bound.append(origin)
@@ -845,6 +898,8 @@ class TestRayForm:
         spec = NeighborhoodSpec(np.zeros(2), cost, 1.0, MeasureSpec.lebesgue())
         assert len(bound) == 1 and bound[0] is spec.anchor
         radius, truncated, evals = find_radius(spec, np.array([1.0, 0.0]), SearchOptions(rel_tol=1e-10))
+        # the full cost runs once, at the anchor, when the spec is built
+        assert len(full) == 1 and full[0] is spec.anchor
         assert not truncated and evals > 0
         assert radius == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
@@ -931,3 +986,36 @@ class TestSearchBudget:
         assert est.evals_per_ray <= bound
         for s in est.samples:
             assert cost(params.flat + s.radius * s.direction) < cutoff
+
+
+class TestSearchContract:
+    """A direct search and an estimate's search of the same ray agree exactly.
+
+    Both read the anchor cost from the spec and the radius cap from the
+    measure, so they take the same evaluations to the same radius.
+    """
+
+    @staticmethod
+    def _assert_same_rays(spec, est):
+        for s in est.samples:
+            assert find_radius(spec, s.direction) == (s.radius, s.truncated, s.evals)
+
+    def test_loss_cost_under_a_gaussian_measure(self, small_trained_net):
+        params, measure, train, _ = small_trained_net
+        cost = make_loss_cost(params.shape, train)
+        anchor_cost = cost(params.flat)
+        assert anchor_cost > 0.0
+        spec = NeighborhoodSpec(params.flat, cost, anchor_cost + 1e-2, measure)
+        assert spec.anchor_cost == anchor_cost
+        est = estimate_local_volume(spec, Preconditioner.identity(params.n), k=8, seed=3)
+        assert est.failed_count == 0
+        self._assert_same_rays(spec, est)
+
+    def test_flat_gaussian_ray(self):
+        # with no r_max, every ray stops at the measure's cap, 20 sqrt(n) max sigma
+        n = 6
+        spec = NeighborhoodSpec(np.zeros(n), lambda x: 0.0, 1.0, MeasureSpec.gaussian(np.ones(n)))
+        est = estimate_local_volume(spec, Preconditioner.identity(n), k=4, seed=3)
+        assert est.truncated_count == 4
+        assert all(s.radius == 20.0 * math.sqrt(n) for s in est.samples)
+        self._assert_same_rays(spec, est)
