@@ -1,4 +1,4 @@
-"""Command-line front end: train, estimate, sweep, validate, mdl.
+"""Command-line front end: train, estimate, sweep, mdl.
 
 Every run is reproducible from its record: the master seed is resolved
 once (flag > config file > STARVOL_SEED > 0), all internal randomness is
@@ -402,33 +402,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-# -- validate --------------------------------------------------------------------
-
-
-def cmd_validate(args) -> int:
-    from .oracles import run_suite
-
-    results = run_suite(args.suite, seed=_resolve_seed(args.seed))
-    width = max(len(r.name) for r in results)
-    failures = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        if not r.passed:
-            failures += 1
-        line = (
-            f"[{status}] {r.suite:<10} {r.name:<{width}} "
-            f"predicted={r.predicted:+.6e} empirical={r.empirical:+.6e} tol={r.tolerance:.3e}"
-        )
-        if r.note:
-            line += f"  ({r.note})"
-        print(line)
-    print(f"{len(results) - failures}/{len(results)} checks passed")
-    if args.out:
-        payload = [r.__dict__ for r in results]
-        Path(args.out).write_text(json.dumps(payload, sort_keys=True, default=float))
-    return 1 if failures else 0
-
-
 # -- mdl -------------------------------------------------------------------------
 
 
@@ -513,12 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n", type=int, default=100, help="dimension for --target quadratic")
     p_sweep.add_argument("--out", type=str, default="sweep.csv")
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_val = sub.add_parser("validate", help="run the closed-form self-check suites")
-    p_val.add_argument("--suite", choices=("ellipsoid", "variance", "bounds", "gdflow", "all"), default="all")
-    p_val.add_argument("--out", type=str, default=None, help="optional JSON report path")
-    add_seed(p_val)
-    p_val.set_defaults(func=cmd_validate)
 
     p_mdl = sub.add_parser("mdl", help="two-part description length from a Lebesgue volume record")
     p_mdl.add_argument("--checkpoint", type=str, required=True)

@@ -72,6 +72,9 @@ _BLOCK_ENTRIES = 2**16
 # the radius search's predicted bracket step goes this factor of the
 # predicted distance in log r, so a slightly steepening cost still brackets
 _BRACKET_PAST = 1.05
+# with no interior point yet, narrowing gives up once its upper end falls
+# below this fraction of the first bracket's
+_INTERIOR_FLOOR = 2.0**-50
 
 
 class RadiusSearchError(RuntimeError):
@@ -341,7 +344,11 @@ def find_radius(
     evaluations to reach a crossing at r, since every step after the first
     prediction at least doubles r; and any three narrowing evaluations in a
     row at least halve the bracket [lo, hi], so narrowing takes at most
-    about 3 log2((hi - lo) / (rel_tol lo)).
+    about 3 log2((hi - lo) / (rel_tol lo)). While no interior point is known
+    (lo = 0), narrowing stops once hi falls below 2^-50 times the first
+    bracket's hi and fails as "no interior point found along ray"; with the
+    cost above the cutoff everywhere off the anchor that takes about 50
+    evaluations.
     """
     opts = opts or SearchOptions()
     r_max = opts.r_max if opts.r_max is not None else spec.measure.r_max
@@ -391,7 +398,10 @@ def find_radius(
 
     moved = None  # the end the last evaluation of this stage moved
     widths = [hi - lo]  # bracket width after each evaluation of this stage
+    floor = hi * _INTERIOR_FLOOR
     while not (lo > 0.0 and hi - lo <= opts.rel_tol * lo):
+        if lo == 0.0 and hi < floor:
+            break
         if evals >= opts.max_iters:
             raise RadiusSearchError(
                 f"radius search did not converge to rel_tol={opts.rel_tol}",

@@ -5,9 +5,7 @@ ground truth for the Monte Carlo estimators: exact radii and volumes for
 quadratic neighborhoods, variance identities for quadratic forms on the
 sphere, the harmonic-mean law for typical sampled radii on wide spectra,
 gap and tail-bound reports for repeated estimates, and the coordinate
-variances of linear gradient flow from a standard Gaussian start. The
-``run_*_suite`` functions bundle them into the self-check table behind the
-``validate`` command.
+variances of linear gradient flow from a standard Gaussian start.
 """
 
 from __future__ import annotations
@@ -17,19 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    CostFn,
-    MeasureSpec,
-    NeighborhoodSpec,
-    SearchOptions,
-    VolumeEstimate,
-    estimate_local_volume,
-)
-from .logspace import log_sum_exp
+from .geometry import CostFn, MeasureSpec, NeighborhoodSpec, VolumeEstimate
 from .precondition import Preconditioner, _readonly
 
 __all__ = [
-    "CheckResult",
     "Ellipsoid",
     "JensenGapReport",
     "VarianceCheck",
@@ -42,9 +31,7 @@ __all__ = [
     "jensen_gap_report",
     "log_estimator_variance_prediction",
     "quadratic_form_variance_check",
-    "run_suite",
     "smoothmax_bracket_holds",
-    "SUITES",
 ]
 
 
@@ -280,7 +267,7 @@ def gd_density_loss_comparison(h_diag: np.ndarray, t: float) -> DensityLossCompa
     )
 
 
-# -- self-check suites ----------------------------------------------------------
+# -- estimate checks -------------------------------------------------------------
 
 
 def smoothmax_bracket_holds(estimate: VolumeEstimate, slack: float = 1e-9) -> bool:
@@ -291,221 +278,3 @@ def smoothmax_bracket_holds(estimate: VolumeEstimate, slack: float = 1e-9) -> bo
         <= estimate.log_volume
         <= top + slack
     )
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    predicted: float
-    empirical: float
-    tolerance: float
-    passed: bool
-    note: str = ""
-
-
-def _check(suite, name, predicted, empirical, tolerance, passed=None, note="") -> CheckResult:
-    if passed is None:
-        passed = abs(empirical - predicted) <= tolerance
-    return CheckResult(suite, name, float(predicted), float(empirical), float(tolerance), bool(passed), note)
-
-
-def run_ellipsoid_suite(seed: int = 0) -> list[CheckResult]:
-    """Exact-geometry checks: radii, zero-variance recovery, determinant."""
-    out = []
-    rng = np.random.default_rng(seed)
-
-    # boundary search agrees with the closed-form radius, rotated case included
-    n = 8
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    e = Ellipsoid(np.geomspace(0.1, 10.0, n), rotation=q)
-    from .geometry import find_radius
-
-    spec = e.neighborhood()
-    worst = 0.0
-    for _ in range(20):
-        u = rng.standard_normal(n)
-        u /= np.linalg.norm(u)
-        found, truncated, _ = find_radius(spec, u, SearchOptions(rel_tol=1e-10))
-        exact = ellipsoid_radius(e, u)
-        worst = max(worst, abs(found / exact - 1.0))
-        assert not truncated
-    out.append(_check("ellipsoid", "radius_search_vs_closed_form_rel", 0.0, worst, 1e-8))
-
-    # exact preconditioner turns every sample into the exact log volume
-    n = 50
-    e = Ellipsoid(np.geomspace(1e-2, 1e2, n))
-    est = estimate_local_volume(
-        e.neighborhood(), e.exact_preconditioner(), k=10, opts=SearchOptions(rel_tol=1e-10), seed=seed
-    )
-    exact = ellipsoid_log_volume_exact(e)
-    spread = max(abs(s.log_term - exact) for s in est.samples)
-    out.append(_check("ellipsoid", "zero_variance_recovery_max_err", 0.0, spread, 1e-6))
-    out.append(
-        _check(
-            "ellipsoid",
-            "smoothmax_bracket",
-            1.0,
-            1.0 if smoothmax_bracket_holds(est) else 0.0,
-            0.0,
-            passed=smoothmax_bracket_holds(est),
-        )
-    )
-
-    # unit-determinant normalization measured through the log determinant
-    p = e.exact_preconditioner()
-    out.append(_check("ellipsoid", "preconditioner_log_det", 0.0, abs(p.log_det()), 1e-9))
-    return out
-
-
-def run_variance_suite(seed: int = 0) -> list[CheckResult]:
-    """Quadratic-form variance identity and the harmonic-mean radius law."""
-    out = []
-    rng = np.random.default_rng(seed)
-
-    n = 128
-    for tag, radii in (
-        ("uniform_spread", np.geomspace(0.5, 2.0, n)),
-        ("one_outlier", np.concatenate([np.ones(n - 1), [1.0 / 3.0]])),
-    ):
-        e = Ellipsoid(radii)
-        chk = quadratic_form_variance_check(e, k=200_000, rng=rng)
-        out.append(
-            _check(
-                "variance",
-                f"quadratic_form_var_{tag}",
-                chk.predicted,
-                chk.empirical,
-                0.1 * chk.predicted,
-            )
-        )
-
-    # propagated log-term variance at small dispersion
-    n = 256
-    e = Ellipsoid(np.geomspace(0.95, 1.05, n))
-    u = rng.standard_normal((100_000, n))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    q = np.sum(e.eigenvalues() * u * u, axis=1)
-    empirical = float(np.var(-0.5 * n * np.log(q)))
-    predicted = log_estimator_variance_prediction(e)
-    out.append(
-        _check("variance", "log_term_variance_small_dispersion", predicted, empirical, 0.05 * predicted)
-    )
-
-    # harmonic-mean law for the typical sampled radius on a wide spectrum
-    n = 2000
-    radii = 10.0 ** rng.uniform(-2.0, 2.0, n)
-    e = Ellipsoid(radii)
-    u = rng.standard_normal((2000, n))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    sampled = -0.5 * np.log(np.sum(e.eigenvalues() * u * u, axis=1))
-    predicted = harmonic_mean_prediction(e)
-    median = float(np.median(sampled))
-    out.append(
-        _check("variance", "harmonic_mean_median_log_radius", predicted, median, 0.02 * abs(predicted))
-    )
-    return out
-
-
-def run_bounds_suite(seed: int = 0) -> list[CheckResult]:
-    """One-sided tail bound, smooth-max sandwich, and the Jensen gap."""
-    out = []
-    rng = np.random.default_rng(seed)
-
-    # the estimator is an average of nonneg terms with the right mean, so
-    # overestimating by a factor 10^m has probability at most 10^-m (m = 1 here)
-    n = 64
-    e = Ellipsoid(np.geomspace(0.1, 10.0, n))
-    truth = ellipsoid_log_volume_exact(e)
-    spec = e.neighborhood()
-    runs = 400
-    exceed = 0
-    bracket_ok = True
-    for i in range(runs):
-        est = estimate_local_volume(spec, Preconditioner.identity(n), k=4, seed=rng.integers(2**63))
-        bracket_ok = bracket_ok and smoothmax_bracket_holds(est)
-        if est.log_volume > truth + math.log(10.0):
-            exceed += 1
-    out.append(
-        _check(
-            "bounds",
-            "markov_overshoot_fraction",
-            0.0,
-            exceed / runs,
-            0.1,
-            note="theory allows up to 0.1",
-        )
-    )
-    out.append(_check("bounds", "smoothmax_bracket_all_runs", 1.0, 1.0 if bracket_ok else 0.0, 0.0, passed=bracket_ok))
-
-    # Jensen gap on a synthetic lognormal estimator with known truth
-    sigma_log = 1.5
-    draws = rng.normal(-0.5 * sigma_log**2, sigma_log, size=20_000)  # log of unbiased lognormal
-    report = jensen_gap_report(draws, true_log_volume=0.0)
-    out.append(
-        _check(
-            "bounds",
-            "jensen_gap_vs_half_variance",
-            report.lognormal_half_variance,
-            report.mean_log_gap,
-            4.0 * report.stderr,
-        )
-    )
-    return out
-
-
-def run_gdflow_suite(seed: int = 0) -> list[CheckResult]:
-    """Gradient-flow covariance law and the density/loss non-proportionality."""
-    out = []
-    rng = np.random.default_rng(seed)
-    h = np.array([2.0, 1.0, 0.5, 0.25])
-    t = 0.7
-    empirical, predicted = gd_flow_ensemble_check(h, t, k=100_000, rng=rng)
-    worst = float(np.max(np.abs(empirical / predicted - 1.0)))
-    out.append(_check("gdflow", "ensemble_covariance_max_rel_err", 0.0, worst, 0.02))
-
-    cmp = gd_density_loss_comparison(h, t)
-    out.append(
-        _check(
-            "gdflow",
-            "density_not_proportional_to_loss",
-            1.0,
-            cmp.ratio_spread,
-            0.0,
-            passed=not cmp.proportional,
-            note="ratio spread must exceed 1",
-        )
-    )
-
-    uniform = gd_density_loss_comparison(np.full(4, 1.3), t)
-    out.append(
-        _check(
-            "gdflow",
-            "uniform_curvature_is_proportional",
-            1.0,
-            uniform.ratio_spread,
-            1e-12,
-            passed=uniform.proportional,
-        )
-    )
-    return out
-
-
-SUITES = {
-    "ellipsoid": run_ellipsoid_suite,
-    "variance": run_variance_suite,
-    "bounds": run_bounds_suite,
-    "gdflow": run_gdflow_suite,
-}
-
-
-def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
-    """Run one named suite, or all of them."""
-    if name == "all":
-        results = []
-        for suite in SUITES.values():
-            results.extend(suite(seed))
-        return results
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](seed)

@@ -18,8 +18,6 @@ import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .geometry import VolumeEstimate
 
 __all__ = [

@@ -477,23 +477,19 @@ class TestSweep:
         assert not out.with_suffix(".summary.json").exists()
 
 
-class TestValidate:
-    def test_suite_passes_and_writes_report(self, tmp_path, capsys):
-        report = tmp_path / "report.json"
-        rc = main(["validate", "--suite", "gdflow", "--out", str(report)])
-        assert rc == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert all(line.startswith("[PASS]") for line in lines[:-1])
-        payload = json.loads(report.read_text())
-        assert payload and all(entry["passed"] for entry in payload)
-
-    def test_console_script_entry_point(self):
+class TestConsoleScript:
+    def test_console_script_entry_point(self, tmp_path):
+        out = tmp_path / "sweep.csv"
         proc = subprocess.run(
-            [sys.executable, "-m", "starvol.cli", "validate", "--suite", "ellipsoid"],
+            [
+                sys.executable, "-m", "starvol.cli", "sweep", "--kind", "cutoff",
+                "--target", "quadratic", "--n", "10", "--k", "4",
+                "--values", "1e-2,1e-1", "--out", str(out),
+            ],
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert "checks passed" in proc.stdout
+        assert f"2 sweep rows -> {out}" in proc.stdout
 
 
 class TestRunRecords:

@@ -14,7 +14,6 @@ from starvol.geometry import (
     EstimationError,
     MeasureSpec,
     NeighborhoodSpec,
-    RadialSample,
     RadiusSearchError,
     SearchOptions,
     estimate_local_volume,
@@ -252,6 +251,29 @@ class TestFindRadius:
         lo, hi = info.value.bracket
         assert 1.0 <= lo < math.sqrt(2.0) < hi <= 2.0
         assert info.value.evals == 3
+
+    def test_ray_without_interior_point_fails_within_budget(self):
+        # cost 0 at the anchor and 5 (above the cutoff 1) everywhere else:
+        # narrowing gives up once hi falls below 2^-50 of the first bracket
+        # instead of spending the whole max_iters budget
+        n = 10
+        direction = np.zeros(n)
+        direction[0] = 1.0
+        spec = NeighborhoodSpec(
+            np.zeros(n), lambda x: 5.0 if np.any(x) else 0.0, 1.0, MeasureSpec.lebesgue()
+        )
+        with pytest.raises(RadiusSearchError, match="no interior point found along ray") as info:
+            find_radius(spec, direction)
+        assert info.value.evals <= 60
+        assert info.value.bracket[0] == 0.0
+        # a tiny but real neighborhood is still found, well above the floor
+        spec = NeighborhoodSpec(
+            np.zeros(n), lambda x: float(x @ x) / 1e-28, 1.0, MeasureSpec.lebesgue()
+        )
+        radius, truncated, evals = find_radius(spec, direction)
+        assert not truncated
+        assert 1e-14 * (1.0 - 1e-4) <= radius < 1e-14
+        assert evals <= 4
 
     def test_quadratic_boundary_per_axis(self):
         e = Ellipsoid(np.array([0.5, 1.0]))

@@ -11,7 +11,7 @@ import pytest
 
 from starvol import precondition
 from starvol.codec import decode_array, write_json
-from starvol.geometry import MeasureSpec, NeighborhoodSpec, estimate_local_volume
+from starvol.geometry import NeighborhoodSpec, estimate_local_volume
 from starvol.models import hessian_full, init_params, make_kl_cost
 from starvol.precondition import (
     DEFAULT_EPS,
