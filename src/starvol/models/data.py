@@ -127,7 +127,7 @@ def load_csv(path: str | Path) -> Dataset:
     labels = table[:, -1]
     if not np.allclose(labels, np.round(labels)):
         raise ValueError("last csv column must hold integer labels")
-    labels = labels.astype(int)
+    labels = np.rint(labels).astype(int)  # astype alone truncates 1.9999999 to 1
     return Dataset(table[:, :-1], labels, name=path.stem, classes=int(labels.max()) + 1)
 
 

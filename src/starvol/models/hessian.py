@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..precondition import _mirror_upper
 from .data import Dataset
 from .mlp import MlpParams, _check_inputs, _forward_cache, log_softmax
 
 __all__ = ["hessian_diag", "hessian_full"]
 
+# the dense map built from the matrix needs 2 n^2 floats: 1.6 GB at this n
 FULL_HESSIAN_MAX_DIM = 10_000
 # examples per chunk of the probes: at most CHUNK, and fewer for layers wider
 # than 64, so that a chunk's (fan_out, fan_out) blocks per example hold at
@@ -33,8 +35,6 @@ FULL_HESSIAN_MAX_DIM = 10_000
 # independently of the number of examples
 CHUNK = 512
 CHUNK_FLOATS = 1 << 21
-# rows per step when the lower triangle is mirrored from the upper one
-MIRROR_BLOCK = 512
 
 
 def _factors(cost_kind: str, params: MlpParams, data):
@@ -104,16 +104,6 @@ def _factors(cost_kind: str, params: MlpParams, data):
 
 def _layer_starts(params: MlpParams) -> list[int]:
     return np.cumsum([0] + [fan_in * fan_out + fan_out for fan_in, fan_out in params.shape]).tolist()
-
-
-def _mirror_upper(mat: np.ndarray) -> None:
-    """Overwrite the lower triangle with the transpose of the upper, in place."""
-    n = mat.shape[0]
-    for start in range(0, n, MIRROR_BLOCK):
-        stop = min(start + MIRROR_BLOCK, n)
-        mat[start:stop, :start] = mat[:start, start:stop].T
-        rows, cols = np.tril_indices(stop - start, -1)
-        mat[start + rows, start + cols] = mat[start + cols, start + rows]
 
 
 def hessian_full(cost_kind: str, params: MlpParams, data, h: float | None = None) -> np.ndarray:

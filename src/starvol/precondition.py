@@ -49,6 +49,8 @@ ORTHONORMAL_ATOL = 1e-10
 
 # row-block size of the O(n^2)-memory checks: 2**20 entries, 8 MB per block
 _BLOCK_ENTRIES = 1 << 20
+# rows per step when a triangle is mirrored or a square array transposed in place
+MIRROR_BLOCK = 512
 
 
 class PreconditionerError(ValueError):
@@ -93,11 +95,41 @@ def _max_orthonormal_deviation(basis: np.ndarray) -> float:
     return _max_abs_by_rows(basis.shape[1], rows_of)
 
 
+def _mirror_upper(mat: np.ndarray) -> None:
+    """Overwrite the lower triangle with the transpose of the upper, in place."""
+    n = mat.shape[0]
+    for start in range(0, n, MIRROR_BLOCK):
+        stop = min(start + MIRROR_BLOCK, n)
+        mat[start:stop, :start] = mat[:start, start:stop].T
+        rows, cols = np.tril_indices(stop - start, -1)
+        mat[start + rows, start + cols] = mat[start + cols, start + rows]
+
+
+def _transpose_square(mat: np.ndarray) -> None:
+    """Transpose a square array in place, one pair of mirrored square blocks at a time."""
+    n = mat.shape[0]
+    for start in range(0, n, MIRROR_BLOCK):
+        rows = slice(start, min(start + MIRROR_BLOCK, n))
+        for col_start in range(0, start + 1, MIRROR_BLOCK):
+            cols = slice(col_start, min(col_start + MIRROR_BLOCK, n))
+            upper = mat[cols, rows].copy()
+            mat[cols, rows] = mat[rows, cols].T
+            mat[rows, cols] = upper.T
+
+
 def eigendecompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and read-only orthonormal eigenvectors of a symmetric matrix.
 
-    LAPACK's MRRR driver (dsyevr) needs O(n) workspace, so the peak is the
-    caller's matrix, LAPACK's copy of it and the eigenvectors: 3 n^2 floats.
+    LAPACK's MRRR driver (dsyevr) needs O(n) workspace and destroys one
+    triangle and the diagonal of its input. A writeable, C- or F-contiguous
+    matrix that is exactly symmetric (zero asymmetry) is therefore lent to
+    LAPACK as that input and restored before return, from its intact
+    triangle and a saved diagonal, also when LAPACK fails. The peak is then
+    the matrix and the eigenvectors, 2 n^2 floats, and nothing may read or
+    write the matrix from another thread during the call. The restored
+    matrix equals the input in value; where mirrored entries are zeros of
+    opposite sign, the destroyed triangle's zero takes its mirror's sign.
+    Any other input is decomposed from a private copy, 3 n^2 floats at peak.
     The eigenvectors are returned C-ordered, the layout a loaded basis has,
     so a map and its reloaded copy give bit-identical products.
     """
@@ -113,12 +145,28 @@ def eigendecompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # that need no decomposition should not pay
     from scipy.linalg import eigh
 
+    # LAPACK's F-ordered input: the matrix's own buffer, or a private copy;
+    # for an exactly symmetric matrix both hold the same bytes
+    borrow = asym == 0.0 and mat.flags.writeable and (mat.flags.c_contiguous or mat.flags.f_contiguous)
+    if borrow:
+        work = mat if mat.flags.f_contiguous else mat.T
+        diag = work.diagonal().copy()
+    else:
+        work = np.array(mat, order="F")
     try:
-        eigvals, eigvecs = eigh(mat, driver="evr", check_finite=False)
+        eigvals, eigvecs = eigh(work, driver="evr", overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise PreconditionerError(f"eigendecomposition failed: {exc}") from exc
-    # LAPACK's copy of the input is freed by now, so this copy adds no peak
-    eigvecs = np.ascontiguousarray(eigvecs)
+    finally:
+        if borrow:
+            # LAPACK read and destroyed work's lower triangle and diagonal
+            _mirror_upper(work)
+            np.fill_diagonal(work, diag)
+    if not eigvecs.flags.c_contiguous:
+        # LAPACK's eigenvectors are F-ordered: their C-ordered transpose,
+        # transposed in place, is the C-ordered basis
+        _transpose_square(eigvecs.T)
+        eigvecs = eigvecs.T
     eigvecs.setflags(write=False)
     return eigvals, eigvecs
 

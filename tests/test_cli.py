@@ -146,6 +146,18 @@ class TestTrain:
         dataset = {"kind": "csv", "path": str(path), "train": 20, "val": 20, "poison": 0}
         assert self._output_width(tmp_path, dataset, seed) == [[2, 4], [4, 3]]
 
+    def test_csv_labels_round_to_the_nearest_integer(self, tmp_path):
+        # a label within allclose of an integer is that integer: 1.9999999 is
+        # class 2, not class 1 by truncation; a halfway label is refused
+        path = tmp_path / "near.csv"
+        path.write_text("0.5,0\n1.5,1.9999999\n2.5,1\n3.5,3.00000001\n")
+        data = load_csv(path)
+        np.testing.assert_array_equal(data.labels, [0, 2, 1, 3])
+        assert data.classes == 4
+        path.write_text("0.5,0\n1.5,2.5\n")
+        with pytest.raises(ValueError, match="integer labels"):
+            load_csv(path)
+
 
 class TestEstimate:
     def test_record_and_samples(self, final_checkpoint, tmp_path):
