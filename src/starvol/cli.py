@@ -3,7 +3,8 @@
 Every run is reproducible from its record: the master seed is resolved
 once (flag > config file > STARVOL_SEED > 0), all internal randomness is
 derived from it by fixed roles, and per-sample streams are split by sample
-index, so thread count never changes results.
+index. Estimates run on one thread (``--threads`` changes nothing), so run
+separate processes for parallelism.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ SEED_ROLES = {"data": 0, "init": 1, "train": 2, "estimate": 3}
 
 PRECONDITIONER_CHOICES = ("none", "hessian", "diag", "adam-nu")
 PRECOND_FILE_HELP = "load a saved preconditioner (a sweep accepts it over cutoffs or checkpoints only)"
+THREADS_HELP = "accepted and validated (at least 1) but ignored: every ray runs on the calling thread; run separate processes for parallelism"
 R_INIT_HELP = "radius of each ray's first cost evaluation; the search takes its later steps from the costs it measures"
 TARGET_HELP = "quadratic: a synthetic |x|^2/2 cost, always with Lebesgue measure and the identity map"
 
@@ -75,7 +77,7 @@ ESTIMATE_FLAGS = (
     ("--preconditioner", {"choices": PRECONDITIONER_CHOICES, "default": "none"}),
     ("--eps", {"type": float, "default": None, "help": "damping (default depends on kind)"}),
     ("--measure", {"choices": ("lebesgue", "gaussian"), "default": "gaussian"}),
-    ("--threads", {"type": int, "default": 1}),
+    ("--threads", {"type": int, "default": 1, "help": THREADS_HELP}),
     ("--r-init", {"type": float, "default": 1.0, "help": R_INIT_HELP}),
     ("--r-max", {"type": float, "default": None}),
     ("--rel-tol", {"type": float, "default": 1e-4}),

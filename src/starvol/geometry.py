@@ -3,13 +3,13 @@
 A neighborhood is the largest star-shaped region around an anchor point
 inside which a cost function stays below a cutoff. Its size under a
 Lebesgue or diagonal-Gaussian reference measure is the anchor's local
-volume. An estimate runs in four stages over its block of k rays:
+volume. An estimate runs in four stages over its block of k rays, all on
+the calling thread:
 
 - sample: one block of directions, one random stream per ray, optionally
   importance-shaped by a unit-determinant preconditioner;
 - search: the boundary radius along each ray, by an extrapolated bracket
-  and safeguarded inverse quadratic interpolation; the only per-ray stage,
-  and the only one that runs on threads;
+  and safeguarded inverse quadratic interpolation; the only per-ray stage;
 - integrate: under a Gaussian measure, each good ray's one-dimensional
   radial integral, all in one vectorized call. One route serves every ray:
   bracket the log-concave integrand where it is within 60 nats of its
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -150,7 +149,7 @@ class NeighborhoodSpec:
     """Anchor point, cost handle, cutoff, and reference measure.
 
     The cost handle must accept a full parameter vector and return a scalar;
-    it must be safe to call concurrently (pure numpy closures are). The
+    an estimate calls it, and its rays, only from the calling thread. The
     anchor must lie inside its own neighborhood: building the spec evaluates
     the cost there once, keeps it as ``anchor_cost``, and raises
     ``EstimationError`` unless it is below the cutoff.
@@ -198,7 +197,8 @@ class NeighborhoodSpec:
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Knobs for the radius search and the sampling loop, validated once here."""
+    """Radius-search knobs, validated once here. ``threads`` must be at least 1
+    but is ignored (rays run on the calling thread) until the benchmark drops it."""
 
     r_init: float = 1.0
     r_max: float | None = None  # None = the measure's default cap, MeasureSpec.r_max
@@ -587,8 +587,8 @@ def estimate_local_volume(
     """Estimate the local volume of the anchor's neighborhood from k rays.
 
     Each sample gets its own random stream derived from the master seed and
-    the sample index, so results are identical for any thread count; set
-    ``opts.threads`` to evaluate rays in parallel. Rays whose radius search
+    the sample index. Every stage runs on the calling thread, so
+    ``opts.threads`` changes nothing. Rays whose radius search
     fails contribute exact zeros (log term -inf) but still count in k,
     preserving the estimator's one-sided Markov guarantee. Truncated rays
     contribute their capped radius; under Lebesgue measure that makes the
@@ -605,18 +605,13 @@ def estimate_local_volume(
         precond, [np.random.default_rng(child) for child in master.spawn(k)]
     )
 
-    def search(i: int) -> tuple[float, bool, int, str]:
+    def search(direction: np.ndarray) -> tuple[float, bool, int, str]:
         try:
-            return (*find_radius(spec, directions[i], opts), "")
+            return (*find_radius(spec, direction, opts), "")
         except (RadiusSearchError, CostEvaluationError) as exc:
             return math.nan, False, exc.evals, f"{type(exc).__name__}: {exc}"
 
-    if opts.threads > 1:
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            found = list(pool.map(search, range(k)))
-    else:
-        found = [search(i) for i in range(k)]
-    radii, truncated, evals, failures = zip(*found)
+    radii, truncated, evals, failures = zip(*map(search, directions))
     good = [i for i in range(k) if not failures[i]]
     if not good:
         reasons = sorted(Counter(failures).items())
@@ -638,10 +633,7 @@ def estimate_local_volume(
     for i, value in zip(good, radial):
         terms[i] = offset + value - n * log_norms[i]
     samples = tuple(
-        RadialSample(
-            directions[i], log_norms[i], radii[i], truncated[i], terms[i], failures[i], evals[i]
-        )
-        for i in range(k)
+        map(RadialSample, directions, log_norms, radii, truncated, terms, failures, evals)
     )
     log_volume = log_sum_exp(terms) - math.log(k)
     return VolumeEstimate(

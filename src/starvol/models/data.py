@@ -33,9 +33,11 @@ class Dataset:
             raise ValueError("inputs must be a non-empty (m, d) matrix")
         object.__setattr__(self, "inputs", inputs)
         if self.labels is not None:
-            labels = np.array(self.labels, dtype=int, copy=True)
-            if labels.shape != (inputs.shape[0],):
-                raise ValueError("labels must be one integer per row")
+            given = np.asarray(self.labels)
+            with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, refused below
+                labels = given.astype(int)
+            if labels.shape != (inputs.shape[0],) or not np.array_equal(labels, given):
+                raise ValueError("labels must be one integer per row, with no fraction, NaN or inf")
             if labels.min() < 0:
                 raise ValueError("labels must be non-negative")
             labels.setflags(write=False)

@@ -211,8 +211,9 @@ def forward_logits(params: MlpParams, x: np.ndarray) -> np.ndarray:
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Log softmax along ``axis`` (the class axis), max-shifted for stability."""
     z = np.asarray(logits, dtype=float)
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    shifted = z - np.maximum.reduce(z, axis=axis, keepdims=True)
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
+    return shifted
 
 
 def _class_log_probs(logits: np.ndarray) -> np.ndarray:
@@ -244,8 +245,8 @@ def _cost_handle(
     is affine in r, so it is computed once for the origin and once per
     direction; each evaluation then runs only the elementwise update, the
     later layers and the readout. The ray form agrees with the full
-    evaluation up to rounding. Each ray owns one scratch array, so a ray's
-    evaluations must not run concurrently; separate rays may.
+    evaluation up to rounding. Each ray owns its scratch arrays (the first
+    pre-activation, and the later layers' parameters with their views).
     """
     split = param_count(shape[:1])
 
@@ -259,11 +260,13 @@ def _cost_handle(
         def line(direction: np.ndarray) -> Callable[[float], float]:
             (w, b), *_ = _layer_views(direction, shape)
             zd, restd = _first_layer(x, w, b), direction[split:]
-            z = np.empty_like(z0)
+            z, rest = np.empty_like(z0), np.empty_like(rest0)
+            layers = _layer_views(rest, shape[1:])
 
             def cost_at(r: float) -> float:
                 np.add(z0, np.multiply(zd, r, out=z), out=z)
-                return readout(_head(z, _layer_views(rest0 + r * restd, shape[1:])))
+                np.add(rest0, np.multiply(restd, r, out=rest), out=rest)
+                return readout(_head(z, layers))
 
             return cost_at
 

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -687,6 +688,24 @@ class TestEstimateLocalVolume:
         assert serial.log_volume == parallel.log_volume
         for s, p in zip(serial.samples, parallel.samples):
             assert s.log_term == p.log_term
+
+    def test_rays_run_on_the_calling_thread(self):
+        # threads=4 is accepted but starts no thread: every evaluation, at the
+        # anchor and along each ray, comes from the caller
+        seen = []
+
+        def cost(x):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return 0.5 * float(x @ x)
+
+        before = threading.active_count()
+        spec = NeighborhoodSpec(np.full(3, 0.1), cost, 1.0, MeasureSpec.lebesgue())
+        est = estimate_local_volume(
+            spec, Preconditioner.identity(3), k=16, opts=SearchOptions(threads=4), seed=3
+        )
+        assert est.failed_count == 0 and len(seen) > 16
+        assert set(seen) == {(threading.get_ident(), before)}
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize(
         "precond",

@@ -236,6 +236,23 @@ class TestLogSoftmax:
         assert lp[1] == pytest.approx(-1000.0)
 
 
+class TestDataset:
+    def test_non_integer_label_is_rejected(self):
+        # astype(int) used to truncate these to [0 1 2] without a word
+        with pytest.raises(ValueError, match="one integer per row, with no fraction"):
+            Dataset(np.zeros((3, 2)), [0.0, 1.9999999, 2.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_and_inf_labels_are_rejected(self, bad):
+        with pytest.raises(ValueError, match="one integer per row, with no fraction"):
+            Dataset(np.zeros((3, 2)), [0.0, bad, 1.0])
+
+    def test_exact_float_labels_are_accepted(self):
+        data = Dataset(np.zeros((2, 2)), [0.0, 1.0])
+        np.testing.assert_array_equal(data.labels, [0, 1])
+        assert data.labels.dtype.kind == "i" and data.num_classes == 2
+
+
 class TestLossCost:
     def test_uniform_predictions_cost_log_classes(self):
         shape = ((4, 8), (8, 5))
@@ -366,6 +383,23 @@ class TestRayForm:
         # repeated evaluations of one ray reuse its scratch array
         assert line(0.5) == line(0.5)
         assert line(0.0) == cost(origin)
+
+    @pytest.mark.parametrize("kind", ["kl", "loss"])
+    def test_interleaved_rays_keep_their_own_values(self, kind):
+        # each ray reuses one parameter buffer across its evaluations; two
+        # rays from one origin, evaluated in turn, must not see each other's
+        params, cost = self._cost(kind, *RAY_SHAPES["two-hidden"], 35)
+        rng = np.random.default_rng(36)
+        origin = params.flat + 0.1 * rng.normal(size=params.n)
+        line = cost.along(origin)
+        da, db = (v / np.linalg.norm(v) for v in rng.normal(size=(2, params.n)))
+        a, b = line(da), line(db)
+        r1, r2 = 0.3, 1.7
+        a1, b2, a2, a1_again = a(r1), b(r2), a(r2), a(r1)
+        assert a1 == a1_again
+        assert b2 == b(r2)
+        for got, d, r in ((a1, da, r1), (b2, db, r2), (a2, da, r2)):
+            assert abs(got - cost(origin + r * d)) <= 1e-13
 
     @pytest.mark.parametrize(
         "m, fan_in, fan_out",
