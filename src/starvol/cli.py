@@ -408,8 +408,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mdl(args) -> int:
-    from .geometry import VolumeEstimate
-
     ckpt = load_checkpoint(args.checkpoint)
     records = read_jsonl(args.record)
     if not records:
@@ -418,27 +416,18 @@ def cmd_mdl(args) -> int:
     if record.get("measure") != "lebesgue":
         print("error: description length requires a Lebesgue volume record", file=sys.stderr)
         return 2
-    estimate = VolumeEstimate(
-        log_volume=float(record["log_volume"]),
-        samples=(),
-        k=int(record["k"]),
-        n=int(record["n"]),
-        preconditioner_id=str(record.get("preconditioner", "")),
-        measure=MeasureSpec.lebesgue(),
-        cutoff=float(record["cutoff"]),
-        truncated_count=int(record.get("truncated_count", 0)),
-        failed_count=int(record.get("failed_count", 0)),
-    )
+    log_volume, n = float(record["log_volume"]), int(record["n"])
+    if n != ckpt.params.n:
+        raise ValueError(f"the record's n = {n} does not match the checkpoint's {ckpt.params.n} parameters")
     config = ckpt.config
     train_ds, _, _ = _build_datasets(config, int(config["seed"]))
-    prior = MeasureSpec.gaussian(ckpt.sigma)
-    dl = description_length(estimate, ckpt.params, prior, train_ds)
+    dl = description_length(log_volume, ckpt.params, MeasureSpec.gaussian(ckpt.sigma), train_ds)
     payload = {
         "kl_term": dl.kl_term,
         "data_term": dl.data_term,
         "total": dl.total,
-        "log_volume": estimate.log_volume,
-        "n": estimate.n,
+        "log_volume": log_volume,
+        "n": n,
         "checkpoint": str(args.checkpoint),
     }
     Path(args.out).write_text(json.dumps(payload, sort_keys=True))

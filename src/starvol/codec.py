@@ -5,7 +5,6 @@ float64 bytes. The encoding is exact, takes 4/3 bytes per byte of data, and
 costs no number formatting or parsing, so a dense map of n = 4,810 saves
 and loads in seconds. Writing streams each array in pieces, so no text copy
 of a large array is held, and the same payload always gives the same bytes.
-:func:`decode_array` also reads the plain float lists of older files.
 """
 
 from __future__ import annotations
@@ -48,20 +47,19 @@ def write_json(path: str | Path, payload: dict) -> None:
         out.write(b"}")
 
 
-def decode_array(value, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """A read-only float64 array from a base64 string or a (nested) float list.
+def decode_array(value: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """A read-only float64 array from a base64 string that :func:`write_json` wrote.
 
-    A string is decoded without a copy of its text and viewed, not copied,
+    The string is decoded without a copy of its text and viewed, not copied,
     as C-ordered floats, reshaped to ``shape`` when its size allows; callers
-    check the shape either way.
+    check the shape either way. Any other value raises ``ValueError``.
     """
-    if isinstance(value, str):
-        # a2b_base64 reads an ASCII str in place, where base64.b64decode
-        # would first encode it to a bytes copy
-        arr = np.frombuffer(binascii.a2b_base64(value), dtype=_FLOAT64_LE).astype(float, copy=False)
-        if shape is not None and arr.size == math.prod(shape):
-            arr = arr.reshape(shape)
-    else:
-        arr = np.asarray(value, dtype=float)
+    if not isinstance(value, str):
+        raise ValueError(f"expected a base64 string, got {type(value).__name__}")
+    # a2b_base64 reads an ASCII str in place, where base64.b64decode
+    # would first encode it to a bytes copy
+    arr = np.frombuffer(binascii.a2b_base64(value), dtype=_FLOAT64_LE).astype(float, copy=False)
+    if shape is not None and arr.size == math.prod(shape):
+        arr = arr.reshape(shape)
     arr.setflags(write=False)
     return arr

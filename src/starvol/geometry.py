@@ -496,12 +496,12 @@ def gaussian_radial_log_integral(
 
     Computes log of int_0^radius rho(anchor + r * direction) r^{n-1} dr for
     the zero-mean diagonal Gaussian density rho with stds sigma; radius may
-    be infinite. An (n,) direction and a scalar radius give a float; a
-    (k, n) block of directions and (k,) radii give one value per row, each
-    the same as that row integrated alone. In whitened coordinates
-    x = anchor / sigma, w = direction / sigma, with a = |w|^2,
-    b~ = x.w / sqrt(a) and x_perp the part of x across w, the substitution
-    p = r sqrt(a) gives
+    be infinite; n must be the size of anchor, sigma and each direction. An
+    (n,) direction and a scalar radius give a float; a (k, n) block of
+    directions and (k,) radii give one value per row, each the same as that
+    row integrated alone. In whitened coordinates x = anchor / sigma,
+    w = direction / sigma, with a = |w|^2, b~ = x.w / sqrt(a) and x_perp the
+    part of x across w, the substitution p = r sqrt(a) gives
 
         (2 pi)^{-n/2} / prod(sigma) * e^{-|x_perp|^2 / 2} * a^{-n/2}
             * int_0^{radius sqrt(a)} e^{h(p)} dp,
@@ -524,6 +524,9 @@ def gaussian_radial_log_integral(
     block = np.asarray(direction, dtype=float)
     radii = np.asarray(radius, dtype=float).reshape(-1)
     rows = block.reshape(-1, block.shape[-1])
+    if not n == np.size(anchor) == np.size(sigma) == rows.shape[1]:
+        raise ValueError(f"n = {n} must equal the sizes of anchor {np.size(anchor)}, "
+                         f"sigma {np.size(sigma)} and each direction {rows.shape[1]}")
     if not np.all(radii > 0):
         raise ValueError(f"radius must be positive, got {radii[~(radii > 0)][0]}")
     # whitened coordinates: the anchor x and each direction w, with x split

@@ -21,7 +21,6 @@ from .train import (
     TrainResult,
     TrainingError,
     adam_train,
-    adam_update,
 )
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "TrainResult",
     "TrainingError",
     "adam_train",
-    "adam_update",
     "description_length",
     "forward_logits",
     "hessian_diag",

@@ -3,7 +3,7 @@
 Checkpoints are versioned JSON with each array stored as the base64 text of
 its float64 bytes (see ``starvol.codec``), so saving the same state twice
 produces byte-identical files and loading recovers bit-identical vectors.
-Version-1 files, which stored plain float lists, load through the same code.
+A file of any other version is refused, with its version named.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .train import AdamHyper, AdamState
 __all__ = ["Checkpoint", "load_checkpoint", "save_checkpoint"]
 
 FORMAT_NAME = "starvol-checkpoint"
-FORMAT_VERSION = 2  # arrays as base64 float64 strings; version 1 stored float lists
+FORMAT_VERSION = 2  # arrays as base64 float64 strings
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     data = json.loads(Path(path).read_text())
     if data.get("format") != FORMAT_NAME:
         raise ValueError(f"not a checkpoint file: {path}")
-    if data.get("version") not in (1, FORMAT_VERSION):
+    if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {data.get('version')}")
     shape = tuple((int(i), int(o)) for i, o in data["shape"])
     params = MlpParams(decode_array(data["flat"]), shape)

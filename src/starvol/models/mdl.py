@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import MeasureSpec, VolumeEstimate
+from ..geometry import MeasureSpec
 from .data import Dataset
 from .mlp import MlpParams, forward_logits, log_softmax
 
@@ -32,33 +32,33 @@ class DescriptionLength:
 
 
 def description_length(
-    volume: VolumeEstimate,
+    log_volume: float,
     anchor: MlpParams,
     measure: MeasureSpec,
     dataset: Dataset,
 ) -> DescriptionLength:
     """Two-part code length: parameter cost against the prior plus data cost.
 
-    ``volume`` must be a Lebesgue estimate (the parameter term divides prior
-    density by it); ``measure`` is the Gaussian prior whose stds scale the
+    ``log_volume`` is the log Lebesgue volume of the anchor's neighborhood
+    (the parameter term divides prior density by it); the caller checks
+    that it was estimated under the Lebesgue measure in the anchor's
+    dimension. ``measure`` is the Gaussian prior whose stds scale the
     Mahalanobis penalty of the anchor.
     """
-    if volume.measure.kind != "lebesgue":
-        raise ValueError("description length requires a Lebesgue volume estimate")
     if measure.kind != "gaussian":
         raise ValueError("description length requires a Gaussian prior measure")
     if dataset.labels is None:
         raise ValueError("description length requires a labeled dataset")
     sigma = measure.sigma
     n = anchor.n
-    if sigma.size != n or volume.n != n:
-        raise ValueError("anchor, prior, and volume dimensions disagree")
+    if sigma.size != n:
+        raise ValueError("anchor and prior dimensions disagree")
     mahalanobis = float(np.sum((anchor.flat / sigma) ** 2))
     kl_term = (
         0.5 * n * math.log(2.0 * math.pi)
         + float(np.sum(np.log(sigma)))
         + 0.5 * mahalanobis
-        - volume.log_volume
+        - log_volume
     )
     lp = log_softmax(forward_logits(anchor, dataset.inputs))
     data_term = float(-np.sum(lp[np.arange(dataset.m), dataset.labels]))

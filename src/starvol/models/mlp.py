@@ -197,15 +197,9 @@ def _forward(flat: np.ndarray, shape: Shape, x: np.ndarray) -> np.ndarray:
 
 
 def forward_logits(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Batched logits; accepts a single input vector or an (m, d) matrix."""
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.shape[1] != params.shape[0][0]:
-        raise ValueError(f"input width {arr.shape[1]} != network fan-in {params.shape[0][0]}")
-    logits = _forward(params.flat, params.shape, arr)
-    return logits[0] if single else logits
+    """Logits of each row of a non-empty (m, d) input matrix, as an (m, C) array."""
+    _check_inputs(params.shape, x)
+    return _forward(params.flat, params.shape, x)
 
 
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -23,7 +23,6 @@ __all__ = [
     "TrainResult",
     "TrainingError",
     "adam_train",
-    "adam_update",
 ]
 
 
@@ -95,20 +94,6 @@ def _adam_step(flat, g, mu, nu, step: int, hyper: AdamHyper) -> None:
     mu_hat = mu / (1.0 - hyper.beta1**step)
     nu_hat = nu / (1.0 - hyper.beta2**step)
     flat -= hyper.lr * mu_hat / (np.sqrt(nu_hat) + hyper.adam_eps)
-
-
-def adam_update(
-    flat: np.ndarray,
-    g: np.ndarray,
-    mu: np.ndarray,
-    nu: np.ndarray,
-    step: int,
-    hyper: AdamHyper,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One bias-corrected Adam step on copies; ``step`` is the new 1-based step index."""
-    flat, mu, nu = (np.array(a, dtype=float) for a in (flat, mu, nu))
-    _adam_step(flat, g, mu, nu, step, hyper)
-    return flat, mu, nu
 
 
 def adam_train(

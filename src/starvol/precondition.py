@@ -38,9 +38,7 @@ DEFAULT_EPS = {
 }
 
 FORMAT_NAME = "starvol-preconditioner"
-# version 3 stores scale and basis as base64 float64 strings (see codec);
-# version 2 stored them as float lists, and version 1 a dense map as its matrix
-FORMAT_VERSION = 3
+FORMAT_VERSION = 3  # scale and basis as base64 float64 strings (see codec)
 
 SYMMETRY_ATOL = 1e-8
 # for a loaded basis: the MRRR eigenvectors of eigendecompose measured
@@ -220,16 +218,6 @@ class Preconditioner:
                 basis = _readonly(basis)
         return cls(arr.size, _readonly(arr), basis, source)
 
-    @classmethod
-    def dense(cls, matrix: np.ndarray, source: str = "dense") -> "Preconditioner":
-        """A symmetric positive-definite matrix, kept as its eigendecomposition."""
-        eigvals, eigvecs = eigendecompose(matrix)
-        if not eigvals[0] > 0:
-            raise PreconditionerError(
-                f"matrix not positive definite (smallest eigenvalue {eigvals[0]:.3e})"
-            )
-        return cls.diagonal(eigvals, source, eigvecs)
-
     # -- determinant handling -------------------------------------------------
 
     def log_det(self) -> float:
@@ -286,19 +274,17 @@ class Preconditioner:
 
     @classmethod
     def load(cls, path: str | Path) -> "Preconditioner":
-        """Read a saved map of any version; version-1 dense files are eigendecomposed."""
+        """Read a map as :meth:`save` writes it; any other version is refused."""
         data = json.loads(Path(path).read_text())
         if data.get("format") != FORMAT_NAME:
             raise PreconditionerError(f"not a preconditioner file: {path}")
-        version = data.get("version")
-        if version not in (1, 2, FORMAT_VERSION):
-            raise PreconditionerError(f"unsupported preconditioner version {version}")
-        source = data.get("source", "")
-        if version == 1 and data.get("matrix") is not None:
-            return cls.dense(decode_array(data["matrix"]), source=source)
-        # version-1 identity and diagonal maps have the same fields, with no basis
+        if data.get("version") != FORMAT_VERSION:
+            raise PreconditionerError(f"unsupported preconditioner version {data.get('version')}")
+        dim, source = data.get("dim"), data.get("source", "")
+        if type(dim) is not int:
+            raise PreconditionerError(f"missing or non-integer dim in {path}")
         if data.get("scale") is None:
-            return cls.identity(int(data["dim"]))
+            return cls.identity(dim)
         try:
             scale = decode_array(data["scale"])
             # popped, so the text is freed once decoded; read-only, so shared
@@ -306,6 +292,8 @@ class Preconditioner:
             basis = None if basis is None else decode_array(basis, (scale.size, scale.size))
         except ValueError as exc:
             raise PreconditionerError(f"malformed array in {path}: {exc}") from exc
+        if scale.size != dim:
+            raise PreconditionerError(f"dim {dim} does not match {scale.size} scales")
         loaded = cls.diagonal(scale, source, basis)
         if basis is not None:
             deviation = _max_orthonormal_deviation(basis)

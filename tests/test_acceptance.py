@@ -418,7 +418,7 @@ def test_12_poisoning_effect(poison_experiment):
             gauss = _kl_volume(p, entry["val"].inputs, entry["sigma"], 1e-2, k=64, seed=800)
             leb = _kl_volume(p, entry["val"].inputs, entry["sigma"], 1e-2, k=64, seed=800,
                              measure="lebesgue")
-            dl = description_length(leb, p, MeasureSpec.gaussian(entry["sigma"]), entry["train"])
+            dl = description_length(leb.log_volume, p, MeasureSpec.gaussian(entry["sigma"]), entry["train"])
             arm_vol[arm] = gauss.log_volume
             arm_kl_term[arm] = dl.kl_term
         vol_votes += arm_vol["poisoned"] < arm_vol["clean"]

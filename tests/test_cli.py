@@ -605,3 +605,15 @@ class TestMdl:
             "--record", str(rec), "--out", str(tmp_path / "mdl.json"),
         ])
         assert rc == 2
+
+    def test_record_from_another_network_is_rejected(self, final_checkpoint, lebesgue_record,
+                                                     tmp_path, capsys):
+        record = read_jsonl(lebesgue_record)[-1]
+        assert record["n"] == 26
+        rec = tmp_path / "other.jsonl"
+        rec.write_text(json.dumps({**record, "n": 27}) + "\n")
+        out = tmp_path / "mdl.json"
+        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
+        assert rc == 2
+        assert "n = 27 does not match the checkpoint's 26 parameters" in capsys.readouterr().err
+        assert not out.exists()

@@ -589,6 +589,23 @@ class TestGaussianRadialIntegral:
         with pytest.raises(ValueError, match="degenerate"):
             gaussian_radial_log_integral(np.zeros(2), np.zeros(2), 1.0, np.ones(2), 2)
 
+    def test_rejects_n_that_disagrees_with_the_vectors(self):
+        # n sets the normalization and the r^(n-1) Jacobian, so a wrong n
+        # gives a wrong value (-3.2555 at n = 3 on this 2-D ray), never an error
+        anchor, d, sigma = np.array([0.3, -0.2]), np.array([0.6, 0.8]), np.array([1.0, 0.5])
+        assert gaussian_radial_log_integral(anchor, d, 1.5, sigma, 2) == pytest.approx(-2.0473, abs=1e-4)
+        cases = [
+            (anchor, d, sigma, 3),
+            (anchor, d, sigma, 7),
+            (anchor, d, sigma, 1),
+            (np.zeros(3), d, sigma, 2),
+            (anchor, d, np.ones(3), 2),
+            (anchor, np.array([[0.6, 0.8, 0.0]]), sigma, 2),
+        ]
+        for a, direction, s, n in cases:
+            with pytest.raises(ValueError, match="must equal the sizes"):
+                gaussian_radial_log_integral(a, direction, 1.5, s, n)
+
 
 class TestEstimateLocalVolume:
     def test_unit_ball_is_exact_per_ray(self):
@@ -737,7 +754,7 @@ class TestEstimateLocalVolume:
     def test_dense_thread_count_does_not_change_result(self):
         rotation = np.linalg.qr(np.random.default_rng(6).normal(size=(5, 5)))[0]
         e = Ellipsoid(np.array([1.0, 2.0, 0.5, 0.25, 3.0]), rotation=rotation)
-        p = Preconditioner.dense(rotation @ np.diag([1.5, 1.0, 0.5, 2.0, 0.8]) @ rotation.T)
+        p = Preconditioner.diagonal(np.array([1.5, 1.0, 0.5, 2.0, 0.8]), basis=rotation)
         serial = estimate_local_volume(e.neighborhood(), p, k=64, seed=14)
         parallel = estimate_local_volume(
             e.neighborhood(), p, k=64, opts=SearchOptions(threads=4), seed=14

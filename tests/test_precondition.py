@@ -29,6 +29,12 @@ def _matrix(p):
     return (p.basis * p.scale) @ p.basis.T
 
 
+def _dense(mat):
+    """A dense map of a symmetric matrix, kept as its eigendecomposition."""
+    eigvals, eigvecs = eigendecompose(mat)
+    return Preconditioner.diagonal(eigvals, "dense", eigvecs)
+
+
 def _forbid(monkeypatch, *names):
     """Make the named np.linalg routines raise if called."""
     for name in names:
@@ -61,7 +67,7 @@ class TestNormalization:
         rng = np.random.default_rng(5)
         a = rng.normal(size=(6, 6))
         mat = a @ a.T + 0.5 * np.eye(6)
-        p = Preconditioner.dense(mat).normalize_unit_det()
+        p = _dense(mat).normalize_unit_det()
         sign, logdet = np.linalg.slogdet(_matrix(p))
         assert sign == 1.0
         assert logdet == pytest.approx(0.0, abs=1e-10)
@@ -191,7 +197,7 @@ class TestApply:
 
     def test_dense_matvec(self):
         mat = np.array([[2.0, 1.0], [1.0, 2.0]])
-        p = Preconditioner.dense(mat)
+        p = _dense(mat)
         np.testing.assert_allclose(p.apply(np.array([1.0, 1.0])), [3.0, 3.0])
 
     def test_factored_block_matches_recomposed_rows(self):
@@ -214,7 +220,7 @@ class TestApply:
         for p in (
             Preconditioner.identity(4),
             Preconditioner.diagonal(np.array([2.0, 0.5, 1.0, 3.0])),
-            Preconditioner.dense(a @ a.T + np.eye(4)),
+            _dense(a @ a.T + np.eye(4)),
         ):
             mapped = p.apply(block)
             assert mapped.shape == block.shape
@@ -246,8 +252,9 @@ class TestDescribeAndValidation:
             Preconditioner.diagonal(np.array([1.0, -2.0]))
 
     def test_dense_rejects_indefinite(self):
-        with pytest.raises(PreconditionerError, match="positive definite"):
-            Preconditioner.dense(np.diag([1.0, -1.0]))
+        # an indefinite spectrum has a negative scale, refused with its basis
+        with pytest.raises(PreconditionerError, match="positive"):
+            _dense(np.diag([1.0, -1.0]))
 
     def test_dense_log_det_without_eigvalsh(self, monkeypatch):
         # one eigendecomposition on construction; log_det is the sum of the
@@ -257,7 +264,7 @@ class TestDescribeAndValidation:
         mat = a @ a.T + 0.5 * np.eye(5)
         want = np.linalg.slogdet(mat)[1]
         _forbid(monkeypatch, "cholesky", "eigvalsh")
-        p = Preconditioner.dense(mat)
+        p = _dense(mat)
         assert p.log_det() == pytest.approx(want, rel=1e-12)
         q = p.normalize_unit_det()
         assert q.log_det() == pytest.approx(0.0, abs=1e-12)
@@ -303,31 +310,6 @@ class TestSerialization:
         np.testing.assert_array_equal(q.basis, p.basis)
         assert q.describe() == p.describe()
 
-    def test_version_one_dense_file_loads(self, tmp_path):
-        rng = np.random.default_rng(10)
-        a = rng.normal(size=(5, 5))
-        mat = a @ a.T + np.eye(5)
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps({
-            "format": "starvol-preconditioner", "version": 1, "kind": "dense", "dim": 5,
-            "source": "hessian", "scale": None, "matrix": mat.tolist(),
-        }))
-        p = Preconditioner.load(path)
-        assert p.describe() == "hessian[dense,n=5]"
-        block = rng.normal(size=(4, 5))
-        np.testing.assert_allclose(p.apply(block), block @ mat, rtol=0, atol=1e-12)
-        assert p.log_det() == pytest.approx(np.linalg.slogdet(mat)[1], abs=1e-12)
-
-    def test_version_one_diagonal_file_loads(self, tmp_path):
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps({
-            "format": "starvol-preconditioner", "version": 1, "kind": "diagonal", "dim": 2,
-            "source": "adam-nu", "scale": [2.0, 0.5], "matrix": None,
-        }))
-        p = Preconditioner.load(path)
-        assert p.describe() == "adam-nu[diagonal,n=2]"
-        np.testing.assert_array_equal(p.scale, [2.0, 0.5])
-
     @pytest.mark.parametrize("basis, match", [
         ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.001]], "not orthonormal"),
         ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "basis shape"),
@@ -335,11 +317,26 @@ class TestSerialization:
     ])
     def test_rejects_bad_basis(self, basis, match, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "format": "starvol-preconditioner", "version": 2, "dim": 3,
-            "source": "hessian", "scale": [1.0, 2.0, 0.5], "basis": basis,
-        }))
+        write_json(path, {
+            "format": "starvol-preconditioner", "version": 3, "dim": 3,
+            "source": "hessian", "scale": np.array([1.0, 2.0, 0.5]), "basis": np.array(basis),
+        })
         with pytest.raises(PreconditionerError, match=match):
+            Preconditioner.load(path)
+
+    def test_rejects_dim_that_disagrees_with_scales(self, tmp_path):
+        path = tmp_path / "bad.json"
+        write_json(path, {"format": "starvol-preconditioner", "version": 3, "dim": 5,
+                          "source": "", "scale": np.array([1.0, 2.0, 0.5]), "basis": None})
+        with pytest.raises(PreconditionerError, match="dim 5 does not match 3 scales"):
+            Preconditioner.load(path)
+
+    @pytest.mark.parametrize("scale", [None, np.array([1.0, 2.0])], ids=["identity", "diagonal"])
+    def test_rejects_missing_dim(self, scale, tmp_path):
+        path = tmp_path / "bad.json"
+        write_json(path, {"format": "starvol-preconditioner", "version": 3, "source": "",
+                          "scale": scale, "basis": None})
+        with pytest.raises(PreconditionerError, match="missing or non-integer dim"):
             Preconditioner.load(path)
 
     def test_rejects_foreign_file(self, tmp_path):
@@ -396,7 +393,7 @@ class TestNonFiniteCurvature:
         mat = np.eye(4)
         for cell in cells:
             mat[cell] = value
-        for build in (eigendecompose, lambda m: from_hessian(m, eps=0.1), Preconditioner.dense):
+        for build in (eigendecompose, lambda m: from_hessian(m, eps=0.1)):
             with pytest.raises(PreconditionerError, match="non-finite"):
                 build(mat)
 
@@ -461,27 +458,14 @@ class TestEigendecompose:
             mat.setflags(write=False)
         before, flags = mat.copy(order="K"), _flags(mat)
         vals, vecs = _copy_route(mat)
-        want = {
-            "eigendecompose": vals,
-            "from_hessian": from_diagonal(vals, 0.1, basis=vecs).scale,
-            # the rank-deficient Gauss-Newton matrix is refused after its decomposition
-            "dense": vals if vals[0] > 0 else None,
-        }
-        builds = {
-            "eigendecompose": eigendecompose,
-            "from_hessian": lambda m: from_hessian(m, eps=0.1),
-            "dense": Preconditioner.dense,
-        }
+        want = {"eigendecompose": vals, "from_hessian": from_diagonal(vals, 0.1, basis=vecs).scale}
+        builds = {"eigendecompose": eigendecompose, "from_hessian": lambda m: from_hessian(m, eps=0.1)}
         for name, build in builds.items():
-            if want[name] is None:
-                with pytest.raises(PreconditionerError, match="not positive definite"):
-                    build(mat)
-            else:
-                out = build(mat)
-                scale, basis = out if isinstance(out, tuple) else (out.scale, out.basis)
-                np.testing.assert_array_equal(_bits(scale), _bits(want[name]), err_msg=name)
-                np.testing.assert_array_equal(_bits(basis), _bits(vecs), err_msg=name)
-                assert basis.flags.c_contiguous and not basis.flags.writeable, name
+            out = build(mat)
+            scale, basis = out if isinstance(out, tuple) else (out.scale, out.basis)
+            np.testing.assert_array_equal(_bits(scale), _bits(want[name]), err_msg=name)
+            np.testing.assert_array_equal(_bits(basis), _bits(vecs), err_msg=name)
+            assert basis.flags.c_contiguous and not basis.flags.writeable, name
             np.testing.assert_array_equal(mat.view(np.uint64), before.view(np.uint64), err_msg=name)
             assert _flags(mat) == flags, name
 
@@ -591,9 +575,11 @@ class TestArrayCodec:
         assert path.read_text() == json.dumps(expected, sort_keys=True)
         assert decode_array(expected["m"], (7, 1)).shape == (7, 1)
 
-    def test_lists_decode_too(self):
-        assert decode_array([[1.0, 2.0], [3.0, 4.0]]).shape == (2, 2)
-        assert not decode_array([1.0]).flags.writeable
+    @pytest.mark.parametrize("value", [[[1.0, 2.0], [3.0, 4.0]], [1.0], 1.0, None],
+                             ids=["nested-list", "list", "float", "none"])
+    def test_only_strings_decode(self, value):
+        with pytest.raises(ValueError, match="expected a base64 string"):
+            decode_array(value)
 
 
 class TestDenseMapOnDisk:
@@ -608,30 +594,23 @@ class TestDenseMapOnDisk:
         assert data["version"] == 3
         assert isinstance(data["basis"], str) and isinstance(data["scale"], str)
 
-    def test_old_list_files_load_bit_identically(self, tmp_path):
+    def test_old_versions_refused(self, tmp_path):
+        # versions 1 and 2 stored float lists (version 1 a dense map as its
+        # matrix); neither is read, and a list in a version-3 file is malformed
         *_, hess = _tiny_kl()
         p = from_hessian(hess, eps=0.1, source="hessian")
-        for version in (1, 2):
+        files = {
+            1: {"kind": "dense", "scale": None, "matrix": (hess + np.eye(p.dim)).tolist()},
+            2: {"scale": p.scale.tolist(), "basis": p.basis.tolist()},
+            3: {"scale": p.scale.tolist(), "basis": None},
+        }
+        for version, fields in files.items():
             path = tmp_path / f"v{version}.json"
-            path.write_text(json.dumps({
-                "format": "starvol-preconditioner", "version": version, "dim": p.dim,
-                "source": "hessian", "scale": p.scale.tolist(),
-                "basis": p.basis.tolist() if version == 2 else None,
-            }, sort_keys=True))
-            q = Preconditioner.load(path)
-            np.testing.assert_array_equal(_bits(q.scale), _bits(p.scale))
-            if version == 2:
-                np.testing.assert_array_equal(_bits(q.basis), _bits(p.basis))
-        # a version-1 dense map is its matrix, decomposed on load like a fresh one
-        mat = hess + np.eye(len(hess))
-        path = tmp_path / "v1-dense.json"
-        path.write_text(json.dumps({
-            "format": "starvol-preconditioner", "version": 1, "kind": "dense", "dim": len(mat),
-            "source": "hessian", "scale": None, "matrix": mat.tolist(),
-        }))
-        q, fresh = Preconditioner.load(path), Preconditioner.dense(mat)
-        np.testing.assert_array_equal(_bits(q.scale), _bits(fresh.scale))
-        np.testing.assert_array_equal(_bits(q.basis), _bits(fresh.basis))
+            path.write_text(json.dumps({"format": "starvol-preconditioner", "version": version,
+                                        "dim": p.dim, "source": "hessian", **fields}))
+            match = "malformed array" if version == 3 else f"unsupported preconditioner version {version}$"
+            with pytest.raises(PreconditionerError, match=match):
+                Preconditioner.load(path)
 
     def test_reloaded_map_has_same_layout_and_estimate(self, tmp_path):
         anchor, inputs, measure, hess = _tiny_kl()
