@@ -594,23 +594,24 @@ class TestDenseMapOnDisk:
         assert data["version"] == 3
         assert isinstance(data["basis"], str) and isinstance(data["scale"], str)
 
-    def test_old_versions_refused(self, tmp_path):
+    @pytest.mark.parametrize("case", ["v1-dense", "v1-diagonal", "v2-lists", "v3-lists"])
+    def test_old_versions_refused(self, case, tmp_path):
         # versions 1 and 2 stored float lists (version 1 a dense map as its
         # matrix); neither is read, and a list in a version-3 file is malformed
         *_, hess = _tiny_kl()
         p = from_hessian(hess, eps=0.1, source="hessian")
-        files = {
-            1: {"kind": "dense", "scale": None, "matrix": (hess + np.eye(p.dim)).tolist()},
-            2: {"scale": p.scale.tolist(), "basis": p.basis.tolist()},
-            3: {"scale": p.scale.tolist(), "basis": None},
-        }
-        for version, fields in files.items():
-            path = tmp_path / f"v{version}.json"
-            path.write_text(json.dumps({"format": "starvol-preconditioner", "version": version,
-                                        "dim": p.dim, "source": "hessian", **fields}))
-            match = "malformed array" if version == 3 else f"unsupported preconditioner version {version}$"
-            with pytest.raises(PreconditionerError, match=match):
-                Preconditioner.load(path)
+        version, fields = {
+            "v1-dense": (1, {"kind": "dense", "scale": None, "matrix": (hess + np.eye(p.dim)).tolist()}),
+            "v1-diagonal": (1, {"kind": "diagonal", "scale": p.scale.tolist(), "matrix": None}),
+            "v2-lists": (2, {"scale": p.scale.tolist(), "basis": p.basis.tolist()}),
+            "v3-lists": (3, {"scale": p.scale.tolist(), "basis": None}),
+        }[case]
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps({"format": "starvol-preconditioner", "version": version,
+                                    "dim": p.dim, "source": "hessian", **fields}))
+        match = "malformed array" if version == 3 else f"unsupported preconditioner version {version}$"
+        with pytest.raises(PreconditionerError, match=match):
+            Preconditioner.load(path)
 
     def test_reloaded_map_has_same_layout_and_estimate(self, tmp_path):
         anchor, inputs, measure, hess = _tiny_kl()
