@@ -199,6 +199,13 @@ def cmd_train(args) -> int:
 # -- estimate ------------------------------------------------------------------
 
 
+def _anchor_sha256(flat: np.ndarray) -> str:
+    """SHA-256 of the anchor's little-endian float64 bytes, which ties a record to its checkpoint."""
+    import hashlib  # loads OpenSSL, about 4 MB resident, which only estimate and mdl need
+
+    return hashlib.sha256(np.asarray(flat, dtype="<f8").tobytes()).hexdigest()
+
+
 def _search_options(args) -> SearchOptions:
     return SearchOptions(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchOptions)})
 
@@ -271,6 +278,7 @@ def cmd_estimate(args) -> int:
         dest = flag[2:].replace("-", "_")
         resolved[dest] = getattr(args, dest)
     resolved["eps"] = DEFAULT_EPS[args.preconditioner] if args.eps is None else args.eps
+    resolved["anchor_sha256"] = _anchor_sha256(ckpt.params.flat)
     record = make_run_record("estimate", seed, resolved, estimate, wall)
     out = Path(args.out)
     write_jsonl(out, record)
@@ -283,7 +291,8 @@ def cmd_estimate(args) -> int:
         f"log_volume={estimate.log_volume:.6f} log10={estimate.log10_volume:.4f} "
         f"k={estimate.k} n={estimate.n} measure={estimate.measure.kind} "
         f"preconditioner={estimate.preconditioner_id} truncated={estimate.truncated_count} "
-        f"failed={estimate.failed_count} evals_per_ray={estimate.evals_per_ray:.2f}{bound}"
+        f"failed={estimate.failed_count} evals_per_ray={estimate.evals_per_ray:.2f} "
+        f"ess={estimate.ess:.2f} top_share={estimate.top_share:.3f}{bound}"
     )
     return 0
 
@@ -419,6 +428,12 @@ def cmd_mdl(args) -> int:
     log_volume, n = float(record["log_volume"]), int(record["n"])
     if n != ckpt.params.n:
         raise ValueError(f"the record's n = {n} does not match the checkpoint's {ckpt.params.n} parameters")
+    recorded, digest = record.get("config", {}).get("anchor_sha256"), _anchor_sha256(ckpt.params.flat)
+    if recorded != digest:
+        raise ValueError(
+            f"the record's anchor_sha256 {recorded or '(missing)'} does not match the "
+            f"checkpoint's {digest}: the record was estimated at another anchor"
+        )
     config = ckpt.config
     train_ds, _, _ = _build_datasets(config, int(config["seed"]))
     dl = description_length(log_volume, ckpt.params, MeasureSpec.gaussian(ckpt.sigma), train_ds)

@@ -55,7 +55,11 @@ __all__ = [
 # returns ``line``, and ``line(direction)`` returns ``r -> cost(origin + r *
 # direction)``, equal up to rounding but cheaper per evaluation (the MLP
 # costs compute their first layer once per ray). ``functools.wraps`` copies
-# the attribute, so a wrapped handle keeps the same path.
+# the attribute, so a wrapped handle keeps the same path. A ray may in turn
+# carry ``approx``, the same function evaluated in float32 (the MLP rays
+# do): the radius search reads its steering steps there and decides every
+# radius it returns in float64, so a returned radius always has a float64
+# cost below the cutoff (see ``find_radius``).
 CostFn = Callable[[np.ndarray], float]
 
 # radius cap defaults: hard ceiling for Lebesgue, measure-adapted for Gaussian
@@ -71,6 +75,10 @@ _BLOCK_ENTRIES = 2**16
 # the radius search's predicted bracket step goes this factor of the
 # predicted distance in log r, so a slightly steepening cost still brackets
 _BRACKET_PAST = 1.05
+# a narrowing step read in float32 aims this fraction of a tolerance past the
+# predicted crossing, not half of one: its value only steers, and the smaller
+# step leaves the float64 step inside the crossing room to close the bracket
+_STEER_PAST = 0.1
 # with no interior point yet, narrowing gives up once its upper end falls
 # below this fraction of the first bracket's
 _INTERIOR_FLOOR = 2.0**-50
@@ -279,6 +287,23 @@ class VolumeEstimate:
         """Mean cost evaluations per ray, failed rays included."""
         return self.cost_evals / self.k
 
+    def _shifted_terms(self) -> np.ndarray:
+        # the log terms less the largest, so equal terms cancel exactly
+        return np.array([s.log_term for s in self.samples]) - self.max_log_term
+
+    @property
+    def ess(self) -> float:
+        """Effective sample size of the log-sum-exp over the log terms t,
+        exp(2 LSE(t) - LSE(2t)) (Kong 1992): k for k equal terms, near 1
+        when one term dominates. A failed ray's term (-inf) adds nothing."""
+        t = self._shifted_terms()
+        return math.exp(2.0 * log_sum_exp(t) - log_sum_exp(2.0 * t))
+
+    @property
+    def top_share(self) -> float:
+        """Share of the largest ray in the summed volume, exp(max t - LSE(t))."""
+        return math.exp(-log_sum_exp(self._shifted_terms()))
+
 
 def _crossing(points: list[tuple[float, float]]) -> float | None:
     """Where the search model puts f = 0, in t = log r, from its last points.
@@ -313,12 +338,24 @@ def find_radius(
 
     Brackets the cutoff crossing outward from ``r_init``, then narrows the
     bracket until its width is at most ``rel_tol`` times the lower end.
-    Returns ``(radius, truncated, evals)``; the cost at the returned radius
-    is strictly below the cutoff, so the search never overshoots, and
-    ``evals`` counts the cost evaluations made along the ray. If the bracket
-    stage reaches the cap (``opts.r_max``, or else the measure's
-    ``r_max``) without a crossing, the radius is capped there and flagged
-    truncated. Every evaluation goes through ``spec.line``.
+    Returns ``(radius, truncated, evals)``; the float64 cost at the
+    returned radius is strictly below the cutoff, so the search never
+    overshoots, and ``evals`` counts the cost evaluations made along the
+    ray, in either precision. If the bracket stage reaches the cap
+    (``opts.r_max``, or else the measure's ``r_max``) without a crossing,
+    the radius is capped there and flagged truncated. Every evaluation goes
+    through ``spec.line``.
+
+    Where the ray carries a float32 form (``line.approx``, see ``CostFn``),
+    the evaluations that only steer run in it: every bracket step but one
+    at the cap, and each narrowing step aimed past the crossing whose value
+    below the cutoff would not close the bracket. Such a step aims a tenth
+    of a tolerance past the crossing, not half of one. Every other
+    narrowing step, and every bisection, runs in float64. When the bracket
+    closes on a lower end read in float32, one float64 evaluation decides
+    it: below the cutoff it is returned; otherwise it becomes the upper
+    end, and narrowing starts again from the anchor in float64 only. A ray
+    without the form runs every evaluation in float64.
 
     Both stages steer by one model, f(t) = log((cost(e^t) - c0) / (cutoff -
     c0)) with t = log r and c0 = ``spec.anchor_cost``, which the spec keeps
@@ -352,16 +389,17 @@ def find_radius(
     """
     opts = opts or SearchOptions()
     r_max = opts.r_max if opts.r_max is not None else spec.measure.r_max
-    cost_along = spec.line(direction)
+    line = spec.line(direction)
+    steer = getattr(line, "approx", line)  # the ray's float32 form, where it has one
     cutoff, c0 = spec.cutoff, spec.anchor_cost
     log_span = math.log(cutoff - c0)
     evals = 0
     known: list[tuple[float, float]] = []  # (t, f) where f is defined, oldest first
 
-    def cost_at(r: float) -> float:
+    def cost_at(r: float, form: Callable[[float], float]) -> float:
         nonlocal evals
         evals += 1
-        value = float(cost_along(r))
+        value = float(form(r))
         if not math.isfinite(value):
             raise CostEvaluationError(
                 f"cost evaluation failed: non-finite value {value!r}", evals=evals
@@ -374,7 +412,8 @@ def find_radius(
     r = min(opts.r_init, r_max)
     predicted = False  # a predicted step was taken, so the next one failed to bracket
     while evals < opts.max_iters:
-        value = cost_at(r)
+        # a truncated ray returns the cap, so the cap is read in float64
+        value = cost_at(r, line if r >= r_max else steer)
         if value >= cutoff:
             hi = r
             break
@@ -399,7 +438,9 @@ def find_radius(
     moved = None  # the end the last evaluation of this stage moved
     widths = [hi - lo]  # bracket width after each evaluation of this stage
     floor = hi * _INTERIOR_FLOOR
-    while not (lo > 0.0 and hi - lo <= opts.rel_tol * lo):
+    lo_form = steer if lo > 0.0 else line  # the form that read lo's value; the anchor's is float64
+    past = 0.5 if steer is line else _STEER_PAST  # of a tolerance, for a step past the crossing
+    while not (lo > 0.0 and hi - lo <= opts.rel_tol * lo) or lo_form is not line:
         if lo == 0.0 and hi < floor:
             break
         if evals >= opts.max_iters:
@@ -409,22 +450,39 @@ def find_radius(
                 evals=evals,
             )
         mid = 0.5 * (lo + hi)
+        if lo_form is not line and (hi - lo <= opts.rel_tol * lo or mid <= lo or mid >= hi):
+            # the bracket closed on a lower end read in float32: one float64
+            # evaluation decides it, and replaces its point in the model
+            t = math.log(lo)
+            known[:] = [p for p in known if p[0] != t]
+            if cost_at(lo, line) < cutoff:
+                break
+            # lo lies past the crossing: it becomes hi, and narrowing goes on
+            # in float64 only, from the anchor
+            hi, moved, steer, past, lo_form, widths = lo, "hi", line, 0.5, line, [lo]
+            lo, lo_value = 0.0, c0
+            continue
         if mid <= lo or mid >= hi:
             break  # bracket already at float resolution
-        r = mid
+        r, form = mid, line
         stalled = len(widths) >= 3 and widths[-1] > 0.5 * widths[-3]
         modeled = lo == 0.0 or lo_value > c0  # else f is undefined at lo
         root = _crossing(known[-3:]) if modeled and not stalled else None
         if root is not None and (lo == 0.0 or math.log(lo) <= root) and root <= math.log(hi):
             root = math.exp(root)
             tol = opts.rel_tol * (lo if lo > 0.0 else 0.5 * root)
-            aim = root + 0.5 * tol if moved == "lo" else root - 0.5 * tol
+            aim = root + past * tol if moved == "lo" else root - 0.5 * tol
             step = min(max(aim, lo + 0.25 * tol), hi - 0.25 * tol)
             if lo < step < hi:
                 r = step
-        value = cost_at(r)
+                # a step past the crossing only steers, so it is read in
+                # float32, unless a value below the cutoff would close the
+                # bracket and so be returned
+                if moved == "lo" and steer is not line and hi - step > opts.rel_tol * step:
+                    form = steer
+        value = cost_at(r, form)
         if value < cutoff:
-            lo, lo_value, moved = r, value, "lo"
+            lo, lo_value, lo_form, moved = r, value, form, "lo"
         else:
             hi, moved = r, "hi"
         widths.append(hi - lo)

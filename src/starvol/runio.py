@@ -154,6 +154,8 @@ def make_run_record(
         "failed_by_reason": estimate.failed_by_reason,
         "cost_evals": estimate.cost_evals,
         "evals_per_ray": estimate.evals_per_ray,
+        "ess": estimate.ess,
+        "top_share": estimate.top_share,
         "lower_bound_only": estimate.lower_bound_only,
         "log_terms": [s.log_term for s in estimate.samples],
         "wall_time_s": wall_time_s,

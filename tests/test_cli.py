@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line tools, run in-process via main()."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import starvol.cli as cli
 import starvol.runio as runio
 from starvol.cli import main
 from starvol.geometry import MeasureSpec, NeighborhoodSpec, estimate_local_volume
-from starvol.models import load_csv
+from starvol.models import load_checkpoint, load_csv
 from starvol.precondition import Preconditioner
 from starvol.runio import make_run_record, read_jsonl, write_samples_csv
 
@@ -160,7 +161,7 @@ class TestTrain:
 
 
 class TestEstimate:
-    def test_record_and_samples(self, final_checkpoint, tmp_path):
+    def test_record_and_samples(self, final_checkpoint, tmp_path, capsys):
         out = tmp_path / "runs.jsonl"
         rc = main([
             "estimate", "--checkpoint", str(final_checkpoint),
@@ -181,8 +182,16 @@ class TestEstimate:
         assert all(r["failure"] == "" for r in samples)
         assert record["cost_evals"] == sum(int(r["evals"]) for r in samples)
         assert record["evals_per_ray"] == record["cost_evals"] / 8
-        # 5.62 measured (45 evaluations on 8 rays), plus a margin of 0.88
+        # 5.50 measured (44 evaluations on 8 rays; 45 with every evaluation
+        # in float64), plus a margin of 1.00
         assert 1 <= record["evals_per_ray"] <= 6.5
+        assert 1.0 <= record["ess"] <= 8.0
+        assert 1.0 / 8.0 <= record["top_share"] <= 1.0
+        flat = load_checkpoint(final_checkpoint).params.flat
+        digest = hashlib.sha256(flat.astype("<f8").tobytes()).hexdigest()
+        assert record["config"]["anchor_sha256"] == digest
+        summary = capsys.readouterr().out
+        assert f"ess={record['ess']:.2f} top_share={record['top_share']:.3f}" in summary
 
     def test_rerun_appends_identical_record(self, final_checkpoint, tmp_path):
         out = tmp_path / "runs.jsonl"
@@ -616,4 +625,32 @@ class TestMdl:
         rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
         assert rc == 2
         assert "n = 27 does not match the checkpoint's 26 parameters" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_record_from_another_checkpoint_is_rejected(self, train_run, lebesgue_record,
+                                                        tmp_path, capsys):
+        # the step-3 checkpoint has the same n as the final one the record came from
+        step3 = train_run["checkpoints"][1]
+        assert step3.name == "checkpoint_step000003.json"
+        recorded = read_jsonl(lebesgue_record)[-1]["config"]["anchor_sha256"]
+        flat = load_checkpoint(step3).params.flat
+        digest = hashlib.sha256(flat.astype("<f8").tobytes()).hexdigest()
+        assert digest != recorded
+        out = tmp_path / "mdl.json"
+        rc = main(["mdl", "--checkpoint", str(step3), "--record", str(lebesgue_record), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"anchor_sha256 {recorded} does not match the checkpoint's {digest}" in err
+        assert not out.exists()
+
+    def test_record_without_anchor_digest_is_rejected(self, final_checkpoint, lebesgue_record,
+                                                     tmp_path, capsys):
+        record = read_jsonl(lebesgue_record)[-1]
+        del record["config"]["anchor_sha256"]
+        rec = tmp_path / "old.jsonl"
+        rec.write_text(json.dumps(record) + "\n")
+        out = tmp_path / "mdl.json"
+        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
+        assert rc == 2
+        assert "anchor_sha256 (missing) does not match" in capsys.readouterr().err
         assert not out.exists()

@@ -15,18 +15,21 @@ from starvol.geometry import (
     EstimationError,
     MeasureSpec,
     NeighborhoodSpec,
+    RadialSample,
     RadiusSearchError,
     SearchOptions,
+    VolumeEstimate,
     estimate_local_volume,
     find_radius,
     gaussian_radial_log_integral,
     sample_directions,
 )
-from starvol.logspace import log_sphere_area
+from starvol.logspace import log_sphere_area, log_sum_exp
 from starvol.models import (
     AdamHyper,
     TrainConfig,
     adam_train,
+    hessian_diag,
     hessian_full,
     init_params,
     make_blobs,
@@ -887,6 +890,58 @@ class TestEstimateLocalVolume:
         assert est.log_volume == pytest.approx(0.0, abs=1e-9)
 
 
+def _estimate_of_terms(terms):
+    """A VolumeEstimate holding the given log terms, one ray each; -inf is a failed ray."""
+    samples = tuple(
+        RadialSample(np.array([1.0]), 0.0, 1.0, False, t, "" if t > -math.inf else "failed")
+        for t in terms
+    )
+    return VolumeEstimate(
+        log_volume=log_sum_exp(terms) - math.log(len(terms)), samples=samples, k=len(terms),
+        n=1, preconditioner_id="identity[identity,n=1]", measure=MeasureSpec.lebesgue(),
+        cutoff=1.0, truncated_count=0, failed_count=sum(1 for t in terms if t == -math.inf),
+    )
+
+
+class TestEstimateHealth:
+    @pytest.mark.parametrize("k", [1, 2, 7, 128])
+    @pytest.mark.parametrize("term", [-19971.3, -3.7, 0.0, 850.0])
+    def test_equal_terms(self, k, term):
+        est = _estimate_of_terms([term] * k)
+        assert est.ess == pytest.approx(k, rel=1e-12)
+        assert est.top_share == pytest.approx(1.0 / k, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 32, 128])
+    def test_one_dominant_term(self, k):
+        rng = np.random.default_rng(k)
+        rest = list(-20000.0 + rng.uniform(-5.0, 5.0, size=k - 1))
+        est = _estimate_of_terms(rest + [max(rest) + 1000.0])
+        assert abs(est.ess - 1.0) <= 1e-12
+        assert abs(1.0 / est.top_share - 1.0) <= 1e-12
+
+    def test_failed_rays_add_nothing(self):
+        # two equal good rays and two failed ones: ESS 2, each good ray half
+        est = _estimate_of_terms([-5.0, -math.inf, -5.0, -math.inf])
+        assert est.failed_count == 2
+        assert est.ess == pytest.approx(2.0, rel=1e-12)
+        assert est.top_share == pytest.approx(0.5, rel=1e-12)
+
+    def test_two_terms_in_closed_form(self):
+        # weights 1 and e^-1: ESS (1 + e^-1)^2 / (1 + e^-2), top share 1 / (1 + e^-1)
+        est = _estimate_of_terms([3.0, 2.0])
+        w = math.exp(-1.0)
+        assert est.ess == pytest.approx((1.0 + w) ** 2 / (1.0 + w * w), rel=1e-12)
+        assert est.top_share == pytest.approx(1.0 / (1.0 + w), rel=1e-12)
+
+    def test_estimate_reports_both(self):
+        e = Ellipsoid(np.array([2.0, 1.0, 0.5]))
+        est = estimate_local_volume(e.neighborhood(), Preconditioner.identity(3), k=32, seed=0)
+        assert 1.0 <= est.ess <= 32.0
+        assert 1.0 / 32.0 <= est.top_share <= 1.0
+        assert est.top_share == pytest.approx(math.exp(est.max_log_term - est.log_volume) / 32,
+                                              rel=1e-12)
+
+
 class TestSpecValidation:
     def test_cutoff_validation(self):
         with pytest.raises(ValueError, match="cutoff"):
@@ -1016,8 +1071,9 @@ class TestSearchBudget:
     # mean cost evaluations per ray, k=64, seed 0, Gaussian measure; the
     # bounds sit at or below the targets for the radius search (naive rays
     # 4.4, hessian-map rays 6.5, loss rays 5.5) and above the measured
-    # counts: kl identity 4.14, kl hessian 5.98, loss identity 5.06, loss
-    # hessian 5.98 (the doubling-and-secant search took 4.91, 8.94, 8.77 and
+    # counts: kl identity 3.97, kl hessian 5.97, loss identity 4.95, loss
+    # hessian 5.80 (4.14, 5.98, 5.06 and 5.98 with every evaluation in
+    # float64; the doubling-and-secant search took 4.91, 8.94, 8.77 and
     # 10.75)
     @pytest.mark.parametrize("kind, map_kind, bound", [
         ("kl", "identity", 4.4),
@@ -1044,6 +1100,112 @@ class TestSearchBudget:
         assert est.evals_per_ray <= bound
         for s in est.samples:
             assert cost(params.flat + s.radius * s.direction) < cutoff
+
+
+def _float64_only(cost):
+    """The cost with the same ray form, but no ray carrying a float32 form."""
+
+    def plain(flat):
+        return cost(flat)
+
+    def along(origin):
+        line = cost.along(origin)
+        # a partial object calls the ray without its attributes
+        return lambda direction: functools.partial(line(direction))
+
+    plain.along = along
+    return plain
+
+
+def _skewed_spec(rel_err, reads):
+    """A smooth cost on R^6 whose rays' float32 form reads ``rel_err`` relative off.
+
+    Every evaluation is logged to ``reads`` as (form, r, value); with
+    ``rel_err`` None the rays carry no float32 form.
+    """
+    axes = np.array([0.5, 0.8, 1.0, 1.5, 2.0, 3.0])
+
+    def cost(x):
+        q = float(np.sum((x / axes) ** 2))
+        return 0.5 * q + 0.25 * q * q
+
+    def along(origin):
+        def line(direction):
+            def exact(r):
+                reads.append(("float64", r, cost(origin + r * direction)))
+                return reads[-1][2]
+
+            def approx(r):
+                reads.append(("float32", r, cost(origin + r * direction) * (1.0 + rel_err)))
+                return reads[-1][2]
+
+            if rel_err is not None:
+                exact.approx = approx
+            return exact
+
+        return line
+
+    cost.along = along
+    return NeighborhoodSpec(np.zeros(6), cost, 1.0, MeasureSpec.lebesgue())
+
+
+class TestFloat32Steering:
+    """The search steers by a ray's float32 form and decides its radius in float64."""
+
+    # a float32 reading 1e-3 high can put an upper end up to about 5e-4 of
+    # the radius inside the crossing, so the tolerance is set above that
+    @pytest.mark.parametrize("rel_err", [-1e-3, 1e-3])
+    def test_no_overshoot_with_a_skewed_float32_form(self, rel_err):
+        opts = SearchOptions(rel_tol=1e-3)
+        rng = np.random.default_rng(0)
+        misread = 0  # lower ends read below the cutoff in float32 but not in float64
+        for _ in range(64):
+            d = rng.standard_normal(6)
+            d /= np.linalg.norm(d)
+            reads = []
+            spec = _skewed_spec(rel_err, reads)
+            radius, truncated, evals = find_radius(spec, d, opts)
+            assert not truncated and evals == len(reads)
+            assert spec.cost(radius * d) < spec.cutoff
+            assert ("float64", radius, spec.cost(radius * d)) in reads
+            low = {r for form, r, v in reads if form == "float32" and v < spec.cutoff}
+            misread += sum(1 for form, r, v in reads if form == "float64" and r in low and v >= spec.cutoff)
+            plain, _, _ = find_radius(_skewed_spec(None, []), d, opts)
+            assert abs(radius - plain) <= opts.rel_tol * plain
+        # a low float32 form calls points past the crossing inside; each such
+        # lower end was caught by its float64 check, and narrowing went on
+        assert (misread > 0) == (rel_err < 0)
+
+    @pytest.mark.parametrize("kind", ["kl", "loss"])
+    def test_trained_net_radii_are_decided_in_float64(self, small_trained_net, kind):
+        params, measure, train, val = small_trained_net
+        if kind == "kl":
+            cost, data = make_kl_cost(params, val.inputs), (params, val.inputs)
+        else:
+            cost, data = make_loss_cost(params.shape, train), train
+        cutoff = 1e-2 if kind == "kl" else cost(params.flat) + 1e-2
+        spec = NeighborhoodSpec(params.flat, cost, cutoff, measure)
+        plain = NeighborhoodSpec(params.flat, _float64_only(cost), cutoff, measure)
+        assert hasattr(spec.line(np.ones(params.n)), "approx")
+        assert not hasattr(plain.line(np.ones(params.n)), "approx")
+        spectrum, basis = eigendecompose(hessian_full(kind, params, data))
+        maps = [
+            Preconditioner.identity(params.n),
+            from_diagonal(hessian_diag(kind, params, data), 1e-2, 0.5, source="diag"),
+            from_diagonal(spectrum, 0.1, 0.5, source="hessian", basis=basis),
+        ]
+        opts = SearchOptions()
+        for precond in maps:
+            est = estimate_local_volume(spec, precond, k=64, opts=opts, seed=0)
+            ref = estimate_local_volume(plain, precond, k=64, opts=opts, seed=0)
+            assert est.failed_count == ref.failed_count == 0
+            assert est.evals_per_ray <= ref.evals_per_ray
+            for s, q in zip(est.samples, ref.samples):
+                assert spec.line(s.direction)(s.radius) < cutoff
+                assert abs(s.radius - q.radius) <= opts.rel_tol * q.radius
+            # a radius within rel_tol moves its log term by at most about
+            # n rel_tol (0.07 nats here); the estimates move far less
+            assert abs(est.log_volume - ref.log_volume) <= 1e-2
 
 
 class TestSearchContract:

@@ -19,6 +19,7 @@ from starvol.models.mlp import (
     _BLOCK_MULADDS,
     MlpParams,
     _backward,
+    _blocked_matmul,
     _blocks,
     _first_layer,
     _forward,
@@ -399,6 +400,49 @@ class TestRayForm:
         assert b2 == b(r2)
         for got, d, r in ((a1, da, r1), (b2, db, r2), (a2, da, r2)):
             assert abs(got - cost(origin + r * d)) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["kl", "loss"])
+    @pytest.mark.parametrize("name", sorted(RAY_SHAPES))
+    def test_approx_matches_line_within_float32_rounding(self, kind, name):
+        params, cost = self._cost(kind, *RAY_SHAPES[name], 31)
+        rng = np.random.default_rng(32)
+        origin = params.flat + 0.1 * rng.normal(size=params.n)
+        d = rng.normal(size=params.n)
+        d /= np.linalg.norm(d)
+        line = cost.along(origin)(d)
+        for r in np.geomspace(1e-3, 10.0, 13):
+            want = line(r)
+            got = line.approx(r)
+            assert type(got) is float
+            assert abs(got - want) <= 1e-5 * abs(want)
+        # the float32 form is a different evaluation, not a copy of the float64 one
+        assert line.approx(0.5) != line(0.5)
+        assert line.approx(0.5) == line.approx(0.5)
+
+    @pytest.mark.parametrize("kind", ["kl", "loss"])
+    def test_interleaved_rays_keep_their_own_approx_values(self, kind):
+        # as for the float64 form: each ray's float32 form owns its buffers
+        params, cost = self._cost(kind, *RAY_SHAPES["two-hidden"], 35)
+        rng = np.random.default_rng(36)
+        origin = params.flat + 0.1 * rng.normal(size=params.n)
+        line = cost.along(origin)
+        da, db = (v / np.linalg.norm(v) for v in rng.normal(size=(2, params.n)))
+        a, b = line(da).approx, line(db).approx
+        r1, r2 = 0.3, 1.7
+        a1, b2, a2, a1_again = a(r1), b(r2), a(r2), a(r1)
+        assert a1 == a1_again
+        assert b2 == b(r2)
+        for got, d, r in ((a1, da, r1), (b2, db, r2), (a2, da, r2)):
+            want = cost(origin + r * d)
+            assert abs(got - want) <= 1e-5 * abs(want)
+
+    def test_blocked_product_keeps_float32(self):
+        rng = np.random.default_rng(37)
+        x, w = rng.normal(size=(2000, 64)), rng.normal(size=(64, 10))
+        got = _blocked_matmul(x.astype(np.float32), w.astype(np.float32))
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, x @ w, rtol=1e-4, atol=1e-4)
+        assert _blocked_matmul(x, w).dtype == np.float64
 
     @pytest.mark.parametrize(
         "m, fan_in, fan_out",
