@@ -9,7 +9,8 @@ the calling thread:
 - sample: one block of directions, one random stream per ray, optionally
   importance-shaped by a unit-determinant preconditioner;
 - search: the boundary radius along each ray, by an extrapolated bracket
-  and safeguarded inverse quadratic interpolation; the only per-ray stage;
+  and safeguarded inverse quadratic interpolation under one aiming rule,
+  each returned radius decided in float64; the only per-ray stage;
 - integrate: under a Gaussian measure, each good ray's one-dimensional
   radial integral, all in one vectorized call. One route serves every ray:
   bracket the log-concave integrand where it is within 60 nats of its
@@ -59,7 +60,7 @@ __all__ = [
 # carry ``approx``, the same function evaluated in float32 (the MLP rays
 # do): the radius search reads its steering steps there and decides every
 # radius it returns in float64, so a returned radius always has a float64
-# cost below the cutoff (see ``find_radius``).
+# cost below the cutoff; a ray without it takes the same steps in float64.
 CostFn = Callable[[np.ndarray], float]
 
 # radius cap defaults: hard ceiling for Lebesgue, measure-adapted for Gaussian
@@ -75,10 +76,10 @@ _BLOCK_ENTRIES = 2**16
 # the radius search's predicted bracket step goes this factor of the
 # predicted distance in log r, so a slightly steepening cost still brackets
 _BRACKET_PAST = 1.05
-# a narrowing step read in float32 aims this fraction of a tolerance past the
-# predicted crossing, not half of one: its value only steers, and the smaller
-# step leaves the float64 step inside the crossing room to close the bracket
-_STEER_PAST = 0.1
+# a narrowing step after a lower-end move aims this fraction of a tolerance
+# past the predicted crossing: the small step leaves the next step, which is
+# aimed inside the crossing, room to close the bracket
+_AIM_PAST = 0.1
 # with no interior point yet, narrowing gives up once its upper end falls
 # below this fraction of the first bracket's
 _INTERIOR_FLOOR = 2.0**-50
@@ -349,13 +350,12 @@ def find_radius(
     Where the ray carries a float32 form (``line.approx``, see ``CostFn``),
     the evaluations that only steer run in it: every bracket step but one
     at the cap, and each narrowing step aimed past the crossing whose value
-    below the cutoff would not close the bracket. Such a step aims a tenth
-    of a tolerance past the crossing, not half of one. Every other
-    narrowing step, and every bisection, runs in float64. When the bracket
-    closes on a lower end read in float32, one float64 evaluation decides
-    it: below the cutoff it is returned; otherwise it becomes the upper
-    end, and narrowing starts again from the anchor in float64 only. A ray
-    without the form runs every evaluation in float64.
+    below the cutoff would not close the bracket. Every other narrowing
+    step, and every bisection, runs in float64. When the bracket closes on
+    a lower end read in float32, one float64 evaluation decides it: below
+    the cutoff it is returned; otherwise it becomes the upper end, and
+    narrowing starts again from the anchor in float64 only. A ray without
+    the form runs the same steps, each in float64.
 
     Both stages steer by one model, f(t) = log((cost(e^t) - c0) / (cutoff -
     c0)) with t = log r and c0 = ``spec.anchor_cost``, which the spec keeps
@@ -369,10 +369,10 @@ def find_radius(
     undefined, or after a predicted step failed to bracket, it at least
     doubles r. The narrowing stage interpolates the crossing by inverse
     quadratic interpolation through the last three points where f is
-    defined (the secant through two, slope 2 from one; Brent 1973), and
-    aims half a tolerance past it, toward the end that was not just moved,
-    and at least a quarter tolerance inside the bracket, so an accurate
-    estimate closes the bracket with the next evaluation. It bisects
+    defined (the secant through two, slope 2 from one; Brent 1973). One
+    aiming rule serves both forms: a tenth of a tolerance past the crossing
+    after a lower-end move, half a tolerance inside it after an upper-end
+    move, and at least a quarter tolerance inside the bracket. It bisects
     instead when the estimate lies outside the bracket, when f is undefined
     at a positive lower end, and when the last two evaluations did not
     halve the bracket.
@@ -439,7 +439,6 @@ def find_radius(
     widths = [hi - lo]  # bracket width after each evaluation of this stage
     floor = hi * _INTERIOR_FLOOR
     lo_form = steer if lo > 0.0 else line  # the form that read lo's value; the anchor's is float64
-    past = 0.5 if steer is line else _STEER_PAST  # of a tolerance, for a step past the crossing
     while not (lo > 0.0 and hi - lo <= opts.rel_tol * lo) or lo_form is not line:
         if lo == 0.0 and hi < floor:
             break
@@ -459,7 +458,7 @@ def find_radius(
                 break
             # lo lies past the crossing: it becomes hi, and narrowing goes on
             # in float64 only, from the anchor
-            hi, moved, steer, past, lo_form, widths = lo, "hi", line, 0.5, line, [lo]
+            hi, moved, steer, lo_form, widths = lo, "hi", line, line, [lo]
             lo, lo_value = 0.0, c0
             continue
         if mid <= lo or mid >= hi:
@@ -471,14 +470,14 @@ def find_radius(
         if root is not None and (lo == 0.0 or math.log(lo) <= root) and root <= math.log(hi):
             root = math.exp(root)
             tol = opts.rel_tol * (lo if lo > 0.0 else 0.5 * root)
-            aim = root + past * tol if moved == "lo" else root - 0.5 * tol
+            aim = root + _AIM_PAST * tol if moved == "lo" else root - 0.5 * tol
             step = min(max(aim, lo + 0.25 * tol), hi - 0.25 * tol)
             if lo < step < hi:
                 r = step
                 # a step past the crossing only steers, so it is read in
                 # float32, unless a value below the cutoff would close the
                 # bracket and so be returned
-                if moved == "lo" and steer is not line and hi - step > opts.rel_tol * step:
+                if moved == "lo" and hi - step > opts.rel_tol * step:
                     form = steer
         value = cost_at(r, form)
         if value < cutoff:
@@ -643,17 +642,18 @@ def estimate_local_volume(
     precond: Preconditioner,
     k: int,
     opts: SearchOptions | None = None,
-    seed: int | np.random.SeedSequence = 0,
+    seed: int = 0,
 ) -> VolumeEstimate:
     """Estimate the local volume of the anchor's neighborhood from k rays.
 
-    Each sample gets its own random stream derived from the master seed and
-    the sample index. Every stage runs on the calling thread, so
-    ``opts.threads`` changes nothing. Rays whose radius search
-    fails contribute exact zeros (log term -inf) but still count in k,
-    preserving the estimator's one-sided Markov guarantee. Truncated rays
-    contribute their capped radius; under Lebesgue measure that makes the
-    estimate a lower bound, which the result flags.
+    Each sample gets its own random stream derived from the integer seed
+    and the sample index. Every stage runs on the calling thread, so
+    ``opts.threads`` changes nothing. Rays whose radius search fails
+    contribute exact zeros (log term -inf) but still count in k, preserving
+    the estimator's one-sided Markov guarantee. Truncated rays contribute
+    their capped radius; under Lebesgue measure that makes the estimate a
+    lower bound, which the result flags. The log terms assume a
+    unit-determinant map; any other raises ``PreconditionerError``.
     """
     opts = opts or SearchOptions()
     n = spec.dim
@@ -661,7 +661,9 @@ def estimate_local_volume(
         raise ValueError(f"k must be >= 1, got {k}")
     if precond.dim != n:
         raise ValueError(f"preconditioner dimension {precond.dim} != anchor dimension {n}")
-    master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    if abs(precond.log_det()) > 1e-6:
+        raise PreconditionerError(f"preconditioner log det {precond.log_det():.6g} is not 0")
+    master = np.random.SeedSequence(seed)
     directions, log_norms = sample_directions(
         precond, [np.random.default_rng(child) for child in master.spawn(k)]
     )

@@ -6,7 +6,8 @@ labels for the loss. With q_i the candidate's probabilities, the Hessian is
 the Gauss-Newton matrix B^T B plus a residual term weighted by the logit
 gradient (q_i - t_i) / m. Example i contributes one row of B per class c,
 sqrt(q_ic / m) (J_ic - sum_c' q_ic' J_ic'), with J_i its logit Jacobian.
-One backward pass per chunk of examples carries to each layer's
+Per chunk of examples, the costs' own forward pass (``mlp._forward``) keeps
+each layer's input, and one backward pass carries to each layer's
 pre-activation u_l those C seeds, the gradient gamma_l, and each example's
 residual Hessian R_l with respect to u_l: R_L = 0 at the logits and
 R_l = D_l W_{l+1} R_{l+1} W_{l+1}^T D_l + diag((gamma_{l+1} W_{l+1}^T) tanh''(u_l)),
@@ -23,7 +24,7 @@ import numpy as np
 
 from ..precondition import _mirror_upper
 from .data import Dataset
-from .mlp import MlpParams, _check_inputs, _forward_cache, log_softmax
+from .mlp import MlpParams, _check_inputs, _forward, log_softmax
 
 __all__ = ["hessian_diag", "hessian_full"]
 
@@ -67,16 +68,17 @@ def _factors(cost_kind: str, params: MlpParams, data):
     m = x.shape[0]
     eye = np.eye(classes)
     step = max(1, min(CHUNK, CHUNK_FLOATS // max(fan_out for _, fan_out in shape) ** 2))
+    layers = params.layers()
     for start in range(0, m, step):
         rows = slice(start, start + step)
-        logits, activations, layers = _forward_cache(params.flat, shape, x[rows])
-        q = np.exp(log_softmax(logits))
+        activations = [x[rows]]
+        q = np.exp(log_softmax(_forward(params.flat, shape, x[rows], activations)))
         # delta[i, c] = sqrt(q_ic / m) (e_c - q_i)
         delta = np.sqrt(q / m)[:, :, None] * (eye - q[:, None, :])
         if cost_kind == "loss":
             targets = eye[data.labels[rows]]
         else:  # the anchor's probabilities by the candidate's route; q itself at the anchor
-            targets = np.exp(log_softmax(_forward_cache(anchor.flat, shape, x[rows])[0])) if moved else q
+            targets = np.exp(log_softmax(_forward(anchor.flat, shape, x[rows]))) if moved else q
         grad = (q - targets) / m
         grad = grad if grad.any() else None
         resid = None

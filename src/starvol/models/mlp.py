@@ -161,7 +161,9 @@ def _blocks(m: int, fan_in: int, fan_out: int) -> list[tuple[slice, slice]]:
 
 
 def _blocked_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w in the inputs' dtype, multiplied in ``_blocks``."""
+    """x @ w in the inputs' dtype, multiplied in ``_blocks`` (one product where one block holds it)."""
+    if x.shape[0] * w.size <= _BLOCK_MULADDS:  # skips the blocks' bookkeeping, as on a minibatch
+        return x @ w
     out = np.empty((x.shape[0], w.shape[1]), dtype=np.result_type(x, w))
     for rows, cols in _blocks(x.shape[0], *w.shape):
         np.matmul(x[rows], w[:, cols], out=out[rows, cols])
@@ -175,7 +177,7 @@ def _first_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z
 
 
-def _head(z: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+def _head(z: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]], activations=None) -> np.ndarray:
     """Logits from the first layer's pre-activation z, which it overwrites.
 
     ``layers`` are the (weight, bias) pairs after the first layer; with none,
@@ -183,17 +185,21 @@ def _head(z: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndar
     2 * ``_BLOCK_MULADDS`` multiply-adds is multiplied in blocks, as the
     first layer is; a smaller one stays one product, which the KL readout
     on 512 rows (512 x 64 x 10) measured as running on the calling thread.
+    Given a list, it appends each hidden layer's ``tanh`` output for training and curvature.
     """
     a = z
     for w, b in layers:
         a = np.tanh(a, out=a)
+        if activations is not None:
+            activations.append(a)
         a = (_blocked_matmul(a, w) if a.shape[0] * w.size >= 2 * _BLOCK_MULADDS else a @ w) + b
     return a
 
 
-def _forward(flat: np.ndarray, shape: Shape, x: np.ndarray) -> np.ndarray:
+def _forward(flat: np.ndarray, shape: Shape, x: np.ndarray, activations=None) -> np.ndarray:
+    """Logits of the rows of x, the one forward route; ``activations=[x]`` collects layer inputs."""
     (w, b), *rest = _layer_views(flat, shape)
-    return _head(_first_layer(x, w, b), rest)
+    return _head(_first_layer(x, w, b), rest, activations)
 
 
 def forward_logits(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -232,7 +238,7 @@ def _check_inputs(shape: Shape, x: np.ndarray) -> None:
 def _cost_handle(
     shape: Shape, x: np.ndarray, readout: Callable[[np.ndarray], float]
 ) -> Callable[[np.ndarray], float]:
-    """Cost over flat vectors, ``readout`` of the logits, with a ray form.
+    """Cost over flat vectors, ``readout`` of ``_forward``'s logits, with a ray form.
 
     ``cost.along(origin)`` returns ``line``, and ``line(direction)`` returns
     ``r -> cost(origin + r * direction)``. The first layer's pre-activation
@@ -329,17 +335,6 @@ def make_kl_cost(anchor: MlpParams, inputs: np.ndarray) -> Callable[[np.ndarray]
 # -- gradients ----------------------------------------------------------------
 
 
-def _forward_cache(flat: np.ndarray, shape: Shape, x: np.ndarray):
-    activations = [x]
-    layers = _layer_views(flat, shape)
-    a = x
-    for w, b in layers[:-1]:
-        a = np.tanh(a @ w + b)
-        activations.append(a)
-    w, b = layers[-1]
-    return a @ w + b, activations, layers
-
-
 def _backward(
     shape: Shape,
     layers: list[tuple[np.ndarray, np.ndarray]],
@@ -364,14 +359,14 @@ def _loss_and_grad(
     flat: np.ndarray, shape: Shape, x: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of rows ``x`` against ``labels``, and its gradient."""
-    logits, activations, layers = _forward_cache(flat, shape, x)
-    lp = log_softmax(logits)
+    activations = [x]
+    lp = log_softmax(_forward(flat, shape, x, activations))
     rows = np.arange(x.shape[0])
     value = float(-np.mean(lp[rows, labels]))
     probs = np.exp(lp, out=lp)
     probs[rows, labels] -= 1.0
     probs /= x.shape[0]
-    return value, _backward(shape, layers, activations, probs)
+    return value, _backward(shape, _layer_views(flat, shape), activations, probs)
 
 
 def loss_value_and_grad(

@@ -246,6 +246,18 @@ class TestEstimate:
         assert first["log_volume"] == second["log_volume"]
         assert first["log_terms"] == second["log_terms"]
 
+    def test_map_without_unit_determinant_exits_2(self, final_checkpoint, tmp_path, capsys):
+        saved = tmp_path / "precond.json"
+        Preconditioner.diagonal(np.full(26, 2.0)).save(saved)
+        out = tmp_path / "runs.jsonl"
+        rc = main([
+            "estimate", "--checkpoint", str(final_checkpoint), "--k", "4",
+            "--precond-file", str(saved), "--out", str(out), "--seed", "1",
+        ])
+        assert rc == 2
+        assert f"log det {26 * math.log(2.0):.6g} is not 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_loss_cost_works(self, final_checkpoint, tmp_path):
         out = tmp_path / "runs.jsonl"
         rc = main([
@@ -462,7 +474,7 @@ class TestSweep:
 
     def test_precond_file_accepted_over_cutoffs(self, final_checkpoint, tmp_path):
         saved = tmp_path / "precond.json"
-        Preconditioner.diagonal(np.linspace(0.5, 2.0, 26), source="saved").save(saved)
+        Preconditioner.diagonal(np.linspace(0.5, 2.0, 26), source="saved").normalize_unit_det().save(saved)
         out = tmp_path / "sweep.csv"
         rc = main([
             "sweep", "--kind", "cutoff", "--values", "1e-2,1e-1", "--checkpoint", str(final_checkpoint),

@@ -38,7 +38,7 @@ from starvol.models import (
     split_dataset,
 )
 from starvol.oracles import Ellipsoid, ellipsoid_log_volume_exact, ellipsoid_radius
-from starvol.precondition import Preconditioner, eigendecompose, from_diagonal
+from starvol.precondition import Preconditioner, PreconditionerError, eigendecompose, from_diagonal
 
 
 def quad_log_integral(anchor, direction, radius, sigma, n):
@@ -417,7 +417,7 @@ class TestLebesgueLogTerm:
             assert s.log_term == pytest.approx(want, abs=1e-10)
 
     def test_importance_correction_scales_with_dim(self):
-        p = Preconditioner.diagonal(np.array([2.0, 1.0, 0.25, 0.5, 1.5]))
+        p = Preconditioner.diagonal(np.array([2.0, 1.0, 0.25, 0.5, 1.5])).normalize_unit_det()
         est = self._ball(5, 1.5, p)
         base = log_sphere_area(5) - math.log(5.0)
         for s in est.samples:
@@ -611,6 +611,32 @@ class TestGaussianRadialIntegral:
 
 
 class TestEstimateLocalVolume:
+    def test_map_without_unit_determinant_is_refused(self, tmp_path):
+        # the log terms assume det 1: this map's estimate would read n log 2
+        # (34.66 nats) low, with no warning
+        n = 50
+        saved = tmp_path / "precond.json"
+        Preconditioner.diagonal(np.full(n, 2.0)).save(saved)
+        loaded = Preconditioner.load(saved)
+        spec = Ellipsoid(np.ones(n)).neighborhood()
+        with pytest.raises(PreconditionerError, match=f"log det {n * math.log(2.0):.6g} is not 0"):
+            estimate_local_volume(spec, loaded, k=16, seed=1)
+        # normalized, the same map reads the unit ball's volume, as the identity does
+        want = 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
+        for p in (Preconditioner.identity(n), loaded.normalize_unit_det()):
+            est = estimate_local_volume(spec, p, k=16, seed=1)
+            assert est.log_volume == pytest.approx(want, abs=n * SearchOptions().rel_tol)
+
+    def test_seed_is_an_int_and_reruns_are_identical(self):
+        # a SeedSequence would be spawned from, so passing it twice gave two estimates
+        e = Ellipsoid(np.array([2.0, 1.0, 0.25, 0.5, 1.5]))
+        p = Preconditioner.identity(5)
+        with pytest.raises(TypeError):
+            estimate_local_volume(e.neighborhood(), p, k=8, seed=np.random.SeedSequence(7))
+        first, again = (estimate_local_volume(e.neighborhood(), p, k=8, seed=7) for _ in range(2))
+        assert first.log_volume == again.log_volume
+        assert [s.log_term for s in first.samples] == [s.log_term for s in again.samples]
+
     def test_unit_ball_is_exact_per_ray(self):
         e = Ellipsoid(np.ones(3))
         est = estimate_local_volume(
@@ -731,7 +757,7 @@ class TestEstimateLocalVolume:
         "precond",
         [
             Preconditioner.identity(7),
-            Preconditioner.diagonal(np.array([3.0, 0.5, 1.0, 2.0, 0.25, 1.5, 0.8])),
+            Preconditioner.diagonal(np.array([3.0, 0.5, 1.0, 2.0, 0.25, 1.5, 0.8])).normalize_unit_det(),
             Ellipsoid(
                 np.array([2.0, 1.0, 0.25, 0.5, 1.5, 0.8, 1.2]),
                 rotation=np.linalg.qr(np.random.default_rng(4).normal(size=(7, 7)))[0],
@@ -757,7 +783,7 @@ class TestEstimateLocalVolume:
     def test_dense_thread_count_does_not_change_result(self):
         rotation = np.linalg.qr(np.random.default_rng(6).normal(size=(5, 5)))[0]
         e = Ellipsoid(np.array([1.0, 2.0, 0.5, 0.25, 3.0]), rotation=rotation)
-        p = Preconditioner.diagonal(np.array([1.5, 1.0, 0.5, 2.0, 0.8]), basis=rotation)
+        p = Preconditioner.diagonal(np.array([1.5, 1.0, 0.5, 2.0, 0.8]), basis=rotation).normalize_unit_det()
         serial = estimate_local_volume(e.neighborhood(), p, k=64, seed=14)
         parallel = estimate_local_volume(
             e.neighborhood(), p, k=64, opts=SearchOptions(threads=4), seed=14
@@ -1071,25 +1097,27 @@ class TestSearchBudget:
     # mean cost evaluations per ray, k=64, seed 0, Gaussian measure; the
     # bounds sit at or below the targets for the radius search (naive rays
     # 4.4, hessian-map rays 6.5, loss rays 5.5) and above the measured
-    # counts: kl identity 3.97, kl hessian 5.97, loss identity 4.95, loss
-    # hessian 5.80 (4.14, 5.98, 5.06 and 5.98 with every evaluation in
-    # float64; the doubling-and-secant search took 4.91, 8.94, 8.77 and
-    # 10.75)
-    @pytest.mark.parametrize("kind, map_kind, bound", [
+    # counts, float32-steered / float64-only: kl identity 3.97 / 3.97, kl
+    # hessian 5.97 / 5.95, loss identity 4.95 / 4.95, loss hessian 5.80 /
+    # 5.78 (the doubling-and-secant search took 4.91, 8.94, 8.77 and 10.75)
+    BUDGET = [
         ("kl", "identity", 4.4),
         ("kl", "hessian", 6.5),
         ("loss", "identity", 5.5),
         ("loss", "hessian", 6.5),
-    ])
-    def test_evaluations_per_ray_on_a_trained_net(self, small_trained_net, kind, map_kind, bound):
-        params, measure, train, val = small_trained_net
+    ]
+    BOUNDS = {(kind, map_kind): bound for kind, map_kind, bound in BUDGET}
+
+    @staticmethod
+    def _check_budget(net, kind, map_kind, bound, wrap):
+        params, measure, train, val = net
         if kind == "kl":
             cost, data = make_kl_cost(params, val.inputs), (params, val.inputs)
         else:
             cost, data = make_loss_cost(params.shape, train), train
         anchor_cost = cost(params.flat)
         cutoff = 1e-2 if kind == "kl" else anchor_cost + 1e-2
-        spec = NeighborhoodSpec(params.flat, cost, cutoff, measure)
+        spec = NeighborhoodSpec(params.flat, wrap(cost), cutoff, measure)
         if map_kind == "identity":
             precond = Preconditioner.identity(params.n)
         else:
@@ -1100,6 +1128,15 @@ class TestSearchBudget:
         assert est.evals_per_ray <= bound
         for s in est.samples:
             assert cost(params.flat + s.radius * s.direction) < cutoff
+
+    @pytest.mark.parametrize("kind, map_kind, bound", BUDGET)
+    def test_evaluations_per_ray_on_a_trained_net(self, small_trained_net, kind, map_kind, bound):
+        self._check_budget(small_trained_net, kind, map_kind, bound, lambda cost: cost)
+
+    @pytest.mark.parametrize("kind, map_kind, bound", BUDGET)
+    def test_float64_only_rays_meet_the_same_budget(self, small_trained_net, kind, map_kind, bound):
+        # the search aims every ray by one rule, whichever form reads its steps
+        self._check_budget(small_trained_net, kind, map_kind, bound, _float64_only)
 
 
 def _float64_only(cost):
@@ -1199,7 +1236,10 @@ class TestFloat32Steering:
             est = estimate_local_volume(spec, precond, k=64, opts=opts, seed=0)
             ref = estimate_local_volume(plain, precond, k=64, opts=opts, seed=0)
             assert est.failed_count == ref.failed_count == 0
-            assert est.evals_per_ray <= ref.evals_per_ray
+            # both forms run one aiming rule, so each meets the search budget
+            # (TestSearchBudget; the diagonal map takes the identity's bound)
+            bound = TestSearchBudget.BOUNDS[kind, "hessian" if precond.kind == "dense" else "identity"]
+            assert est.evals_per_ray <= bound and ref.evals_per_ray <= bound
             for s, q in zip(est.samples, ref.samples):
                 assert spec.line(s.direction)(s.radius) < cutoff
                 assert abs(s.radius - q.radius) <= opts.rel_tol * q.radius

@@ -23,7 +23,6 @@ from starvol.models.mlp import (
     _blocks,
     _first_layer,
     _forward,
-    _forward_cache,
     _head,
     forward_logits,
     init_params,
@@ -53,12 +52,12 @@ def kl_value_and_grad(
     anchor_lp = log_softmax(_forward(anchor.flat, shape, x))
     anchor_p = np.exp(anchor_lp)
     row_entropy = np.sum(anchor_p * anchor_lp, axis=1)
-    logits, activations, layers = _forward_cache(flat, shape, x)
-    q_lp = log_softmax(logits)
+    activations = [x]
+    q_lp = log_softmax(_forward(flat, shape, x, activations))
     m = x.shape[0]
     value = float(np.mean(row_entropy - np.sum(anchor_p * q_lp, axis=1)))
     dlogits = (np.exp(q_lp) - anchor_p) / m
-    return value, _backward(shape, layers, activations, dlogits)
+    return value, _backward(shape, MlpParams(flat, shape).layers(), activations, dlogits)
 
 
 def reference_loss_and_grad(flat: np.ndarray, shape, data: Dataset) -> tuple[float, np.ndarray]:
@@ -383,6 +382,23 @@ class TestRayForm:
         # repeated evaluations of one ray reuse its scratch array
         assert line(0.5) == line(0.5)
         assert line(0.0) == cost(origin)
+
+    @pytest.mark.parametrize("name", sorted(RAY_SHAPES))
+    def test_forward_collects_each_layer_input(self, name):
+        # training and curvature take their activations from the costs' forward route
+        shape, rows = RAY_SHAPES[name]
+        rng = np.random.default_rng(38)
+        params, _ = init_params(shape, rng=rng)
+        x = rng.normal(size=(rows, shape[0][0]))
+        activations = [x]
+        logits = _forward(params.flat, shape, x, activations)
+        assert np.array_equal(logits, _forward(params.flat, shape, x))
+        assert len(activations) == len(shape) and activations[0] is x
+        layers = params.layers()
+        for a_in, a_out, (w, b) in zip(activations, activations[1:], layers):
+            np.testing.assert_allclose(a_out, np.tanh(a_in @ w + b), rtol=1e-12, atol=1e-14)
+        w, b = layers[-1]
+        np.testing.assert_allclose(logits, activations[-1] @ w + b, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["kl", "loss"])
     def test_interleaved_rays_keep_their_own_values(self, kind):
