@@ -55,6 +55,7 @@ def _factors(cost_kind: str, params: MlpParams, data):
         if not isinstance(anchor, MlpParams) or anchor.shape != shape:
             raise ValueError("kl curvature requires an anchor of the same shape as params")
         moved = not np.array_equal(anchor.flat, params.flat)
+        anchor_layers = anchor.layers()
     elif cost_kind == "loss":
         if not isinstance(data, Dataset) or data.labels is None:
             raise ValueError("loss curvature requires a labeled Dataset")
@@ -72,13 +73,13 @@ def _factors(cost_kind: str, params: MlpParams, data):
     for start in range(0, m, step):
         rows = slice(start, start + step)
         activations = [x[rows]]
-        q = np.exp(log_softmax(_forward(params.flat, shape, x[rows], activations)))
+        q = np.exp(log_softmax(_forward(layers, x[rows], activations)))
         # delta[i, c] = sqrt(q_ic / m) (e_c - q_i)
         delta = np.sqrt(q / m)[:, :, None] * (eye - q[:, None, :])
         if cost_kind == "loss":
             targets = eye[data.labels[rows]]
         else:  # the anchor's probabilities by the candidate's route; q itself at the anchor
-            targets = np.exp(log_softmax(_forward(anchor.flat, shape, x[rows]))) if moved else q
+            targets = np.exp(log_softmax(_forward(anchor_layers, x[rows]))) if moved else q
         grad = (q - targets) / m
         grad = grad if grad.any() else None
         resid = None

@@ -196,16 +196,19 @@ def _head(z: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]], activation
     return a
 
 
-def _forward(flat: np.ndarray, shape: Shape, x: np.ndarray, activations=None) -> np.ndarray:
-    """Logits of the rows of x, the one forward route; ``activations=[x]`` collects layer inputs."""
-    (w, b), *rest = _layer_views(flat, shape)
+def _forward(
+    layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, activations=None
+) -> np.ndarray:
+    """Logits of the rows of x from the (weight, bias) pairs, the one forward route;
+    ``activations=[x]`` collects layer inputs."""
+    (w, b), *rest = layers
     return _head(_first_layer(x, w, b), rest, activations)
 
 
 def forward_logits(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Logits of each row of a non-empty (m, d) input matrix, as an (m, C) array."""
     _check_inputs(params.shape, x)
-    return _forward(params.flat, params.shape, x)
+    return _forward(params.layers(), x)
 
 
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -257,7 +260,7 @@ def _cost_handle(
     split = param_count(shape[:1])
 
     def cost(flat: np.ndarray) -> float:
-        return readout(_forward(flat, shape, x))
+        return readout(_forward(_layer_views(flat, shape), x))
 
     def ray(z0, zd, rest0, restd) -> Callable[[float], float]:
         z, rest = np.empty_like(z0), np.empty_like(rest0)
@@ -321,7 +324,7 @@ def make_kl_cost(anchor: MlpParams, inputs: np.ndarray) -> Callable[[np.ndarray]
     x = np.asarray(inputs, dtype=float)
     shape = anchor.shape
     _check_inputs(shape, x)
-    anchor_lp = _class_log_probs(_forward(anchor.flat, shape, x))
+    anchor_lp = _class_log_probs(_forward(anchor.layers(), x))
     anchor_p = np.exp(anchor_lp)
     entropy = float(np.vdot(anchor_p, anchor_lp))  # sum of p log p over rows and classes
     m = x.shape[0]
@@ -359,14 +362,15 @@ def _loss_and_grad(
     flat: np.ndarray, shape: Shape, x: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of rows ``x`` against ``labels``, and its gradient."""
+    layers = _layer_views(flat, shape)
     activations = [x]
-    lp = log_softmax(_forward(flat, shape, x, activations))
+    lp = log_softmax(_forward(layers, x, activations))
     rows = np.arange(x.shape[0])
     value = float(-np.mean(lp[rows, labels]))
     probs = np.exp(lp, out=lp)
     probs[rows, labels] -= 1.0
     probs /= x.shape[0]
-    return value, _backward(shape, _layer_views(flat, shape), activations, probs)
+    return value, _backward(shape, layers, activations, probs)
 
 
 def loss_value_and_grad(

@@ -3,9 +3,10 @@
 Everything here has an independent analytic form, so these functions act as
 ground truth for the Monte Carlo estimators: exact radii and volumes for
 quadratic neighborhoods, variance identities for quadratic forms on the
-sphere, the harmonic-mean law for typical sampled radii on wide spectra,
-gap and tail-bound reports for repeated estimates, and the coordinate
-variances of linear gradient flow from a standard Gaussian start.
+sphere and the log terms they drive, the harmonic-mean law for typical
+sampled radii on wide spectra, the coordinate variances of linear gradient
+flow from a standard Gaussian start, and the log-sum-exp bracket of an
+estimate.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .precondition import Preconditioner, _readonly
 
 __all__ = [
     "Ellipsoid",
-    "JensenGapReport",
     "VarianceCheck",
     "ellipsoid_log_volume_exact",
     "ellipsoid_radius",
@@ -28,7 +28,6 @@ __all__ = [
     "gd_flow_covariance",
     "gd_flow_ensemble_check",
     "harmonic_mean_prediction",
-    "jensen_gap_report",
     "log_estimator_variance_prediction",
     "quadratic_form_variance_check",
     "smoothmax_bracket_holds",
@@ -66,12 +65,6 @@ class Ellipsoid:
 
     def eigenvalues(self) -> np.ndarray:
         return 1.0 / (self.radii * self.radii)
-
-    def quad_matrix(self) -> np.ndarray:
-        d = np.diag(self.eigenvalues())
-        if self.rotation is None:
-            return d
-        return self.rotation @ d @ self.rotation.T
 
     def cost(self, anchor: np.ndarray | None = None) -> CostFn:
         lam = self.eigenvalues()
@@ -181,35 +174,6 @@ def harmonic_mean_prediction(e: Ellipsoid) -> float:
     axes, not on the volume-relevant geometric mean.
     """
     return 0.5 * math.log(e.dim / float(np.sum(e.radii**-2.0)))
-
-
-@dataclass(frozen=True)
-class JensenGapReport:
-    """How far repeated log estimates sit below the truth, and why.
-
-    For a lognormal-like estimator the mean log estimate undershoots
-    log E[estimate] by Var(log estimate) / 2; ``lognormal_half_variance``
-    reports that predicted gap next to the observed ``mean_log_gap``.
-    """
-
-    mean_log_gap: float
-    lognormal_half_variance: float
-    stderr: float
-    runs: int
-
-
-def jensen_gap_report(estimates: np.ndarray, true_log_volume: float) -> JensenGapReport:
-    arr = np.asarray(estimates, dtype=float)
-    if arr.size < 2:
-        raise ValueError("need at least 2 repeated estimates")
-    gap = true_log_volume - float(np.mean(arr))
-    var = float(np.var(arr, ddof=1))
-    return JensenGapReport(
-        mean_log_gap=gap,
-        lognormal_half_variance=0.5 * var,
-        stderr=math.sqrt(var / arr.size),
-        runs=arr.size,
-    )
 
 
 def gd_flow_covariance(h_diag: np.ndarray, t: float) -> np.ndarray:

@@ -49,15 +49,16 @@ def kl_value_and_grad(
     """Mean KL from the anchor and its gradient with respect to the candidate."""
     x = np.asarray(inputs, dtype=float)
     shape = anchor.shape
-    anchor_lp = log_softmax(_forward(anchor.flat, shape, x))
+    anchor_lp = log_softmax(_forward(anchor.layers(), x))
     anchor_p = np.exp(anchor_lp)
     row_entropy = np.sum(anchor_p * anchor_lp, axis=1)
+    layers = MlpParams(flat, shape).layers()
     activations = [x]
-    q_lp = log_softmax(_forward(flat, shape, x, activations))
+    q_lp = log_softmax(_forward(layers, x, activations))
     m = x.shape[0]
     value = float(np.mean(row_entropy - np.sum(anchor_p * q_lp, axis=1)))
     dlogits = (np.exp(q_lp) - anchor_p) / m
-    return value, _backward(shape, MlpParams(flat, shape).layers(), activations, dlogits)
+    return value, _backward(shape, layers, activations, dlogits)
 
 
 def reference_loss_and_grad(flat: np.ndarray, shape, data: Dataset) -> tuple[float, np.ndarray]:
@@ -85,10 +86,11 @@ def reference_loss_and_grad(flat: np.ndarray, shape, data: Dataset) -> tuple[flo
 def reference_loss(flat: np.ndarray, shape, data: Dataset) -> float:
     """Reference logged loss: forward passes over row chunks, summed."""
     step = max(1, _BLOCK_MULADDS // max(i * o for i, o in shape))
+    layers = MlpParams(flat, shape).layers()
     total = 0.0
     for start in range(0, data.m, step):
         rows = slice(start, start + step)
-        lp = log_softmax(_forward(flat, shape, data.inputs[rows]))
+        lp = log_softmax(_forward(layers, data.inputs[rows]))
         total -= float(np.sum(lp[np.arange(lp.shape[0]), data.labels[rows]]))
     return total / data.m
 
@@ -390,11 +392,11 @@ class TestRayForm:
         rng = np.random.default_rng(38)
         params, _ = init_params(shape, rng=rng)
         x = rng.normal(size=(rows, shape[0][0]))
-        activations = [x]
-        logits = _forward(params.flat, shape, x, activations)
-        assert np.array_equal(logits, _forward(params.flat, shape, x))
-        assert len(activations) == len(shape) and activations[0] is x
         layers = params.layers()
+        activations = [x]
+        logits = _forward(layers, x, activations)
+        assert np.array_equal(logits, _forward(layers, x))
+        assert len(activations) == len(shape) and activations[0] is x
         for a_in, a_out, (w, b) in zip(activations, activations[1:], layers):
             np.testing.assert_allclose(a_out, np.tanh(a_in @ w + b), rtol=1e-12, atol=1e-14)
         w, b = layers[-1]

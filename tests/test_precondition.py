@@ -305,10 +305,24 @@ class TestSerialization:
         path = tmp_path / "precond.json"
         p.save(path)
         q = Preconditioner.load(path)
-        assert json.loads(path.read_text())["version"] == 3
+        assert json.loads(path.read_text())["version"] == 4
         np.testing.assert_array_equal(q.scale, p.scale)
         np.testing.assert_array_equal(q.basis, p.basis)
         assert q.describe() == p.describe()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_caller_basis_round_trip_in_either_layout(self, order, tmp_path):
+        # a basis is stored column by column, so a loaded one is F-ordered
+        # whatever layout the caller gave
+        q, _ = np.linalg.qr(np.random.default_rng(10).normal(size=(5, 5)))
+        q = np.array(q, order=order)
+        path = tmp_path / "precond.json"
+        Preconditioner.diagonal(np.arange(1.0, 6.0), basis=q).save(path)
+        loaded = Preconditioner.load(path)
+        np.testing.assert_array_equal(_bits(loaded.basis), _bits(q))
+        assert loaded.basis.flags.f_contiguous and not loaded.basis.flags.writeable
+        columns = decode_array(json.loads(path.read_text())["basis"], (5, 5))
+        np.testing.assert_array_equal(_bits(columns), _bits(q.T))
 
     @pytest.mark.parametrize("basis, match", [
         ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.001]], "not orthonormal"),
@@ -318,7 +332,7 @@ class TestSerialization:
     def test_rejects_bad_basis(self, basis, match, tmp_path):
         path = tmp_path / "bad.json"
         write_json(path, {
-            "format": "starvol-preconditioner", "version": 3, "dim": 3,
+            "format": "starvol-preconditioner", "version": 4, "dim": 3,
             "source": "hessian", "scale": np.array([1.0, 2.0, 0.5]), "basis": np.array(basis),
         })
         with pytest.raises(PreconditionerError, match=match):
@@ -326,7 +340,7 @@ class TestSerialization:
 
     def test_rejects_dim_that_disagrees_with_scales(self, tmp_path):
         path = tmp_path / "bad.json"
-        write_json(path, {"format": "starvol-preconditioner", "version": 3, "dim": 5,
+        write_json(path, {"format": "starvol-preconditioner", "version": 4, "dim": 5,
                           "source": "", "scale": np.array([1.0, 2.0, 0.5]), "basis": None})
         with pytest.raises(PreconditionerError, match="dim 5 does not match 3 scales"):
             Preconditioner.load(path)
@@ -334,7 +348,7 @@ class TestSerialization:
     @pytest.mark.parametrize("scale", [None, np.array([1.0, 2.0])], ids=["identity", "diagonal"])
     def test_rejects_missing_dim(self, scale, tmp_path):
         path = tmp_path / "bad.json"
-        write_json(path, {"format": "starvol-preconditioner", "version": 3, "source": "",
+        write_json(path, {"format": "starvol-preconditioner", "version": 4, "source": "",
                           "scale": scale, "basis": None})
         with pytest.raises(PreconditionerError, match="missing or non-integer dim"):
             Preconditioner.load(path)
@@ -361,11 +375,10 @@ def _kernel(n):
 
 
 def _copy_route(mat):
-    """The decomposition of a private F-ordered copy, eigenvectors then made C-ordered."""
+    """The decomposition of a private F-ordered copy, eigenvectors as LAPACK returns them."""
     from scipy.linalg import eigh
 
-    vals, vecs = eigh(np.array(mat, order="F"), driver="evr", check_finite=False)
-    return vals, np.ascontiguousarray(vecs)
+    return eigh(np.array(mat, order="F"), driver="evr", check_finite=False)
 
 
 def _flags(arr):
@@ -426,7 +439,7 @@ class TestEigendecompose:
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(mat))
         gram = got_vecs.T @ got_vecs
         assert np.max(np.abs(gram - np.eye(len(mat)))) <= ORTHONORMAL_ATOL
-        assert got_vecs.flags.c_contiguous and not got_vecs.flags.writeable
+        assert got_vecs.flags.f_contiguous and not got_vecs.flags.writeable
 
     def test_rank_deficient_gauss_newton(self):
         *_, hess = _tiny_kl()
@@ -448,7 +461,7 @@ class TestEigendecompose:
         # restored; any other is decomposed from a copy. Either way the caller
         # sees its matrix and flags unchanged, and the outputs of the copy route
         if case == "kernel":
-            mat = _kernel(1500)  # spans three row blocks of the mirror and the transpose
+            mat = _kernel(1500)  # spans three row blocks of the mirror
         else:
             mat = _tiny_kl()[-1]
             if case == "near-symmetric":
@@ -465,7 +478,7 @@ class TestEigendecompose:
             scale, basis = out if isinstance(out, tuple) else (out.scale, out.basis)
             np.testing.assert_array_equal(_bits(scale), _bits(want[name]), err_msg=name)
             np.testing.assert_array_equal(_bits(basis), _bits(vecs), err_msg=name)
-            assert basis.flags.c_contiguous and not basis.flags.writeable, name
+            assert basis.flags.f_contiguous and not basis.flags.writeable, name
             np.testing.assert_array_equal(mat.view(np.uint64), before.view(np.uint64), err_msg=name)
             assert _flags(mat) == flags, name
 
@@ -553,6 +566,37 @@ print("scipy.linalg" in sys.modules)
         assert proc.stdout.splitlines() == ["[]", "True"]
 
 
+class TestBlasThreadCount:
+    def test_diag_estimates_reproduce_at_one_and_two_threads(self):
+        # the curvature diagonal and the estimates of the identity and
+        # diagonal maps are the same at any BLAS thread count; a hessian map's
+        # are not (its matrix, and the products that apply it, differ in the last bits)
+        script = """
+import hashlib, numpy as np
+from starvol.geometry import NeighborhoodSpec, estimate_local_volume
+from starvol.models import hessian_diag, init_params, make_kl_cost
+from starvol.precondition import DEFAULT_EPS, Preconditioner, from_diagonal
+params, measure = init_params(((64, 64), (64, 10)), rng=np.random.default_rng(71))
+x = np.random.default_rng(72).normal(size=(512, 64))
+diag = hessian_diag("kl", params, (params, x))
+print(hashlib.sha256(diag.tobytes()).hexdigest())
+spec = NeighborhoodSpec(anchor=params.flat, cost=make_kl_cost(params, x), cutoff=1e-2, measure=measure)
+for pre in (Preconditioner.identity(params.n), from_diagonal(diag, DEFAULT_EPS["diag"])):
+    est = estimate_local_volume(spec, pre, 16, seed=3)
+    print(repr(est.log_volume), [repr(s.log_term) for s in est.samples])
+"""
+        src = Path(precondition.__file__).resolve().parents[1]
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  timeout=300, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.splitlines())
+        assert len(outputs[0]) == 3 and "-inf" not in outputs[0][1]
+        assert outputs[0] == outputs[1]
+
+
 class TestArrayCodec:
     def test_float64_round_trip_is_bit_exact(self, tmp_path):
         values = np.array([-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308,
@@ -591,13 +635,15 @@ class TestDenseMapOnDisk:
         Preconditioner.load(first).save(second)
         assert first.read_bytes() == second.read_bytes()
         data = json.loads(first.read_text())
-        assert data["version"] == 3
+        assert data["version"] == 4
         assert isinstance(data["basis"], str) and isinstance(data["scale"], str)
 
-    @pytest.mark.parametrize("case", ["v1-dense", "v1-diagonal", "v2-lists", "v3-lists"])
+    @pytest.mark.parametrize("case", ["v1-dense", "v1-diagonal", "v2-lists", "v3-lists",
+                                      "v3-strings", "v4-lists"])
     def test_old_versions_refused(self, case, tmp_path):
         # versions 1 and 2 stored float lists (version 1 a dense map as its
-        # matrix); neither is read, and a list in a version-3 file is malformed
+        # matrix), version 3 strings with the basis row by row; none is read,
+        # and a list in a version-4 file is malformed
         *_, hess = _tiny_kl()
         p = from_hessian(hess, eps=0.1, source="hessian")
         version, fields = {
@@ -605,11 +651,13 @@ class TestDenseMapOnDisk:
             "v1-diagonal": (1, {"kind": "diagonal", "scale": p.scale.tolist(), "matrix": None}),
             "v2-lists": (2, {"scale": p.scale.tolist(), "basis": p.basis.tolist()}),
             "v3-lists": (3, {"scale": p.scale.tolist(), "basis": None}),
+            "v3-strings": (3, {"scale": p.scale, "basis": np.ascontiguousarray(p.basis)}),
+            "v4-lists": (4, {"scale": p.scale.tolist(), "basis": None}),
         }[case]
         path = tmp_path / f"{case}.json"
-        path.write_text(json.dumps({"format": "starvol-preconditioner", "version": version,
-                                    "dim": p.dim, "source": "hessian", **fields}))
-        match = "malformed array" if version == 3 else f"unsupported preconditioner version {version}$"
+        write_json(path, {"format": "starvol-preconditioner", "version": version,
+                          "dim": p.dim, "source": "hessian", **fields})
+        match = "malformed array" if version == 4 else f"unsupported preconditioner version {version}$"
         with pytest.raises(PreconditionerError, match=match):
             Preconditioner.load(path)
 
@@ -628,8 +676,7 @@ class TestDenseMapOnDisk:
         assert a.log_volume == b.log_volume
         assert [s.log_term for s in a.samples] == [s.log_term for s in b.samples]
 
-    def test_orthonormality_checked_in_every_row_block(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(precondition, "_BLOCK_ENTRIES", 8)  # two rows per block
+    def test_orthonormality_checked_in_every_row_block(self, tmp_path):
         q, _ = np.linalg.qr(np.random.default_rng(66).normal(size=(5, 5)))
         q[:, 4] *= 1.0 + 1e-6  # only the last column's norm is off
         path = tmp_path / "p.json"
@@ -639,7 +686,7 @@ class TestDenseMapOnDisk:
 
     def test_malformed_array_rejected(self, tmp_path):
         path = tmp_path / "p.json"
-        path.write_text(json.dumps({"format": "starvol-preconditioner", "version": 3, "dim": 2,
+        path.write_text(json.dumps({"format": "starvol-preconditioner", "version": 4, "dim": 2,
                                     "source": "", "scale": "AAAA", "basis": None}))
         with pytest.raises(PreconditionerError, match="malformed"):
             Preconditioner.load(path)
