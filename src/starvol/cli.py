@@ -60,7 +60,7 @@ from .runio import (
 )
 
 # fixed roles for deriving independent streams from the master seed
-SEED_ROLES = {"data": 0, "init": 1, "train": 2, "estimate": 3}
+SEED_ROLES = {"data": 0, "init": 1, "train": 2}
 
 PRECONDITIONER_CHOICES = ("none", "hessian", "diag", "adam-nu")
 PRECOND_FILE_HELP = "load a saved preconditioner (a sweep accepts it over cutoffs or checkpoints only)"
@@ -206,6 +206,18 @@ def _anchor_sha256(flat: np.ndarray) -> str:
     return hashlib.sha256(np.asarray(flat, dtype="<f8").tobytes()).hexdigest()
 
 
+def _refuse_unused_eps(args, kind: str = "") -> None:
+    """Refuse an eps that shapes no map, naming the reason; ``kind`` is a sweep's kind."""
+    if kind == "eps" and args.preconditioner == "none":
+        raise ValueError("sweep --kind eps shapes no map with --preconditioner none, the identity map")
+    if args.eps is None or kind == "preconditioner":  # such a sweep shapes each map from --eps
+        return
+    if args.precond_file:
+        raise ValueError("--eps shapes no map with --precond-file, which is used as saved")
+    if args.preconditioner == "none":
+        raise ValueError("--eps shapes no map with --preconditioner none, the identity map")
+
+
 def _search_options(args) -> SearchOptions:
     return SearchOptions(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchOptions)})
 
@@ -232,8 +244,7 @@ class _CheckpointEstimator:
             self.data = train_ds
         else:
             raise ValueError(f"unknown cost {args.cost!r}")
-        gaussian = args.measure == "gaussian"
-        self.measure = MeasureSpec.gaussian(ckpt.sigma) if gaussian else MeasureSpec.lebesgue()
+        self.measure = MeasureSpec(ckpt.sigma if args.measure == "gaussian" else None)
         self.opts = _search_options(args)
         self._loaded = Preconditioner.load(args.precond_file) if args.precond_file else None
         # (spectrum, basis) each map is shaped from: Adam's second moment on the
@@ -267,6 +278,7 @@ class _CheckpointEstimator:
 
 def cmd_estimate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
+    _refuse_unused_eps(args)
     seed = _resolve_seed(args.seed)
     start = time.perf_counter()
     estimator = _CheckpointEstimator(args, ckpt)
@@ -277,7 +289,8 @@ def cmd_estimate(args) -> int:
     for flag, _ in ESTIMATE_FLAGS:
         dest = flag[2:].replace("-", "_")
         resolved[dest] = getattr(args, dest)
-    resolved["eps"] = DEFAULT_EPS[args.preconditioner] if args.eps is None else args.eps
+    if args.eps is None and not args.precond_file:  # DEFAULT_EPS has no eps for the identity map
+        resolved["eps"] = DEFAULT_EPS.get(args.preconditioner)
     resolved["anchor_sha256"] = _anchor_sha256(ckpt.params.flat)
     record = make_run_record("estimate", seed, resolved, estimate, wall)
     out = Path(args.out)
@@ -325,6 +338,7 @@ def _sweep_points(args) -> list[tuple]:
         paths = [p for p in args.checkpoints.split(",") if p]
         if not paths:
             raise ValueError("sweep --kind checkpoint requires --checkpoints")
+        _refuse_unused_eps(args, kind)
         ckpts = sorted((load_checkpoint(p) for p in paths), key=lambda ckpt: ckpt.step)
         return [(c.step, c, args.cutoff, args.preconditioner, args.eps) for c in ckpts]
     values = [v for v in args.values.split(",") if v]
@@ -336,6 +350,7 @@ def _sweep_points(args) -> list[tuple]:
         raise ValueError(f"sweep --kind {kind} requires --checkpoint")
     if args.precond_file and kind in ("preconditioner", "eps"):
         raise ValueError(f"--precond-file would replace every swept value of --kind {kind}")
+    _refuse_unused_eps(args, kind)
     ckpt = load_checkpoint(args.checkpoint)
     if kind == "cutoff":
         return [(float(v), ckpt, float(v), args.preconditioner, args.eps) for v in values]

@@ -119,30 +119,26 @@ class EstimationError(RuntimeError):
 class MeasureSpec:
     """Reference measure: Lebesgue, or a zero-mean diagonal Gaussian, validated once here."""
 
-    kind: str  # "lebesgue" | "gaussian"
-    sigma: np.ndarray | None = None  # (n,) positive stds, given exactly when kind == "gaussian"
+    sigma: np.ndarray | None = None  # (n,) positive stds of the Gaussian; None for Lebesgue
 
     def __post_init__(self):
-        if self.kind not in ("lebesgue", "gaussian"):
-            raise ValueError(f"measure kind must be 'lebesgue' or 'gaussian', got {self.kind!r}")
-        if (self.sigma is None) == (self.kind == "gaussian"):
-            raise ValueError("sigma must be given for a gaussian measure and only then")
-        if self.kind == "lebesgue":
-            return
-        arr = np.asarray(self.sigma, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("gaussian measure requires a vector of per-coordinate stds")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise ValueError("gaussian measure requires positive finite sigmas")
-        object.__setattr__(self, "sigma", _readonly(arr))
+        if self.sigma is not None:
+            arr = np.asarray(self.sigma, dtype=float)
+            if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr) & (arr > 0)):
+                raise ValueError("gaussian measure requires a non-empty vector of positive finite sigmas")
+            object.__setattr__(self, "sigma", _readonly(arr))
 
     @classmethod
     def lebesgue(cls) -> "MeasureSpec":
-        return cls("lebesgue")
+        return cls()
 
     @classmethod
     def gaussian(cls, sigma: np.ndarray) -> "MeasureSpec":
-        return cls("gaussian", sigma)
+        return cls(sigma)
+
+    @property
+    def kind(self) -> str:
+        return "lebesgue" if self.sigma is None else "gaussian"
 
     @cached_property
     def r_max(self) -> float:
@@ -522,15 +518,15 @@ def sample_directions(
     return block, [math.log(x) for x in norms]
 
 
-def _edge(h, target: np.ndarray, top: np.ndarray, inside, outside) -> np.ndarray:
-    """Locate, row by row, where h falls to ``target`` between ``inside`` and ``outside``.
+def _edge(h, target: np.ndarray, top: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """Locate, row by row, where h falls to ``target`` between ``top`` and ``outside``.
 
-    h is monotone on each row's segment from ``top`` outward, at least
-    ``target`` at ``inside`` and below it past the crossing. Bisection keeps
-    the outer point, so no row's result is closer to ``top`` than its
-    crossing; a row stops once its bracket is within 1/64 of that point's
-    distance from ``top``, or after 64 halvings.
+    h is monotone from ``top`` to ``outside`` and at least ``target`` at ``top``.
+    Bisection keeps the outer point, so no row's result is closer to ``top``
+    than its crossing (``outside`` where there is none); a row stops once its
+    bracket is within 1/64 of that point's distance from ``top``, or after 64 halvings.
     """
+    inside = top
     for _ in range(64):
         open_ = np.abs(outside - inside) > np.abs(outside - top) / 64
         if not open_.any():
@@ -569,11 +565,11 @@ def gaussian_radial_log_integral(
 
     One route serves every n and b. h is concave, so on the interval it
     peaks at top = min(p*, radius sqrt(a)), p* being its stationary point,
-    and falls monotonically on either side. Bisection finds where h has
-    dropped 60 nats below h(top) on each side (after doubling outward on
-    the right), and one 64-node Gauss-Legendre rule integrates
-    e^{h - h(top)} over that bracket. Concavity bounds the mass left
-    outside the bracket by about e^-60 of the mass inside, so a ray is
+    and falls monotonically on either side. As h'' = -1 - (n - 1) / p^2 <= -1,
+    h drops 60 nats below h(top) within sqrt(120) of top on either side;
+    bisection from there finds where, and one 64-node Gauss-Legendre rule
+    integrates e^{h - h(top)} over that bracket. Concavity bounds the mass
+    left outside the bracket by about e^-60 of the mass inside, so a ray is
     never overestimated beyond the rule's roundoff. Every step runs on all
     rows at once; the block is whitened in slices of at most
     ``_BLOCK_ENTRIES`` entries, and nothing is multiplied by BLAS.
@@ -619,16 +615,10 @@ def gaussian_radial_log_integral(
     h_top = h(top)
     target = h_top - _RADIAL_DROP_NATS
 
-    lo = _edge(h, target, top, top, np.zeros_like(top))
-    # h falls at least as fast as -(p - top)^2 / 2 right of top, so doubling
-    # from a unit step passes the drop within a few steps
-    inside, outside = top, np.minimum(top + 1.0, p_max)
-    grow = (outside < p_max) & (h(outside) >= target)
-    while grow.any():
-        inside = np.where(grow, outside, inside)
-        outside = np.where(grow, np.minimum(2.0 * outside - top, p_max), outside)
-        grow &= (outside < p_max) & (h(outside) >= target)
-    hi = _edge(h, target, top, inside, outside)
+    # h(p) <= h(top) - (p - top)^2 / 2, so the drop lies within reach of top
+    reach = math.sqrt(2.0 * _RADIAL_DROP_NATS)
+    lo = _edge(h, target, top, np.maximum(top - reach, 0.0))
+    hi = _edge(h, target, top, np.minimum(top + reach, p_max))
 
     half = 0.5 * (hi - lo)
     vals = np.exp(h((lo + hi) * 0.5 + half * _GL_NODES) - h_top)

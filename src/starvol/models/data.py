@@ -24,7 +24,6 @@ class Dataset:
 
     inputs: np.ndarray  # (m, d)
     labels: np.ndarray | None = None  # (m,)
-    name: str = ""
     classes: int | None = None
 
     def __post_init__(self):
@@ -61,13 +60,9 @@ class Dataset:
             raise ValueError("dataset has no labels")
         return int(self.labels.max()) + 1
 
-    def subset(self, idx: np.ndarray, name: str | None = None) -> "Dataset":
-        return Dataset(
-            self.inputs[idx],
-            None if self.labels is None else self.labels[idx],
-            name=name if name is not None else self.name,
-            classes=self.classes,
-        )
+    def subset(self, idx: np.ndarray) -> "Dataset":
+        labels = None if self.labels is None else self.labels[idx]
+        return Dataset(self.inputs[idx], labels, classes=self.classes)
 
 
 def make_blobs(
@@ -84,25 +79,24 @@ def make_blobs(
     labels = np.repeat(np.arange(classes), per_class)
     points = centers[labels] + rng.normal(0.0, noise, size=(labels.size, dim))
     perm = rng.permutation(labels.size)
-    return Dataset(points[perm], labels[perm], name="blobs", classes=classes)
+    return Dataset(points[perm], labels[perm], classes=classes)
 
 
 def make_spirals(
     per_class: int,
     noise: float = 0.15,
-    turns: float = 1.5,
     dim: int = 2,
     seed: int = 0,
 ) -> Dataset:
-    """Two interleaved planar spirals, optionally embedded in extra noise dims."""
+    """Two interleaved planar spirals of 1.5 turns, optionally embedded in extra noise dims."""
     if dim < 2:
         raise ValueError("spirals need at least 2 dimensions")
     rng = np.random.default_rng(seed)
-    t = np.sqrt(rng.uniform(0.05, 1.0, size=per_class)) * turns * 2.0 * np.pi
+    t = np.sqrt(rng.uniform(0.05, 1.0, size=per_class)) * 1.5 * 2.0 * np.pi
     rows = []
     labels = []
     for cls, phase in enumerate((0.0, np.pi)):
-        radius = t / (turns * 2.0 * np.pi)
+        radius = t / (1.5 * 2.0 * np.pi)
         x = radius * np.cos(t + phase) + rng.normal(0.0, noise, per_class)
         y = radius * np.sin(t + phase) + rng.normal(0.0, noise, per_class)
         plane = np.stack([x, y], axis=1)
@@ -114,7 +108,7 @@ def make_spirals(
     points = np.concatenate(rows)
     y = np.concatenate(labels)
     perm = rng.permutation(y.size)
-    return Dataset(points[perm], y[perm], name="spirals", classes=2)
+    return Dataset(points[perm], y[perm], classes=2)
 
 
 def load_csv(path: str | Path) -> Dataset:
@@ -122,7 +116,6 @@ def load_csv(path: str | Path) -> Dataset:
 
     Its class count is the whole table's largest label plus one, which a split keeps.
     """
-    path = Path(path)
     table = np.loadtxt(path, delimiter=",", ndmin=2)
     if table.shape[1] < 2:
         raise ValueError("csv needs at least one feature column plus a label column")
@@ -130,7 +123,7 @@ def load_csv(path: str | Path) -> Dataset:
     if not np.allclose(labels, np.round(labels)):
         raise ValueError("last csv column must hold integer labels")
     labels = np.rint(labels).astype(int)  # astype alone truncates 1.9999999 to 1
-    return Dataset(table[:, :-1], labels, name=path.stem, classes=int(labels.max()) + 1)
+    return Dataset(table[:, :-1], labels, classes=int(labels.max()) + 1)
 
 
 def split_dataset(dataset: Dataset, sizes: Sequence[int], seed: int = 0) -> list[Dataset]:

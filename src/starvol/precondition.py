@@ -31,7 +31,6 @@ __all__ = [
 
 # default damping per construction route, tuned per source of curvature info
 DEFAULT_EPS = {
-    "none": 0.0,
     "hessian": 0.1,
     "diag": 0.01,
     "adam-nu": 0.001,
@@ -153,10 +152,10 @@ class Preconditioner:
     ``scale`` of None is the identity. A dense map is kept as its
     eigendecomposition and never recomposed, so log det = sum(log s).
 
-    Instances are immutable and safe to share across parallel samplers. Use
-    the classmethods (or :func:`from_hessian` / :func:`from_diagonal`) to
-    construct; they validate their inputs. ``source`` is a short tag carried
-    into run records so outputs say where the map came from.
+    Instances are immutable. Use the classmethods (or :func:`from_hessian` /
+    :func:`from_diagonal`) to construct; they validate their inputs.
+    ``source`` is a short tag carried into run records so outputs say where
+    the map came from.
     """
 
     dim: int

@@ -328,6 +328,36 @@ class TestEstimate:
         rc = main(["estimate", "--checkpoint", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.jsonl")])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv, reason", [
+        ([], "--eps shapes no map with --preconditioner none"),
+        (["--preconditioner", "diag", "--precond-file", "{saved}"], "--eps shapes no map with --precond-file"),
+    ])
+    def test_eps_that_shapes_no_map_exits_2(self, argv, reason, final_checkpoint, tmp_path, capsys):
+        saved = tmp_path / "precond.json"
+        Preconditioner.identity(26).save(saved)
+        out = tmp_path / "o.jsonl"
+        rc = main([
+            "estimate", "--checkpoint", str(final_checkpoint), "--eps", "0.5", "--k", "2",
+            *(arg.format(saved=saved) for arg in argv), "--out", str(out),
+        ])
+        assert rc == 2
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eps_is_recorded_only_for_a_shaped_map(self, final_checkpoint, tmp_path):
+        saved = tmp_path / "precond.json"
+        Preconditioner.identity(26).save(saved)
+        runs = {
+            "identity": ([], None),
+            "loaded": (["--precond-file", str(saved)], None),
+            "default": (["--preconditioner", "adam-nu"], 0.001),
+            "given": (["--preconditioner", "diag", "--eps", "0.5"], 0.5),
+        }
+        for name, (argv, eps) in runs.items():
+            out = tmp_path / f"{name}.jsonl"
+            assert main(["estimate", "--checkpoint", str(final_checkpoint), "--k", "2", *argv, "--out", str(out)]) == 0
+            assert read_jsonl(out)[0]["config"]["eps"] == eps, name
+
 
 class TestSweep:
     def test_cutoff_sweep_recovers_half_dimension_slope(self, tmp_path):
@@ -458,6 +488,35 @@ class TestSweep:
         assert main(["sweep", *argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err.strip().endswith(f"requires {flag}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["--kind", "eps", "--values", "1e-3,1e-2,1e-1"], "sweep --kind eps shapes no map with --preconditioner none"),
+        (["--kind", "cutoff", "--values", "1e-2", "--eps", "0.1"], "--eps shapes no map with --preconditioner none"),
+        (["--kind", "checkpoint", "--checkpoints", "{checkpoint}", "--eps", "0.1"], "--preconditioner none"),
+        (["--kind", "cutoff", "--values", "1e-2", "--preconditioner", "diag", "--eps", "0.1",
+          "--precond-file", "{saved}"], "--eps shapes no map with --precond-file"),
+    ])
+    def test_eps_that_shapes_no_map_exits_2(self, argv, reason, final_checkpoint, tmp_path, capsys):
+        saved = tmp_path / "precond.json"
+        Preconditioner.identity(26).save(saved)
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", *(arg.format(checkpoint=final_checkpoint, saved=saved) for arg in argv),
+            "--checkpoint", str(final_checkpoint), "--k", "2", "--out", str(out),
+        ])
+        assert rc == 2
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_preconditioner_sweep_takes_eps(self, final_checkpoint, tmp_path):
+        shared = ["--checkpoint", str(final_checkpoint), "--eps", "0.5", "--k", "4", "--seed", "1"]
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--kind", "preconditioner", "--values", "none,diag", "--out", str(out), *shared]) == 0
+        rows = _read_csv(out)
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+        record_path = tmp_path / "diag.jsonl"
+        assert main(["estimate", "--preconditioner", "diag", "--out", str(record_path), *shared]) == 0
+        assert rows[1]["log_volume"] == repr(read_jsonl(record_path)[0]["log_volume"])
 
     @pytest.mark.parametrize("kind, values", [("preconditioner", "none,adam-nu"), ("eps", "0.01,0.1")])
     def test_precond_file_rejected_over_maps(self, kind, values, final_checkpoint, tmp_path, capsys):

@@ -529,7 +529,8 @@ class TestGaussianRadialIntegral:
                 got = gaussian_radial_log_integral(anchor, d, ratio * scale, sigma, n)
                 ref = mp_log_integral(n, btil * s, s, ratio * scale)
                 assert math.isfinite(ref)
-                assert abs(got - ref) <= 1e-10 * max(abs(ref), 1.0), (btil, ratio, got, ref)
+                assert got <= ref + 1e-14 * max(abs(ref), 1.0), (btil, ratio, got, ref)
+                assert abs(got - ref) <= 1e-13 * max(abs(ref), 1.0), (btil, ratio, got, ref)
 
     @pytest.mark.parametrize(
         "n, b, radius", [(10, -20.0, 2.0), (500, -45.0, 20.0), (4810, -300.0, 100.0)]
@@ -983,21 +984,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="positive"):
             MeasureSpec.gaussian(np.array([1.0, -1.0]))
 
-    @pytest.mark.parametrize("kind, sigma, match", [
-        # a misspelled kind must not quietly measure under Lebesgue
-        ("Gaussian", np.ones(3), "kind"),
-        ("gauss", np.ones(3), "kind"),
-        ("gaussian", None, "only then"),
-        ("lebesgue", np.ones(3), "only then"),
-        ("gaussian", np.array([1.0, math.nan]), "positive finite"),
-    ])
-    def test_measure_is_validated_when_built(self, kind, sigma, match):
-        with pytest.raises(ValueError, match=match):
-            MeasureSpec(kind, sigma)
+    @pytest.mark.parametrize("sigma", [np.array([1.0, math.nan]), np.ones((2, 2)), np.ones(0)],
+                             ids=["nan", "matrix", "empty"])
+    def test_measure_is_validated_when_built(self, sigma):
+        with pytest.raises(ValueError, match="non-empty vector of positive finite sigmas"):
+            MeasureSpec(sigma)
 
     def test_direct_gaussian_measure_equals_the_factory(self):
         sigma = np.array([0.5, 1.0, 2.0])
-        direct = MeasureSpec("gaussian", sigma)
+        direct = MeasureSpec(sigma)
+        assert direct.kind == "gaussian" and MeasureSpec().kind == "lebesgue"
         assert not direct.sigma.flags.writeable
         np.testing.assert_array_equal(direct.sigma, MeasureSpec.gaussian(sigma).sigma)
 

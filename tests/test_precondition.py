@@ -179,7 +179,6 @@ class TestFromDiagonal:
 
     def test_default_eps_table(self):
         assert DEFAULT_EPS == {
-            "none": 0.0,
             "hessian": 0.1,
             "diag": 0.01,
             "adam-nu": 0.001,
