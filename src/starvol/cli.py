@@ -212,6 +212,8 @@ def _refuse_unused_eps(args, kind: str = "") -> None:
         raise ValueError("sweep --kind eps shapes no map with --preconditioner none, the identity map")
     if args.eps is None or kind == "preconditioner":  # such a sweep shapes each map from --eps
         return
+    if kind == "eps":
+        raise ValueError("--eps shapes no map with sweep --kind eps, which shapes each point from its swept value")
     if args.precond_file:
         raise ValueError("--eps shapes no map with --precond-file, which is used as saved")
     if args.preconditioner == "none":

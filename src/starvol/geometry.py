@@ -7,7 +7,9 @@ volume. An estimate runs in four stages over its block of k rays, all on
 the calling thread:
 
 - sample: one block of directions, one random stream per ray, optionally
-  importance-shaped by a unit-determinant preconditioner;
+  importance-shaped by a unit-determinant preconditioner; each uniform draw
+  is taken in the map's own orthonormal axes, where it is just as uniform,
+  so a dense map costs one product with its n x n basis per block;
 - search: the boundary radius along each ray, by an extrapolated bracket
   and safeguarded inverse quadratic interpolation under one aiming rule,
   each returned radius decided in float64; the only per-ray stage;
@@ -491,12 +493,13 @@ def sample_directions(
 ) -> tuple[np.ndarray, list[float]]:
     """Draw one importance-shaped unit direction per random stream.
 
-    Row i is a uniform sphere point (a normalized Gaussian draw from
-    ``rngs[i]``) mapped through the preconditioner and renormalized; its
-    entry in the returned list is the log of its pre-normalization length.
-    All rows go through one ``apply`` call, so a dense map costs two matrix
-    products for the whole block; it maps the block in place. The identity
-    map gives log-norm 0.0 exactly. The block is returned read-only.
+    Row i is a uniform sphere point z (a normalized Gaussian draw from
+    ``rngs[i]``) taken as coordinates in the map's orthonormal axes V, mapped
+    to V (s * z) and renormalized; its entry in the returned list is
+    log |s * z|, the pre-normalization length. V is orthogonal, so u = V z is
+    uniform too and the row is the map V diag(s) V^T applied to u, at one
+    matrix product for the whole block. The identity map gives log-norm 0.0
+    exactly. The block is returned read-only.
     """
     block = np.empty((len(rngs), precond.dim))
     for row, rng in zip(block, rngs):
@@ -509,7 +512,9 @@ def sample_directions(
     if precond.kind == "identity":
         block.setflags(write=False)
         return block, [0.0] * len(rngs)
-    precond.apply(block, out=block)
+    block *= precond.scale
+    if precond.basis is not None:
+        block = block @ precond.basis.T
     norms = [float(np.linalg.norm(v)) for v in block]
     if not all(0.0 < x < math.inf for x in norms):
         raise PreconditionerError("preconditioner produced a zero or non-finite direction")

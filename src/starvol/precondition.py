@@ -1,12 +1,11 @@
 """Unit-determinant positive-definite preconditioners for direction sampling.
 
-Isotropic unit directions are mapped through a positive-definite linear map
-before renormalization, which oversamples the directions the map stretches;
-the pre-normalization length enters the estimator as an importance
-correction. Keeping the determinant at one leaves the estimated measure
-unchanged, so any such map is purely a variance-reduction device. Every map
-is stored as positive scales along orthonormal axes, so the determinant is
-exact from the scales alone.
+A map is positive scales along orthonormal axes. Isotropic unit directions
+are drawn in those axes, scaled, and renormalized, which oversamples the
+directions the map stretches; the pre-normalization length enters the
+estimator as an importance correction. Keeping the determinant at one
+leaves the estimated measure unchanged, so any such map is purely a
+variance-reduction device, and the determinant is exact from the scales alone.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ MIRROR_BLOCK = 512
 
 
 class PreconditionerError(ValueError):
-    """Raised when a preconditioner cannot be constructed or applied."""
+    """Raised when a preconditioner cannot be constructed, loaded or sampled."""
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -147,10 +146,11 @@ def eigendecompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Preconditioner:
-    """Linear direction-sampling map u -> V (s * V^T u): positive scales s along
-    the orthonormal columns V of ``basis`` (the coordinate axes if None); a
-    ``scale`` of None is the identity. A dense map is kept as its
-    eigendecomposition and never recomposed, so log det = sum(log s).
+    """Direction-sampling map: positive scales s along the orthonormal columns V
+    of ``basis`` (the coordinate axes if None); a ``scale`` of None is the
+    identity. Directions are drawn as coordinates z in those axes and mapped
+    to V (s * z). A dense map is kept as its eigendecomposition and never
+    recomposed, so log det = sum(log s).
 
     Instances are immutable. Use the classmethods (or :func:`from_hessian` /
     :func:`from_diagonal`) to construct; they validate their inputs.
@@ -209,28 +209,6 @@ class Preconditioner:
             return self
         shift = math.exp(-self.log_det() / self.dim)
         return replace(self, scale=_readonly(self.scale * shift))
-
-    # -- application ----------------------------------------------------------
-
-    def apply(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Map a direction of shape (dim,), or each row of a (k, dim) block.
-
-        ``out``, if given, receives the result and may be ``u`` itself.
-        """
-        if u.ndim not in (1, 2) or u.shape[-1] != self.dim:
-            raise PreconditionerError(
-                f"expected shape ({self.dim},) or (k, {self.dim}), got {u.shape}"
-            )
-        if self.scale is None:
-            if out is None:
-                return u
-            np.copyto(out, u)
-            return out
-        if self.basis is None:
-            return np.multiply(self.scale, u, out=out)
-        coords = u @ self.basis  # row i holds V^T u_i
-        coords *= self.scale
-        return np.matmul(coords, self.basis.T, out=out)
 
     def describe(self) -> str:
         tag = self.source or self.kind

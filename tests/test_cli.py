@@ -495,6 +495,8 @@ class TestSweep:
         (["--kind", "checkpoint", "--checkpoints", "{checkpoint}", "--eps", "0.1"], "--preconditioner none"),
         (["--kind", "cutoff", "--values", "1e-2", "--preconditioner", "diag", "--eps", "0.1",
           "--precond-file", "{saved}"], "--eps shapes no map with --precond-file"),
+        (["--kind", "eps", "--values", "1e-3,1e-2", "--eps", "0.5", "--preconditioner", "diag"],
+         "--eps shapes no map with sweep --kind eps, which shapes each point from its swept value"),
     ])
     def test_eps_that_shapes_no_map_exits_2(self, argv, reason, final_checkpoint, tmp_path, capsys):
         saved = tmp_path / "precond.json"

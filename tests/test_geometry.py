@@ -391,6 +391,23 @@ class TestSampleDirection:
         assert l1 == l2
         np.testing.assert_array_equal(v1, v2)
 
+    def test_dense_rows_match_recomposed_map(self):
+        # stream i's normalized draw z_i is taken in the map's axes, so row i
+        # is M (V z_i) / |M (V z_i)| for the recomposed M = V diag(s) V^T,
+        # and its log-norm is log |s * z_i|
+        rng = np.random.default_rng(17)
+        q, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+        p = Preconditioner.diagonal(rng.uniform(0.2, 3.0, size=9), basis=q)
+        matrix = (q * p.scale) @ q.T
+        children = np.random.SeedSequence(5).spawn(6)
+        block, log_norms = sample_directions(p, [np.random.default_rng(c) for c in children])
+        for row, log_norm, child in zip(block, log_norms, children):
+            z = np.random.default_rng(child).standard_normal(9)
+            z /= np.linalg.norm(z)
+            mapped = matrix @ (q @ z)
+            np.testing.assert_allclose(row, mapped / np.linalg.norm(mapped), rtol=0, atol=1e-13)
+            assert log_norm == pytest.approx(math.log(np.linalg.norm(p.scale * z)), rel=0, abs=1e-13)
+
 
 class TestLebesgueLogTerm:
     """The aggregate stage's Lebesgue term: log |S^{n-1}| - log n + n log r - n log |v|."""
@@ -672,18 +689,34 @@ class TestEstimateLocalVolume:
         assert est.preconditioner_id == "exact[diagonal,n=6]"
 
     def test_rotated_exact_preconditioner_kills_variance(self):
-        # the factored dense map V (s * V^T u): every ray of a rotated
-        # ellipsoid must recover the exact volume
-        q, _ = np.linalg.qr(np.random.default_rng(19).normal(size=(12, 12)))
-        e = Ellipsoid(np.geomspace(0.1, 10.0, 12), rotation=q)
+        # acceptance 02's ellipsoid, rotated, so its exact map is dense: every
+        # ray drawn in the map's axes must recover the exact volume
+        q, _ = np.linalg.qr(np.random.default_rng(19).normal(size=(50, 50)))
+        e = Ellipsoid(np.geomspace(1e-2, 1e2, 50), rotation=q)
         p = e.exact_preconditioner()
-        assert p.describe() == "exact[dense,n=12]"
+        assert p.describe() == "exact[dense,n=50]"
         assert p.log_det() == pytest.approx(0.0, abs=1e-12)
         est = estimate_local_volume(
             e.neighborhood(), p, k=32, opts=SearchOptions(rel_tol=1e-10), seed=2
         )
         exact = ellipsoid_log_volume_exact(e)
         assert max(abs(s.log_term - exact) for s in est.samples) < 1e-6
+
+    def test_dense_map_is_unbiased_at_small_n(self):
+        # acceptance 03 on the dense route: a rotated map that is not the
+        # ellipsoid's own shape, 10^4 estimates of k=1
+        def turn(angle):
+            c, s = math.cos(angle), math.sin(angle)
+            return np.array([[c, -s], [s, c]])
+
+        spec = Ellipsoid(np.array([1.5, 0.5]), rotation=turn(0.4)).neighborhood()
+        p = Preconditioner.diagonal(np.array([2.0, 0.5]), basis=turn(1.1)).normalize_unit_det()
+        assert p.kind == "dense"
+        vals = np.array([
+            math.exp(estimate_local_volume(spec, p, k=1, seed=s).log_volume) for s in range(10_000)
+        ])
+        stderr = float(np.std(vals, ddof=1)) / math.sqrt(vals.size)
+        assert abs(float(np.mean(vals)) - math.pi * 1.5 * 0.5) <= 3.0 * stderr
 
     def test_plain_monte_carlo_converges(self):
         e = Ellipsoid(np.array([2.0, 1.0, 0.5]))
