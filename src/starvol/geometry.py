@@ -9,7 +9,9 @@ the calling thread:
 - sample: one block of directions, one random stream per ray, optionally
   importance-shaped by a unit-determinant preconditioner; each uniform draw
   is taken in the map's own orthonormal axes, where it is just as uniform,
-  so a dense map costs one product with its n x n basis per block;
+  so a dense map costs one product with its n x n basis per block, which
+  OpenBLAS runs on the calling thread alone (no worker spins after it, and
+  its bits do not depend on the BLAS thread count);
 - search: the boundary radius along each ray, by an extrapolated bracket
   and safeguarded inverse quadratic interpolation under one aiming rule,
   each returned radius decided in float64; the only per-ray stage;
@@ -19,17 +21,22 @@ the calling thread:
   maximum and apply one Gauss-Legendre rule;
 - aggregate: every ray's log contribution in one pass, then log-sum-exp.
 
+Each estimate records the process CPU and wall seconds of each stage.
+
 Everything is carried in natural-log space because the volumes involved
 underflow any linear representation.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Sequence
+from functools import cache, cached_property
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -75,6 +82,8 @@ _GL_NODES, _GL_WEIGHTS = leggauss(64)
 # the radial integral whitens a block of directions in slices of this many
 # entries, which keeps its temporaries small
 _BLOCK_ENTRIES = 2**16
+# the stages of an estimate, in order, as VolumeEstimate.stage_seconds names them
+STAGES = ("sample", "search", "integrate", "aggregate")
 # the radius search's predicted bracket step goes this factor of the
 # predicted distance in log r, so a slightly steepening cost still brackets
 _BRACKET_PAST = 1.05
@@ -257,6 +266,9 @@ class VolumeEstimate:
     cutoff: float
     truncated_count: int
     failed_count: int
+    # per stage of STAGES, {"cpu": process CPU seconds, "wall": wall seconds};
+    # CPU counts every thread, so BLAS worker spin lands in the stage it overlaps
+    stage_seconds: dict[str, dict[str, float]] = field(default_factory=dict, compare=False)
 
     @property
     def log10_volume(self) -> float:
@@ -488,6 +500,38 @@ def find_radius(
     return lo, False, evals
 
 
+@cache
+def _blas_thread_setter() -> Callable[[int], int] | None:
+    """``openblas_set_num_threads_local`` of numpy's OpenBLAS, resolved through the
+    numpy extension that links it; None under another BLAS or an older OpenBLAS.
+    It sets the calling thread's BLAS thread count and returns the previous one."""
+    try:
+        setter = ctypes.CDLL(np._core._multiarray_umath.__file__).openblas_set_num_threads_local
+    except (AttributeError, OSError):
+        return None
+    setter.restype, setter.argtypes = ctypes.c_int, [ctypes.c_int]
+    return setter
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the block's BLAS calls on the calling thread alone, then restore its count.
+
+    A product split over OpenBLAS's workers leaves them spinning for about
+    0.13 CPU seconds, and its last bits depend on their number. Other threads
+    keep their count; without the setter this does nothing.
+    """
+    setter = _blas_thread_setter()
+    if setter is None:
+        yield
+        return
+    previous = setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
+
+
 def sample_directions(
     precond: Preconditioner, rngs: Sequence[np.random.Generator]
 ) -> tuple[np.ndarray, list[float]]:
@@ -498,8 +542,10 @@ def sample_directions(
     to V (s * z) and renormalized; its entry in the returned list is
     log |s * z|, the pre-normalization length. V is orthogonal, so u = V z is
     uniform too and the row is the map V diag(s) V^T applied to u, at one
-    matrix product for the whole block. The identity map gives log-norm 0.0
-    exactly. The block is returned read-only.
+    matrix product for the whole block. That product runs on one OpenBLAS
+    thread, the calling one, so its bits do not depend on the BLAS thread
+    count and it leaves no worker spinning. The identity map gives log-norm
+    0.0 exactly. The block is returned read-only.
     """
     block = np.empty((len(rngs), precond.dim))
     for row, rng in zip(block, rngs):
@@ -514,7 +560,8 @@ def sample_directions(
         return block, [0.0] * len(rngs)
     block *= precond.scale
     if precond.basis is not None:
-        block = block @ precond.basis.T
+        with _one_blas_thread():
+            block = block @ precond.basis.T
     norms = [float(np.linalg.norm(v)) for v in block]
     if not all(0.0 < x < math.inf for x in norms):
         raise PreconditionerError("preconditioner produced a zero or non-finite direction")
@@ -632,6 +679,11 @@ def gaussian_radial_log_integral(
     return float(out[0]) if block.ndim == 1 else out
 
 
+def _clock() -> tuple[float, float]:
+    """Process CPU seconds, every thread's, and wall seconds, for stage timing."""
+    return time.process_time(), time.perf_counter()
+
+
 def estimate_local_volume(
     spec: NeighborhoodSpec,
     precond: Preconditioner,
@@ -648,7 +700,8 @@ def estimate_local_volume(
     the estimator's one-sided Markov guarantee. Truncated rays contribute
     their capped radius; under Lebesgue measure that makes the estimate a
     lower bound, which the result flags. The log terms assume a
-    unit-determinant map; any other raises ``PreconditionerError``.
+    unit-determinant map; any other raises ``PreconditionerError``. The
+    result's ``stage_seconds`` times each of the four stages (``STAGES``).
     """
     opts = opts or SearchOptions()
     n = spec.dim
@@ -658,10 +711,12 @@ def estimate_local_volume(
         raise ValueError(f"preconditioner dimension {precond.dim} != anchor dimension {n}")
     if abs(precond.log_det()) > 1e-6:
         raise PreconditionerError(f"preconditioner log det {precond.log_det():.6g} is not 0")
+    marks = [_clock()]
     master = np.random.SeedSequence(seed)
     directions, log_norms = sample_directions(
         precond, [np.random.default_rng(child) for child in master.spawn(k)]
     )
+    marks.append(_clock())
 
     def search(direction: np.ndarray) -> tuple[float, bool, int, str]:
         try:
@@ -670,6 +725,7 @@ def estimate_local_volume(
             return math.nan, False, exc.evals, f"{type(exc).__name__}: {exc}"
 
     radii, truncated, evals, failures = zip(*map(search, directions))
+    marks.append(_clock())
     good = [i for i in range(k) if not failures[i]]
     if not good:
         reasons = sorted(Counter(failures).items())
@@ -687,6 +743,7 @@ def estimate_local_volume(
         # the exact volume of the ray's cone slice, |S^{n-1}| r^n / n
         offset = log_sphere_area(n) - math.log(n)
         radial = [n * math.log(radii[i]) for i in good]
+    marks.append(_clock())
     terms = [-math.inf] * k
     for i, value in zip(good, radial):
         terms[i] = offset + value - n * log_norms[i]
@@ -694,6 +751,7 @@ def estimate_local_volume(
         map(RadialSample, directions, log_norms, radii, truncated, terms, failures, evals)
     )
     log_volume = log_sum_exp(terms) - math.log(k)
+    marks.append(_clock())
     return VolumeEstimate(
         log_volume=log_volume,
         samples=samples,
@@ -704,4 +762,8 @@ def estimate_local_volume(
         cutoff=spec.cutoff,
         truncated_count=sum(1 for s in samples if s.truncated),
         failed_count=sum(1 for s in samples if s.failed),
+        stage_seconds={
+            stage: {"cpu": cpu1 - cpu0, "wall": wall1 - wall0}
+            for stage, (cpu0, wall0), (cpu1, wall1) in zip(STAGES, marks, marks[1:])
+        },
     )

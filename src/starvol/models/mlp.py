@@ -140,7 +140,9 @@ def init_params(
 # multiplied in blocks of at most 2**18 multiply-adds, which run on the
 # calling thread. Measured at 64x64 (2 vCPUs, OpenBLAS 0.3.31), CPU seconds
 # per wall second: 1.00 in 64-row blocks, 1.23-1.26 in 128-row blocks
-# (2**19), 1.82-1.94 in one 512-row product.
+# (2**19), 1.82-1.94 in one 512-row product. Blocking stays, though
+# geometry runs its dense draw on one OpenBLAS thread: it needs no
+# OpenBLAS-only symbol and also covers cost evaluations outside an estimate.
 _BLOCK_MULADDS = 1 << 18
 
 

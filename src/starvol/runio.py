@@ -157,6 +157,7 @@ def make_run_record(
         "ess": estimate.ess,
         "top_share": estimate.top_share,
         "lower_bound_only": estimate.lower_bound_only,
+        "stage_seconds": estimate.stage_seconds,
         "log_terms": [s.log_term for s in estimate.samples],
         "wall_time_s": wall_time_s,
     }

@@ -187,6 +187,9 @@ class TestEstimate:
         assert 1 <= record["evals_per_ray"] <= 6.5
         assert 1.0 <= record["ess"] <= 8.0
         assert 1.0 / 8.0 <= record["top_share"] <= 1.0
+        stages = record["stage_seconds"]
+        assert list(stages) == ["aggregate", "integrate", "sample", "search"]  # keys sorted
+        assert all(t["cpu"] >= 0.0 and 0.0 <= t["wall"] <= record["wall_time_s"] for t in stages.values())
         flat = load_checkpoint(final_checkpoint).params.flat
         digest = hashlib.sha256(flat.astype("<f8").tobytes()).hexdigest()
         assert record["config"]["anchor_sha256"] == digest

@@ -1,8 +1,10 @@
 """Tests for boundary search, radial integrals, and the volume estimator."""
 
+import dataclasses
 import functools
 import math
 import threading
+import time
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +15,7 @@ from starvol import geometry
 from starvol.geometry import (
     CostEvaluationError,
     EstimationError,
+    STAGES,
     MeasureSpec,
     NeighborhoodSpec,
     RadialSample,
@@ -1000,6 +1003,26 @@ class TestEstimateHealth:
         assert 1.0 / 32.0 <= est.top_share <= 1.0
         assert est.top_share == pytest.approx(math.exp(est.max_log_term - est.log_volume) / 32,
                                               rel=1e-12)
+
+
+    def test_stage_seconds_time_each_stage(self):
+        # a dense map under a Gaussian measure runs every stage; the timer
+        # reads clocks only, so a timed estimate equals itself untimed
+        spec = _mlp_spec()
+        q, _ = np.linalg.qr(np.random.default_rng(43).normal(size=(spec.dim, spec.dim)))
+        p = from_diagonal(np.random.default_rng(44).uniform(0.5, 2.0, size=spec.dim), 0.0, basis=q)
+        start = time.perf_counter()
+        est = estimate_local_volume(spec, p, k=16, seed=4)
+        wall = time.perf_counter() - start
+        assert list(est.stage_seconds) == list(STAGES) == ["sample", "search", "integrate", "aggregate"]
+        for seconds in est.stage_seconds.values():
+            assert set(seconds) == {"cpu", "wall"}
+            assert seconds["cpu"] >= 0.0 and seconds["wall"] >= 0.0
+        assert sum(seconds["wall"] for seconds in est.stage_seconds.values()) <= wall
+        assert est == dataclasses.replace(est, stage_seconds={})
+        again = estimate_local_volume(spec, p, k=16, seed=4)
+        assert [s.log_term for s in again.samples] == [s.log_term for s in est.samples]
+        assert again.log_volume == est.log_volume
 
 
 class TestSpecValidation:

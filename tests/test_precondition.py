@@ -1,15 +1,17 @@
 """Tests for unit-determinant preconditioner construction and serialization."""
 
+import ctypes
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from starvol import precondition
+from starvol import geometry, precondition
 from starvol.codec import decode_array, write_json
 from starvol.geometry import NeighborhoodSpec, estimate_local_volume, sample_directions
 from starvol.models import hessian_full, init_params, make_kl_cost
@@ -514,11 +516,40 @@ print("scipy.linalg" in sys.modules)
         assert proc.stdout.splitlines() == ["[]", "True"]
 
 
+def _numpy_blas_has_local_threads() -> bool:
+    """Whether numpy's BLAS exports OpenBLAS's per-thread thread-count setter."""
+    try:
+        return hasattr(ctypes.CDLL(np._core._multiarray_umath.__file__), "openblas_set_num_threads_local")
+    except (AttributeError, OSError):
+        return False
+
+
+def _run_at_one_and_two_threads(script: str) -> list[list[str]]:
+    """The script's output lines in subprocesses at OPENBLAS_NUM_THREADS 1 and 2."""
+    src = Path(precondition.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    return outputs
+
+
+def _householder_map(n: int, rng: np.random.Generator) -> Preconditioner:
+    """A dense unit-determinant map on the reflector I - 2 v v^T, built without BLAS."""
+    v = rng.normal(size=n)
+    v /= np.sqrt(np.sum(v * v))
+    return from_diagonal(rng.uniform(0.5, 2.0, size=n), 0.0, basis=np.eye(n) - 2.0 * np.outer(v, v))
+
+
 class TestBlasThreadCount:
     def test_diag_estimates_reproduce_at_one_and_two_threads(self):
         # the curvature diagonal and the estimates of the identity and
-        # diagonal maps are the same at any BLAS thread count; a hessian map's
-        # are not (its matrix, and the products that apply it, differ in the last bits)
+        # diagonal maps are the same at any BLAS thread count; hessian_full's
+        # matrix is not (it differs in the last bits), so neither is a map
+        # decomposed from it
         script = """
 import hashlib, numpy as np
 from starvol.geometry import NeighborhoodSpec, estimate_local_volume
@@ -533,16 +564,88 @@ for pre in (Preconditioner.identity(params.n), from_diagonal(diag, DEFAULT_EPS["
     est = estimate_local_volume(spec, pre, 16, seed=3)
     print(repr(est.log_volume), [repr(s.log_term) for s in est.samples])
 """
-        src = Path(precondition.__file__).resolve().parents[1]
-        outputs = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
-            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                                  timeout=300, env=env)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout.splitlines())
+        outputs = _run_at_one_and_two_threads(script)
         assert len(outputs[0]) == 3 and "-inf" not in outputs[0][1]
         assert outputs[0] == outputs[1]
+
+    def test_dense_map_estimates_reproduce_at_one_and_two_threads(self):
+        # one fixed dense map (a reflector basis, formed without BLAS) gives
+        # the same log terms at any BLAS thread count: its draw product runs
+        # on the calling thread alone; 16 x 1,210 by 1,210 x 1,210 is large
+        # enough for OpenBLAS to split over its workers otherwise
+        script = """
+import numpy as np
+from starvol.geometry import NeighborhoodSpec, estimate_local_volume
+from starvol.models import hessian_diag, init_params, make_kl_cost
+from starvol.precondition import DEFAULT_EPS, from_diagonal
+params, measure = init_params(((64, 16), (16, 10)), rng=np.random.default_rng(71))
+x = np.random.default_rng(72).normal(size=(512, 64))
+v = np.random.default_rng(73).normal(size=params.n)
+v /= np.sqrt(np.sum(v * v))
+basis = np.eye(params.n) - 2.0 * np.outer(v, v)
+pre = from_diagonal(hessian_diag("kl", params, (params, x)), DEFAULT_EPS["hessian"], basis=basis)
+spec = NeighborhoodSpec(anchor=params.flat, cost=make_kl_cost(params, x), cutoff=1e-2, measure=measure)
+est = estimate_local_volume(spec, pre, 16, seed=3)
+print(params.n, pre.kind, est.failed_count)
+print([repr(s.log_term) for s in est.samples])
+"""
+        outputs = _run_at_one_and_two_threads(script)
+        assert outputs[0][0] == "1210 dense 0"
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(not _numpy_blas_has_local_threads(),
+                        reason="numpy's BLAS has no per-thread thread count")
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: OpenBLAS starts no workers")
+    def test_dense_draw_leaves_no_blas_worker_spinning(self):
+        # a threaded 32 x 256 by 256 x 256 product leaves OpenBLAS's workers
+        # busy-waiting for about 0.13 CPU seconds after it returns
+        pre = _householder_map(256, np.random.default_rng(5))
+        time.sleep(0.4)  # BLAS work of earlier tests goes idle
+        sample_directions(pre, [np.random.default_rng(i) for i in range(32)])
+        start = time.process_time()
+        time.sleep(0.3)
+        assert time.process_time() - start <= 0.03
+
+    def test_dense_draw_restores_the_thread_count(self):
+        setter = geometry._blas_thread_setter()
+        if setter is None:
+            pytest.skip("numpy's BLAS has no per-thread thread count")
+        pre = _householder_map(64, np.random.default_rng(6))
+        previous = setter(2)
+        try:
+            sample_directions(pre, [np.random.default_rng(i) for i in range(4)])
+            assert setter(2) == 2
+        finally:
+            setter(previous)
+
+    def test_dense_draw_without_the_setter_is_unchanged(self, monkeypatch):
+        # under another BLAS, or an older OpenBLAS, the draw runs as it is
+        pre = _householder_map(64, np.random.default_rng(7))
+        want, want_norms = sample_directions(pre, [np.random.default_rng(i) for i in range(4)])
+        monkeypatch.setattr(geometry, "_blas_thread_setter", lambda: None)
+        got, got_norms = sample_directions(pre, [np.random.default_rng(i) for i in range(4)])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got_norms, want_norms, rtol=0, atol=1e-14)
+
+    def test_setter_is_resolved_on_the_first_dense_draw_only(self):
+        script = """
+import sys, numpy as np
+import starvol.cli
+from starvol import geometry
+from starvol.precondition import Preconditioner
+print(geometry._blas_thread_setter.cache_info().currsize, "scipy" in sys.modules)
+rngs = [np.random.default_rng(i) for i in range(2)]
+geometry.sample_directions(Preconditioner.identity(3), rngs)
+geometry.sample_directions(Preconditioner.diagonal(np.array([2.0, 1.0, 0.5])), rngs)
+print(geometry._blas_thread_setter.cache_info().currsize)
+geometry.sample_directions(Preconditioner.diagonal(np.array([2.0, 1.0, 0.5]), basis=np.eye(3)), rngs)
+print(geometry._blas_thread_setter.cache_info().currsize)
+"""
+        src = Path(precondition.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0 False", "0", "1"]
 
 
 class TestArrayCodec:
