@@ -25,6 +25,7 @@ from .geometry import (
     MeasureSpec,
     NeighborhoodSpec,
     SearchOptions,
+    _clock,
     estimate_local_volume,
 )
 from .models import (
@@ -220,6 +221,16 @@ def _refuse_unused_eps(args, kind: str = "") -> None:
         raise ValueError("--eps shapes no map with --preconditioner none, the identity map")
 
 
+def _timed(into: dict, stage: str, fn, *args):
+    """``fn(*args)``, its process CPU and wall seconds kept as ``into[stage]``, as an
+    estimate's ``stage_seconds`` keeps each stage's."""
+    cpu0, wall0 = _clock()
+    out = fn(*args)
+    cpu1, wall1 = _clock()
+    into[stage] = {"cpu": cpu1 - cpu0, "wall": wall1 - wall0}
+    return out
+
+
 def _search_options(args) -> SearchOptions:
     return SearchOptions(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchOptions)})
 
@@ -231,7 +242,10 @@ class _CheckpointEstimator:
     map are built once. Each curvature probe runs at most once, and the full
     Hessian is kept only as its eigendecomposition. Every estimate shapes its
     map from that spectrum in O(n), sharing the eigenvectors without a copy,
-    so a sweep over eps runs one eigendecomposition.
+    so a sweep over eps runs one eigendecomposition. ``build_seconds[name]``
+    holds the process CPU and wall seconds of the map's ``curvature`` probe
+    and, for the hessian map, its ``eigendecompose``; a map built from no
+    probe has no entry.
     """
 
     def __init__(self, args, ckpt: Checkpoint):
@@ -252,6 +266,7 @@ class _CheckpointEstimator:
         # (spectrum, basis) each map is shaped from: Adam's second moment on the
         # coordinate axes, and each curvature probe's result once asked for
         self._curvature = {"adam-nu": (ckpt.adam.nu, None)}
+        self.build_seconds: dict[str, dict[str, dict[str, float]]] = {}
 
     def preconditioner(self, name: str, eps: float | None) -> Preconditioner:
         if name not in PRECONDITIONER_CHOICES:
@@ -263,9 +278,12 @@ class _CheckpointEstimator:
             return Preconditioner.identity(params.n)
         if name not in self._curvature:
             probe = hessian_full if name == "hessian" else hessian_diag
-            curvature = probe(args.cost, params, self.data)
+            took = self.build_seconds[name] = {}
+            curvature = _timed(took, "curvature", probe, args.cost, params, self.data)
             self._curvature[name] = (
-                eigendecompose(curvature) if name == "hessian" else (curvature, None)
+                _timed(took, "eigendecompose", eigendecompose, curvature)
+                if name == "hessian"
+                else (curvature, None)
             )
         spectrum, basis = self._curvature[name]
         eps = DEFAULT_EPS[name] if eps is None else eps
@@ -295,6 +313,7 @@ def cmd_estimate(args) -> int:
         resolved["eps"] = DEFAULT_EPS.get(args.preconditioner)
     resolved["anchor_sha256"] = _anchor_sha256(ckpt.params.flat)
     record = make_run_record("estimate", seed, resolved, estimate, wall)
+    record["build_seconds"] = estimator.build_seconds.get(args.preconditioner, {})
     out = Path(args.out)
     write_jsonl(out, record)
     write_samples_csv(out.with_suffix(".samples.csv"), estimate)
@@ -307,7 +326,8 @@ def cmd_estimate(args) -> int:
         f"k={estimate.k} n={estimate.n} measure={estimate.measure.kind} "
         f"preconditioner={estimate.preconditioner_id} truncated={estimate.truncated_count} "
         f"failed={estimate.failed_count} evals_per_ray={estimate.evals_per_ray:.2f} "
-        f"ess={estimate.ess:.2f} top_share={estimate.top_share:.3f}{bound}"
+        f"ess={estimate.ess:.2f} top_share={estimate.top_share:.3f} "
+        f"prefix_rise={estimate.prefix_rise:.3f}{bound}"
     )
     return 0
 

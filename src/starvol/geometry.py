@@ -315,6 +315,20 @@ class VolumeEstimate:
         """Share of the largest ray in the summed volume, exp(max t - LSE(t))."""
         return math.exp(-log_sum_exp(self._shifted_terms()))
 
+    @property
+    def log_term_sd(self) -> float:
+        """Population standard deviation of the good rays' log terms; 0 for equal terms."""
+        t = self._shifted_terms()
+        return float(np.std(t[[not s.failed for s in self.samples]]))
+
+    @property
+    def prefix_rise(self) -> float:
+        """Log volume of all k rays less that of the first max(1, k // 4), which needs no
+        further rays: 0 for equal terms, and large while later rays still add mass
+        (+inf where every ray of the prefix failed)."""
+        t, j = self._shifted_terms(), max(1, self.k // 4)
+        return (log_sum_exp(t) - math.log(self.k)) - (log_sum_exp(t[:j]) - math.log(j))
+
 
 def _crossing(points: list[tuple[float, float]]) -> float | None:
     """Where the search model puts f = 0, in t = log r, from its last points.

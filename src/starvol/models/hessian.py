@@ -6,10 +6,12 @@ labels for the loss. With q_i the candidate's probabilities, the Hessian is
 the Gauss-Newton matrix B^T B plus a residual term weighted by the logit
 gradient (q_i - t_i) / m. Example i contributes one row of B per class c,
 sqrt(q_ic / m) (J_ic - sum_c' q_ic' J_ic'), with J_i its logit Jacobian.
-Per chunk of examples, the costs' own forward pass (``mlp._forward``) keeps
-each layer's input, and one backward pass carries to each layer's
-pre-activation u_l those C seeds, the gradient gamma_l, and each example's
-residual Hessian R_l with respect to u_l: R_L = 0 at the logits and
+Per chunk of examples, the forward pass that training and ``mdl`` share
+(``mlp._forward``; the cost handles fold the first bias into their product
+instead, which agrees up to rounding) keeps each layer's input, and one
+backward pass carries to each layer's pre-activation u_l those C seeds,
+the gradient gamma_l, and each example's residual Hessian R_l with respect
+to u_l: R_L = 0 at the logits and
 R_l = D_l W_{l+1} R_{l+1} W_{l+1}^T D_l + diag((gamma_{l+1} W_{l+1}^T) tanh''(u_l)),
 with D_l = diag(tanh'(u_l)). A layer's parameter block is the Kronecker
 product of its input (with a 1 for the bias) and these pieces, and the

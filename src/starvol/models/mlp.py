@@ -3,12 +3,16 @@
 Hidden layers use tanh; the final layer emits raw logits consumed by a
 softmax inside the cost functions. Parameters live in one flat vector so
 the whole network is a point in R^n for the volume estimators, and the
-cost closures built here operate directly on flat vectors. Each cost
-handle also carries a ray form, ``cost.along(origin)(direction)``, the
-function r -> cost(origin + r * direction) that the radius search
-evaluates: the first layer's pre-activation is affine in r, so it is
-computed once per origin and once per direction, and each evaluation runs
-only the layers after it and the readout.
+cost closures built here operate directly on flat vectors. Training, the
+description length and the curvature probes share one forward pass,
+``_forward``. The cost handles take their first layer as one product of
+the inputs with a column of ones, [x | 1], and the [W; b] view of the flat
+vector, so no pass adds the bias. Each cost handle also carries a ray
+form, ``cost.along(origin)(direction)``, the function
+r -> cost(origin + r * direction) that the radius search evaluates: the
+first layer's pre-activation is affine in r, so it is computed once per
+origin and once per direction, and each evaluation runs only the layers
+after it and the readout.
 """
 
 from __future__ import annotations
@@ -221,13 +225,16 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted
 
 
-def _class_log_probs(logits: np.ndarray) -> np.ndarray:
-    """Log softmax of (m, C) logits, returned class-major as (C, m) in float64.
+def _shifted_logits(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class-major (C, m) float64 logits s less each example's largest, and each
+    example's log-sum-exp of s; the log-probabilities s - lse are never formed.
 
     The class-major copy makes each reduction run across rows, about twice
     as fast as along them at C = 10; it also casts float32 logits.
     """
-    return log_softmax(logits.T.astype(float, order="C"), axis=0)
+    s = logits.T.astype(float, order="C")
+    s -= np.maximum.reduce(s, axis=0)
+    return s, np.log(np.add.reduce(np.exp(s), axis=0))
 
 
 def _check_inputs(shape: Shape, x: np.ndarray) -> None:
@@ -240,10 +247,35 @@ def _check_inputs(shape: Shape, x: np.ndarray) -> None:
 # -- costs ------------------------------------------------------------------
 
 
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """The rows of x with a column of ones appended, [x | 1]."""
+    return np.hstack([x, np.ones((x.shape[0], 1))])
+
+
+def _folded_first_layer(x1: np.ndarray, flat: np.ndarray, shape: Shape) -> np.ndarray:
+    """The first layer's pre-activation of the rows x1 = [x | 1], one blocked product.
+
+    A flat vector starts with the first layer's weights, row-major, then its
+    bias, so its first (fan_in + 1) * fan_out entries are [W; b], a view.
+    """
+    fan_in, fan_out = shape[0]
+    return _blocked_matmul(x1, flat[: (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out))
+
+
+def _folded_logits(x1: np.ndarray, flat: np.ndarray, shape: Shape) -> np.ndarray:
+    """Logits of the rows x1 = [x | 1] at a flat vector, by the cost handles' route."""
+    split = param_count(shape[:1])
+    return _head(_folded_first_layer(x1, flat, shape), _layer_views(flat[split:], shape[1:]))
+
+
 def _cost_handle(
-    shape: Shape, x: np.ndarray, readout: Callable[[np.ndarray], float]
+    shape: Shape, x1: np.ndarray, readout: Callable[[np.ndarray], float]
 ) -> Callable[[np.ndarray], float]:
-    """Cost over flat vectors, ``readout`` of ``_forward``'s logits, with a ray form.
+    """Cost over flat vectors, ``readout`` of the logits of the rows x1 = [x | 1], with a ray form.
+
+    Every first layer is one product of x1 with the [W; b] view of a flat
+    vector (``_folded_first_layer``): the full evaluation's, the origin's
+    and each direction's. It agrees with ``_forward`` up to rounding.
 
     ``cost.along(origin)`` returns ``line``, and ``line(direction)`` returns
     ``r -> cost(origin + r * direction)``. The first layer's pre-activation
@@ -262,7 +294,7 @@ def _cost_handle(
     split = param_count(shape[:1])
 
     def cost(flat: np.ndarray) -> float:
-        return readout(_forward(_layer_views(flat, shape), x))
+        return readout(_folded_logits(x1, flat, shape))
 
     def ray(z0, zd, rest0, restd) -> Callable[[float], float]:
         z, rest = np.empty_like(z0), np.empty_like(rest0)
@@ -276,13 +308,11 @@ def _cost_handle(
         return cost_at
 
     def along(origin: np.ndarray):
-        (w, b), *_ = _layer_views(origin, shape)
-        z0, rest0 = _first_layer(x, w, b), origin[split:]
+        z0, rest0 = _folded_first_layer(x1, origin, shape), origin[split:]
         z0_32, rest0_32 = z0.astype(np.float32), rest0.astype(np.float32)
 
         def line(direction: np.ndarray) -> Callable[[float], float]:
-            (w, b), *_ = _layer_views(direction, shape)
-            zd, restd = _first_layer(x, w, b), direction[split:]
+            zd, restd = _folded_first_layer(x1, direction, shape), direction[split:]
             cost_at = ray(z0, zd, rest0, restd)
             cost_at.approx = ray(z0_32, zd.astype(np.float32), rest0_32, restd.astype(np.float32))
             return cost_at
@@ -296,6 +326,7 @@ def _cost_handle(
 def make_loss_cost(shape: Shape, dataset: Dataset) -> Callable[[np.ndarray], float]:
     """Cost handle over flat vectors: mean cross-entropy on the dataset.
 
+    Each value is (sum of lse - sum of s[label]) / m from ``_shifted_logits``.
     The handle carries the ray form ``cost.along`` (see ``_cost_handle``).
     """
     if dataset.labels is None:
@@ -307,34 +338,45 @@ def make_loss_cost(shape: Shape, dataset: Dataset) -> Callable[[np.ndarray], flo
     top = int(labels.max())
     if top >= shape[-1][1]:
         raise ValueError(f"label {top} >= network output width {shape[-1][1]}")
-    rows = np.arange(dataset.m)
+    rows, m = np.arange(dataset.m), dataset.m
 
     def readout(logits: np.ndarray) -> float:
-        return float(-np.mean(_class_log_probs(logits)[labels, rows]))
+        s, lse = _shifted_logits(logits)
+        return (float(np.sum(lse)) - float(np.sum(s[labels, rows]))) / m
 
-    return _cost_handle(shape, inputs, readout)
+    return _cost_handle(shape, _with_ones(inputs), readout)
 
 
 def make_kl_cost(anchor: MlpParams, inputs: np.ndarray) -> Callable[[np.ndarray], float]:
     """Cost handle over flat vectors: mean KL(anchor || candidate) on fixed inputs.
 
-    The anchor's predictive log-probabilities are precomputed once, by the
-    same route as every evaluation, so at the anchor itself the value is
-    exactly zero. The handle carries the ray form ``cost.along`` (see
-    ``_cost_handle``).
+    With p the anchor's class probabilities, P each example's sum of them,
+    and s, lse a candidate's ``_shifted_logits``, the sum over examples of
+    sum_c p log q is vdot(p, s) - vdot(P, lse); the log-probabilities are
+    never formed. The anchor's entropy term is that same expression on the
+    anchor's logits, computed by the handle's own route, so at the anchor
+    itself the value is exactly zero. The handle carries the ray form
+    ``cost.along`` (see ``_cost_handle``).
     """
     x = np.asarray(inputs, dtype=float)
     shape = anchor.shape
     _check_inputs(shape, x)
-    anchor_lp = _class_log_probs(_forward(anchor.layers(), x))
-    anchor_p = np.exp(anchor_lp)
-    entropy = float(np.vdot(anchor_p, anchor_lp))  # sum of p log p over rows and classes
+    x1 = _with_ones(x)
+    anchor_s, anchor_lse = _shifted_logits(_folded_logits(x1, anchor.flat, shape))
+    anchor_p = np.exp(anchor_s - anchor_lse)
+    anchor_mass = np.add.reduce(anchor_p, axis=0)  # P, each example's sum of p
+
+    def cross(s: np.ndarray, lse: np.ndarray) -> float:
+        # sum of p log q over examples and classes
+        return float(np.vdot(anchor_p, s)) - float(np.vdot(anchor_mass, lse))
+
+    entropy = cross(anchor_s, anchor_lse)  # sum of p log p
     m = x.shape[0]
 
     def readout(logits: np.ndarray) -> float:
-        return (entropy - float(np.vdot(anchor_p, _class_log_probs(logits)))) / m
+        return (entropy - cross(*_shifted_logits(logits))) / m
 
-    return _cost_handle(shape, x, readout)
+    return _cost_handle(shape, x1, readout)
 
 
 # -- gradients ----------------------------------------------------------------

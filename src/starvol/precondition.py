@@ -10,10 +10,14 @@ variance-reduction device, and the determinant is exact from the scales alone.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
+from functools import cache
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -96,6 +100,20 @@ def _mirror_upper(mat: np.ndarray) -> None:
         mat[start + rows, start + cols] = mat[start + cols, start + rows]
 
 
+@cache
+def _scipy_blas_shutdown() -> Callable[[], int] | None:
+    """``blas_thread_shutdown_`` of scipy's OpenBLAS, resolved through scipy's LAPACK
+    extension, which :func:`eigendecompose` has loaded by the first call; None under
+    another BLAS. It ends the BLAS worker pool at once (OpenBLAS calls it
+    before a fork), and the next threaded call starts the pool again."""
+    try:
+        shutdown = ctypes.CDLL(sys.modules["scipy.linalg._flapack"].__file__).blas_thread_shutdown_
+    except (KeyError, AttributeError, OSError):
+        return None
+    shutdown.restype, shutdown.argtypes = ctypes.c_int, []
+    return shutdown
+
+
 def eigendecompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and read-only orthonormal eigenvectors of a symmetric matrix.
 
@@ -110,6 +128,11 @@ def eigendecompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     opposite sign, the destroyed triangle's zero takes its mirror's sign.
     Any other input is decomposed from a private copy, 3 n^2 floats at peak.
     The eigenvectors are returned as LAPACK writes them, F-ordered.
+
+    Once LAPACK returns, the call ends scipy's OpenBLAS worker pool, whose
+    threads would otherwise busy-wait for about 0.1 CPU seconds through
+    the work that follows; the next threaded scipy call starts it again. So
+    no other thread may use scipy's BLAS while this runs.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
@@ -136,6 +159,9 @@ def eigendecompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise PreconditionerError(f"eigendecomposition failed: {exc}") from exc
     finally:
+        shutdown = _scipy_blas_shutdown()
+        if shutdown is not None:
+            shutdown()
         if borrow:
             # LAPACK read and destroyed work's lower triangle and diagonal
             _mirror_upper(work)

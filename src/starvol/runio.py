@@ -156,6 +156,8 @@ def make_run_record(
         "evals_per_ray": estimate.evals_per_ray,
         "ess": estimate.ess,
         "top_share": estimate.top_share,
+        "log_term_sd": estimate.log_term_sd,
+        "prefix_rise": estimate.prefix_rise,
         "lower_bound_only": estimate.lower_bound_only,
         "stage_seconds": estimate.stage_seconds,
         "log_terms": [s.log_term for s in estimate.samples],

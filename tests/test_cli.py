@@ -193,8 +193,13 @@ class TestEstimate:
         flat = load_checkpoint(final_checkpoint).params.flat
         digest = hashlib.sha256(flat.astype("<f8").tobytes()).hexdigest()
         assert record["config"]["anchor_sha256"] == digest
+        assert record["log_term_sd"] >= 0.0 and math.isfinite(record["prefix_rise"])
+        assert record["build_seconds"] == {}  # the identity map is built from no probe
         summary = capsys.readouterr().out
-        assert f"ess={record['ess']:.2f} top_share={record['top_share']:.3f}" in summary
+        assert (
+            f"ess={record['ess']:.2f} top_share={record['top_share']:.3f} "
+            f"prefix_rise={record['prefix_rise']:.3f}"
+        ) in summary
 
     def test_rerun_appends_identical_record(self, final_checkpoint, tmp_path):
         out = tmp_path / "runs.jsonl"
@@ -232,6 +237,7 @@ class TestEstimate:
         (record,) = read_jsonl(out)
         assert record["measure"] == "lebesgue"
         assert record["preconditioner"].startswith("adam-nu[")
+        assert record["build_seconds"] == {}  # Adam's second moment needs no probe
         assert Preconditioner.load(saved).describe() == record["preconditioner"]
 
     def test_hessian_map_reloads_bit_identically(self, final_checkpoint, tmp_path):
@@ -248,6 +254,11 @@ class TestEstimate:
         assert first["preconditioner"] == second["preconditioner"] == "hessian[dense,n=26]"
         assert first["log_volume"] == second["log_volume"]
         assert first["log_terms"] == second["log_terms"]
+        # the built map's record times its probe and decomposition; a loaded map was built by neither
+        build = first["build_seconds"]
+        assert sorted(build) == ["curvature", "eigendecompose"]
+        assert all(t["cpu"] >= 0.0 and 0.0 <= t["wall"] <= first["wall_time_s"] for t in build.values())
+        assert second["build_seconds"] == {}
 
     def test_map_without_unit_determinant_exits_2(self, final_checkpoint, tmp_path, capsys):
         saved = tmp_path / "precond.json"
@@ -298,6 +309,8 @@ class TestEstimate:
         assert math.isfinite(record["log_volume"])
         assert record["preconditioner"].startswith(f"{name}[")
         assert "fd_step" not in record["config"]
+        want = ["curvature", "eigendecompose"] if name == "hessian" else ["curvature"]
+        assert sorted(record["build_seconds"]) == want
 
     def test_fd_step_is_rejected(self, final_checkpoint, tmp_path):
         with pytest.raises(SystemExit) as info:

@@ -973,6 +973,28 @@ class TestEstimateHealth:
         est = _estimate_of_terms([term] * k)
         assert est.ess == pytest.approx(k, rel=1e-12)
         assert est.top_share == pytest.approx(1.0 / k, rel=1e-12)
+        assert est.log_term_sd == 0.0
+        assert est.prefix_rise == 0.0
+
+    @pytest.mark.parametrize("k", [2, 4, 7, 32, 128])
+    @pytest.mark.parametrize("d", [-2.0, 0.5, 40.0])
+    def test_one_late_term_in_closed_form(self, k, d):
+        # one term D in the last 3k/4 and every other 0: the first k // 4 rays
+        # read log volume 0, and all k read log((e^D + k - 1) / k)
+        prefix = max(1, k // 4)
+        for where in sorted({prefix, (prefix + k - 1) // 2, k - 1}):
+            terms = [0.0] * k
+            terms[where] = d
+            est = _estimate_of_terms(terms)
+            want = math.log(math.exp(d) + k - 1) - math.log(k)
+            assert est.prefix_rise == pytest.approx(want, rel=1e-12, abs=1e-14)
+            assert est.log_term_sd == pytest.approx(abs(d) * math.sqrt(k - 1) / k, rel=1e-12)
+
+    def test_failed_rays_are_left_out_of_the_spread(self):
+        # the good terms -5 and -3 spread by 1; a failed prefix has no volume
+        est = _estimate_of_terms([-math.inf, -5.0, -math.inf, -3.0])
+        assert est.log_term_sd == pytest.approx(1.0, rel=1e-12)
+        assert est.prefix_rise == math.inf
 
     @pytest.mark.parametrize("k", [2, 32, 128])
     def test_one_dominant_term(self, k):
@@ -1003,6 +1025,9 @@ class TestEstimateHealth:
         assert 1.0 / 32.0 <= est.top_share <= 1.0
         assert est.top_share == pytest.approx(math.exp(est.max_log_term - est.log_volume) / 32,
                                               rel=1e-12)
+        first_eight = log_sum_exp([s.log_term for s in est.samples[:8]]) - math.log(8)
+        assert est.prefix_rise == pytest.approx(est.log_volume - first_eight, abs=1e-12)
+        assert est.log_term_sd == pytest.approx(np.std([s.log_term for s in est.samples]), rel=1e-12)
 
 
     def test_stage_seconds_time_each_stage(self):

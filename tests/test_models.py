@@ -313,9 +313,12 @@ class TestLossCost:
 
 class TestKlCost:
     def test_zero_at_anchor(self):
-        anchor, _ = init_params(((3, 6), (6, 4)), rng=np.random.default_rng(7))
-        inputs = np.random.default_rng(8).normal(size=(10, 3))
-        assert make_kl_cost(anchor, inputs)(anchor.flat) == 0.0
+        # the anchor's entropy term is read by the handle's own route, so the
+        # two terms cancel exactly; 512 rows of 64-64-10 block the first product
+        for shape, rows in ((((3, 6), (6, 4)), 10), (((64, 64), (64, 10)), 512)):
+            anchor, _ = init_params(shape, rng=np.random.default_rng(7))
+            inputs = np.random.default_rng(8).normal(size=(rows, shape[0][0]))
+            assert make_kl_cost(anchor, inputs)(anchor.flat) == 0.0, shape
 
     def test_constructed_two_class_value(self):
         # bias-only nets on a zero input realize any fixed distribution pair
@@ -361,14 +364,39 @@ RAY_SHAPES = {
 
 class TestRayForm:
     @staticmethod
-    def _cost(kind, shape, rows, seed):
+    def _net(shape, rows, seed):
+        """Random parameters, inputs and labels for a net of this shape."""
         rng = np.random.default_rng(seed)
         params, _ = init_params(shape, rng=rng)
         x = rng.normal(size=(rows, shape[0][0]))
+        return params, x, rng.integers(0, shape[-1][1], size=rows)
+
+    @classmethod
+    def _cost(cls, kind, shape, rows, seed):
+        params, x, labels = cls._net(shape, rows, seed)
         if kind == "kl":
             return params, make_kl_cost(params, x)
-        labels = rng.integers(0, shape[-1][1], size=x.shape[0])
         return params, make_loss_cost(shape, Dataset(x, labels))
+
+    @pytest.mark.parametrize("kind", ["kl", "loss"])
+    @pytest.mark.parametrize("name", sorted(RAY_SHAPES))
+    def test_handle_matches_the_forward_route(self, kind, name):
+        # the handle folds the first bias into its product and reads the
+        # logits as shifted logits and their log-sum-exp; training and the
+        # curvature probes read them through _forward and log_softmax
+        shape, rows = RAY_SHAPES[name]
+        params, x, labels = self._net(shape, rows, 31)
+        point = params.flat + 0.1 * np.random.default_rng(39).normal(size=params.n)
+        lp = log_softmax(_forward(MlpParams(point, shape).layers(), x))
+        if kind == "kl":
+            cost = make_kl_cost(params, x)
+            anchor_lp = log_softmax(_forward(params.layers(), x))
+            want = float(np.sum(np.exp(anchor_lp) * (anchor_lp - lp))) / rows
+        else:
+            cost = make_loss_cost(shape, Dataset(x, labels))
+            want = float(-np.mean(lp[np.arange(rows), labels]))
+        assert want > 1e-3
+        assert abs(cost(point) - want) <= 1e-13
 
     @pytest.mark.parametrize("kind", ["kl", "loss"])
     @pytest.mark.parametrize("name", sorted(RAY_SHAPES))
@@ -387,7 +415,8 @@ class TestRayForm:
 
     @pytest.mark.parametrize("name", sorted(RAY_SHAPES))
     def test_forward_collects_each_layer_input(self, name):
-        # training and curvature take their activations from the costs' forward route
+        # training, mdl and the curvature probes take their activations from
+        # _forward; the cost handles fold the first bias into their product
         shape, rows = RAY_SHAPES[name]
         rng = np.random.default_rng(38)
         params, _ = init_params(shape, rng=rng)

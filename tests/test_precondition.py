@@ -648,6 +648,46 @@ print(geometry._blas_thread_setter.cache_info().currsize)
         assert proc.stdout.splitlines() == ["0 False", "0", "1"]
 
 
+def _scipy_blas_has_shutdown() -> bool:
+    """Whether scipy's BLAS exports OpenBLAS's worker-pool shutdown."""
+    from scipy.linalg import _flapack
+
+    try:
+        return hasattr(ctypes.CDLL(_flapack.__file__), "blas_thread_shutdown_")
+    except OSError:
+        return False
+
+
+class TestScipyBlasPool:
+    @pytest.mark.skipif(not _scipy_blas_has_shutdown(), reason="scipy's BLAS has no worker-pool shutdown")
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: OpenBLAS starts no workers")
+    def test_eigendecompose_leaves_no_blas_worker_spinning(self):
+        # a threaded eigh of a 1,500 x 1,500 matrix leaves scipy's OpenBLAS
+        # workers busy-waiting for about 0.12 CPU seconds after it returns
+        mat = _kernel(1500)
+        time.sleep(0.4)  # BLAS work of earlier tests goes idle
+        eigendecompose(mat)
+        start = time.process_time()
+        time.sleep(0.3)
+        assert time.process_time() - start <= 0.03
+
+    def test_next_decomposition_restarts_the_pool(self):
+        # the second call starts the ended pool again and returns the same bits
+        mat = _kernel(700)
+        first, second = eigendecompose(mat), eigendecompose(mat)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(_bits(a), _bits(b))
+
+    def test_without_the_shutdown_eigenpairs_are_unchanged(self, monkeypatch):
+        # under another BLAS the decomposition runs as it is
+        mat = _kernel(700)
+        want = eigendecompose(mat)
+        monkeypatch.setattr(precondition, "_scipy_blas_shutdown", lambda: None)
+        got = eigendecompose(mat)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
 class TestArrayCodec:
     def test_float64_round_trip_is_bit_exact(self, tmp_path):
         values = np.array([-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308,
