@@ -534,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mdl.add_argument("--checkpoint", type=str, required=True)
     p_mdl.add_argument("--record", type=str, required=True, help="JSON Lines file from estimate")
     p_mdl.add_argument("--out", type=str, default="mdl.json")
-    add_seed(p_mdl)
     p_mdl.set_defaults(func=cmd_mdl)
 
     return parser

@@ -7,18 +7,22 @@ volume. An estimate runs in four stages over its block of k rays, all on
 the calling thread:
 
 - sample: one block of directions, one random stream per ray, optionally
-  importance-shaped by a unit-determinant preconditioner; each uniform draw
-  is taken in the map's own orthonormal axes, where it is just as uniform,
-  so a dense map costs one product with its n x n basis per block, which
-  OpenBLAS runs on the calling thread alone (no worker spins after it, and
-  its bits do not depend on the BLAS thread count);
+  importance-shaped by a unit-determinant preconditioner. The k streams are
+  built in one vectorized pass, each equal bit for bit to the matching child
+  of ``SeedSequence(seed).spawn(k)``, and each draws straight into its row
+  of the block. Each uniform draw is taken in the map's own orthonormal
+  axes, where it is just as uniform, so a dense map costs one product with
+  its n x n basis per block, which OpenBLAS runs on the calling thread alone
+  (no worker spins after it, and its bits do not depend on the BLAS thread
+  count);
 - search: the boundary radius along each ray, by an extrapolated bracket
   and safeguarded inverse quadratic interpolation under one aiming rule,
   each returned radius decided in float64; the only per-ray stage;
 - integrate: under a Gaussian measure, each good ray's one-dimensional
   radial integral, all in one vectorized call. One route serves every ray:
   bracket the log-concave integrand where it is within 60 nats of its
-  maximum and apply one Gauss-Legendre rule;
+  maximum, by one bisection for both edges of every ray, and apply one
+  Gauss-Legendre rule;
 - aggregate: every ray's log contribution in one pass, then log-sum-exp.
 
 Each estimate records the process CPU and wall seconds of each stage.
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -40,6 +45,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.random.bit_generator import ISeedSequence
 
 from .logspace import log_sphere_area, log_sum_exp
 from .precondition import Preconditioner, PreconditionerError, _readonly
@@ -94,6 +100,12 @@ _AIM_PAST = 0.1
 # with no interior point yet, narrowing gives up once its upper end falls
 # below this fraction of the first bracket's
 _INTERIOR_FLOOR = 2.0**-50
+# numpy's SeedSequence hash constants: entropy mixing (A), state generation
+# (B) and the mix of a hashed word into a pool word (L, R); each hash and
+# mix ends with x ^= x >> 16
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
 class RadiusSearchError(RuntimeError):
@@ -546,6 +558,56 @@ def _one_blas_thread() -> Iterator[None]:
         setter(previous)
 
 
+class _StreamState(ISeedSequence):
+    """One child's generated state, handed to ``np.random.PCG64`` as its seed sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words  # the 8 little-endian uint32 words of generate_state(4, np.uint64)
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if np.dtype(dtype) == np.uint64:
+            return self.words.view("<u8").astype(np.uint64, copy=False)
+        return self.words
+
+
+@cache
+def _spawn_constants(words: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The hash constants a child's last mixing phase and its state generation use.
+
+    For a seed of ``words`` 32-bit words, ``SeedSequence`` makes 16 + 4 max(0,
+    words - 4) hashmix calls before it mixes in a child's spawn word; each
+    call XORs with the running constant and multiplies by the next. Returns
+    the XOR and multiplier constants of the spawn word's four calls, then
+    those of the eight output words of ``generate_state``.
+    """
+    calls = 16 + 4 * max(0, words - 4)
+    mix = [_INIT_A * pow(_MULT_A, calls + j, 2**32) % 2**32 for j in range(5)]
+    out = [_INIT_B * pow(_MULT_B, j, 2**32) % 2**32 for j in range(9)]
+    return tuple(np.array(c, dtype=np.uint32) for c in (mix[:4], mix[1:], out[:8], out[1:]))
+
+
+def _spawn_streams(master: np.random.SeedSequence, k: int) -> list[np.random.Generator]:
+    """``[default_rng(child) for child in master.spawn(k)]``, bit for bit, from one pass.
+
+    Child i differs from ``master`` only in its last mixing phase, which
+    hashes the spawn word i into each of the 4 pool words; that phase and the
+    child's ``generate_state(4, np.uint64)`` run here for every i at once, in
+    wrapping uint32 arithmetic. ``master`` is left unspawned.
+    """
+    # the seed's count of 32-bit words; numpy stores 0 as one word
+    words = max(1, (operator.index(master.entropy).bit_length() + 31) // 32)
+    xor_mix, mul_mix, xor_out, mul_out = _spawn_constants(words)
+    with np.errstate(over="ignore"):
+        hashed = (np.arange(k, dtype=np.uint32)[:, None] ^ xor_mix) * mul_mix
+        hashed ^= hashed >> 16
+        pool = _MIX_MULT_L * master.pool - _MIX_MULT_R * hashed
+        pool ^= pool >> 16
+        state = (np.concatenate([pool, pool], axis=1) ^ xor_out) * mul_out
+        state ^= state >> 16
+    state = state.astype("<u4", copy=False)
+    return [np.random.Generator(np.random.PCG64(_StreamState(row))) for row in state]
+
+
 def sample_directions(
     precond: Preconditioner, rngs: Sequence[np.random.Generator]
 ) -> tuple[np.ndarray, list[float]]:
@@ -554,21 +616,22 @@ def sample_directions(
     Row i is a uniform sphere point z (a normalized Gaussian draw from
     ``rngs[i]``) taken as coordinates in the map's orthonormal axes V, mapped
     to V (s * z) and renormalized; its entry in the returned list is
-    log |s * z|, the pre-normalization length. V is orthogonal, so u = V z is
-    uniform too and the row is the map V diag(s) V^T applied to u, at one
-    matrix product for the whole block. That product runs on one OpenBLAS
-    thread, the calling one, so its bits do not depend on the BLAS thread
-    count and it leaves no worker spinning. The identity map gives log-norm
-    0.0 exactly. The block is returned read-only.
+    log |s * z|, the pre-normalization length. Each draw fills its row in
+    place, and each norm is sqrt(v . v), as ``np.linalg.norm`` computes it.
+    V is orthogonal, so u = V z is uniform too and the row is the map
+    V diag(s) V^T applied to u, at one matrix product for the whole block.
+    That product runs on one OpenBLAS thread, the calling one, so its bits
+    do not depend on the BLAS thread count and it leaves no worker
+    spinning. The identity map gives log-norm 0.0 exactly. The block is
+    returned read-only.
     """
     block = np.empty((len(rngs), precond.dim))
     for row, rng in zip(block, rngs):
-        u = rng.standard_normal(precond.dim)
-        norm_u = float(np.linalg.norm(u))
-        while norm_u == 0.0:  # probability zero in practice, loop for safety
-            u = rng.standard_normal(precond.dim)
-            norm_u = float(np.linalg.norm(u))
-        np.divide(u, norm_u, out=row)
+        norm = 0.0
+        while norm == 0.0:  # a zero draw has probability zero; redraw for safety
+            rng.standard_normal(out=row)
+            norm = math.sqrt(row.dot(row))
+        row /= norm
     if precond.kind == "identity":
         block.setflags(write=False)
         return block, [0.0] * len(rngs)
@@ -576,7 +639,7 @@ def sample_directions(
     if precond.basis is not None:
         with _one_blas_thread():
             block = block @ precond.basis.T
-    norms = [float(np.linalg.norm(v)) for v in block]
+    norms = [math.sqrt(v.dot(v)) for v in block]
     if not all(0.0 < x < math.inf for x in norms):
         raise PreconditionerError("preconditioner produced a zero or non-finite direction")
     block /= np.array(norms)[:, None]
@@ -585,12 +648,16 @@ def sample_directions(
 
 
 def _edge(h, target: np.ndarray, top: np.ndarray, outside: np.ndarray) -> np.ndarray:
-    """Locate, row by row, where h falls to ``target`` between ``top`` and ``outside``.
+    """Locate, element by element, where h falls to ``target`` between ``top`` and ``outside``.
 
-    h is monotone from ``top`` to ``outside`` and at least ``target`` at ``top``.
-    Bisection keeps the outer point, so no row's result is closer to ``top``
-    than its crossing (``outside`` where there is none); a row stops once its
-    bracket is within 1/64 of that point's distance from ``top``, or after 64 halvings.
+    ``outside`` may hold several columns per row of ``top`` and ``target``,
+    such as both edges of each ray; h is monotone from ``top`` to each
+    element of ``outside`` and at least ``target`` at ``top``. Bisection
+    keeps the outer point, so no result is closer to ``top`` than its
+    crossing (``outside`` where there is none); an element stops once its
+    bracket is within 1/64 of that point's distance from ``top``, or after 64
+    halvings. Each element is masked on its own, so it gets the same bits as
+    in a call of its own.
     """
     inside = top
     for _ in range(64):
@@ -633,12 +700,13 @@ def gaussian_radial_log_integral(
     peaks at top = min(p*, radius sqrt(a)), p* being its stationary point,
     and falls monotonically on either side. As h'' = -1 - (n - 1) / p^2 <= -1,
     h drops 60 nats below h(top) within sqrt(120) of top on either side;
-    bisection from there finds where, and one 64-node Gauss-Legendre rule
-    integrates e^{h - h(top)} over that bracket. Concavity bounds the mass
-    left outside the bracket by about e^-60 of the mass inside, so a ray is
-    never overestimated beyond the rule's roundoff. Every step runs on all
-    rows at once; the block is whitened in slices of at most
-    ``_BLOCK_ENTRIES`` entries, and nothing is multiplied by BLAS.
+    one bisection from there finds where on both sides at once, and one
+    64-node Gauss-Legendre rule integrates e^{h - h(top)} over that
+    bracket. Concavity bounds the mass left outside the bracket by about
+    e^-60 of the mass inside, so a ray is never overestimated beyond the
+    rule's roundoff. Every step runs on all rows at once; the block is
+    whitened in slices of at most ``_BLOCK_ENTRIES`` entries, and nothing
+    is multiplied by BLAS.
     """
     block = np.asarray(direction, dtype=float)
     radii = np.asarray(radius, dtype=float).reshape(-1)
@@ -683,8 +751,9 @@ def gaussian_radial_log_integral(
 
     # h(p) <= h(top) - (p - top)^2 / 2, so the drop lies within reach of top
     reach = math.sqrt(2.0 * _RADIAL_DROP_NATS)
-    lo = _edge(h, target, top, np.maximum(top - reach, 0.0))
-    hi = _edge(h, target, top, np.minimum(top + reach, p_max))
+    ends = np.hstack([np.maximum(top - reach, 0.0), np.minimum(top + reach, p_max)])
+    ends = _edge(h, target, top, ends)
+    lo, hi = ends[:, :1], ends[:, 1:]
 
     half = 0.5 * (hi - lo)
     vals = np.exp(h((lo + hi) * 0.5 + half * _GL_NODES) - h_top)
@@ -708,7 +777,11 @@ def estimate_local_volume(
     """Estimate the local volume of the anchor's neighborhood from k rays.
 
     Each sample gets its own random stream derived from the integer seed
-    and the sample index. Every stage runs on the calling thread, so
+    and the sample index: ray i draws from child i of
+    ``np.random.SeedSequence(seed).spawn(k)``, bit for bit, and all k
+    streams are built in one vectorized pass. A seed that is not an int,
+    such as a ``SeedSequence`` or a list, raises ``TypeError``, and a
+    negative int ``ValueError``. Every stage runs on the calling thread, so
     ``opts.threads`` changes nothing. Rays whose radius search fails
     contribute exact zeros (log term -inf) but still count in k, preserving
     the estimator's one-sided Markov guarantee. Truncated rays contribute
@@ -726,9 +799,8 @@ def estimate_local_volume(
     if abs(precond.log_det()) > 1e-6:
         raise PreconditionerError(f"preconditioner log det {precond.log_det():.6g} is not 0")
     marks = [_clock()]
-    master = np.random.SeedSequence(seed)
     directions, log_norms = sample_directions(
-        precond, [np.random.default_rng(child) for child in master.spawn(k)]
+        precond, _spawn_streams(np.random.SeedSequence(seed), k)
     )
     marks.append(_clock())
 

@@ -692,6 +692,18 @@ class TestMdl:
         assert math.isfinite(payload["kl_term"])
         assert payload["n"] == 26
 
+    def test_seed_is_rejected(self, final_checkpoint, lebesgue_record, tmp_path, capsys):
+        # mdl's data come from the checkpoint's own seed, so a --seed would be ignored
+        out = tmp_path / "mdl.json"
+        with pytest.raises(SystemExit) as info:
+            main([
+                "mdl", "--checkpoint", str(final_checkpoint),
+                "--record", str(lebesgue_record), "--out", str(out), "--seed", "1",
+            ])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gaussian_record_is_rejected(self, final_checkpoint, tmp_path):
         rec = tmp_path / "gauss.jsonl"
         assert main([

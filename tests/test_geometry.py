@@ -360,6 +360,27 @@ def one_direction(precond, rng):
     return block[0], log_norms[0]
 
 
+# one map of each kind at n=7, for the per-ray sampling checks
+RAY_MAPS = {
+    "identity": Preconditioner.identity(7),
+    "diagonal": Preconditioner.diagonal(np.array([3.0, 0.5, 1.0, 2.0, 0.25, 1.5, 0.8])).normalize_unit_det(),
+    "dense": Ellipsoid(
+        np.array([2.0, 1.0, 0.25, 0.5, 1.5, 0.8, 1.2]),
+        rotation=np.linalg.qr(np.random.default_rng(4).normal(size=(7, 7)))[0],
+    ).exact_preconditioner(),
+}
+# seeds of 1, 1, 2, 3, 5 and 7 words of 32 bits: past 4 words, SeedSequence
+# mixes the extra words in before a child's spawn word
+RAY_SEEDS = {
+    "0": 0,
+    "2^32-1": 2**32 - 1,
+    "2^32": 2**32,
+    "2^64+5": 2**64 + 5,
+    "2^128+3": 2**128 + 3,
+    "2^200+1": 2**200 + 1,
+}
+
+
 class TestSampleDirection:
     def test_identity_unit_norm_zero_correction(self):
         rng = np.random.default_rng(0)
@@ -410,6 +431,26 @@ class TestSampleDirection:
             mapped = matrix @ (q @ z)
             np.testing.assert_allclose(row, mapped / np.linalg.norm(mapped), rtol=0, atol=1e-13)
             assert log_norm == pytest.approx(math.log(np.linalg.norm(p.scale * z)), rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 3, 9, 100, 4810])
+    @pytest.mark.parametrize("kind", ["identity", "diagonal"])
+    def test_rows_equal_the_per_row_draw(self, kind, n):
+        # each row is drawn in place and normed as sqrt(v . v); the bits must
+        # be those of a fresh draw per row, np.linalg.norm and np.divide
+        p = Preconditioner.identity(n)
+        if kind == "diagonal":
+            p = Preconditioner.diagonal(np.random.default_rng(n).uniform(0.2, 3.0, n)).normalize_unit_det()
+        children = np.random.SeedSequence(n).spawn(8)
+        block, log_norms = sample_directions(p, [np.random.default_rng(c) for c in children])
+        for row, log_norm, child in zip(block, log_norms, children):
+            z = np.random.default_rng(child).standard_normal(n)
+            want, want_log_norm = np.divide(z, np.linalg.norm(z)), 0.0
+            if kind == "diagonal":
+                mapped = want * p.scale
+                norm = float(np.linalg.norm(mapped))
+                want, want_log_norm = np.divide(mapped, norm), math.log(norm)
+            np.testing.assert_array_equal(row, want)
+            assert log_norm == want_log_norm
 
 
 class TestLebesgueLogTerm:
@@ -652,8 +693,11 @@ class TestEstimateLocalVolume:
         # a SeedSequence would be spawned from, so passing it twice gave two estimates
         e = Ellipsoid(np.array([2.0, 1.0, 0.25, 0.5, 1.5]))
         p = Preconditioner.identity(5)
-        with pytest.raises(TypeError):
-            estimate_local_volume(e.neighborhood(), p, k=8, seed=np.random.SeedSequence(7))
+        for not_int in (np.random.SeedSequence(7), [7]):
+            with pytest.raises(TypeError):
+                estimate_local_volume(e.neighborhood(), p, k=8, seed=not_int)
+        with pytest.raises(ValueError):
+            estimate_local_volume(e.neighborhood(), p, k=8, seed=-7)
         first, again = (estimate_local_volume(e.neighborhood(), p, k=8, seed=7) for _ in range(2))
         assert first.log_volume == again.log_volume
         assert [s.log_term for s in first.samples] == [s.log_term for s in again.samples]
@@ -791,23 +835,26 @@ class TestEstimateLocalVolume:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize(
-        "precond",
-        [
-            Preconditioner.identity(7),
-            Preconditioner.diagonal(np.array([3.0, 0.5, 1.0, 2.0, 0.25, 1.5, 0.8])).normalize_unit_det(),
-            Ellipsoid(
-                np.array([2.0, 1.0, 0.25, 0.5, 1.5, 0.8, 1.2]),
-                rotation=np.linalg.qr(np.random.default_rng(4).normal(size=(7, 7)))[0],
-            ).exact_preconditioner(),
+        "name, seed, k",
+        # seed 21 at k=16 under the map's name alone; the other seeds take
+        # one to seven 32-bit words of entropy
+        [pytest.param(name, 21, 16, id=name) for name in RAY_MAPS]
+        + [
+            pytest.param(name, seed, k, id=f"{name}-{label}-k{k}")
+            for name in RAY_MAPS
+            for label, seed in RAY_SEEDS.items()
+            for k in (1, 2, 48, 128)
         ],
-        ids=["identity", "diagonal", "dense"],
     )
-    def test_directions_match_per_ray_sampling(self, precond):
-        # the estimate maps all k directions in one block; ray i must still be
-        # the one-row draw from child stream i
+    def test_directions_match_per_ray_sampling(self, name, seed, k):
+        # the estimate builds its k streams in one pass and maps all k
+        # directions in one block; ray i must still be the one-row draw from
+        # child stream i
+        precond = RAY_MAPS[name]
         e = Ellipsoid(np.array([2.0, 1.0, 0.25, 0.5, 1.5, 0.8, 1.2]))
-        est = estimate_local_volume(e.neighborhood(), precond, k=16, seed=21)
-        children = np.random.SeedSequence(21).spawn(16)
+        est = estimate_local_volume(e.neighborhood(), precond, k=k, seed=seed)
+        children = np.random.SeedSequence(seed).spawn(k)
+        assert len(est.samples) == k
         for sample, child in zip(est.samples, children):
             want, log_norm = one_direction(precond, np.random.default_rng(child))
             if precond.kind == "dense":
@@ -816,6 +863,20 @@ class TestEstimateLocalVolume:
             else:
                 np.testing.assert_array_equal(sample.direction, want)
                 assert sample.log_importance_norm == log_norm
+
+    @pytest.mark.parametrize(
+        "seed", [*RAY_SEEDS.values(), 7, 2**300 + 1], ids=[*RAY_SEEDS, "7", "2^300+1"]
+    )
+    def test_spawned_streams_equal_numpy_children(self, seed):
+        # the one-pass build must give every stream the state numpy's own
+        # child gives it, and leave the master unspawned
+        for k in (1, 2, 3, 32, 48, 128):
+            master = np.random.SeedSequence(seed)
+            streams = geometry._spawn_streams(master, k)
+            assert master.n_children_spawned == 0 and len(streams) == k
+            children = np.random.SeedSequence(seed).spawn(k)
+            for stream, child in zip(streams, children):
+                assert stream.bit_generator.state == np.random.default_rng(child).bit_generator.state
 
     def test_dense_thread_count_does_not_change_result(self):
         rotation = np.linalg.qr(np.random.default_rng(6).normal(size=(5, 5)))[0]
