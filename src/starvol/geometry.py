@@ -12,9 +12,9 @@ the calling thread:
   of ``SeedSequence(seed).spawn(k)``, and each draws straight into its row
   of the block. Each uniform draw is taken in the map's own orthonormal
   axes, where it is just as uniform, so a dense map costs one product with
-  its n x n basis per block, which OpenBLAS runs on the calling thread alone
-  (no worker spins after it, and its bits do not depend on the BLAS thread
-  count);
+  its n x n basis per block, through ``matmul``: a product large enough for
+  OpenBLAS to split runs on the calling thread alone, so no worker spins
+  after it and its bits do not depend on the BLAS thread count;
 - search: the boundary radius along each ray, by an extrapolated bracket
   and safeguarded inverse quadratic interpolation under one aiming rule,
   each returned radius decided in float64; the only per-ray stage;
@@ -38,10 +38,9 @@ import math
 import operator
 import time
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -539,21 +538,27 @@ def _blas_thread_setter() -> Callable[[int], int] | None:
     return setter
 
 
-@contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """Run the block's BLAS calls on the calling thread alone, then restore its count.
+# OpenBLAS splits a product of at least 2**19 multiply-adds over two or more
+# threads, and its idle workers then busy-wait for about 0.13 CPU seconds.
+# Measured at 64x64 (2 vCPUs, OpenBLAS 0.3.31), CPU seconds per wall second:
+# 1.00 at 64 rows, 1.23-1.26 at 128 rows (2**19), 1.82-1.94 at 512 rows.
+_THREADED_MULADDS = 1 << 19
 
-    A product split over OpenBLAS's workers leaves them spinning for about
-    0.13 CPU seconds, and its last bits depend on their number. Other threads
-    keep their count; without the setter this does nothing.
+
+def matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w, run on the calling thread alone where OpenBLAS would split it.
+
+    A product of at least ``_THREADED_MULADDS`` multiply-adds runs with the
+    calling thread's OpenBLAS count set to 1, then restored, so no worker
+    spins after it and its bits do not depend on the BLAS thread count.
+    Other threads keep their count. A smaller product, or any product where
+    the setter is missing, is a plain ``x @ w``.
     """
-    setter = _blas_thread_setter()
-    if setter is None:
-        yield
-        return
+    if x.shape[0] * w.size < _THREADED_MULADDS or (setter := _blas_thread_setter()) is None:
+        return x @ w
     previous = setter(1)
     try:
-        yield
+        return x @ w
     finally:
         setter(previous)
 
@@ -619,11 +624,9 @@ def sample_directions(
     log |s * z|, the pre-normalization length. Each draw fills its row in
     place, and each norm is sqrt(v . v), as ``np.linalg.norm`` computes it.
     V is orthogonal, so u = V z is uniform too and the row is the map
-    V diag(s) V^T applied to u, at one matrix product for the whole block.
-    That product runs on one OpenBLAS thread, the calling one, so its bits
-    do not depend on the BLAS thread count and it leaves no worker
-    spinning. The identity map gives log-norm 0.0 exactly. The block is
-    returned read-only.
+    V diag(s) V^T applied to u, at one matrix product for the whole block,
+    through ``matmul``. The identity map gives log-norm 0.0 exactly. The
+    block is returned read-only.
     """
     block = np.empty((len(rngs), precond.dim))
     for row, rng in zip(block, rngs):
@@ -637,8 +640,7 @@ def sample_directions(
         return block, [0.0] * len(rngs)
     block *= precond.scale
     if precond.basis is not None:
-        with _one_blas_thread():
-            block = block @ precond.basis.T
+        block = matmul(block, precond.basis.T)
     norms = [math.sqrt(v.dot(v)) for v in block]
     if not all(0.0 < x < math.inf for x in norms):
         raise PreconditionerError("preconditioner produced a zero or non-finite direction")
@@ -780,7 +782,7 @@ def estimate_local_volume(
     and the sample index: ray i draws from child i of
     ``np.random.SeedSequence(seed).spawn(k)``, bit for bit, and all k
     streams are built in one vectorized pass. A seed that is not an int,
-    such as a ``SeedSequence`` or a list, raises ``TypeError``, and a
+    such as None, a ``SeedSequence`` or a list, raises ``TypeError``, and a
     negative int ``ValueError``. Every stage runs on the calling thread, so
     ``opts.threads`` changes nothing. Rays whose radius search fails
     contribute exact zeros (log term -inf) but still count in k, preserving
@@ -800,7 +802,7 @@ def estimate_local_volume(
         raise PreconditionerError(f"preconditioner log det {precond.log_det():.6g} is not 0")
     marks = [_clock()]
     directions, log_norms = sample_directions(
-        precond, _spawn_streams(np.random.SeedSequence(seed), k)
+        precond, _spawn_streams(np.random.SeedSequence(operator.index(seed)), k)
     )
     marks.append(_clock())
 

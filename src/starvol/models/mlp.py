@@ -12,7 +12,9 @@ form, ``cost.along(origin)(direction)``, the function
 r -> cost(origin + r * direction) that the radius search evaluates: the
 first layer's pre-activation is affine in r, so it is computed once per
 origin and once per direction, and each evaluation runs only the layers
-after it and the readout.
+after it and the readout. Every forward product goes through
+``geometry.matmul``, so one that OpenBLAS would split over its workers runs
+on the calling thread alone and leaves none of them spinning.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..geometry import MeasureSpec
+from ..geometry import MeasureSpec, matmul
 from ..precondition import _readonly
 from .data import Dataset
 
@@ -139,58 +141,11 @@ def init_params(
     return MlpParams(flat, shape), MeasureSpec.gaussian(sigma)
 
 
-# Larger products wake OpenBLAS's worker threads, which then busy-wait
-# through the evaluations that follow. The first layer is therefore
-# multiplied in blocks of at most 2**18 multiply-adds, which run on the
-# calling thread. Measured at 64x64 (2 vCPUs, OpenBLAS 0.3.31), CPU seconds
-# per wall second: 1.00 in 64-row blocks, 1.23-1.26 in 128-row blocks
-# (2**19), 1.82-1.94 in one 512-row product. Blocking stays, though
-# geometry runs its dense draw on one OpenBLAS thread: it needs no
-# OpenBLAS-only symbol and also covers cost evaluations outside an estimate.
-_BLOCK_MULADDS = 1 << 18
-
-
-def _blocks(m: int, fan_in: int, fan_out: int) -> list[tuple[slice, slice]]:
-    """(rows, columns) blocks of an (m, fan_in) @ (fan_in, fan_out) product.
-
-    Each block holds at most ``_BLOCK_MULADDS`` multiply-adds, unless a
-    single column alone does (fan_in above the limit). Columns are split
-    only when one row exceeds the limit.
-    """
-    cols = max(1, min(fan_out, _BLOCK_MULADDS // fan_in))
-    rows = max(1, _BLOCK_MULADDS // (fan_in * cols))
-    return [
-        (slice(r, min(r + rows, m)), slice(c, min(c + cols, fan_out)))
-        for r in range(0, m, rows)
-        for c in range(0, fan_out, cols)
-    ]
-
-
-def _blocked_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w in the inputs' dtype, multiplied in ``_blocks`` (one product where one block holds it)."""
-    if x.shape[0] * w.size <= _BLOCK_MULADDS:  # skips the blocks' bookkeeping, as on a minibatch
-        return x @ w
-    out = np.empty((x.shape[0], w.shape[1]), dtype=np.result_type(x, w))
-    for rows, cols in _blocks(x.shape[0], *w.shape):
-        np.matmul(x[rows], w[:, cols], out=out[rows, cols])
-    return out
-
-
-def _first_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The first layer's pre-activation x @ w + b, multiplied in blocks."""
-    z = _blocked_matmul(x, w)
-    z += b
-    return z
-
-
 def _head(z: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]], activations=None) -> np.ndarray:
     """Logits from the first layer's pre-activation z, which it overwrites.
 
     ``layers`` are the (weight, bias) pairs after the first layer; with none,
-    z already holds the logits. A layer whose product holds at least
-    2 * ``_BLOCK_MULADDS`` multiply-adds is multiplied in blocks, as the
-    first layer is; a smaller one stays one product, which the KL readout
-    on 512 rows (512 x 64 x 10) measured as running on the calling thread.
+    z already holds the logits. Each product goes through ``matmul``.
     Given a list, it appends each hidden layer's ``tanh`` output for training and curvature.
     """
     a = z
@@ -198,7 +153,7 @@ def _head(z: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]], activation
         a = np.tanh(a, out=a)
         if activations is not None:
             activations.append(a)
-        a = (_blocked_matmul(a, w) if a.shape[0] * w.size >= 2 * _BLOCK_MULADDS else a @ w) + b
+        a = matmul(a, w) + b
     return a
 
 
@@ -208,7 +163,9 @@ def _forward(
     """Logits of the rows of x from the (weight, bias) pairs, the one forward route;
     ``activations=[x]`` collects layer inputs."""
     (w, b), *rest = layers
-    return _head(_first_layer(x, w, b), rest, activations)
+    z = matmul(x, w)
+    z += b
+    return _head(z, rest, activations)
 
 
 def forward_logits(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -253,13 +210,13 @@ def _with_ones(x: np.ndarray) -> np.ndarray:
 
 
 def _folded_first_layer(x1: np.ndarray, flat: np.ndarray, shape: Shape) -> np.ndarray:
-    """The first layer's pre-activation of the rows x1 = [x | 1], one blocked product.
+    """The first layer's pre-activation of the rows x1 = [x | 1], one product.
 
     A flat vector starts with the first layer's weights, row-major, then its
     bias, so its first (fan_in + 1) * fan_out entries are [W; b], a view.
     """
     fan_in, fan_out = shape[0]
-    return _blocked_matmul(x1, flat[: (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out))
+    return matmul(x1, flat[: (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out))
 
 
 def _folded_logits(x1: np.ndarray, flat: np.ndarray, shape: Shape) -> np.ndarray:

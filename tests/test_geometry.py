@@ -693,7 +693,7 @@ class TestEstimateLocalVolume:
         # a SeedSequence would be spawned from, so passing it twice gave two estimates
         e = Ellipsoid(np.array([2.0, 1.0, 0.25, 0.5, 1.5]))
         p = Preconditioner.identity(5)
-        for not_int in (np.random.SeedSequence(7), [7]):
+        for not_int in (None, np.random.SeedSequence(7), [7]):
             with pytest.raises(TypeError):
                 estimate_local_volume(e.neighborhood(), p, k=8, seed=not_int)
         with pytest.raises(ValueError):

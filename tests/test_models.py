@@ -8,22 +8,18 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from starvol.geometry import MeasureSpec
+from starvol import geometry
+from starvol.geometry import MeasureSpec, matmul
 from starvol.models.data import Dataset, make_blobs, split_dataset
 import starvol.models.hessian as hessian_module
 from starvol.models.hessian import hessian_diag, hessian_full
 from starvol.models.io import Checkpoint, load_checkpoint, save_checkpoint
 from starvol.models.mdl import description_length
-import starvol.models.mlp as mlp_module
 from starvol.models.mlp import (
-    _BLOCK_MULADDS,
     MlpParams,
     _backward,
-    _blocked_matmul,
-    _blocks,
-    _first_layer,
     _forward,
-    _head,
+    _layer_views,
     forward_logits,
     init_params,
     layer_sigmas,
@@ -83,9 +79,14 @@ def reference_loss_and_grad(flat: np.ndarray, shape, data: Dataset) -> tuple[flo
     return value, np.concatenate(parts)
 
 
+# each reference forward pass takes row chunks of at most this many
+# multiply-adds in its widest layer
+REFERENCE_CHUNK_MULADDS = 1 << 18
+
+
 def reference_loss(flat: np.ndarray, shape, data: Dataset) -> float:
     """Reference logged loss: forward passes over row chunks, summed."""
-    step = max(1, _BLOCK_MULADDS // max(i * o for i, o in shape))
+    step = max(1, REFERENCE_CHUNK_MULADDS // max(i * o for i, o in shape))
     layers = MlpParams(flat, shape).layers()
     total = 0.0
     for start in range(0, data.m, step):
@@ -483,54 +484,13 @@ class TestRayForm:
             want = cost(origin + r * d)
             assert abs(got - want) <= 1e-5 * abs(want)
 
-    def test_blocked_product_keeps_float32(self):
+    def test_matmul_keeps_float32(self):
         rng = np.random.default_rng(37)
         x, w = rng.normal(size=(2000, 64)), rng.normal(size=(64, 10))
-        got = _blocked_matmul(x.astype(np.float32), w.astype(np.float32))
+        got = matmul(x.astype(np.float32), w.astype(np.float32))
         assert got.dtype == np.float32
         np.testing.assert_allclose(got, x @ w, rtol=1e-4, atol=1e-4)
-        assert _blocked_matmul(x, w).dtype == np.float64
-
-    @pytest.mark.parametrize(
-        "m, fan_in, fan_out",
-        [(512, 64, 64), (300, 64, 64), (1, 64, 64), (40, 5, 7), (7, 1024, 1024), (3, 600, 2000)],
-    )
-    def test_first_layer_blocks_are_bounded(self, m, fan_in, fan_out):
-        blocks = _blocks(m, fan_in, fan_out)
-        covered = np.zeros((m, fan_out), dtype=int)
-        for rows, cols in blocks:
-            count = (rows.stop - rows.start) * fan_in * (cols.stop - cols.start)
-            assert 0 < count <= _BLOCK_MULADDS
-            covered[rows, cols] += 1
-        assert np.all(covered == 1)
-        if m * fan_in * fan_out > _BLOCK_MULADDS:
-            assert len(blocks) > 1
-        rng = np.random.default_rng(m)
-        x, w, b = rng.normal(size=(m, fan_in)), rng.normal(size=(fan_in, fan_out)), rng.normal(size=fan_out)
-        np.testing.assert_allclose(_first_layer(x, w, b), x @ w + b, rtol=1e-12, atol=1e-10)
-
-    def test_large_later_layers_are_blocked(self, monkeypatch):
-        rng = np.random.default_rng(34)
-        z, w, b = rng.normal(size=(2000, 64)), rng.normal(size=(64, 10)), rng.normal(size=10)
-        want = np.tanh(z) @ w + b
-        calls = []
-        real = mlp_module._blocked_matmul
-
-        def counted(x, w):
-            calls.append(x.shape)
-            return real(x, w)
-
-        monkeypatch.setattr(mlp_module, "_blocked_matmul", counted)
-        got = _head(z.copy(), [(w, b)])
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        assert calls == [(2000, 64)]
-        # the KL readout on 512 rows stays one product
-        _head(z[:512].copy(), [(w, b)])
-        assert calls == [(2000, 64)]
-
-    def test_block_limit_is_64_rows_at_64x64(self):
-        assert _BLOCK_MULADDS <= 1 << 19
-        assert [rows.stop - rows.start for rows, _ in _blocks(512, 64, 64)] == [64] * 8
+        assert matmul(x, w).dtype == np.float64
 
 
 class TestGradients:
@@ -645,8 +605,9 @@ class TestTraining:
         for row in result.metrics:
             assert set(row) == {"step", "train_loss", "val_loss", "poison_loss"}
 
-    def test_logged_loss_is_the_loss_cost_in_calling_thread_products(self):
-        # 1,000 rows of the 64 -> 64 -> 10 fixture: both layers are multiplied in blocks
+    def test_logged_loss_is_the_loss_cost_in_calling_thread_products(self, monkeypatch):
+        # 1,000 rows of the 64 -> 64 -> 10 fixture: both layers' products
+        # reach the size OpenBLAS splits over its workers
         params, _ = init_params(((64, 64), (64, 10)), rng=np.random.default_rng(5))
         data = make_blobs(dim=64, classes=10, per_class=100, seed=5)
         result = adam_train(params, data, TrainConfig(epochs=1, batch_size=250, checkpoint_every=2))
@@ -654,24 +615,44 @@ class TestTraining:
         assert result.steps == (0, 2, 4)
         assert [row["train_loss"] for row in result.metrics] == [cost(c.flat) for c in result.checkpoints]
 
-        products = []
+        setter = geometry._blas_thread_setter()
+        if setter is None:
+            pytest.skip("numpy's BLAS has no per-thread thread count")
+        counts, products = [], []
+
+        def recorder(threads):
+            counts.append(threads)
+            return setter(threads)
 
         class Recorded(np.ndarray):
-            """Weights that log the multiply-adds of every product they enter."""
+            """Weights that log the multiply-adds of every product they enter
+            and the thread count the recorder last set."""
 
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
                 if ufunc is np.matmul:
                     (m, k), (_, n) = inputs[0].shape, inputs[1].shape
-                    products.append(m * k * n)
+                    products.append((m * k * n, counts[-1] if counts else None))
                 inputs = tuple(np.asarray(a) for a in inputs)
                 if "out" in kwargs:
                     kwargs["out"] = tuple(np.asarray(a) for a in kwargs["out"])
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
-        assert cost(params.flat.view(Recorded)) == cost(params.flat)
-        # 16 first-layer blocks of 64 rows, 3 readout blocks of at most 409 rows
-        assert len(products) == 19
-        assert max(products) <= _BLOCK_MULADDS
+        flat = params.flat.view(Recorded)
+        direction = np.random.default_rng(6).normal(size=params.n).view(Recorded)
+        want = cost(params.flat)
+        monkeypatch.setattr(geometry, "_blas_thread_setter", lambda: recorder)
+        previous = setter(2)
+        try:
+            assert cost(flat) == want
+            cost.along(flat)(direction)(0.5)
+            _forward(_layer_views(flat, params.shape), data.inputs)
+        finally:
+            setter(previous)
+        # the full evaluation's, the ray's (origin, direction, one evaluation) and _forward's
+        first, folded, readout = 1000 * 64 * 64, 1000 * 65 * 64, 1000 * 64 * 10
+        assert [m for m, _ in products] == [folded, readout, folded, folded, readout, first, readout]
+        assert all(m >= 1 << 19 and threads == 1 for m, threads in products)
+        assert counts == [1, 2] * len(products)
 
     def test_trajectory_matches_the_reference_loop_bit_for_bit(self):
         # 23 rows in batches of 7 (the last holds 2), 16 steps, a checkpoint every 3

@@ -14,7 +14,7 @@ import pytest
 from starvol import geometry, precondition
 from starvol.codec import decode_array, write_json
 from starvol.geometry import NeighborhoodSpec, estimate_local_volume, sample_directions
-from starvol.models import hessian_full, init_params, make_kl_cost
+from starvol.models import hessian_full, init_params, make_blobs, make_kl_cost, make_loss_cost
 from starvol.precondition import (
     DEFAULT_EPS,
     ORTHONORMAL_ATOL,
@@ -606,28 +606,44 @@ print([repr(s.log_term) for s in est.samples])
         time.sleep(0.3)
         assert time.process_time() - start <= 0.03
 
+    @pytest.mark.skipif(not _numpy_blas_has_local_threads(),
+                        reason="numpy's BLAS has no per-thread thread count")
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: OpenBLAS starts no workers")
+    def test_loss_evaluation_leaves_no_blas_worker_spinning(self):
+        # on 2,000 rows of a 64 -> 64 -> 10 net both layers' products are
+        # large enough for OpenBLAS to split over its workers
+        params, _ = init_params(((64, 64), (64, 10)), rng=np.random.default_rng(8))
+        cost = make_loss_cost(params.shape, make_blobs(dim=64, classes=10, per_class=200, seed=8))
+        time.sleep(0.4)  # BLAS work of earlier tests goes idle
+        cost(params.flat)
+        start = time.process_time()
+        time.sleep(0.3)
+        assert time.process_time() - start <= 0.03
+
     def test_dense_draw_restores_the_thread_count(self):
+        # 16 x 256 by 256 x 256 reaches the setter
         setter = geometry._blas_thread_setter()
         if setter is None:
             pytest.skip("numpy's BLAS has no per-thread thread count")
-        pre = _householder_map(64, np.random.default_rng(6))
+        pre = _householder_map(256, np.random.default_rng(6))
         previous = setter(2)
         try:
-            sample_directions(pre, [np.random.default_rng(i) for i in range(4)])
+            sample_directions(pre, [np.random.default_rng(i) for i in range(16)])
             assert setter(2) == 2
         finally:
             setter(previous)
 
     def test_dense_draw_without_the_setter_is_unchanged(self, monkeypatch):
         # under another BLAS, or an older OpenBLAS, the draw runs as it is
-        pre = _householder_map(64, np.random.default_rng(7))
-        want, want_norms = sample_directions(pre, [np.random.default_rng(i) for i in range(4)])
+        pre = _householder_map(256, np.random.default_rng(7))
+        want, want_norms = sample_directions(pre, [np.random.default_rng(i) for i in range(16)])
         monkeypatch.setattr(geometry, "_blas_thread_setter", lambda: None)
-        got, got_norms = sample_directions(pre, [np.random.default_rng(i) for i in range(4)])
+        got, got_norms = sample_directions(pre, [np.random.default_rng(i) for i in range(16)])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
         np.testing.assert_allclose(got_norms, want_norms, rtol=0, atol=1e-14)
 
-    def test_setter_is_resolved_on_the_first_dense_draw_only(self):
+    def test_setter_is_resolved_on_the_first_large_product_only(self):
+        # a product below 2**19 multiply-adds, such as a small dense draw, never asks for it
         script = """
 import sys, numpy as np
 import starvol.cli
@@ -637,8 +653,10 @@ print(geometry._blas_thread_setter.cache_info().currsize, "scipy" in sys.modules
 rngs = [np.random.default_rng(i) for i in range(2)]
 geometry.sample_directions(Preconditioner.identity(3), rngs)
 geometry.sample_directions(Preconditioner.diagonal(np.array([2.0, 1.0, 0.5])), rngs)
-print(geometry._blas_thread_setter.cache_info().currsize)
 geometry.sample_directions(Preconditioner.diagonal(np.array([2.0, 1.0, 0.5]), basis=np.eye(3)), rngs)
+geometry.matmul(np.ones((127, 64)), np.ones((64, 64)))
+print(geometry._blas_thread_setter.cache_info().currsize)
+geometry.matmul(np.ones((128, 64)), np.ones((64, 64)))
 print(geometry._blas_thread_setter.cache_info().currsize)
 """
         src = Path(precondition.__file__).resolve().parents[1]
