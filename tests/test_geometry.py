@@ -25,6 +25,7 @@ from starvol.geometry import (
     estimate_local_volume,
     find_radius,
     gaussian_radial_log_integral,
+    matmul,
     sample_directions,
 )
 from starvol.logspace import log_sphere_area, log_sum_exp
@@ -451,6 +452,51 @@ class TestSampleDirection:
                 want, want_log_norm = np.divide(mapped, norm), math.log(norm)
             np.testing.assert_array_equal(row, want)
             assert log_norm == want_log_norm
+
+
+class TestMatmul:
+    """``matmul`` sets the calling thread's BLAS count to 1 around a product of
+    at least 2**19 multiply-adds, restores it, and leaves smaller ones alone."""
+
+    @staticmethod
+    def _recorded(monkeypatch, previous=3):
+        counts = []
+
+        def recorder(threads):
+            counts.append(threads)
+            return previous
+
+        monkeypatch.setattr(geometry, "_blas_thread_setter", lambda: recorder)
+        return counts
+
+    @pytest.mark.parametrize(
+        "m,k,n",
+        [(1, 64, 64), (40, 5, 7), (127, 64, 64), (128, 64, 64),
+         (300, 64, 64), (512, 64, 64), (3, 600, 2000), (7, 1024, 1024)],
+        ids=lambda v: str(v),
+    )
+    def test_only_products_at_the_threshold_set_one_thread(self, monkeypatch, m, k, n):
+        rng = np.random.default_rng(m * k * n)
+        x, w = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+        counts = self._recorded(monkeypatch)
+        got = matmul(x, w)
+        assert got.shape == (m, n)
+        np.testing.assert_allclose(got, x @ w, rtol=1e-12, atol=1e-12)
+        assert counts == ([1, 3] if m * k * n >= 1 << 19 else [])
+
+    def test_without_a_setter_a_large_product_is_plain(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_blas_thread_setter", lambda: None)
+        rng = np.random.default_rng(41)
+        x, w = rng.normal(size=(512, 64)), rng.normal(size=(64, 64))
+        np.testing.assert_allclose(matmul(x, w), x @ w, rtol=1e-12, atol=1e-12)
+
+    def test_the_count_is_restored_when_the_product_raises(self, monkeypatch):
+        # 128 rows by a 65 x 64 weight pass the size test (2**19 + 2**13),
+        # but the weight's 65 rows do not match the rows' 64 columns
+        counts = self._recorded(monkeypatch)
+        with pytest.raises(ValueError):
+            matmul(np.ones((128, 64)), np.ones((65, 64)))
+        assert counts == [1, 3]
 
 
 class TestLebesgueLogTerm:
