@@ -6,9 +6,8 @@ labels for the loss. With q_i the candidate's probabilities, the Hessian is
 the Gauss-Newton matrix B^T B plus a residual term weighted by the logit
 gradient (q_i - t_i) / m. Example i contributes one row of B per class c,
 sqrt(q_ic / m) (J_ic - sum_c' q_ic' J_ic'), with J_i its logit Jacobian.
-Per chunk of examples, the forward pass that training and ``mdl`` share
-(``mlp._forward``; the cost handles fold the first bias into their product
-instead, which agrees up to rounding) keeps each layer's input, and one
+Per chunk of examples, the forward pass that the cost handles, training
+and ``mdl`` share (``mlp._forward``) keeps each layer's input, and one
 backward pass carries to each layer's pre-activation u_l those C seeds,
 the gradient gamma_l, and each example's residual Hessian R_l with respect
 to u_l: R_L = 0 at the logits and
@@ -26,7 +25,7 @@ import numpy as np
 
 from ..precondition import _mirror_upper
 from .data import Dataset
-from .mlp import MlpParams, _check_inputs, _forward, log_softmax
+from .mlp import MlpParams, _check_inputs, _forward, _with_ones, log_softmax, param_count
 
 __all__ = ["hessian_diag", "hessian_full"]
 
@@ -57,7 +56,6 @@ def _factors(cost_kind: str, params: MlpParams, data):
         if not isinstance(anchor, MlpParams) or anchor.shape != shape:
             raise ValueError("kl curvature requires an anchor of the same shape as params")
         moved = not np.array_equal(anchor.flat, params.flat)
-        anchor_layers = anchor.layers()
     elif cost_kind == "loss":
         if not isinstance(data, Dataset) or data.labels is None:
             raise ValueError("loss curvature requires a labeled Dataset")
@@ -68,27 +66,28 @@ def _factors(cost_kind: str, params: MlpParams, data):
         raise ValueError(f"unknown cost kind {cost_kind!r}")
     x = np.asarray(x, dtype=float)
     _check_inputs(shape, x)
-    m = x.shape[0]
+    x1, m = _with_ones(x), x.shape[0]
     eye = np.eye(classes)
     step = max(1, min(CHUNK, CHUNK_FLOATS // max(fan_out for _, fan_out in shape) ** 2))
     layers = params.layers()
     for start in range(0, m, step):
         rows = slice(start, start + step)
-        activations = [x[rows]]
-        q = np.exp(log_softmax(_forward(layers, x[rows], activations)))
+        chunk = x1[rows]
+        activations = [chunk[:, :-1]]
+        q = np.exp(log_softmax(_forward(chunk, params.flat, shape, activations)))
         # delta[i, c] = sqrt(q_ic / m) (e_c - q_i)
         delta = np.sqrt(q / m)[:, :, None] * (eye - q[:, None, :])
         if cost_kind == "loss":
             targets = eye[data.labels[rows]]
         else:  # the anchor's probabilities by the candidate's route; q itself at the anchor
-            targets = np.exp(log_softmax(_forward(anchor_layers, x[rows]))) if moved else q
+            targets = np.exp(log_softmax(_forward(chunk, anchor.flat, shape))) if moved else q
         grad = (q - targets) / m
         grad = grad if grad.any() else None
         resid = None
         factors = []
         for layer in range(len(shape) - 1, -1, -1):
             a_prev = activations[layer]
-            factors.append((np.hstack([a_prev, np.ones((len(a_prev), 1))]), delta, grad, resid))
+            factors.append((chunk if layer == 0 else _with_ones(a_prev), delta, grad, resid))
             if layer > 0:
                 w = layers[layer][0]
                 # tanh'(z) = 1 - tanh(z)^2, and a_prev is already tanh(z)
@@ -107,10 +106,6 @@ def _factors(cost_kind: str, params: MlpParams, data):
         yield factors[::-1]
 
 
-def _layer_starts(params: MlpParams) -> list[int]:
-    return np.cumsum([0] + [fan_in * fan_out + fan_out for fan_in, fan_out in params.shape]).tolist()
-
-
 def hessian_full(cost_kind: str, params: MlpParams, data, h: float | None = None) -> np.ndarray:
     """Exact, exactly symmetric Hessian of a classifier cost at ``params``.
 
@@ -125,7 +120,7 @@ def hessian_full(cost_kind: str, params: MlpParams, data, h: float | None = None
     # block (l, k) at rows (j, o), columns (j', o') is sum_i in_l[i, j] in_k[i, j'] g[i, o, o']
     # with g[i] = seeds_l[i]^T seeds_k[i] plus the residual: one product per
     # input row j over the examples, not over examples x classes
-    starts = _layer_starts(params)
+    starts = [param_count(params.shape[:l]) for l in range(len(params.shape) + 1)]
     weights = [w for w, _ in params.layers()]
     hess = np.zeros((n, n))
     for factors in _factors(cost_kind, params, data):
@@ -171,7 +166,7 @@ def hessian_diag(cost_kind: str, params: MlpParams, data, h: float | None = None
     Per layer, the input squares contracted with the Gauss-Newton column
     sums of squares plus the diagonal of R.
     """
-    starts = _layer_starts(params)
+    starts = [param_count(params.shape[:l]) for l in range(len(params.shape) + 1)]
     diag = np.zeros(params.n)
     for factors in _factors(cost_kind, params, data):
         for l, (in_l, seeds_l, _, resid_l) in enumerate(factors):

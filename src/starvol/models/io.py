@@ -9,7 +9,7 @@ A file of any other version is refused, with its version named.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +43,7 @@ def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
         "adam_mu": checkpoint.adam.mu,
         "adam_nu": checkpoint.adam.nu,
         "adam_step": checkpoint.adam.step,
-        "hyper": {
-            "lr": checkpoint.adam.hyper.lr,
-            "beta1": checkpoint.adam.hyper.beta1,
-            "beta2": checkpoint.adam.hyper.beta2,
-            "adam_eps": checkpoint.adam.hyper.adam_eps,
-        },
+        "hyper": asdict(checkpoint.adam.hyper),
         "sigma": checkpoint.sigma,
         "config": checkpoint.config,
     })

@@ -3,18 +3,19 @@
 Hidden layers use tanh; the final layer emits raw logits consumed by a
 softmax inside the cost functions. Parameters live in one flat vector so
 the whole network is a point in R^n for the volume estimators, and the
-cost closures built here operate directly on flat vectors. Training, the
-description length and the curvature probes share one forward pass,
-``_forward``. The cost handles take their first layer as one product of
-the inputs with a column of ones, [x | 1], and the [W; b] view of the flat
-vector, so no pass adds the bias. Each cost handle also carries a ray
+cost closures built here operate directly on flat vectors. The cost
+handles, training, the description length and the curvature probes share
+one forward pass, ``_forward``, which takes its first layer as one product
+of the inputs with a column of ones, [x | 1], and the [W; b] view of the
+flat vector, so no pass adds the bias. Each cost handle also carries a ray
 form, ``cost.along(origin)(direction)``, the function
 r -> cost(origin + r * direction) that the radius search evaluates: the
 first layer's pre-activation is affine in r, so it is computed once per
 origin and once per direction, and each evaluation runs only the layers
-after it and the readout. Every forward product goes through
+after it and the readout. Every forward and backward product goes through
 ``geometry.matmul``, so one that OpenBLAS would split over its workers runs
-on the calling thread alone and leaves none of them spinning.
+on the calling thread alone, leaves none of them spinning, and gives the
+same bits at any thread count.
 """
 
 from __future__ import annotations
@@ -125,10 +126,13 @@ def init_params(
     Every coordinate of layer l (weights and biases alike) is drawn from a
     zero-mean Gaussian with the layer's std, and the returned Gaussian
     measure carries exactly those per-coordinate stds, so the init
-    distribution and the reference measure coincide by construction.
+    distribution and the reference measure coincide by construction. ``rng``
+    is required: a generator seeded from OS entropy would draw an init that
+    no record can reproduce.
     """
     shape = _validate_shape(shape)
-    rng = rng if rng is not None else np.random.default_rng()
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"init_params needs a numpy Generator, got {type(rng).__name__}")
     sigmas = layer_sigmas(shape, sigma_rule)
     chunks = []
     sigma_chunks = []
@@ -157,21 +161,34 @@ def _head(z: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]], activation
     return a
 
 
-def _forward(
-    layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, activations=None
-) -> np.ndarray:
-    """Logits of the rows of x from the (weight, bias) pairs, the one forward route;
-    ``activations=[x]`` collects layer inputs."""
-    (w, b), *rest = layers
-    z = matmul(x, w)
-    z += b
-    return _head(z, rest, activations)
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """The rows of x with a column of ones appended, [x | 1]."""
+    return np.hstack([x, np.ones((x.shape[0], 1))])
+
+
+def _folded_first_layer(x1: np.ndarray, flat: np.ndarray, shape: Shape) -> np.ndarray:
+    """The first layer's pre-activation of the rows x1 = [x | 1], one product.
+
+    A flat vector starts with the first layer's weights, row-major, then its
+    bias, so its first (fan_in + 1) * fan_out entries are [W; b], a view.
+    """
+    fan_in, fan_out = shape[0]
+    return matmul(x1, flat[: (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out))
+
+
+def _forward(x1: np.ndarray, flat: np.ndarray, shape: Shape, activations=None) -> np.ndarray:
+    """Logits of the rows x1 = [x | 1] at a flat vector, the one forward route;
+    ``activations=[x1[:, :-1]]`` collects each layer's input."""
+    split = param_count(shape[:1])
+    return _head(
+        _folded_first_layer(x1, flat, shape), _layer_views(flat[split:], shape[1:]), activations
+    )
 
 
 def forward_logits(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Logits of each row of a non-empty (m, d) input matrix, as an (m, C) array."""
     _check_inputs(params.shape, x)
-    return _forward(params.layers(), x)
+    return _forward(_with_ones(x), params.flat, params.shape)
 
 
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -204,35 +221,14 @@ def _check_inputs(shape: Shape, x: np.ndarray) -> None:
 # -- costs ------------------------------------------------------------------
 
 
-def _with_ones(x: np.ndarray) -> np.ndarray:
-    """The rows of x with a column of ones appended, [x | 1]."""
-    return np.hstack([x, np.ones((x.shape[0], 1))])
-
-
-def _folded_first_layer(x1: np.ndarray, flat: np.ndarray, shape: Shape) -> np.ndarray:
-    """The first layer's pre-activation of the rows x1 = [x | 1], one product.
-
-    A flat vector starts with the first layer's weights, row-major, then its
-    bias, so its first (fan_in + 1) * fan_out entries are [W; b], a view.
-    """
-    fan_in, fan_out = shape[0]
-    return matmul(x1, flat[: (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out))
-
-
-def _folded_logits(x1: np.ndarray, flat: np.ndarray, shape: Shape) -> np.ndarray:
-    """Logits of the rows x1 = [x | 1] at a flat vector, by the cost handles' route."""
-    split = param_count(shape[:1])
-    return _head(_folded_first_layer(x1, flat, shape), _layer_views(flat[split:], shape[1:]))
-
-
 def _cost_handle(
     shape: Shape, x1: np.ndarray, readout: Callable[[np.ndarray], float]
 ) -> Callable[[np.ndarray], float]:
     """Cost over flat vectors, ``readout`` of the logits of the rows x1 = [x | 1], with a ray form.
 
     Every first layer is one product of x1 with the [W; b] view of a flat
-    vector (``_folded_first_layer``): the full evaluation's, the origin's
-    and each direction's. It agrees with ``_forward`` up to rounding.
+    vector (``_folded_first_layer``): the full evaluation's (``_forward``),
+    the origin's and each direction's.
 
     ``cost.along(origin)`` returns ``line``, and ``line(direction)`` returns
     ``r -> cost(origin + r * direction)``. The first layer's pre-activation
@@ -251,7 +247,7 @@ def _cost_handle(
     split = param_count(shape[:1])
 
     def cost(flat: np.ndarray) -> float:
-        return readout(_folded_logits(x1, flat, shape))
+        return readout(_forward(x1, flat, shape))
 
     def ray(z0, zd, rest0, restd) -> Callable[[float], float]:
         z, rest = np.empty_like(z0), np.empty_like(rest0)
@@ -319,7 +315,7 @@ def make_kl_cost(anchor: MlpParams, inputs: np.ndarray) -> Callable[[np.ndarray]
     shape = anchor.shape
     _check_inputs(shape, x)
     x1 = _with_ones(x)
-    anchor_s, anchor_lse = _shifted_logits(_folded_logits(x1, anchor.flat, shape))
+    anchor_s, anchor_lse = _shifted_logits(_forward(x1, anchor.flat, shape))
     anchor_p = np.exp(anchor_s - anchor_lse)
     anchor_mass = np.add.reduce(anchor_p, axis=0)  # P, each example's sum of p
 
@@ -340,38 +336,33 @@ def make_kl_cost(anchor: MlpParams, inputs: np.ndarray) -> Callable[[np.ndarray]
 
 
 def _backward(
-    shape: Shape,
-    layers: list[tuple[np.ndarray, np.ndarray]],
-    activations: list[np.ndarray],
-    dlogits: np.ndarray,
+    shape: Shape, flat: np.ndarray, activations: list[np.ndarray], dlogits: np.ndarray
 ) -> np.ndarray:
-    """Flat gradient from the logits' gradient; each layer's part is written
-    straight into its views of the flat vector."""
-    grads = np.empty(param_count(shape))
-    delta = dlogits
-    for layer, (gw, gb) in reversed(list(enumerate(_layer_views(grads, shape)))):
+    """Flat gradient at ``flat`` from the logits' gradient, each layer's
+    weight and bias parts concatenated in packing order."""
+    weights = [w for w, _ in _layer_views(flat, shape)]
+    parts, delta = [], dlogits
+    for layer in range(len(shape) - 1, -1, -1):
         a_prev = activations[layer]
-        np.matmul(a_prev.T, delta, out=gw)
-        np.sum(delta, axis=0, out=gb)
+        parts[:0] = [matmul(a_prev.T, delta).ravel(), np.add.reduce(delta, axis=0)]
         if layer > 0:
             # tanh'(z) = 1 - tanh(z)^2, and a_prev is already tanh(z)
-            delta = (delta @ layers[layer][0].T) * (1.0 - a_prev * a_prev)
-    return grads
+            delta = matmul(delta, weights[layer].T) * (1.0 - a_prev * a_prev)
+    return np.concatenate(parts)
 
 
 def _loss_and_grad(
-    flat: np.ndarray, shape: Shape, x: np.ndarray, labels: np.ndarray
+    flat: np.ndarray, shape: Shape, x1: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of rows ``x`` against ``labels``, and its gradient."""
-    layers = _layer_views(flat, shape)
-    activations = [x]
-    lp = log_softmax(_forward(layers, x, activations))
-    rows = np.arange(x.shape[0])
+    """Mean cross-entropy of the rows x1 = [x | 1] against ``labels``, and its gradient."""
+    activations = [x1[:, :-1]]
+    lp = log_softmax(_forward(x1, flat, shape, activations))
+    rows = np.arange(x1.shape[0])
     value = float(-np.mean(lp[rows, labels]))
     probs = np.exp(lp, out=lp)
     probs[rows, labels] -= 1.0
-    probs /= x.shape[0]
-    return value, _backward(shape, layers, activations, probs)
+    probs /= x1.shape[0]
+    return value, _backward(shape, flat, activations, probs)
 
 
 def loss_value_and_grad(
@@ -380,4 +371,4 @@ def loss_value_and_grad(
     """Cross-entropy and its gradient via one backward pass."""
     if dataset.labels is None:
         raise ValueError("loss gradient requires a labeled dataset")
-    return _loss_and_grad(flat, shape, dataset.inputs, dataset.labels)
+    return _loss_and_grad(flat, shape, _with_ones(dataset.inputs), dataset.labels)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .mlp import MlpParams, _loss_and_grad, loss_value_and_grad, make_loss_cost
+from .mlp import MlpParams, _loss_and_grad, _with_ones, make_loss_cost
 
 __all__ = [
     "AdamHyper",
@@ -139,14 +139,16 @@ def adam_train(
         metrics.append({"step": step, **{key: cost(flat) for key, cost in losses.items()}})
 
     record()
-    inputs, labels = dataset.inputs, dataset.labels
+    # each set's [x | 1], built once
+    x1, labels = _with_ones(dataset.inputs), dataset.labels
+    poison_x1 = poison and _with_ones(poison.dataset.inputs)
     for _ in range(config.epochs):
         perm = rng.permutation(dataset.m)
         for start in range(0, dataset.m, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            objective, g = _loss_and_grad(flat, shape, inputs[idx], labels[idx])
+            objective, g = _loss_and_grad(flat, shape, x1[idx], labels[idx])
             if poison is not None:
-                poison_loss, poison_g = loss_value_and_grad(flat, shape, poison.dataset)
+                poison_loss, poison_g = _loss_and_grad(flat, shape, poison_x1, poison.dataset.labels)
                 objective -= poison.alpha * min(poison_loss, cap)
                 if poison_loss < cap:
                     g -= poison.alpha * poison_g

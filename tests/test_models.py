@@ -19,7 +19,7 @@ from starvol.models.mlp import (
     MlpParams,
     _backward,
     _forward,
-    _layer_views,
+    _with_ones,
     forward_logits,
     init_params,
     layer_sigmas,
@@ -43,29 +43,32 @@ def kl_value_and_grad(
     anchor: MlpParams, flat: np.ndarray, inputs: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean KL from the anchor and its gradient with respect to the candidate."""
-    x = np.asarray(inputs, dtype=float)
+    x1 = _with_ones(np.asarray(inputs, dtype=float))
     shape = anchor.shape
-    anchor_lp = log_softmax(_forward(anchor.layers(), x))
+    anchor_lp = log_softmax(_forward(x1, anchor.flat, shape))
     anchor_p = np.exp(anchor_lp)
     row_entropy = np.sum(anchor_p * anchor_lp, axis=1)
-    layers = MlpParams(flat, shape).layers()
-    activations = [x]
-    q_lp = log_softmax(_forward(layers, x, activations))
-    m = x.shape[0]
+    activations = [x1[:, :-1]]
+    q_lp = log_softmax(_forward(x1, flat, shape, activations))
+    m = x1.shape[0]
     value = float(np.mean(row_entropy - np.sum(anchor_p * q_lp, axis=1)))
     dlogits = (np.exp(q_lp) - anchor_p) / m
-    return value, _backward(shape, layers, activations, dlogits)
+    return value, _backward(shape, flat, activations, dlogits)
 
 
 def reference_loss_and_grad(flat: np.ndarray, shape, data: Dataset) -> tuple[float, np.ndarray]:
     """Reference cross-entropy and gradient: a fresh array for every product,
-    and the layers' gradients concatenated in packing order."""
+    and the layers' gradients concatenated in packing order. The first layer
+    is folded as training folds it, [x | 1] @ [W; b]: whether that agrees bit
+    for bit with x @ W + b depends on the BLAS kernel."""
     layers = MlpParams(flat, shape).layers()
-    acts = [data.inputs]
-    for w, b in layers[:-1]:
-        acts.append(np.tanh(acts[-1] @ w + b))
-    w, b = layers[-1]
-    lp = log_softmax(acts[-1] @ w + b)
+    (w, b), x = layers[0], data.inputs
+    z = np.hstack([x, np.ones((data.m, 1))]) @ np.vstack([w, b])
+    acts = [x]
+    for w, b in layers[1:]:
+        acts.append(np.tanh(z))
+        z = acts[-1] @ w + b
+    lp = log_softmax(z)
     rows = np.arange(data.m)
     value = float(-np.mean(lp[rows, data.labels]))
     probs = np.exp(lp)
@@ -87,11 +90,10 @@ REFERENCE_CHUNK_MULADDS = 1 << 18
 def reference_loss(flat: np.ndarray, shape, data: Dataset) -> float:
     """Reference logged loss: forward passes over row chunks, summed."""
     step = max(1, REFERENCE_CHUNK_MULADDS // max(i * o for i, o in shape))
-    layers = MlpParams(flat, shape).layers()
     total = 0.0
     for start in range(0, data.m, step):
         rows = slice(start, start + step)
-        lp = log_softmax(_forward(layers, data.inputs[rows]))
+        lp = log_softmax(_forward(_with_ones(data.inputs[rows]), flat, shape))
         total -= float(np.sum(lp[np.arange(lp.shape[0]), data.labels[rows]]))
     return total / data.m
 
@@ -187,6 +189,11 @@ class TestInit:
         got = float(params.flat.std())
         assert got == pytest.approx(0.1, rel=0.02)
         assert float(measure.sigma[0]) == 0.1
+
+    def test_missing_generator_refused(self):
+        # a generator seeded from OS entropy would draw an unrecorded init
+        with pytest.raises(TypeError, match="numpy Generator, got NoneType"):
+            init_params(((2, 2),))
 
 
 class TestForward:
@@ -382,16 +389,17 @@ class TestRayForm:
     @pytest.mark.parametrize("kind", ["kl", "loss"])
     @pytest.mark.parametrize("name", sorted(RAY_SHAPES))
     def test_handle_matches_the_forward_route(self, kind, name):
-        # the handle folds the first bias into its product and reads the
-        # logits as shifted logits and their log-sum-exp; training and the
-        # curvature probes read them through _forward and log_softmax
+        # the handle reads the logits as shifted logits and their
+        # log-sum-exp; training and the curvature probes read the same
+        # _forward logits through log_softmax
         shape, rows = RAY_SHAPES[name]
         params, x, labels = self._net(shape, rows, 31)
         point = params.flat + 0.1 * np.random.default_rng(39).normal(size=params.n)
-        lp = log_softmax(_forward(MlpParams(point, shape).layers(), x))
+        x1 = _with_ones(x)
+        lp = log_softmax(_forward(x1, point, shape))
         if kind == "kl":
             cost = make_kl_cost(params, x)
-            anchor_lp = log_softmax(_forward(params.layers(), x))
+            anchor_lp = log_softmax(_forward(x1, params.flat, shape))
             want = float(np.sum(np.exp(anchor_lp) * (anchor_lp - lp))) / rows
         else:
             cost = make_loss_cost(shape, Dataset(x, labels))
@@ -416,17 +424,18 @@ class TestRayForm:
 
     @pytest.mark.parametrize("name", sorted(RAY_SHAPES))
     def test_forward_collects_each_layer_input(self, name):
-        # training, mdl and the curvature probes take their activations from
-        # _forward; the cost handles fold the first bias into their product
+        # training and the curvature probes take their activations from
+        # _forward, whose first product folds the bias in: [x | 1] @ [W; b]
         shape, rows = RAY_SHAPES[name]
         rng = np.random.default_rng(38)
         params, _ = init_params(shape, rng=rng)
         x = rng.normal(size=(rows, shape[0][0]))
         layers = params.layers()
-        activations = [x]
-        logits = _forward(layers, x, activations)
-        assert np.array_equal(logits, _forward(layers, x))
-        assert len(activations) == len(shape) and activations[0] is x
+        x1 = _with_ones(x)
+        activations = [x1[:, :-1]]
+        logits = _forward(x1, params.flat, shape, activations)
+        assert np.array_equal(logits, _forward(x1, params.flat, shape))
+        assert len(activations) == len(shape) and np.array_equal(activations[0], x)
         for a_in, a_out, (w, b) in zip(activations, activations[1:], layers):
             np.testing.assert_allclose(a_out, np.tanh(a_in @ w + b), rtol=1e-12, atol=1e-14)
         w, b = layers[-1]
@@ -645,14 +654,39 @@ class TestTraining:
         try:
             assert cost(flat) == want
             cost.along(flat)(direction)(0.5)
-            _forward(_layer_views(flat, params.shape), data.inputs)
+            _forward(_with_ones(data.inputs), flat, params.shape)
         finally:
             setter(previous)
-        # the full evaluation's, the ray's (origin, direction, one evaluation) and _forward's
-        first, folded, readout = 1000 * 64 * 64, 1000 * 65 * 64, 1000 * 64 * 10
-        assert [m for m, _ in products] == [folded, readout, folded, folded, readout, first, readout]
+        # the full evaluation's, the ray's (origin, direction, one evaluation)
+        # and _forward's, the folded route that training and mdl call too
+        folded, readout = 1000 * 65 * 64, 1000 * 64 * 10
+        assert [m for m, _ in products] == [folded, readout, folded, folded, readout, folded, readout]
         assert all(m >= 1 << 19 and threads == 1 for m, threads in products)
         assert counts == [1, 2] * len(products)
+
+    def test_checkpoints_do_not_depend_on_the_blas_thread_count(self):
+        # on 500-row batches both backward products of a 64 -> 64 -> 10 net
+        # reach the size OpenBLAS splits over its workers
+        setter = geometry._blas_thread_setter()
+        if setter is None:
+            pytest.skip("numpy's BLAS has no per-thread thread count")
+        params, _ = init_params(((64, 64), (64, 10)), rng=np.random.default_rng(5))
+        data = make_blobs(dim=64, classes=10, per_class=100, seed=5)
+        config = TrainConfig(epochs=3, batch_size=500, seed=5, checkpoint_every=2)
+        runs = []
+        previous = setter(2)
+        try:
+            for threads in (2, 1):
+                setter(threads)
+                runs.append(adam_train(params, data, config))
+        finally:
+            setter(previous)
+        two, one = runs
+        assert two.steps == one.steps == (0, 2, 4, 6)
+        for a, b, sa, sb in zip(two.checkpoints, one.checkpoints, two.adam_states, one.adam_states):
+            assert np.array_equal(a.flat, b.flat)
+            assert np.array_equal(sa.mu, sb.mu) and np.array_equal(sa.nu, sb.nu)
+        assert two.metrics == one.metrics
 
     def test_trajectory_matches_the_reference_loop_bit_for_bit(self):
         # 23 rows in batches of 7 (the last holds 2), 16 steps, a checkpoint every 3
@@ -917,6 +951,7 @@ class TestCheckpointFile:
         data = json.loads(first.read_text())
         assert data["version"] == 2
         assert all(isinstance(data[key], str) for key in ("flat", "adam_mu", "adam_nu", "sigma"))
+        assert data["hyper"] == {"lr": 0.01, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8}
 
     def test_version_one_file_refused(self, tmp_path):
         # a version-1 file, with float lists, is refused with its version named
