@@ -21,8 +21,8 @@ the calling thread:
 - integrate: under a Gaussian measure, each good ray's one-dimensional
   radial integral, all in one vectorized call. One route serves every ray:
   bracket the log-concave integrand where it is within 60 nats of its
-  maximum, by one bisection for both edges of every ray, and apply one
-  Gauss-Legendre rule;
+  maximum, by closed-form outer bounds and Newton steps from outside on both
+  edges of every ray at once, and apply one Gauss-Legendre rule;
 - aggregate: every ray's log contribution in one pass, then log-sum-exp.
 
 Each estimate records the process CPU and wall seconds of each stage.
@@ -81,8 +81,10 @@ CostFn = Callable[[np.ndarray], float]
 LEBESGUE_R_MAX = 1e6
 GAUSSIAN_R_MAX_SIGMAS = 20.0
 # the radial integral's bracket ends where the integrand has fallen by
-# e^-60 from its maximum; one Gauss-Legendre rule covers the bracket
+# e^-60 from its maximum, reached by three Newton steps from closed-form
+# outer bounds; one Gauss-Legendre rule covers the bracket
 _RADIAL_DROP_NATS = 60.0
+_RADIAL_NEWTON_STEPS = 3
 _GL_NODES, _GL_WEIGHTS = leggauss(64)
 # the radial integral whitens a block of directions in slices of this many
 # entries, which keeps its temporaries small
@@ -215,7 +217,8 @@ class NeighborhoodSpec:
         if self._line is not None:
             return self._line(direction)
         cost, anchor = self.cost, self.anchor
-        return lambda r: cost(anchor + r * direction)
+        # anchor + r * direction, bit for bit, in one allocation
+        return lambda r: cost(np.add(x := direction * r, anchor, out=x))
 
     @property
     def dim(self) -> int:
@@ -424,6 +427,7 @@ def find_radius(
     """
     opts = opts or SearchOptions()
     r_max = opts.r_max if opts.r_max is not None else spec.measure.r_max
+    rel_tol, max_iters = opts.rel_tol, opts.max_iters
     line = spec.line(direction)
     steer = getattr(line, "approx", line)  # the ray's float32 form, where it has one
     cutoff, c0 = spec.cutoff, spec.anchor_cost
@@ -436,17 +440,16 @@ def find_radius(
         evals += 1
         value = float(form(r))
         if not math.isfinite(value):
-            raise CostEvaluationError(
-                f"cost evaluation failed: non-finite value {value!r}", evals=evals
-            )
+            message = f"cost evaluation failed: non-finite value {value!r}"
+            raise CostEvaluationError(message, evals=evals)
         if value > c0:
             known.append((math.log(r), math.log(value - c0) - log_span))
         return value
 
     lo, lo_value, hi = 0.0, c0, None
-    r = min(opts.r_init, r_max)
+    r = opts.r_init if opts.r_init < r_max else r_max
     predicted = False  # a predicted step was taken, so the next one failed to bracket
-    while evals < opts.max_iters:
+    while evals < max_iters:
         # a truncated ray returns the cap, so the cap is read in float64
         value = cost_at(r, line if r >= r_max else steer)
         if value >= cutoff:
@@ -463,28 +466,26 @@ def find_radius(
                 ahead = math.exp(min(t + _BRACKET_PAST * (root - t), math.log(r_max)))
                 # a crossing predicted within half a tolerance is bracketed
                 # half a tolerance out, which closes the bracket at once
-                ahead = max(ahead, r * (1.0 + 0.5 * opts.rel_tol))
+                ahead = max(ahead, r * (1.0 + 0.5 * rel_tol))
                 step = max(ahead, step) if predicted else ahead
                 predicted = True
-        r = min(step, r_max)
+        r = step if step < r_max else r_max
     if hi is None:
         raise RadiusSearchError("bracketing exhausted max_iters", bracket=(lo, r), evals=evals)
 
     moved = None  # the end the last evaluation of this stage moved
-    widths = [hi - lo]  # bracket width after each evaluation of this stage
+    # bracket width now, and after each of the two evaluations before (inf: none yet)
+    width, w1, w2 = hi - lo, math.inf, math.inf
     floor = hi * _INTERIOR_FLOOR
     lo_form = steer if lo > 0.0 else line  # the form that read lo's value; the anchor's is float64
-    while not (lo > 0.0 and hi - lo <= opts.rel_tol * lo) or lo_form is not line:
+    while not (lo > 0.0 and width <= rel_tol * lo) or lo_form is not line:
         if lo == 0.0 and hi < floor:
             break
-        if evals >= opts.max_iters:
-            raise RadiusSearchError(
-                f"radius search did not converge to rel_tol={opts.rel_tol}",
-                bracket=(lo, hi),
-                evals=evals,
-            )
+        if evals >= max_iters:
+            message = f"radius search did not converge to rel_tol={rel_tol}"
+            raise RadiusSearchError(message, bracket=(lo, hi), evals=evals)
         mid = 0.5 * (lo + hi)
-        if lo_form is not line and (hi - lo <= opts.rel_tol * lo or mid <= lo or mid >= hi):
+        if lo_form is not line and (width <= rel_tol * lo or mid <= lo or mid >= hi):
             # the bracket closed on a lower end read in float32: one float64
             # evaluation decides it, and replaces its point in the model
             t = math.log(lo)
@@ -493,33 +494,35 @@ def find_radius(
                 break
             # lo lies past the crossing: it becomes hi, and narrowing goes on
             # in float64 only, from the anchor
-            hi, moved, steer, lo_form, widths = lo, "hi", line, line, [lo]
-            lo, lo_value = 0.0, c0
+            hi, moved, steer, lo_form = lo, "hi", line, line
+            lo, lo_value, width, w1, w2 = 0.0, c0, hi, math.inf, math.inf
             continue
         if mid <= lo or mid >= hi:
             break  # bracket already at float resolution
         r, form = mid, line
-        stalled = len(widths) >= 3 and widths[-1] > 0.5 * widths[-3]
-        modeled = lo == 0.0 or lo_value > c0  # else f is undefined at lo
-        root = _crossing(known[-3:]) if modeled and not stalled else None
-        if root is not None and (lo == 0.0 or math.log(lo) <= root) and root <= math.log(hi):
-            root = math.exp(root)
-            tol = opts.rel_tol * (lo if lo > 0.0 else 0.5 * root)
-            aim = root + _AIM_PAST * tol if moved == "lo" else root - 0.5 * tol
-            step = min(max(aim, lo + 0.25 * tol), hi - 0.25 * tol)
-            if lo < step < hi:
-                r = step
-                # a step past the crossing only steers, so it is read in
-                # float32, unless a value below the cutoff would close the
-                # bracket and so be returned
-                if moved == "lo" and hi - step > opts.rel_tol * step:
-                    form = steer
+        # bisect where f is undefined at lo or the last two steps did not halve the bracket
+        if (lo == 0.0 or lo_value > c0) and width <= 0.5 * w2:
+            root = _crossing(known[-3:])
+            if root is not None and (lo == 0.0 or math.log(lo) <= root) and root <= math.log(hi):
+                root = math.exp(root)
+                tol = rel_tol * (lo if lo > 0.0 else 0.5 * root)
+                aim = root + _AIM_PAST * tol if moved == "lo" else root - 0.5 * tol
+                low, high = lo + 0.25 * tol, hi - 0.25 * tol  # a quarter tolerance inside
+                step = aim if aim > low else low
+                step = step if step < high else high
+                if lo < step < hi:
+                    r = step
+                    # a step past the crossing only steers, so it is read in
+                    # float32, unless a value below the cutoff would close the
+                    # bracket and so be returned
+                    if moved == "lo" and hi - step > rel_tol * step:
+                        form = steer
         value = cost_at(r, form)
         if value < cutoff:
             lo, lo_value, lo_form, moved = r, value, form, "lo"
         else:
             hi, moved = r, "hi"
-        widths.append(hi - lo)
+        w2, w1, width = w1, width, hi - lo
     if lo <= 0.0:
         raise RadiusSearchError("no interior point found along ray", bracket=(lo, hi), evals=evals)
     return lo, False, evals
@@ -567,12 +570,10 @@ class _StreamState(ISeedSequence):
     """One child's generated state, handed to ``np.random.PCG64`` as its seed sequence."""
 
     def __init__(self, words: np.ndarray):
-        self.words = words  # the 8 little-endian uint32 words of generate_state(4, np.uint64)
+        self.words = words  # generate_state(4, np.uint64): 4 native uint64 words
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if np.dtype(dtype) == np.uint64:
-            return self.words.view("<u8").astype(np.uint64, copy=False)
-        return self.words
+        return self.words  # PCG64 asks for generate_state(4, np.uint64) alone
 
 
 @cache
@@ -609,7 +610,7 @@ def _spawn_streams(master: np.random.SeedSequence, k: int) -> list[np.random.Gen
         pool ^= pool >> 16
         state = (np.concatenate([pool, pool], axis=1) ^ xor_out) * mul_out
         state ^= state >> 16
-    state = state.astype("<u4", copy=False)
+    state = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
     return [np.random.Generator(np.random.PCG64(_StreamState(row))) for row in state]
 
 
@@ -628,13 +629,14 @@ def sample_directions(
     through ``matmul``. The identity map gives log-norm 0.0 exactly. The
     block is returned read-only.
     """
-    block = np.empty((len(rngs), precond.dim))
+    block, norms = np.empty((len(rngs), precond.dim)), []
     for row, rng in zip(block, rngs):
         norm = 0.0
         while norm == 0.0:  # a zero draw has probability zero; redraw for safety
             rng.standard_normal(out=row)
             norm = math.sqrt(row.dot(row))
-        row /= norm
+        norms.append(norm)
+    block /= np.array(norms)[:, None]
     if precond.kind == "identity":
         block.setflags(write=False)
         return block, [0.0] * len(rngs)
@@ -647,30 +649,6 @@ def sample_directions(
     block /= np.array(norms)[:, None]
     block.setflags(write=False)
     return block, [math.log(x) for x in norms]
-
-
-def _edge(h, target: np.ndarray, top: np.ndarray, outside: np.ndarray) -> np.ndarray:
-    """Locate, element by element, where h falls to ``target`` between ``top`` and ``outside``.
-
-    ``outside`` may hold several columns per row of ``top`` and ``target``,
-    such as both edges of each ray; h is monotone from ``top`` to each
-    element of ``outside`` and at least ``target`` at ``top``. Bisection
-    keeps the outer point, so no result is closer to ``top`` than its
-    crossing (``outside`` where there is none); an element stops once its
-    bracket is within 1/64 of that point's distance from ``top``, or after 64
-    halvings. Each element is masked on its own, so it gets the same bits as
-    in a call of its own.
-    """
-    inside = top
-    for _ in range(64):
-        open_ = np.abs(outside - inside) > np.abs(outside - top) / 64
-        if not open_.any():
-            break
-        mid = 0.5 * (inside + outside)
-        up = h(mid) >= target
-        inside = np.where(open_ & up, mid, inside)
-        outside = np.where(open_ & ~up, mid, outside)
-    return outside
 
 
 def gaussian_radial_log_integral(
@@ -700,15 +678,15 @@ def gaussian_radial_log_integral(
 
     One route serves every n and b. h is concave, so on the interval it
     peaks at top = min(p*, radius sqrt(a)), p* being its stationary point,
-    and falls monotonically on either side. As h'' = -1 - (n - 1) / p^2 <= -1,
-    h drops 60 nats below h(top) within sqrt(120) of top on either side;
-    one bisection from there finds where on both sides at once, and one
-    64-node Gauss-Legendre rule integrates e^{h - h(top)} over that
-    bracket. Concavity bounds the mass left outside the bracket by about
-    e^-60 of the mass inside, so a ray is never overestimated beyond the
-    rule's roundoff. Every step runs on all rows at once; the block is
-    whitened in slices of at most ``_BLOCK_ENTRIES`` entries, and nothing
-    is multiplied by BLAS.
+    and falls monotonically on either side. Closed-form bounds put a point
+    on each side where h is at least 60 nats below h(top), and three Newton
+    steps from there close in on that level on both sides at once, staying
+    outside it, as h is concave. One 64-node Gauss-Legendre rule integrates
+    e^{h - h(top)} over that bracket. Concavity bounds the mass left outside
+    the bracket by about e^-60 of the mass inside, so a ray is never
+    overestimated beyond the rule's roundoff. Every step runs on all rows
+    at once; the block is whitened in slices of at most ``_BLOCK_ENTRIES``
+    entries, and nothing is multiplied by BLAS.
     """
     block = np.asarray(direction, dtype=float)
     radii = np.asarray(radius, dtype=float).reshape(-1)
@@ -716,18 +694,18 @@ def gaussian_radial_log_integral(
     if not n == np.size(anchor) == np.size(sigma) == rows.shape[1]:
         raise ValueError(f"n = {n} must equal the sizes of anchor {np.size(anchor)}, "
                          f"sigma {np.size(sigma)} and each direction {rows.shape[1]}")
-    if not np.all(radii > 0):
+    if not (radii > 0).all():
         raise ValueError(f"radius must be positive, got {radii[~(radii > 0)][0]}")
     # whitened coordinates: the anchor x and each direction w, with x split
     # along w; the part of x across w only scales the ray's density
     x = anchor / sigma
-    base = -0.5 * n * math.log(2.0 * math.pi) - float(np.sum(np.log(sigma)))
+    base = -0.5 * n * math.log(2.0 * math.pi) - float(np.log(sigma).sum())
     a, b, across = np.empty((3, len(rows)))
     step = max(1, _BLOCK_ENTRIES // rows.shape[1])
     for part in (slice(i, i + step) for i in range(0, len(rows), step)):
         w = rows[part] / sigma
         a[part], b[part] = np.einsum("ij,ij->i", w, w), np.einsum("ij,j->i", w, x)
-        if not np.all((a[part] > 0) & np.isfinite(a[part])):
+        if not ((a[part] > 0) & np.isfinite(a[part])).all():
             raise ValueError("degenerate direction for gaussian integral")
         w *= (b[part] / a[part])[:, None]
         across[part] = np.einsum("ij,ij->i", np.subtract(x, w, out=w), w)
@@ -742,6 +720,9 @@ def gaussian_radial_log_integral(
         # 0 log 0 = 0: for n = 1, h is defined at p = 0
         return -0.5 * (p + bt) ** 2 + ((n - 1) * np.log(p) if n > 1 else 0.0)
 
+    def slope(p: np.ndarray) -> np.ndarray:  # h'(p)
+        return ((n - 1) / p if n > 1 else 0.0) - (p + bt)
+
     # p* = (sqrt(bt^2 + 4(n-1)) - bt) / 2, split so neither sign of bt cancels;
     # the denominator is at least 2 for n >= 2, and the floor only turns the
     # n = 1, bt = 0 case (p* = 0) into 0 / 1
@@ -749,12 +730,29 @@ def gaussian_radial_log_integral(
     peak = np.maximum(-bt, 0.0) + 2.0 * (n - 1) / np.maximum(root + np.abs(bt), 1.0)
     top = np.minimum(peak, p_max)
     h_top = h(top)
-    target = h_top - _RADIAL_DROP_NATS
+    drop, s = _RADIAL_DROP_NATS, slope(top)
+    target = h_top - drop
 
-    # h(p) <= h(top) - (p - top)^2 / 2, so the drop lies within reach of top
-    reach = math.sqrt(2.0 * _RADIAL_DROP_NATS)
-    ends = np.hstack([np.maximum(top - reach, 0.0), np.minimum(top + reach, p_max)])
-    ends = _edge(h, target, top, ends)
+    # outer ends, past which h is below target: with u = p - top,
+    # h(p) = h(top) + s u - u^2 / 2 + (n - 1) (log(1 + u / top) - u / top).
+    # Left of top s >= 0 and log(1 - y) + y <= -y^2 / 2, so h drops by the drop
+    # within d, where s d + curv d^2 / 2 = drop. Right of it s <= 0 (unless
+    # top is the cap), and the square term drops by it within sqrt(2 drop),
+    # the log term within grow * top, as log(1 + x) - x <= -x^2 / (2 (1 + x))
+    curv, reach = 1.0, math.sqrt(2.0 * drop)
+    if n > 1:
+        curv = 1.0 + (n - 1) / top**2
+        grow = (drop + math.sqrt(drop * (drop + 2.0 * (n - 1)))) / (n - 1)
+        reach = np.minimum(reach, grow * top)
+    d = 2.0 * drop / (s + np.sqrt(s * s + 2.0 * drop * curv))
+    ends = np.concatenate([np.maximum(top - d, 0.0), np.minimum(top + reach, p_max)], axis=1)
+    # Newton steps toward h = target from outside: h is concave, so each
+    # tangent lies above it and each step stops short of its edge. An end
+    # where h is not below target (the cap, or 0, probed at top) stays put
+    for _ in range(_RADIAL_NEWTON_STEPS):
+        probe = np.where(ends > 0.0, ends, top)
+        gap = h(probe) - target
+        ends -= np.divide(gap, slope(probe), out=np.zeros(gap.shape), where=gap < 0.0)
     lo, hi = ends[:, :1], ends[:, 1:]
 
     half = 0.5 * (hi - lo)
@@ -848,8 +846,8 @@ def estimate_local_volume(
         preconditioner_id=precond.describe(),
         measure=spec.measure,
         cutoff=spec.cutoff,
-        truncated_count=sum(1 for s in samples if s.truncated),
-        failed_count=sum(1 for s in samples if s.failed),
+        truncated_count=sum(truncated),
+        failed_count=k - len(good),
         stage_seconds={
             stage: {"cpu": cpu1 - cpu0, "wall": wall1 - wall0}
             for stage, (cpu0, wall0), (cpu1, wall1) in zip(STAGES, marks, marks[1:])

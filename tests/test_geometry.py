@@ -625,13 +625,16 @@ class TestGaussianRadialIntegral:
     @pytest.mark.parametrize("n", [1, 2, 10, 128, 129, 500, 4810, 10_000])
     def test_against_mpmath_across_regimes(self, n):
         # both signs of the rescaled slope b~ = b / sqrt(a) up to 1e3, rays
-        # ending far before the integrand's peak r*, at it, far past it, and
-        # the whole ray
+        # ending far before the integrand's peak r*, short of it, at it, far
+        # past it, and the whole ray. With the bracket left at its closed-form
+        # ends, n = 1 at b~ = 1e3 (whole ray) read 3e-6 low and n = 2 at
+        # b~ = -1e3 (R = r*) 1.2e-14 high; with a sqrt(120) right end as well,
+        # b~ = +40 (whole ray) read 3e-11 off at n = 10 and 128
         s = 0.7
-        for btil in (-1e3, -7.5, 0.0, 0.4, 1e3):
+        for btil in (-1e3, -40.0, -7.5, 0.0, 0.4, 40.0, 1e3):
             peak = (-btil + math.sqrt(btil * btil + 4.0 * (n - 1))) / 2.0
             scale = s * (peak if peak > 0 else 1.0 / max(btil, 1.0))
-            for ratio in (0.03, 1.0, 10.0, math.inf):
+            for ratio in (0.03, 0.3, 0.8, 1.0, 10.0, math.inf):
                 anchor, d, sigma = _axis_ray(n, btil * s, s)
                 got = gaussian_radial_log_integral(anchor, d, ratio * scale, sigma, n)
                 ref = mp_log_integral(n, btil * s, s, ratio * scale)
@@ -1200,11 +1203,31 @@ def _mlp_spec(cost=None):
 
 
 class TestRayForm:
-    def test_line_of_a_plain_cost_evaluates_the_point(self):
-        e = Ellipsoid(np.array([1.0, 2.0]))
-        spec = e.neighborhood()
-        d = np.array([0.6, 0.8])
-        assert spec.line(d)(0.7) == spec.cost(spec.anchor + 0.7 * d)
+    @pytest.mark.parametrize("n", [1, 10, 4810])
+    def test_line_of_a_plain_cost_evaluates_the_point(self, n):
+        # the point handed to a cost without a ray form is anchor + r * d,
+        # bit for bit, and the read-only row of directions is left alone
+        rng = np.random.default_rng(n)
+        seen = []
+
+        def cost(x):
+            seen.append(x.copy())
+            return float(x @ x)
+
+        anchor = rng.standard_normal(n)
+        spec = NeighborhoodSpec(anchor, cost, 1e9, MeasureSpec.lebesgue())
+        block = rng.standard_normal((2, n))
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+        block.setflags(write=False)
+        d, before = block[1], block.copy()
+        line = spec.line(d)
+        for r in (0.0, 1e-300, 1e-8, 0.37, 1.0, 7.5, 1e6):
+            seen.clear()
+            value = line(r)
+            want = spec.anchor + r * d
+            assert len(seen) == 1 and seen[0].tobytes() == want.tobytes(), r
+            assert value == cost(want)
+        assert block.tobytes() == before.tobytes()
 
     def test_line_uses_the_cost_ray_form(self):
         bound, full = [], []
