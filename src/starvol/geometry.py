@@ -34,6 +34,7 @@ underflow any linear representation.
 from __future__ import annotations
 
 import ctypes
+import importlib
 import math
 import operator
 import time
@@ -528,17 +529,22 @@ def find_radius(
     return lo, False, evals
 
 
-@cache
-def _blas_thread_setter() -> Callable[[int], int] | None:
-    """``openblas_set_num_threads_local`` of numpy's OpenBLAS, resolved through the
-    numpy extension that links it; None under another BLAS or an older OpenBLAS.
+def _thread_setter(extension: str) -> Callable[[int], int] | None:
+    """``openblas_set_num_threads_local`` of the OpenBLAS that the extension
+    module ``extension`` links; None under another BLAS or an older OpenBLAS.
     It sets the calling thread's BLAS thread count and returns the previous one."""
     try:
-        setter = ctypes.CDLL(np._core._multiarray_umath.__file__).openblas_set_num_threads_local
-    except (AttributeError, OSError):
+        setter = ctypes.CDLL(importlib.import_module(extension).__file__).openblas_set_num_threads_local
+    except (ImportError, AttributeError, OSError):
         return None
     setter.restype, setter.argtypes = ctypes.c_int, [ctypes.c_int]
     return setter
+
+
+@cache
+def _blas_thread_setter() -> Callable[[int], int] | None:
+    """numpy's OpenBLAS setter (see ``_thread_setter``)."""
+    return _thread_setter("numpy._core._multiarray_umath")
 
 
 # OpenBLAS splits a product of at least 2**19 multiply-adds over two or more
@@ -551,13 +557,17 @@ _THREADED_MULADDS = 1 << 19
 def matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x @ w, run on the calling thread alone where OpenBLAS would split it.
 
-    A product of at least ``_THREADED_MULADDS`` multiply-adds runs with the
-    calling thread's OpenBLAS count set to 1, then restored, so no worker
-    spins after it and its bits do not depend on the BLAS thread count.
-    Other threads keep their count. A smaller product, or any product where
-    the setter is missing, is a plain ``x @ w``.
+    A product of at least ``_THREADED_MULADDS`` multiply-adds (the output's
+    size times the inner dimension) runs with the calling thread's OpenBLAS
+    count set to 1, then restored, so no worker spins after it and its bits
+    do not depend on the BLAS thread count. Other threads keep their count.
+    A smaller product, or any where the setter is missing, is a plain x @ w.
     """
-    if x.shape[0] * w.size < _THREADED_MULADDS or (setter := _blas_thread_setter()) is None:
+    if w.ndim == 2:  # x's rows, stacked or not
+        muladds = x.size * w.shape[1]
+    else:  # a stacked w broadcasts against x's rows
+        muladds = math.prod(np.broadcast_shapes(x.shape[:-1], w.shape[:-2] + (1,))) * x.shape[-1] * w.shape[-1]
+    if muladds < _THREADED_MULADDS or (setter := _blas_thread_setter()) is None:
         return x @ w
     previous = setter(1)
     try:

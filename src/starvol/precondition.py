@@ -10,10 +10,8 @@ variance-reduction device, and the determinant is exact from the scales alone.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
-import sys
 from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
@@ -63,31 +61,20 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_abs_by_rows(n: int, rows_of) -> float:
-    """Largest |entry| of the blocks ``rows_of(rows)`` over row slices of 0..n.
+def _max_asymmetry(mat: np.ndarray) -> float:
+    """max |mat - mat^T|; not finite if any entry of ``mat`` is not finite.
 
-    Each block is a fresh array, taken over in place, so no n x n temporary
-    is made. A NaN in any block makes the result NaN.
+    The scan takes row blocks, each a fresh array taken over in place, so no
+    n x n temporary is made. A NaN in any block makes the result NaN.
     """
+    n = len(mat)
     step = max(1, _BLOCK_ENTRIES // n)
     peaks = []
     with np.errstate(invalid="ignore"):  # inf - inf is the NaN reported
         for start in range(0, n, step):
-            block = rows_of(slice(start, min(start + step, n)))
+            block = mat[start : start + step] - mat[:, start : start + step].T
             peaks.append(np.max(np.abs(block, out=block)))
     return float(np.max(peaks))
-
-
-def _max_asymmetry(mat: np.ndarray) -> float:
-    """max |mat - mat^T|; not finite if any entry of ``mat`` is not finite."""
-    return _max_abs_by_rows(len(mat), lambda rows: mat[rows] - mat[:, rows].T)
-
-
-def _max_orthonormal_deviation(basis: np.ndarray) -> float:
-    """max |V^T V - I|, with V^T V formed by one product (BLAS's symmetric rank-k update)."""
-    gram = basis.T @ basis
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return float(np.max(np.abs(gram, out=gram)))
 
 
 def _mirror_upper(mat: np.ndarray) -> None:
@@ -101,17 +88,11 @@ def _mirror_upper(mat: np.ndarray) -> None:
 
 
 @cache
-def _scipy_blas_shutdown() -> Callable[[], int] | None:
-    """``blas_thread_shutdown_`` of scipy's OpenBLAS, resolved through scipy's LAPACK
-    extension, which :func:`eigendecompose` has loaded by the first call; None under
-    another BLAS. It ends the BLAS worker pool at once (OpenBLAS calls it
-    before a fork), and the next threaded call starts the pool again."""
-    try:
-        shutdown = ctypes.CDLL(sys.modules["scipy.linalg._flapack"].__file__).blas_thread_shutdown_
-    except (KeyError, AttributeError, OSError):
-        return None
-    shutdown.restype, shutdown.argtypes = ctypes.c_int, []
-    return shutdown
+def _scipy_blas_thread_setter() -> Callable[[int], int] | None:
+    """scipy's OpenBLAS setter, through its LAPACK extension (``geometry._thread_setter``)."""
+    from .geometry import _thread_setter  # geometry imports this module
+
+    return _thread_setter("scipy.linalg._flapack")
 
 
 def eigendecompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,10 +110,10 @@ def eigendecompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Any other input is decomposed from a private copy, 3 n^2 floats at peak.
     The eigenvectors are returned as LAPACK writes them, F-ordered.
 
-    Once LAPACK returns, the call ends scipy's OpenBLAS worker pool, whose
-    threads would otherwise busy-wait for about 0.1 CPU seconds through
-    the work that follows; the next threaded scipy call starts it again. So
-    no other thread may use scipy's BLAS while this runs.
+    LAPACK runs on the calling thread of scipy's OpenBLAS, as ``geometry.matmul``
+    runs numpy's, so its bits do not depend on the BLAS thread count. On the
+    4,810^2 KL Hessian of acceptance 11 it took 10.2-10.6 CPU s and as much
+    wall, against 11.2-11.5 CPU s and 6.3-6.5 s wall on 2 threads (2 vCPUs).
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
@@ -154,14 +135,15 @@ def eigendecompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         diag = work.diagonal().copy()
     else:
         work = np.array(mat, order="F")
+    setter = _scipy_blas_thread_setter()
+    previous = None if setter is None else setter(1)
     try:
         eigvals, eigvecs = eigh(work, driver="evr", overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise PreconditionerError(f"eigendecomposition failed: {exc}") from exc
     finally:
-        shutdown = _scipy_blas_shutdown()
-        if shutdown is not None:
-            shutdown()
+        if setter is not None:
+            setter(previous)
         if borrow:
             # LAPACK read and destroyed work's lower triangle and diagonal
             _mirror_upper(work)
@@ -284,7 +266,12 @@ class Preconditioner:
             raise PreconditionerError(f"dim {dim} does not match {scale.size} scales")
         loaded = cls.diagonal(scale, source, basis)
         if basis is not None:
-            deviation = _max_orthonormal_deviation(basis)
+            from .geometry import matmul  # geometry imports this module
+
+            # max |V^T V - I|: V^T V is one symmetric rank-k update, on the calling thread
+            gram = matmul(basis.T, basis)
+            gram[np.diag_indices_from(gram)] -= 1.0
+            deviation = float(np.max(np.abs(gram, out=gram)))
             if not deviation <= ORTHONORMAL_ATOL:
                 raise PreconditionerError(f"basis not orthonormal (max deviation {deviation:.3e})")
         return loaded

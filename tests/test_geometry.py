@@ -484,6 +484,28 @@ class TestMatmul:
         np.testing.assert_allclose(got, x @ w, rtol=1e-12, atol=1e-12)
         assert counts == ([1, 3] if m * k * n >= 1 << 19 else [])
 
+    @pytest.mark.parametrize(
+        "x_shape,w_shape,threaded",
+        [((127, 4, 16), (16, 64), False), ((128, 4, 16), (16, 64), True),
+         ((512, 10, 10), (10, 64), True),
+         ((16, 16), (127, 16, 16), False), ((16, 16), (128, 16, 16), True),
+         ((127, 16, 16), (127, 16, 16), False), ((128, 16, 16), (128, 16, 16), True)],
+        ids=lambda v: str(v),
+    )
+    def test_a_stacked_product_counts_every_matrix_of_its_stack(self, monkeypatch, x_shape, w_shape,
+                                                               threaded):
+        # the output's size times the inner dimension: (128, 4, 16) @ (16, 64)
+        # is exactly 2**19 multiply-adds, (127, 4, 16) just below, though the
+        # first axis times the weight's size is only 2**17 for both;
+        # (512, 10, 10) @ (10, 64) is the curvature probes' last backward product
+        rng = np.random.default_rng(math.prod(x_shape))
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        counts = self._recorded(monkeypatch)
+        got = matmul(x, w)
+        np.testing.assert_allclose(got, x @ w, rtol=1e-12, atol=1e-12)
+        assert (got.size * x_shape[-1] >= 1 << 19) == threaded
+        assert counts == ([1, 3] if threaded else [])
+
     def test_without_a_setter_a_large_product_is_plain(self, monkeypatch):
         monkeypatch.setattr(geometry, "_blas_thread_setter", lambda: None)
         rng = np.random.default_rng(41)

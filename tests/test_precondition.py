@@ -324,11 +324,30 @@ def _kernel(n):
     return np.exp(mat, out=mat)
 
 
+def _scipy_setter():
+    """``openblas_set_num_threads_local`` of scipy's OpenBLAS, or None where it lacks one."""
+    from scipy.linalg import _flapack
+
+    try:
+        setter = ctypes.CDLL(_flapack.__file__).openblas_set_num_threads_local
+    except (AttributeError, OSError):
+        return None
+    setter.restype, setter.argtypes = ctypes.c_int, [ctypes.c_int]
+    return setter
+
+
 def _copy_route(mat):
-    """The decomposition of a private F-ordered copy, eigenvectors as LAPACK returns them."""
+    """The decomposition of a private F-ordered copy, eigenvectors as LAPACK returns them,
+    on the calling thread alone where scipy's BLAS allows it."""
     from scipy.linalg import eigh
 
-    return eigh(np.array(mat, order="F"), driver="evr", check_finite=False)
+    setter = _scipy_setter()
+    previous = None if setter is None else setter(1)
+    try:
+        return eigh(np.array(mat, order="F"), driver="evr", check_finite=False)
+    finally:
+        if setter is not None:
+            setter(previous)
 
 
 def _flags(arr):
@@ -547,9 +566,7 @@ def _householder_map(n: int, rng: np.random.Generator) -> Preconditioner:
 class TestBlasThreadCount:
     def test_diag_estimates_reproduce_at_one_and_two_threads(self):
         # the curvature diagonal and the estimates of the identity and
-        # diagonal maps are the same at any BLAS thread count; hessian_full's
-        # matrix is not (it differs in the last bits), so neither is a map
-        # decomposed from it
+        # diagonal maps are the same at any BLAS thread count
         script = """
 import hashlib, numpy as np
 from starvol.geometry import NeighborhoodSpec, estimate_local_volume
@@ -592,6 +609,35 @@ print([repr(s.log_term) for s in est.samples])
         outputs = _run_at_one_and_two_threads(script)
         assert outputs[0][0] == "1210 dense 0"
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: OpenBLAS starts no workers")
+    def test_hessian_maps_built_afresh_are_the_same_at_one_and_two_threads(self):
+        # n=1,210 on 512 inputs (KL) and 510 rows (loss): the loss Hessian's
+        # products and the eigh are large enough for OpenBLAS to split them
+        # over two threads, which changes their last bits, unless held to one
+        setters = [geometry._blas_thread_setter(), _scipy_setter()]
+        if None in setters:
+            pytest.skip("numpy's or scipy's BLAS has no per-thread thread count")
+        params, _ = init_params(((64, 16), (16, 10)), rng=np.random.default_rng(71))
+        inputs = np.random.default_rng(72).normal(size=(512, 64))
+        data = make_blobs(dim=64, classes=10, per_class=51, seed=73)
+        builds = []
+        previous = [setter(2) for setter in setters]
+        try:
+            for threads in (2, 1):
+                for setter in setters:
+                    setter(threads)
+                built = []
+                for hess in (hessian_full("kl", params, (params, inputs)), hessian_full("loss", params, data)):
+                    pre = from_hessian(hess, eps=0.1)
+                    built += [hess, pre.scale, pre.basis]
+                builds.append(built)
+        finally:
+            for setter, count in zip(setters, previous):
+                setter(count)
+        assert builds[0][0].shape == (1210, 1210)
+        for two, one in zip(*builds):
+            np.testing.assert_array_equal(_bits(two), _bits(one))
 
     @pytest.mark.skipif(not _numpy_blas_has_local_threads(),
                         reason="numpy's BLAS has no per-thread thread count")
@@ -666,18 +712,8 @@ print(geometry._blas_thread_setter.cache_info().currsize)
         assert proc.stdout.splitlines() == ["0 False", "0", "1"]
 
 
-def _scipy_blas_has_shutdown() -> bool:
-    """Whether scipy's BLAS exports OpenBLAS's worker-pool shutdown."""
-    from scipy.linalg import _flapack
-
-    try:
-        return hasattr(ctypes.CDLL(_flapack.__file__), "blas_thread_shutdown_")
-    except OSError:
-        return False
-
-
 class TestScipyBlasPool:
-    @pytest.mark.skipif(not _scipy_blas_has_shutdown(), reason="scipy's BLAS has no worker-pool shutdown")
+    @pytest.mark.skipif(_scipy_setter() is None, reason="scipy's BLAS has no per-thread thread count")
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: OpenBLAS starts no workers")
     def test_eigendecompose_leaves_no_blas_worker_spinning(self):
         # a threaded eigh of a 1,500 x 1,500 matrix leaves scipy's OpenBLAS
@@ -689,19 +725,44 @@ class TestScipyBlasPool:
         time.sleep(0.3)
         assert time.process_time() - start <= 0.03
 
-    def test_next_decomposition_restarts_the_pool(self):
-        # the second call starts the ended pool again and returns the same bits
-        mat = _kernel(700)
-        first, second = eigendecompose(mat), eigendecompose(mat)
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(_bits(a), _bits(b))
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_eigh_runs_on_one_thread_and_restores_the_count(self, monkeypatch, fails):
+        import scipy.linalg
 
-    def test_without_the_shutdown_eigenpairs_are_unchanged(self, monkeypatch):
-        # under another BLAS the decomposition runs as it is
+        counts, during = [], []
+
+        def recorder(threads):
+            counts.append(threads)
+            return 3
+
+        def eigh(a, **kwargs):
+            during.append(list(counts))
+            if fails:
+                raise np.linalg.LinAlgError("stand-in failure")
+            return np.zeros(len(a)), np.eye(len(a), order="F")
+
+        monkeypatch.setattr(precondition, "_scipy_blas_thread_setter", lambda: recorder)
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        if fails:
+            with pytest.raises(PreconditionerError, match="stand-in failure"):
+                eigendecompose(np.eye(4))
+        else:
+            eigendecompose(np.eye(4))
+        assert during == [[1]] and counts == [1, 3]
+
+    def test_without_the_setter_eigenpairs_are_unchanged(self, monkeypatch):
+        # under another BLAS the decomposition runs as it is, here with the
+        # calling thread's count already 1
         mat = _kernel(700)
         want = eigendecompose(mat)
-        monkeypatch.setattr(precondition, "_scipy_blas_shutdown", lambda: None)
-        got = eigendecompose(mat)
+        monkeypatch.setattr(precondition, "_scipy_blas_thread_setter", lambda: None)
+        setter = _scipy_setter()
+        previous = None if setter is None else setter(1)
+        try:
+            got = eigendecompose(mat)
+        finally:
+            if setter is not None:
+                setter(previous)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(_bits(a), _bits(b))
 
