@@ -4,7 +4,8 @@ A neighborhood is the largest star-shaped region around an anchor point
 inside which a cost function stays below a cutoff. Its size under a
 Lebesgue or diagonal-Gaussian reference measure is the anchor's local
 volume. An estimate runs in four stages over its block of k rays, all on
-the calling thread:
+the calling thread at an OpenBLAS count of 1, so its bits do not depend on
+the BLAS thread count, even for a plain cost:
 
 - sample: one block of directions, one random stream per ray, optionally
   importance-shaped by a unit-determinant preconditioner. The k streams are
@@ -12,9 +13,7 @@ the calling thread:
   of ``SeedSequence(seed).spawn(k)``, and each draws straight into its row
   of the block. Each uniform draw is taken in the map's own orthonormal
   axes, where it is just as uniform, so a dense map costs one product with
-  its n x n basis per block, through ``matmul``: a product large enough for
-  OpenBLAS to split runs on the calling thread alone, so no worker spins
-  after it and its bits do not depend on the BLAS thread count;
+  its n x n basis per block;
 - search: the boundary radius along each ray, by an extrapolated bracket
   and safeguarded inverse quadratic interpolation under one aiming rule,
   each returned radius decided in float64; the only per-ray stage;
@@ -33,8 +32,6 @@ underflow any linear representation.
 
 from __future__ import annotations
 
-import ctypes
-import importlib
 import math
 import operator
 import time
@@ -47,6 +44,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.random.bit_generator import ISeedSequence
 
+from .blas import one_blas_thread
 from .logspace import log_sphere_area, log_sum_exp
 from .precondition import Preconditioner, PreconditionerError, _readonly
 
@@ -195,6 +193,7 @@ class NeighborhoodSpec:
     measure: MeasureSpec
     anchor_cost: float = field(init=False)
 
+    @one_blas_thread()
     def __post_init__(self):
         anchor = _readonly(np.atleast_1d(np.asarray(self.anchor, dtype=float)))
         object.__setattr__(self, "anchor", anchor)
@@ -281,8 +280,7 @@ class VolumeEstimate:
     cutoff: float
     truncated_count: int
     failed_count: int
-    # per stage of STAGES, {"cpu": process CPU seconds, "wall": wall seconds};
-    # CPU counts every thread, so BLAS worker spin lands in the stage it overlaps
+    # per stage of STAGES, {"cpu": process CPU seconds, "wall": wall seconds}
     stage_seconds: dict[str, dict[str, float]] = field(default_factory=dict, compare=False)
 
     @property
@@ -529,53 +527,6 @@ def find_radius(
     return lo, False, evals
 
 
-def _thread_setter(extension: str) -> Callable[[int], int] | None:
-    """``openblas_set_num_threads_local`` of the OpenBLAS that the extension
-    module ``extension`` links; None under another BLAS or an older OpenBLAS.
-    It sets the calling thread's BLAS thread count and returns the previous one."""
-    try:
-        setter = ctypes.CDLL(importlib.import_module(extension).__file__).openblas_set_num_threads_local
-    except (ImportError, AttributeError, OSError):
-        return None
-    setter.restype, setter.argtypes = ctypes.c_int, [ctypes.c_int]
-    return setter
-
-
-@cache
-def _blas_thread_setter() -> Callable[[int], int] | None:
-    """numpy's OpenBLAS setter (see ``_thread_setter``)."""
-    return _thread_setter("numpy._core._multiarray_umath")
-
-
-# OpenBLAS splits a product of at least 2**19 multiply-adds over two or more
-# threads, and its idle workers then busy-wait for about 0.13 CPU seconds.
-# Measured at 64x64 (2 vCPUs, OpenBLAS 0.3.31), CPU seconds per wall second:
-# 1.00 at 64 rows, 1.23-1.26 at 128 rows (2**19), 1.82-1.94 at 512 rows.
-_THREADED_MULADDS = 1 << 19
-
-
-def matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w, run on the calling thread alone where OpenBLAS would split it.
-
-    A product of at least ``_THREADED_MULADDS`` multiply-adds (the output's
-    size times the inner dimension) runs with the calling thread's OpenBLAS
-    count set to 1, then restored, so no worker spins after it and its bits
-    do not depend on the BLAS thread count. Other threads keep their count.
-    A smaller product, or any where the setter is missing, is a plain x @ w.
-    """
-    if w.ndim == 2:  # x's rows, stacked or not
-        muladds = x.size * w.shape[1]
-    else:  # a stacked w broadcasts against x's rows
-        muladds = math.prod(np.broadcast_shapes(x.shape[:-1], w.shape[:-2] + (1,))) * x.shape[-1] * w.shape[-1]
-    if muladds < _THREADED_MULADDS or (setter := _blas_thread_setter()) is None:
-        return x @ w
-    previous = setter(1)
-    try:
-        return x @ w
-    finally:
-        setter(previous)
-
-
 class _StreamState(ISeedSequence):
     """One child's generated state, handed to ``np.random.PCG64`` as its seed sequence."""
 
@@ -624,6 +575,7 @@ def _spawn_streams(master: np.random.SeedSequence, k: int) -> list[np.random.Gen
     return [np.random.Generator(np.random.PCG64(_StreamState(row))) for row in state]
 
 
+@one_blas_thread()
 def sample_directions(
     precond: Preconditioner, rngs: Sequence[np.random.Generator]
 ) -> tuple[np.ndarray, list[float]]:
@@ -635,9 +587,9 @@ def sample_directions(
     log |s * z|, the pre-normalization length. Each draw fills its row in
     place, and each norm is sqrt(v . v), as ``np.linalg.norm`` computes it.
     V is orthogonal, so u = V z is uniform too and the row is the map
-    V diag(s) V^T applied to u, at one matrix product for the whole block,
-    through ``matmul``. The identity map gives log-norm 0.0 exactly. The
-    block is returned read-only.
+    V diag(s) V^T applied to u, at one matrix product for the whole block.
+    The identity map gives log-norm 0.0 exactly. The block is returned
+    read-only.
     """
     block, norms = np.empty((len(rngs), precond.dim)), []
     for row, rng in zip(block, rngs):
@@ -652,7 +604,7 @@ def sample_directions(
         return block, [0.0] * len(rngs)
     block *= precond.scale
     if precond.basis is not None:
-        block = matmul(block, precond.basis.T)
+        block = block @ precond.basis.T
     norms = [math.sqrt(v.dot(v)) for v in block]
     if not all(0.0 < x < math.inf for x in norms):
         raise PreconditionerError("preconditioner produced a zero or non-finite direction")
@@ -777,6 +729,7 @@ def _clock() -> tuple[float, float]:
     return time.process_time(), time.perf_counter()
 
 
+@one_blas_thread()
 def estimate_local_volume(
     spec: NeighborhoodSpec,
     precond: Preconditioner,

@@ -16,16 +16,14 @@ with D_l = diag(tanh'(u_l)). A layer's parameter block is the Kronecker
 product of its input (with a 1 for the bias) and these pieces, and the
 probes contract that structure directly, so B is never stored. Where the
 logit gradient is exactly zero, as at the KL anchor, the residual is
-skipped and the Hessian is the Gauss-Newton (Fisher) matrix. Every product
-goes through ``geometry.matmul``, so the probes give the same bits at any
-BLAS thread count.
+skipped and the Hessian is the Gauss-Newton (Fisher) matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import matmul
+from ..blas import one_blas_thread
 from ..precondition import _mirror_upper
 from .data import Dataset
 from .mlp import MlpParams, _check_inputs, _forward, _with_ones, log_softmax, param_count
@@ -95,13 +93,13 @@ def _factors(cost_kind: str, params: MlpParams, data):
                 w = layers[layer][0]
                 # tanh'(z) = 1 - tanh(z)^2, and a_prev is already tanh(z)
                 slope = 1.0 - a_prev * a_prev
-                delta = matmul(delta, w.T) * slope[:, None, :]
+                delta = delta @ w.T * slope[:, None, :]
                 if grad is not None:
-                    back = matmul(grad, w.T)
+                    back = grad @ w.T
                     if resid is None:
                         resid = np.zeros((len(a_prev), w.shape[0], w.shape[0]))
                     else:
-                        resid = slope[:, :, None] * matmul(matmul(w, resid), w.T) * slope[:, None, :]
+                        resid = slope[:, :, None] * (w @ resid @ w.T) * slope[:, None, :]
                     # tanh''(z) = -2 tanh(z) tanh'(z)
                     diag = np.arange(w.shape[0])
                     resid[:, diag, diag] += back * (-2.0 * a_prev * slope)
@@ -109,6 +107,7 @@ def _factors(cost_kind: str, params: MlpParams, data):
         yield factors[::-1]
 
 
+@one_blas_thread()
 def hessian_full(cost_kind: str, params: MlpParams, data, h: float | None = None) -> np.ndarray:
     """Exact, exactly symmetric Hessian of a classifier cost at ``params``.
 
@@ -132,7 +131,7 @@ def hessian_full(cost_kind: str, params: MlpParams, data, h: float | None = None
             for k in range(l, len(factors)):
                 in_k, seeds_k, grad_k, resid_k = factors[k]
                 out_k = seeds_k.shape[2]
-                g = matmul(seeds_l.transpose(0, 2, 1), seeds_k)
+                g = seeds_l.transpose(0, 2, 1) @ seeds_k
                 if k == l and resid_l is not None:
                     g += resid_l
                 elif k > l and grad_k is not None:
@@ -141,18 +140,18 @@ def hessian_full(cost_kind: str, params: MlpParams, data, h: float | None = None
                     if k == l + 1:
                         jac = slope[:, :, None] * np.eye(out_l)
                     else:
-                        jac = matmul(jac, weights[k - 1]) * slope[:, None, :]
+                        jac = jac @ weights[k - 1] * slope[:, None, :]
                     if resid_k is not None:
-                        g += matmul(matmul(jac, weights[k]), resid_k)
+                        g += jac @ weights[k] @ resid_k
                     # sum_i in_l[i, j] jac[i, o, j'] gamma_k[i, o'] at rows (j, o), on layer k's weights
                     weight_cols = slice(starts[k], starts[k + 1] - out_k)
                     for o in range(out_l):
                         cross = (jac[:, o, :, None] * grad_k[:, None, :]).reshape(len(in_l), -1)
-                        hess[starts[l] + o : starts[l + 1] : out_l, weight_cols] += matmul(in_l.T, cross)
+                        hess[starts[l] + o : starts[l + 1] : out_l, weight_cols] += in_l.T @ cross
                 g = g.reshape(len(in_l), out_l * out_k)
                 for j in range(in_l.shape[1]):
                     first = j if k == l else 0  # the upper triangle suffices
-                    t = matmul((in_l[:, j, None] * in_k[:, first:]).T, g)
+                    t = (in_l[:, j, None] * in_k[:, first:]).T @ g
                     width = t.shape[0] * out_k
                     row = starts[l] + j * out_l
                     col = starts[k] + first * out_k
@@ -163,6 +162,7 @@ def hessian_full(cost_kind: str, params: MlpParams, data, h: float | None = None
     return hess
 
 
+@one_blas_thread()
 def hessian_diag(cost_kind: str, params: MlpParams, data, h: float | None = None) -> np.ndarray:
     """Exact diagonal of :func:`hessian_full` (same arguments), without the n x n matrix.
 
@@ -176,6 +176,6 @@ def hessian_diag(cost_kind: str, params: MlpParams, data, h: float | None = None
             curv = np.einsum("ico,ico->io", seeds_l, seeds_l)
             if resid_l is not None:
                 curv += np.einsum("ioo->io", resid_l)
-            sq = matmul((in_l * in_l).T, curv)
+            sq = (in_l * in_l).T @ curv
             diag[starts[l] : starts[l + 1]] += sq.ravel()
     return diag

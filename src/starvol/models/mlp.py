@@ -12,21 +12,22 @@ form, ``cost.along(origin)(direction)``, the function
 r -> cost(origin + r * direction) that the radius search evaluates: the
 first layer's pre-activation is affine in r, so it is computed once per
 origin and once per direction, and each evaluation runs only the layers
-after it and the readout. Every forward and backward product goes through
-``geometry.matmul``, so one that OpenBLAS would split over its workers runs
-on the calling thread alone, leaves none of them spinning, and gives the
-same bits at any thread count.
+after it and the readout. The cost factories, handles, ray forms and passes
+that call BLAS run on one OpenBLAS thread (``blas.one_blas_thread``), so
+their bits do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from ..geometry import MeasureSpec, matmul
+from ..blas import one_blas_thread
+from ..geometry import MeasureSpec
 from ..precondition import _readonly
 from .data import Dataset
 
@@ -149,7 +150,7 @@ def _head(z: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]], activation
     """Logits from the first layer's pre-activation z, which it overwrites.
 
     ``layers`` are the (weight, bias) pairs after the first layer; with none,
-    z already holds the logits. Each product goes through ``matmul``.
+    z already holds the logits.
     Given a list, it appends each hidden layer's ``tanh`` output for training and curvature.
     """
     a = z
@@ -157,7 +158,7 @@ def _head(z: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]], activation
         a = np.tanh(a, out=a)
         if activations is not None:
             activations.append(a)
-        a = matmul(a, w) + b
+        a = a @ w + b
     return a
 
 
@@ -173,7 +174,7 @@ def _folded_first_layer(x1: np.ndarray, flat: np.ndarray, shape: Shape) -> np.nd
     bias, so its first (fan_in + 1) * fan_out entries are [W; b], a view.
     """
     fan_in, fan_out = shape[0]
-    return matmul(x1, flat[: (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out))
+    return x1 @ flat[: (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out)
 
 
 def _forward(x1: np.ndarray, flat: np.ndarray, shape: Shape, activations=None) -> np.ndarray:
@@ -185,6 +186,7 @@ def _forward(x1: np.ndarray, flat: np.ndarray, shape: Shape, activations=None) -
     )
 
 
+@one_blas_thread()
 def forward_logits(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Logits of each row of a non-empty (m, d) input matrix, as an (m, C) array."""
     _check_inputs(params.shape, x)
@@ -226,17 +228,14 @@ def _cost_handle(
 ) -> Callable[[np.ndarray], float]:
     """Cost over flat vectors, ``readout`` of the logits of the rows x1 = [x | 1], with a ray form.
 
-    Every first layer is one product of x1 with the [W; b] view of a flat
-    vector (``_folded_first_layer``): the full evaluation's (``_forward``),
-    the origin's and each direction's.
-
     ``cost.along(origin)`` returns ``line``, and ``line(direction)`` returns
     ``r -> cost(origin + r * direction)``. The first layer's pre-activation
     is affine in r, so it is computed once for the origin and once per
-    direction; each evaluation then runs only the elementwise update, the
-    later layers and the readout. The ray form agrees with the full
-    evaluation up to rounding. Each ray owns its scratch arrays (the first
-    pre-activation, and the later layers' parameters with their views).
+    direction, each as one product (``_folded_first_layer``); each
+    evaluation then runs only the elementwise update, the later layers and
+    the readout. The ray form agrees with the full evaluation up to
+    rounding. Each ray owns its scratch arrays (the first pre-activation,
+    and the later layers' parameters with their views).
 
     Each ray also carries ``approx``, the same evaluation on float32 copies
     of both pre-activations and of the later layers' parameters: ``tanh``
@@ -246,24 +245,27 @@ def _cost_handle(
     """
     split = param_count(shape[:1])
 
+    @one_blas_thread()
     def cost(flat: np.ndarray) -> float:
         return readout(_forward(x1, flat, shape))
 
+    @one_blas_thread()
+    def ray_cost(z0, zd, z, rest0, restd, rest, layers, r: float) -> float:
+        np.add(z0, np.multiply(zd, r, out=z), out=z)
+        np.add(rest0, np.multiply(restd, r, out=rest), out=rest)
+        return readout(_head(z, layers))
+
     def ray(z0, zd, rest0, restd) -> Callable[[float], float]:
-        z, rest = np.empty_like(z0), np.empty_like(rest0)
-        layers = _layer_views(rest, shape[1:])
+        # ray_cost is marked once per handle, so a ray pays no wrapping of its own
+        rest = np.empty_like(rest0)
+        return partial(ray_cost, z0, zd, np.empty_like(z0), rest0, restd, rest, _layer_views(rest, shape[1:]))
 
-        def cost_at(r: float) -> float:
-            np.add(z0, np.multiply(zd, r, out=z), out=z)
-            np.add(rest0, np.multiply(restd, r, out=rest), out=rest)
-            return readout(_head(z, layers))
-
-        return cost_at
-
+    @one_blas_thread()
     def along(origin: np.ndarray):
         z0, rest0 = _folded_first_layer(x1, origin, shape), origin[split:]
         z0_32, rest0_32 = z0.astype(np.float32), rest0.astype(np.float32)
 
+        @one_blas_thread()
         def line(direction: np.ndarray) -> Callable[[float], float]:
             zd, restd = _folded_first_layer(x1, direction, shape), direction[split:]
             cost_at = ray(z0, zd, rest0, restd)
@@ -276,6 +278,7 @@ def _cost_handle(
     return cost
 
 
+@one_blas_thread()
 def make_loss_cost(shape: Shape, dataset: Dataset) -> Callable[[np.ndarray], float]:
     """Cost handle over flat vectors: mean cross-entropy on the dataset.
 
@@ -300,6 +303,7 @@ def make_loss_cost(shape: Shape, dataset: Dataset) -> Callable[[np.ndarray], flo
     return _cost_handle(shape, _with_ones(inputs), readout)
 
 
+@one_blas_thread()
 def make_kl_cost(anchor: MlpParams, inputs: np.ndarray) -> Callable[[np.ndarray], float]:
     """Cost handle over flat vectors: mean KL(anchor || candidate) on fixed inputs.
 
@@ -344,10 +348,10 @@ def _backward(
     parts, delta = [], dlogits
     for layer in range(len(shape) - 1, -1, -1):
         a_prev = activations[layer]
-        parts[:0] = [matmul(a_prev.T, delta).ravel(), np.add.reduce(delta, axis=0)]
+        parts[:0] = [(a_prev.T @ delta).ravel(), np.add.reduce(delta, axis=0)]
         if layer > 0:
             # tanh'(z) = 1 - tanh(z)^2, and a_prev is already tanh(z)
-            delta = matmul(delta, weights[layer].T) * (1.0 - a_prev * a_prev)
+            delta = delta @ weights[layer].T * (1.0 - a_prev * a_prev)
     return np.concatenate(parts)
 
 
@@ -365,6 +369,7 @@ def _loss_and_grad(
     return value, _backward(shape, flat, activations, probs)
 
 
+@one_blas_thread()
 def loss_value_and_grad(
     flat: np.ndarray, shape: Shape, dataset: Dataset
 ) -> tuple[float, np.ndarray]:

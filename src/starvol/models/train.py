@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..blas import one_blas_thread
 from .data import Dataset
 from .mlp import MlpParams, _loss_and_grad, _with_ones, make_loss_cost
 
@@ -96,6 +97,7 @@ def _adam_step(flat, g, mu, nu, step: int, hyper: AdamHyper) -> None:
     flat -= hyper.lr * mu_hat / (np.sqrt(nu_hat) + hyper.adam_eps)
 
 
+@one_blas_thread()
 def adam_train(
     params: MlpParams,
     dataset: Dataset,

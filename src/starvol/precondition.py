@@ -13,12 +13,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cache
 from pathlib import Path
-from typing import Callable
-
 import numpy as np
 
+from .blas import one_blas_thread
 from .codec import decode_array, write_json
 
 __all__ = [
@@ -87,14 +85,7 @@ def _mirror_upper(mat: np.ndarray) -> None:
         mat[start + rows, start + cols] = mat[start + cols, start + rows]
 
 
-@cache
-def _scipy_blas_thread_setter() -> Callable[[int], int] | None:
-    """scipy's OpenBLAS setter, through its LAPACK extension (``geometry._thread_setter``)."""
-    from .geometry import _thread_setter  # geometry imports this module
-
-    return _thread_setter("scipy.linalg._flapack")
-
-
+@one_blas_thread("scipy.linalg._flapack")
 def eigendecompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and read-only orthonormal eigenvectors of a symmetric matrix.
 
@@ -109,11 +100,6 @@ def eigendecompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     opposite sign, the destroyed triangle's zero takes its mirror's sign.
     Any other input is decomposed from a private copy, 3 n^2 floats at peak.
     The eigenvectors are returned as LAPACK writes them, F-ordered.
-
-    LAPACK runs on the calling thread of scipy's OpenBLAS, as ``geometry.matmul``
-    runs numpy's, so its bits do not depend on the BLAS thread count. On the
-    4,810^2 KL Hessian of acceptance 11 it took 10.2-10.6 CPU s and as much
-    wall, against 11.2-11.5 CPU s and 6.3-6.5 s wall on 2 threads (2 vCPUs).
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
@@ -135,15 +121,11 @@ def eigendecompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         diag = work.diagonal().copy()
     else:
         work = np.array(mat, order="F")
-    setter = _scipy_blas_thread_setter()
-    previous = None if setter is None else setter(1)
     try:
         eigvals, eigvecs = eigh(work, driver="evr", overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise PreconditionerError(f"eigendecomposition failed: {exc}") from exc
     finally:
-        if setter is not None:
-            setter(previous)
         if borrow:
             # LAPACK read and destroyed work's lower triangle and diagonal
             _mirror_upper(work)
@@ -239,6 +221,7 @@ class Preconditioner:
         })
 
     @classmethod
+    @one_blas_thread()
     def load(cls, path: str | Path) -> "Preconditioner":
         """Read a map as :meth:`save` writes it; any other version is refused.
 
@@ -266,10 +249,8 @@ class Preconditioner:
             raise PreconditionerError(f"dim {dim} does not match {scale.size} scales")
         loaded = cls.diagonal(scale, source, basis)
         if basis is not None:
-            from .geometry import matmul  # geometry imports this module
-
-            # max |V^T V - I|: V^T V is one symmetric rank-k update, on the calling thread
-            gram = matmul(basis.T, basis)
+            # max |V^T V - I|: V^T V is one symmetric rank-k update
+            gram = basis.T @ basis
             gram[np.diag_indices_from(gram)] -= 1.0
             deviation = float(np.max(np.abs(gram, out=gram)))
             if not deviation <= ORTHONORMAL_ATOL:
@@ -310,8 +291,10 @@ def from_diagonal(
         raise PreconditionerError("diagonal curvature must be a non-empty vector")
     if not np.all(np.isfinite(arr)):
         raise PreconditionerError("curvature has a non-finite entry")
-    if eps < 0:
-        raise PreconditionerError(f"eps must be >= 0, got {eps}")
+    if not 0 <= eps < math.inf:
+        raise PreconditionerError(f"eps must be finite and >= 0, got {eps}")
+    if not math.isfinite(exponent):
+        raise PreconditionerError(f"exponent must be finite, got {exponent}")
     denom = np.abs(arr) ** exponent + eps
     if np.any(denom <= 0) or not np.all(np.isfinite(denom)):
         raise PreconditionerError("zero curvature entry encountered with eps = 0")

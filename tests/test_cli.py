@@ -360,6 +360,19 @@ class TestEstimate:
         assert reason in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_eps_that_is_not_finite_exits_2_naming_it(self, eps, final_checkpoint, tmp_path, capsys):
+        out = tmp_path / "o.jsonl"
+        rc = main([
+            "estimate", "--checkpoint", str(final_checkpoint), "--preconditioner", "diag",
+            "--eps", eps, "--k", "2", "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"eps must be finite and >= 0, got {eps}" in err
+        assert "zero curvature" not in err
+        assert not out.exists()
+
     def test_eps_is_recorded_only_for_a_shaped_map(self, final_checkpoint, tmp_path):
         saved = tmp_path / "precond.json"
         Preconditioner.identity(26).save(saved)

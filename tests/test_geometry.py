@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import os
 import threading
 import time
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from starvol import geometry
+from starvol import blas, geometry
 from starvol.geometry import (
     CostEvaluationError,
     EstimationError,
@@ -25,7 +26,6 @@ from starvol.geometry import (
     estimate_local_volume,
     find_radius,
     gaussian_radial_log_integral,
-    matmul,
     sample_directions,
 )
 from starvol.logspace import log_sphere_area, log_sum_exp
@@ -454,71 +454,26 @@ class TestSampleDirection:
             assert log_norm == want_log_norm
 
 
-class TestMatmul:
-    """``matmul`` sets the calling thread's BLAS count to 1 around a product of
-    at least 2**19 multiply-adds, restores it, and leaves smaller ones alone."""
-
-    @staticmethod
-    def _recorded(monkeypatch, previous=3):
-        counts = []
-
-        def recorder(threads):
-            counts.append(threads)
-            return previous
-
-        monkeypatch.setattr(geometry, "_blas_thread_setter", lambda: recorder)
-        return counts
-
-    @pytest.mark.parametrize(
-        "m,k,n",
-        [(1, 64, 64), (40, 5, 7), (127, 64, 64), (128, 64, 64),
-         (300, 64, 64), (512, 64, 64), (3, 600, 2000), (7, 1024, 1024)],
-        ids=lambda v: str(v),
-    )
-    def test_only_products_at_the_threshold_set_one_thread(self, monkeypatch, m, k, n):
-        rng = np.random.default_rng(m * k * n)
-        x, w = rng.normal(size=(m, k)), rng.normal(size=(k, n))
-        counts = self._recorded(monkeypatch)
-        got = matmul(x, w)
-        assert got.shape == (m, n)
-        np.testing.assert_allclose(got, x @ w, rtol=1e-12, atol=1e-12)
-        assert counts == ([1, 3] if m * k * n >= 1 << 19 else [])
-
-    @pytest.mark.parametrize(
-        "x_shape,w_shape,threaded",
-        [((127, 4, 16), (16, 64), False), ((128, 4, 16), (16, 64), True),
-         ((512, 10, 10), (10, 64), True),
-         ((16, 16), (127, 16, 16), False), ((16, 16), (128, 16, 16), True),
-         ((127, 16, 16), (127, 16, 16), False), ((128, 16, 16), (128, 16, 16), True)],
-        ids=lambda v: str(v),
-    )
-    def test_a_stacked_product_counts_every_matrix_of_its_stack(self, monkeypatch, x_shape, w_shape,
-                                                               threaded):
-        # the output's size times the inner dimension: (128, 4, 16) @ (16, 64)
-        # is exactly 2**19 multiply-adds, (127, 4, 16) just below, though the
-        # first axis times the weight's size is only 2**17 for both;
-        # (512, 10, 10) @ (10, 64) is the curvature probes' last backward product
-        rng = np.random.default_rng(math.prod(x_shape))
-        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
-        counts = self._recorded(monkeypatch)
-        got = matmul(x, w)
-        np.testing.assert_allclose(got, x @ w, rtol=1e-12, atol=1e-12)
-        assert (got.size * x_shape[-1] >= 1 << 19) == threaded
-        assert counts == ([1, 3] if threaded else [])
-
-    def test_without_a_setter_a_large_product_is_plain(self, monkeypatch):
-        monkeypatch.setattr(geometry, "_blas_thread_setter", lambda: None)
-        rng = np.random.default_rng(41)
-        x, w = rng.normal(size=(512, 64)), rng.normal(size=(64, 64))
-        np.testing.assert_allclose(matmul(x, w), x @ w, rtol=1e-12, atol=1e-12)
-
-    def test_the_count_is_restored_when_the_product_raises(self, monkeypatch):
-        # 128 rows by a 65 x 64 weight pass the size test (2**19 + 2**13),
-        # but the weight's 65 rows do not match the rows' 64 columns
-        counts = self._recorded(monkeypatch)
-        with pytest.raises(ValueError):
-            matmul(np.ones((128, 64)), np.ones((65, 64)))
-        assert counts == [1, 3]
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: OpenBLAS starts no workers")
+    def test_a_long_draw_does_not_depend_on_the_blas_thread_count(self):
+        # each norm of a 12,000-entry row is a dot that OpenBLAS splits over
+        # two threads, which changes its last bits, unless held to one
+        setter = blas._thread_setter("numpy._core._multiarray_umath")
+        if setter is None:
+            pytest.skip("numpy's BLAS has no per-thread thread count")
+        n = 12_000
+        pre = Preconditioner.diagonal(np.random.default_rng(n).uniform(0.2, 3.0, n)).normalize_unit_det()
+        children = np.random.SeedSequence(n).spawn(16)
+        draws = []
+        previous = setter(2)
+        try:
+            for threads in (2, 1):
+                setter(threads)
+                block, log_norms = sample_directions(pre, [np.random.default_rng(c) for c in children])
+                draws.append((block.tobytes(), [x.hex() for x in log_norms]))
+        finally:
+            setter(previous)
+        assert draws[0] == draws[1]
 
 
 class TestLebesgueLogTerm:

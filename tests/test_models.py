@@ -3,13 +3,14 @@ checkpoint files."""
 
 import json
 import math
+import os
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from starvol import geometry
-from starvol.geometry import MeasureSpec, matmul
+from starvol import blas
+from starvol.geometry import MeasureSpec
 from starvol.models.data import Dataset, make_blobs, split_dataset
 import starvol.models.hessian as hessian_module
 from starvol.models.hessian import hessian_diag, hessian_full
@@ -37,6 +38,8 @@ from starvol.models.train import (
     _adam_step,
     adam_train,
 )
+
+NUMPY_BLAS = "numpy._core._multiarray_umath"
 
 
 def kl_value_and_grad(
@@ -359,6 +362,33 @@ class TestKlCost:
         with pytest.raises(ValueError, match="input width 1 != network fan-in 2"):
             make_kl_cost(anchor, np.zeros((5, 1)))
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: OpenBLAS starts no workers")
+    def test_handle_and_rays_do_not_depend_on_the_blas_thread_count(self):
+        # on 1,200 inputs and 10 classes each readout takes dots of 12,000
+        # entries, which OpenBLAS splits over two threads unless held to one
+        setter = blas._thread_setter(NUMPY_BLAS)
+        if setter is None:
+            pytest.skip("numpy's BLAS has no per-thread thread count")
+        anchor, _ = init_params(((64, 16), (16, 10)), rng=np.random.default_rng(81))
+        inputs = np.random.default_rng(82).normal(size=(1200, 64))
+        rng = np.random.default_rng(83)
+        points = anchor.flat + 0.05 * rng.normal(size=(8, anchor.n))
+        direction = rng.normal(size=anchor.n)
+        direction /= np.linalg.norm(direction)
+        runs = []
+        previous = setter(2)
+        try:
+            for threads in (2, 1):
+                setter(threads)
+                cost = make_kl_cost(anchor, inputs)
+                line = cost.along(anchor.flat)(direction)
+                radii = np.linspace(0.05, 0.8, 8)
+                runs.append([cost(p).hex() for p in points] + [line(r).hex() for r in radii]
+                            + [line.approx(r).hex() for r in radii])
+        finally:
+            setter(previous)
+        assert runs[0] == runs[1]
+
 
 # name -> (shape, input rows); at 2,000 rows the 64 x 10 readout is blocked
 RAY_SHAPES = {
@@ -493,14 +523,6 @@ class TestRayForm:
             want = cost(origin + r * d)
             assert abs(got - want) <= 1e-5 * abs(want)
 
-    def test_matmul_keeps_float32(self):
-        rng = np.random.default_rng(37)
-        x, w = rng.normal(size=(2000, 64)), rng.normal(size=(64, 10))
-        got = matmul(x.astype(np.float32), w.astype(np.float32))
-        assert got.dtype == np.float32
-        np.testing.assert_allclose(got, x @ w, rtol=1e-4, atol=1e-4)
-        assert matmul(x, w).dtype == np.float64
-
 
 class TestGradients:
     @staticmethod
@@ -615,8 +637,8 @@ class TestTraining:
             assert set(row) == {"step", "train_loss", "val_loss", "poison_loss"}
 
     def test_logged_loss_is_the_loss_cost_in_calling_thread_products(self, monkeypatch):
-        # 1,000 rows of the 64 -> 64 -> 10 fixture: both layers' products
-        # reach the size OpenBLAS splits over its workers
+        # 1,000 rows of the 64 -> 64 -> 10 fixture; every product of the loss
+        # cost, its ray forms and its gradient runs at one BLAS thread
         params, _ = init_params(((64, 64), (64, 10)), rng=np.random.default_rng(5))
         data = make_blobs(dim=64, classes=10, per_class=100, seed=5)
         result = adam_train(params, data, TrainConfig(epochs=1, batch_size=250, checkpoint_every=2))
@@ -624,7 +646,7 @@ class TestTraining:
         assert result.steps == (0, 2, 4)
         assert [row["train_loss"] for row in result.metrics] == [cost(c.flat) for c in result.checkpoints]
 
-        setter = geometry._blas_thread_setter()
+        setter = blas._thread_setter(NUMPY_BLAS)
         if setter is None:
             pytest.skip("numpy's BLAS has no per-thread thread count")
         counts, products = [], []
@@ -649,25 +671,31 @@ class TestTraining:
         flat = params.flat.view(Recorded)
         direction = np.random.default_rng(6).normal(size=params.n).view(Recorded)
         want = cost(params.flat)
-        monkeypatch.setattr(geometry, "_blas_thread_setter", lambda: recorder)
+        monkeypatch.setattr(blas, "_thread_setter", lambda extension: recorder)
         previous = setter(2)
         try:
             assert cost(flat) == want
-            cost.along(flat)(direction)(0.5)
-            _forward(_with_ones(data.inputs), flat, params.shape)
+            line = cost.along(flat)(direction)
+            line(0.5)
+            line.approx(0.5)
+            loss_value_and_grad(flat, params.shape, data)
         finally:
             setter(previous)
-        # the full evaluation's, the ray's (origin, direction, one evaluation)
-        # and _forward's, the folded route that training and mdl call too
-        folded, readout = 1000 * 65 * 64, 1000 * 64 * 10
-        assert [m for m, _ in products] == [folded, readout, folded, folded, readout, folded, readout]
-        assert all(m >= 1 << 19 and threads == 1 for m, threads in products)
-        assert counts == [1, 2] * len(products)
+        # the full evaluation's; the ray's origin, direction, and one
+        # evaluation in each form; the gradient's forward pass, the folded
+        # route that training and mdl take too, and its one backward product
+        # with a weight
+        folded, readout, back = 1000 * 65 * 64, 1000 * 64 * 10, 1000 * 10 * 64
+        assert [m for m, _ in products] == [folded, readout, folded, folded, readout, readout,
+                                            folded, readout, back]
+        assert all(threads == 1 for _, threads in products)
+        # one call sets the count: the handle, along, line, each ray form, the gradient
+        assert counts == [1, 2] * 6
 
     def test_checkpoints_do_not_depend_on_the_blas_thread_count(self):
         # on 500-row batches both backward products of a 64 -> 64 -> 10 net
         # reach the size OpenBLAS splits over its workers
-        setter = geometry._blas_thread_setter()
+        setter = blas._thread_setter(NUMPY_BLAS)
         if setter is None:
             pytest.skip("numpy's BLAS has no per-thread thread count")
         params, _ = init_params(((64, 64), (64, 10)), rng=np.random.default_rng(5))

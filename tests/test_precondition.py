@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starvol import geometry, precondition
+from starvol import blas, precondition
 from starvol.codec import decode_array, write_json
 from starvol.geometry import NeighborhoodSpec, estimate_local_volume, sample_directions
 from starvol.models import hessian_full, init_params, make_blobs, make_kl_cost, make_loss_cost
@@ -178,6 +178,17 @@ class TestFromDiagonal:
     def test_zero_entry_without_damping_is_error(self):
         with pytest.raises(PreconditionerError, match="zero curvature"):
             from_diagonal(np.array([0.0, 1.0]), eps=0.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, -0.5])
+    def test_eps_not_finite_and_nonnegative_is_named(self, eps):
+        # a NaN or infinite eps once raised the zero-curvature message
+        with pytest.raises(PreconditionerError, match=f"^eps must be finite and >= 0, got {eps}$"):
+            from_diagonal(np.array([4.0, 1.0]), eps=eps)
+
+    @pytest.mark.parametrize("exponent", [np.nan, np.inf, -np.inf])
+    def test_exponent_not_finite_is_named(self, exponent):
+        with pytest.raises(PreconditionerError, match=f"^exponent must be finite, got {exponent}$"):
+            from_diagonal(np.array([4.0, 1.0]), eps=0.1, exponent=exponent)
 
     def test_default_eps_table(self):
         assert DEFAULT_EPS == {
@@ -535,6 +546,9 @@ print("scipy.linalg" in sys.modules)
         assert proc.stdout.splitlines() == ["[]", "True"]
 
 
+NUMPY_BLAS = "numpy._core._multiarray_umath"
+
+
 def _numpy_blas_has_local_threads() -> bool:
     """Whether numpy's BLAS exports OpenBLAS's per-thread thread-count setter."""
     try:
@@ -615,7 +629,7 @@ print([repr(s.log_term) for s in est.samples])
         # n=1,210 on 512 inputs (KL) and 510 rows (loss): the loss Hessian's
         # products and the eigh are large enough for OpenBLAS to split them
         # over two threads, which changes their last bits, unless held to one
-        setters = [geometry._blas_thread_setter(), _scipy_setter()]
+        setters = [blas._thread_setter(NUMPY_BLAS), _scipy_setter()]
         if None in setters:
             pytest.skip("numpy's or scipy's BLAS has no per-thread thread count")
         params, _ = init_params(((64, 16), (16, 10)), rng=np.random.default_rng(71))
@@ -667,8 +681,7 @@ print([repr(s.log_term) for s in est.samples])
         assert time.process_time() - start <= 0.03
 
     def test_dense_draw_restores_the_thread_count(self):
-        # 16 x 256 by 256 x 256 reaches the setter
-        setter = geometry._blas_thread_setter()
+        setter = blas._thread_setter(NUMPY_BLAS)
         if setter is None:
             pytest.skip("numpy's BLAS has no per-thread thread count")
         pre = _householder_map(256, np.random.default_rng(6))
@@ -683,33 +696,10 @@ print([repr(s.log_term) for s in est.samples])
         # under another BLAS, or an older OpenBLAS, the draw runs as it is
         pre = _householder_map(256, np.random.default_rng(7))
         want, want_norms = sample_directions(pre, [np.random.default_rng(i) for i in range(16)])
-        monkeypatch.setattr(geometry, "_blas_thread_setter", lambda: None)
+        monkeypatch.setattr(blas, "_thread_setter", lambda extension: None)
         got, got_norms = sample_directions(pre, [np.random.default_rng(i) for i in range(16)])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
         np.testing.assert_allclose(got_norms, want_norms, rtol=0, atol=1e-14)
-
-    def test_setter_is_resolved_on_the_first_large_product_only(self):
-        # a product below 2**19 multiply-adds, such as a small dense draw, never asks for it
-        script = """
-import sys, numpy as np
-import starvol.cli
-from starvol import geometry
-from starvol.precondition import Preconditioner
-print(geometry._blas_thread_setter.cache_info().currsize, "scipy" in sys.modules)
-rngs = [np.random.default_rng(i) for i in range(2)]
-geometry.sample_directions(Preconditioner.identity(3), rngs)
-geometry.sample_directions(Preconditioner.diagonal(np.array([2.0, 1.0, 0.5])), rngs)
-geometry.sample_directions(Preconditioner.diagonal(np.array([2.0, 1.0, 0.5]), basis=np.eye(3)), rngs)
-geometry.matmul(np.ones((127, 64)), np.ones((64, 64)))
-print(geometry._blas_thread_setter.cache_info().currsize)
-geometry.matmul(np.ones((128, 64)), np.ones((64, 64)))
-print(geometry._blas_thread_setter.cache_info().currsize)
-"""
-        src = Path(precondition.__file__).resolve().parents[1]
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["0 False", "0", "1"]
 
 
 class TestScipyBlasPool:
@@ -741,7 +731,7 @@ class TestScipyBlasPool:
                 raise np.linalg.LinAlgError("stand-in failure")
             return np.zeros(len(a)), np.eye(len(a), order="F")
 
-        monkeypatch.setattr(precondition, "_scipy_blas_thread_setter", lambda: recorder)
+        monkeypatch.setattr(blas, "_thread_setter", lambda extension: recorder)
         monkeypatch.setattr(scipy.linalg, "eigh", eigh)
         if fails:
             with pytest.raises(PreconditionerError, match="stand-in failure"):
@@ -755,7 +745,7 @@ class TestScipyBlasPool:
         # calling thread's count already 1
         mat = _kernel(700)
         want = eigendecompose(mat)
-        monkeypatch.setattr(precondition, "_scipy_blas_thread_setter", lambda: None)
+        monkeypatch.setattr(blas, "_thread_setter", lambda extension: None)
         setter = _scipy_setter()
         previous = None if setter is None else setter(1)
         try:
