@@ -14,9 +14,10 @@ the BLAS thread count, even for a plain cost:
   of the block. Each uniform draw is taken in the map's own orthonormal
   axes, where it is just as uniform, so a dense map costs one product with
   its n x n basis per block;
-- search: the boundary radius along each ray, by an extrapolated bracket
-  and safeguarded inverse quadratic interpolation under one aiming rule,
-  each returned radius decided in float64; the only per-ray stage;
+- search: the boundary radius along each ray, started at the median radius
+  of the rays before it, by an extrapolated bracket and safeguarded inverse
+  quadratic interpolation under one aiming rule, each returned radius
+  decided in float64; the only per-ray stage;
 - integrate: under a Gaussian measure, each good ray's one-dimensional
   radial integral, all in one vectorized call. One route serves every ray:
   bracket the log-concave integrand where it is within 60 nats of its
@@ -35,6 +36,7 @@ from __future__ import annotations
 import math
 import operator
 import time
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -370,14 +372,17 @@ def _crossing(points: list[tuple[float, float]]) -> float | None:
 
 
 def find_radius(
-    spec: NeighborhoodSpec, direction: np.ndarray, opts: SearchOptions | None = None
+    spec: NeighborhoodSpec,
+    direction: np.ndarray,
+    opts: SearchOptions | None = None,
+    start: float | None = None,
 ) -> tuple[float, bool, int]:
     """Find the boundary radius along a ray from the anchor.
 
-    Brackets the cutoff crossing outward from ``r_init``, then narrows the
-    bracket until its width is at most ``rel_tol`` times the lower end.
-    Returns ``(radius, truncated, evals)``; the float64 cost at the
-    returned radius is strictly below the cutoff, so the search never
+    Brackets the cutoff crossing from ``start`` (``opts.r_init`` when None),
+    then narrows the bracket until its width is at most ``rel_tol`` times
+    the lower end. Returns ``(radius, truncated, evals)``; the float64 cost
+    at the returned radius is strictly below the cutoff, so the search never
     overshoots, and ``evals`` counts the cost evaluations made along the
     ray, in either precision. If the bracket stage reaches the cap
     (``opts.r_max``, or else the measure's ``r_max``) without a crossing,
@@ -385,14 +390,14 @@ def find_radius(
     through ``spec.line``.
 
     Where the ray carries a float32 form (``line.approx``, see ``CostFn``),
-    the evaluations that only steer run in it: every bracket step but one
-    at the cap, and each narrowing step aimed past the crossing whose value
-    below the cutoff would not close the bracket. Every other narrowing
-    step, and every bisection, runs in float64. When the bracket closes on
-    a lower end read in float32, one float64 evaluation decides it: below
-    the cutoff it is returned; otherwise it becomes the upper end, and
-    narrowing starts again from the anchor in float64 only. A ray without
-    the form runs the same steps, each in float64.
+    the evaluations that only steer run in it: every bracket step but one at
+    the cap, in either direction, and every narrowing step aimed past the
+    crossing. Every other narrowing step, and every bisection, runs in
+    float64. When the bracket closes on a lower end read in float32, one
+    float64 evaluation decides it: below the cutoff it is returned; otherwise
+    it becomes the upper end, and narrowing starts again from the anchor in
+    float64 only. A ray without the form runs the same steps, each in
+    float64.
 
     Both stages steer by one model, f(t) = log((cost(e^t) - c0) / (cutoff -
     c0)) with t = log r and c0 = ``spec.anchor_cost``, which the spec keeps
@@ -401,28 +406,34 @@ def find_radius(
     exactly linear for c0 + q r^p. f is undefined where the cost is at most
     c0.
 
-    The bracket stage steps 5% past the crossing that the slope through the
-    last two points predicts (slope 2 from a single point); where f is
-    undefined, or after a predicted step failed to bracket, it at least
-    doubles r. The narrowing stage interpolates the crossing by inverse
-    quadratic interpolation through the last three points where f is
-    defined (the secant through two, slope 2 from one; Brent 1973). One
-    aiming rule serves both forms: a tenth of a tolerance past the crossing
-    after a lower-end move, half a tolerance inside it after an upper-end
-    move, and at least a quarter tolerance inside the bracket. It bisects
-    instead when the estimate lies outside the bracket, when f is undefined
-    at a positive lower end, and when the last two evaluations did not
-    halve the bracket.
+    From a start below the cutoff, the bracket stage steps 5% past the crossing
+    that the slope through the last two points predicts (slope 2 from a
+    single point); where f is undefined, or after a predicted step failed to
+    bracket, it at least doubles r. From a start at or above the cutoff it
+    takes one step back inside in the same way, 5% past the crossing that
+    slope 2 predicts and at least half a tolerance in, so a start costs
+    about the same on either side of the crossing. If that step lands
+    inside, narrowing starts from a bracket like the one an outward step
+    leaves; otherwise it starts from the anchor. The narrowing stage
+    interpolates the crossing by inverse quadratic interpolation through the
+    last three points where f is defined (the secant through two, slope 2
+    from one; Brent 1973). One aiming rule serves both forms: a tenth of a
+    tolerance past the crossing after a lower-end move, half a tolerance
+    inside it after an upper-end move, and at least a quarter tolerance
+    inside the bracket. It bisects instead when the estimate lies outside
+    the bracket, when f is undefined at a positive lower end, and when the
+    last two evaluations did not halve the bracket.
 
-    Worst case: the bracket stage takes at most 2 + log2(r / r_init)
-    evaluations to reach a crossing at r, since every step after the first
-    prediction at least doubles r; and any three narrowing evaluations in a
-    row at least halve the bracket [lo, hi], so narrowing takes at most
-    about 3 log2((hi - lo) / (rel_tol lo)). While no interior point is known
-    (lo = 0), narrowing stops once hi falls below 2^-50 times the first
-    bracket's hi and fails as "no interior point found along ray"; with the
-    cost above the cutoff everywhere off the anchor that takes about 50
-    evaluations.
+    Worst case: from a start below a crossing at r, the bracket stage takes
+    at most 2 + log2(r / start) evaluations, since every step after the
+    first prediction at least doubles r; from a start at or above the
+    cutoff it takes 2, the start and the step back inside. Any three
+    narrowing evaluations in a row at least halve the bracket [lo, hi], so
+    narrowing takes at most about 3 log2((hi - lo) / (rel_tol lo)). While
+    no interior point is known (lo = 0), narrowing stops once hi falls
+    below 2^-50 times its first hi and fails as "no interior point found
+    along ray"; with the cost above the cutoff everywhere off the anchor
+    that takes about 50 evaluations.
     """
     opts = opts or SearchOptions()
     r_max = opts.r_max if opts.r_max is not None else spec.measure.r_max
@@ -446,7 +457,8 @@ def find_radius(
         return value
 
     lo, lo_value, hi = 0.0, c0, None
-    r = opts.r_init if opts.r_init < r_max else r_max
+    r = opts.r_init if start is None else start
+    r = r if r < r_max else r_max
     predicted = False  # a predicted step was taken, so the next one failed to bracket
     while evals < max_iters:
         # a truncated ray returns the cap, so the cap is read in float64
@@ -471,6 +483,18 @@ def find_radius(
         r = step if step < r_max else r_max
     if hi is None:
         raise RadiusSearchError("bracketing exhausted max_iters", bracket=(lo, r), evals=evals)
+    if lo == 0.0 and evals < max_iters:
+        # the start lies at or above the cutoff: the step back inside is a
+        # bracket step in reverse, past the predicted crossing and at least
+        # half a tolerance in, read in the steering form
+        t = known[-1][0]
+        r = math.exp(t + _BRACKET_PAST * (_crossing(known) - t))
+        r = min(max(r, hi * _INTERIOR_FLOOR), hi / (1.0 + 0.5 * rel_tol))
+        value = cost_at(r, steer)
+        if value < cutoff:
+            lo, lo_value = r, value
+        else:
+            hi = r
 
     moved = None  # the end the last evaluation of this stage moved
     # bracket width now, and after each of the two evaluations before (inf: none yet)
@@ -512,9 +536,9 @@ def find_radius(
                 if lo < step < hi:
                     r = step
                     # a step past the crossing only steers, so it is read in
-                    # float32, unless a value below the cutoff would close the
-                    # bracket and so be returned
-                    if moved == "lo" and hi - step > rel_tol * step:
+                    # float32; a value below the cutoff that closes the bracket
+                    # gets the float64 check below
+                    if moved == "lo":
                         form = steer
         value = cost_at(r, form)
         if value < cutoff:
@@ -745,7 +769,11 @@ def estimate_local_volume(
     streams are built in one vectorized pass. A seed that is not an int,
     such as None, a ``SeedSequence`` or a list, raises ``TypeError``, and a
     negative int ``ValueError``. Every stage runs on the calling thread, so
-    ``opts.threads`` changes nothing. Rays whose radius search fails
+    ``opts.threads`` changes nothing. Rays are searched in order: ray 0
+    starts at ``opts.r_init``, and ray i at the median radius of the good
+    rays before it, truncated ones included, so seeded reruns stay
+    bit-identical. Like ``r_init``, a start assumes the cost crosses the
+    cutoff once along the ray. Rays whose radius search fails
     contribute exact zeros (log term -inf) but still count in k, preserving
     the estimator's one-sided Markov guarantee. Truncated rays contribute
     their capped radius; under Lebesgue measure that makes the estimate a
@@ -767,13 +795,20 @@ def estimate_local_volume(
     )
     marks.append(_clock())
 
-    def search(direction: np.ndarray) -> tuple[float, bool, int, str]:
+    rays = []  # (radius, truncated, evals, failure) of each ray, in order
+    done: list[float] = []  # the good rays' radii so far, ascending
+    start = opts.r_init
+    for direction in directions:
         try:
-            return (*find_radius(spec, direction, opts), "")
+            radius, cut, count = find_radius(spec, direction, opts, start)
         except (RadiusSearchError, CostEvaluationError) as exc:
-            return math.nan, False, exc.evals, f"{type(exc).__name__}: {exc}"
-
-    radii, truncated, evals, failures = zip(*map(search, directions))
+            rays.append((math.nan, False, exc.evals, f"{type(exc).__name__}: {exc}"))
+            continue
+        rays.append((radius, cut, count, ""))
+        insort(done, radius)
+        half = len(done) // 2
+        start = done[half] if len(done) % 2 else 0.5 * (done[half - 1] + done[half])
+    radii, truncated, evals, failures = zip(*rays)
     marks.append(_clock())
     good = [i for i in range(k) if not failures[i]]
     if not good:

@@ -295,8 +295,15 @@ def from_diagonal(
         raise PreconditionerError(f"eps must be finite and >= 0, got {eps}")
     if not math.isfinite(exponent):
         raise PreconditionerError(f"exponent must be finite, got {exponent}")
-    denom = np.abs(arr) ** exponent + eps
-    if np.any(denom <= 0) or not np.all(np.isfinite(denom)):
-        raise PreconditionerError("zero curvature entry encountered with eps = 0")
+    with np.errstate(over="ignore", divide="ignore"):
+        denom = np.abs(arr) ** exponent + eps
+    bad = np.flatnonzero(~((denom > 0) & (denom < math.inf)))
+    if bad.size:
+        i = int(bad[0])
+        d, value = float(arr[i]), float(denom[i])
+        if value == 0:
+            raise PreconditionerError(f"zero curvature entry encountered with eps = 0: entry {i} (d = {d!r})")
+        raise PreconditionerError(f"non-finite denominator |d|^{float(exponent)!r} + eps = {value!r} "
+                                  f"at entry {i} (d = {d!r}, eps = {float(eps)!r})")
     raw = Preconditioner.diagonal(1.0 / denom, source=source, basis=basis)
     return raw.normalize_unit_det()

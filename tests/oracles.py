@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CostFn, MeasureSpec, NeighborhoodSpec, VolumeEstimate
-from .precondition import Preconditioner, _readonly
+from starvol.geometry import CostFn, MeasureSpec, NeighborhoodSpec, VolumeEstimate
+from starvol.precondition import Preconditioner, _readonly
 
 __all__ = [
     "Ellipsoid",

@@ -35,7 +35,7 @@ from starvol.models import (
     split_dataset,
 )
 from starvol.models.train import AdamHyper
-from starvol.oracles import (
+from oracles import (
     Ellipsoid,
     ellipsoid_log_volume_exact,
     gd_density_loss_comparison,

@@ -41,7 +41,7 @@ from starvol.models import (
     make_loss_cost,
     split_dataset,
 )
-from starvol.oracles import Ellipsoid, ellipsoid_log_volume_exact, ellipsoid_radius
+from oracles import Ellipsoid, ellipsoid_log_volume_exact, ellipsoid_radius
 from starvol.precondition import Preconditioner, PreconditionerError, eigendecompose, from_diagonal
 
 
@@ -353,6 +353,83 @@ class TestFindRadius:
         # threads=-3 ran serially
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SearchOptions(**{field: value})
+
+
+# closed-form radial profiles and the radius where each crosses the cutoff 1;
+# the wall's exponent is capped, so a start 100 times out reads a finite cost
+ABOVE_PROFILES = {
+    "quadratic": (lambda r: 0.5 * r * r, math.sqrt(2.0)),
+    "r^8": (lambda r: (r / 0.8) ** 8, 0.8),
+    "sqrt": (lambda r: math.sqrt(0.5 * r), 2.0),
+    "kink": (lambda r: 0.3 * r if r < 0.6 else 0.18 + 5.0 * (r - 0.6), 0.6 + 0.82 / 5.0),
+    "wall": (lambda r: math.expm1(min(50.0 * r * r, 700.0)), math.sqrt(math.log(2.0) / 50.0)),
+}
+ABOVE_STARTS = (1.03, 2.0, 100.0)  # the start over the crossing radius
+# cost evaluations of a search from each of ABOVE_STARTS, as measured: each is a budget
+ABOVE_BUDGETS = {
+    "quadratic": (4, 4, 4),
+    "r^8": (4, 4, 4),
+    "sqrt": (4, 4, 4),
+    "kink": (5, 7, 11),
+    "wall": (5, 7, 10),
+}
+
+
+def _steered_spec(profile, reads):
+    """The 1-D ray of ``profile``, whose float32 form reads the profile at the
+    radius rounded to float32; each evaluation is logged to ``reads`` as (form, r)."""
+
+    def cost(x):
+        return profile(float(x[0]))
+
+    def along(origin):
+        def line(direction):
+            def exact(r):
+                reads.append(("float64", r))
+                return profile(float(origin[0] + r * direction[0]))
+
+            def approx(r):
+                reads.append(("float32", r))
+                return profile(float(np.float32(origin[0] + r * direction[0])))
+
+            exact.approx = approx
+            return exact
+
+        return line
+
+    cost.along = along
+    return NeighborhoodSpec(np.zeros(1), cost, 1.0, MeasureSpec.lebesgue())
+
+
+class TestSearchFromAbove:
+    """A start at or above the cutoff steps back inside as a bracket step steps out."""
+
+    @pytest.mark.parametrize("factor", ABOVE_STARTS)
+    @pytest.mark.parametrize("name", sorted(ABOVE_PROFILES))
+    def test_start_above_the_crossing(self, name, factor):
+        profile, root = ABOVE_PROFILES[name]
+        start = factor * root
+        reads = []
+        opts = SearchOptions()
+        radius, truncated, evals = find_radius(_steered_spec(profile, reads), np.array([1.0]), opts, start)
+        assert not truncated and evals == len(reads)
+        assert abs(radius - root) <= opts.rel_tol * root
+        assert profile(radius) < 1.0 and ("float64", radius) in reads
+        # the start and the step back inside both steer, in float32
+        assert reads[0] == ("float32", start)
+        assert reads[1][0] == "float32" and reads[1][1] < start
+        assert evals <= ABOVE_BUDGETS[name][ABOVE_STARTS.index(factor)]
+
+    def test_start_at_the_cap_above_the_crossing(self):
+        # a start past the cap reads the cap in float64, then steps back inside in float32
+        profile, root = ABOVE_PROFILES["quadratic"]
+        reads = []
+        opts = SearchOptions(r_max=4.0)
+        radius, truncated, evals = find_radius(_steered_spec(profile, reads), np.array([1.0]), opts, 100.0)
+        assert not truncated and abs(radius - root) <= opts.rel_tol * root
+        assert [form for form, _ in reads[:2]] == ["float64", "float32"]
+        assert reads[0][1] == 4.0 and reads[1][1] < root
+        assert evals <= ABOVE_BUDGETS["quadratic"][1]
 
 
 def one_direction(precond, rng):
@@ -1280,15 +1357,17 @@ def small_trained_net():
 class TestSearchBudget:
     # mean cost evaluations per ray, k=64, seed 0, Gaussian measure; the
     # bounds sit at or below the targets for the radius search (naive rays
-    # 4.4, hessian-map rays 6.5, loss rays 5.5) and above the measured
-    # counts, float32-steered / float64-only: kl identity 3.97 / 3.97, kl
-    # hessian 5.97 / 5.95, loss identity 4.95 / 4.95, loss hessian 5.80 /
-    # 5.78 (the doubling-and-secant search took 4.91, 8.94, 8.77 and 10.75)
+    # 4.4, loss rays 5.5) and above the measured counts, float32-steered /
+    # float64-only: kl identity 4.02 / 4.02, kl hessian 4.45 / 4.45, loss
+    # identity 4.58 / 4.56, loss hessian 4.84 / 4.84 (the doubling-and-secant
+    # search took 4.91, 8.94, 8.77 and 10.75; with every ray started at
+    # r_init, the hessian maps took 5.98 and 5.88); each hessian bound is
+    # its measured count plus a margin of about 0.5
     BUDGET = [
         ("kl", "identity", 4.4),
-        ("kl", "hessian", 6.5),
+        ("kl", "hessian", 4.95),
         ("loss", "identity", 5.5),
-        ("loss", "hessian", 6.5),
+        ("loss", "hessian", 5.35),
     ]
     BOUNDS = {(kind, map_kind): bound for kind, map_kind, bound in BUDGET}
 
@@ -1436,13 +1515,18 @@ class TestSearchContract:
     """A direct search and an estimate's search of the same ray agree exactly.
 
     Both read the anchor cost from the spec and the radius cap from the
-    measure, so they take the same evaluations to the same radius.
+    measure, and ray i starts at the median radius of the good rays before
+    it (ray 0 at ``r_init``), so they take the same evaluations to the
+    same radius.
     """
 
     @staticmethod
     def _assert_same_rays(spec, est):
+        good = []  # radii of the good rays so far
         for s in est.samples:
-            assert find_radius(spec, s.direction) == (s.radius, s.truncated, s.evals)
+            start = float(np.median(good)) if good else SearchOptions().r_init
+            assert find_radius(spec, s.direction, None, start) == (s.radius, s.truncated, s.evals)
+            good += [] if s.failed else [s.radius]
 
     def test_loss_cost_under_a_gaussian_measure(self, small_trained_net):
         params, measure, train, _ = small_trained_net
@@ -1462,4 +1546,7 @@ class TestSearchContract:
         est = estimate_local_volume(spec, Preconditioner.identity(n), k=4, seed=3)
         assert est.truncated_count == 4
         assert all(s.radius == 20.0 * math.sqrt(n) for s in est.samples)
+        # ray 0 doubles out from r_init to the cap; every later ray starts at
+        # the truncated rays' median, the cap, and reads it once
+        assert [s.evals for s in est.samples] == [7, 1, 1, 1]
         self._assert_same_rays(spec, est)

@@ -1,12 +1,14 @@
-"""Every name a module under src/starvol imports is used there or exported."""
+"""Every name a module under src/starvol, or the tests' oracles module, imports is used
+there or exported."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "starvol"
-MODULES = sorted(SRC.rglob("*.py"))
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "starvol"
+MODULES = sorted(SRC.rglob("*.py")) + [TESTS / "oracles.py"]
 
 
 def _bound_names(tree: ast.Module) -> dict[str, int]:
@@ -43,11 +45,13 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_modules_are_found():
-    names = {path.name for path in MODULES}
-    assert {"__init__.py", "geometry.py", "oracles.py", "mlp.py"} <= names
+    names = {path.name for path in SRC.rglob("*.py")}
+    assert {"__init__.py", "geometry.py", "mlp.py"} <= names
+    # the oracles serve only the tests, so they live beside them
+    assert "oracles.py" not in names and (TESTS / "oracles.py").is_file()
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC if SRC in p.parents else TESTS)))
 def test_no_unused_import(path):
     assert _unused_imports(path) == []
 

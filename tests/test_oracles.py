@@ -14,7 +14,7 @@ from starvol.geometry import (
     estimate_local_volume,
     find_radius,
 )
-from starvol.oracles import (
+from oracles import (
     Ellipsoid,
     ellipsoid_log_volume_exact,
     ellipsoid_radius,

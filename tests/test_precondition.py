@@ -3,9 +3,11 @@
 import ctypes
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +180,17 @@ class TestFromDiagonal:
     def test_zero_entry_without_damping_is_error(self):
         with pytest.raises(PreconditionerError, match="zero curvature"):
             from_diagonal(np.array([0.0, 1.0]), eps=0.0)
+
+    @pytest.mark.parametrize("diag, exponent", [([1e300, 1.0], 2.0), ([0.0, 1.0], -0.5)])
+    def test_non_finite_denominator_is_named(self, diag, exponent):
+        # |d|^exponent overflows, or divides by zero, at a positive eps; each
+        # once raised the zero-curvature message and leaked a RuntimeWarning
+        message = "^" + re.escape(f"non-finite denominator |d|^{exponent} + eps = inf "
+                                  f"at entry 0 (d = {diag[0]!r}, eps = 0.1)") + "$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionerError, match=message):
+                from_diagonal(np.array(diag), eps=0.1, exponent=exponent)
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, -0.5])
     def test_eps_not_finite_and_nonnegative_is_named(self, eps):
@@ -533,15 +546,17 @@ print((peak() - base) / (n * n * 8))
         script = """
 import sys
 import numpy as np
-import starvol, starvol.cli, starvol.models, starvol.oracles
+import starvol, starvol.cli, starvol.models, oracles
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 from starvol.precondition import eigendecompose
 eigendecompose(np.diag([1.0, 2.0, 3.0]))
 print("scipy.linalg" in sys.modules)
 """
-        src = Path(precondition.__file__).resolve().parents[1]
+        # the package, and the test oracles beside this file
+        path = os.pathsep.join([str(Path(precondition.__file__).resolve().parents[1]),
+                                str(Path(__file__).resolve().parent)])
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
+                              timeout=300, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "True"]
 
