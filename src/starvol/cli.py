@@ -66,7 +66,6 @@ SEED_ROLES = {"data": 0, "init": 1, "train": 2}
 PRECONDITIONER_CHOICES = ("none", "hessian", "diag", "adam-nu")
 PRECOND_FILE_HELP = "load a saved preconditioner (a sweep accepts it over cutoffs or checkpoints only)"
 THREADS_HELP = "accepted and validated (at least 1) but ignored: every ray runs on the calling thread; run separate processes for parallelism"
-R_INIT_HELP = "radius of each ray's first cost evaluation; the search takes its later steps from the costs it measures"
 TARGET_HELP = "quadratic: a synthetic |x|^2/2 cost, always with Lebesgue measure and the identity map"
 
 # flags shared by estimate and sweep, defined once in an argparse parent
@@ -79,10 +78,8 @@ ESTIMATE_FLAGS = (
     ("--eps", {"type": float, "default": None, "help": "damping (default depends on kind)"}),
     ("--measure", {"choices": ("lebesgue", "gaussian"), "default": "gaussian"}),
     ("--threads", {"type": int, "default": 1, "help": THREADS_HELP}),
-    ("--r-init", {"type": float, "default": 1.0, "help": R_INIT_HELP}),
     ("--r-max", {"type": float, "default": None}),
     ("--rel-tol", {"type": float, "default": 1e-4}),
-    ("--max-iters", {"type": int, "default": 500}),
     ("--precond-file", {"type": str, "default": None, "help": PRECOND_FILE_HELP}),
 )
 
@@ -161,12 +158,7 @@ def cmd_train(args) -> int:
         epochs=int(tr["epochs"]),
         batch_size=int(tr["batch_size"]),
         seed=train_seed,
-        hyper=AdamHyper(
-            lr=float(tr["lr"]),
-            beta1=float(tr["beta1"]),
-            beta2=float(tr["beta2"]),
-            adam_eps=float(tr["adam_eps"]),
-        ),
+        hyper=AdamHyper(**{f.name: float(tr[f.name]) for f in dataclasses.fields(AdamHyper)}),
         checkpoint_every=int(tr["checkpoint_every"]),
         poison=poison,
     )
@@ -177,10 +169,7 @@ def cmd_train(args) -> int:
     paths = []
     for ckpt_params, adam_state, step in zip(result.checkpoints, result.adam_states, result.steps):
         path = out_dir / f"checkpoint_step{step:06d}.json"
-        save_checkpoint(
-            path,
-            Checkpoint(params=ckpt_params, adam=adam_state, sigma=measure.sigma, step=step, config=config),
-        )
+        save_checkpoint(path, Checkpoint(ckpt_params, adam_state, measure.sigma, step, config))
         paths.append(path)
     metrics_path = out_dir / "metrics.csv"
     fields = sorted({key for row in result.metrics for key in row})
@@ -460,8 +449,10 @@ def cmd_mdl(args) -> int:
         raise ValueError(f"no records in {args.record}")
     record = records[-1]
     if record.get("measure") != "lebesgue":
-        print("error: description length requires a Lebesgue volume record", file=sys.stderr)
-        return 2
+        raise ValueError("description length requires a Lebesgue volume record")
+    missing = [name for name in ("log_volume", "n") if name not in record]
+    if missing:
+        raise ValueError(f"missing record field {', '.join(missing)} in {args.record}")
     log_volume, n = float(record["log_volume"]), int(record["n"])
     if n != ckpt.params.n:
         raise ValueError(f"the record's n = {n} does not match the checkpoint's {ckpt.params.n} parameters")

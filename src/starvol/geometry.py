@@ -92,6 +92,10 @@ _GL_NODES, _GL_WEIGHTS = leggauss(64)
 _BLOCK_ENTRIES = 2**16
 # the stages of an estimate, in order, as VolumeEstimate.stage_seconds names them
 STAGES = ("sample", "search", "integrate", "aggregate")
+# the radius of a search's first cost evaluation when no earlier ray sets it
+FIRST_START = 1.0
+# a radius search fails as RadiusSearchError after this many cost evaluations
+MAX_EVALS = 500
 # the radius search's predicted bracket step goes this factor of the
 # predicted distance in log r, so a slightly steepening cost still brackets
 _BRACKET_PAST = 1.05
@@ -117,9 +121,7 @@ class RadiusSearchError(RuntimeError):
     cost evaluations the search had made.
     """
 
-    def __init__(
-        self, message: str, bracket: tuple[float, float] | None = None, evals: int = 0
-    ):
+    def __init__(self, message: str, bracket: tuple[float, float] | None = None, evals: int = 0):
         super().__init__(message)
         self.bracket = bracket
         self.evals = evals
@@ -232,19 +234,16 @@ class SearchOptions:
     """Radius-search knobs, validated once here. ``threads`` must be at least 1
     but is ignored (rays run on the calling thread) until the benchmark drops it."""
 
-    r_init: float = 1.0
     r_max: float | None = None  # None = the measure's default cap, MeasureSpec.r_max
     rel_tol: float = 1e-4
-    max_iters: int = 500
     threads: int = 1
 
     def __post_init__(self):
-        for name, value in (("r_init", self.r_init), ("r_max", self.r_max), ("rel_tol", self.rel_tol)):
+        for name, value in (("r_max", self.r_max), ("rel_tol", self.rel_tol)):
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        for name, value in (("max_iters", self.max_iters), ("threads", self.threads)):
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
 
 @dataclass(frozen=True)
@@ -375,16 +374,17 @@ def find_radius(
     spec: NeighborhoodSpec,
     direction: np.ndarray,
     opts: SearchOptions | None = None,
-    start: float | None = None,
+    start: float = FIRST_START,
 ) -> tuple[float, bool, int]:
     """Find the boundary radius along a ray from the anchor.
 
-    Brackets the cutoff crossing from ``start`` (``opts.r_init`` when None),
-    then narrows the bracket until its width is at most ``rel_tol`` times
-    the lower end. Returns ``(radius, truncated, evals)``; the float64 cost
-    at the returned radius is strictly below the cutoff, so the search never
-    overshoots, and ``evals`` counts the cost evaluations made along the
-    ray, in either precision. If the bracket stage reaches the cap
+    Brackets the cutoff crossing from ``start`` (positive and finite, else
+    ``ValueError``; a start past the cap is read at the cap), then narrows
+    the bracket until its width is at most ``rel_tol`` times the lower end.
+    Returns ``(radius, truncated, evals)``; the float64 cost at the returned
+    radius is strictly below the cutoff, so the search never overshoots,
+    and ``evals`` counts the cost evaluations made along the ray, in either
+    precision. If the bracket stage reaches the cap
     (``opts.r_max``, or else the measure's ``r_max``) without a crossing,
     the radius is capped there and flagged truncated. Every evaluation goes
     through ``spec.line``.
@@ -433,11 +433,15 @@ def find_radius(
     no interior point is known (lo = 0), narrowing stops once hi falls
     below 2^-50 times its first hi and fails as "no interior point found
     along ray"; with the cost above the cutoff everywhere off the anchor
-    that takes about 50 evaluations.
+    that takes about 50 evaluations. A search still open after
+    ``MAX_EVALS`` evaluations fails as "bracketing exhausted" or "did not
+    converge".
     """
+    if not 0.0 < start < math.inf:
+        raise ValueError(f"start must be positive and finite, got {start}")
     opts = opts or SearchOptions()
     r_max = opts.r_max if opts.r_max is not None else spec.measure.r_max
-    rel_tol, max_iters = opts.rel_tol, opts.max_iters
+    rel_tol = opts.rel_tol
     line = spec.line(direction)
     steer = getattr(line, "approx", line)  # the ray's float32 form, where it has one
     cutoff, c0 = spec.cutoff, spec.anchor_cost
@@ -457,10 +461,9 @@ def find_radius(
         return value
 
     lo, lo_value, hi = 0.0, c0, None
-    r = opts.r_init if start is None else start
-    r = r if r < r_max else r_max
+    r = start if start < r_max else r_max
     predicted = False  # a predicted step was taken, so the next one failed to bracket
-    while evals < max_iters:
+    while evals < MAX_EVALS:
         # a truncated ray returns the cap, so the cap is read in float64
         value = cost_at(r, line if r >= r_max else steer)
         if value >= cutoff:
@@ -482,8 +485,8 @@ def find_radius(
                 predicted = True
         r = step if step < r_max else r_max
     if hi is None:
-        raise RadiusSearchError("bracketing exhausted max_iters", bracket=(lo, r), evals=evals)
-    if lo == 0.0 and evals < max_iters:
+        raise RadiusSearchError(f"bracketing exhausted {MAX_EVALS} evaluations", bracket=(lo, r), evals=evals)
+    if lo == 0.0:
         # the start lies at or above the cutoff: the step back inside is a
         # bracket step in reverse, past the predicted crossing and at least
         # half a tolerance in, read in the steering form
@@ -504,7 +507,7 @@ def find_radius(
     while not (lo > 0.0 and width <= rel_tol * lo) or lo_form is not line:
         if lo == 0.0 and hi < floor:
             break
-        if evals >= max_iters:
+        if evals >= MAX_EVALS:
             message = f"radius search did not converge to rel_tol={rel_tol}"
             raise RadiusSearchError(message, bracket=(lo, hi), evals=evals)
         mid = 0.5 * (lo + hi)
@@ -770,10 +773,10 @@ def estimate_local_volume(
     such as None, a ``SeedSequence`` or a list, raises ``TypeError``, and a
     negative int ``ValueError``. Every stage runs on the calling thread, so
     ``opts.threads`` changes nothing. Rays are searched in order: ray 0
-    starts at ``opts.r_init``, and ray i at the median radius of the good
+    starts at ``FIRST_START``, and ray i at the median radius of the good
     rays before it, truncated ones included, so seeded reruns stay
-    bit-identical. Like ``r_init``, a start assumes the cost crosses the
-    cutoff once along the ray. Rays whose radius search fails
+    bit-identical. Every start assumes the cost crosses the cutoff once
+    along the ray. Rays whose radius search fails
     contribute exact zeros (log term -inf) but still count in k, preserving
     the estimator's one-sided Markov guarantee. Truncated rays contribute
     their capped radius; under Lebesgue measure that makes the estimate a
@@ -797,7 +800,7 @@ def estimate_local_volume(
 
     rays = []  # (radius, truncated, evals, failure) of each ray, in order
     done: list[float] = []  # the good rays' radii so far, ascending
-    start = opts.r_init
+    start = FIRST_START
     for direction in directions:
         try:
             radius, cut, count = find_radius(spec, direction, opts, start)

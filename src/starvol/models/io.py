@@ -3,13 +3,13 @@
 Checkpoints are versioned JSON with each array stored as the base64 text of
 its float64 bytes (see ``starvol.codec``), so saving the same state twice
 produces byte-identical files and loading recovers bit-identical vectors.
-A file of any other version is refused, with its version named.
+A file of another version, or with a missing or unknown field, is refused by name.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ __all__ = ["Checkpoint", "load_checkpoint", "save_checkpoint"]
 
 FORMAT_NAME = "starvol-checkpoint"
 FORMAT_VERSION = 2  # arrays as base64 float64 strings
+_FIELDS = ("step", "shape", "flat", "adam_mu", "adam_nu", "adam_step", "hyper", "sigma", "config")
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise ValueError(f"not a checkpoint file: {path}")
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {data.get('version')}")
+    missing = [name for name in _FIELDS if name not in data]
+    if missing:
+        raise ValueError(f"missing checkpoint field {', '.join(missing)} in {path}")
+    if not isinstance(data["hyper"], dict):
+        raise ValueError(f"checkpoint field hyper is not an object in {path}")
+    unknown = sorted(set(data["hyper"]) - {f.name for f in fields(AdamHyper)})
+    if unknown:
+        raise ValueError(f"unknown hyper field {', '.join(unknown)} in {path}")
     shape = tuple((int(i), int(o)) for i, o in data["shape"])
     params = MlpParams(decode_array(data["flat"]), shape)
     hyper = AdamHyper(**data["hyper"])

@@ -19,6 +19,7 @@ import starvol.cli as cli
 import starvol.runio as runio
 from starvol.cli import main
 from starvol.geometry import MeasureSpec, NeighborhoodSpec, estimate_local_volume
+from starvol.logspace import log_sphere_area
 from starvol.models import load_checkpoint, load_csv
 from starvol.precondition import Preconditioner
 from starvol.runio import make_run_record, read_jsonl, write_samples_csv
@@ -320,6 +321,19 @@ class TestEstimate:
             ])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("command", ["estimate", "sweep"])
+    @pytest.mark.parametrize("flag, value", [("--r-init", "1"), ("--max-iters", "5")])
+    def test_deleted_search_flags_exit_2(self, command, flag, value, final_checkpoint, tmp_path, capsys):
+        # the search starts ray 0 at radius 1 and later rays at the earlier
+        # rays' median, and its evaluation budget is fixed, so neither is a flag
+        out = tmp_path / "o.out"
+        argv = [command, "--checkpoint", str(final_checkpoint), flag, value, "--out", str(out)]
+        with pytest.raises(SystemExit) as info:
+            main(argv + (["--kind", "cutoff", "--values", "1e-2"] if command == "sweep" else []))
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--r-max", "nan"), ("--rel-tol", "-1"), ("--threads", "-3")])
     def test_invalid_search_option_exits_2(self, flag, value, final_checkpoint, tmp_path, capsys):
         out = tmp_path / "o.jsonl"
@@ -343,6 +357,18 @@ class TestEstimate:
     def test_missing_checkpoint_exits_2(self, tmp_path):
         rc = main(["estimate", "--checkpoint", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.jsonl")])
         assert rc == 2
+
+    @pytest.mark.parametrize("field", ["shape", "hyper"])
+    def test_checkpoint_without_a_field_exits_2_naming_it(self, field, final_checkpoint, tmp_path, capsys):
+        # each used to end in a KeyError; TestCheckpointFile checks every refusal
+        data = json.loads(final_checkpoint.read_text())
+        del data[field]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "o.jsonl"
+        assert main(["estimate", "--checkpoint", str(bad), "--out", str(out)]) == 2
+        assert f"error: missing checkpoint field {field} in {bad}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, reason", [
         ([], "--eps shapes no map with --preconditioner none"),
@@ -471,20 +497,21 @@ class TestSweep:
         assert calls == counts
 
     def test_quadratic_sweep_honours_search_flags(self, tmp_path):
-        # two cost evaluations cannot narrow the bracket to the 1e-4
-        # tolerance (on this quadratic the search needs three), so every ray
-        # fails and each point writes a failed row that names the reason
+        # both cutoffs' boundaries, radii sqrt(0.02) and sqrt(0.2), lie past
+        # an --r-max of 0.1, so every ray is truncated there and each point
+        # is the volume of the n = 20 ball of radius 0.1
         out = tmp_path / "sweep.csv"
         rc = main([
             "sweep", "--kind", "cutoff", "--target", "quadratic", "--n", "20",
-            "--k", "8", "--values", "1e-2,1e-1", "--max-iters", "2",
+            "--k", "8", "--values", "1e-2,1e-1", "--r-max", "0.1",
             "--out", str(out), "--seed", "1",
         ])
         assert rc == 0
         rows = _read_csv(out)
-        reason = "RadiusSearchError: radius search did not converge to rel_tol=0.0001"
-        assert [r["status"] for r in rows] == [f"failed: no valid samples (8 rays: {reason})"] * 2
-        assert {(r["measure"], r["preconditioner"]) for r in rows} == {("lebesgue", "none")}
+        assert [(r["status"], r["truncated_count"]) for r in rows] == [("ok", "8")] * 2
+        ball = log_sphere_area(20) - math.log(20) + 20 * math.log(0.1)
+        assert [float(r["log_volume"]) for r in rows] == pytest.approx([ball] * 2, abs=1e-12)
+        assert {r["measure"] for r in rows} == {"lebesgue"}
 
     def test_cutoff_sweep_rows_match_estimate_runs(self, final_checkpoint, tmp_path):
         cutoffs = ("1e-3", "1e-2", "1e-1")
@@ -717,17 +744,19 @@ class TestMdl:
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_gaussian_record_is_rejected(self, final_checkpoint, tmp_path):
+    def test_gaussian_record_is_rejected(self, final_checkpoint, tmp_path, capsys):
         rec = tmp_path / "gauss.jsonl"
         assert main([
             "estimate", "--checkpoint", str(final_checkpoint),
             "--k", "4", "--measure", "gaussian", "--out", str(rec), "--seed", "6",
         ]) == 0
+        capsys.readouterr()
         rc = main([
             "mdl", "--checkpoint", str(final_checkpoint),
             "--record", str(rec), "--out", str(tmp_path / "mdl.json"),
         ])
         assert rc == 2
+        assert capsys.readouterr().err == "error: description length requires a Lebesgue volume record\n"
 
     def test_record_from_another_network_is_rejected(self, final_checkpoint, lebesgue_record,
                                                      tmp_path, capsys):
@@ -755,6 +784,20 @@ class TestMdl:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"anchor_sha256 {recorded} does not match the checkpoint's {digest}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["log_volume", "n"])
+    def test_record_without_a_field_exits_2_naming_it(self, field, final_checkpoint, lebesgue_record,
+                                                      tmp_path, capsys):
+        # each used to end in a KeyError
+        record = read_jsonl(lebesgue_record)[-1]
+        del record[field]
+        rec = tmp_path / "bad.jsonl"
+        rec.write_text(json.dumps(record) + "\n")
+        out = tmp_path / "mdl.json"
+        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
+        assert rc == 2
+        assert f"error: missing record field {field} in {rec}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_record_without_anchor_digest_is_rejected(self, final_checkpoint, lebesgue_record,

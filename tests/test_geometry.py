@@ -14,6 +14,8 @@ from scipy.integrate import quad
 
 from starvol import blas, geometry
 from starvol.geometry import (
+    FIRST_START,
+    MAX_EVALS,
     CostEvaluationError,
     EstimationError,
     STAGES,
@@ -127,7 +129,7 @@ def _axis_ray(n, x0, s):
     return anchor, direction, np.full(n, s)
 
 
-def _bisection_evals(profile, r_init, rel_tol):
+def _bisection_evals(profile, start, rel_tol):
     """Cost evaluations a doubling-and-bisection search spends on a 1-D ray.
 
     The reference for the radius search's evaluation budget: a doubling
@@ -141,7 +143,7 @@ def _bisection_evals(profile, r_init, rel_tol):
         evals += 1
         return profile(r) < 1.0
 
-    lo, r = 0.0, r_init
+    lo, r = 0.0, start
     while inside(r):
         lo, r = r, 2.0 * r
     hi = r
@@ -170,8 +172,8 @@ RADIAL_PROFILES = {
 }
 
 
-def _profile_search(profile, opts):
-    """find_radius on the 1-D ray of ``profile``; returns (radius, evaluations).
+def _profile_search(profile, opts=None, start=FIRST_START):
+    """find_radius on the 1-D ray of ``profile`` from ``start``; returns (radius, evaluations).
 
     The spec evaluates the anchor cost profile(0) when it is built; that
     evaluation is not counted as a search evaluation.
@@ -186,7 +188,7 @@ def _profile_search(profile, opts):
     spec = NeighborhoodSpec(np.zeros(1), cost, 1.0, MeasureSpec.lebesgue())
     assert spec.anchor_cost == profile(0.0)
     evals = 0
-    radius, truncated, counted = find_radius(spec, np.array([1.0]), opts)
+    radius, truncated, counted = find_radius(spec, np.array([1.0]), opts, start)
     assert not truncated
     assert counted == evals
     return radius, evals
@@ -194,39 +196,39 @@ def _profile_search(profile, opts):
 
 class TestFindRadius:
     @pytest.mark.parametrize("rel_tol", [1e-4, 1e-10])
-    @pytest.mark.parametrize("r_init", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("start", [0.01, 1.0, 100.0])
     @pytest.mark.parametrize("name", sorted(RADIAL_PROFILES))
-    def test_secant_search_contract(self, name, r_init, rel_tol):
+    def test_secant_search_contract(self, name, start, rel_tol):
         profile = RADIAL_PROFILES[name]
-        opts = SearchOptions(r_init=r_init, rel_tol=rel_tol)
-        radius, evals = _profile_search(profile, opts)
+        opts = SearchOptions(rel_tol=rel_tol)
+        radius, evals = _profile_search(profile, opts, start)
         assert profile(radius) < 1.0
         # the bracket is at most rel_tol * radius wide, so the cutoff is
         # reached within that distance outward
         assert profile(radius * (1.0 + 3.0 * rel_tol)) >= 1.0
-        reference = _bisection_evals(profile, r_init, rel_tol)
+        reference = _bisection_evals(profile, start, rel_tol)
         assert evals <= 2 * reference
         if name == "quadratic":
             assert 2 * evals <= reference
-        assert _profile_search(profile, opts) == (radius, evals)
+        assert _profile_search(profile, opts, start) == (radius, evals)
 
     @pytest.mark.parametrize("rel_tol", [1e-4, 1e-10])
-    @pytest.mark.parametrize("r_init", [0.01, 1.0, 100.0])
-    def test_shallow_step_stays_within_three_bisections(self, r_init, rel_tol):
+    @pytest.mark.parametrize("start", [0.01, 1.0, 100.0])
+    def test_shallow_step_stays_within_three_bisections(self, start, rel_tol):
         # a jump from far below the cutoff to just above it puts every
         # secant root next to the outer end, so each secant step gains only
         # a quarter tolerance; the stall guard then bisects every third step
         def profile(r):
             return 1e-6 if r < 0.7 else 1.0001
 
-        radius, evals = _profile_search(profile, SearchOptions(r_init=r_init, rel_tol=rel_tol))
+        radius, evals = _profile_search(profile, SearchOptions(rel_tol=rel_tol), start)
         assert profile(radius) < 1.0 <= profile(radius * (1.0 + 3.0 * rel_tol))
-        assert evals <= 3 * _bisection_evals(profile, r_init, rel_tol)
+        assert evals <= 3 * _bisection_evals(profile, start, rel_tol)
 
-    @pytest.mark.parametrize("r_init", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("start", [0.01, 1.0, 100.0])
     @pytest.mark.parametrize("c0", [0.0, 0.3, -2.0])
     @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_power_profile_meets_its_closed_form_root(self, p, c0, r_init):
+    def test_power_profile_meets_its_closed_form_root(self, p, c0, start):
         # the cost c0 + q r^p reaches the cutoff 1 at ((1 - c0) / q)^(1/p); on
         # it the search model log((cost - c0) / (1 - c0)) is exactly linear
         # in log r, with slope p
@@ -236,8 +238,8 @@ class TestFindRadius:
         def profile(r):
             return c0 + q * r**p
 
-        opts = SearchOptions(r_init=r_init)
-        radius, evals = _profile_search(profile, opts)
+        opts = SearchOptions()
+        radius, evals = _profile_search(profile, opts, start)
         assert profile(radius) < 1.0 and radius < root
         assert root - radius <= opts.rel_tol * radius
         if p == 2:
@@ -251,19 +253,21 @@ class TestFindRadius:
             NeighborhoodSpec(np.zeros(2), lambda x: math.inf, 1.0, MeasureSpec.lebesgue())
 
     def test_budget_exhaustion_mid_search_carries_bracket(self):
-        # the bracket stage takes two evaluations (1 inside, then a step 5%
-        # past the crossing at sqrt(2) that slope 2 predicts, outside), so a
-        # budget of three runs out inside the bracket around sqrt(2)
+        # a step from the anchor cost to above the cutoff at 1.3 * 2^492: the
+        # bracket stage doubles from 1 to 2^493 (494 evaluations), and the
+        # bisections to the 1e-4 tolerance need 14 more, so the budget runs
+        # out inside the bracket [2^492, 2^493]
+        wall = 1.3 * 2.0**492
         with pytest.raises(RadiusSearchError, match="did not converge") as info:
-            _profile_search(RADIAL_PROFILES["quadratic"], SearchOptions(max_iters=3))
+            _profile_search(lambda r: 0.0 if r < wall else 5.0, SearchOptions(r_max=1e300))
         lo, hi = info.value.bracket
-        assert 1.0 <= lo < math.sqrt(2.0) < hi <= 2.0
-        assert info.value.evals == 3
+        assert 2.0**492 <= lo < wall < hi <= 2.0**493
+        assert info.value.evals == MAX_EVALS == 500
 
     def test_ray_without_interior_point_fails_within_budget(self):
         # cost 0 at the anchor and 5 (above the cutoff 1) everywhere else:
         # narrowing gives up once hi falls below 2^-50 of the first bracket
-        # instead of spending the whole max_iters budget
+        # instead of spending the whole MAX_EVALS budget
         n = 10
         direction = np.zeros(n)
         direction[0] = 1.0
@@ -317,13 +321,14 @@ class TestFindRadius:
         assert r == 32.0
 
     def test_bracketing_budget_exhaustion(self):
+        # under a cap of 1e300 a flat ray doubles from 1 to 2^499 without a crossing
         spec = NeighborhoodSpec(
             anchor=np.zeros(1), cost=lambda x: 0.0, cutoff=1.0, measure=MeasureSpec.lebesgue()
         )
-        with pytest.raises(RadiusSearchError) as info:
-            find_radius(spec, np.array([1.0]), SearchOptions(max_iters=3))
-        assert info.value.bracket is not None
-        assert info.value.evals == 3
+        with pytest.raises(RadiusSearchError, match="bracketing exhausted") as info:
+            find_radius(spec, np.array([1.0]), SearchOptions(r_max=1e300))
+        assert info.value.bracket == (2.0**499, 2.0**500)
+        assert info.value.evals == MAX_EVALS
 
     def test_non_finite_cost_is_error(self):
         spec = NeighborhoodSpec(
@@ -336,16 +341,26 @@ class TestFindRadius:
             find_radius(spec, np.array([1.0]))
         assert info.value.evals == 1
 
-    def test_r_init_must_be_positive(self):
-        spec = Ellipsoid(np.ones(2)).neighborhood()
-        with pytest.raises(ValueError, match="r_init"):
-            find_radius(spec, np.array([1.0, 0.0]), SearchOptions(r_init=0.0))
+    @pytest.mark.parametrize("start", [0.0, -1.0, math.nan, math.inf])
+    def test_start_must_be_positive_and_finite(self, start):
+        # each used to be searched: 0 spent the whole budget, -1 raised a
+        # bare math domain error, and nan and inf were read at the cap
+        reads = []
+
+        def cost(x):
+            reads.append(x)
+            return 0.5 * float(x @ x)
+
+        spec = NeighborhoodSpec(np.zeros(2), cost, 1.0, MeasureSpec.lebesgue())
+        reads.clear()
+        with pytest.raises(ValueError, match=f"^start must be positive and finite, got {start}$"):
+            find_radius(spec, np.array([1.0, 0.0]), start=start)
+        assert reads == []
 
     @pytest.mark.parametrize("field, value", [
-        ("r_init", -1.0), ("r_init", math.inf), ("r_init", math.nan),
         ("r_max", 0.0), ("r_max", math.nan), ("r_max", math.inf),
         ("rel_tol", -1.0), ("rel_tol", 0.0), ("rel_tol", math.nan),
-        ("max_iters", 0), ("threads", -3), ("threads", 0),
+        ("threads", -3), ("threads", 0),
     ])
     def test_options_are_validated_when_built(self, field, value):
         # each value used to be accepted: r_max=nan was never reached, r_max=0
@@ -593,15 +608,39 @@ class TestLebesgueLogTerm:
             return 0.5 * float(x[0] ** 2) if x[0] >= 0.0 else 5.0
 
         spec = NeighborhoodSpec(np.zeros(1), cost, 1.0, MeasureSpec.lebesgue())
-        est = estimate_local_volume(
-            spec, Preconditioner.identity(1), 16, SearchOptions(max_iters=20), seed=1
-        )
+        est = estimate_local_volume(spec, Preconditioner.identity(1), 16, seed=1)
         assert 0 < est.failed_count < 16
         for s in est.samples:
             if s.direction[0] < 0.0:
                 assert s.failed and s.log_term == -math.inf and math.isnan(s.radius)
+                assert s.failure == "RadiusSearchError: no interior point found along ray"
             else:
                 assert s.log_term == pytest.approx(math.log(2.0 * math.sqrt(2.0)), abs=1e-3)
+
+    def test_budget_failure_keeps_its_evaluations(self):
+        # toward negative x the cost steps above the cutoff at 1.3 * 2^492, so
+        # those rays run out of evaluations while narrowing; each fails with
+        # its MAX_EVALS evaluations counted, adds zero mass and still counts in k
+        wall = 1.3 * 2.0**492
+
+        def cost(x):
+            if x[0] >= 0.0:
+                return 0.5 * float(x[0] ** 2)
+            return 0.0 if -x[0] < wall else 5.0
+
+        spec = NeighborhoodSpec(np.zeros(1), cost, 1.0, MeasureSpec.lebesgue())
+        est = estimate_local_volume(
+            spec, Preconditioner.identity(1), 16, SearchOptions(r_max=1e300), seed=1
+        )
+        reason = "RadiusSearchError: radius search did not converge to rel_tol=0.0001"
+        assert 0 < est.failed_count < 16
+        assert est.failed_by_reason == {reason: est.failed_count}
+        for s in est.samples:
+            assert s.failed == (s.direction[0] < 0.0)
+            if s.failed:
+                assert s.evals == MAX_EVALS and s.log_term == -math.inf
+        good = 16 - est.failed_count
+        assert est.log_volume == pytest.approx(math.log(good / 16 * 2.0 * math.sqrt(2.0)), abs=1e-3)
 
 
 class TestGaussianRadialIntegral:
@@ -1361,7 +1400,7 @@ class TestSearchBudget:
     # float64-only: kl identity 4.02 / 4.02, kl hessian 4.45 / 4.45, loss
     # identity 4.58 / 4.56, loss hessian 4.84 / 4.84 (the doubling-and-secant
     # search took 4.91, 8.94, 8.77 and 10.75; with every ray started at
-    # r_init, the hessian maps took 5.98 and 5.88); each hessian bound is
+    # radius 1, the hessian maps took 5.98 and 5.88); each hessian bound is
     # its measured count plus a margin of about 0.5
     BUDGET = [
         ("kl", "identity", 4.4),
@@ -1516,7 +1555,7 @@ class TestSearchContract:
 
     Both read the anchor cost from the spec and the radius cap from the
     measure, and ray i starts at the median radius of the good rays before
-    it (ray 0 at ``r_init``), so they take the same evaluations to the
+    it (ray 0 at ``FIRST_START``), so they take the same evaluations to the
     same radius.
     """
 
@@ -1524,7 +1563,7 @@ class TestSearchContract:
     def _assert_same_rays(spec, est):
         good = []  # radii of the good rays so far
         for s in est.samples:
-            start = float(np.median(good)) if good else SearchOptions().r_init
+            start = float(np.median(good)) if good else FIRST_START
             assert find_radius(spec, s.direction, None, start) == (s.radius, s.truncated, s.evals)
             good += [] if s.failed else [s.radius]
 
@@ -1546,7 +1585,7 @@ class TestSearchContract:
         est = estimate_local_volume(spec, Preconditioner.identity(n), k=4, seed=3)
         assert est.truncated_count == 4
         assert all(s.radius == 20.0 * math.sqrt(n) for s in est.samples)
-        # ray 0 doubles out from r_init to the cap; every later ray starts at
+        # ray 0 doubles out from FIRST_START to the cap; every later ray starts at
         # the truncated rays' median, the cap, and reads it once
         assert [s.evals for s in est.samples] == [7, 1, 1, 1]
         self._assert_same_rays(spec, est)

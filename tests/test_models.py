@@ -1004,3 +1004,22 @@ class TestCheckpointFile:
         path.write_text(json.dumps({"format": "starvol-checkpoint", "version": 9}))
         with pytest.raises(ValueError, match="unsupported checkpoint version"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("mangle, reason", [
+        pytest.param(lambda data: data.pop("shape"), "missing checkpoint field shape", id="no-shape"),
+        pytest.param(lambda data: data.pop("hyper"), "missing checkpoint field hyper", id="no-hyper"),
+        pytest.param(lambda data: data["hyper"].update(momentum=0.5), "unknown hyper field momentum",
+                     id="unknown-hyper"),
+        pytest.param(lambda data: data.update(hyper=5), "checkpoint field hyper is not an object",
+                     id="hyper-not-object"),
+    ])
+    def test_malformed_file_is_refused_by_name(self, mangle, reason, tmp_path):
+        # each used to end in a KeyError or a TypeError
+        path = tmp_path / "bad.json"
+        save_checkpoint(path, self._checkpoint())
+        data = json.loads(path.read_text())
+        mangle(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{reason} in {path}"
