@@ -158,7 +158,12 @@ def cmd_train(args) -> int:
         epochs=int(tr["epochs"]),
         batch_size=int(tr["batch_size"]),
         seed=train_seed,
-        hyper=AdamHyper(**{f.name: float(tr[f.name]) for f in dataclasses.fields(AdamHyper)}),
+        hyper=AdamHyper(
+            lr=float(tr["lr"]),
+            beta1=float(tr["beta1"]),
+            beta2=float(tr["beta2"]),
+            adam_eps=float(tr["adam_eps"]),
+        ),
         checkpoint_every=int(tr["checkpoint_every"]),
         poison=poison,
     )
@@ -169,7 +174,10 @@ def cmd_train(args) -> int:
     paths = []
     for ckpt_params, adam_state, step in zip(result.checkpoints, result.adam_states, result.steps):
         path = out_dir / f"checkpoint_step{step:06d}.json"
-        save_checkpoint(path, Checkpoint(ckpt_params, adam_state, measure.sigma, step, config))
+        save_checkpoint(
+            path,
+            Checkpoint(params=ckpt_params, adam=adam_state, sigma=measure.sigma, step=step, config=config),
+        )
         paths.append(path)
     metrics_path = out_dir / "metrics.csv"
     fields = sorted({key for row in result.metrics for key in row})

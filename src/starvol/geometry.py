@@ -121,7 +121,9 @@ class RadiusSearchError(RuntimeError):
     cost evaluations the search had made.
     """
 
-    def __init__(self, message: str, bracket: tuple[float, float] | None = None, evals: int = 0):
+    def __init__(
+        self, message: str, bracket: tuple[float, float] | None = None, evals: int = 0
+    ):
         super().__init__(message)
         self.bracket = bracket
         self.evals = evals

@@ -3,7 +3,8 @@
 Checkpoints are versioned JSON with each array stored as the base64 text of
 its float64 bytes (see ``starvol.codec``), so saving the same state twice
 produces byte-identical files and loading recovers bit-identical vectors.
-A file of another version, or with a missing or unknown field, is refused by name.
+A file of another version, one that lacks a field, or one whose Adam
+hyperparameters miss a name or add one is refused, with the field named.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = ["Checkpoint", "load_checkpoint", "save_checkpoint"]
 
 FORMAT_NAME = "starvol-checkpoint"
 FORMAT_VERSION = 2  # arrays as base64 float64 strings
-_FIELDS = ("step", "shape", "flat", "adam_mu", "adam_nu", "adam_step", "hyper", "sigma", "config")
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,27 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise ValueError(f"not a checkpoint file: {path}")
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {data.get('version')}")
-    missing = [name for name in _FIELDS if name not in data]
-    if missing:
-        raise ValueError(f"missing checkpoint field {', '.join(missing)} in {path}")
-    if not isinstance(data["hyper"], dict):
+
+    def field(name):
+        if name not in data:
+            raise ValueError(f"missing checkpoint field {name} in {path}")
+        return data[name]
+
+    shape = tuple((int(i), int(o)) for i, o in field("shape"))
+    params = MlpParams(decode_array(field("flat")), shape)
+    hyper, names = field("hyper"), {f.name for f in fields(AdamHyper)}
+    if not isinstance(hyper, dict):
         raise ValueError(f"checkpoint field hyper is not an object in {path}")
-    unknown = sorted(set(data["hyper"]) - {f.name for f in fields(AdamHyper)})
-    if unknown:
-        raise ValueError(f"unknown hyper field {', '.join(unknown)} in {path}")
-    shape = tuple((int(i), int(o)) for i, o in data["shape"])
-    params = MlpParams(decode_array(data["flat"]), shape)
-    hyper = AdamHyper(**data["hyper"])
+    given = set(hyper)
+    reasons = [f"{label} hyper field {', '.join(sorted(keys))}"
+               for label, keys in (("missing", names - given), ("unknown", given - names)) if keys]
+    if reasons:
+        raise ValueError(f"{'; '.join(reasons)} in {path}")
     adam = AdamState(
-        mu=decode_array(data["adam_mu"]),
-        nu=decode_array(data["adam_nu"]),
-        step=int(data["adam_step"]),
-        hyper=hyper,
+        mu=decode_array(field("adam_mu")),
+        nu=decode_array(field("adam_nu")),
+        step=int(field("adam_step")),
+        hyper=AdamHyper(**hyper),
     )
-    sigma = decode_array(data["sigma"])
-    return Checkpoint(params=params, adam=adam, sigma=sigma, step=int(data["step"]), config=data["config"])
+    sigma = decode_array(field("sigma"))
+    return Checkpoint(params=params, adam=adam, sigma=sigma, step=int(field("step")), config=field("config"))

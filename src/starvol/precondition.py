@@ -29,7 +29,11 @@ __all__ = [
 ]
 
 # default damping per construction route, tuned per source of curvature info
-DEFAULT_EPS = {"hessian": 0.1, "diag": 0.01, "adam-nu": 0.001}
+DEFAULT_EPS = {
+    "hessian": 0.1,
+    "diag": 0.01,
+    "adam-nu": 0.001,
+}
 
 FORMAT_NAME = "starvol-preconditioner"
 FORMAT_VERSION = 4  # scale and basis as base64 float64 strings (see codec), basis column by column

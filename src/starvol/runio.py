@@ -197,4 +197,5 @@ def write_sweep_csv(path: str | Path, rows: list[dict], fieldnames: list[str]) -
     with path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        writer.writerows(rows)
+        for row in rows:
+            writer.writerow(row)

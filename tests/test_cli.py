@@ -16,6 +16,7 @@ import scipy.linalg
 
 import starvol
 import starvol.cli as cli
+import starvol.geometry as geometry
 import starvol.runio as runio
 from starvol.cli import main
 from starvol.geometry import MeasureSpec, NeighborhoodSpec, estimate_local_volume
@@ -495,6 +496,22 @@ class TestSweep:
         assert rc == 0
         assert all(r["status"] == "ok" for r in _read_csv(tmp_path / "sweep.csv"))
         assert calls == counts
+
+    def test_quadratic_sweep_writes_failed_rows(self, tmp_path, monkeypatch):
+        # two cost evaluations cannot narrow the bracket to the 1e-4
+        # tolerance (on this quadratic the search needs three), so every ray
+        # fails and each point writes a failed row that names the reason
+        monkeypatch.setattr(geometry, "MAX_EVALS", 2)
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", "--kind", "cutoff", "--target", "quadratic", "--n", "20",
+            "--k", "8", "--values", "1e-2,1e-1", "--out", str(out), "--seed", "1",
+        ])
+        assert rc == 0
+        rows = _read_csv(out)
+        reason = "RadiusSearchError: radius search did not converge to rel_tol=0.0001"
+        assert [r["status"] for r in rows] == [f"failed: no valid samples (8 rays: {reason})"] * 2
+        assert {(r["measure"], r["preconditioner"]) for r in rows} == {("lebesgue", "none")}
 
     def test_quadratic_sweep_honours_search_flags(self, tmp_path):
         # both cutoffs' boundaries, radii sqrt(0.02) and sqrt(0.2), lie past

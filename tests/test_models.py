@@ -1010,6 +1010,10 @@ class TestCheckpointFile:
         pytest.param(lambda data: data.pop("hyper"), "missing checkpoint field hyper", id="no-hyper"),
         pytest.param(lambda data: data["hyper"].update(momentum=0.5), "unknown hyper field momentum",
                      id="unknown-hyper"),
+        pytest.param(lambda data: data["hyper"].pop("beta2"), "missing hyper field beta2", id="missing-hyper-key"),
+        pytest.param(lambda data: data.update(hyper={"lr": 0.1, "momentum": 0.5}),
+                     "missing hyper field adam_eps, beta1, beta2; unknown hyper field momentum",
+                     id="missing-and-unknown-hyper"),
         pytest.param(lambda data: data.update(hyper=5), "checkpoint field hyper is not an object",
                      id="hyper-not-object"),
     ])
