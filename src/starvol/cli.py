@@ -75,7 +75,6 @@ ESTIMATE_FLAGS = (
     ("--cutoff", {"type": float, "default": 1e-2}),
     ("--k", {"type": int, "default": 100}),
     ("--preconditioner", {"choices": PRECONDITIONER_CHOICES, "default": "none"}),
-    ("--eps", {"type": float, "default": None, "help": "damping (default depends on kind)"}),
     ("--measure", {"choices": ("lebesgue", "gaussian"), "default": "gaussian"}),
     ("--threads", {"type": int, "default": 1, "help": THREADS_HELP}),
     ("--r-max", {"type": float, "default": None}),
@@ -133,6 +132,21 @@ def _build_datasets(config: dict, master_seed: int):
         raise ValueError(f"unknown dataset kind {kind!r}")
     splits = split_dataset(full, sizes, seed=data_seed)
     return splits[0], splits[1], (splits[2] if poison_size > 0 else None)
+
+
+def _load_checkpoint(path: str) -> Checkpoint:
+    """A checkpoint whose config holds the seed and every dataset field of
+    ``DEFAULT_CONFIG``, as ``train`` resolves and saves them, so its splits
+    can be rebuilt; a config that lacks one is refused by name."""
+    ckpt = load_checkpoint(path)
+    dataset = ckpt.config.get("dataset", {})
+    if not isinstance(dataset, dict):
+        raise ValueError(f"checkpoint config field dataset is not an object in {path}")
+    missing = ["seed"] * (ckpt.config.get("seed") is None)  # null or absent
+    missing += [f"dataset.{key}" for key in DEFAULT_CONFIG["dataset"] if key not in dataset]
+    if missing:
+        raise ValueError(f"missing checkpoint config field {', '.join(missing)} in {path}")
+    return ckpt
 
 
 # -- train ---------------------------------------------------------------------
@@ -204,20 +218,6 @@ def _anchor_sha256(flat: np.ndarray) -> str:
     return hashlib.sha256(np.asarray(flat, dtype="<f8").tobytes()).hexdigest()
 
 
-def _refuse_unused_eps(args, kind: str = "") -> None:
-    """Refuse an eps that shapes no map, naming the reason; ``kind`` is a sweep's kind."""
-    if kind == "eps" and args.preconditioner == "none":
-        raise ValueError("sweep --kind eps shapes no map with --preconditioner none, the identity map")
-    if args.eps is None or kind == "preconditioner":  # such a sweep shapes each map from --eps
-        return
-    if kind == "eps":
-        raise ValueError("--eps shapes no map with sweep --kind eps, which shapes each point from its swept value")
-    if args.precond_file:
-        raise ValueError("--eps shapes no map with --precond-file, which is used as saved")
-    if args.preconditioner == "none":
-        raise ValueError("--eps shapes no map with --preconditioner none, the identity map")
-
-
 def _timed(into: dict, stage: str, fn, *args):
     """``fn(*args)``, its process CPU and wall seconds kept as ``into[stage]``, as an
     estimate's ``stage_seconds`` keeps each stage's."""
@@ -236,13 +236,12 @@ class _CheckpointEstimator:
     """Local-volume estimates on one checkpoint, for estimate and sweep alike.
 
     The datasets, cost, measure, search options and any ``--precond-file``
-    map are built once. Each curvature probe runs at most once, and the full
-    Hessian is kept only as its eigendecomposition. Every estimate shapes its
-    map from that spectrum in O(n), sharing the eigenvectors without a copy,
-    so a sweep over eps runs one eigendecomposition. ``build_seconds[name]``
-    holds the process CPU and wall seconds of the map's ``curvature`` probe
-    and, for the hessian map, its ``eigendecompose``; a map built from no
-    probe has no entry.
+    map are built once, and so is each named map, shaped at
+    ``DEFAULT_EPS[name]``; a ``--precond-file`` map stands for every name.
+    The full Hessian is kept only as the hessian map's eigenvectors.
+    ``build_seconds[name]`` holds the process CPU and wall seconds of the
+    map's ``curvature`` probe and, for the hessian map, its
+    ``eigendecompose``; a map built from no probe has no entry.
     """
 
     def __init__(self, args, ckpt: Checkpoint):
@@ -259,55 +258,52 @@ class _CheckpointEstimator:
             raise ValueError(f"unknown cost {args.cost!r}")
         self.measure = MeasureSpec(ckpt.sigma if args.measure == "gaussian" else None)
         self.opts = _search_options(args)
-        self._loaded = Preconditioner.load(args.precond_file) if args.precond_file else None
-        # (spectrum, basis) each map is shaped from: Adam's second moment on the
-        # coordinate axes, and each curvature probe's result once asked for
-        self._curvature = {"adam-nu": (ckpt.adam.nu, None)}
+        loaded = Preconditioner.load(args.precond_file) if args.precond_file else None
+        self._maps = dict.fromkeys(PRECONDITIONER_CHOICES, loaded) if loaded else {}
         self.build_seconds: dict[str, dict[str, dict[str, float]]] = {}
 
-    def preconditioner(self, name: str, eps: float | None) -> Preconditioner:
+    def preconditioner(self, name: str) -> Preconditioner:
         if name not in PRECONDITIONER_CHOICES:
             raise PreconditionerError("unknown preconditioner")
-        args, params = self.args, self.ckpt.params
-        if self._loaded is not None:
-            return self._loaded
+        if name not in self._maps:
+            self._maps[name] = self._build(name)
+        return self._maps[name]
+
+    def _build(self, name: str) -> Preconditioner:
+        params = self.ckpt.params
         if name == "none":
             return Preconditioner.identity(params.n)
-        if name not in self._curvature:
-            probe = hessian_full if name == "hessian" else hessian_diag
+        # Adam's second moment on the coordinate axes, or a curvature probe's result
+        spectrum, basis = self.ckpt.adam.nu, None
+        if name != "adam-nu":
             took = self.build_seconds[name] = {}
-            curvature = _timed(took, "curvature", probe, args.cost, params, self.data)
-            self._curvature[name] = (
-                _timed(took, "eigendecompose", eigendecompose, curvature)
-                if name == "hessian"
-                else (curvature, None)
-            )
-        spectrum, basis = self._curvature[name]
-        eps = DEFAULT_EPS[name] if eps is None else eps
-        return from_diagonal(spectrum, eps, source=name, basis=basis)
+            probe = hessian_full if name == "hessian" else hessian_diag
+            spectrum = _timed(took, "curvature", probe, self.args.cost, params, self.data)
+            if name == "hessian":
+                spectrum, basis = _timed(took, "eigendecompose", eigendecompose, spectrum)
+        return from_diagonal(spectrum, DEFAULT_EPS[name], source=name, basis=basis)
 
-    def estimate(self, cutoff: float, name: str, eps: float | None, seed: int):
+    def estimate(self, cutoff: float, name: str, seed: int):
         spec = NeighborhoodSpec(
             anchor=self.ckpt.params.flat, cost=self.cost, cutoff=cutoff, measure=self.measure
         )
-        return estimate_local_volume(spec, self.preconditioner(name, eps), self.args.k, self.opts, seed)
+        return estimate_local_volume(spec, self.preconditioner(name), self.args.k, self.opts, seed)
 
 
 def cmd_estimate(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    _refuse_unused_eps(args)
+    ckpt = _load_checkpoint(args.checkpoint)
     seed = _resolve_seed(args.seed)
     start = time.perf_counter()
     estimator = _CheckpointEstimator(args, ckpt)
-    estimate = estimator.estimate(args.cutoff, args.preconditioner, args.eps, seed)
+    estimate = estimator.estimate(args.cutoff, args.preconditioner, seed)
     wall = time.perf_counter() - start
 
     resolved = {"checkpoint": str(args.checkpoint)}
     for flag, _ in ESTIMATE_FLAGS:
         dest = flag[2:].replace("-", "_")
         resolved[dest] = getattr(args, dest)
-    if args.eps is None and not args.precond_file:  # DEFAULT_EPS has no eps for the identity map
-        resolved["eps"] = DEFAULT_EPS.get(args.preconditioner)
+    # the eps the map was shaped at: none for the identity map or a loaded map
+    resolved["eps"] = None if args.precond_file else DEFAULT_EPS.get(args.preconditioner)
     resolved["anchor_sha256"] = _anchor_sha256(ckpt.params.flat)
     record = make_run_record("estimate", seed, resolved, estimate, wall)
     record["build_seconds"] = estimator.build_seconds.get(args.preconditioner, {})
@@ -315,7 +311,7 @@ def cmd_estimate(args) -> int:
     write_jsonl(out, record)
     write_samples_csv(out.with_suffix(".samples.csv"), estimate)
     if args.save_precond:
-        estimator.preconditioner(args.preconditioner, args.eps).save(args.save_precond)
+        estimator.preconditioner(args.preconditioner).save(args.save_precond)
 
     bound = " (lower bound: truncated rays)" if estimate.lower_bound_only else ""
     print(
@@ -348,7 +344,7 @@ SWEEP_FIELDS = [
 
 
 def _sweep_points(args) -> list[tuple]:
-    """The sweep's points, each (value, checkpoint, cutoff, preconditioner, eps).
+    """The sweep's points, each (value, checkpoint, cutoff, preconditioner).
 
     A checkpoint of None stands for the synthetic quadratic target.
     """
@@ -357,25 +353,21 @@ def _sweep_points(args) -> list[tuple]:
         paths = [p for p in args.checkpoints.split(",") if p]
         if not paths:
             raise ValueError("sweep --kind checkpoint requires --checkpoints")
-        _refuse_unused_eps(args, kind)
-        ckpts = sorted((load_checkpoint(p) for p in paths), key=lambda ckpt: ckpt.step)
-        return [(c.step, c, args.cutoff, args.preconditioner, args.eps) for c in ckpts]
+        ckpts = sorted((_load_checkpoint(p) for p in paths), key=lambda ckpt: ckpt.step)
+        return [(c.step, c, args.cutoff, args.preconditioner) for c in ckpts]
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise ValueError(f"sweep --kind {kind} requires --values")
     if kind == "cutoff" and args.target == "quadratic":
-        return [(float(v), None, float(v), "none", None) for v in values]
+        return [(float(v), None, float(v), "none") for v in values]
     if args.checkpoint is None:
         raise ValueError(f"sweep --kind {kind} requires --checkpoint")
-    if args.precond_file and kind in ("preconditioner", "eps"):
-        raise ValueError(f"--precond-file would replace every swept value of --kind {kind}")
-    _refuse_unused_eps(args, kind)
-    ckpt = load_checkpoint(args.checkpoint)
+    if args.precond_file and kind == "preconditioner":
+        raise ValueError("--precond-file would replace every swept value of --kind preconditioner")
+    ckpt = _load_checkpoint(args.checkpoint)
     if kind == "cutoff":
-        return [(float(v), ckpt, float(v), args.preconditioner, args.eps) for v in values]
-    if kind == "preconditioner":
-        return [(v, ckpt, args.cutoff, v, args.eps) for v in values]
-    return [(float(v), ckpt, args.cutoff, args.preconditioner, float(v)) for v in values]
+        return [(float(v), ckpt, float(v), args.preconditioner) for v in values]
+    return [(v, ckpt, args.cutoff, v) for v in values]
 
 
 def _quadratic_estimate(args, cutoff: float, seed: int):
@@ -393,7 +385,7 @@ def cmd_sweep(args) -> int:
     rows = []
     done = []  # (value, log volume) of each point that succeeded
     estimator = None
-    for value, ckpt, cutoff, name, eps in _sweep_points(args):
+    for value, ckpt, cutoff, name in _sweep_points(args):
         # a failed point's row still names its own cutoff and preconditioner
         row = {
             "kind": args.kind,
@@ -410,7 +402,7 @@ def cmd_sweep(args) -> int:
                 if estimator is None or estimator.ckpt is not ckpt:
                     estimator = None  # free the last checkpoint's curvature first
                     estimator = _CheckpointEstimator(args, ckpt)
-                est = estimator.estimate(cutoff, name, eps, seed)
+                est = estimator.estimate(cutoff, name, seed)
         except (EstimationError, CostEvaluationError, PreconditionerError) as exc:
             rows.append({**row, "status": f"failed: {exc}"})
             continue
@@ -427,21 +419,13 @@ def cmd_sweep(args) -> int:
         rows.append(row)
         done.append((value, est.log_volume))
 
-    summary: dict = {"kind": args.kind, "seed": seed}
+    out = Path(args.out)
+    write_sweep_csv(out, rows, SWEEP_FIELDS)
     if args.kind == "cutoff" and len(done) >= 2:
         xs = [math.log(cutoff) for cutoff, _ in done]
         slope = float(np.polyfit(xs, [log_volume for _, log_volume in done], 1)[0])
-        summary["log_log_slope"] = slope
         print(f"fitted log-log slope of volume vs cutoff: {slope:.4f}")
-    if args.kind == "eps" and done:
-        eps, best = max(done, key=lambda pair: pair[1])
-        summary.update(best_eps=eps, best_log_volume=best, grid_size=len(done))
-        print(f"largest estimate at eps={eps} (log_volume={best:.4f}) of grid_size={len(done)}; "
-              f"it overshoots by 10^m with probability <= {len(done)}*10^-m, not 10^-m")
-
-    out = Path(args.out)
-    write_sweep_csv(out, rows, SWEEP_FIELDS)
-    if len(summary) > 2:
+        summary = {"kind": args.kind, "log_log_slope": slope, "seed": seed}
         out.with_suffix(".summary.json").write_text(json.dumps(summary, sort_keys=True))
     print(f"{len(rows)} sweep rows -> {out}")
     return 0
@@ -451,27 +435,31 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mdl(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = _load_checkpoint(args.checkpoint)
     records = read_jsonl(args.record)
     if not records:
         raise ValueError(f"no records in {args.record}")
     record = records[-1]
+    if not isinstance(record, dict):
+        raise ValueError(f"the last record in {args.record} is not an object")
     if record.get("measure") != "lebesgue":
         raise ValueError("description length requires a Lebesgue volume record")
-    missing = [name for name in ("log_volume", "n") if name not in record]
+    missing = [name for name in ("log_volume", "n") if record.get(name) is None]  # null or absent
     if missing:
         raise ValueError(f"missing record field {', '.join(missing)} in {args.record}")
+    config = record.get("config", {})
+    if not isinstance(config, dict):
+        raise ValueError(f"record field config is not an object in {args.record}")
     log_volume, n = float(record["log_volume"]), int(record["n"])
     if n != ckpt.params.n:
         raise ValueError(f"the record's n = {n} does not match the checkpoint's {ckpt.params.n} parameters")
-    recorded, digest = record.get("config", {}).get("anchor_sha256"), _anchor_sha256(ckpt.params.flat)
+    recorded, digest = config.get("anchor_sha256"), _anchor_sha256(ckpt.params.flat)
     if recorded != digest:
         raise ValueError(
             f"the record's anchor_sha256 {recorded or '(missing)'} does not match the "
             f"checkpoint's {digest}: the record was estimated at another anchor"
         )
-    config = ckpt.config
-    train_ds, _, _ = _build_datasets(config, int(config["seed"]))
+    train_ds, _, _ = _build_datasets(ckpt.config, int(ckpt.config["seed"]))
     dl = description_length(log_volume, ckpt.params, MeasureSpec.gaussian(ckpt.sigma), train_ds)
     payload = {
         "kl_term": dl.kl_term,
@@ -517,9 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=cmd_estimate)
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[shared], help="sweep cutoff, checkpoints, preconditioners, or eps"
+        "sweep", parents=[shared], help="sweep cutoff, checkpoints, or preconditioners"
     )
-    p_sweep.add_argument("--kind", choices=("cutoff", "checkpoint", "preconditioner", "eps"), required=True)
+    p_sweep.add_argument("--kind", choices=("cutoff", "checkpoint", "preconditioner"), required=True)
     p_sweep.add_argument("--values", type=str, default="", help="comma-separated sweep values")
     p_sweep.add_argument("--checkpoint", type=str, default=None)
     p_sweep.add_argument("--checkpoints", type=str, default="", help="comma-separated checkpoint files")

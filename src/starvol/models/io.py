@@ -3,8 +3,9 @@
 Checkpoints are versioned JSON with each array stored as the base64 text of
 its float64 bytes (see ``starvol.codec``), so saving the same state twice
 produces byte-identical files and loading recovers bit-identical vectors.
-A file of another version, one that lacks a field, or one whose Adam
-hyperparameters miss a name or add one is refused, with the field named.
+A file of another version, one that lacks a field or holds one that does
+not decode, or one whose Adam hyperparameters miss a name or add one is
+refused, with the field and the file named.
 """
 
 from __future__ import annotations
@@ -57,26 +58,30 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {data.get('version')}")
 
-    def field(name):
+    def field(name, decode=None):
         if name not in data:
             raise ValueError(f"missing checkpoint field {name} in {path}")
-        return data[name]
+        try:
+            return data[name] if decode is None else decode(data[name])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed checkpoint field {name} in {path}: {exc}") from None
 
-    shape = tuple((int(i), int(o)) for i, o in field("shape"))
-    params = MlpParams(decode_array(field("flat")), shape)
+    shape = field("shape", lambda pairs: tuple((int(i), int(o)) for i, o in pairs))
+    params = MlpParams(field("flat", decode_array), shape)
+    for name in ("hyper", "config"):
+        if not isinstance(field(name), dict):
+            raise ValueError(f"checkpoint field {name} is not an object in {path}")
     hyper, names = field("hyper"), {f.name for f in fields(AdamHyper)}
-    if not isinstance(hyper, dict):
-        raise ValueError(f"checkpoint field hyper is not an object in {path}")
     given = set(hyper)
     reasons = [f"{label} hyper field {', '.join(sorted(keys))}"
                for label, keys in (("missing", names - given), ("unknown", given - names)) if keys]
     if reasons:
         raise ValueError(f"{'; '.join(reasons)} in {path}")
     adam = AdamState(
-        mu=decode_array(field("adam_mu")),
-        nu=decode_array(field("adam_nu")),
-        step=int(field("adam_step")),
+        mu=field("adam_mu", decode_array),
+        nu=field("adam_nu", decode_array),
+        step=field("adam_step", int),
         hyper=AdamHyper(**hyper),
     )
-    sigma = decode_array(field("sigma"))
-    return Checkpoint(params=params, adam=adam, sigma=sigma, step=int(field("step")), config=field("config"))
+    sigma = field("sigma", decode_array)
+    return Checkpoint(params=params, adam=adam, sigma=sigma, step=field("step", int), config=field("config"))

@@ -335,6 +335,20 @@ class TestEstimate:
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "--eps", "0.1"], "unrecognized arguments: --eps 0.1"),
+        (["sweep", "--kind", "cutoff", "--values", "1e-2", "--eps", "0.1"], "unrecognized arguments: --eps 0.1"),
+        (["sweep", "--kind", "eps", "--values", "1e-3,1e-2"], "argument --kind: invalid choice: 'eps'"),
+    ])
+    def test_eps_is_not_an_option(self, argv, message, final_checkpoint, tmp_path, capsys):
+        # each named map is shaped at its DEFAULT_EPS, so there is no eps to set or sweep
+        out = tmp_path / "o.out"
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--checkpoint", str(final_checkpoint), "--preconditioner", "diag", "--out", str(out)])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--r-max", "nan"), ("--rel-tol", "-1"), ("--threads", "-3")])
     def test_invalid_search_option_exits_2(self, flag, value, final_checkpoint, tmp_path, capsys):
         out = tmp_path / "o.jsonl"
@@ -359,55 +373,50 @@ class TestEstimate:
         rc = main(["estimate", "--checkpoint", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.jsonl")])
         assert rc == 2
 
-    @pytest.mark.parametrize("field", ["shape", "hyper"])
-    def test_checkpoint_without_a_field_exits_2_naming_it(self, field, final_checkpoint, tmp_path, capsys):
-        # each used to end in a KeyError; TestCheckpointFile checks every refusal
+    @pytest.mark.parametrize("mangle, reason", [
+        pytest.param(lambda data: data.pop("shape"), "missing checkpoint field shape", id="no-shape"),
+        pytest.param(lambda data: data.pop("hyper"), "missing checkpoint field hyper", id="no-hyper"),
+        pytest.param(lambda data: data.update(config=[1]), "checkpoint field config is not an object",
+                     id="config-not-object"),
+        pytest.param(lambda data: data["config"].pop("seed"), "missing checkpoint config field seed",
+                     id="no-seed"),
+        pytest.param(lambda data: data["config"].update(seed=None), "missing checkpoint config field seed",
+                     id="null-seed"),
+        pytest.param(lambda data: data["config"]["dataset"].pop("train"),
+                     "missing checkpoint config field dataset.train", id="no-train-size"),
+        pytest.param(lambda data: data["config"]["dataset"].pop("noise"),
+                     "missing checkpoint config field dataset.noise", id="no-blobs-noise"),
+        pytest.param(lambda data: data.update(flat=5),
+                     "malformed checkpoint field flat in {bad}: expected a base64 string, got int", id="flat-number"),
+        pytest.param(lambda data: data["shape"][0].append(4),
+                     "malformed checkpoint field shape in {bad}: too many values to unpack",
+                     id="shape-triple"),
+    ])
+    def test_malformed_checkpoint_exits_2_naming_field_and_file(self, mangle, reason, final_checkpoint,
+                                                                tmp_path, capsys):
+        # the missing and config cases used to end in a KeyError or TypeError
+        # traceback, and the array and shape cases named neither the field nor
+        # the file; TestCheckpointFile checks every refusal of the file itself
         data = json.loads(final_checkpoint.read_text())
-        del data[field]
+        mangle(data)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         out = tmp_path / "o.jsonl"
-        assert main(["estimate", "--checkpoint", str(bad), "--out", str(out)]) == 2
-        assert f"error: missing checkpoint field {field} in {bad}" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("argv, reason", [
-        ([], "--eps shapes no map with --preconditioner none"),
-        (["--preconditioner", "diag", "--precond-file", "{saved}"], "--eps shapes no map with --precond-file"),
-    ])
-    def test_eps_that_shapes_no_map_exits_2(self, argv, reason, final_checkpoint, tmp_path, capsys):
-        saved = tmp_path / "precond.json"
-        Preconditioner.identity(26).save(saved)
-        out = tmp_path / "o.jsonl"
-        rc = main([
-            "estimate", "--checkpoint", str(final_checkpoint), "--eps", "0.5", "--k", "2",
-            *(arg.format(saved=saved) for arg in argv), "--out", str(out),
-        ])
-        assert rc == 2
-        assert reason in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("eps", ["inf", "nan"])
-    def test_eps_that_is_not_finite_exits_2_naming_it(self, eps, final_checkpoint, tmp_path, capsys):
-        out = tmp_path / "o.jsonl"
-        rc = main([
-            "estimate", "--checkpoint", str(final_checkpoint), "--preconditioner", "diag",
-            "--eps", eps, "--k", "2", "--out", str(out),
-        ])
-        assert rc == 2
+        assert main(["estimate", "--checkpoint", str(bad), "--k", "2", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"eps must be finite and >= 0, got {eps}" in err
-        assert "zero curvature" not in err
+        assert err.startswith(f"error: {reason.format(bad=bad)}")
+        assert str(bad) in err
         assert not out.exists()
 
     def test_eps_is_recorded_only_for_a_shaped_map(self, final_checkpoint, tmp_path):
+        # a built map is shaped at its DEFAULT_EPS; the identity and a loaded map at none
         saved = tmp_path / "precond.json"
         Preconditioner.identity(26).save(saved)
         runs = {
             "identity": ([], None),
             "loaded": (["--precond-file", str(saved)], None),
-            "default": (["--preconditioner", "adam-nu"], 0.001),
-            "given": (["--preconditioner", "diag", "--eps", "0.5"], 0.5),
+            "adam-nu": (["--preconditioner", "adam-nu"], 0.001),
+            "diag": (["--preconditioner", "diag"], 0.01),
         }
         for name, (argv, eps) in runs.items():
             out = tmp_path / f"{name}.jsonl"
@@ -455,28 +464,11 @@ class TestSweep:
         assert rows["adam-nu"]["status"] == "ok"
         assert rows["bogus"]["status"].startswith("failed")
 
-    def test_eps_sweep_reports_largest_estimate(self, final_checkpoint, tmp_path):
-        out = tmp_path / "eps.csv"
-        rc = main([
-            "sweep", "--kind", "eps", "--preconditioner", "adam-nu",
-            "--values", "0.001,1.0", "--checkpoint", str(final_checkpoint),
-            "--k", "6", "--out", str(out), "--seed", "1",
-        ])
-        assert rc == 0
-        rows = _read_csv(out)
-        summary = json.loads(out.with_suffix(".summary.json").read_text())
-        best = max(rows, key=lambda r: float(r["log_volume"]))
-        assert summary["best_eps"] == float(best["value"])
-        assert summary["best_log_volume"] == float(best["log_volume"])
-        # the maximum over the grid weakens the one-sided guarantee by this factor
-        assert summary["grid_size"] == 2
-
     @pytest.mark.parametrize("kind, name, counts", [
-        # one curvature probe and at most one eigendecomposition; every point
-        # shapes its own map from the cached spectrum in O(n)
-        ("eps", "hessian", {"hessian_full": 1, "eigh": 1, "from_diagonal": 3}),
-        ("cutoff", "hessian", {"hessian_full": 1, "eigh": 1, "from_diagonal": 3}),
-        ("cutoff", "diag", {"hessian_diag": 1, "eigh": 0, "from_diagonal": 3}),
+        # one curvature probe, at most one eigendecomposition and one map,
+        # which every point reuses
+        ("cutoff", "hessian", {"hessian_full": 1, "eigh": 1, "from_diagonal": 1}),
+        ("cutoff", "diag", {"hessian_diag": 1, "eigh": 0, "from_diagonal": 1}),
     ])
     def test_sweep_probes_curvature_once(self, kind, name, counts, final_checkpoint, tmp_path, monkeypatch):
         calls = _count_calls(monkeypatch, *(key for key in counts if key != "eigh"))
@@ -551,7 +543,6 @@ class TestSweep:
             assert row["cutoff"] == repr(record["cutoff"])
 
     @pytest.mark.parametrize("argv, flag", [
-        (["--kind", "eps", "--values", "0.1"], "--checkpoint"),
         (["--kind", "cutoff", "--values", "0.1"], "--checkpoint"),
         (["--kind", "preconditioner", "--values", "none"], "--checkpoint"),
         (["--kind", "checkpoint"], "--checkpoints"),
@@ -562,44 +553,12 @@ class TestSweep:
         assert capsys.readouterr().err.strip().endswith(f"requires {flag}")
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, reason", [
-        (["--kind", "eps", "--values", "1e-3,1e-2,1e-1"], "sweep --kind eps shapes no map with --preconditioner none"),
-        (["--kind", "cutoff", "--values", "1e-2", "--eps", "0.1"], "--eps shapes no map with --preconditioner none"),
-        (["--kind", "checkpoint", "--checkpoints", "{checkpoint}", "--eps", "0.1"], "--preconditioner none"),
-        (["--kind", "cutoff", "--values", "1e-2", "--preconditioner", "diag", "--eps", "0.1",
-          "--precond-file", "{saved}"], "--eps shapes no map with --precond-file"),
-        (["--kind", "eps", "--values", "1e-3,1e-2", "--eps", "0.5", "--preconditioner", "diag"],
-         "--eps shapes no map with sweep --kind eps, which shapes each point from its swept value"),
-    ])
-    def test_eps_that_shapes_no_map_exits_2(self, argv, reason, final_checkpoint, tmp_path, capsys):
+    def test_precond_file_rejected_over_maps(self, final_checkpoint, tmp_path, capsys):
         saved = tmp_path / "precond.json"
         Preconditioner.identity(26).save(saved)
         out = tmp_path / "sweep.csv"
         rc = main([
-            "sweep", *(arg.format(checkpoint=final_checkpoint, saved=saved) for arg in argv),
-            "--checkpoint", str(final_checkpoint), "--k", "2", "--out", str(out),
-        ])
-        assert rc == 2
-        assert reason in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_preconditioner_sweep_takes_eps(self, final_checkpoint, tmp_path):
-        shared = ["--checkpoint", str(final_checkpoint), "--eps", "0.5", "--k", "4", "--seed", "1"]
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--kind", "preconditioner", "--values", "none,diag", "--out", str(out), *shared]) == 0
-        rows = _read_csv(out)
-        assert [r["status"] for r in rows] == ["ok", "ok"]
-        record_path = tmp_path / "diag.jsonl"
-        assert main(["estimate", "--preconditioner", "diag", "--out", str(record_path), *shared]) == 0
-        assert rows[1]["log_volume"] == repr(read_jsonl(record_path)[0]["log_volume"])
-
-    @pytest.mark.parametrize("kind, values", [("preconditioner", "none,adam-nu"), ("eps", "0.01,0.1")])
-    def test_precond_file_rejected_over_maps(self, kind, values, final_checkpoint, tmp_path, capsys):
-        saved = tmp_path / "precond.json"
-        Preconditioner.identity(26).save(saved)
-        out = tmp_path / "sweep.csv"
-        rc = main([
-            "sweep", "--kind", kind, "--values", values, "--checkpoint", str(final_checkpoint),
+            "sweep", "--kind", "preconditioner", "--values", "none,adam-nu", "--checkpoint", str(final_checkpoint),
             "--preconditioner", "adam-nu", "--precond-file", str(saved), "--out", str(out),
         ])
         assert rc == 2
@@ -803,18 +762,27 @@ class TestMdl:
         assert f"anchor_sha256 {recorded} does not match the checkpoint's {digest}" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("field", ["log_volume", "n"])
-    def test_record_without_a_field_exits_2_naming_it(self, field, final_checkpoint, lebesgue_record,
-                                                      tmp_path, capsys):
-        # each used to end in a KeyError
-        record = read_jsonl(lebesgue_record)[-1]
-        del record[field]
+    @pytest.mark.parametrize("mangle, reason", [
+        pytest.param(lambda record: {k: v for k, v in record.items() if k != "log_volume"},
+                     "missing record field log_volume in {rec}", id="no-log-volume"),
+        pytest.param(lambda record: {k: v for k, v in record.items() if k != "n"}, "missing record field n in {rec}",
+                     id="no-n"),
+        pytest.param(lambda record: [record], "the last record in {rec} is not an object", id="record-not-object"),
+        pytest.param(lambda record: {**record, "config": "x"}, "record field config is not an object in {rec}",
+                     id="config-not-object"),
+        pytest.param(lambda record: {**record, "n": None}, "missing record field n in {rec}", id="n-null"),
+        pytest.param(lambda record: {**record, "log_volume": None}, "missing record field log_volume in {rec}",
+                     id="log-volume-null"),
+    ])
+    def test_malformed_record_exits_2_naming_the_field(self, mangle, reason, final_checkpoint, lebesgue_record,
+                                                       tmp_path, capsys):
+        # each used to end in a KeyError, AttributeError or TypeError traceback
         rec = tmp_path / "bad.jsonl"
-        rec.write_text(json.dumps(record) + "\n")
+        rec.write_text(json.dumps(mangle(read_jsonl(lebesgue_record)[-1])) + "\n")
         out = tmp_path / "mdl.json"
         rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
         assert rc == 2
-        assert f"error: missing record field {field} in {rec}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {reason.format(rec=rec)}\n"
         assert not out.exists()
 
     def test_record_without_anchor_digest_is_rejected(self, final_checkpoint, lebesgue_record,

@@ -1016,9 +1016,15 @@ class TestCheckpointFile:
                      id="missing-and-unknown-hyper"),
         pytest.param(lambda data: data.update(hyper=5), "checkpoint field hyper is not an object",
                      id="hyper-not-object"),
+        pytest.param(lambda data: data.update(config=[7]), "checkpoint field config is not an object",
+                     id="config-not-object"),
+        pytest.param(lambda data: data.update(flat=5),
+                     "malformed checkpoint field flat in {path}: expected a base64 string, got int", id="flat-number"),
+        pytest.param(lambda data: data["shape"][0].append(4),
+                     "malformed checkpoint field shape in {path}: too many values to unpack", id="shape-triple"),
     ])
     def test_malformed_file_is_refused_by_name(self, mangle, reason, tmp_path):
-        # each used to end in a KeyError or a TypeError
+        # each used to end in a KeyError or a TypeError, or named neither the field nor the file
         path = tmp_path / "bad.json"
         save_checkpoint(path, self._checkpoint())
         data = json.loads(path.read_text())
@@ -1026,4 +1032,7 @@ class TestCheckpointFile:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError) as info:
             load_checkpoint(path)
-        assert str(info.value) == f"{reason} in {path}"
+        if "{path}" in reason:  # the decoder's own message follows the file
+            assert str(info.value).startswith(reason.format(path=path))
+        else:
+            assert str(info.value) == f"{reason} in {path}"
