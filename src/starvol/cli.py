@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import Fields, count, integer, number
 from .geometry import (
     CostEvaluationError,
     EstimationError,
@@ -51,13 +52,12 @@ from .precondition import DEFAULT_EPS, Preconditioner, PreconditionerError, eige
 from .runio import (
     DEFAULT_CONFIG,
     default_seed,
-    load_config,
     make_run_record,
     merge_config,
     read_jsonl,
+    write_csv,
     write_jsonl,
     write_samples_csv,
-    write_sweep_csv,
 )
 
 # fixed roles for deriving independent streams from the master seed
@@ -91,41 +91,34 @@ def _resolve_seed(flag_seed: int | None, config_seed=None) -> int:
     if flag_seed is not None:
         return int(flag_seed)
     if config_seed is not None:
-        return int(config_seed)
+        return config_seed
     return default_seed()
 
 
-def _build_datasets(config: dict, master_seed: int):
-    """Materialize (train, val, poison) splits from the dataset config."""
-    ds = config["dataset"]
-    poison_size = int(ds.get("poison", 0))
+def _build_datasets(config: Fields):
+    """Materialize (train, val, poison) splits from the config's seed and dataset section."""
+    ds = config.section("dataset")
+    poison_size = ds.get("poison", integer)
     # a zero-size split would make an empty Dataset, so only ask for it when used
-    sizes = [int(ds["train"]), int(ds["val"])] + ([poison_size] if poison_size > 0 else [])
+    sizes = [ds.get("train", count), ds.get("val", count)] + ([poison_size] if poison_size > 0 else [])
     total = sum(sizes)
-    data_seed = int(_role_seed(master_seed, "data").generate_state(1)[0])
-    kind = ds["kind"]
+    data_seed = int(_role_seed(config.get("seed", integer), "data").generate_state(1)[0])
+    kind = ds.get("kind")
     if kind == "blobs":
-        per_class = -(-total // int(ds["classes"]))  # ceil
+        classes = ds.get("classes", count)
         full = make_blobs(
-            dim=int(ds["dim"]),
-            classes=int(ds["classes"]),
-            per_class=per_class,
-            noise=float(ds["noise"]),
-            center_scale=float(ds["center_scale"]),
+            dim=ds.get("dim", count),
+            classes=classes,
+            per_class=-(-total // classes),  # ceil
+            noise=ds.get("noise", number),
+            center_scale=ds.get("center_scale", number),
             seed=data_seed,
         )
     elif kind == "spirals":
-        per_class = -(-total // 2)
-        full = make_spirals(
-            per_class=per_class,
-            noise=float(ds["noise"]),
-            dim=int(ds["dim"]),
-            seed=data_seed,
-        )
+        full = make_spirals(per_class=-(-total // 2), noise=ds.get("noise", number), dim=ds.get("dim", count),
+                            seed=data_seed)
     elif kind == "csv":
-        if not ds.get("path"):
-            raise ValueError("dataset.kind=csv requires dataset.path")
-        full = load_csv(ds["path"])
+        full = load_csv(ds.get("path"))
         if full.m < total:
             raise ValueError(f"csv has {full.m} rows, config needs {total}")
     else:
@@ -134,51 +127,35 @@ def _build_datasets(config: dict, master_seed: int):
     return splits[0], splits[1], (splits[2] if poison_size > 0 else None)
 
 
-def _load_checkpoint(path: str) -> Checkpoint:
-    """A checkpoint whose config holds the seed and every dataset field of
-    ``DEFAULT_CONFIG``, as ``train`` resolves and saves them, so its splits
-    can be rebuilt; a config that lacks one is refused by name."""
-    ckpt = load_checkpoint(path)
-    dataset = ckpt.config.get("dataset", {})
-    if not isinstance(dataset, dict):
-        raise ValueError(f"checkpoint config field dataset is not an object in {path}")
-    missing = ["seed"] * (ckpt.config.get("seed") is None)  # null or absent
-    missing += [f"dataset.{key}" for key in DEFAULT_CONFIG["dataset"] if key not in dataset]
-    if missing:
-        raise ValueError(f"missing checkpoint config field {', '.join(missing)} in {path}")
-    return ckpt
-
-
 # -- train ---------------------------------------------------------------------
 
 
 def cmd_train(args) -> int:
-    file_cfg = load_config(args.config) if args.config else {}
+    file_cfg = Fields.read(args.config, "config").data if args.config else {}
     config = merge_config(DEFAULT_CONFIG, file_cfg)
-    master_seed = _resolve_seed(args.seed, config.get("seed"))
+    fields = Fields(config, args.config, "config")
+    master_seed = _resolve_seed(args.seed, fields.get("seed", integer, optional=True))
     config["seed"] = master_seed
 
-    train_ds, val_ds, poison_ds = _build_datasets(config, master_seed)
-    widths = [train_ds.dim, *(int(h) for h in config["model"]["hidden"]), train_ds.num_classes]
+    train_ds, val_ds, poison_ds = _build_datasets(fields)
+    model = fields.section("model")
+    hidden = model.get("hidden", lambda widths: [count(width) for width in widths])
+    widths = [train_ds.dim, *hidden, train_ds.num_classes]
+    init = model.get("init", lambda rule: rule if rule == "fan_in" else number(rule))
     init_rng = np.random.default_rng(_role_seed(master_seed, "init"))
-    params, measure = init_params(tuple(zip(widths, widths[1:])), config["model"]["init"], init_rng)
+    params, measure = init_params(tuple(zip(widths, widths[1:])), init, init_rng)
 
-    tr = config["train"]
-    poison = None
-    if poison_ds is not None and float(tr["poison_alpha"]) != 0:  # PoisonConfig refuses alpha < 0
-        poison = PoisonConfig(dataset=poison_ds, alpha=float(tr["poison_alpha"]))
+    tr = fields.section("train")
+    poison, alpha = None, tr.get("poison_alpha", number)
+    if poison_ds is not None and alpha != 0:  # PoisonConfig refuses alpha < 0
+        poison = PoisonConfig(dataset=poison_ds, alpha=alpha)
     train_seed = int(_role_seed(master_seed, "train").generate_state(1)[0])
     train_cfg = TrainConfig(
-        epochs=int(tr["epochs"]),
-        batch_size=int(tr["batch_size"]),
+        epochs=tr.get("epochs", count),
+        batch_size=tr.get("batch_size", count),
         seed=train_seed,
-        hyper=AdamHyper(
-            lr=float(tr["lr"]),
-            beta1=float(tr["beta1"]),
-            beta2=float(tr["beta2"]),
-            adam_eps=float(tr["adam_eps"]),
-        ),
-        checkpoint_every=int(tr["checkpoint_every"]),
+        hyper=AdamHyper(**{name: tr.get(name, number) for name in ("lr", "beta1", "beta2", "adam_eps")}),
+        checkpoint_every=tr.get("checkpoint_every", integer),
         poison=poison,
     )
     result = adam_train(params, train_ds, train_cfg, val_dataset=val_ds)
@@ -196,7 +173,7 @@ def cmd_train(args) -> int:
     metrics_path = out_dir / "metrics.csv"
     fields = sorted({key for row in result.metrics for key in row})
     fields = ["step"] + [f for f in fields if f != "step"]
-    write_sweep_csv(metrics_path, list(result.metrics), fields)
+    write_csv(metrics_path, list(result.metrics), fields)
 
     final = result.metrics[-1]
     print(f"trained {len(result.steps)} checkpoints -> {out_dir}")
@@ -244,10 +221,10 @@ class _CheckpointEstimator:
     ``eigendecompose``; a map built from no probe has no entry.
     """
 
-    def __init__(self, args, ckpt: Checkpoint):
+    def __init__(self, args, ckpt: Checkpoint, path: str):
         self.args = args
         self.ckpt = ckpt
-        train_ds, val_ds, _ = _build_datasets(ckpt.config, int(ckpt.config["seed"]))
+        train_ds, val_ds, _ = _build_datasets(Fields(ckpt.config, path, "checkpoint config"))
         if args.cost == "kl":
             self.cost = make_kl_cost(ckpt.params, val_ds.inputs)
             self.data = (ckpt.params, val_ds.inputs)
@@ -291,10 +268,10 @@ class _CheckpointEstimator:
 
 
 def cmd_estimate(args) -> int:
-    ckpt = _load_checkpoint(args.checkpoint)
+    ckpt = load_checkpoint(args.checkpoint)
     seed = _resolve_seed(args.seed)
     start = time.perf_counter()
-    estimator = _CheckpointEstimator(args, ckpt)
+    estimator = _CheckpointEstimator(args, ckpt, args.checkpoint)
     estimate = estimator.estimate(args.cutoff, args.preconditioner, seed)
     wall = time.perf_counter() - start
 
@@ -344,17 +321,17 @@ SWEEP_FIELDS = [
 
 
 def _sweep_points(args) -> list[tuple]:
-    """The sweep's points, each (value, checkpoint, cutoff, preconditioner).
+    """The sweep's points, each (value, (checkpoint, its path), cutoff, preconditioner).
 
-    A checkpoint of None stands for the synthetic quadratic target.
+    A checkpoint pair of None stands for the synthetic quadratic target.
     """
     kind = args.kind
     if kind == "checkpoint":
         paths = [p for p in args.checkpoints.split(",") if p]
         if not paths:
             raise ValueError("sweep --kind checkpoint requires --checkpoints")
-        ckpts = sorted((_load_checkpoint(p) for p in paths), key=lambda ckpt: ckpt.step)
-        return [(c.step, c, args.cutoff, args.preconditioner) for c in ckpts]
+        ckpts = sorted(((load_checkpoint(p), p) for p in paths), key=lambda pair: pair[0].step)
+        return [(c.step, (c, p), args.cutoff, args.preconditioner) for c, p in ckpts]
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise ValueError(f"sweep --kind {kind} requires --values")
@@ -364,10 +341,10 @@ def _sweep_points(args) -> list[tuple]:
         raise ValueError(f"sweep --kind {kind} requires --checkpoint")
     if args.precond_file and kind == "preconditioner":
         raise ValueError("--precond-file would replace every swept value of --kind preconditioner")
-    ckpt = _load_checkpoint(args.checkpoint)
+    source = (load_checkpoint(args.checkpoint), args.checkpoint)
     if kind == "cutoff":
-        return [(float(v), ckpt, float(v), args.preconditioner) for v in values]
-    return [(v, ckpt, args.cutoff, v) for v in values]
+        return [(float(v), source, float(v), args.preconditioner) for v in values]
+    return [(v, source, args.cutoff, v) for v in values]
 
 
 def _quadratic_estimate(args, cutoff: float, seed: int):
@@ -385,24 +362,22 @@ def cmd_sweep(args) -> int:
     rows = []
     done = []  # (value, log volume) of each point that succeeded
     estimator = None
-    for value, ckpt, cutoff, name in _sweep_points(args):
+    for value, source, cutoff, name in _sweep_points(args):
+        # an input the estimator refuses exits; a failed estimate gets a row
+        if source is not None and (estimator is None or estimator.ckpt is not source[0]):
+            estimator = None  # free the last checkpoint's curvature first
+            estimator = _CheckpointEstimator(args, *source)
         # a failed point's row still names its own cutoff and preconditioner
         row = {
             "kind": args.kind,
             "value": value,
             "k": args.k,
             "cutoff": cutoff,
-            "measure": "lebesgue" if ckpt is None else args.measure,
+            "measure": "lebesgue" if source is None else args.measure,
             "preconditioner": name,
         }
         try:
-            if ckpt is None:
-                est = _quadratic_estimate(args, cutoff, seed)
-            else:
-                if estimator is None or estimator.ckpt is not ckpt:
-                    estimator = None  # free the last checkpoint's curvature first
-                    estimator = _CheckpointEstimator(args, ckpt)
-                est = estimator.estimate(cutoff, name, seed)
+            est = _quadratic_estimate(args, cutoff, seed) if source is None else estimator.estimate(cutoff, name, seed)
         except (EstimationError, CostEvaluationError, PreconditionerError) as exc:
             rows.append({**row, "status": f"failed: {exc}"})
             continue
@@ -420,7 +395,7 @@ def cmd_sweep(args) -> int:
         done.append((value, est.log_volume))
 
     out = Path(args.out)
-    write_sweep_csv(out, rows, SWEEP_FIELDS)
+    write_csv(out, rows, SWEEP_FIELDS)
     if args.kind == "cutoff" and len(done) >= 2:
         xs = [math.log(cutoff) for cutoff, _ in done]
         slope = float(np.polyfit(xs, [log_volume for _, log_volume in done], 1)[0])
@@ -435,31 +410,23 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mdl(args) -> int:
-    ckpt = _load_checkpoint(args.checkpoint)
+    ckpt = load_checkpoint(args.checkpoint)
     records = read_jsonl(args.record)
     if not records:
         raise ValueError(f"no records in {args.record}")
-    record = records[-1]
-    if not isinstance(record, dict):
-        raise ValueError(f"the last record in {args.record} is not an object")
-    if record.get("measure") != "lebesgue":
+    record = Fields(records[-1], args.record, "record", root="the last record")
+    if record.get("measure", optional=True) != "lebesgue":
         raise ValueError("description length requires a Lebesgue volume record")
-    missing = [name for name in ("log_volume", "n") if record.get(name) is None]  # null or absent
-    if missing:
-        raise ValueError(f"missing record field {', '.join(missing)} in {args.record}")
-    config = record.get("config", {})
-    if not isinstance(config, dict):
-        raise ValueError(f"record field config is not an object in {args.record}")
-    log_volume, n = float(record["log_volume"]), int(record["n"])
+    log_volume, n, config = record.get("log_volume", number), record.get("n", integer), record.section("config")
     if n != ckpt.params.n:
         raise ValueError(f"the record's n = {n} does not match the checkpoint's {ckpt.params.n} parameters")
-    recorded, digest = config.get("anchor_sha256"), _anchor_sha256(ckpt.params.flat)
+    recorded, digest = config.get("anchor_sha256", optional=True), _anchor_sha256(ckpt.params.flat)
     if recorded != digest:
         raise ValueError(
             f"the record's anchor_sha256 {recorded or '(missing)'} does not match the "
             f"checkpoint's {digest}: the record was estimated at another anchor"
         )
-    train_ds, _, _ = _build_datasets(ckpt.config, int(ckpt.config["seed"]))
+    train_ds, _, _ = _build_datasets(Fields(ckpt.config, args.checkpoint, "checkpoint config"))
     dl = description_length(log_volume, ckpt.params, MeasureSpec.gaussian(ckpt.sigma), train_ds)
     payload = {
         "kl_term": dl.kl_term,

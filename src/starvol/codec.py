@@ -1,10 +1,15 @@
-"""Exact float64 arrays inside the JSON files starvol writes.
+"""The JSON files starvol reads and writes: exact float64 arrays, and one reader.
 
 An array is stored as one JSON string, the base64 text of its little-endian
 float64 bytes. The encoding is exact, takes 4/3 bytes per byte of data, and
 costs no number formatting or parsing, so a dense map of n = 4,810 saves
 and loads in seconds. Writing streams each array in pieces, so no text copy
 of a large array is held, and the same payload always gives the same bytes.
+
+Every checkpoint, map file, run record and config is read through
+:class:`Fields`, which refuses a root that is not an object, a file of
+another format or version, and a missing, null or malformed field, naming
+the field (dotted where nested, as ``dataset.train``) and the file.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["decode_array", "write_json"]
+__all__ = ["Fields", "count", "decode_array", "integer", "number", "write_json"]
 
 _FLOAT64_LE = np.dtype("<f8")
 _CHUNK_BYTES = 3 << 20  # a multiple of 3, so the base64 pieces concatenate
@@ -63,3 +68,70 @@ def decode_array(value: str, shape: tuple[int, ...] | None = None) -> np.ndarray
         arr = arr.reshape(shape)
     arr.setflags(write=False)
     return arr
+
+
+def integer(value) -> int:
+    """``value`` as an int: an int, or a float with no fraction; a bool or a fraction is refused."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def count(value) -> int:
+    """An :func:`integer` of at least 1."""
+    value = integer(value)
+    if value < 1:
+        raise ValueError(f"expected an integer >= 1, got {value}")
+    return value
+
+
+def number(value) -> float:
+    """``value`` as a float: an int or a float; a bool or a string is refused."""
+    if type(value) not in (int, float):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+class Fields:
+    """A JSON object from the file ``path``, read field by field.
+
+    ``label`` says what the object is (``checkpoint``, ``record``, ...) and
+    every refusal is an ``error`` naming the field and the file. ``root``
+    names the object in the refusal of a root that is not one.
+    """
+
+    def __init__(self, data, path, label: str, *, error=ValueError, root: str | None = None, prefix: str = ""):
+        if not isinstance(data, dict):
+            raise error(f"{root or 'the ' + label} in {path} is not an object")
+        self.data, self.path, self.label, self.error, self.prefix = data, path, label, error, prefix
+
+    @classmethod
+    def read(cls, path, label: str, *, error=ValueError, format: str | None = None, version: int | None = None):
+        """The object in the file at ``path``; with ``format``, a file of another format or version is refused."""
+        try:
+            data = json.loads(Path(path).read_text())
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise error(f"not a JSON file: {path}: {exc}") from None
+        fields = cls(data, path, label, error=error)
+        if format is not None and fields.data.get("format") != format:
+            raise error(f"not a {label} file: {path}")
+        if format is not None and fields.data.get("version") != version:
+            raise error(f"unsupported {label} version {fields.data.get('version')}")
+        return fields
+
+    def get(self, name: str, convert=None, *, optional: bool = False):
+        """Field ``name`` through ``convert``; a missing or null field is None if ``optional``, else refused."""
+        value = self.data.get(name)
+        if value is None and not optional:
+            raise self.error(f"missing {self.label} field {self.prefix}{name} in {self.path}")
+        try:
+            return value if value is None or convert is None else convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise self.error(f"malformed {self.label} field {self.prefix}{name} in {self.path}: {exc}") from None
+
+    def section(self, name: str) -> "Fields":
+        """The object in field ``name``, its fields named ``name.field``."""
+        value = self.get(name)
+        if not isinstance(value, dict):
+            raise self.error(f"{self.label} field {self.prefix}{name} is not an object in {self.path}")
+        return Fields(value, self.path, self.label, error=self.error, prefix=f"{self.prefix}{name}.")

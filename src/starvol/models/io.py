@@ -4,19 +4,18 @@ Checkpoints are versioned JSON with each array stored as the base64 text of
 its float64 bytes (see ``starvol.codec``), so saving the same state twice
 produces byte-identical files and loading recovers bit-identical vectors.
 A file of another version, one that lacks a field or holds one that does
-not decode, or one whose Adam hyperparameters miss a name or add one is
-refused, with the field and the file named.
+not read (through ``codec.Fields``), or one whose Adam hyperparameters miss
+a name or add one is refused, with the field and the file named.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from ..codec import decode_array, write_json
+from ..codec import Fields, decode_array, integer, number, write_json
 from .mlp import MlpParams
 from .train import AdamHyper, AdamState
 
@@ -52,36 +51,20 @@ def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    data = json.loads(Path(path).read_text())
-    if data.get("format") != FORMAT_NAME:
-        raise ValueError(f"not a checkpoint file: {path}")
-    if data.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {data.get('version')}")
-
-    def field(name, decode=None):
-        if name not in data:
-            raise ValueError(f"missing checkpoint field {name} in {path}")
-        try:
-            return data[name] if decode is None else decode(data[name])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed checkpoint field {name} in {path}: {exc}") from None
-
-    shape = field("shape", lambda pairs: tuple((int(i), int(o)) for i, o in pairs))
-    params = MlpParams(field("flat", decode_array), shape)
-    for name in ("hyper", "config"):
-        if not isinstance(field(name), dict):
-            raise ValueError(f"checkpoint field {name} is not an object in {path}")
-    hyper, names = field("hyper"), {f.name for f in fields(AdamHyper)}
-    given = set(hyper)
+    ckpt = Fields.read(path, "checkpoint", format=FORMAT_NAME, version=FORMAT_VERSION)
+    shape = ckpt.get("shape", lambda pairs: tuple((integer(i), integer(o)) for i, o in pairs))
+    params = MlpParams(ckpt.get("flat", decode_array), shape)
+    hyper, config = ckpt.section("hyper"), ckpt.section("config").data
+    names, given = [f.name for f in fields(AdamHyper)], set(hyper.data)
     reasons = [f"{label} hyper field {', '.join(sorted(keys))}"
-               for label, keys in (("missing", names - given), ("unknown", given - names)) if keys]
+               for label, keys in (("missing", set(names) - given), ("unknown", given - set(names))) if keys]
     if reasons:
         raise ValueError(f"{'; '.join(reasons)} in {path}")
     adam = AdamState(
-        mu=field("adam_mu", decode_array),
-        nu=field("adam_nu", decode_array),
-        step=field("adam_step", int),
-        hyper=AdamHyper(**hyper),
+        mu=ckpt.get("adam_mu", decode_array),
+        nu=ckpt.get("adam_nu", decode_array),
+        step=ckpt.get("adam_step", integer),
+        hyper=AdamHyper(**{name: hyper.get(name, number) for name in names}),
     )
-    sigma = field("sigma", decode_array)
-    return Checkpoint(params=params, adam=adam, sigma=sigma, step=field("step", int), config=field("config"))
+    sigma = ckpt.get("sigma", decode_array)
+    return Checkpoint(params=params, adam=adam, sigma=sigma, step=ckpt.get("step", integer), config=config)

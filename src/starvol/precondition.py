@@ -10,14 +10,13 @@ variance-reduction device, and the determinant is exact from the scales alone.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 import numpy as np
 
 from .blas import one_blas_thread
-from .codec import decode_array, write_json
+from .codec import Fields, decode_array, integer, write_json
 
 __all__ = [
     "DEFAULT_EPS",
@@ -223,28 +222,20 @@ class Preconditioner:
     @classmethod
     @one_blas_thread()
     def load(cls, path: str | Path) -> "Preconditioner":
-        """Read a map as :meth:`save` writes it; any other version is refused.
+        """Read a map as :meth:`save` writes it, through ``codec.Fields``: any other
+        version, and a missing or malformed field, is refused by name.
 
         The basis is the transpose of the decoded columns, an F-ordered,
         read-only view, so a loaded map has the layout of a fresh one.
         """
-        data = json.loads(Path(path).read_text())
-        if data.get("format") != FORMAT_NAME:
-            raise PreconditionerError(f"not a preconditioner file: {path}")
-        if data.get("version") != FORMAT_VERSION:
-            raise PreconditionerError(f"unsupported preconditioner version {data.get('version')}")
-        dim, source = data.get("dim"), data.get("source", "")
-        if type(dim) is not int:
-            raise PreconditionerError(f"missing or non-integer dim in {path}")
-        if data.get("scale") is None:
+        fields = Fields.read(path, "preconditioner", error=PreconditionerError,
+                             format=FORMAT_NAME, version=FORMAT_VERSION)
+        dim, source = fields.get("dim", integer), fields.get("source", optional=True) or ""
+        scale = fields.get("scale", decode_array, optional=True)
+        if scale is None:
             return cls.identity(dim)
-        try:
-            scale = decode_array(data["scale"])
-            # popped, so the text is freed once decoded; read-only, so shared
-            basis = data.pop("basis", None)
-            basis = None if basis is None else decode_array(basis, (scale.size, scale.size)).T
-        except ValueError as exc:
-            raise PreconditionerError(f"malformed array in {path}: {exc}") from exc
+        basis = fields.get("basis", lambda text: decode_array(text, (scale.size, scale.size)).T, optional=True)
+        del fields  # frees the file's text before the basis is checked
         if scale.size != dim:
             raise PreconditionerError(f"dim {dim} does not match {scale.size} scales")
         loaded = cls.diagonal(scale, source, basis)

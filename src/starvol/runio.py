@@ -1,10 +1,10 @@
 """Run records, config files, and tabular outputs for the command-line tools.
 
-Configs are one JSON object with the sections documented in the README;
-command-line flags override individual entries. Every run appends one JSON
-Lines record holding the resolved config, the seed, and the aggregated
-result, with per-sample detail in a sibling CSV, so any reported number can
-be replayed from its record alone.
+Configs are one JSON object with the sections documented in the README,
+read through ``codec.Fields``; command-line flags override individual
+entries. Every run appends one JSON Lines record holding the resolved
+config, the seed, and the aggregated result, with per-sample detail in a
+sibling CSV, so any reported number can be replayed from its record alone.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ __all__ = [
     "DEFAULT_CONFIG",
     "build_id",
     "default_seed",
-    "load_config",
     "make_run_record",
     "merge_config",
     "read_jsonl",
+    "write_csv",
     "write_jsonl",
     "write_samples_csv",
-    "write_sweep_csv",
 ]
 
 SEED_ENV_VAR = "STARVOL_SEED"
@@ -74,13 +73,6 @@ def default_seed() -> int:
         return int(raw)
     except ValueError as exc:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
-
-
-def load_config(path: str | Path) -> dict:
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError(f"config root must be a JSON object: {path}")
-    return data
 
 
 def merge_config(base: dict, *overrides: dict) -> dict:
@@ -178,24 +170,18 @@ def read_jsonl(path: str | Path) -> list[dict]:
 
 
 def write_samples_csv(path: str | Path, estimate: VolumeEstimate) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["sample", "radius", "truncated", "failed", "failure", "evals", "log_importance_norm", "log_term"]
-        )
-        for i, s in enumerate(estimate.samples):
-            writer.writerow(
-                [i, repr(s.radius), int(s.truncated), int(s.failed), s.failure, s.evals, repr(s.log_importance_norm), repr(s.log_term)]
-            )
+    fields = ["sample", "radius", "truncated", "failed", "failure", "evals", "log_importance_norm", "log_term"]
+    rows = [dict(zip(fields, (i, repr(s.radius), int(s.truncated), int(s.failed), s.failure, s.evals,
+                              repr(s.log_importance_norm), repr(s.log_term))))
+            for i, s in enumerate(estimate.samples)]
+    write_csv(path, rows, fields)
 
 
-def write_sweep_csv(path: str | Path, rows: list[dict], fieldnames: list[str]) -> None:
+def write_csv(path: str | Path, rows: list[dict], fieldnames: list[str]) -> None:
+    """Write ``rows``, one dict per line, under a ``fieldnames`` header."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

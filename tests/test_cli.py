@@ -47,6 +47,11 @@ def _read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def _drop(obj, key):
+    """Delete ``obj[key]`` in place, returning None as an in-place mangle does."""
+    del obj[key]
+
+
 def _count_calls(monkeypatch, *names):
     """Wrap the named cli functions; return a dict their calls count into."""
     counts = dict.fromkeys(names, 0)
@@ -104,6 +109,36 @@ class TestTrain:
         assert rc != 0
         assert f"{field.removeprefix('poison_')} must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("mangle, reason", [
+        pytest.param(lambda cfg: cfg["train"].update(lr="fast"),
+                     "malformed config field train.lr in {cfg}: expected a number, got 'fast'", id="lr-string"),
+        pytest.param(lambda cfg: cfg["train"].update(lr=True),
+                     "malformed config field train.lr in {cfg}: expected a number, got True", id="lr-bool"),
+        pytest.param(lambda cfg: cfg["model"].update(hidden="12"),
+                     "malformed config field model.hidden in {cfg}: expected an integer, got '1'", id="hidden-string"),
+        pytest.param(lambda cfg: cfg.update(dataset="blobs"), "config field dataset is not an object in {cfg}",
+                     id="dataset-string"),
+        pytest.param(lambda cfg: [cfg], "the config in {cfg} is not an object", id="root-list"),
+        pytest.param(lambda cfg: cfg["train"].update(epochs=1.9),
+                     "malformed config field train.epochs in {cfg}: expected an integer, got 1.9", id="epochs-fraction"),
+        pytest.param(lambda cfg: cfg["dataset"].update(train=47.5),
+                     "malformed config field dataset.train in {cfg}: expected an integer, got 47.5",
+                     id="train-size-fraction"),
+        pytest.param(lambda cfg: cfg["dataset"].update(classes=0),
+                     "malformed config field dataset.classes in {cfg}: expected an integer >= 1, got 0", id="no-classes"),
+    ])
+    def test_malformed_config_exits_2_naming_field_and_file(self, mangle, reason, tmp_path, capsys):
+        # "hidden": "12" trained a 3-1-2-2 net, fractions were truncated, and
+        # the other cases ended in a traceback or named neither field nor file
+        data = json.loads(json.dumps(TRAIN_CONFIG))
+        root = mangle(data)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data if root is None else root))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {reason.format(cfg=cfg)}\n"
+        assert not out.exists()
 
     def test_poison_split_adds_metric_column(self, tmp_path):
         cfg_data = json.loads(json.dumps(TRAIN_CONFIG))
@@ -374,33 +409,40 @@ class TestEstimate:
         assert rc == 2
 
     @pytest.mark.parametrize("mangle, reason", [
-        pytest.param(lambda data: data.pop("shape"), "missing checkpoint field shape", id="no-shape"),
-        pytest.param(lambda data: data.pop("hyper"), "missing checkpoint field hyper", id="no-hyper"),
+        pytest.param(lambda data: _drop(data, "shape"), "missing checkpoint field shape", id="no-shape"),
+        pytest.param(lambda data: _drop(data, "hyper"), "missing checkpoint field hyper", id="no-hyper"),
         pytest.param(lambda data: data.update(config=[1]), "checkpoint field config is not an object",
                      id="config-not-object"),
-        pytest.param(lambda data: data["config"].pop("seed"), "missing checkpoint config field seed",
+        pytest.param(lambda data: _drop(data["config"], "seed"), "missing checkpoint config field seed",
                      id="no-seed"),
         pytest.param(lambda data: data["config"].update(seed=None), "missing checkpoint config field seed",
                      id="null-seed"),
-        pytest.param(lambda data: data["config"]["dataset"].pop("train"),
+        pytest.param(lambda data: _drop(data["config"]["dataset"], "train"),
                      "missing checkpoint config field dataset.train", id="no-train-size"),
-        pytest.param(lambda data: data["config"]["dataset"].pop("noise"),
+        pytest.param(lambda data: _drop(data["config"]["dataset"], "noise"),
                      "missing checkpoint config field dataset.noise", id="no-blobs-noise"),
         pytest.param(lambda data: data.update(flat=5),
                      "malformed checkpoint field flat in {bad}: expected a base64 string, got int", id="flat-number"),
         pytest.param(lambda data: data["shape"][0].append(4),
                      "malformed checkpoint field shape in {bad}: too many values to unpack",
                      id="shape-triple"),
+        pytest.param(lambda data: [data], "the checkpoint in {bad} is not an object", id="root-list"),
+        pytest.param(lambda data: data["hyper"].update(lr="fast"),
+                     "malformed checkpoint field hyper.lr in {bad}: expected a number, got 'fast'", id="hyper-lr-string"),
+        pytest.param(lambda data: data["config"]["dataset"].update(train="many"),
+                     "malformed checkpoint config field dataset.train in {bad}: expected an integer, got 'many'",
+                     id="train-size-string"),
     ])
     def test_malformed_checkpoint_exits_2_naming_field_and_file(self, mangle, reason, final_checkpoint,
                                                                 tmp_path, capsys):
-        # the missing and config cases used to end in a KeyError or TypeError
-        # traceback, and the array and shape cases named neither the field nor
-        # the file; TestCheckpointFile checks every refusal of the file itself
+        # the missing, config, root and hyper cases used to end in a traceback,
+        # and the array, shape and dataset cases named neither the field nor
+        # the file; TestCheckpointFile checks every refusal of the file itself.
+        # A mangle edits the file's object in place or returns a new root.
         data = json.loads(final_checkpoint.read_text())
-        mangle(data)
+        root = mangle(data)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
+        bad.write_text(json.dumps(data if root is None else root))
         out = tmp_path / "o.jsonl"
         assert main(["estimate", "--checkpoint", str(bad), "--k", "2", "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -602,6 +644,20 @@ class TestSweep:
         # one successful point fits no slope, so no summary is written
         assert not out.with_suffix(".summary.json").exists()
 
+    def test_malformed_map_file_exits_2_without_rows(self, final_checkpoint, tmp_path, capsys):
+        # the map used to be loaded inside each point's try, so a malformed
+        # file gave every point a "failed:" row and the sweep exited 0
+        bad = tmp_path / "map.json"
+        Preconditioner.identity(26).save(bad)
+        bad.write_text(json.dumps({**json.loads(bad.read_text()), "dim": "26"}))
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--kind", "cutoff", "--checkpoint", str(final_checkpoint), "--values", "1e-2,1e-1",
+                   "--k", "2", "--precond-file", str(bad), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed preconditioner field dim in {bad}: expected an integer, got '26'\n")
+        assert not out.exists()
+
 
 class TestConsoleScript:
     def test_console_script_entry_point(self, tmp_path):
@@ -773,6 +829,10 @@ class TestMdl:
         pytest.param(lambda record: {**record, "n": None}, "missing record field n in {rec}", id="n-null"),
         pytest.param(lambda record: {**record, "log_volume": None}, "missing record field log_volume in {rec}",
                      id="log-volume-null"),
+        pytest.param(lambda record: {**record, "n": 26.5},
+                     "malformed record field n in {rec}: expected an integer, got 26.5", id="n-fraction"),
+        pytest.param(lambda record: {**record, "log_volume": "big"},
+                     "malformed record field log_volume in {rec}: expected a number, got 'big'", id="log-volume-string"),
     ])
     def test_malformed_record_exits_2_naming_the_field(self, mangle, reason, final_checkpoint, lebesgue_record,
                                                        tmp_path, capsys):

@@ -951,6 +951,11 @@ class TestDescriptionLength:
             description_length(0.0, anchor, MeasureSpec.gaussian(np.ones(7)), data)
 
 
+def _drop(obj, key):
+    """Delete ``obj[key]`` in place, returning None as an in-place mangle does."""
+    del obj[key]
+
+
 class TestCheckpointFile:
     @staticmethod
     def _checkpoint():
@@ -999,6 +1004,14 @@ class TestCheckpointFile:
         with pytest.raises(ValueError, match="unsupported checkpoint version 1$"):
             load_checkpoint(path)
 
+    def test_file_that_is_not_json_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "cut.json"
+        save_checkpoint(path, self._checkpoint())
+        path.write_text(path.read_text()[:100])  # a truncated copy
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"not a JSON file: {path}: ")
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "v9.json"
         path.write_text(json.dumps({"format": "starvol-checkpoint", "version": 9}))
@@ -1006,11 +1019,11 @@ class TestCheckpointFile:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("mangle, reason", [
-        pytest.param(lambda data: data.pop("shape"), "missing checkpoint field shape", id="no-shape"),
-        pytest.param(lambda data: data.pop("hyper"), "missing checkpoint field hyper", id="no-hyper"),
+        pytest.param(lambda data: _drop(data, "shape"), "missing checkpoint field shape", id="no-shape"),
+        pytest.param(lambda data: _drop(data, "hyper"), "missing checkpoint field hyper", id="no-hyper"),
         pytest.param(lambda data: data["hyper"].update(momentum=0.5), "unknown hyper field momentum",
                      id="unknown-hyper"),
-        pytest.param(lambda data: data["hyper"].pop("beta2"), "missing hyper field beta2", id="missing-hyper-key"),
+        pytest.param(lambda data: _drop(data["hyper"], "beta2"), "missing hyper field beta2", id="missing-hyper-key"),
         pytest.param(lambda data: data.update(hyper={"lr": 0.1, "momentum": 0.5}),
                      "missing hyper field adam_eps, beta1, beta2; unknown hyper field momentum",
                      id="missing-and-unknown-hyper"),
@@ -1022,14 +1035,20 @@ class TestCheckpointFile:
                      "malformed checkpoint field flat in {path}: expected a base64 string, got int", id="flat-number"),
         pytest.param(lambda data: data["shape"][0].append(4),
                      "malformed checkpoint field shape in {path}: too many values to unpack", id="shape-triple"),
+        pytest.param(lambda data: [data], "the checkpoint in {path} is not an object", id="root-list"),
+        pytest.param(lambda data: data["hyper"].update(lr="fast"),
+                     "malformed checkpoint field hyper.lr in {path}: expected a number, got 'fast'", id="hyper-lr-string"),
+        pytest.param(lambda data: data.update(step=3.5),
+                     "malformed checkpoint field step in {path}: expected an integer, got 3.5", id="step-fraction"),
     ])
     def test_malformed_file_is_refused_by_name(self, mangle, reason, tmp_path):
-        # each used to end in a KeyError or a TypeError, or named neither the field nor the file
+        # each used to end in a traceback, or named neither the field nor the
+        # file; a mangle edits the file's object in place or returns a new root
         path = tmp_path / "bad.json"
         save_checkpoint(path, self._checkpoint())
         data = json.loads(path.read_text())
-        mangle(data)
-        path.write_text(json.dumps(data))
+        root = mangle(data)
+        path.write_text(json.dumps(data if root is None else root))
         with pytest.raises(ValueError) as info:
             load_checkpoint(path)
         if "{path}" in reason:  # the decoder's own message follows the file

@@ -324,8 +324,33 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         write_json(path, {"format": "starvol-preconditioner", "version": 4, "source": "",
                           "scale": scale, "basis": None})
-        with pytest.raises(PreconditionerError, match="missing or non-integer dim"):
+        with pytest.raises(PreconditionerError, match="missing preconditioner field dim in "):
             Preconditioner.load(path)
+
+    @pytest.mark.parametrize("mangle, reason", [
+        pytest.param(lambda data: [data], "the preconditioner in {path} is not an object", id="root-list"),
+        pytest.param(lambda data: data.update(dim="3"),
+                     "malformed preconditioner field dim in {path}: expected an integer, got '3'", id="dim-string"),
+        pytest.param(lambda data: data.update(dim=True),
+                     "malformed preconditioner field dim in {path}: expected an integer, got True", id="dim-bool"),
+        pytest.param(lambda data: data.update(scale=5),
+                     "malformed preconditioner field scale in {path}: expected a base64 string, got int",
+                     id="scale-number"),
+        pytest.param(lambda data: data.update(basis=5),
+                     "malformed preconditioner field basis in {path}: expected a base64 string, got int",
+                     id="basis-number"),
+    ])
+    def test_malformed_file_is_refused_by_name(self, mangle, reason, tmp_path):
+        # a list root used to end in an AttributeError; a mangle edits the
+        # file's object in place or returns a new root
+        path = tmp_path / "bad.json"
+        from_hessian(np.diag([3.0, 1.0, 0.5]), eps=0.1).save(path)
+        data = json.loads(path.read_text())
+        root = mangle(data)
+        path.write_text(json.dumps(data if root is None else root))
+        with pytest.raises(PreconditionerError) as info:
+            Preconditioner.load(path)
+        assert str(info.value) == reason.format(path=path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"
@@ -832,7 +857,7 @@ class TestDenseMapOnDisk:
         path = tmp_path / f"{case}.json"
         write_json(path, {"format": "starvol-preconditioner", "version": version,
                           "dim": p.dim, "source": "hessian", **fields})
-        match = "malformed array" if version == 4 else f"unsupported preconditioner version {version}$"
+        match = "malformed preconditioner field scale" if version == 4 else f"unsupported preconditioner version {version}$"
         with pytest.raises(PreconditionerError, match=match):
             Preconditioner.load(path)
 
