@@ -75,7 +75,7 @@ ESTIMATE_FLAGS = (
     ("--cutoff", {"type": float, "default": 1e-2}),
     ("--k", {"type": int, "default": 100}),
     ("--preconditioner", {"choices": PRECONDITIONER_CHOICES, "default": "none"}),
-    ("--measure", {"choices": ("lebesgue", "gaussian"), "default": "gaussian"}),
+    ("--measure", {"choices": ("gaussian",), "default": "gaussian"}),  # only a checkpoint's own init prior
     ("--threads", {"type": int, "default": 1, "help": THREADS_HELP}),
     ("--r-max", {"type": float, "default": None}),
     ("--rel-tol", {"type": float, "default": 1e-4}),
@@ -98,7 +98,7 @@ def _resolve_seed(flag_seed: int | None, config_seed=None) -> int:
 def _build_datasets(config: Fields):
     """Materialize (train, val, poison) splits from the config's seed and dataset section."""
     ds = config.section("dataset")
-    poison_size = ds.get("poison", integer)
+    poison_size = ds.get("poison", lambda size: count(size, 0))
     # a zero-size split would make an empty Dataset, so only ask for it when used
     sizes = [ds.get("train", count), ds.get("val", count)] + ([poison_size] if poison_size > 0 else [])
     total = sum(sizes)
@@ -132,6 +132,7 @@ def _build_datasets(config: Fields):
 
 def cmd_train(args) -> int:
     file_cfg = Fields.read(args.config, "config").data if args.config else {}
+    Fields(file_cfg, args.config, "config").refuse_unknown(DEFAULT_CONFIG)
     config = merge_config(DEFAULT_CONFIG, file_cfg)
     fields = Fields(config, args.config, "config")
     master_seed = _resolve_seed(args.seed, fields.get("seed", integer, optional=True))
@@ -212,9 +213,10 @@ def _search_options(args) -> SearchOptions:
 class _CheckpointEstimator:
     """Local-volume estimates on one checkpoint, for estimate and sweep alike.
 
-    The datasets, cost, measure, search options and any ``--precond-file``
-    map are built once, and so is each named map, shaped at
-    ``DEFAULT_EPS[name]``; a ``--precond-file`` map stands for every name.
+    The datasets, cost, measure (always the checkpoint's Gaussian init
+    prior), search options and any ``--precond-file`` map are built once,
+    and so is each named map, shaped at ``DEFAULT_EPS[name]``; a
+    ``--precond-file`` map stands for every name.
     The full Hessian is kept only as the hessian map's eigenvectors.
     ``build_seconds[name]`` holds the process CPU and wall seconds of the
     map's ``curvature`` probe and, for the hessian map, its
@@ -233,7 +235,7 @@ class _CheckpointEstimator:
             self.data = train_ds
         else:
             raise ValueError(f"unknown cost {args.cost!r}")
-        self.measure = MeasureSpec(ckpt.sigma if args.measure == "gaussian" else None)
+        self.measure = MeasureSpec.gaussian(ckpt.sigma)
         self.opts = _search_options(args)
         loaded = Preconditioner.load(args.precond_file) if args.precond_file else None
         self._maps = dict.fromkeys(PRECONDITIONER_CHOICES, loaded) if loaded else {}
@@ -415,8 +417,8 @@ def cmd_mdl(args) -> int:
     if not records:
         raise ValueError(f"no records in {args.record}")
     record = Fields(records[-1], args.record, "record", root="the last record")
-    if record.get("measure", optional=True) != "lebesgue":
-        raise ValueError("description length requires a Lebesgue volume record")
+    if (measure := record.get("measure", optional=True)) != "gaussian":
+        raise ValueError(f"description length requires a Gaussian volume record, not measure {measure!r}")
     log_volume, n, config = record.get("log_volume", number), record.get("n", integer), record.section("config")
     if n != ckpt.params.n:
         raise ValueError(f"the record's n = {n} does not match the checkpoint's {ckpt.params.n} parameters")
@@ -427,7 +429,7 @@ def cmd_mdl(args) -> int:
             f"checkpoint's {digest}: the record was estimated at another anchor"
         )
     train_ds, _, _ = _build_datasets(Fields(ckpt.config, args.checkpoint, "checkpoint config"))
-    dl = description_length(log_volume, ckpt.params, MeasureSpec.gaussian(ckpt.sigma), train_ds)
+    dl = description_length(log_volume, ckpt.params, train_ds)
     payload = {
         "kl_term": dl.kl_term,
         "data_term": dl.data_term,
@@ -484,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", type=str, default="sweep.csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_mdl = sub.add_parser("mdl", help="two-part description length from a Lebesgue volume record")
+    p_mdl = sub.add_parser("mdl", help="two-part description length from a Gaussian volume record")
     p_mdl.add_argument("--checkpoint", type=str, required=True)
     p_mdl.add_argument("--record", type=str, required=True, help="JSON Lines file from estimate")
     p_mdl.add_argument("--out", type=str, default="mdl.json")

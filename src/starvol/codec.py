@@ -8,8 +8,9 @@ of a large array is held, and the same payload always gives the same bytes.
 
 Every checkpoint, map file, run record and config is read through
 :class:`Fields`, which refuses a root that is not an object, a file of
-another format or version, and a missing, null or malformed field, naming
-the field (dotted where nested, as ``dataset.train``) and the file.
+another format or version, and a missing, null, malformed or (in a
+``train`` config) unknown field, naming the field (dotted where nested, as
+``dataset.train``) and the file.
 """
 
 from __future__ import annotations
@@ -77,11 +78,11 @@ def integer(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
-def count(value) -> int:
-    """An :func:`integer` of at least 1."""
+def count(value, least: int = 1) -> int:
+    """An :func:`integer` of at least ``least``."""
     value = integer(value)
-    if value < 1:
-        raise ValueError(f"expected an integer >= 1, got {value}")
+    if value < least:
+        raise ValueError(f"expected an integer >= {least}, got {value}")
     return value
 
 
@@ -128,6 +129,14 @@ class Fields:
             return value if value is None or convert is None else convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise self.error(f"malformed {self.label} field {self.prefix}{name} in {self.path}: {exc}") from None
+
+    def refuse_unknown(self, known: dict) -> None:
+        """Refuse a field that ``known`` lacks, in every object that both hold under one name."""
+        for name, value in self.data.items():
+            if name not in known:
+                raise self.error(f"unknown {self.label} field {self.prefix}{name} in {self.path}")
+            if isinstance(value, dict) and isinstance(known[name], dict):
+                self.section(name).refuse_unknown(known[name])
 
     def section(self, name: str) -> "Fields":
         """The object in field ``name``, its fields named ``name.field``."""

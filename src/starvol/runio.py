@@ -165,8 +165,16 @@ def write_jsonl(path: str | Path, record: dict) -> None:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    lines = Path(path).read_text().splitlines()
-    return [json.loads(line) for line in lines if line.strip()]
+    """The JSON value on each non-blank line; a line that is not JSON is refused by file and line number."""
+    records = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line))
+        except ValueError as exc:
+            raise ValueError(f"line {number} of {path} is not JSON: {exc}") from None
+    return records
 
 
 def write_samples_csv(path: str | Path, estimate: VolumeEstimate) -> None:

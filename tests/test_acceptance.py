@@ -16,10 +16,12 @@ from scipy.integrate import quad
 
 from starvol.cli import main as cli_main
 from starvol.geometry import (
+    LEBESGUE_R_MAX,
     MeasureSpec,
     NeighborhoodSpec,
     SearchOptions,
     estimate_local_volume,
+    find_radius,
     gaussian_radial_log_integral,
 )
 from starvol.models import (
@@ -52,10 +54,9 @@ def _report(num: int, name: str, passed: bool, detail: str) -> None:
     assert passed, f"criterion {num} {name}: {detail}"
 
 
-def _kl_volume(params, inputs, sigma, cutoff, k, seed, measure="gaussian", precond=None):
+def _kl_volume(params, inputs, sigma, cutoff, k, seed, precond=None):
     cost = make_kl_cost(params, inputs)
-    meas = MeasureSpec.gaussian(sigma) if measure == "gaussian" else MeasureSpec.lebesgue()
-    spec = NeighborhoodSpec(anchor=params.flat, cost=cost, cutoff=cutoff, measure=meas)
+    spec = NeighborhoodSpec(anchor=params.flat, cost=cost, cutoff=cutoff, measure=MeasureSpec.gaussian(sigma))
     if precond is None:
         precond = Preconditioner.identity(params.n)
     return estimate_local_volume(spec, precond, k, seed=seed)
@@ -416,9 +417,8 @@ def test_12_poisoning_effect(poison_experiment):
         for arm in ("clean", "poisoned"):
             p = entry[arm]["params"]
             gauss = _kl_volume(p, entry["val"].inputs, entry["sigma"], 1e-2, k=64, seed=800)
-            leb = _kl_volume(p, entry["val"].inputs, entry["sigma"], 1e-2, k=64, seed=800,
-                             measure="lebesgue")
-            dl = description_length(leb.log_volume, p, MeasureSpec.gaussian(entry["sigma"]), entry["train"])
+            # the information content -log V_G, so this vote equals the volume vote
+            dl = description_length(gauss.log_volume, p, entry["train"])
             arm_vol[arm] = gauss.log_volume
             arm_kl_term[arm] = dl.kl_term
         vol_votes += arm_vol["poisoned"] < arm_vol["clean"]
@@ -434,6 +434,21 @@ def test_12_poisoning_effect(poison_experiment):
         ", ".join(f"({c:.2f}, {p:.2f})" for c, p in losses) +
         f"; {dt:.0f}s < 15min",
     )
+
+
+def test_12_softmax_net_has_no_lebesgue_volume(poison_experiment):
+    # adding one constant to every logit leaves the softmax unchanged, so the
+    # KL neighborhood of the seed-0 clean net is a cylinder along that shift
+    # u_F, and its Lebesgue volume is infinite
+    entry = poison_experiment[0]
+    p = entry["clean"]["params"]
+    u_f = np.zeros(p.n)
+    u_f[-4:] = 0.5  # the output layer's four biases come last
+    cost = make_kl_cost(p, entry["val"].inputs)
+    assert abs(cost(p.flat + 1e5 * u_f)) <= 1e-15
+    spec = NeighborhoodSpec(anchor=p.flat, cost=cost, cutoff=1e-2, measure=MeasureSpec.lebesgue())
+    radius, truncated, _ = find_radius(spec, u_f)
+    assert truncated and radius == LEBESGUE_R_MAX
 
 
 # -- 13 ----------------------------------------------------------------------

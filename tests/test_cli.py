@@ -127,10 +127,16 @@ class TestTrain:
                      id="train-size-fraction"),
         pytest.param(lambda cfg: cfg["dataset"].update(classes=0),
                      "malformed config field dataset.classes in {cfg}: expected an integer >= 1, got 0", id="no-classes"),
+        pytest.param(lambda cfg: cfg["dataset"].update(poison=-5),
+                     "malformed config field dataset.poison in {cfg}: expected an integer >= 0, got -5",
+                     id="negative-poison"),
+        pytest.param(lambda cfg: cfg["model"].update(hiden=[4]), "unknown config field model.hiden in {cfg}",
+                     id="unknown-key"),
     ])
     def test_malformed_config_exits_2_naming_field_and_file(self, mangle, reason, tmp_path, capsys):
-        # "hidden": "12" trained a 3-1-2-2 net, fractions were truncated, and
-        # the other cases ended in a traceback or named neither field nor file
+        # "hidden": "12" trained a 3-1-2-2 net, fractions were truncated, a
+        # negative poison size or a misspelt key trained as if it were absent,
+        # and the other cases ended in a traceback or named neither field nor file
         data = json.loads(json.dumps(TRAIN_CONFIG))
         root = mangle(data)
         cfg = tmp_path / "bad.json"
@@ -262,20 +268,30 @@ class TestEstimate:
             records.append(read_jsonl(out)[0])
         assert records[0]["log_volume"] == records[1]["log_volume"]
 
-    def test_lebesgue_adam_nu_and_saved_preconditioner(self, final_checkpoint, tmp_path):
+    def test_gaussian_adam_nu_and_saved_preconditioner(self, final_checkpoint, tmp_path, capsys):
         out = tmp_path / "runs.jsonl"
         saved = tmp_path / "precond.json"
         rc = main([
             "estimate", "--checkpoint", str(final_checkpoint),
-            "--k", "6", "--measure", "lebesgue", "--preconditioner", "adam-nu",
+            "--k", "6", "--measure", "gaussian", "--preconditioner", "adam-nu",
             "--save-precond", str(saved), "--out", str(out), "--seed", "2",
         ])
         assert rc == 0
         (record,) = read_jsonl(out)
-        assert record["measure"] == "lebesgue"
+        assert record["measure"] == "gaussian"
         assert record["preconditioner"].startswith("adam-nu[")
         assert record["build_seconds"] == {}  # Adam's second moment needs no probe
         assert Preconditioner.load(saved).describe() == record["preconditioner"]
+        # a softmax net's Lebesgue volume is infinite, so a checkpoint has
+        # only its own init measure
+        capsys.readouterr()
+        for argv in (["estimate"], ["sweep", "--kind", "cutoff", "--values", "1e-2"]):
+            lebesgue = tmp_path / f"{argv[0]}-lebesgue.out"
+            with pytest.raises(SystemExit) as info:
+                main([*argv, "--checkpoint", str(final_checkpoint), "--measure", "lebesgue", "--out", str(lebesgue)])
+            assert info.value.code == 2
+            assert "argument --measure: invalid choice: 'lebesgue'" in capsys.readouterr().err
+            assert not lebesgue.exists()
 
     def test_hessian_map_reloads_bit_identically(self, final_checkpoint, tmp_path):
         # the saved file keeps the scales and the eigenvector basis exactly,
@@ -740,59 +756,69 @@ class TestRunRecords:
 
 
 @pytest.fixture(scope="session")
-def lebesgue_record(final_checkpoint, tmp_path_factory):
+def gaussian_record(final_checkpoint, tmp_path_factory):
     out = tmp_path_factory.mktemp("mdl") / "vol.jsonl"
     rc = main([
         "estimate", "--checkpoint", str(final_checkpoint),
-        "--k", "8", "--measure", "lebesgue", "--out", str(out), "--seed", "6",
+        "--k", "8", "--out", str(out), "--seed", "6",
     ])
     assert rc == 0
     return out
 
 
 class TestMdl:
-    def test_description_length_report(self, final_checkpoint, lebesgue_record, tmp_path):
+    def test_description_length_report(self, final_checkpoint, gaussian_record, tmp_path):
         out = tmp_path / "mdl.json"
         rc = main([
             "mdl", "--checkpoint", str(final_checkpoint),
-            "--record", str(lebesgue_record), "--out", str(out),
+            "--record", str(gaussian_record), "--out", str(out),
         ])
         assert rc == 0
         payload = json.loads(out.read_text())
+        # the parameter cost is the information content -log V_G, bit for bit
+        assert payload["kl_term"] == -read_jsonl(gaussian_record)[-1]["log_volume"]
         assert payload["total"] == payload["kl_term"] + payload["data_term"]
         assert payload["data_term"] > 0
-        assert math.isfinite(payload["kl_term"])
         assert payload["n"] == 26
 
-    def test_seed_is_rejected(self, final_checkpoint, lebesgue_record, tmp_path, capsys):
+    def test_seed_is_rejected(self, final_checkpoint, gaussian_record, tmp_path, capsys):
         # mdl's data come from the checkpoint's own seed, so a --seed would be ignored
         out = tmp_path / "mdl.json"
         with pytest.raises(SystemExit) as info:
             main([
                 "mdl", "--checkpoint", str(final_checkpoint),
-                "--record", str(lebesgue_record), "--out", str(out), "--seed", "1",
+                "--record", str(gaussian_record), "--out", str(out), "--seed", "1",
             ])
         assert info.value.code == 2
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_gaussian_record_is_rejected(self, final_checkpoint, tmp_path, capsys):
-        rec = tmp_path / "gauss.jsonl"
-        assert main([
-            "estimate", "--checkpoint", str(final_checkpoint),
-            "--k", "4", "--measure", "gaussian", "--out", str(rec), "--seed", "6",
-        ]) == 0
-        capsys.readouterr()
-        rc = main([
-            "mdl", "--checkpoint", str(final_checkpoint),
-            "--record", str(rec), "--out", str(tmp_path / "mdl.json"),
-        ])
+    def test_lebesgue_record_is_rejected(self, final_checkpoint, gaussian_record, tmp_path, capsys):
+        # a record an older build wrote under the Lebesgue measure
+        rec = tmp_path / "lebesgue.jsonl"
+        rec.write_text(json.dumps({**read_jsonl(gaussian_record)[-1], "measure": "lebesgue"}) + "\n")
+        out = tmp_path / "mdl.json"
+        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err == "error: description length requires a Lebesgue volume record\n"
+        assert capsys.readouterr().err == (
+            "error: description length requires a Gaussian volume record, not measure 'lebesgue'\n"
+        )
+        assert not out.exists()
 
-    def test_record_from_another_network_is_rejected(self, final_checkpoint, lebesgue_record,
+    def test_truncated_record_line_is_named(self, final_checkpoint, gaussian_record, tmp_path, capsys):
+        # a run cut off mid-write leaves a last line that is not JSON
+        rec = tmp_path / "cut.jsonl"
+        line = json.dumps(read_jsonl(gaussian_record)[-1])
+        rec.write_text(f"{line}\n{line[:40]}\n")
+        out = tmp_path / "mdl.json"
+        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: line 2 of {rec} is not JSON: ")
+        assert not out.exists()
+
+    def test_record_from_another_network_is_rejected(self, final_checkpoint, gaussian_record,
                                                      tmp_path, capsys):
-        record = read_jsonl(lebesgue_record)[-1]
+        record = read_jsonl(gaussian_record)[-1]
         assert record["n"] == 26
         rec = tmp_path / "other.jsonl"
         rec.write_text(json.dumps({**record, "n": 27}) + "\n")
@@ -802,17 +828,17 @@ class TestMdl:
         assert "n = 27 does not match the checkpoint's 26 parameters" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_record_from_another_checkpoint_is_rejected(self, train_run, lebesgue_record,
+    def test_record_from_another_checkpoint_is_rejected(self, train_run, gaussian_record,
                                                         tmp_path, capsys):
         # the step-3 checkpoint has the same n as the final one the record came from
         step3 = train_run["checkpoints"][1]
         assert step3.name == "checkpoint_step000003.json"
-        recorded = read_jsonl(lebesgue_record)[-1]["config"]["anchor_sha256"]
+        recorded = read_jsonl(gaussian_record)[-1]["config"]["anchor_sha256"]
         flat = load_checkpoint(step3).params.flat
         digest = hashlib.sha256(flat.astype("<f8").tobytes()).hexdigest()
         assert digest != recorded
         out = tmp_path / "mdl.json"
-        rc = main(["mdl", "--checkpoint", str(step3), "--record", str(lebesgue_record), "--out", str(out)])
+        rc = main(["mdl", "--checkpoint", str(step3), "--record", str(gaussian_record), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert f"anchor_sha256 {recorded} does not match the checkpoint's {digest}" in err
@@ -834,20 +860,20 @@ class TestMdl:
         pytest.param(lambda record: {**record, "log_volume": "big"},
                      "malformed record field log_volume in {rec}: expected a number, got 'big'", id="log-volume-string"),
     ])
-    def test_malformed_record_exits_2_naming_the_field(self, mangle, reason, final_checkpoint, lebesgue_record,
+    def test_malformed_record_exits_2_naming_the_field(self, mangle, reason, final_checkpoint, gaussian_record,
                                                        tmp_path, capsys):
         # each used to end in a KeyError, AttributeError or TypeError traceback
         rec = tmp_path / "bad.jsonl"
-        rec.write_text(json.dumps(mangle(read_jsonl(lebesgue_record)[-1])) + "\n")
+        rec.write_text(json.dumps(mangle(read_jsonl(gaussian_record)[-1])) + "\n")
         out = tmp_path / "mdl.json"
         rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {reason.format(rec=rec)}\n"
         assert not out.exists()
 
-    def test_record_without_anchor_digest_is_rejected(self, final_checkpoint, lebesgue_record,
+    def test_record_without_anchor_digest_is_rejected(self, final_checkpoint, gaussian_record,
                                                      tmp_path, capsys):
-        record = read_jsonl(lebesgue_record)[-1]
+        record = read_jsonl(gaussian_record)[-1]
         del record["config"]["anchor_sha256"]
         rec = tmp_path / "old.jsonl"
         rec.write_text(json.dumps(record) + "\n")

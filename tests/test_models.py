@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from starvol import blas
-from starvol.geometry import MeasureSpec
 from starvol.models.data import Dataset, make_blobs, split_dataset
 import starvol.models.hessian as hessian_module
 from starvol.models.hessian import hessian_diag, hessian_full
@@ -906,27 +905,19 @@ class TestHessian:
 
 class TestDescriptionLength:
     def test_parameter_term_formula(self):
-        shape = ((2, 2),)
-        anchor = MlpParams(np.array([0.5, -0.5, 1.0, 0.0, 0.25, -0.25]), shape)
-        sigma = np.array([0.5, 0.5, 0.5, 0.5, 1.0, 1.0])
+        # -log V_G is KL(q || prior) for q the prior restricted to the
+        # neighborhood, so it needs no plug-in at the anchor
+        anchor = MlpParams(np.array([0.5, -0.5, 1.0, 0.0, 0.25, -0.25]), ((2, 2),))
         data = make_blobs(dim=2, classes=2, per_class=3, seed=0)
-        dl = description_length(-2.0, anchor, MeasureSpec.gaussian(sigma), data)
-        want = (
-            0.5 * 6 * math.log(2.0 * math.pi)
-            + float(np.sum(np.log(sigma)))
-            + 0.5 * float(np.sum((anchor.flat / sigma) ** 2))
-            - (-2.0)
-        )
-        assert dl.kl_term == pytest.approx(want, rel=1e-12)
+        dl = description_length(-2.0, anchor, data)
+        assert dl.kl_term == -(-2.0)
         assert dl.total == dl.kl_term + dl.data_term
 
     def test_doubling_volume_saves_log_two(self):
-        shape = ((2, 2),)
-        anchor = MlpParams(np.zeros(6), shape)
-        sigma = np.ones(6)
+        anchor = MlpParams(np.zeros(6), ((2, 2),))
         data = make_blobs(dim=2, classes=2, per_class=3, seed=0)
-        base = description_length(0.0, anchor, MeasureSpec.gaussian(sigma), data)
-        wider = description_length(math.log(2.0), anchor, MeasureSpec.gaussian(sigma), data)
+        base = description_length(0.0, anchor, data)
+        wider = description_length(math.log(2.0), anchor, data)
         assert base.kl_term - wider.kl_term == pytest.approx(math.log(2.0), rel=1e-12)
         assert base.data_term == wider.data_term
 
@@ -934,21 +925,9 @@ class TestDescriptionLength:
         shape = ((2, 4), (4, 3))
         anchor = MlpParams(np.zeros(param_count(shape)), shape)
         data = make_blobs(dim=2, classes=3, per_class=5, seed=1)
-        dl = description_length(0.0, anchor, MeasureSpec.gaussian(np.ones(anchor.n)), data)
+        dl = description_length(0.0, anchor, data)
         # uniform predictions price every label at log(classes)
         assert dl.data_term == pytest.approx(data.m * math.log(3.0), rel=1e-12)
-
-    def test_requires_gaussian_prior(self):
-        anchor = MlpParams(np.zeros(6), ((2, 2),))
-        data = make_blobs(dim=2, classes=2, per_class=3, seed=0)
-        with pytest.raises(ValueError, match="Gaussian prior"):
-            description_length(0.0, anchor, MeasureSpec.lebesgue(), data)
-
-    def test_dimension_mismatch(self):
-        anchor = MlpParams(np.zeros(6), ((2, 2),))
-        data = make_blobs(dim=2, classes=2, per_class=3, seed=0)
-        with pytest.raises(ValueError, match="disagree"):
-            description_length(0.0, anchor, MeasureSpec.gaussian(np.ones(7)), data)
 
 
 def _drop(obj, key):
