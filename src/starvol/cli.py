@@ -4,7 +4,9 @@ Every run is reproducible from its record: the master seed is resolved
 once (flag > config file > STARVOL_SEED > 0), all internal randomness is
 derived from it by fixed roles, and per-sample streams are split by sample
 index. Estimates run on one thread (``--threads`` changes nothing), so run
-separate processes for parallelism.
+separate processes for parallelism. ``estimate`` and every ``sweep`` point
+run through one point runner, ``_Target.record``, so a sweep point has an
+estimate's record, and each sweep output is read from those records.
 """
 
 from __future__ import annotations
@@ -51,10 +53,12 @@ from .models.train import AdamHyper
 from .precondition import DEFAULT_EPS, Preconditioner, PreconditionerError, eigendecompose, from_diagonal
 from .runio import (
     DEFAULT_CONFIG,
+    SAMPLE_FIELDS,
     default_seed,
     make_run_record,
     merge_config,
     read_jsonl,
+    sample_rows,
     write_csv,
     write_jsonl,
     write_samples_csv,
@@ -66,10 +70,10 @@ SEED_ROLES = {"data": 0, "init": 1, "train": 2}
 PRECONDITIONER_CHOICES = ("none", "hessian", "diag", "adam-nu")
 PRECOND_FILE_HELP = "load a saved preconditioner (a sweep accepts it over cutoffs or checkpoints only)"
 THREADS_HELP = "accepted and validated (at least 1) but ignored: every ray runs on the calling thread; run separate processes for parallelism"
-TARGET_HELP = "quadratic: a synthetic |x|^2/2 cost, always with Lebesgue measure and the identity map"
+TARGET_HELP = "quadratic: a synthetic |x|^2/2 cost under Lebesgue measure with the identity map; --kind cutoff only"
 
 # flags shared by estimate and sweep, defined once in an argparse parent
-# parser (with --seed); an estimate record lists each under "config"
+# parser (with --seed); every point's record lists each under "config"
 ESTIMATE_FLAGS = (
     ("--cost", {"choices": ("kl", "loss"), "default": "kl"}),
     ("--cutoff", {"type": float, "default": 1e-2}),
@@ -191,7 +195,7 @@ def cmd_train(args) -> int:
 
 def _anchor_sha256(flat: np.ndarray) -> str:
     """SHA-256 of the anchor's little-endian float64 bytes, which ties a record to its checkpoint."""
-    import hashlib  # loads OpenSSL, about 4 MB resident, which only estimate and mdl need
+    import hashlib  # loads OpenSSL, about 4 MB resident, which train does not need
 
     return hashlib.sha256(np.asarray(flat, dtype="<f8").tobytes()).hexdigest()
 
@@ -210,36 +214,45 @@ def _search_options(args) -> SearchOptions:
     return SearchOptions(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchOptions)})
 
 
-class _CheckpointEstimator:
-    """Local-volume estimates on one checkpoint, for estimate and sweep alike.
+def _half_square(x: np.ndarray) -> float:
+    return 0.5 * float(np.dot(x, x))
 
-    The datasets, cost, measure (always the checkpoint's Gaussian init
-    prior), search options and any ``--precond-file`` map are built once,
-    and so is each named map, shaped at ``DEFAULT_EPS[name]``; a
-    ``--precond-file`` map stands for every name.
-    The full Hessian is kept only as the hessian map's eigenvectors.
-    ``build_seconds[name]`` holds the process CPU and wall seconds of the
-    map's ``curvature`` probe and, for the hessian map, its
-    ``eigendecompose``; a map built from no probe has no entry.
+
+class _Target:
+    """What estimate and every sweep point estimate: a checkpoint, or the quadratic.
+
+    A checkpoint's target is its ``--cost`` under its Gaussian init prior,
+    with its datasets, search options and any ``--precond-file`` map built
+    once, and so is each named map, shaped at ``DEFAULT_EPS[name]``; a
+    ``--precond-file`` map stands for every name. The full Hessian is kept
+    only as the hessian map's eigenvectors. ``build_seconds[name]`` holds the
+    process CPU and wall seconds of the map's ``curvature`` probe and, for
+    the hessian map, its ``eigendecompose``; a map built from no probe has
+    no entry. With no checkpoint, the target is |x|^2/2 at ``zeros(--n)``
+    under the Lebesgue measure, with the identity map.
     """
 
-    def __init__(self, args, ckpt: Checkpoint, path: str):
-        self.args = args
-        self.ckpt = ckpt
-        train_ds, val_ds, _ = _build_datasets(Fields(ckpt.config, path, "checkpoint config"))
-        if args.cost == "kl":
-            self.cost = make_kl_cost(ckpt.params, val_ds.inputs)
-            self.data = (ckpt.params, val_ds.inputs)
-        elif args.cost == "loss":
-            self.cost = make_loss_cost(ckpt.params.shape, train_ds)
-            self.data = train_ds
-        else:
-            raise ValueError(f"unknown cost {args.cost!r}")
-        self.measure = MeasureSpec.gaussian(ckpt.sigma)
+    def __init__(self, args, ckpt: Checkpoint | None = None, path: str | None = None):
+        self.args, self.ckpt, self.path = args, ckpt, path
         self.opts = _search_options(args)
-        loaded = Preconditioner.load(args.precond_file) if args.precond_file else None
-        self._maps = dict.fromkeys(PRECONDITIONER_CHOICES, loaded) if loaded else {}
         self.build_seconds: dict[str, dict[str, dict[str, float]]] = {}
+        if ckpt is None:
+            self._maps = {"none": Preconditioner.identity(args.n)}
+            self.anchor, self.cost, self.measure = np.zeros(args.n), _half_square, MeasureSpec.lebesgue()
+        else:
+            train_ds, val_ds, _ = _build_datasets(Fields(ckpt.config, path, "checkpoint config"))
+            if args.cost == "kl":
+                self.cost = make_kl_cost(ckpt.params, val_ds.inputs)
+                self.data = (ckpt.params, val_ds.inputs)
+            elif args.cost == "loss":
+                self.cost = make_loss_cost(ckpt.params.shape, train_ds)
+                self.data = train_ds
+            else:
+                raise ValueError(f"unknown cost {args.cost!r}")
+            self.anchor, self.measure = ckpt.params.flat, MeasureSpec.gaussian(ckpt.sigma)
+            loaded = Preconditioner.load(args.precond_file) if args.precond_file else None
+            self._maps = dict.fromkeys(PRECONDITIONER_CHOICES, loaded) if loaded else {}
+        self.anchor_sha256 = _anchor_sha256(self.anchor)
 
     def preconditioner(self, name: str) -> Preconditioner:
         if name not in PRECONDITIONER_CHOICES:
@@ -262,35 +275,50 @@ class _CheckpointEstimator:
                 spectrum, basis = _timed(took, "eigendecompose", eigendecompose, spectrum)
         return from_diagonal(spectrum, DEFAULT_EPS[name], source=name, basis=basis)
 
-    def estimate(self, cutoff: float, name: str, seed: int):
-        spec = NeighborhoodSpec(
-            anchor=self.ckpt.params.flat, cost=self.cost, cutoff=cutoff, measure=self.measure
-        )
-        return estimate_local_volume(spec, self.preconditioner(name), self.args.k, self.opts, seed)
+    def record(self, cutoff: float, name: str, seed: int):
+        """``(record, estimate)`` of one point: the estimate at ``cutoff`` with map ``name``,
+        and its run record.
+
+        The record's config lists the flags, the checkpoint path (null for
+        the quadratic), the point's own cutoff and map, the eps that map was
+        shaped at (null for the identity map or a loaded map) and the
+        anchor's ``anchor_sha256``. ``estimate`` raises a failed estimate;
+        a sweep gets a record with ``status`` ``failed: <reason>`` and no
+        estimate fields, and an estimate of None.
+        """
+        args = self.args
+        config = {"checkpoint": self.path}
+        for flag, _ in ESTIMATE_FLAGS:
+            dest = flag[2:].replace("-", "_")
+            config[dest] = getattr(args, dest)
+        config.update(cutoff=cutoff, preconditioner=name, anchor_sha256=self.anchor_sha256,
+                      eps=None if args.precond_file else DEFAULT_EPS.get(name))
+        start = time.perf_counter()
+        try:
+            spec = NeighborhoodSpec(self.anchor, self.cost, cutoff, self.measure)
+            estimate = estimate_local_volume(spec, self.preconditioner(name), args.k, self.opts, seed)
+        except (EstimationError, CostEvaluationError, PreconditionerError) as exc:
+            if args.command == "estimate":
+                raise
+            record = make_run_record(args.command, seed, config, None, time.perf_counter() - start)
+            record.update(k=args.k, cutoff=cutoff, measure=self.measure.kind, preconditioner=name,
+                          status=f"failed: {exc}")
+            return record, None
+        record = make_run_record(args.command, seed, config, estimate, time.perf_counter() - start)
+        record["build_seconds"] = self.build_seconds.get(name, {})
+        return record, estimate
 
 
 def cmd_estimate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     seed = _resolve_seed(args.seed)
-    start = time.perf_counter()
-    estimator = _CheckpointEstimator(args, ckpt, args.checkpoint)
-    estimate = estimator.estimate(args.cutoff, args.preconditioner, seed)
-    wall = time.perf_counter() - start
-
-    resolved = {"checkpoint": str(args.checkpoint)}
-    for flag, _ in ESTIMATE_FLAGS:
-        dest = flag[2:].replace("-", "_")
-        resolved[dest] = getattr(args, dest)
-    # the eps the map was shaped at: none for the identity map or a loaded map
-    resolved["eps"] = None if args.precond_file else DEFAULT_EPS.get(args.preconditioner)
-    resolved["anchor_sha256"] = _anchor_sha256(ckpt.params.flat)
-    record = make_run_record("estimate", seed, resolved, estimate, wall)
-    record["build_seconds"] = estimator.build_seconds.get(args.preconditioner, {})
+    target = _Target(args, ckpt, args.checkpoint)
+    record, estimate = target.record(args.cutoff, args.preconditioner, seed)
     out = Path(args.out)
     write_jsonl(out, record)
     write_samples_csv(out.with_suffix(".samples.csv"), estimate)
     if args.save_precond:
-        estimator.preconditioner(args.preconditioner).save(args.save_precond)
+        target.preconditioner(args.preconditioner).save(args.save_precond)
 
     bound = " (lower bound: truncated rays)" if estimate.lower_bound_only else ""
     print(
@@ -306,101 +334,59 @@ def cmd_estimate(args) -> int:
 
 # -- sweep ---------------------------------------------------------------------
 
-SWEEP_FIELDS = [
-    "kind",
-    "value",
-    "n",
-    "k",
-    "cutoff",
-    "measure",
-    "preconditioner",
-    "log_volume",
-    "log10_volume",
-    "truncated_count",
-    "failed_count",
-    "status",
-]
+# the record fields a sweep CSV row holds after its kind and value
+SWEEP_FIELDS = ["n", "k", "cutoff", "measure", "preconditioner", "log_volume", "log10_volume", "truncated_count",
+                "failed_count", "status"]
 
 
-def _sweep_points(args) -> list[tuple]:
-    """The sweep's points, each (value, (checkpoint, its path), cutoff, preconditioner).
+def _sweep_targets(args) -> list[tuple]:
+    """The sweep's targets, each (its checkpoint and path, or () for the quadratic, its points).
 
-    A checkpoint pair of None stands for the synthetic quadratic target.
+    A point is (value, cutoff, preconditioner).
     """
     kind = args.kind
+    if args.target == "quadratic" and kind != "cutoff":
+        raise ValueError(f"sweep --target quadratic sweeps --kind cutoff only, not --kind {kind}")
     if kind == "checkpoint":
         paths = [p for p in args.checkpoints.split(",") if p]
         if not paths:
             raise ValueError("sweep --kind checkpoint requires --checkpoints")
         ckpts = sorted(((load_checkpoint(p), p) for p in paths), key=lambda pair: pair[0].step)
-        return [(c.step, (c, p), args.cutoff, args.preconditioner) for c, p in ckpts]
+        return [((c, p), [(c.step, args.cutoff, args.preconditioner)]) for c, p in ckpts]
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise ValueError(f"sweep --kind {kind} requires --values")
-    if kind == "cutoff" and args.target == "quadratic":
-        return [(float(v), None, float(v), "none") for v in values]
+    if args.target == "quadratic":
+        return [((), [(float(v), float(v), "none") for v in values])]
     if args.checkpoint is None:
         raise ValueError(f"sweep --kind {kind} requires --checkpoint")
     if args.precond_file and kind == "preconditioner":
         raise ValueError("--precond-file would replace every swept value of --kind preconditioner")
     source = (load_checkpoint(args.checkpoint), args.checkpoint)
     if kind == "cutoff":
-        return [(float(v), source, float(v), args.preconditioner) for v in values]
-    return [(v, source, args.cutoff, v) for v in values]
-
-
-def _quadratic_estimate(args, cutoff: float, seed: int):
-    def cost(x: np.ndarray) -> float:
-        return 0.5 * float(np.dot(x, x))
-
-    spec = NeighborhoodSpec(np.zeros(args.n), cost, cutoff, MeasureSpec.lebesgue())
-    return estimate_local_volume(
-        spec, Preconditioner.identity(args.n), args.k, _search_options(args), seed
-    )
+        return [(source, [(float(v), float(v), args.preconditioner) for v in values])]
+    return [(source, [(v, args.cutoff, v) for v in values])]
 
 
 def cmd_sweep(args) -> int:
     seed = _resolve_seed(args.seed)
-    rows = []
-    done = []  # (value, log volume) of each point that succeeded
-    estimator = None
-    for value, source, cutoff, name in _sweep_points(args):
-        # an input the estimator refuses exits; a failed estimate gets a row
-        if source is not None and (estimator is None or estimator.ckpt is not source[0]):
-            estimator = None  # free the last checkpoint's curvature first
-            estimator = _CheckpointEstimator(args, *source)
-        # a failed point's row still names its own cutoff and preconditioner
-        row = {
-            "kind": args.kind,
-            "value": value,
-            "k": args.k,
-            "cutoff": cutoff,
-            "measure": "lebesgue" if source is None else args.measure,
-            "preconditioner": name,
-        }
-        try:
-            est = _quadratic_estimate(args, cutoff, seed) if source is None else estimator.estimate(cutoff, name, seed)
-        except (EstimationError, CostEvaluationError, PreconditionerError) as exc:
-            rows.append({**row, "status": f"failed: {exc}"})
-            continue
-        row.update(
-            n=est.n,
-            measure=est.measure.kind,
-            preconditioner=est.preconditioner_id,
-            log_volume=repr(est.log_volume),
-            log10_volume=repr(est.log10_volume),
-            truncated_count=est.truncated_count,
-            failed_count=est.failed_count,
-            status="ok",
-        )
-        rows.append(row)
-        done.append((value, est.log_volume))
+    points = []  # (value, record, estimate) of each point; the estimate is None where it failed
+    for source, values in _sweep_targets(args):
+        # an input the target refuses exits; a failed estimate gets a record
+        target = None  # free the last checkpoint's curvature first
+        target = _Target(args, *source)
+        points += [(value, *target.record(cutoff, name, seed)) for value, cutoff, name in values]
 
     out = Path(args.out)
-    write_csv(out, rows, SWEEP_FIELDS)
+    rows = [{"kind": args.kind, "value": value, **{f: r[f] for f in SWEEP_FIELDS if f in r}} for value, r, _ in points]
+    write_csv(out, rows, ["kind", "value", *SWEEP_FIELDS])
+    write_jsonl(out.with_suffix(".records.jsonl"), *(r for _, r, _ in points), mode="w")
+    samples = [row for i, (_, _, est) in enumerate(points) if est for row in sample_rows(est, point=i)]
+    write_csv(out.with_suffix(".samples.csv"), samples, ["point", *SAMPLE_FIELDS])
+    done = [r for _, r, _ in points if r["status"] == "ok"]
     if args.kind == "cutoff" and len(done) >= 2:
-        xs = [math.log(cutoff) for cutoff, _ in done]
-        slope = float(np.polyfit(xs, [log_volume for _, log_volume in done], 1)[0])
+        xs = [math.log(r["cutoff"]) for r in done]
+        slope = float(np.polyfit(xs, [r["log_volume"] for r in done], 1)[0])
         print(f"fitted log-log slope of volume vs cutoff: {slope:.4f}")
         summary = {"kind": args.kind, "log_log_slope": slope, "seed": seed}
         out.with_suffix(".summary.json").write_text(json.dumps(summary, sort_keys=True))
@@ -488,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mdl = sub.add_parser("mdl", help="two-part description length from a Gaussian volume record")
     p_mdl.add_argument("--checkpoint", type=str, required=True)
-    p_mdl.add_argument("--record", type=str, required=True, help="JSON Lines file from estimate")
+    p_mdl.add_argument("--record", type=str, required=True, help="JSON Lines file from estimate or sweep")
     p_mdl.add_argument("--out", type=str, default="mdl.json")
     p_mdl.set_defaults(func=cmd_mdl)
 

@@ -2,9 +2,10 @@
 
 Configs are one JSON object with the sections documented in the README,
 read through ``codec.Fields``; command-line flags override individual
-entries. Every run appends one JSON Lines record holding the resolved
-config, the seed, and the aggregated result, with per-sample detail in a
-sibling CSV, so any reported number can be replayed from its record alone.
+entries. An estimate appends one JSON Lines record, and a sweep rewrites
+one per point, each holding the resolved config, the seed, and the
+aggregated result, with per-sample detail in a sibling CSV, so any reported
+number can be replayed from its record alone.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from .geometry import VolumeEstimate
 
 __all__ = [
     "DEFAULT_CONFIG",
+    "SAMPLE_FIELDS",
     "build_id",
     "default_seed",
     "make_run_record",
     "merge_config",
     "read_jsonl",
+    "sample_rows",
     "write_csv",
     "write_jsonl",
     "write_samples_csv",
@@ -120,54 +123,55 @@ def build_id() -> str:
     return "starvol-0.1.0"
 
 
+# the estimate's fields that a run record holds under their own names
+ESTIMATE_FIELDS = ("n", "k", "cutoff", "log_volume", "log10_volume", "max_log_term", "truncated_count", "failed_count",
+                   "failed_by_reason", "cost_evals", "evals_per_ray", "ess", "top_share", "log_term_sd", "prefix_rise",
+                   "lower_bound_only", "stage_seconds")
+
+
 def make_run_record(
     subcommand: str,
     seed: int,
     config: dict,
-    estimate: VolumeEstimate,
+    estimate: VolumeEstimate | None,
     wall_time_s: float,
 ) -> dict:
-    return {
+    """The run fields, and with an ``estimate`` its fields and ``status`` "ok"."""
+    record = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "build": build_id(),
         "subcommand": subcommand,
         "seed": seed,
         "config": config,
-        "n": estimate.n,
-        "k": estimate.k,
-        "cutoff": estimate.cutoff,
+        "wall_time_s": wall_time_s,
+    }
+    if estimate is None:
+        return record
+    return record | {name: getattr(estimate, name) for name in ESTIMATE_FIELDS} | {
         "measure": estimate.measure.kind,
         "preconditioner": estimate.preconditioner_id,
-        "log_volume": estimate.log_volume,
-        "log10_volume": estimate.log10_volume,
-        "max_log_term": estimate.max_log_term,
-        "truncated_count": estimate.truncated_count,
-        "failed_count": estimate.failed_count,
-        "failed_by_reason": estimate.failed_by_reason,
-        "cost_evals": estimate.cost_evals,
-        "evals_per_ray": estimate.evals_per_ray,
-        "ess": estimate.ess,
-        "top_share": estimate.top_share,
-        "log_term_sd": estimate.log_term_sd,
-        "prefix_rise": estimate.prefix_rise,
-        "lower_bound_only": estimate.lower_bound_only,
-        "stage_seconds": estimate.stage_seconds,
         "log_terms": [s.log_term for s in estimate.samples],
-        "wall_time_s": wall_time_s,
+        "status": "ok",
     }
 
 
-def write_jsonl(path: str | Path, record: dict) -> None:
+def write_jsonl(path: str | Path, *records: dict, mode: str = "a") -> None:
+    """Append ``records`` to ``path``, one per line; ``mode="w"`` rewrites the file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+    with path.open(mode) as fh:
+        fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    """The JSON value on each non-blank line; a line that is not JSON is refused by file and line number."""
+    """The JSON value on each non-blank line; a file that is not UTF-8 is refused by name,
+    and a line that is not JSON by file and line number."""
+    try:
+        text = Path(path).read_text()
+    except ValueError as exc:  # not UTF-8
+        raise ValueError(f"not a JSON Lines file: {path}: {exc}") from None
     records = []
-    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -177,12 +181,18 @@ def read_jsonl(path: str | Path) -> list[dict]:
     return records
 
 
-def write_samples_csv(path: str | Path, estimate: VolumeEstimate) -> None:
-    fields = ["sample", "radius", "truncated", "failed", "failure", "evals", "log_importance_norm", "log_term"]
-    rows = [dict(zip(fields, (i, repr(s.radius), int(s.truncated), int(s.failed), s.failure, s.evals,
-                              repr(s.log_importance_norm), repr(s.log_term))))
+SAMPLE_FIELDS = ["sample", "radius", "truncated", "failed", "failure", "evals", "log_importance_norm", "log_term"]
+
+
+def sample_rows(estimate: VolumeEstimate, **leading) -> list[dict]:
+    """One row per ray of ``estimate`` under ``SAMPLE_FIELDS``, each after the ``leading`` columns."""
+    return [{**leading, **dict(zip(SAMPLE_FIELDS, (i, repr(s.radius), int(s.truncated), int(s.failed), s.failure,
+                                                   s.evals, repr(s.log_importance_norm), repr(s.log_term))))}
             for i, s in enumerate(estimate.samples)]
-    write_csv(path, rows, fields)
+
+
+def write_samples_csv(path: str | Path, estimate: VolumeEstimate) -> None:
+    write_csv(path, sample_rows(estimate), SAMPLE_FIELDS)
 
 
 def write_csv(path: str | Path, rows: list[dict], fieldnames: list[str]) -> None:

@@ -562,6 +562,24 @@ class TestSweep:
         reason = "RadiusSearchError: radius search did not converge to rel_tol=0.0001"
         assert [r["status"] for r in rows] == [f"failed: no valid samples (8 rays: {reason})"] * 2
         assert {(r["measure"], r["preconditioner"]) for r in rows} == {("lebesgue", "none")}
+        # each failed point still has its record, with the row's status and no estimate fields
+        records = read_jsonl(out.with_suffix(".records.jsonl"))
+        assert [r["status"] for r in records] == [r["status"] for r in rows]
+        assert not any("log_volume" in r for r in records)
+        assert [(r["cutoff"], r["config"]["checkpoint"]) for r in records] == [(1e-2, None), (1e-1, None)]
+        assert _read_csv(out.with_suffix(".samples.csv")) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "checkpoint", "--checkpoints", "a.json"], "sweep --target quadratic sweeps --kind cutoff only"),
+        (["--kind", "preconditioner", "--values", "none"], "sweep --target quadratic sweeps --kind cutoff only"),
+        # the target, and so its identity map, is built before any point runs
+        (["--kind", "cutoff", "--values", "1e-2", "--n", "0"], "dimension must be >= 1, got 0"),
+    ])
+    def test_quadratic_sweep_refusals_exit_2(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--target", "quadratic", *argv, "--k", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert list(tmp_path.iterdir()) == []
 
     def test_quadratic_sweep_honours_search_flags(self, tmp_path):
         # both cutoffs' boundaries, radii sqrt(0.02) and sqrt(0.2), lie past
@@ -589,8 +607,17 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--kind", "cutoff", "--values", ",".join(cutoffs), "--out", str(out), *shared]) == 0
         rows = _read_csv(out)
-        assert len(rows) == len(cutoffs)
-        for cutoff, row in zip(cutoffs, rows):
+        swept = read_jsonl(out.with_suffix(".records.jsonl"))
+        assert len(rows) == len(swept) == len(cutoffs)
+        timings = ("wall_time_s", "stage_seconds")
+
+        def comparable(record):
+            # all but when, by which code and command, and how long each stage took
+            kept = {k: v for k, v in record.items() if k not in ("timestamp", "build", "subcommand", *timings)}
+            return kept | {"build_seconds": sorted(record["build_seconds"])}
+
+        samples_by_point = _read_csv(out.with_suffix(".samples.csv"))
+        for i, (cutoff, row, point) in enumerate(zip(cutoffs, rows, swept)):
             record_path = tmp_path / f"estimate-{cutoff}.jsonl"
             assert main(["estimate", "--cutoff", cutoff, "--out", str(record_path), *shared]) == 0
             (record,) = read_jsonl(record_path)
@@ -599,6 +626,13 @@ class TestSweep:
             assert row["log10_volume"] == repr(record["log10_volume"])
             assert row["preconditioner"] == record["preconditioner"]
             assert row["cutoff"] == repr(record["cutoff"])
+            assert (record["subcommand"], point["subcommand"]) == ("estimate", "sweep")
+            assert set(point) == set(record) and all(k in point for k in timings)
+            assert comparable(point) == comparable(record)
+            samples = [{k: v for k, v in r.items() if k != "point"} for r in samples_by_point if r["point"] == str(i)]
+            assert samples == _read_csv(record_path.with_suffix(".samples.csv"))
+        # k rows per point, numbered by the point's line in the records file
+        assert [r["point"] for r in samples_by_point] == [str(i) for i in range(len(cutoffs)) for _ in range(5)]
 
     @pytest.mark.parametrize("argv, flag", [
         (["--kind", "cutoff", "--values", "0.1"], "--checkpoint"),
@@ -659,6 +693,11 @@ class TestSweep:
         assert (ok["status"], ok["cutoff"]) == ("ok", "2.0")
         # one successful point fits no slope, so no summary is written
         assert not out.with_suffix(".summary.json").exists()
+        # the failed point has a record but no samples; the other's k rays follow as point 1
+        records = read_jsonl(out.with_suffix(".records.jsonl"))
+        assert [r["status"] for r in records] == [failed["status"], "ok"]
+        assert (records[0]["preconditioner"], records[0]["measure"], records[0]["k"]) == ("diag", "gaussian", 4)
+        assert [r["point"] for r in _read_csv(out.with_suffix(".samples.csv"))] == ["1"] * 4
 
     def test_malformed_map_file_exits_2_without_rows(self, final_checkpoint, tmp_path, capsys):
         # the map used to be loaded inside each point's try, so a malformed
@@ -804,6 +843,32 @@ class TestMdl:
             "error: description length requires a Gaussian volume record, not measure 'lebesgue'\n"
         )
         assert not out.exists()
+
+    def test_record_file_that_is_not_utf8_is_named(self, final_checkpoint, tmp_path, capsys):
+        rec = tmp_path / "utf16.jsonl"
+        rec.write_bytes(b"\xff\xfe{}\n")
+        out = tmp_path / "mdl.json"
+        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: not a JSON Lines file: {rec}: 'utf-8' codec")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", ["bogus,none", "none,bogus"])
+    def test_sweep_records_last_point(self, values, final_checkpoint, tmp_path, capsys):
+        # a sweep's records file is read like an estimate's: its last record
+        sweep = tmp_path / "sweep.csv"
+        assert main(["sweep", "--kind", "preconditioner", "--values", values, "--checkpoint", str(final_checkpoint),
+                     "--k", "4", "--seed", "2", "--out", str(sweep)]) == 0
+        rec, out = sweep.with_suffix(".records.jsonl"), tmp_path / "mdl.json"
+        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
+        last = read_jsonl(rec)[-1]
+        if last["status"] == "ok":
+            assert rc == 0
+            assert json.loads(out.read_text())["kl_term"] == -last["log_volume"]
+        else:
+            assert rc == 2
+            assert f"missing record field log_volume in {rec}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_truncated_record_line_is_named(self, final_checkpoint, gaussian_record, tmp_path, capsys):
         # a run cut off mid-write leaves a last line that is not JSON
