@@ -36,7 +36,6 @@ from .models import (
     PoisonConfig,
     TrainConfig,
     adam_train,
-    description_length,
     hessian_diag,
     hessian_full,
     init_params,
@@ -70,7 +69,8 @@ SEED_ROLES = {"data": 0, "init": 1, "train": 2}
 PRECONDITIONER_CHOICES = ("none", "hessian", "diag", "adam-nu")
 PRECOND_FILE_HELP = "load a saved preconditioner (a sweep accepts it over cutoffs or checkpoints only)"
 THREADS_HELP = "accepted and validated (at least 1) but ignored: every ray runs on the calling thread; run separate processes for parallelism"
-TARGET_HELP = "quadratic: a synthetic |x|^2/2 cost under Lebesgue measure with the identity map; --kind cutoff only"
+TARGET_HELP = ("quadratic: a synthetic |x|^2/2 cost under Lebesgue measure with the identity map; --kind cutoff "
+               "only, with no --cost loss, --preconditioner or --precond-file")
 
 # flags shared by estimate and sweep, defined once in an argparse parent
 # parser (with --seed); every point's record lists each under "config"
@@ -167,14 +167,9 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
     for ckpt_params, adam_state, step in zip(result.checkpoints, result.adam_states, result.steps):
-        path = out_dir / f"checkpoint_step{step:06d}.json"
-        save_checkpoint(
-            path,
-            Checkpoint(params=ckpt_params, adam=adam_state, sigma=measure.sigma, step=step, config=config),
-        )
-        paths.append(path)
+        save_checkpoint(out_dir / f"checkpoint_step{step:06d}.json",
+                        Checkpoint(params=ckpt_params, nu=adam_state.nu, sigma=measure.sigma, step=step, config=config))
     metrics_path = out_dir / "metrics.csv"
     fields = sorted({key for row in result.metrics for key in row})
     fields = ["step"] + [f for f in fields if f != "step"]
@@ -266,7 +261,7 @@ class _Target:
         if name == "none":
             return Preconditioner.identity(params.n)
         # Adam's second moment on the coordinate axes, or a curvature probe's result
-        spectrum, basis = self.ckpt.adam.nu, None
+        spectrum, basis = self.ckpt.nu, None
         if name != "adam-nu":
             took = self.build_seconds[name] = {}
             probe = hessian_full if name == "hessian" else hessian_diag
@@ -280,11 +275,12 @@ class _Target:
         and its run record.
 
         The record's config lists the flags, the checkpoint path (null for
-        the quadratic), the point's own cutoff and map, the eps that map was
-        shaped at (null for the identity map or a loaded map) and the
-        anchor's ``anchor_sha256``. ``estimate`` raises a failed estimate;
-        a sweep gets a record with ``status`` ``failed: <reason>`` and no
-        estimate fields, and an estimate of None.
+        the quadratic, as are its cost, measure and precond_file), the
+        point's own cutoff and map, the eps that map was shaped at (null for
+        the identity map or a loaded map) and the anchor's ``anchor_sha256``.
+        ``estimate`` raises a failed estimate; a sweep gets a record with
+        ``status`` ``failed: <reason>`` and no estimate fields, and an
+        estimate of None.
         """
         args = self.args
         config = {"checkpoint": self.path}
@@ -293,6 +289,8 @@ class _Target:
             config[dest] = getattr(args, dest)
         config.update(cutoff=cutoff, preconditioner=name, anchor_sha256=self.anchor_sha256,
                       eps=None if args.precond_file else DEFAULT_EPS.get(name))
+        if self.ckpt is None:  # the quadratic takes its cost, measure and map from no flag
+            config.update(cost=None, measure=None, precond_file=None)
         start = time.perf_counter()
         try:
             spec = NeighborhoodSpec(self.anchor, self.cost, cutoff, self.measure)
@@ -320,14 +318,13 @@ def cmd_estimate(args) -> int:
     if args.save_precond:
         target.preconditioner(args.preconditioner).save(args.save_precond)
 
-    bound = " (lower bound: truncated rays)" if estimate.lower_bound_only else ""
     print(
         f"log_volume={estimate.log_volume:.6f} log10={estimate.log10_volume:.4f} "
         f"k={estimate.k} n={estimate.n} measure={estimate.measure.kind} "
         f"preconditioner={estimate.preconditioner_id} truncated={estimate.truncated_count} "
         f"failed={estimate.failed_count} evals_per_ray={estimate.evals_per_ray:.2f} "
         f"ess={estimate.ess:.2f} top_share={estimate.top_share:.3f} "
-        f"prefix_rise={estimate.prefix_rise:.3f}{bound}"
+        f"prefix_rise={estimate.prefix_rise:.3f}"
     )
     return 0
 
@@ -345,8 +342,13 @@ def _sweep_targets(args) -> list[tuple]:
     A point is (value, cutoff, preconditioner).
     """
     kind = args.kind
-    if args.target == "quadratic" and kind != "cutoff":
-        raise ValueError(f"sweep --target quadratic sweeps --kind cutoff only, not --kind {kind}")
+    if args.target == "quadratic":
+        if kind != "cutoff":
+            raise ValueError(f"sweep --target quadratic sweeps --kind cutoff only, not --kind {kind}")
+        for dest, default in (("precond_file", None), ("cost", "kl"), ("preconditioner", "none")):
+            if getattr(args, dest) != default:
+                flag = dest.replace("_", "-")
+                raise ValueError(f"sweep --target quadratic takes no --{flag}: its cost is |x|^2/2 under the identity map")
     if kind == "checkpoint":
         paths = [p for p in args.checkpoints.split(",") if p]
         if not paths:
@@ -414,18 +416,15 @@ def cmd_mdl(args) -> int:
             f"the record's anchor_sha256 {recorded or '(missing)'} does not match the "
             f"checkpoint's {digest}: the record was estimated at another anchor"
         )
+    # the data term is the summed cross-entropy: m times the loss cost, the
+    # train_loss that metrics.csv logs at this step
     train_ds, _, _ = _build_datasets(Fields(ckpt.config, args.checkpoint, "checkpoint config"))
-    dl = description_length(log_volume, ckpt.params, train_ds)
-    payload = {
-        "kl_term": dl.kl_term,
-        "data_term": dl.data_term,
-        "total": dl.total,
-        "log_volume": log_volume,
-        "n": n,
-        "checkpoint": str(args.checkpoint),
-    }
+    kl_term, data_term = -log_volume, train_ds.m * make_loss_cost(ckpt.params.shape, train_ds)(ckpt.params.flat)
+    total = kl_term + data_term
+    payload = {"kl_term": kl_term, "data_term": data_term, "total": total, "log_volume": log_volume, "n": n,
+               "checkpoint": str(args.checkpoint)}
     Path(args.out).write_text(json.dumps(payload, sort_keys=True))
-    print(f"kl_term={dl.kl_term:.4f} data_term={dl.data_term:.4f} total={dl.total:.4f} nats")
+    print(f"kl_term={kl_term:.4f} data_term={data_term:.4f} total={total:.4f} nats")
     return 0
 
 

@@ -3,7 +3,6 @@
 from .data import Dataset, load_csv, make_blobs, make_spirals, split_dataset
 from .hessian import hessian_diag, hessian_full
 from .io import Checkpoint, load_checkpoint, save_checkpoint
-from .mdl import DescriptionLength, description_length
 from .mlp import (
     MlpParams,
     forward_logits,
@@ -28,14 +27,12 @@ __all__ = [
     "AdamState",
     "Checkpoint",
     "Dataset",
-    "DescriptionLength",
     "MlpParams",
     "PoisonConfig",
     "TrainConfig",
     "TrainResult",
     "TrainingError",
     "adam_train",
-    "description_length",
     "forward_logits",
     "hessian_diag",
     "hessian_full",

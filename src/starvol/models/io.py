@@ -1,34 +1,36 @@
-"""Checkpoint files: flat parameters, layer shape, Adam buffers, init sigmas.
+"""Checkpoint files: flat parameters, layer shape, Adam's second moment, init sigmas.
 
-Checkpoints are versioned JSON with each array stored as the base64 text of
-its float64 bytes (see ``starvol.codec``), so saving the same state twice
-produces byte-identical files and loading recovers bit-identical vectors.
-A file of another version, one that lacks a field or holds one that does
-not read (through ``codec.Fields``), or one whose Adam hyperparameters miss
-a name or add one is refused, with the field and the file named.
+A checkpoint stores each fact once: ``format``, ``version``, ``step``,
+``shape``, ``flat``, ``adam_nu``, ``sigma`` and ``config`` (the resolved
+run config, which holds the Adam hyperparameters under ``train``). It is
+versioned JSON with each array stored as the base64 text of its float64
+bytes (see ``starvol.codec``), so saving the same state twice produces
+byte-identical files and loading recovers bit-identical vectors. A file of
+another version, or one that lacks a field or holds one that does not read
+(through ``codec.Fields``), such as an array whose length is not the
+parameter count, is refused, with the field and the file named.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..codec import Fields, decode_array, integer, number, write_json
-from .mlp import MlpParams
-from .train import AdamHyper, AdamState
+from ..codec import Fields, decode_array, integer, write_json
+from .mlp import MlpParams, _validate_shape, param_count
 
 __all__ = ["Checkpoint", "load_checkpoint", "save_checkpoint"]
 
 FORMAT_NAME = "starvol-checkpoint"
-FORMAT_VERSION = 2  # arrays as base64 float64 strings
+FORMAT_VERSION = 3  # Adam's second moment only, with no hyperparameters of its own
 
 
 @dataclass(frozen=True)
 class Checkpoint:
     params: MlpParams
-    adam: AdamState
+    nu: np.ndarray  # Adam's second moment at this step (the adam-nu map's spectrum)
     sigma: np.ndarray  # per-coordinate init stds (the Gaussian measure)
     step: int
     config: dict  # resolved run config the checkpoint came from
@@ -41,10 +43,7 @@ def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
         "step": checkpoint.step,
         "shape": [[int(i), int(o)] for i, o in checkpoint.params.shape],
         "flat": checkpoint.params.flat,
-        "adam_mu": checkpoint.adam.mu,
-        "adam_nu": checkpoint.adam.nu,
-        "adam_step": checkpoint.adam.step,
-        "hyper": asdict(checkpoint.adam.hyper),
+        "adam_nu": checkpoint.nu,
         "sigma": checkpoint.sigma,
         "config": checkpoint.config,
     })
@@ -52,19 +51,15 @@ def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     ckpt = Fields.read(path, "checkpoint", format=FORMAT_NAME, version=FORMAT_VERSION)
-    shape = ckpt.get("shape", lambda pairs: tuple((integer(i), integer(o)) for i, o in pairs))
-    params = MlpParams(ckpt.get("flat", decode_array), shape)
-    hyper, config = ckpt.section("hyper"), ckpt.section("config").data
-    names, given = [f.name for f in fields(AdamHyper)], set(hyper.data)
-    reasons = [f"{label} hyper field {', '.join(sorted(keys))}"
-               for label, keys in (("missing", set(names) - given), ("unknown", given - set(names))) if keys]
-    if reasons:
-        raise ValueError(f"{'; '.join(reasons)} in {path}")
-    adam = AdamState(
-        mu=ckpt.get("adam_mu", decode_array),
-        nu=ckpt.get("adam_nu", decode_array),
-        step=ckpt.get("adam_step", integer),
-        hyper=AdamHyper(**{name: hyper.get(name, number) for name in names}),
-    )
-    sigma = ckpt.get("sigma", decode_array)
-    return Checkpoint(params=params, adam=adam, sigma=sigma, step=ckpt.get("step", integer), config=config)
+    shape = ckpt.get("shape", lambda pairs: _validate_shape([(integer(i), integer(o)) for i, o in pairs]))
+    n = param_count(shape)
+
+    def vector(text: str) -> np.ndarray:
+        arr = decode_array(text)
+        if arr.size != n:
+            raise ValueError(f"{arr.size} entries for {n} parameters")
+        return arr
+
+    params = MlpParams(ckpt.get("flat", vector), shape)
+    return Checkpoint(params=params, nu=ckpt.get("adam_nu", vector), sigma=ckpt.get("sigma", vector),
+                      step=ckpt.get("step", integer), config=ckpt.section("config").data)

@@ -28,7 +28,6 @@ from starvol.models import (
     PoisonConfig,
     TrainConfig,
     adam_train,
-    description_length,
     hessian_diag,
     hessian_full,
     init_params,
@@ -417,10 +416,10 @@ def test_12_poisoning_effect(poison_experiment):
         for arm in ("clean", "poisoned"):
             p = entry[arm]["params"]
             gauss = _kl_volume(p, entry["val"].inputs, entry["sigma"], 1e-2, k=64, seed=800)
-            # the information content -log V_G, so this vote equals the volume vote
-            dl = description_length(gauss.log_volume, p, entry["train"])
+            # the MDL parameter term is the information content -log V_G, so
+            # this vote equals the volume vote
             arm_vol[arm] = gauss.log_volume
-            arm_kl_term[arm] = dl.kl_term
+            arm_kl_term[arm] = -gauss.log_volume
         vol_votes += arm_vol["poisoned"] < arm_vol["clean"]
         mdl_votes += arm_kl_term["poisoned"] > arm_kl_term["clean"]
         losses.append((entry["clean"]["final"]["train_loss"], entry["poisoned"]["final"]["train_loss"]))

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line tools, run in-process via main()."""
 
+import base64
 import csv
 import hashlib
 import json
@@ -52,6 +53,11 @@ def _drop(obj, key):
     del obj[key]
 
 
+def _drop_last_entry(data, key):
+    """Re-encode the array in ``data[key]`` without its last entry, in place."""
+    data[key] = base64.b64encode(base64.b64decode(data[key])[:-8]).decode()
+
+
 def _count_calls(monkeypatch, *names):
     """Wrap the named cli functions; return a dict their calls count into."""
     counts = dict.fromkeys(names, 0)
@@ -89,6 +95,15 @@ class TestTrain:
         assert steps == sorted(steps) and steps[0] == 0 and steps[-1] == 12
         assert {"train_loss", "val_loss"} <= set(rows[0])
         assert all(math.isfinite(float(r["train_loss"])) for r in rows)
+
+    def test_checkpoint_holds_each_fact_once(self, train_run):
+        # the step is only `step` and the Adam hyperparameters only the config's train section
+        for path, step in zip(train_run["checkpoints"], (0, 3, 6, 9, 12)):
+            data = json.loads(path.read_text())
+            assert sorted(data) == ["adam_nu", "config", "flat", "format", "shape", "sigma", "step", "version"]
+            assert (data["version"], data["step"]) == (3, step)
+            assert {k: data["config"]["train"][k] for k in ("lr", "beta1", "beta2", "adam_eps")} == {
+                "lr": 0.05, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8}
 
     def test_rerun_is_byte_identical(self, train_run, tmp_path):
         out2 = tmp_path / "again"
@@ -426,7 +441,6 @@ class TestEstimate:
 
     @pytest.mark.parametrize("mangle, reason", [
         pytest.param(lambda data: _drop(data, "shape"), "missing checkpoint field shape", id="no-shape"),
-        pytest.param(lambda data: _drop(data, "hyper"), "missing checkpoint field hyper", id="no-hyper"),
         pytest.param(lambda data: data.update(config=[1]), "checkpoint field config is not an object",
                      id="config-not-object"),
         pytest.param(lambda data: _drop(data["config"], "seed"), "missing checkpoint config field seed",
@@ -443,17 +457,20 @@ class TestEstimate:
                      "malformed checkpoint field shape in {bad}: too many values to unpack",
                      id="shape-triple"),
         pytest.param(lambda data: [data], "the checkpoint in {bad} is not an object", id="root-list"),
-        pytest.param(lambda data: data["hyper"].update(lr="fast"),
-                     "malformed checkpoint field hyper.lr in {bad}: expected a number, got 'fast'", id="hyper-lr-string"),
+        pytest.param(lambda data: _drop_last_entry(data, "sigma"),
+                     "malformed checkpoint field sigma in {bad}: 25 entries for 26 parameters", id="sigma-short"),
+        pytest.param(lambda data: _drop_last_entry(data, "adam_nu"),
+                     "malformed checkpoint field adam_nu in {bad}: 25 entries for 26 parameters", id="adam-nu-short"),
         pytest.param(lambda data: data["config"]["dataset"].update(train="many"),
                      "malformed checkpoint config field dataset.train in {bad}: expected an integer, got 'many'",
                      id="train-size-string"),
     ])
     def test_malformed_checkpoint_exits_2_naming_field_and_file(self, mangle, reason, final_checkpoint,
                                                                 tmp_path, capsys):
-        # the missing, config, root and hyper cases used to end in a traceback,
-        # and the array, shape and dataset cases named neither the field nor
-        # the file; TestCheckpointFile checks every refusal of the file itself.
+        # the missing, config and root cases used to end in a traceback, the
+        # array, shape and dataset cases named neither the field nor the file,
+        # and a short adam_nu passed unless the adam-nu map was built;
+        # TestCheckpointFile checks every refusal of the file itself.
         # A mangle edits the file's object in place or returns a new root.
         data = json.loads(final_checkpoint.read_text())
         root = mangle(data)
@@ -567,6 +584,9 @@ class TestSweep:
         assert [r["status"] for r in records] == [r["status"] for r in rows]
         assert not any("log_volume" in r for r in records)
         assert [(r["cutoff"], r["config"]["checkpoint"]) for r in records] == [(1e-2, None), (1e-1, None)]
+        # the quadratic's cost, measure and map come from no flag
+        assert {(r["config"]["cost"], r["config"]["measure"], r["config"]["precond_file"]) for r in records} == {
+            (None, None, None)}
         assert _read_csv(out.with_suffix(".samples.csv")) == []
 
     @pytest.mark.parametrize("argv, message", [
@@ -574,6 +594,12 @@ class TestSweep:
         (["--kind", "preconditioner", "--values", "none"], "sweep --target quadratic sweeps --kind cutoff only"),
         # the target, and so its identity map, is built before any point runs
         (["--kind", "cutoff", "--values", "1e-2", "--n", "0"], "dimension must be >= 1, got 0"),
+        # its cost is |x|^2/2 under the identity map, so a flag that would change either is refused
+        (["--kind", "cutoff", "--values", "1e-2", "--precond-file", "nonexistent.json"],
+         "sweep --target quadratic takes no --precond-file"),
+        (["--kind", "cutoff", "--values", "1e-2", "--cost", "loss"], "sweep --target quadratic takes no --cost"),
+        (["--kind", "cutoff", "--values", "1e-2", "--preconditioner", "hessian"],
+         "sweep --target quadratic takes no --preconditioner"),
     ])
     def test_quadratic_sweep_refusals_exit_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -806,7 +832,7 @@ def gaussian_record(final_checkpoint, tmp_path_factory):
 
 
 class TestMdl:
-    def test_description_length_report(self, final_checkpoint, gaussian_record, tmp_path):
+    def test_description_length_report(self, train_run, final_checkpoint, gaussian_record, tmp_path):
         out = tmp_path / "mdl.json"
         rc = main([
             "mdl", "--checkpoint", str(final_checkpoint),
@@ -817,7 +843,9 @@ class TestMdl:
         # the parameter cost is the information content -log V_G, bit for bit
         assert payload["kl_term"] == -read_jsonl(gaussian_record)[-1]["log_volume"]
         assert payload["total"] == payload["kl_term"] + payload["data_term"]
-        assert payload["data_term"] > 0
+        # the data term is m = 48 times the loss cost that metrics.csv logs, bit for bit
+        train_loss = float(_read_csv(train_run["out"] / "metrics.csv")[-1]["train_loss"])
+        assert payload["data_term"] == 48 * train_loss
         assert payload["n"] == 26
 
     def test_seed_is_rejected(self, final_checkpoint, gaussian_record, tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""Tests for the classifier stack: params, costs, gradients, Adam, curvature, MDL,
+"""Tests for the classifier stack: params, costs, gradients, Adam, curvature,
 checkpoint files."""
 
+import base64
 import json
 import math
 import os
@@ -14,7 +15,6 @@ from starvol.models.data import Dataset, make_blobs, split_dataset
 import starvol.models.hessian as hessian_module
 from starvol.models.hessian import hessian_diag, hessian_full
 from starvol.models.io import Checkpoint, load_checkpoint, save_checkpoint
-from starvol.models.mdl import description_length
 from starvol.models.mlp import (
     MlpParams,
     _backward,
@@ -903,36 +903,14 @@ class TestHessian:
             hessian_diag("kl", params, (other, np.zeros((3, 2))))
 
 
-class TestDescriptionLength:
-    def test_parameter_term_formula(self):
-        # -log V_G is KL(q || prior) for q the prior restricted to the
-        # neighborhood, so it needs no plug-in at the anchor
-        anchor = MlpParams(np.array([0.5, -0.5, 1.0, 0.0, 0.25, -0.25]), ((2, 2),))
-        data = make_blobs(dim=2, classes=2, per_class=3, seed=0)
-        dl = description_length(-2.0, anchor, data)
-        assert dl.kl_term == -(-2.0)
-        assert dl.total == dl.kl_term + dl.data_term
-
-    def test_doubling_volume_saves_log_two(self):
-        anchor = MlpParams(np.zeros(6), ((2, 2),))
-        data = make_blobs(dim=2, classes=2, per_class=3, seed=0)
-        base = description_length(0.0, anchor, data)
-        wider = description_length(math.log(2.0), anchor, data)
-        assert base.kl_term - wider.kl_term == pytest.approx(math.log(2.0), rel=1e-12)
-        assert base.data_term == wider.data_term
-
-    def test_data_term_counts_label_nats(self):
-        shape = ((2, 4), (4, 3))
-        anchor = MlpParams(np.zeros(param_count(shape)), shape)
-        data = make_blobs(dim=2, classes=3, per_class=5, seed=1)
-        dl = description_length(0.0, anchor, data)
-        # uniform predictions price every label at log(classes)
-        assert dl.data_term == pytest.approx(data.m * math.log(3.0), rel=1e-12)
-
-
 def _drop(obj, key):
     """Delete ``obj[key]`` in place, returning None as an in-place mangle does."""
     del obj[key]
+
+
+def _drop_last_entry(data, key):
+    """Re-encode the array in ``data[key]`` without its last entry, in place."""
+    data[key] = base64.b64encode(base64.b64decode(data[key])[:-8]).decode()
 
 
 class TestCheckpointFile:
@@ -941,16 +919,14 @@ class TestCheckpointFile:
         params, data = TestTraining._setup(3)
         params, measure = init_params(params.shape, rng=np.random.default_rng(3))
         result = adam_train(params, data, TrainConfig(epochs=2, batch_size=5, seed=2))
-        return Checkpoint(params=result.checkpoints[-1], adam=result.adam_states[-1],
+        return Checkpoint(params=result.checkpoints[-1], nu=result.adam_states[-1].nu,
                           sigma=measure.sigma, step=result.steps[-1], config={"seed": 7, "b": [1, 2]})
 
     @staticmethod
     def _assert_same(a, b):
-        for x, y in ((a.params.flat, b.params.flat), (a.adam.mu, b.adam.mu),
-                     (a.adam.nu, b.adam.nu), (a.sigma, b.sigma)):
+        for x, y in ((a.params.flat, b.params.flat), (a.nu, b.nu), (a.sigma, b.sigma)):
             np.testing.assert_array_equal(x.view(np.uint64), np.asarray(y).view(np.uint64))
-        assert (a.step, a.adam.step, a.adam.hyper, a.config) == (b.step, b.adam.step, b.adam.hyper, b.config)
-        assert a.params.shape == b.params.shape
+        assert (a.step, a.config, a.params.shape) == (b.step, b.config, b.params.shape)
 
     def test_round_trip_and_resave_are_exact(self, tmp_path):
         ckpt = self._checkpoint()
@@ -961,9 +937,10 @@ class TestCheckpointFile:
         save_checkpoint(second, loaded)
         assert first.read_bytes() == second.read_bytes()
         data = json.loads(first.read_text())
-        assert data["version"] == 2
-        assert all(isinstance(data[key], str) for key in ("flat", "adam_mu", "adam_nu", "sigma"))
-        assert data["hyper"] == {"lr": 0.01, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8}
+        # each fact once: no first moment, and the step and hyperparameters only in step and config
+        assert sorted(data) == ["adam_nu", "config", "flat", "format", "shape", "sigma", "step", "version"]
+        assert data["version"] == 3
+        assert all(isinstance(data[key], str) for key in ("flat", "adam_nu", "sigma"))
 
     def test_version_one_file_refused(self, tmp_path):
         # a version-1 file, with float lists, is refused with its version named
@@ -973,14 +950,26 @@ class TestCheckpointFile:
             "format": "starvol-checkpoint", "version": 1, "step": ckpt.step,
             "shape": [list(layer) for layer in ckpt.params.shape],
             "flat": [float(x) for x in ckpt.params.flat],
-            "adam_mu": [float(x) for x in ckpt.adam.mu],
-            "adam_nu": [float(x) for x in ckpt.adam.nu],
-            "adam_step": ckpt.adam.step,
+            "adam_mu": [0.0] * ckpt.params.n,
+            "adam_nu": [float(x) for x in ckpt.nu],
+            "adam_step": ckpt.step,
             "hyper": {"lr": 0.01, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8},
             "sigma": [float(x) for x in ckpt.sigma],
             "config": ckpt.config,
         }, sort_keys=True))
         with pytest.raises(ValueError, match="unsupported checkpoint version 1$"):
+            load_checkpoint(path)
+
+    def test_version_two_file_refused(self, tmp_path):
+        # a version-2 file also held Adam's first moment, its step and its
+        # hyperparameters; it is refused with its version named
+        path = tmp_path / "v2.json"
+        save_checkpoint(path, self._checkpoint())
+        data = json.loads(path.read_text())
+        data.update(version=2, adam_mu=data["adam_nu"], adam_step=data["step"],
+                    hyper={"lr": 0.01, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8})
+        path.write_text(json.dumps(data, sort_keys=True))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 2$"):
             load_checkpoint(path)
 
     def test_file_that_is_not_json_is_refused_by_name(self, tmp_path):
@@ -999,15 +988,7 @@ class TestCheckpointFile:
 
     @pytest.mark.parametrize("mangle, reason", [
         pytest.param(lambda data: _drop(data, "shape"), "missing checkpoint field shape", id="no-shape"),
-        pytest.param(lambda data: _drop(data, "hyper"), "missing checkpoint field hyper", id="no-hyper"),
-        pytest.param(lambda data: data["hyper"].update(momentum=0.5), "unknown hyper field momentum",
-                     id="unknown-hyper"),
-        pytest.param(lambda data: _drop(data["hyper"], "beta2"), "missing hyper field beta2", id="missing-hyper-key"),
-        pytest.param(lambda data: data.update(hyper={"lr": 0.1, "momentum": 0.5}),
-                     "missing hyper field adam_eps, beta1, beta2; unknown hyper field momentum",
-                     id="missing-and-unknown-hyper"),
-        pytest.param(lambda data: data.update(hyper=5), "checkpoint field hyper is not an object",
-                     id="hyper-not-object"),
+        pytest.param(lambda data: _drop(data, "adam_nu"), "missing checkpoint field adam_nu", id="no-adam-nu"),
         pytest.param(lambda data: data.update(config=[7]), "checkpoint field config is not an object",
                      id="config-not-object"),
         pytest.param(lambda data: data.update(flat=5),
@@ -1015,8 +996,15 @@ class TestCheckpointFile:
         pytest.param(lambda data: data["shape"][0].append(4),
                      "malformed checkpoint field shape in {path}: too many values to unpack", id="shape-triple"),
         pytest.param(lambda data: [data], "the checkpoint in {path} is not an object", id="root-list"),
-        pytest.param(lambda data: data["hyper"].update(lr="fast"),
-                     "malformed checkpoint field hyper.lr in {path}: expected a number, got 'fast'", id="hyper-lr-string"),
+        pytest.param(lambda data: _drop_last_entry(data, "sigma"),
+                     "malformed checkpoint field sigma in {path}: 37 entries for 38 parameters", id="sigma-short"),
+        pytest.param(lambda data: _drop_last_entry(data, "adam_nu"),
+                     "malformed checkpoint field adam_nu in {path}: 37 entries for 38 parameters", id="adam-nu-short"),
+        pytest.param(lambda data: _drop_last_entry(data, "flat"),
+                     "malformed checkpoint field flat in {path}: 37 entries for 38 parameters", id="flat-short"),
+        pytest.param(lambda data: data["shape"][1].__setitem__(0, 5),
+                     "malformed checkpoint field shape in {path}: layer widths do not chain: 6 -> 5",
+                     id="shape-not-chained"),
         pytest.param(lambda data: data.update(step=3.5),
                      "malformed checkpoint field step in {path}: expected an integer, got 3.5", id="step-fraction"),
     ])
