@@ -69,8 +69,7 @@ SEED_ROLES = {"data": 0, "init": 1, "train": 2}
 PRECONDITIONER_CHOICES = ("none", "hessian", "diag", "adam-nu")
 PRECOND_FILE_HELP = "load a saved preconditioner (a sweep accepts it over cutoffs or checkpoints only)"
 THREADS_HELP = "accepted and validated (at least 1) but ignored: every ray runs on the calling thread; run separate processes for parallelism"
-TARGET_HELP = ("quadratic: a synthetic |x|^2/2 cost under Lebesgue measure with the identity map; --kind cutoff "
-               "only, with no --cost loss, --preconditioner or --precond-file")
+TARGET_HELP = "quadratic: a synthetic |x|^2/2 cost under Lebesgue measure with the identity map; --kind cutoff only"
 
 # flags shared by estimate and sweep, defined once in an argparse parent
 # parser (with --seed); every point's record lists each under "config"
@@ -80,9 +79,9 @@ ESTIMATE_FLAGS = (
     ("--k", {"type": int, "default": 100}),
     ("--preconditioner", {"choices": PRECONDITIONER_CHOICES, "default": "none"}),
     ("--measure", {"choices": ("gaussian",), "default": "gaussian"}),  # only a checkpoint's own init prior
-    ("--threads", {"type": int, "default": 1, "help": THREADS_HELP}),
-    ("--r-max", {"type": float, "default": None}),
-    ("--rel-tol", {"type": float, "default": 1e-4}),
+    ("--threads", {"type": int, "default": SearchOptions.threads, "help": THREADS_HELP}),
+    ("--r-max", {"type": float, "default": SearchOptions.r_max}),
+    ("--rel-tol", {"type": float, "default": SearchOptions.rel_tol}),
     ("--precond-file", {"type": str, "default": None, "help": PRECOND_FILE_HELP}),
 )
 
@@ -145,14 +144,17 @@ def cmd_train(args) -> int:
     train_ds, val_ds, poison_ds = _build_datasets(fields)
     model = fields.section("model")
     hidden = model.get("hidden", lambda widths: [count(width) for width in widths])
-    widths = [train_ds.dim, *hidden, train_ds.num_classes]
+    widths = [train_ds.dim, *hidden, train_ds.classes]
     init = model.get("init", lambda rule: rule if rule == "fan_in" else number(rule))
     init_rng = np.random.default_rng(_role_seed(master_seed, "init"))
     params, measure = init_params(tuple(zip(widths, widths[1:])), init, init_rng)
 
     tr = fields.section("train")
     poison, alpha = None, tr.get("poison_alpha", number)
-    if poison_ds is not None and alpha != 0:  # PoisonConfig refuses alpha < 0
+    if alpha != 0:  # PoisonConfig refuses alpha < 0
+        if poison_ds is None:
+            raise ValueError(f"malformed config field train.poison_alpha in {fields.path}: a poison weight of "
+                             f"{alpha} needs a poison split, but dataset.poison is 0")
         poison = PoisonConfig(dataset=poison_ds, alpha=alpha)
     train_seed = int(_role_seed(master_seed, "train").generate_state(1)[0])
     train_cfg = TrainConfig(
@@ -335,35 +337,39 @@ def cmd_estimate(args) -> int:
 SWEEP_FIELDS = ["n", "k", "cutoff", "measure", "preconditioner", "log_volume", "log10_volume", "truncated_count",
                 "failed_count", "status"]
 
+# the flags each sweep target and kind does not read, refused when given away
+# from their defaults: a kind sets each point's own value of the flag it
+# varies, and the quadratic's cost and map come from no flag
+SWEEP_UNREAD = {
+    ("checkpoint", "cutoff"): ("n", "cutoff"),
+    ("checkpoint", "checkpoint"): ("checkpoint", "n"),
+    ("checkpoint", "preconditioner"): ("n", "preconditioner", "precond_file"),
+    ("quadratic", "cutoff"): ("checkpoint", "cost", "cutoff", "preconditioner", "precond_file"),
+}
+
 
 def _sweep_targets(args) -> list[tuple]:
     """The sweep's targets, each (its checkpoint and path, or () for the quadratic, its points).
 
     A point is (value, cutoff, preconditioner).
     """
-    kind = args.kind
-    if args.target == "quadratic":
-        if kind != "cutoff":
-            raise ValueError(f"sweep --target quadratic sweeps --kind cutoff only, not --kind {kind}")
-        for dest, default in (("precond_file", None), ("cost", "kl"), ("preconditioner", "none")):
-            if getattr(args, dest) != default:
-                flag = dest.replace("_", "-")
-                raise ValueError(f"sweep --target quadratic takes no --{flag}: its cost is |x|^2/2 under the identity map")
-    if kind == "checkpoint":
-        paths = [p for p in args.checkpoints.split(",") if p]
-        if not paths:
-            raise ValueError("sweep --kind checkpoint requires --checkpoints")
-        ckpts = sorted(((load_checkpoint(p), p) for p in paths), key=lambda pair: pair[0].step)
-        return [((c, p), [(c.step, args.cutoff, args.preconditioner)]) for c, p in ckpts]
+    kind, unread = args.kind, SWEEP_UNREAD.get((args.target, args.kind))
+    if unread is None:
+        raise ValueError(f"sweep --target quadratic sweeps --kind cutoff only, not --kind {kind}")
+    defaults = build_parser().parse_args(["sweep", "--kind", kind])
+    if given := [f"--{dest.replace('_', '-')}" for dest in unread if getattr(args, dest) != getattr(defaults, dest)]:
+        scope = "--target quadratic" if args.target == "quadratic" else f"--kind {kind}"
+        raise ValueError(f"sweep {scope} takes no {', '.join(given)}")
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise ValueError(f"sweep --kind {kind} requires --values")
     if args.target == "quadratic":
         return [((), [(float(v), float(v), "none") for v in values])]
+    if kind == "checkpoint":
+        ckpts = sorted(((load_checkpoint(p), p) for p in values), key=lambda pair: pair[0].step)
+        return [((c, p), [(c.step, args.cutoff, args.preconditioner)]) for c, p in ckpts]
     if args.checkpoint is None:
         raise ValueError(f"sweep --kind {kind} requires --checkpoint")
-    if args.precond_file and kind == "preconditioner":
-        raise ValueError("--precond-file would replace every swept value of --kind preconditioner")
     source = (load_checkpoint(args.checkpoint), args.checkpoint)
     if kind == "cutoff":
         return [(source, [(float(v), float(v), args.preconditioner) for v in values])]
@@ -372,20 +378,23 @@ def _sweep_targets(args) -> list[tuple]:
 
 def cmd_sweep(args) -> int:
     seed = _resolve_seed(args.seed)
-    points = []  # (value, record, estimate) of each point; the estimate is None where it failed
+    points, samples = [], []  # (value, record) of each point, and the sample rows of those that succeeded
     for source, values in _sweep_targets(args):
         # an input the target refuses exits; a failed estimate gets a record
         target = None  # free the last checkpoint's curvature first
         target = _Target(args, *source)
-        points += [(value, *target.record(cutoff, name, seed)) for value, cutoff, name in values]
+        for value, cutoff, name in values:
+            record, estimate = target.record(cutoff, name, seed)
+            samples += sample_rows(estimate, point=len(points)) if estimate else []
+            points.append((value, record))
+            del estimate  # and with it the point's k x n block of directions
 
     out = Path(args.out)
-    rows = [{"kind": args.kind, "value": value, **{f: r[f] for f in SWEEP_FIELDS if f in r}} for value, r, _ in points]
+    rows = [{"kind": args.kind, "value": value, **{f: r[f] for f in SWEEP_FIELDS if f in r}} for value, r in points]
     write_csv(out, rows, ["kind", "value", *SWEEP_FIELDS])
-    write_jsonl(out.with_suffix(".records.jsonl"), *(r for _, r, _ in points), mode="w")
-    samples = [row for i, (_, _, est) in enumerate(points) if est for row in sample_rows(est, point=i)]
+    write_jsonl(out.with_suffix(".records.jsonl"), *(r for _, r in points), mode="w")
     write_csv(out.with_suffix(".samples.csv"), samples, ["point", *SAMPLE_FIELDS])
-    done = [r for _, r, _ in points if r["status"] == "ok"]
+    done = [r for _, r in points if r["status"] == "ok"]
     if args.kind == "cutoff" and len(done) >= 2:
         xs = [math.log(r["cutoff"]) for r in done]
         slope = float(np.polyfit(xs, [r["log_volume"] for r in done], 1)[0])
@@ -462,9 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", parents=[shared], help="sweep cutoff, checkpoints, or preconditioners"
     )
     p_sweep.add_argument("--kind", choices=("cutoff", "checkpoint", "preconditioner"), required=True)
-    p_sweep.add_argument("--values", type=str, default="", help="comma-separated sweep values")
+    p_sweep.add_argument("--values", type=str, default="", help="comma-separated cutoffs, checkpoints or maps")
     p_sweep.add_argument("--checkpoint", type=str, default=None)
-    p_sweep.add_argument("--checkpoints", type=str, default="", help="comma-separated checkpoint files")
     targets = ("checkpoint", "quadratic")
     p_sweep.add_argument("--target", choices=targets, default="checkpoint", help=TARGET_HELP)
     p_sweep.add_argument("--n", type=int, default=100, help="dimension for --target quadratic")

@@ -117,7 +117,7 @@ class Fields:
         if format is not None and fields.data.get("format") != format:
             raise error(f"not a {label} file: {path}")
         if format is not None and fields.data.get("version") != version:
-            raise error(f"unsupported {label} version {fields.data.get('version')}")
+            raise error(f"unsupported {label} version {fields.data.get('version')} in {path}")
         return fields
 
     def get(self, name: str, convert=None, *, optional: bool = False):

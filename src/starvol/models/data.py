@@ -15,34 +15,30 @@ __all__ = ["Dataset", "load_csv", "make_blobs", "make_spirals", "split_dataset"]
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix plus optional integer labels.
+    """Feature matrix, one non-negative integer label per row, and the class count.
 
-    Labels, when present, must be non-negative integers; num_classes is
-    inferred as max(label) + 1 unless pinned explicitly (pin it when a
-    subset might not contain every class).
+    The class count is given, not inferred, so a subset that lacks a class
+    keeps it.
     """
 
     inputs: np.ndarray  # (m, d)
-    labels: np.ndarray | None = None  # (m,)
-    classes: int | None = None
+    labels: np.ndarray  # (m,)
+    classes: int
 
     def __post_init__(self):
         inputs = _readonly(self.inputs)
         if inputs.ndim != 2 or inputs.shape[0] == 0:
             raise ValueError("inputs must be a non-empty (m, d) matrix")
         object.__setattr__(self, "inputs", inputs)
-        if self.labels is not None:
-            given = np.asarray(self.labels)
-            with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, refused below
-                labels = given.astype(int)
-            if labels.shape != (inputs.shape[0],) or not np.array_equal(labels, given):
-                raise ValueError("labels must be one integer per row, with no fraction, NaN or inf")
-            if labels.min() < 0:
-                raise ValueError("labels must be non-negative")
-            labels.setflags(write=False)
-            object.__setattr__(self, "labels", labels)
-            if self.classes is not None and labels.max() >= self.classes:
-                raise ValueError("label out of range for declared class count")
+        given = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, refused below
+            labels = given.astype(int)
+        if labels.shape != (inputs.shape[0],) or not np.array_equal(labels, given):
+            raise ValueError("labels must be one integer per row, with no fraction, NaN or inf")
+        if labels.min() < 0 or labels.max() >= self.classes:
+            raise ValueError(f"labels must lie in [0, {self.classes}), the declared class count's range")
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def m(self) -> int:
@@ -52,17 +48,8 @@ class Dataset:
     def dim(self) -> int:
         return self.inputs.shape[1]
 
-    @property
-    def num_classes(self) -> int:
-        if self.classes is not None:
-            return self.classes
-        if self.labels is None:
-            raise ValueError("dataset has no labels")
-        return int(self.labels.max()) + 1
-
     def subset(self, idx: np.ndarray) -> "Dataset":
-        labels = None if self.labels is None else self.labels[idx]
-        return Dataset(self.inputs[idx], labels, classes=self.classes)
+        return Dataset(self.inputs[idx], self.labels[idx], self.classes)
 
 
 def make_blobs(

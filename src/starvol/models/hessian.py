@@ -58,8 +58,8 @@ def _factors(cost_kind: str, params: MlpParams, data):
             raise ValueError("kl curvature requires an anchor of the same shape as params")
         moved = not np.array_equal(anchor.flat, params.flat)
     elif cost_kind == "loss":
-        if not isinstance(data, Dataset) or data.labels is None:
-            raise ValueError("loss curvature requires a labeled Dataset")
+        if not isinstance(data, Dataset):
+            raise ValueError("loss curvature requires a Dataset")
         x = data.inputs
         if data.labels.max() >= classes:
             raise ValueError(f"label {data.labels.max()} >= network output width {classes}")
@@ -111,7 +111,7 @@ def _factors(cost_kind: str, params: MlpParams, data):
 def hessian_full(cost_kind: str, params: MlpParams, data, h: float | None = None) -> np.ndarray:
     """Exact, exactly symmetric Hessian of a classifier cost at ``params``.
 
-    ``"kl"`` takes data ``(anchor, inputs)``, ``"loss"`` a labeled Dataset.
+    ``"kl"`` takes data ``(anchor, inputs)``, ``"loss"`` a Dataset.
     At the KL anchor this is the Gauss-Newton matrix B^T B; elsewhere, and
     for the loss, the residual term is added (see the module docstring).
     ``h`` is accepted for old callers and ignored.

@@ -285,8 +285,6 @@ def make_loss_cost(shape: Shape, dataset: Dataset) -> Callable[[np.ndarray], flo
     Each value is (sum of lse - sum of s[label]) / m from ``_shifted_logits``.
     The handle carries the ray form ``cost.along`` (see ``_cost_handle``).
     """
-    if dataset.labels is None:
-        raise ValueError("loss cost requires a labeled dataset")
     shape = _validate_shape(shape)
     inputs = dataset.inputs
     _check_inputs(shape, inputs)
@@ -374,6 +372,4 @@ def loss_value_and_grad(
     flat: np.ndarray, shape: Shape, dataset: Dataset
 ) -> tuple[float, np.ndarray]:
     """Cross-entropy and its gradient via one backward pass."""
-    if dataset.labels is None:
-        raise ValueError("loss gradient requires a labeled dataset")
     return _loss_and_grad(flat, shape, _with_ones(dataset.inputs), dataset.labels)

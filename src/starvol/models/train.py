@@ -50,12 +50,9 @@ class AdamHyper:
 
 @dataclass(frozen=True)
 class AdamState:
-    """First/second moment buffers plus the step they were taken at."""
+    """Adam's second moment at a checkpoint, the spectrum of the adam-nu map."""
 
-    mu: np.ndarray
     nu: np.ndarray
-    step: int
-    hyper: AdamHyper
 
 
 @dataclass(frozen=True)
@@ -108,12 +105,10 @@ def adam_train(
 
     Batch order comes from a generator seeded by ``config.seed`` alone, so a
     rerun reproduces the trajectory bit for bit. Checkpoints (parameters plus
-    Adam buffers) are recorded at step 0, every ``checkpoint_every`` steps
-    (0: none in between), and at the final step; each record also logs
+    Adam's second moment) are recorded at step 0, every ``checkpoint_every``
+    steps (0: none in between), and at the final step; each record also logs
     full-set losses, each the value of ``make_loss_cost`` on its set.
     """
-    if dataset.labels is None:
-        raise ValueError("training requires a labeled dataset")
     if config.epochs < 1 or config.batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
     if config.checkpoint_every < 0:
@@ -124,7 +119,7 @@ def adam_train(
     mu = np.zeros_like(flat)
     nu = np.zeros_like(flat)
     step = 0
-    cap = math.log(dataset.num_classes)
+    cap = math.log(dataset.classes)
     poison = config.poison
     logged = {"train_loss": dataset, "val_loss": val_dataset, "poison_loss": poison and poison.dataset}
     losses = {key: make_loss_cost(shape, data) for key, data in logged.items() if data is not None}
@@ -136,7 +131,7 @@ def adam_train(
 
     def record():
         checkpoints.append(MlpParams(flat, shape))
-        adam_states.append(AdamState(mu.copy(), nu.copy(), step, config.hyper))
+        adam_states.append(AdamState(nu.copy()))
         steps.append(step)
         metrics.append({"step": step, **{key: cost(flat) for key, cost in losses.items()}})
 

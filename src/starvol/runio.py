@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -20,6 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .geometry import VolumeEstimate
+from .models.train import AdamHyper, TrainConfig
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -57,11 +59,8 @@ DEFAULT_CONFIG: dict = {
     "train": {
         "epochs": 20,
         "batch_size": 32,
-        "lr": 0.01,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "adam_eps": 1e-8,
-        "checkpoint_every": 50,
+        **dataclasses.asdict(AdamHyper()),  # lr, beta1, beta2, adam_eps
+        "checkpoint_every": TrainConfig.checkpoint_every,
         "poison_alpha": 0.0,
     },
 }

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -147,11 +148,15 @@ class TestTrain:
                      id="negative-poison"),
         pytest.param(lambda cfg: cfg["model"].update(hiden=[4]), "unknown config field model.hiden in {cfg}",
                      id="unknown-key"),
+        pytest.param(lambda cfg: cfg["train"].update(poison_alpha=0.5),
+                     "malformed config field train.poison_alpha in {cfg}: a poison weight of 0.5 needs a poison "
+                     "split, but dataset.poison is 0", id="poison-weight-without-split"),
     ])
     def test_malformed_config_exits_2_naming_field_and_file(self, mangle, reason, tmp_path, capsys):
         # "hidden": "12" trained a 3-1-2-2 net, fractions were truncated, a
-        # negative poison size or a misspelt key trained as if it were absent,
-        # and the other cases ended in a traceback or named neither field nor file
+        # negative poison size, a misspelt key or a poison weight with no
+        # poison split trained as if it were absent, and the other cases
+        # ended in a traceback or named neither field nor file
         data = json.loads(json.dumps(TRAIN_CONFIG))
         root = mangle(data)
         cfg = tmp_path / "bad.json"
@@ -519,7 +524,7 @@ class TestSweep:
         out = tmp_path / "ckpt.csv"
         paths = ",".join(str(p) for p in reversed(train_run["checkpoints"]))
         rc = main([
-            "sweep", "--kind", "checkpoint", "--checkpoints", paths,
+            "sweep", "--kind", "checkpoint", "--values", paths,
             "--k", "6", "--out", str(out), "--seed", "1",
         ])
         assert rc == 0
@@ -590,7 +595,7 @@ class TestSweep:
         assert _read_csv(out.with_suffix(".samples.csv")) == []
 
     @pytest.mark.parametrize("argv, message", [
-        (["--kind", "checkpoint", "--checkpoints", "a.json"], "sweep --target quadratic sweeps --kind cutoff only"),
+        (["--kind", "checkpoint", "--values", "a.json"], "sweep --target quadratic sweeps --kind cutoff only"),
         (["--kind", "preconditioner", "--values", "none"], "sweep --target quadratic sweeps --kind cutoff only"),
         # the target, and so its identity map, is built before any point runs
         (["--kind", "cutoff", "--values", "1e-2", "--n", "0"], "dimension must be >= 1, got 0"),
@@ -600,6 +605,10 @@ class TestSweep:
         (["--kind", "cutoff", "--values", "1e-2", "--cost", "loss"], "sweep --target quadratic takes no --cost"),
         (["--kind", "cutoff", "--values", "1e-2", "--preconditioner", "hessian"],
          "sweep --target quadratic takes no --preconditioner"),
+        # and it has no checkpoint, and the kind sets each point's cutoff
+        (["--kind", "cutoff", "--values", "1e-2", "--checkpoint", "nonexistent.json"],
+         "sweep --target quadratic takes no --checkpoint"),
+        (["--kind", "cutoff", "--values", "1e-2", "--cutoff", "0.5"], "sweep --target quadratic takes no --cutoff"),
     ])
     def test_quadratic_sweep_refusals_exit_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -663,13 +672,73 @@ class TestSweep:
     @pytest.mark.parametrize("argv, flag", [
         (["--kind", "cutoff", "--values", "0.1"], "--checkpoint"),
         (["--kind", "preconditioner", "--values", "none"], "--checkpoint"),
-        (["--kind", "checkpoint"], "--checkpoints"),
+        (["--kind", "checkpoint"], "--values"),
     ])
     def test_missing_input_exits_2(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", *argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err.strip().endswith(f"requires {flag}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        # a checkpoint sweep's checkpoints are its values
+        (["--kind", "checkpoint", "--values", "nonexistent.json", "--checkpoint", "nonexistent.json"],
+         "sweep --kind checkpoint takes no --checkpoint"),
+        # --n sizes only the quadratic
+        (["--kind", "cutoff", "--checkpoint", "nonexistent.json", "--values", "1e-2", "--n", "7"],
+         "sweep --kind cutoff takes no --n"),
+        # a kind sets each point's own value of the flag it varies
+        (["--kind", "cutoff", "--checkpoint", "nonexistent.json", "--values", "1e-2", "--cutoff", "0.5"],
+         "sweep --kind cutoff takes no --cutoff"),
+        (["--kind", "preconditioner", "--checkpoint", "nonexistent.json", "--values", "none",
+          "--preconditioner", "diag"], "sweep --kind preconditioner takes no --preconditioner"),
+        # every flag the sweep does not read is named
+        (["--kind", "preconditioner", "--checkpoint", "nonexistent.json", "--values", "none",
+          "--preconditioner", "diag", "--precond-file", "nonexistent.json", "--n", "7"],
+         "sweep --kind preconditioner takes no --n, --preconditioner, --precond-file"),
+    ])
+    def test_unread_flag_exits_2(self, argv, message, tmp_path, capsys):
+        # these exited 0 with the flag ignored; no file is read before the refusal
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--k", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_checkpoints_flag_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--kind", "cutoff", "--values", "1e-2", "--target", "quadratic",
+                  "--checkpoints", "nonexistent.json", "--out", str(out)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --checkpoints nonexistent.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_estimate_outlives_its_point(self, final_checkpoint, tmp_path, monkeypatch):
+        # a sweep keeps each point's record and sample rows, not its
+        # estimate, whose samples view the point's k x n block of directions
+        estimates, alive = [], []
+        real_record, real_write_csv = cli._Target.record, cli.write_csv
+
+        def record(self, *args):
+            point, estimate = real_record(self, *args)
+            estimates.append(weakref.ref(estimate))
+            return point, estimate
+
+        def write_csv(path, rows, fieldnames):
+            if str(path).endswith(".samples.csv"):
+                alive.append(sum(ref() is not None for ref in estimates))
+            real_write_csv(path, rows, fieldnames)
+
+        monkeypatch.setattr(cli._Target, "record", record)
+        monkeypatch.setattr(cli, "write_csv", write_csv)
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", "--kind", "cutoff", "--values", "1e-3,1e-2,1e-1", "--checkpoint", str(final_checkpoint),
+            "--k", "4", "--out", str(out), "--seed", "1",
+        ])
+        assert rc == 0
+        assert len(estimates) == 3 and alive == [0]
+        assert len(_read_csv(out.with_suffix(".samples.csv"))) == 3 * 4
 
     def test_precond_file_rejected_over_maps(self, final_checkpoint, tmp_path, capsys):
         saved = tmp_path / "precond.json"

@@ -857,7 +857,8 @@ class TestDenseMapOnDisk:
         path = tmp_path / f"{case}.json"
         write_json(path, {"format": "starvol-preconditioner", "version": version,
                           "dim": p.dim, "source": "hessian", **fields})
-        match = "malformed preconditioner field scale" if version == 4 else f"unsupported preconditioner version {version}$"
+        match = ("malformed preconditioner field scale" if version == 4
+                 else f"unsupported preconditioner version {version} in .*{case}.json$")
         with pytest.raises(PreconditionerError, match=match):
             Preconditioner.load(path)
 
