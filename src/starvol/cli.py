@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import Fields, count, integer, number
+from .codec import Fields, count, integer, number, write_json
 from .geometry import (
     CostEvaluationError,
     EstimationError,
@@ -314,11 +314,11 @@ def cmd_estimate(args) -> int:
     seed = _resolve_seed(args.seed)
     target = _Target(args, ckpt, args.checkpoint)
     record, estimate = target.record(args.cutoff, args.preconditioner, seed)
+    if args.save_precond:  # first, so a map that cannot be saved leaves no record
+        target.preconditioner(args.preconditioner).save(args.save_precond)
     out = Path(args.out)
     write_jsonl(out, record)
     write_samples_csv(out.with_suffix(".samples.csv"), estimate)
-    if args.save_precond:
-        target.preconditioner(args.preconditioner).save(args.save_precond)
 
     print(
         f"log_volume={estimate.log_volume:.6f} log10={estimate.log10_volume:.4f} "
@@ -348,6 +348,14 @@ SWEEP_UNREAD = {
 }
 
 
+def _cutoff_entry(entry: str) -> float:
+    """One ``--values`` entry of a cutoff sweep as a float, or a refusal naming the flag and the entry."""
+    try:
+        return float(entry)
+    except ValueError:
+        raise ValueError(f"sweep --values entry {entry!r} is not a number") from None
+
+
 def _sweep_targets(args) -> list[tuple]:
     """The sweep's targets, each (its checkpoint and path, or () for the quadratic, its points).
 
@@ -363,8 +371,10 @@ def _sweep_targets(args) -> list[tuple]:
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise ValueError(f"sweep --kind {kind} requires --values")
+    if kind == "cutoff":
+        values = [_cutoff_entry(v) for v in values]
     if args.target == "quadratic":
-        return [((), [(float(v), float(v), "none") for v in values])]
+        return [((), [(v, v, "none") for v in values])]
     if kind == "checkpoint":
         ckpts = sorted(((load_checkpoint(p), p) for p in values), key=lambda pair: pair[0].step)
         return [((c, p), [(c.step, args.cutoff, args.preconditioner)]) for c, p in ckpts]
@@ -372,7 +382,7 @@ def _sweep_targets(args) -> list[tuple]:
         raise ValueError(f"sweep --kind {kind} requires --checkpoint")
     source = (load_checkpoint(args.checkpoint), args.checkpoint)
     if kind == "cutoff":
-        return [(source, [(float(v), float(v), args.preconditioner) for v in values])]
+        return [(source, [(v, v, args.preconditioner) for v in values])]
     return [(source, [(v, args.cutoff, v) for v in values])]
 
 
@@ -432,7 +442,7 @@ def cmd_mdl(args) -> int:
     total = kl_term + data_term
     payload = {"kl_term": kl_term, "data_term": data_term, "total": total, "log_volume": log_volume, "n": n,
                "checkpoint": str(args.checkpoint)}
-    Path(args.out).write_text(json.dumps(payload, sort_keys=True))
+    write_json(args.out, payload)
     print(f"kl_term={kl_term:.4f} data_term={data_term:.4f} total={total:.4f} nats")
     return 0
 

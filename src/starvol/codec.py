@@ -34,9 +34,12 @@ def write_json(path: str | Path, payload: dict) -> None:
     Top-level numpy arrays are written as base64 strings of their
     little-endian float64 bytes; every other value goes through
     ``json.dumps``. The file equals ``json.dumps(..., sort_keys=True)`` of
-    the payload with each array replaced by its string.
+    the payload with each array replaced by its string. A missing parent
+    directory is created.
     """
-    with open(path, "wb") as out:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("wb") as out:
         sep = b"{"
         for key in sorted(payload):
             out.write(sep + json.dumps(key).encode() + b": ")
