@@ -1,12 +1,13 @@
 """Command-line front end: train, estimate, sweep, mdl.
 
-Every run is reproducible from its record: the master seed is resolved
-once (flag > config file > STARVOL_SEED > 0), all internal randomness is
-derived from it by fixed roles, and per-sample streams are split by sample
-index. Estimates run on one thread (``--threads`` changes nothing), so run
-separate processes for parallelism. ``estimate`` and every ``sweep`` point
-run through one point runner, ``_Target.record``, so a sweep point has an
-estimate's record, and each sweep output is read from those records.
+Every run is reproducible from its record: the master seed is ``--seed``
+(for ``train``, else the config's seed; 0 by default), all internal
+randomness is derived from it by fixed roles, and per-sample streams are
+split by sample index. Estimates run on one thread (``--threads`` changes
+nothing), so run separate processes for parallelism. ``estimate`` and
+every ``sweep`` point run through one point runner, ``_Target.record``, so
+a sweep point has an estimate's record, and each sweep output is read from
+those records.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .precondition import DEFAULT_EPS, Preconditioner, PreconditionerError, eige
 from .runio import (
     DEFAULT_CONFIG,
     SAMPLE_FIELDS,
-    default_seed,
     make_run_record,
     merge_config,
     read_jsonl,
@@ -80,7 +80,6 @@ ESTIMATE_FLAGS = (
     ("--preconditioner", {"choices": PRECONDITIONER_CHOICES, "default": "none"}),
     ("--measure", {"choices": ("gaussian",), "default": "gaussian"}),  # only a checkpoint's own init prior
     ("--threads", {"type": int, "default": SearchOptions.threads, "help": THREADS_HELP}),
-    ("--r-max", {"type": float, "default": SearchOptions.r_max}),
     ("--rel-tol", {"type": float, "default": SearchOptions.rel_tol}),
     ("--precond-file", {"type": str, "default": None, "help": PRECOND_FILE_HELP}),
 )
@@ -88,14 +87,6 @@ ESTIMATE_FLAGS = (
 
 def _role_seed(master: int, role: str) -> np.random.SeedSequence:
     return np.random.SeedSequence(master, spawn_key=(SEED_ROLES[role],))
-
-
-def _resolve_seed(flag_seed: int | None, config_seed=None) -> int:
-    if flag_seed is not None:
-        return int(flag_seed)
-    if config_seed is not None:
-        return config_seed
-    return default_seed()
 
 
 def _build_datasets(config: Fields):
@@ -138,8 +129,8 @@ def cmd_train(args) -> int:
     Fields(file_cfg, args.config, "config").refuse_unknown(DEFAULT_CONFIG)
     config = merge_config(DEFAULT_CONFIG, file_cfg)
     fields = Fields(config, args.config, "config")
-    master_seed = _resolve_seed(args.seed, fields.get("seed", integer, optional=True))
-    config["seed"] = master_seed
+    config_seed = fields.get("seed", integer)
+    config["seed"] = master_seed = config_seed if args.seed is None else args.seed
 
     train_ds, val_ds, poison_ds = _build_datasets(fields)
     model = fields.section("model")
@@ -311,9 +302,8 @@ class _Target:
 
 def cmd_estimate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    seed = _resolve_seed(args.seed)
     target = _Target(args, ckpt, args.checkpoint)
-    record, estimate = target.record(args.cutoff, args.preconditioner, seed)
+    record, estimate = target.record(args.cutoff, args.preconditioner, args.seed)
     if args.save_precond:  # first, so a map that cannot be saved leaves no record
         target.preconditioner(args.preconditioner).save(args.save_precond)
     out = Path(args.out)
@@ -321,12 +311,11 @@ def cmd_estimate(args) -> int:
     write_samples_csv(out.with_suffix(".samples.csv"), estimate)
 
     print(
-        f"log_volume={estimate.log_volume:.6f} log10={estimate.log10_volume:.4f} "
-        f"k={estimate.k} n={estimate.n} measure={estimate.measure.kind} "
-        f"preconditioner={estimate.preconditioner_id} truncated={estimate.truncated_count} "
-        f"failed={estimate.failed_count} evals_per_ray={estimate.evals_per_ray:.2f} "
-        f"ess={estimate.ess:.2f} top_share={estimate.top_share:.3f} "
-        f"prefix_rise={estimate.prefix_rise:.3f}"
+        "log_volume={log_volume:.6f} log10={log10_volume:.4f} k={k} n={n} measure={measure} "
+        "preconditioner={preconditioner} truncated={truncated_count} failed={failed_count} "
+        "cost_evals={cost_evals} evals_per_ray={evals_per_ray:.2f} ess={ess:.2f} top_share={top_share:.3f} "
+        "prefix_rise={prefix_rise:.3f} ".format(**record)
+        + " ".join(f"{stage}_cpu_s={took['cpu']:.4f}" for stage, took in record["stage_seconds"].items())
     )
     return 0
 
@@ -349,11 +338,15 @@ SWEEP_UNREAD = {
 
 
 def _cutoff_entry(entry: str) -> float:
-    """One ``--values`` entry of a cutoff sweep as a float, or a refusal naming the flag and the entry."""
+    """One ``--values`` entry of a cutoff sweep as a positive finite float, or a refusal
+    naming the flag and the entry."""
     try:
-        return float(entry)
+        cutoff = float(entry)
     except ValueError:
         raise ValueError(f"sweep --values entry {entry!r} is not a number") from None
+    if not 0 < cutoff < math.inf:
+        raise ValueError(f"sweep --values entry {entry!r} is not a positive finite cutoff")
+    return cutoff
 
 
 def _sweep_targets(args) -> list[tuple]:
@@ -387,14 +380,13 @@ def _sweep_targets(args) -> list[tuple]:
 
 
 def cmd_sweep(args) -> int:
-    seed = _resolve_seed(args.seed)
     points, samples = [], []  # (value, record) of each point, and the sample rows of those that succeeded
     for source, values in _sweep_targets(args):
         # an input the target refuses exits; a failed estimate gets a record
         target = None  # free the last checkpoint's curvature first
         target = _Target(args, *source)
         for value, cutoff, name in values:
-            record, estimate = target.record(cutoff, name, seed)
+            record, estimate = target.record(cutoff, name, args.seed)
             samples += sample_rows(estimate, point=len(points)) if estimate else []
             points.append((value, record))
             del estimate  # and with it the point's k x n block of directions
@@ -402,15 +394,17 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     rows = [{"kind": args.kind, "value": value, **{f: r[f] for f in SWEEP_FIELDS if f in r}} for value, r in points]
     write_csv(out, rows, ["kind", "value", *SWEEP_FIELDS])
-    write_jsonl(out.with_suffix(".records.jsonl"), *(r for _, r in points), mode="w")
+    write_jsonl(out.with_suffix(".records.jsonl"), *(r for _, r in points))
     write_csv(out.with_suffix(".samples.csv"), samples, ["point", *SAMPLE_FIELDS])
+    # a slope needs two distinct cutoffs that succeeded
     done = [r for _, r in points if r["status"] == "ok"]
-    if args.kind == "cutoff" and len(done) >= 2:
+    slope = None
+    if args.kind == "cutoff" and len({r["cutoff"] for r in done}) >= 2:
         xs = [math.log(r["cutoff"]) for r in done]
         slope = float(np.polyfit(xs, [r["log_volume"] for r in done], 1)[0])
         print(f"fitted log-log slope of volume vs cutoff: {slope:.4f}")
-        summary = {"kind": args.kind, "log_log_slope": slope, "seed": seed}
-        out.with_suffix(".summary.json").write_text(json.dumps(summary, sort_keys=True))
+    summary = {"kind": args.kind, "log_log_slope": slope, "seed": args.seed}
+    out.with_suffix(".summary.json").write_text(json.dumps(summary, sort_keys=True))
     print(f"{len(rows)} sweep rows -> {out}")
     return 0
 
@@ -457,19 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_seed(p):
-        p.add_argument("--seed", type=int, default=None, help="master seed (default: STARVOL_SEED or 0)")
-
     p_train = sub.add_parser("train", help="train the tiny classifier and write checkpoints")
     p_train.add_argument("--config", type=str, default=None, help="JSON config file")
     p_train.add_argument("--out", type=str, default="runs/train", help="checkpoint directory")
-    add_seed(p_train)
+    p_train.add_argument("--seed", type=int, default=None, help="master seed (default: the config's seed, else 0)")
     p_train.set_defaults(func=cmd_train)
 
     shared = argparse.ArgumentParser(add_help=False)
     for flag, options in ESTIMATE_FLAGS:
         shared.add_argument(flag, **options)
-    add_seed(shared)
+    shared.add_argument("--seed", type=int, default=0, help="master seed")
 
     p_est = sub.add_parser("estimate", parents=[shared], help="estimate a checkpoint's local volume")
     p_est.add_argument("--checkpoint", type=str, required=True)

@@ -78,7 +78,7 @@ __all__ = [
 # cost below the cutoff; a ray without it takes the same steps in float64.
 CostFn = Callable[[np.ndarray], float]
 
-# radius cap defaults: hard ceiling for Lebesgue, measure-adapted for Gaussian
+# a search's radius cap: a hard ceiling for Lebesgue, measure-adapted for Gaussian
 LEBESGUE_R_MAX = 1e6
 GAUSSIAN_R_MAX_SIGMAS = 20.0
 # the radial integral's bracket ends where the integrand has fallen by
@@ -171,8 +171,8 @@ class MeasureSpec:
 
     @cached_property
     def r_max(self) -> float:
-        """Default radius cap of a search, computed once for all rays: 20 sqrt(n) max sigma
-        for a Gaussian, ``LEBESGUE_R_MAX`` for Lebesgue."""
+        """The measure's radius cap, where every ray's search stops, computed once for all
+        rays: 20 sqrt(n) max sigma for a Gaussian, ``LEBESGUE_R_MAX`` for Lebesgue."""
         if self.kind == "gaussian":
             return GAUSSIAN_R_MAX_SIGMAS * math.sqrt(self.sigma.size) * float(np.max(self.sigma))
         return LEBESGUE_R_MAX
@@ -236,14 +236,12 @@ class SearchOptions:
     """Radius-search knobs, validated once here. ``threads`` must be at least 1
     but is ignored (rays run on the calling thread) until the benchmark drops it."""
 
-    r_max: float | None = None  # None = the measure's default cap, MeasureSpec.r_max
     rel_tol: float = 1e-4
     threads: int = 1
 
     def __post_init__(self):
-        for name, value in (("r_max", self.r_max), ("rel_tol", self.rel_tol)):
-            if value is not None and not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
 
@@ -386,9 +384,9 @@ def find_radius(
     Returns ``(radius, truncated, evals)``; the float64 cost at the returned
     radius is strictly below the cutoff, so the search never overshoots,
     and ``evals`` counts the cost evaluations made along the ray, in either
-    precision. If the bracket stage reaches the cap
-    (``opts.r_max``, or else the measure's ``r_max``) without a crossing,
-    the radius is capped there and flagged truncated. Every evaluation goes
+    precision. If the bracket stage reaches the measure's cap
+    (``spec.measure.r_max``) without a crossing, the radius is capped there
+    and flagged truncated. Every evaluation goes
     through ``spec.line``.
 
     Where the ray carries a float32 form (``line.approx``, see ``CostFn``),
@@ -442,8 +440,7 @@ def find_radius(
     if not 0.0 < start < math.inf:
         raise ValueError(f"start must be positive and finite, got {start}")
     opts = opts or SearchOptions()
-    r_max = opts.r_max if opts.r_max is not None else spec.measure.r_max
-    rel_tol = opts.rel_tol
+    r_max, rel_tol = spec.measure.r_max, opts.rel_tol
     line = spec.line(direction)
     steer = getattr(line, "approx", line)  # the ray's float32 form, where it has one
     cutoff, c0 = spec.cutoff, spec.anchor_cost

@@ -1,9 +1,9 @@
 """Run records, config files, and tabular outputs for the command-line tools.
 
 Configs are one JSON object with the sections documented in the README,
-read through ``codec.Fields``; command-line flags override individual
-entries. An estimate appends one JSON Lines record, and a sweep rewrites
-one per point, each holding the resolved config, the seed, and the
+read through ``codec.Fields``, which refuses a null value; ``--seed``
+overrides the file's seed. An estimate writes one JSON Lines record, and a
+sweep one per point, each holding the resolved config, the seed, and the
 aggregated result, with per-sample detail in a sibling CSV, so any reported
 number can be replayed from its record alone.
 """
@@ -15,7 +15,6 @@ import csv
 import dataclasses
 import functools
 import json
-import os
 import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,7 +26,6 @@ __all__ = [
     "DEFAULT_CONFIG",
     "SAMPLE_FIELDS",
     "build_id",
-    "default_seed",
     "make_run_record",
     "merge_config",
     "read_jsonl",
@@ -37,10 +35,8 @@ __all__ = [
     "write_samples_csv",
 ]
 
-SEED_ENV_VAR = "STARVOL_SEED"
-
 DEFAULT_CONFIG: dict = {
-    "seed": None,  # resolved at run time: flag > config file > STARVOL_SEED > 0
+    "seed": 0,  # --seed overrides it
     "dataset": {
         "kind": "blobs",  # blobs | spirals | csv
         "dim": 16,
@@ -66,33 +62,16 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-def default_seed() -> int:
-    """Seed precedence bottom rung: the environment override, else 0."""
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
-
-
-def merge_config(base: dict, *overrides: dict) -> dict:
-    """Deep-merge dict layers; later layers win, None values are ignored."""
+def merge_config(base: dict, override: dict) -> dict:
+    """A deep copy of ``base`` with each value of ``override`` in place, objects merged
+    key by key; a null in ``override`` is kept, for ``Fields`` to refuse."""
     out = copy.deepcopy(base)
-    for layer in overrides:
-        _merge_into(out, layer)
-    return out
-
-
-def _merge_into(dst: dict, src: dict) -> None:
-    for key, value in src.items():
-        if value is None:
-            continue
-        if isinstance(value, dict) and isinstance(dst.get(key), dict):
-            _merge_into(dst[key], value)
+    for key, value in override.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            out[key] = merge_config(base[key], value)
         else:
-            dst[key] = copy.deepcopy(value)
+            out[key] = copy.deepcopy(value)
+    return out
 
 
 @functools.cache
@@ -154,11 +133,11 @@ def make_run_record(
     }
 
 
-def write_jsonl(path: str | Path, *records: dict, mode: str = "a") -> None:
-    """Append ``records`` to ``path``, one per line; ``mode="w"`` rewrites the file."""
+def write_jsonl(path: str | Path, *records: dict) -> None:
+    """Write ``records`` to ``path``, one per line, replacing the file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open(mode) as fh:
+    with path.open("w") as fh:
         fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 

@@ -114,6 +114,15 @@ class TestTrain:
             assert (out2 / path.name).read_bytes() == path.read_bytes()
         assert (out2 / "metrics.csv").read_bytes() == (train_run["out"] / "metrics.csv").read_bytes()
 
+    @pytest.mark.parametrize("config_seed, flag, seed", [({}, [], 0), ({"seed": 5}, [], 5),
+                                                         ({"seed": 5}, ["--seed", "7"], 7)])
+    def test_seed_is_the_flag_else_the_configs_else_zero(self, config_seed, flag, seed, tmp_path):
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({**TRAIN_CONFIG, **config_seed, "train": {"epochs": 1, "checkpoint_every": 100}}))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out), *flag]) == 0
+        assert {json.loads(p.read_text())["config"]["seed"] for p in out.glob("checkpoint_step*.json")} == {seed}
+
     @pytest.mark.parametrize("field, value", [("lr", -0.05), ("poison_alpha", -0.5)])
     def test_bad_training_setting_exits_nonzero(self, field, value, tmp_path, capsys):
         cfg_data = json.loads(json.dumps(TRAIN_CONFIG))
@@ -151,12 +160,15 @@ class TestTrain:
         pytest.param(lambda cfg: cfg["train"].update(poison_alpha=0.5),
                      "malformed config field train.poison_alpha in {cfg}: a poison weight of 0.5 needs a poison "
                      "split, but dataset.poison is 0", id="poison-weight-without-split"),
+        pytest.param(lambda cfg: cfg["train"].update(epochs=None), "missing config field train.epochs in {cfg}",
+                     id="null-value"),
     ])
     def test_malformed_config_exits_2_naming_field_and_file(self, mangle, reason, tmp_path, capsys):
         # "hidden": "12" trained a 3-1-2-2 net, fractions were truncated, a
         # negative poison size, a misspelt key or a poison weight with no
-        # poison split trained as if it were absent, and the other cases
-        # ended in a traceback or named neither field nor file
+        # poison split trained as if it were absent, a null value trained as
+        # the default, and the other cases ended in a traceback or named
+        # neither field nor file
         data = json.loads(json.dumps(TRAIN_CONFIG))
         root = mangle(data)
         cfg = tmp_path / "bad.json"
@@ -259,21 +271,37 @@ class TestEstimate:
         assert record["build_seconds"] == {}  # the identity map is built from no probe
         summary = capsys.readouterr().out
         assert (
+            f"cost_evals={record['cost_evals']} evals_per_ray={record['evals_per_ray']:.2f} "
             f"ess={record['ess']:.2f} top_share={record['top_share']:.3f} "
-            f"prefix_rise={record['prefix_rise']:.3f}"
+            f"prefix_rise={record['prefix_rise']:.3f} "
+            + " ".join(f"{stage}_cpu_s={stages[stage]['cpu']:.4f}" for stage in ("sample", "search", "integrate",
+                                                                                 "aggregate"))
         ) in summary
 
-    def test_rerun_appends_identical_record(self, final_checkpoint, tmp_path):
+    def test_rerun_writes_identical_record(self, final_checkpoint, tmp_path):
+        # a rerun rewrites the record file, as it rewrites the samples file,
+        # so the two always describe the same run
         out = tmp_path / "runs.jsonl"
-        argv = [
-            "estimate", "--checkpoint", str(final_checkpoint),
-            "--k", "6", "--out", str(out), "--seed", "9",
-        ]
-        assert main(argv) == 0
-        assert main(argv) == 0
-        first, second = read_jsonl(out)
+        argv = ["estimate", "--checkpoint", str(final_checkpoint), "--out", str(out), "--seed", "9"]
+        runs = []
+        for k in ("6", "6", "3"):
+            assert main([*argv, "--k", k]) == 0
+            (record,) = read_jsonl(out)
+            runs.append((record, _read_csv(out.with_suffix(".samples.csv"))))
+        (first, first_rows), (second, second_rows), (third, third_rows) = runs
         assert first["log_volume"] == second["log_volume"]
         assert first["log_terms"] == second["log_terms"]
+        assert first_rows == second_rows
+        assert third["k"] == len(third_rows) == 3
+
+    def test_seed_defaults_to_zero(self, final_checkpoint, tmp_path):
+        records = []
+        for name, flag in (("default", []), ("zero", ["--seed", "0"])):
+            out = tmp_path / f"{name}.jsonl"
+            assert main(["estimate", "--checkpoint", str(final_checkpoint), "--k", "2", *flag, "--out", str(out)]) == 0
+            records.append(read_jsonl(out)[0])
+        assert [r["seed"] for r in records] == [0, 0]
+        assert records[0]["log_terms"] == records[1]["log_terms"]
 
     @pytest.mark.parametrize("argv, max_evals_per_ray", [
         pytest.param(["--k", "12", "--seed", "5"], None, id="identity-kl"),
@@ -426,10 +454,11 @@ class TestEstimate:
         assert info.value.code == 2
 
     @pytest.mark.parametrize("command", ["estimate", "sweep"])
-    @pytest.mark.parametrize("flag, value", [("--r-init", "1"), ("--max-iters", "5")])
+    @pytest.mark.parametrize("flag, value", [("--r-init", "1"), ("--max-iters", "5"), ("--r-max", "10")])
     def test_deleted_search_flags_exit_2(self, command, flag, value, final_checkpoint, tmp_path, capsys):
         # the search starts ray 0 at radius 1 and later rays at the earlier
-        # rays' median, and its evaluation budget is fixed, so neither is a flag
+        # rays' median, its evaluation budget is fixed, and every ray stops at
+        # the measure's cap, so none of them is a flag
         out = tmp_path / "o.out"
         argv = [command, "--checkpoint", str(final_checkpoint), flag, value, "--out", str(out)]
         with pytest.raises(SystemExit) as info:
@@ -452,25 +481,13 @@ class TestEstimate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--r-max", "nan"), ("--rel-tol", "-1"), ("--threads", "-3")])
+    @pytest.mark.parametrize("flag, value", [("--rel-tol", "-1"), ("--threads", "-3")])
     def test_invalid_search_option_exits_2(self, flag, value, final_checkpoint, tmp_path, capsys):
         out = tmp_path / "o.jsonl"
         rc = main(["estimate", "--checkpoint", str(final_checkpoint), flag, value, "--out", str(out)])
         assert rc == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
-
-    def test_env_seed_is_fallback_only(self, final_checkpoint, tmp_path, monkeypatch):
-        monkeypatch.setenv("STARVOL_SEED", "77")
-        out_env = tmp_path / "env.jsonl"
-        assert main(["estimate", "--checkpoint", str(final_checkpoint), "--k", "2", "--out", str(out_env)]) == 0
-        assert read_jsonl(out_env)[0]["seed"] == 77
-        out_flag = tmp_path / "flag.jsonl"
-        assert main([
-            "estimate", "--checkpoint", str(final_checkpoint),
-            "--k", "2", "--out", str(out_flag), "--seed", "5",
-        ]) == 0
-        assert read_jsonl(out_flag)[0]["seed"] == 5
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         rc = main(["estimate", "--checkpoint", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.jsonl")])
@@ -552,6 +569,28 @@ class TestSweep:
         # n/2 power law for the quadratic cost; same directions per cutoff, so
         # the only noise is the radius search tolerance (1e-4 relative)
         assert summary["log_log_slope"] == pytest.approx(20.0, rel=1e-3)
+
+    def test_equal_cutoffs_fit_no_slope(self, tmp_path, capsys, recwarn):
+        # a fit through one distinct cutoff warned and reported a slope of noise
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--kind", "cutoff", "--target", "quadratic", "--n", "5", "--k", "4",
+                   "--values", "1e-2,1e-2", "--out", str(out)])
+        assert rc == 0
+        assert [r["status"] for r in _read_csv(out)] == ["ok"] * 2
+        assert json.loads(out.with_suffix(".summary.json").read_text()) == {
+            "kind": "cutoff", "log_log_slope": None, "seed": 0}
+        assert "slope" not in capsys.readouterr().out
+        assert not recwarn.list
+
+    def test_every_sweep_rewrites_its_summary(self, tmp_path):
+        # a sweep that fitted no slope used to leave the last run's summary in place
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--kind", "cutoff", "--target", "quadratic", "--n", "5", "--k", "4", "--out", str(out)]
+        assert main([*argv, "--values", "1e-2,1e-1"]) == 0
+        assert json.loads(out.with_suffix(".summary.json").read_text())["log_log_slope"] is not None
+        assert main([*argv, "--values", "1e-2"]) == 0
+        assert len(_read_csv(out)) == 1
+        assert json.loads(out.with_suffix(".summary.json").read_text())["log_log_slope"] is None
 
     def test_checkpoint_sweep_sorts_by_step(self, train_run, tmp_path):
         out = tmp_path / "ckpt.csv"
@@ -649,15 +688,15 @@ class TestSweep:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert list(tmp_path.iterdir()) == []
 
-    def test_quadratic_sweep_honours_search_flags(self, tmp_path):
+    def test_quadratic_sweep_truncates_at_the_measure_cap(self, tmp_path, monkeypatch):
         # both cutoffs' boundaries, radii sqrt(0.02) and sqrt(0.2), lie past
-        # an --r-max of 0.1, so every ray is truncated there and each point
-        # is the volume of the n = 20 ball of radius 0.1
+        # a Lebesgue cap of 0.1, so every ray is truncated there and each
+        # point is the volume of the n = 20 ball of radius 0.1
+        monkeypatch.setattr(geometry, "LEBESGUE_R_MAX", 0.1)
         out = tmp_path / "sweep.csv"
         rc = main([
             "sweep", "--kind", "cutoff", "--target", "quadratic", "--n", "20",
-            "--k", "8", "--values", "1e-2,1e-1", "--r-max", "0.1",
-            "--out", str(out), "--seed", "1",
+            "--k", "8", "--values", "1e-2,1e-1", "--out", str(out), "--seed", "1",
         ])
         assert rc == 0
         rows = _read_csv(out)
@@ -729,9 +768,11 @@ class TestSweep:
         (["--kind", "preconditioner", "--checkpoint", "nonexistent.json", "--values", "none",
           "--preconditioner", "diag", "--precond-file", "nonexistent.json", "--n", "7"],
          "sweep --kind preconditioner takes no --n, --preconditioner, --precond-file"),
-        # a cutoff that is not a number is named with its flag
+        # a cutoff that is not a number, or not positive and finite, is named with its flag
         (["--kind", "cutoff", "--checkpoint", "nonexistent.json", "--values", "1e-2,abc"],
          "sweep --values entry 'abc' is not a number"),
+        *((["--kind", "cutoff", "--checkpoint", "nonexistent.json", "--values", f"1e-2,{bad}"],
+           f"sweep --values entry '{bad}' is not a positive finite cutoff") for bad in ("0", "inf", "-1", "nan")),
     ])
     def test_unread_flag_exits_2(self, argv, message, tmp_path, capsys):
         # these exited 0 with the flag ignored, and the bad cutoff named no
@@ -823,8 +864,8 @@ class TestSweep:
         assert failed["status"].startswith("failed: anchor cost")
         assert (failed["cutoff"], failed["preconditioner"]) == ("1e-06", "diag")
         assert (ok["status"], ok["cutoff"]) == ("ok", "2.0")
-        # one successful point fits no slope, so no summary is written
-        assert not out.with_suffix(".summary.json").exists()
+        # one successful point fits no slope
+        assert json.loads(out.with_suffix(".summary.json").read_text())["log_log_slope"] is None
         # the failed point has a record but no samples; the other's k rays follow as point 1
         records = read_jsonl(out.with_suffix(".records.jsonl"))
         assert [r["status"] for r in records] == [failed["status"], "ok"]

@@ -252,14 +252,15 @@ class TestFindRadius:
         with pytest.raises(CostEvaluationError, match="at the anchor"):
             NeighborhoodSpec(np.zeros(2), lambda x: math.inf, 1.0, MeasureSpec.lebesgue())
 
-    def test_budget_exhaustion_mid_search_carries_bracket(self):
-        # a step from the anchor cost to above the cutoff at 1.3 * 2^492: the
-        # bracket stage doubles from 1 to 2^493 (494 evaluations), and the
-        # bisections to the 1e-4 tolerance need 14 more, so the budget runs
-        # out inside the bracket [2^492, 2^493]
+    def test_budget_exhaustion_mid_search_carries_bracket(self, monkeypatch):
+        # a step from the anchor cost to above the cutoff at 1.3 * 2^492: under
+        # a Lebesgue cap of 1e300, the bracket stage doubles from 1 to 2^493
+        # (494 evaluations), and the bisections to the 1e-4 tolerance need 14
+        # more, so the budget runs out inside the bracket [2^492, 2^493]
+        monkeypatch.setattr(geometry, "LEBESGUE_R_MAX", 1e300)
         wall = 1.3 * 2.0**492
         with pytest.raises(RadiusSearchError, match="did not converge") as info:
-            _profile_search(lambda r: 0.0 if r < wall else 5.0, SearchOptions(r_max=1e300))
+            _profile_search(lambda r: 0.0 if r < wall else 5.0)
         lo, hi = info.value.bracket
         assert 2.0**492 <= lo < wall < hi <= 2.0**493
         assert info.value.evals == MAX_EVALS == 500
@@ -312,21 +313,23 @@ class TestFindRadius:
             assert spec.cost(spec.anchor + r * (1 + 3e-6) * d) >= spec.cutoff
             assert r == pytest.approx(ellipsoid_radius(e, d), rel=1e-5)
 
-    def test_flat_cost_truncates_at_cap(self):
+    def test_flat_cost_truncates_at_cap(self, monkeypatch):
+        monkeypatch.setattr(geometry, "LEBESGUE_R_MAX", 32.0)
         spec = NeighborhoodSpec(
             anchor=np.zeros(2), cost=lambda x: 0.0, cutoff=1.0, measure=MeasureSpec.lebesgue()
         )
-        r, truncated, _ = find_radius(spec, np.array([1.0, 0.0]), SearchOptions(r_max=32.0))
+        r, truncated, _ = find_radius(spec, np.array([1.0, 0.0]))
         assert truncated
         assert r == 32.0
 
-    def test_bracketing_budget_exhaustion(self):
-        # under a cap of 1e300 a flat ray doubles from 1 to 2^499 without a crossing
+    def test_bracketing_budget_exhaustion(self, monkeypatch):
+        # under a Lebesgue cap of 1e300 a flat ray doubles from 1 to 2^499 without a crossing
+        monkeypatch.setattr(geometry, "LEBESGUE_R_MAX", 1e300)
         spec = NeighborhoodSpec(
             anchor=np.zeros(1), cost=lambda x: 0.0, cutoff=1.0, measure=MeasureSpec.lebesgue()
         )
         with pytest.raises(RadiusSearchError, match="bracketing exhausted") as info:
-            find_radius(spec, np.array([1.0]), SearchOptions(r_max=1e300))
+            find_radius(spec, np.array([1.0]))
         assert info.value.bracket == (2.0**499, 2.0**500)
         assert info.value.evals == MAX_EVALS
 
@@ -358,14 +361,12 @@ class TestFindRadius:
         assert reads == []
 
     @pytest.mark.parametrize("field, value", [
-        ("r_max", 0.0), ("r_max", math.nan), ("r_max", math.inf),
         ("rel_tol", -1.0), ("rel_tol", 0.0), ("rel_tol", math.nan),
         ("threads", -3), ("threads", 0),
     ])
     def test_options_are_validated_when_built(self, field, value):
-        # each value used to be accepted: r_max=nan was never reached, r_max=0
-        # returned radius 0, rel_tol=-1 ran to float resolution and
-        # threads=-3 ran serially
+        # each value used to be accepted: rel_tol=-1 ran to float resolution
+        # and threads=-3 ran serially
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SearchOptions(**{field: value})
 
@@ -435,11 +436,12 @@ class TestSearchFromAbove:
         assert reads[1][0] == "float32" and reads[1][1] < start
         assert evals <= ABOVE_BUDGETS[name][ABOVE_STARTS.index(factor)]
 
-    def test_start_at_the_cap_above_the_crossing(self):
+    def test_start_at_the_cap_above_the_crossing(self, monkeypatch):
         # a start past the cap reads the cap in float64, then steps back inside in float32
+        monkeypatch.setattr(geometry, "LEBESGUE_R_MAX", 4.0)
         profile, root = ABOVE_PROFILES["quadratic"]
         reads = []
-        opts = SearchOptions(r_max=4.0)
+        opts = SearchOptions()
         radius, truncated, evals = find_radius(_steered_spec(profile, reads), np.array([1.0]), opts, 100.0)
         assert not truncated and abs(radius - root) <= opts.rel_tol * root
         assert [form for form, _ in reads[:2]] == ["float64", "float32"]
@@ -617,10 +619,12 @@ class TestLebesgueLogTerm:
             else:
                 assert s.log_term == pytest.approx(math.log(2.0 * math.sqrt(2.0)), abs=1e-3)
 
-    def test_budget_failure_keeps_its_evaluations(self):
-        # toward negative x the cost steps above the cutoff at 1.3 * 2^492, so
-        # those rays run out of evaluations while narrowing; each fails with
-        # its MAX_EVALS evaluations counted, adds zero mass and still counts in k
+    def test_budget_failure_keeps_its_evaluations(self, monkeypatch):
+        # toward negative x the cost steps above the cutoff at 1.3 * 2^492,
+        # inside a Lebesgue cap of 1e300, so those rays run out of evaluations
+        # while narrowing; each fails with its MAX_EVALS evaluations counted,
+        # adds zero mass and still counts in k
+        monkeypatch.setattr(geometry, "LEBESGUE_R_MAX", 1e300)
         wall = 1.3 * 2.0**492
 
         def cost(x):
@@ -629,9 +633,7 @@ class TestLebesgueLogTerm:
             return 0.0 if -x[0] < wall else 5.0
 
         spec = NeighborhoodSpec(np.zeros(1), cost, 1.0, MeasureSpec.lebesgue())
-        est = estimate_local_volume(
-            spec, Preconditioner.identity(1), 16, SearchOptions(r_max=1e300), seed=1
-        )
+        est = estimate_local_volume(spec, Preconditioner.identity(1), 16, seed=1)
         reason = "RadiusSearchError: radius search did not converge to rel_tol=0.0001"
         assert 0 < est.failed_count < 16
         assert est.failed_by_reason == {reason: est.failed_count}
@@ -1131,13 +1133,12 @@ class TestEstimateLocalVolume:
         with pytest.raises(ValueError, match="dimension"):
             estimate_local_volume(e.neighborhood(), Preconditioner.identity(3), k=4)
 
-    def test_truncated_lebesgue_flags_lower_bound(self):
+    def test_truncated_lebesgue_flags_lower_bound(self, monkeypatch):
+        monkeypatch.setattr(geometry, "LEBESGUE_R_MAX", 10.0)
         spec = NeighborhoodSpec(
             np.zeros(2), lambda x: 0.0, 1.0, MeasureSpec.lebesgue()
         )
-        est = estimate_local_volume(
-            spec, Preconditioner.identity(2), k=4, opts=SearchOptions(r_max=10.0), seed=0
-        )
+        est = estimate_local_volume(spec, Preconditioner.identity(2), k=4, seed=0)
         assert est.truncated_count == 4
         assert est.lower_bound_only
         assert est.log_volume == pytest.approx(math.log(100.0 * math.pi), abs=1e-12)
@@ -1579,7 +1580,7 @@ class TestSearchContract:
         self._assert_same_rays(spec, est)
 
     def test_flat_gaussian_ray(self):
-        # with no r_max, every ray stops at the measure's cap, 20 sqrt(n) max sigma
+        # every ray stops at the measure's cap, 20 sqrt(n) max sigma
         n = 6
         spec = NeighborhoodSpec(np.zeros(n), lambda x: 0.0, 1.0, MeasureSpec.gaussian(np.ones(n)))
         est = estimate_local_volume(spec, Preconditioner.identity(n), k=4, seed=3)
