@@ -89,6 +89,13 @@ def _role_seed(master: int, role: str) -> np.random.SeedSequence:
     return np.random.SeedSequence(master, spawn_key=(SEED_ROLES[role],))
 
 
+def _seed_flag(text: str) -> int:
+    """``--seed``'s value, an integer >= 0 as a SeedSequence takes; argparse names the flag in a refusal."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_datasets(config: Fields):
     """Materialize (train, val, poison) splits from the config's seed and dataset section."""
     ds = config.section("dataset")
@@ -96,7 +103,7 @@ def _build_datasets(config: Fields):
     # a zero-size split would make an empty Dataset, so only ask for it when used
     sizes = [ds.get("train", count), ds.get("val", count)] + ([poison_size] if poison_size > 0 else [])
     total = sum(sizes)
-    data_seed = int(_role_seed(config.get("seed", integer), "data").generate_state(1)[0])
+    data_seed = int(_role_seed(config.get("seed", lambda seed: count(seed, 0)), "data").generate_state(1)[0])
     kind = ds.get("kind")
     if kind == "blobs":
         classes = ds.get("classes", count)
@@ -129,7 +136,7 @@ def cmd_train(args) -> int:
     Fields(file_cfg, args.config, "config").refuse_unknown(DEFAULT_CONFIG)
     config = merge_config(DEFAULT_CONFIG, file_cfg)
     fields = Fields(config, args.config, "config")
-    config_seed = fields.get("seed", integer)
+    config_seed = fields.get("seed", lambda seed: count(seed, 0))
     config["seed"] = master_seed = config_seed if args.seed is None else args.seed
 
     train_ds, val_ds, poison_ds = _build_datasets(fields)
@@ -163,18 +170,12 @@ def cmd_train(args) -> int:
     for ckpt_params, adam_state, step in zip(result.checkpoints, result.adam_states, result.steps):
         save_checkpoint(out_dir / f"checkpoint_step{step:06d}.json",
                         Checkpoint(params=ckpt_params, nu=adam_state.nu, sigma=measure.sigma, step=step, config=config))
-    metrics_path = out_dir / "metrics.csv"
-    fields = sorted({key for row in result.metrics for key in row})
-    fields = ["step"] + [f for f in fields if f != "step"]
-    write_csv(metrics_path, list(result.metrics), fields)
+    fields = sorted({key for row in result.metrics for key in row} - {"step"})
+    write_csv(out_dir / "metrics.csv", list(result.metrics), ["step", *fields])
 
     final = result.metrics[-1]
-    print(f"trained {len(result.steps)} checkpoints -> {out_dir}")
-    print(
-        "final step {step}: train_loss={train_loss:.4f}".format(**final)
-        + (" val_loss={val_loss:.4f}".format(**final) if "val_loss" in final else "")
-        + (" poison_loss={poison_loss:.4f}".format(**final) if "poison_loss" in final else "")
-    )
+    losses = " ".join(f"{key}={final[key]:.4f}" for key in ("train_loss", "val_loss", "poison_loss") if key in final)
+    print(f"trained {len(result.steps)} checkpoints -> {out_dir}\nfinal step {final['step']}: {losses}")
     return 0
 
 
@@ -198,10 +199,6 @@ def _timed(into: dict, stage: str, fn, *args):
     return out
 
 
-def _search_options(args) -> SearchOptions:
-    return SearchOptions(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchOptions)})
-
-
 def _half_square(x: np.ndarray) -> float:
     return 0.5 * float(np.dot(x, x))
 
@@ -222,7 +219,7 @@ class _Target:
 
     def __init__(self, args, ckpt: Checkpoint | None = None, path: str | None = None):
         self.args, self.ckpt, self.path = args, ckpt, path
-        self.opts = _search_options(args)
+        self.opts = SearchOptions(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchOptions)})
         self.build_seconds: dict[str, dict[str, dict[str, float]]] = {}
         if ckpt is None:
             self._maps = {"none": Preconditioner.identity(args.n)}
@@ -421,6 +418,8 @@ def cmd_mdl(args) -> int:
     if (measure := record.get("measure", optional=True)) != "gaussian":
         raise ValueError(f"description length requires a Gaussian volume record, not measure {measure!r}")
     log_volume, n, config = record.get("log_volume", number), record.get("n", integer), record.section("config")
+    if (cost := config.get("cost", optional=True)) != "loss":
+        raise ValueError(f"description length requires a loss-cost volume record, not cost {cost!r}")
     if n != ckpt.params.n:
         raise ValueError(f"the record's n = {n} does not match the checkpoint's {ckpt.params.n} parameters")
     recorded, digest = config.get("anchor_sha256", optional=True), _anchor_sha256(ckpt.params.flat)
@@ -429,15 +428,16 @@ def cmd_mdl(args) -> int:
             f"the record's anchor_sha256 {recorded or '(missing)'} does not match the "
             f"checkpoint's {digest}: the record was estimated at another anchor"
         )
-    # the data term is the summed cross-entropy: m times the loss cost, the
-    # train_loss that metrics.csv logs at this step
-    train_ds, _, _ = _build_datasets(Fields(ckpt.config, args.checkpoint, "checkpoint config"))
-    kl_term, data_term = -log_volume, train_ds.m * make_loss_cost(ckpt.params.shape, train_ds)(ckpt.params.flat)
+    cutoff = record.get("cutoff", number)
+    m = Fields(ckpt.config, args.checkpoint, "checkpoint config").section("dataset").get("train", count)
+    # every member has m * loss < m * cutoff, so the sum bounds the labels' bits-back length
+    kl_term, data_term = -log_volume, m * cutoff
     total = kl_term + data_term
     payload = {"kl_term": kl_term, "data_term": data_term, "total": total, "log_volume": log_volume, "n": n,
-               "checkpoint": str(args.checkpoint)}
+               "cutoff": cutoff, "m": m, "slack_per_decade": math.log(10), "checkpoint": str(args.checkpoint)}
     write_json(args.out, payload)
-    print(f"kl_term={kl_term:.4f} data_term={data_term:.4f} total={total:.4f} nats")
+    print(f"kl_term={kl_term:.4f} data_term={data_term:.4f} total={total:.4f} nats, "
+          f"+ j*{math.log(10):.4f} at confidence 1-10^-j")
     return 0
 
 
@@ -454,13 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train the tiny classifier and write checkpoints")
     p_train.add_argument("--config", type=str, default=None, help="JSON config file")
     p_train.add_argument("--out", type=str, default="runs/train", help="checkpoint directory")
-    p_train.add_argument("--seed", type=int, default=None, help="master seed (default: the config's seed, else 0)")
+    p_train.add_argument("--seed", type=_seed_flag, help="master seed (default: the config's seed, else 0)")
     p_train.set_defaults(func=cmd_train)
 
     shared = argparse.ArgumentParser(add_help=False)
     for flag, options in ESTIMATE_FLAGS:
         shared.add_argument(flag, **options)
-    shared.add_argument("--seed", type=int, default=0, help="master seed")
+    shared.add_argument("--seed", type=_seed_flag, default=0, help="master seed")
 
     p_est = sub.add_parser("estimate", parents=[shared], help="estimate a checkpoint's local volume")
     p_est.add_argument("--checkpoint", type=str, required=True)
@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", type=str, default="sweep.csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_mdl = sub.add_parser("mdl", help="two-part description length from a Gaussian volume record")
+    p_mdl = sub.add_parser("mdl", help="a bound on the labels' code length from a Gaussian loss-cost volume record")
     p_mdl.add_argument("--checkpoint", type=str, required=True)
     p_mdl.add_argument("--record", type=str, required=True, help="JSON Lines file from estimate or sweep")
     p_mdl.add_argument("--out", type=str, default="mdl.json")

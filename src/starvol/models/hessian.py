@@ -6,8 +6,8 @@ labels for the loss. With q_i the candidate's probabilities, the Hessian is
 the Gauss-Newton matrix B^T B plus a residual term weighted by the logit
 gradient (q_i - t_i) / m. Example i contributes one row of B per class c,
 sqrt(q_ic / m) (J_ic - sum_c' q_ic' J_ic'), with J_i its logit Jacobian.
-Per chunk of examples, the forward pass that the cost handles, training
-and ``mdl`` share (``mlp._forward``) keeps each layer's input, and one
+Per chunk of examples, the forward pass that the cost handles and training
+share (``mlp._forward``) keeps each layer's input, and one
 backward pass carries to each layer's pre-activation u_l those C seeds,
 the gradient gamma_l, and each example's residual Hessian R_l with respect
 to u_l: R_L = 0 at the logits and

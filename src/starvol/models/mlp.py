@@ -4,7 +4,7 @@ Hidden layers use tanh; the final layer emits raw logits consumed by a
 softmax inside the cost functions. Parameters live in one flat vector so
 the whole network is a point in R^n for the volume estimators, and the
 cost closures built here operate directly on flat vectors. The cost
-handles, training, the description length and the curvature probes share
+handles, training and the curvature probes share
 one forward pass, ``_forward``, which takes its first layer as one product
 of the inputs with a column of ones, [x | 1], and the [W; b] view of the
 flat vector, so no pass adds the bias. Each cost handle also carries a ray

@@ -6,21 +6,25 @@ quadratic neighborhoods, variance identities for quadratic forms on the
 sphere and the log terms they drive, the harmonic-mean law for typical
 sampled radii on wide spectra, the coordinate variances of linear gradient
 flow from a standard Gaussian start, and the log-sum-exp bracket of an
-estimate.
+estimate. One more truth needs no closed form: the prior mass of a trained
+network's neighborhood, counted from prior draws (``prior_hit_rate``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from starvol.geometry import CostFn, MeasureSpec, NeighborhoodSpec, VolumeEstimate
+from starvol.models import MlpParams
 from starvol.precondition import Preconditioner, _readonly
 
 __all__ = [
     "Ellipsoid",
+    "HitRate",
     "VarianceCheck",
     "ellipsoid_log_volume_exact",
     "ellipsoid_radius",
@@ -29,6 +33,8 @@ __all__ = [
     "gd_flow_ensemble_check",
     "harmonic_mean_prediction",
     "log_estimator_variance_prediction",
+    "mlp_kl_cost_batch",
+    "prior_hit_rate",
     "quadratic_form_variance_check",
     "smoothmax_bracket_holds",
 ]
@@ -242,3 +248,89 @@ def smoothmax_bracket_holds(estimate: VolumeEstimate, slack: float = 1e-9) -> bo
         <= estimate.log_volume
         <= top + slack
     )
+
+
+# -- prior draws ------------------------------------------------------------------
+
+# a batched cost: one value for each row of a (P, n) stack of flat vectors
+BatchCost = Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class HitRate:
+    """``hits`` of ``draws`` prior draws counted inside a neighborhood."""
+
+    hits: int
+    draws: int
+
+    @property
+    def log_volume(self) -> float:
+        return math.log(self.hits / self.draws)
+
+    @property
+    def log_se(self) -> float:
+        """The binomial standard error of ``log_volume``: sqrt((1 - p) / (draws p)), p = hits / draws."""
+        p = self.hits / self.draws
+        return math.sqrt((1.0 - p) / (self.draws * p))
+
+
+def prior_hit_rate(
+    cost: BatchCost, anchor: np.ndarray, cutoff: float, sigma: np.ndarray, draws: int, seed: int,
+    grid: int = 256, batch: int = 4096,
+) -> HitRate:
+    """The prior mass of the star domain about ``anchor``, counted from ``draws`` draws of N(0, diag sigma^2).
+
+    A draw theta is a member when the cost is below ``cutoff`` at every grid
+    point a + (j / grid)(theta - a), j = 1..grid, of the segment [a, theta];
+    the anchor (j = 0) is a member of its own neighborhood. Each draw's own
+    point (j = grid) is scanned first, and only the draws below the cutoff
+    there have their other grid - 1 points scanned. Points are evaluated
+    ``batch`` at a time. Membership is decided by this scan alone, never
+    by the estimator's radius search; an excursion above the cutoff that
+    falls between two grid points, less than |theta - a| / grid wide, is
+    missed.
+    """
+    anchor = np.asarray(anchor, dtype=float)
+    theta = np.random.default_rng(seed).standard_normal((draws, anchor.size)) * sigma
+
+    def below(points: np.ndarray) -> np.ndarray:
+        return np.concatenate([cost(points[i : i + batch]) < cutoff for i in range(0, len(points), batch)])
+
+    inside = below(theta)
+    steps = np.arange(1, grid)[:, None] / grid
+    per_batch = max(1, batch // grid)  # segments whose grid points fill about one batch
+    candidates = np.flatnonzero(inside)
+    for start in range(0, candidates.size, per_batch):
+        rows = candidates[start : start + per_batch]
+        points = anchor + steps * (theta[rows] - anchor)[:, None, :]  # (rows, grid - 1, n)
+        inside[rows] = below(points.reshape(-1, anchor.size)).reshape(rows.size, grid - 1).all(axis=1)
+    return HitRate(int(np.count_nonzero(inside)), draws)
+
+
+def mlp_kl_cost_batch(anchor: MlpParams, inputs: np.ndarray) -> BatchCost:
+    """The KL cost of ``models.make_kl_cost`` over a batch: each flat vector's mean
+    KL(anchor || candidate) on ``inputs``.
+
+    Written apart from the package's forward pass: each layer is one batched
+    product of the activations with the layer's weights, unpacked per flat
+    vector (weights row-major, then the bias), tanh between layers, and a
+    max-shifted log-softmax, taken class-major so that each reduction runs
+    across arrays rather than along a short last axis.
+    """
+    x = np.asarray(inputs, dtype=float)
+
+    def log_q(points: np.ndarray) -> np.ndarray:
+        """(C, P, m) log-probabilities of each input under each flat vector."""
+        a, start = np.broadcast_to(x, (len(points), *x.shape)), 0
+        for layer, (fan_in, fan_out) in enumerate(anchor.shape):
+            stop = start + fan_in * fan_out
+            w, b = points[:, start:stop].reshape(-1, fan_in, fan_out), points[:, stop : stop + fan_out]
+            a = (np.tanh(a) if layer else a) @ w + b[:, None, :]
+            start = stop + fan_out
+        z = np.moveaxis(a, -1, 0).copy()
+        z -= z.max(axis=0)
+        return z - np.log(np.exp(z).sum(axis=0))
+
+    log_p = log_q(anchor.flat[None])
+    p = np.exp(log_p)
+    return lambda points: (p * (log_p - log_q(points))).sum(axis=0).sum(axis=1) / x.shape[0]

@@ -15,17 +15,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 import starvol
 import starvol.cli as cli
 import starvol.geometry as geometry
 import starvol.runio as runio
 from starvol.cli import main
+from starvol.codec import Fields
 from starvol.geometry import MeasureSpec, NeighborhoodSpec, estimate_local_volume
 from starvol.logspace import log_sphere_area
 from starvol.models import load_checkpoint, load_csv
 from starvol.precondition import Preconditioner
 from starvol.runio import make_run_record, read_jsonl, write_samples_csv
+
+from oracles import mlp_kl_cost_batch, prior_hit_rate
 
 TRAIN_CONFIG = {
     "dataset": {
@@ -123,6 +127,20 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out", str(out), *flag]) == 0
         assert {json.loads(p.read_text())["config"]["seed"] for p in out.glob("checkpoint_step*.json")} == {seed}
 
+    @pytest.mark.parametrize("argv", [["train"], ["estimate", "--checkpoint", "c.json"],
+                                      ["sweep", "--kind", "cutoff", "--values", "1e-2", "--target", "quadratic"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("seed", ["-2", "1.5"])
+    def test_seed_flag_is_a_non_negative_integer(self, argv, seed, tmp_path, capsys):
+        # a negative seed used to exit 2 with only numpy's "expected
+        # non-negative integer", which named neither the flag nor its value
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--seed", seed, "--out", str(out)])
+        assert info.value.code == 2
+        assert f"argument --seed: expected an integer >= 0, got '{seed}'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [("lr", -0.05), ("poison_alpha", -0.5)])
     def test_bad_training_setting_exits_nonzero(self, field, value, tmp_path, capsys):
         cfg_data = json.loads(json.dumps(TRAIN_CONFIG))
@@ -162,12 +180,15 @@ class TestTrain:
                      "split, but dataset.poison is 0", id="poison-weight-without-split"),
         pytest.param(lambda cfg: cfg["train"].update(epochs=None), "missing config field train.epochs in {cfg}",
                      id="null-value"),
+        pytest.param(lambda cfg: cfg.update(seed=-1),
+                     "malformed config field seed in {cfg}: expected an integer >= 0, got -1", id="negative-seed"),
     ])
     def test_malformed_config_exits_2_naming_field_and_file(self, mangle, reason, tmp_path, capsys):
         # "hidden": "12" trained a 3-1-2-2 net, fractions were truncated, a
         # negative poison size, a misspelt key or a poison weight with no
         # poison split trained as if it were absent, a null value trained as
-        # the default, and the other cases ended in a traceback or named
+        # the default, a negative seed trained under the --seed that
+        # overrides it, and the other cases ended in a traceback or named
         # neither field nor file
         data = json.loads(json.dumps(TRAIN_CONFIG))
         root = mangle(data)
@@ -310,6 +331,10 @@ class TestEstimate:
         # plus a margin of 1.00
         pytest.param(["--cost", "loss", "--cutoff", "0.12", "--preconditioner", "hessian", "--k", "8", "--seed", "3"],
                      8.125, id="hessian-loss"),
+        # each run builds the hessian map afresh; 7.5 measured (60
+        # evaluations on 8 rays, the same with every ray started at radius 1),
+        # plus a margin of 0.375
+        pytest.param(["--preconditioner", "hessian", "--k", "8", "--seed", "3"], 7.875, id="hessian-kl"),
     ])
     def test_thread_count_does_not_change_result(self, argv, max_evals_per_ray, final_checkpoint, tmp_path):
         records = []
@@ -350,13 +375,8 @@ class TestEstimate:
             assert "argument --measure: invalid choice: 'lebesgue'" in capsys.readouterr().err
             assert not lebesgue.exists()
 
-    @pytest.mark.parametrize("k, seed, max_evals_per_ray", [
-        (6, 4, None),
-        # 7.5 measured (60 evaluations on 8 rays, the same with every ray
-        # started at radius 1), plus a margin of 0.375
-        (8, 3, 7.875),
-    ])
-    def test_hessian_map_reloads_bit_identically(self, k, seed, max_evals_per_ray, final_checkpoint, tmp_path):
+    @pytest.mark.parametrize("k, seed", [(6, 4), (8, 3)])
+    def test_hessian_map_reloads_bit_identically(self, k, seed, final_checkpoint, tmp_path):
         # the saved file keeps the scales and the eigenvector basis exactly,
         # so the same seed reproduces the same estimate
         saved = tmp_path / "precond.json"
@@ -375,8 +395,6 @@ class TestEstimate:
         assert sorted(build) == ["curvature", "eigendecompose"]
         assert all(t["cpu"] >= 0.0 and 0.0 <= t["wall"] <= first["wall_time_s"] for t in build.values())
         assert second["build_seconds"] == {}
-        if max_evals_per_ray is not None:
-            assert 1 <= first["evals_per_ray"] <= max_evals_per_ray
 
     def test_save_precond_creates_its_directory(self, final_checkpoint, tmp_path, capsys):
         # the map's directory is created, and a map that cannot be saved
@@ -518,10 +536,14 @@ class TestEstimate:
         pytest.param(lambda data: data["config"]["dataset"].update(train="many"),
                      "malformed checkpoint config field dataset.train in {bad}: expected an integer, got 'many'",
                      id="train-size-string"),
+        pytest.param(lambda data: data["config"].update(seed=-1),
+                     "malformed checkpoint config field seed in {bad}: expected an integer >= 0, got -1",
+                     id="negative-seed"),
     ])
     def test_malformed_checkpoint_exits_2_naming_field_and_file(self, mangle, reason, final_checkpoint,
                                                                 tmp_path, capsys):
-        # the missing, config and root cases used to end in a traceback, the
+        # the missing, config and root cases used to end in a traceback, a
+        # negative seed in numpy's refusal, which named no field, the
         # array, shape and dataset cases named neither the field nor the file,
         # and a short adam_nu passed unless the adam-nu map was built;
         # TestCheckpointFile checks every refusal of the file itself.
@@ -552,6 +574,29 @@ class TestEstimate:
             out = tmp_path / f"{name}.jsonl"
             assert main(["estimate", "--checkpoint", str(final_checkpoint), "--k", "2", *argv, "--out", str(out)]) == 0
             assert read_jsonl(out)[0]["config"]["eps"] == eps, name
+
+
+class TestPriorHitRate:
+    def test_estimates_keep_the_one_sided_guarantee(self, final_checkpoint, capsys):
+        # the truth counts 4,000 prior draws whose whole segment from the
+        # anchor stays below a KL cutoff of 0.1 (269 hits, log V = -2.70 +-
+        # 0.06); an estimate overshoots it by a factor 10 with probability at
+        # most 0.1, so over 20 seeds each map may do so at most as often as a
+        # 10% binomial rate exceeds with probability 1e-3
+        cutoff, runs, path = 0.1, 20, str(final_checkpoint)
+        ckpt = load_checkpoint(path)
+        _, val, _ = cli._build_datasets(Fields(ckpt.config, path, "checkpoint config"))
+        truth = prior_hit_rate(mlp_kl_cost_batch(ckpt.params, val.inputs), ckpt.params.flat, cutoff, ckpt.sigma,
+                               draws=4000, seed=0)
+        allowed = int(scipy.stats.binom.ppf(1 - 1e-3, runs, 0.1))
+        # each map is built as estimate builds it, at the CLI's eps
+        target = cli._Target(cli.build_parser().parse_args(["estimate", "--checkpoint", path, "--k", "32"]), ckpt, path)
+        for name in cli.PRECONDITIONER_CHOICES:
+            gaps = [target.record(cutoff, name, seed)[0]["log_volume"] - truth.log_volume for seed in range(runs)]
+            above = sum(gap > math.log(10) + 4 * truth.log_se for gap in gaps)
+            print(f"prior hit rate log V {truth.log_volume:.3f} +- {truth.log_se:.3f}: {name} median gap "
+                  f"{np.median(gaps):+.2f} nats, {above}/{runs} runs above truth + log 10 (at most {allowed})")
+            assert above <= allowed
 
 
 class TestSweep:
@@ -968,56 +1013,97 @@ class TestRunRecords:
 
 
 @pytest.fixture(scope="session")
-def gaussian_record(final_checkpoint, tmp_path_factory):
-    out = tmp_path_factory.mktemp("mdl") / "vol.jsonl"
-    rc = main([
-        "estimate", "--checkpoint", str(final_checkpoint),
-        "--k", "8", "--out", str(out), "--seed", "6",
-    ])
+def loss_cutoff(train_run):
+    """A loss cutoff 0.01 above the final checkpoint's train_loss, the loss cost at its anchor."""
+    return float(_read_csv(train_run["out"] / "metrics.csv")[-1]["train_loss"]) + 0.01
+
+
+def _loss_record(checkpoint, cutoff, out, k, seed):
+    rc = main(["estimate", "--checkpoint", str(checkpoint), "--cost", "loss", "--cutoff", repr(cutoff),
+               "--k", str(k), "--out", str(out), "--seed", str(seed)])
     assert rc == 0
     return out
 
 
-class TestMdl:
-    def test_description_length_report(self, train_run, final_checkpoint, gaussian_record, tmp_path):
-        out = tmp_path / "mdl.json"
-        rc = main([
-            "mdl", "--checkpoint", str(final_checkpoint),
-            "--record", str(gaussian_record), "--out", str(out),
-        ])
-        assert rc == 0
-        payload = json.loads(out.read_text())
-        # the parameter cost is the information content -log V_G, bit for bit
-        assert payload["kl_term"] == -read_jsonl(gaussian_record)[-1]["log_volume"]
-        assert payload["total"] == payload["kl_term"] + payload["data_term"]
-        # the data term is m = 48 times the loss cost that metrics.csv logs, bit for bit
-        train_loss = float(_read_csv(train_run["out"] / "metrics.csv")[-1]["train_loss"])
-        assert payload["data_term"] == 48 * train_loss
-        assert payload["n"] == 26
+@pytest.fixture(scope="session")
+def loss_record(final_checkpoint, loss_cutoff, tmp_path_factory):
+    return _loss_record(final_checkpoint, loss_cutoff, tmp_path_factory.mktemp("mdl") / "vol.jsonl", 8, 6)
 
-    def test_out_creates_its_directory(self, final_checkpoint, gaussian_record, tmp_path):
+
+class TestMdl:
+    def test_description_length_report(self, final_checkpoint, loss_record, loss_cutoff, tmp_path, capsys):
+        out = tmp_path / "mdl.json"
+        capsys.readouterr()
+        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(loss_record), "--out", str(out)])
+        assert rc == 0
+        payload, record = json.loads(out.read_text()), read_jsonl(loss_record)[-1]
+        assert record["config"]["cost"] == "loss" and record["cutoff"] == loss_cutoff
+        # both terms are read from the record, bit for bit: the information
+        # content -log V_G, and m = 48 training rows times the cutoff
+        assert payload["kl_term"] == -record["log_volume"]
+        assert payload["data_term"] == 48 * loss_cutoff
+        assert payload["total"] == payload["kl_term"] + payload["data_term"]
+        assert (payload["m"], payload["cutoff"], payload["n"]) == (48, loss_cutoff, 26)
+        assert payload["slack_per_decade"] == math.log(10)
+        assert capsys.readouterr().out == (
+            f"kl_term={payload['kl_term']:.4f} data_term={payload['data_term']:.4f} total={payload['total']:.4f} "
+            "nats, + j*2.3026 at confidence 1-10^-j\n"
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_total_is_below_the_raw_labels_code_length(self, seed, final_checkpoint, loss_cutoff, tmp_path):
+        # the labels sent raw take m log C = 48 log 2 = 33.27 nats; the bound
+        # read 11.8-12.7 nats at k = 1,024
+        record = _loss_record(final_checkpoint, loss_cutoff, tmp_path / "vol.jsonl", 1024, seed)
+        out = tmp_path / "mdl.json"
+        assert main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(record), "--out", str(out)]) == 0
+        total = json.loads(out.read_text())["total"]
+        assert total == -read_jsonl(record)[-1]["log_volume"] + 48 * loss_cutoff
+        assert total < 48 * math.log(2)
+
+    def test_reads_no_data_and_evaluates_no_cost(self, final_checkpoint, loss_record, tmp_path, monkeypatch):
+        # both terms come from the record and the checkpoint's config, so mdl
+        # rebuilds no split and builds no cost handle
+        counts = _count_calls(monkeypatch, "_build_datasets", "make_loss_cost", "make_kl_cost")
+        out = tmp_path / "mdl.json"
+        assert main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(loss_record), "--out", str(out)]) == 0
+        assert counts == {"_build_datasets": 0, "make_loss_cost": 0, "make_kl_cost": 0}
+
+    def test_kl_record_is_rejected(self, final_checkpoint, tmp_path, capsys):
+        # a KL neighborhood says nothing of the training labels' cross-entropy,
+        # so its -log V plus any data term bounds no code length
+        rec = tmp_path / "kl.jsonl"
+        assert main(["estimate", "--checkpoint", str(final_checkpoint), "--k", "2", "--out", str(rec)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "mdl.json"
+        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: description length requires a loss-cost volume record, not cost 'kl'\n"
+        assert not out.exists()
+
+    def test_out_creates_its_directory(self, final_checkpoint, loss_record, tmp_path):
         # the report's directory is created, as every writer's is
         out = tmp_path / "reports" / "mdl.json"
-        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(gaussian_record), "--out", str(out)])
+        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(loss_record), "--out", str(out)])
         assert rc == 0
-        assert json.loads(out.read_text())["kl_term"] == -read_jsonl(gaussian_record)[-1]["log_volume"]
+        assert json.loads(out.read_text())["kl_term"] == -read_jsonl(loss_record)[-1]["log_volume"]
 
-    def test_seed_is_rejected(self, final_checkpoint, gaussian_record, tmp_path, capsys):
+    def test_seed_is_rejected(self, final_checkpoint, loss_record, tmp_path, capsys):
         # mdl's data come from the checkpoint's own seed, so a --seed would be ignored
         out = tmp_path / "mdl.json"
         with pytest.raises(SystemExit) as info:
             main([
                 "mdl", "--checkpoint", str(final_checkpoint),
-                "--record", str(gaussian_record), "--out", str(out), "--seed", "1",
+                "--record", str(loss_record), "--out", str(out), "--seed", "1",
             ])
         assert info.value.code == 2
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_lebesgue_record_is_rejected(self, final_checkpoint, gaussian_record, tmp_path, capsys):
+    def test_lebesgue_record_is_rejected(self, final_checkpoint, loss_record, tmp_path, capsys):
         # a record an older build wrote under the Lebesgue measure
         rec = tmp_path / "lebesgue.jsonl"
-        rec.write_text(json.dumps({**read_jsonl(gaussian_record)[-1], "measure": "lebesgue"}) + "\n")
+        rec.write_text(json.dumps({**read_jsonl(loss_record)[-1], "measure": "lebesgue"}) + "\n")
         out = tmp_path / "mdl.json"
         rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
         assert rc == 2
@@ -1036,11 +1122,12 @@ class TestMdl:
         assert not out.exists()
 
     @pytest.mark.parametrize("values", ["bogus,none", "none,bogus"])
-    def test_sweep_records_last_point(self, values, final_checkpoint, tmp_path, capsys):
+    def test_sweep_records_last_point(self, values, final_checkpoint, loss_cutoff, tmp_path, capsys):
         # a sweep's records file is read like an estimate's: its last record
         sweep = tmp_path / "sweep.csv"
         assert main(["sweep", "--kind", "preconditioner", "--values", values, "--checkpoint", str(final_checkpoint),
-                     "--k", "4", "--seed", "2", "--out", str(sweep)]) == 0
+                     "--cost", "loss", "--cutoff", repr(loss_cutoff), "--k", "4", "--seed", "2",
+                     "--out", str(sweep)]) == 0
         rec, out = sweep.with_suffix(".records.jsonl"), tmp_path / "mdl.json"
         rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
         last = read_jsonl(rec)[-1]
@@ -1052,10 +1139,10 @@ class TestMdl:
             assert f"missing record field log_volume in {rec}" in capsys.readouterr().err
             assert not out.exists()
 
-    def test_truncated_record_line_is_named(self, final_checkpoint, gaussian_record, tmp_path, capsys):
+    def test_truncated_record_line_is_named(self, final_checkpoint, loss_record, tmp_path, capsys):
         # a run cut off mid-write leaves a last line that is not JSON
         rec = tmp_path / "cut.jsonl"
-        line = json.dumps(read_jsonl(gaussian_record)[-1])
+        line = json.dumps(read_jsonl(loss_record)[-1])
         rec.write_text(f"{line}\n{line[:40]}\n")
         out = tmp_path / "mdl.json"
         rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
@@ -1063,9 +1150,9 @@ class TestMdl:
         assert capsys.readouterr().err.startswith(f"error: line 2 of {rec} is not JSON: ")
         assert not out.exists()
 
-    def test_record_from_another_network_is_rejected(self, final_checkpoint, gaussian_record,
+    def test_record_from_another_network_is_rejected(self, final_checkpoint, loss_record,
                                                      tmp_path, capsys):
-        record = read_jsonl(gaussian_record)[-1]
+        record = read_jsonl(loss_record)[-1]
         assert record["n"] == 26
         rec = tmp_path / "other.jsonl"
         rec.write_text(json.dumps({**record, "n": 27}) + "\n")
@@ -1075,17 +1162,17 @@ class TestMdl:
         assert "n = 27 does not match the checkpoint's 26 parameters" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_record_from_another_checkpoint_is_rejected(self, train_run, gaussian_record,
+    def test_record_from_another_checkpoint_is_rejected(self, train_run, loss_record,
                                                         tmp_path, capsys):
         # the step-3 checkpoint has the same n as the final one the record came from
         step3 = train_run["checkpoints"][1]
         assert step3.name == "checkpoint_step000003.json"
-        recorded = read_jsonl(gaussian_record)[-1]["config"]["anchor_sha256"]
+        recorded = read_jsonl(loss_record)[-1]["config"]["anchor_sha256"]
         flat = load_checkpoint(step3).params.flat
         digest = hashlib.sha256(flat.astype("<f8").tobytes()).hexdigest()
         assert digest != recorded
         out = tmp_path / "mdl.json"
-        rc = main(["mdl", "--checkpoint", str(step3), "--record", str(gaussian_record), "--out", str(out)])
+        rc = main(["mdl", "--checkpoint", str(step3), "--record", str(loss_record), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert f"anchor_sha256 {recorded} does not match the checkpoint's {digest}" in err
@@ -1106,21 +1193,25 @@ class TestMdl:
                      "malformed record field n in {rec}: expected an integer, got 26.5", id="n-fraction"),
         pytest.param(lambda record: {**record, "log_volume": "big"},
                      "malformed record field log_volume in {rec}: expected a number, got 'big'", id="log-volume-string"),
+        pytest.param(lambda record: {k: v for k, v in record.items() if k != "cutoff"},
+                     "missing record field cutoff in {rec}", id="no-cutoff"),
+        pytest.param(lambda record: {**record, "cutoff": "low"},
+                     "malformed record field cutoff in {rec}: expected a number, got 'low'", id="cutoff-string"),
     ])
-    def test_malformed_record_exits_2_naming_the_field(self, mangle, reason, final_checkpoint, gaussian_record,
+    def test_malformed_record_exits_2_naming_the_field(self, mangle, reason, final_checkpoint, loss_record,
                                                        tmp_path, capsys):
         # each used to end in a KeyError, AttributeError or TypeError traceback
         rec = tmp_path / "bad.jsonl"
-        rec.write_text(json.dumps(mangle(read_jsonl(gaussian_record)[-1])) + "\n")
+        rec.write_text(json.dumps(mangle(read_jsonl(loss_record)[-1])) + "\n")
         out = tmp_path / "mdl.json"
         rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {reason.format(rec=rec)}\n"
         assert not out.exists()
 
-    def test_record_without_anchor_digest_is_rejected(self, final_checkpoint, gaussian_record,
+    def test_record_without_anchor_digest_is_rejected(self, final_checkpoint, loss_record,
                                                      tmp_path, capsys):
-        record = read_jsonl(gaussian_record)[-1]
+        record = read_jsonl(loss_record)[-1]
         del record["config"]["anchor_sha256"]
         rec = tmp_path / "old.jsonl"
         rec.write_text(json.dumps(record) + "\n")

@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.stats
 
 from starvol.geometry import (
     MeasureSpec,
@@ -23,9 +24,12 @@ from oracles import (
     gd_flow_ensemble_check,
     harmonic_mean_prediction,
     log_estimator_variance_prediction,
+    mlp_kl_cost_batch,
+    prior_hit_rate,
     quadratic_form_variance_check,
     smoothmax_bracket_holds,
 )
+from starvol.models import init_params, make_kl_cost
 from starvol.precondition import Preconditioner
 
 
@@ -257,3 +261,43 @@ class TestSmoothmaxBracket:
             failed_count=0,
         )
         assert not smoothmax_bracket_holds(fake)
+
+
+class TestPriorHitRate:
+    # whitened squared radii at the prior's 0.3, 0.5 and 0.8 quantiles in n = 4
+    N, SIGMA = 4, np.array([0.5, 1.0, 2.0, 3.0])
+    R1, R2, R3 = (scipy.stats.chi2.ppf(q, 4) for q in (0.3, 0.5, 0.8))
+
+    def _whitened(self, points):
+        return np.sum((points / self.SIGMA) ** 2, axis=1)
+
+    def _check(self, rate, mass):
+        # within 4 binomial standard errors of the prior mass
+        assert abs(rate.log_volume - math.log(mass)) <= 4.0 * rate.log_se
+
+    def test_ball_about_the_prior_mean_is_its_chi_square_mass(self):
+        # convex, so the star domain about an off-centre anchor inside it is the whole ball
+        anchor = 0.4 * self.SIGMA
+        rate = prior_hit_rate(lambda x: 0.5 * self._whitened(x), anchor, 0.5 * self.R1, self.SIGMA, 20_000, 1)
+        self._check(rate, 0.3)
+
+    def test_a_wall_hides_the_shell_behind_it(self):
+        # the cost is below 0.5 inside R1 and in the shell from R2 to R3; every
+        # segment from the prior mean to the shell crosses the wall, so only
+        # the ball counts, where the draws' own points alone would add the shell
+        def walled(x):
+            r2 = self._whitened(x)
+            return np.where((r2 < self.R1) | ((r2 >= self.R2) & (r2 < self.R3)), 0.0, 1.0)
+
+        rate = prior_hit_rate(walled, np.zeros(self.N), 0.5, self.SIGMA, 20_000, 2)
+        self._check(rate, 0.3)
+        assert rate.hits / rate.draws < 0.45  # 0.6 with the shell
+
+    def test_mlp_kl_batch_matches_the_cost_handle(self):
+        rng = np.random.default_rng(3)
+        params, measure = init_params(((3, 5), (5, 4), (4, 3)), "fan_in", rng)
+        inputs = rng.standard_normal((20, 3))
+        handle, batch = make_kl_cost(params, inputs), mlp_kl_cost_batch(params, inputs)
+        points = params.flat + rng.standard_normal((6, params.n)) * measure.sigma
+        np.testing.assert_allclose(batch(points), [handle(p) for p in points], rtol=1e-12, atol=1e-15)
+        assert abs(batch(params.flat[None])[0]) < 1e-15
