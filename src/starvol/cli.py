@@ -67,21 +67,36 @@ from .runio import (
 SEED_ROLES = {"data": 0, "init": 1, "train": 2}
 
 PRECONDITIONER_CHOICES = ("none", "hessian", "diag", "adam-nu")
-PRECOND_FILE_HELP = "load a saved preconditioner (a sweep accepts it over cutoffs or checkpoints only)"
+DATASET_KINDS = ("blobs", "spirals", "csv")
 THREADS_HELP = "accepted and validated (at least 1) but ignored: every ray runs on the calling thread; run separate processes for parallelism"
 TARGET_HELP = "quadratic: a synthetic |x|^2/2 cost under Lebesgue measure with the identity map; --kind cutoff only"
+
+
+def _at_least(least: int):
+    """An argparse type: a decimal integer >= ``least``; argparse names the flag in a refusal."""
+    def parse(text: str) -> int:
+        if text.isdecimal() and int(text) >= least:
+            return int(text)
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+    return parse
+
+
+def _dataset_kind(kind) -> str:
+    if kind not in DATASET_KINDS:
+        raise ValueError(f"expected one of {', '.join(DATASET_KINDS)}, got {kind!r}")
+    return kind
+
 
 # flags shared by estimate and sweep, defined once in an argparse parent
 # parser (with --seed); every point's record lists each under "config"
 ESTIMATE_FLAGS = (
     ("--cost", {"choices": ("kl", "loss"), "default": "kl"}),
     ("--cutoff", {"type": float, "default": 1e-2}),
-    ("--k", {"type": int, "default": 100}),
+    ("--k", {"type": _at_least(1), "default": 100}),
     ("--preconditioner", {"choices": PRECONDITIONER_CHOICES, "default": "none"}),
     ("--measure", {"choices": ("gaussian",), "default": "gaussian"}),  # only a checkpoint's own init prior
     ("--threads", {"type": int, "default": SearchOptions.threads, "help": THREADS_HELP}),
     ("--rel-tol", {"type": float, "default": SearchOptions.rel_tol}),
-    ("--precond-file", {"type": str, "default": None, "help": PRECOND_FILE_HELP}),
 )
 
 
@@ -89,41 +104,32 @@ def _role_seed(master: int, role: str) -> np.random.SeedSequence:
     return np.random.SeedSequence(master, spawn_key=(SEED_ROLES[role],))
 
 
-def _seed_flag(text: str) -> int:
-    """``--seed``'s value, an integer >= 0 as a SeedSequence takes; argparse names the flag in a refusal."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
-
-
 def _build_datasets(config: Fields):
     """Materialize (train, val, poison) splits from the config's seed and dataset section."""
-    ds = config.section("dataset")
+    ds, std = config.section("dataset"), lambda value: number(value, 0)  # as rng.normal takes it
     poison_size = ds.get("poison", lambda size: count(size, 0))
     # a zero-size split would make an empty Dataset, so only ask for it when used
     sizes = [ds.get("train", count), ds.get("val", count)] + ([poison_size] if poison_size > 0 else [])
     total = sum(sizes)
     data_seed = int(_role_seed(config.get("seed", lambda seed: count(seed, 0)), "data").generate_state(1)[0])
-    kind = ds.get("kind")
+    kind = ds.get("kind", _dataset_kind)
     if kind == "blobs":
         classes = ds.get("classes", count)
         full = make_blobs(
             dim=ds.get("dim", count),
             classes=classes,
             per_class=-(-total // classes),  # ceil
-            noise=ds.get("noise", number),
-            center_scale=ds.get("center_scale", number),
+            noise=ds.get("noise", std),
+            center_scale=ds.get("center_scale", std),
             seed=data_seed,
         )
     elif kind == "spirals":
-        full = make_spirals(per_class=-(-total // 2), noise=ds.get("noise", number), dim=ds.get("dim", count),
+        full = make_spirals(per_class=-(-total // 2), noise=ds.get("noise", std), dim=ds.get("dim", count),
                             seed=data_seed)
-    elif kind == "csv":
+    else:  # csv
         full = load_csv(ds.get("path"))
         if full.m < total:
             raise ValueError(f"csv has {full.m} rows, config needs {total}")
-    else:
-        raise ValueError(f"unknown dataset kind {kind!r}")
     splits = split_dataset(full, sizes, seed=data_seed)
     return splits[0], splits[1], (splits[2] if poison_size > 0 else None)
 
@@ -143,24 +149,26 @@ def cmd_train(args) -> int:
     model = fields.section("model")
     hidden = model.get("hidden", lambda widths: [count(width) for width in widths])
     widths = [train_ds.dim, *hidden, train_ds.classes]
-    init = model.get("init", lambda rule: rule if rule == "fan_in" else number(rule))
     init_rng = np.random.default_rng(_role_seed(master_seed, "init"))
-    params, measure = init_params(tuple(zip(widths, widths[1:])), init, init_rng)
+    # each value is checked by its consumer as it is read, so a refusal names the field and the file
+    params, measure = model.get("init", lambda rule: init_params(
+        tuple(zip(widths, widths[1:])), rule if rule == "fan_in" else number(rule), init_rng))
 
     tr = fields.section("train")
-    poison, alpha = None, tr.get("poison_alpha", number)
-    if alpha != 0:  # PoisonConfig refuses alpha < 0
-        if poison_ds is None:
-            raise ValueError(f"malformed config field train.poison_alpha in {fields.path}: a poison weight of "
-                             f"{alpha} needs a poison split, but dataset.poison is 0")
-        poison = PoisonConfig(dataset=poison_ds, alpha=alpha)
+    poison = tr.get("poison_alpha", lambda alpha: PoisonConfig(poison_ds, number(alpha)))  # refuses alpha < 0
+    if poison.alpha and poison_ds is None:
+        raise ValueError(f"malformed config field train.poison_alpha in {fields.path}: a poison weight of "
+                         f"{poison.alpha} needs a poison split, but dataset.poison is 0")
+    poison, hyper = poison if poison.alpha else None, AdamHyper()
+    for name in ("lr", "beta1", "beta2", "adam_eps"):
+        hyper = tr.get(name, lambda value: dataclasses.replace(hyper, **{name: number(value)}))
     train_seed = int(_role_seed(master_seed, "train").generate_state(1)[0])
     train_cfg = TrainConfig(
         epochs=tr.get("epochs", count),
         batch_size=tr.get("batch_size", count),
         seed=train_seed,
-        hyper=AdamHyper(**{name: tr.get(name, number) for name in ("lr", "beta1", "beta2", "adam_eps")}),
-        checkpoint_every=tr.get("checkpoint_every", integer),
+        hyper=hyper,
+        checkpoint_every=tr.get("checkpoint_every", lambda every: count(every, 0)),
         poison=poison,
     )
     result = adam_train(params, train_ds, train_cfg, val_dataset=val_ds)
@@ -207,22 +215,22 @@ class _Target:
     """What estimate and every sweep point estimate: a checkpoint, or the quadratic.
 
     A checkpoint's target is its ``--cost`` under its Gaussian init prior,
-    with its datasets, search options and any ``--precond-file`` map built
-    once, and so is each named map, shaped at ``DEFAULT_EPS[name]``; a
-    ``--precond-file`` map stands for every name. The full Hessian is kept
-    only as the hessian map's eigenvectors. ``build_seconds[name]`` holds the
-    process CPU and wall seconds of the map's ``curvature`` probe and, for
-    the hessian map, its ``eigendecompose``; a map built from no probe has
-    no entry. With no checkpoint, the target is |x|^2/2 at ``zeros(--n)``
-    under the Lebesgue measure, with the identity map.
+    with its datasets and search options built once, and so is each named
+    map, from the checkpoint alone, shaped at ``DEFAULT_EPS[name]``. The
+    full Hessian is kept only as the hessian map's eigenvectors.
+    ``build_seconds[name]`` holds the process CPU and wall seconds of the
+    map's ``curvature`` probe and, for the hessian map, its
+    ``eigendecompose``; a map built from no probe has no entry. With no
+    checkpoint, the target is |x|^2/2 at ``zeros(--n)`` under the Lebesgue
+    measure, with the identity map.
     """
 
     def __init__(self, args, ckpt: Checkpoint | None = None, path: str | None = None):
         self.args, self.ckpt, self.path = args, ckpt, path
         self.opts = SearchOptions(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchOptions)})
         self.build_seconds: dict[str, dict[str, dict[str, float]]] = {}
+        self._maps: dict[str, Preconditioner] = {}
         if ckpt is None:
-            self._maps = {"none": Preconditioner.identity(args.n)}
             self.anchor, self.cost, self.measure = np.zeros(args.n), _half_square, MeasureSpec.lebesgue()
         else:
             train_ds, val_ds, _ = _build_datasets(Fields(ckpt.config, path, "checkpoint config"))
@@ -235,8 +243,6 @@ class _Target:
             else:
                 raise ValueError(f"unknown cost {args.cost!r}")
             self.anchor, self.measure = ckpt.params.flat, MeasureSpec.gaussian(ckpt.sigma)
-            loaded = Preconditioner.load(args.precond_file) if args.precond_file else None
-            self._maps = dict.fromkeys(PRECONDITIONER_CHOICES, loaded) if loaded else {}
         self.anchor_sha256 = _anchor_sha256(self.anchor)
 
     def preconditioner(self, name: str) -> Preconditioner:
@@ -247,9 +253,9 @@ class _Target:
         return self._maps[name]
 
     def _build(self, name: str) -> Preconditioner:
-        params = self.ckpt.params
         if name == "none":
-            return Preconditioner.identity(params.n)
+            return Preconditioner.identity(self.anchor.size)
+        params = self.ckpt.params
         # Adam's second moment on the coordinate axes, or a curvature probe's result
         spectrum, basis = self.ckpt.nu, None
         if name != "adam-nu":
@@ -265,9 +271,9 @@ class _Target:
         and its run record.
 
         The record's config lists the flags, the checkpoint path (null for
-        the quadratic, as are its cost, measure and precond_file), the
-        point's own cutoff and map, the eps that map was shaped at (null for
-        the identity map or a loaded map) and the anchor's ``anchor_sha256``.
+        the quadratic, as are its cost and measure), the point's own cutoff
+        and map, the eps that map was shaped at (null for the identity map)
+        and the anchor's ``anchor_sha256``: every input of the map.
         ``estimate`` raises a failed estimate; a sweep gets a record with
         ``status`` ``failed: <reason>`` and no estimate fields, and an
         estimate of None.
@@ -277,10 +283,9 @@ class _Target:
         for flag, _ in ESTIMATE_FLAGS:
             dest = flag[2:].replace("-", "_")
             config[dest] = getattr(args, dest)
-        config.update(cutoff=cutoff, preconditioner=name, anchor_sha256=self.anchor_sha256,
-                      eps=None if args.precond_file else DEFAULT_EPS.get(name))
+        config.update(cutoff=cutoff, preconditioner=name, anchor_sha256=self.anchor_sha256, eps=DEFAULT_EPS.get(name))
         if self.ckpt is None:  # the quadratic takes its cost, measure and map from no flag
-            config.update(cost=None, measure=None, precond_file=None)
+            config.update(cost=None, measure=None)
         start = time.perf_counter()
         try:
             spec = NeighborhoodSpec(self.anchor, self.cost, cutoff, self.measure)
@@ -301,8 +306,6 @@ def cmd_estimate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     target = _Target(args, ckpt, args.checkpoint)
     record, estimate = target.record(args.cutoff, args.preconditioner, args.seed)
-    if args.save_precond:  # first, so a map that cannot be saved leaves no record
-        target.preconditioner(args.preconditioner).save(args.save_precond)
     out = Path(args.out)
     write_jsonl(out, record)
     write_samples_csv(out.with_suffix(".samples.csv"), estimate)
@@ -329,8 +332,8 @@ SWEEP_FIELDS = ["n", "k", "cutoff", "measure", "preconditioner", "log_volume", "
 SWEEP_UNREAD = {
     ("checkpoint", "cutoff"): ("n", "cutoff"),
     ("checkpoint", "checkpoint"): ("checkpoint", "n"),
-    ("checkpoint", "preconditioner"): ("n", "preconditioner", "precond_file"),
-    ("quadratic", "cutoff"): ("checkpoint", "cost", "cutoff", "preconditioner", "precond_file"),
+    ("checkpoint", "preconditioner"): ("n", "preconditioner"),
+    ("quadratic", "cutoff"): ("checkpoint", "cost", "cutoff", "preconditioner"),
 }
 
 
@@ -454,18 +457,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train the tiny classifier and write checkpoints")
     p_train.add_argument("--config", type=str, default=None, help="JSON config file")
     p_train.add_argument("--out", type=str, default="runs/train", help="checkpoint directory")
-    p_train.add_argument("--seed", type=_seed_flag, help="master seed (default: the config's seed, else 0)")
+    p_train.add_argument("--seed", type=_at_least(0), help="master seed (default: the config's seed, else 0)")
     p_train.set_defaults(func=cmd_train)
 
     shared = argparse.ArgumentParser(add_help=False)
     for flag, options in ESTIMATE_FLAGS:
         shared.add_argument(flag, **options)
-    shared.add_argument("--seed", type=_seed_flag, default=0, help="master seed")
+    shared.add_argument("--seed", type=_at_least(0), default=0, help="master seed")
 
     p_est = sub.add_parser("estimate", parents=[shared], help="estimate a checkpoint's local volume")
     p_est.add_argument("--checkpoint", type=str, required=True)
     p_est.add_argument("--out", type=str, default="runs.jsonl")
-    p_est.add_argument("--save-precond", type=str, default=None, help="save the preconditioner used")
     p_est.set_defaults(func=cmd_estimate)
 
     p_sweep = sub.add_parser(
@@ -476,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--checkpoint", type=str, default=None)
     targets = ("checkpoint", "quadratic")
     p_sweep.add_argument("--target", choices=targets, default="checkpoint", help=TARGET_HELP)
-    p_sweep.add_argument("--n", type=int, default=100, help="dimension for --target quadratic")
+    p_sweep.add_argument("--n", type=_at_least(1), default=100, help="dimension for --target quadratic")
     p_sweep.add_argument("--out", type=str, default="sweep.csv")
     p_sweep.set_defaults(func=cmd_sweep)
 

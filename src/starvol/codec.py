@@ -2,14 +2,14 @@
 
 An array is stored as one JSON string, the base64 text of its little-endian
 float64 bytes. The encoding is exact, takes 4/3 bytes per byte of data, and
-costs no number formatting or parsing, so a dense map of n = 4,810 saves
-and loads in seconds. Writing streams each array in pieces, so no text copy
-of a large array is held, and the same payload always gives the same bytes.
+costs no number formatting or parsing. Writing streams each array in
+pieces, so no text copy of a large array is held, and the same payload
+always gives the same bytes.
 
-Every checkpoint, map file, run record and config is read through
-:class:`Fields`, which refuses a root that is not an object, a file of
-another format or version, and a missing, null, malformed or (in a
-``train`` config) unknown field, naming the field (dotted where nested, as
+Every checkpoint, run record and config is read through :class:`Fields`,
+which refuses a root that is not an object, a file of another format or
+version, and a missing, null, malformed or (in a ``train`` config) unknown
+field with a ``ValueError`` naming the field (dotted where nested, as
 ``dataset.train``) and the file.
 """
 
@@ -56,20 +56,17 @@ def write_json(path: str | Path, payload: dict) -> None:
         out.write(b"}")
 
 
-def decode_array(value: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """A read-only float64 array from a base64 string that :func:`write_json` wrote.
+def decode_array(value: str) -> np.ndarray:
+    """A read-only flat float64 array from a base64 string that :func:`write_json` wrote.
 
     The string is decoded without a copy of its text and viewed, not copied,
-    as C-ordered floats, reshaped to ``shape`` when its size allows; callers
-    check the shape either way. Any other value raises ``ValueError``.
+    as floats; callers check the size. Any other value raises ``ValueError``.
     """
     if not isinstance(value, str):
         raise ValueError(f"expected a base64 string, got {type(value).__name__}")
     # a2b_base64 reads an ASCII str in place, where base64.b64decode
     # would first encode it to a bytes copy
     arr = np.frombuffer(binascii.a2b_base64(value), dtype=_FLOAT64_LE).astype(float, copy=False)
-    if shape is not None and arr.size == math.prod(shape):
-        arr = arr.reshape(shape)
     arr.setflags(write=False)
     return arr
 
@@ -89,10 +86,13 @@ def count(value, least: int = 1) -> int:
     return value
 
 
-def number(value) -> float:
-    """``value`` as a float: an int or a float; a bool or a string is refused."""
+def number(value, least: float | None = None) -> float:
+    """``value`` as a float: an int or a float; a bool or a string is refused, and
+    with ``least``, a value below it or not finite."""
     if type(value) not in (int, float):
         raise ValueError(f"expected a number, got {value!r}")
+    if least is not None and not least <= value < math.inf:
+        raise ValueError(f"expected a finite number >= {least}, got {value!r}")
     return float(value)
 
 
@@ -100,44 +100,44 @@ class Fields:
     """A JSON object from the file ``path``, read field by field.
 
     ``label`` says what the object is (``checkpoint``, ``record``, ...) and
-    every refusal is an ``error`` naming the field and the file. ``root``
-    names the object in the refusal of a root that is not one.
+    every refusal is a ``ValueError`` naming the field and the file.
+    ``root`` names the object in the refusal of a root that is not one.
     """
 
-    def __init__(self, data, path, label: str, *, error=ValueError, root: str | None = None, prefix: str = ""):
+    def __init__(self, data, path, label: str, *, root: str | None = None, prefix: str = ""):
         if not isinstance(data, dict):
-            raise error(f"{root or 'the ' + label} in {path} is not an object")
-        self.data, self.path, self.label, self.error, self.prefix = data, path, label, error, prefix
+            raise ValueError(f"{root or 'the ' + label} in {path} is not an object")
+        self.data, self.path, self.label, self.prefix = data, path, label, prefix
 
     @classmethod
-    def read(cls, path, label: str, *, error=ValueError, format: str | None = None, version: int | None = None):
+    def read(cls, path, label: str, *, format: str | None = None, version: int | None = None):
         """The object in the file at ``path``; with ``format``, a file of another format or version is refused."""
         try:
             data = json.loads(Path(path).read_text())
         except ValueError as exc:  # not UTF-8, or not JSON
-            raise error(f"not a JSON file: {path}: {exc}") from None
-        fields = cls(data, path, label, error=error)
+            raise ValueError(f"not a JSON file: {path}: {exc}") from None
+        fields = cls(data, path, label)
         if format is not None and fields.data.get("format") != format:
-            raise error(f"not a {label} file: {path}")
+            raise ValueError(f"not a {label} file: {path}")
         if format is not None and fields.data.get("version") != version:
-            raise error(f"unsupported {label} version {fields.data.get('version')} in {path}")
+            raise ValueError(f"unsupported {label} version {fields.data.get('version')} in {path}")
         return fields
 
     def get(self, name: str, convert=None, *, optional: bool = False):
         """Field ``name`` through ``convert``; a missing or null field is None if ``optional``, else refused."""
         value = self.data.get(name)
         if value is None and not optional:
-            raise self.error(f"missing {self.label} field {self.prefix}{name} in {self.path}")
+            raise ValueError(f"missing {self.label} field {self.prefix}{name} in {self.path}")
         try:
             return value if value is None or convert is None else convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise self.error(f"malformed {self.label} field {self.prefix}{name} in {self.path}: {exc}") from None
+            raise ValueError(f"malformed {self.label} field {self.prefix}{name} in {self.path}: {exc}") from None
 
     def refuse_unknown(self, known: dict) -> None:
         """Refuse a field that ``known`` lacks, in every object that both hold under one name."""
         for name, value in self.data.items():
             if name not in known:
-                raise self.error(f"unknown {self.label} field {self.prefix}{name} in {self.path}")
+                raise ValueError(f"unknown {self.label} field {self.prefix}{name} in {self.path}")
             if isinstance(value, dict) and isinstance(known[name], dict):
                 self.section(name).refuse_unknown(known[name])
 
@@ -145,5 +145,5 @@ class Fields:
         """The object in field ``name``, its fields named ``name.field``."""
         value = self.get(name)
         if not isinstance(value, dict):
-            raise self.error(f"{self.label} field {self.prefix}{name} is not an object in {self.path}")
-        return Fields(value, self.path, self.label, error=self.error, prefix=f"{self.prefix}{name}.")
+            raise ValueError(f"{self.label} field {self.prefix}{name} is not an object in {self.path}")
+        return Fields(value, self.path, self.label, prefix=f"{self.prefix}{name}.")

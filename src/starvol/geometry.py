@@ -631,7 +631,8 @@ def sample_directions(
     block *= precond.scale
     if precond.basis is not None:
         block = block @ precond.basis.T
-    norms = [math.sqrt(v.dot(v)) for v in block]
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norms = [math.sqrt(v.dot(v)) for v in block]
     if not all(0.0 < x < math.inf for x in norms):
         raise PreconditionerError("preconditioner produced a zero or non-finite direction")
     block /= np.array(norms)[:, None]
@@ -765,28 +766,32 @@ def estimate_local_volume(
 ) -> VolumeEstimate:
     """Estimate the local volume of the anchor's neighborhood from k rays.
 
-    Each sample gets its own random stream derived from the integer seed
-    and the sample index: ray i draws from child i of
+    Each sample gets its own random stream derived from the integer seed and
+    the sample index: ray i draws from child i of
     ``np.random.SeedSequence(seed).spawn(k)``, bit for bit, and all k
     streams are built in one vectorized pass. A seed that is not an int,
-    such as None, a ``SeedSequence`` or a list, raises ``TypeError``, and a
-    negative int ``ValueError``. Every stage runs on the calling thread, so
-    ``opts.threads`` changes nothing. Rays are searched in order: ray 0
-    starts at ``FIRST_START``, and ray i at the median radius of the good
-    rays before it, truncated ones included, so seeded reruns stay
-    bit-identical. Every start assumes the cost crosses the cutoff once
-    along the ray. Rays whose radius search fails
-    contribute exact zeros (log term -inf) but still count in k, preserving
-    the estimator's one-sided Markov guarantee. Truncated rays contribute
-    their capped radius; under Lebesgue measure that makes the estimate a
-    lower bound, which the result flags. The log terms assume a
-    unit-determinant map; any other raises ``PreconditionerError``. The
-    result's ``stage_seconds`` times each of the four stages (``STAGES``).
+    such as None, a bool, a ``SeedSequence`` or a list, raises
+    ``TypeError``, and a negative int ``ValueError``. Every stage runs on
+    the calling thread, so ``opts.threads`` changes nothing. Rays are
+    searched in order: ray 0 starts at ``FIRST_START``, and ray i at the
+    median radius of the good rays before it, truncated ones included, so
+    seeded reruns stay bit-identical. Every start assumes the cost crosses
+    the cutoff once along the ray. Rays whose radius search fails contribute
+    exact zeros (log term -inf) but still count in k, preserving the
+    estimator's one-sided Markov guarantee. Truncated rays contribute their
+    capped radius; under Lebesgue measure that makes the estimate a lower
+    bound, which the result flags. The log terms assume a unit-determinant
+    map; any other raises ``PreconditionerError``. The result's
+    ``stage_seconds`` times each of the four stages (``STAGES``).
     """
     opts = opts or SearchOptions()
     n = spec.dim
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if isinstance(seed, bool):  # which operator.index takes as 0 or 1
+        raise TypeError(f"seed must be an int, got {seed!r}")
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if precond.dim != n:
         raise ValueError(f"preconditioner dimension {precond.dim} != anchor dimension {n}")
     if abs(precond.log_det()) > 1e-6:

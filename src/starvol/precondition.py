@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 import numpy as np
 
 from .blas import one_blas_thread
-from .codec import Fields, decode_array, integer, write_json
 
 __all__ = [
     "DEFAULT_EPS",
@@ -34,13 +32,7 @@ DEFAULT_EPS = {
     "adam-nu": 0.001,
 }
 
-FORMAT_NAME = "starvol-preconditioner"
-FORMAT_VERSION = 4  # scale and basis as base64 float64 strings (see codec), basis column by column
-
 SYMMETRY_ATOL = 1e-8
-# for a loaded basis: the MRRR eigenvectors of eigendecompose measured
-# max |V^T V - I| = 4.0e-12 at n = 4,810
-ORTHONORMAL_ATOL = 1e-10
 
 # row-block size of the asymmetry scan: 2**20 entries, 8 MB per block
 _BLOCK_ENTRIES = 1 << 20
@@ -49,7 +41,7 @@ MIRROR_BLOCK = 512
 
 
 class PreconditionerError(ValueError):
-    """Raised when a preconditioner cannot be constructed, loaded or sampled."""
+    """Raised when a preconditioner cannot be constructed or sampled."""
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -202,51 +194,6 @@ class Preconditioner:
     def describe(self) -> str:
         tag = self.source or self.kind
         return f"{tag}[{self.kind},n={self.dim}]"
-
-    # -- serialization --------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Write the map; the basis goes column by column, as its C-ordered transpose.
-
-        An F-ordered basis is written without a copy, any other is copied once.
-        """
-        write_json(path, {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION,
-            "dim": self.dim,
-            "source": self.source,
-            "scale": self.scale,
-            "basis": None if self.basis is None else self.basis.T,
-        })
-
-    @classmethod
-    @one_blas_thread()
-    def load(cls, path: str | Path) -> "Preconditioner":
-        """Read a map as :meth:`save` writes it, through ``codec.Fields``: any other
-        version, and a missing or malformed field, is refused by name.
-
-        The basis is the transpose of the decoded columns, an F-ordered,
-        read-only view, so a loaded map has the layout of a fresh one.
-        """
-        fields = Fields.read(path, "preconditioner", error=PreconditionerError,
-                             format=FORMAT_NAME, version=FORMAT_VERSION)
-        dim, source = fields.get("dim", integer), fields.get("source", optional=True) or ""
-        scale = fields.get("scale", decode_array, optional=True)
-        if scale is None:
-            return cls.identity(dim)
-        basis = fields.get("basis", lambda text: decode_array(text, (scale.size, scale.size)).T, optional=True)
-        del fields  # frees the file's text before the basis is checked
-        if scale.size != dim:
-            raise PreconditionerError(f"dim {dim} does not match {scale.size} scales")
-        loaded = cls.diagonal(scale, source, basis)
-        if basis is not None:
-            # max |V^T V - I|: V^T V is one symmetric rank-k update
-            gram = basis.T @ basis
-            gram[np.diag_indices_from(gram)] -= 1.0
-            deviation = float(np.max(np.abs(gram, out=gram)))
-            if not deviation <= ORTHONORMAL_ATOL:
-                raise PreconditionerError(f"basis not orthonormal (max deviation {deviation:.3e})")
-        return loaded
 
 
 def from_hessian(hessian: np.ndarray, eps: float, source: str = "hessian") -> "Preconditioner":

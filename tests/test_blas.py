@@ -169,8 +169,8 @@ print(blas._thread_setter.cache_info().currsize, "scipy" in sys.modules)
 
 
 @pytest.fixture
-def tiny(tmp_path):
-    """A 3 -> 4 -> 2 net, its data, its KL cost and ray forms, and a saved dense map."""
+def tiny():
+    """A 3 -> 4 -> 2 net, its data, its KL cost and ray forms, and a dense map."""
     anchor, measure = init_params(((3, 4), (4, 2)), rng=np.random.default_rng(0))
     data = make_blobs(dim=3, classes=2, per_class=4, seed=1)
     cost = make_kl_cost(anchor, data.inputs)
@@ -178,10 +178,9 @@ def tiny(tmp_path):
     line_of = cost.along(anchor.flat)
     line = line_of(direction)
     pre = Preconditioner.diagonal(np.ones(anchor.n), basis=np.eye(anchor.n))
-    pre.save(tmp_path / "map.json")
     spec = NeighborhoodSpec(anchor=anchor.flat, cost=cost, cutoff=1e-2, measure=measure)
     return dict(anchor=anchor, data=data, cost=cost, direction=direction, line_of=line_of, line=line,
-                pre=pre, spec=spec, path=tmp_path / "map.json")
+                pre=pre, spec=spec)
 
 
 # each function that runs at one BLAS thread, called once with its library named
@@ -202,7 +201,6 @@ MARKED = {
     "adam_train": (NUMPY, lambda t: adam_train(t["anchor"], t["data"], TrainConfig(epochs=1, batch_size=8))),
     "hessian_full": (NUMPY, lambda t: hessian_full("kl", t["anchor"], (t["anchor"], t["data"].inputs))),
     "hessian_diag": (NUMPY, lambda t: hessian_diag("kl", t["anchor"], (t["anchor"], t["data"].inputs))),
-    "Preconditioner.load": (NUMPY, lambda t: Preconditioner.load(t["path"])),
     "eigendecompose": (SCIPY, lambda t: eigendecompose(np.eye(3))),
 }
 

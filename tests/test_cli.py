@@ -26,7 +26,7 @@ from starvol.codec import Fields
 from starvol.geometry import MeasureSpec, NeighborhoodSpec, estimate_local_volume
 from starvol.logspace import log_sphere_area
 from starvol.models import load_checkpoint, load_csv
-from starvol.precondition import Preconditioner
+from starvol.precondition import DEFAULT_EPS, Preconditioner, from_diagonal
 from starvol.runio import make_run_record, read_jsonl, write_samples_csv
 
 from oracles import mlp_kl_cost_batch, prior_hit_rate
@@ -46,6 +46,15 @@ TRAIN_CONFIG = {
     # 3 batches/epoch * 4 epochs = 12 steps, checkpoints at 0,3,6,9,12
     "train": {"epochs": 4, "batch_size": 16, "lr": 0.05, "checkpoint_every": 3},
 }
+
+
+# flags that no command has any longer, each refused by argparse: (command, flag, value)
+DELETED_FLAGS = [
+    *((command, flag, value) for flag, value in (("--r-init", "1"), ("--max-iters", "5"), ("--r-max", "10"),
+                                                 ("--precond-file", "map.json"))
+      for command in ("estimate", "sweep")),
+    ("estimate", "--save-precond", "map.json"),
+]
 
 
 def _read_csv(path):
@@ -141,6 +150,20 @@ class TestTrain:
         assert f"argument --seed: expected an integer >= 0, got '{seed}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["estimate", "--checkpoint", "c.json"], "--k"),
+        (["sweep", "--kind", "cutoff", "--values", "1e-2", "--target", "quadratic"], "--k"),
+        (["sweep", "--kind", "cutoff", "--values", "1e-2", "--target", "quadratic"], "--n"),
+    ], ids=["estimate-k", "sweep-k", "sweep-n"])
+    def test_count_flag_below_one_exits_2(self, argv, flag, tmp_path, capsys):
+        # these named no flag: "k must be >= 1, got 0" and "dimension must be >= 1, got 0"
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main([*argv, flag, "0", "--out", str(out)])
+        assert info.value.code == 2
+        assert f"argument {flag}: expected an integer >= 1, got '0'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [("lr", -0.05), ("poison_alpha", -0.5)])
     def test_bad_training_setting_exits_nonzero(self, field, value, tmp_path, capsys):
         cfg_data = json.loads(json.dumps(TRAIN_CONFIG))
@@ -162,6 +185,9 @@ class TestTrain:
                      "malformed config field model.hidden in {cfg}: expected an integer, got '1'", id="hidden-string"),
         pytest.param(lambda cfg: cfg.update(dataset="blobs"), "config field dataset is not an object in {cfg}",
                      id="dataset-string"),
+        pytest.param(lambda cfg: cfg["dataset"].update(kind="moons"),
+                     "malformed config field dataset.kind in {cfg}: expected one of blobs, spirals, csv, got 'moons'",
+                     id="unknown-dataset-kind"),
         pytest.param(lambda cfg: [cfg], "the config in {cfg} is not an object", id="root-list"),
         pytest.param(lambda cfg: cfg["train"].update(epochs=1.9),
                      "malformed config field train.epochs in {cfg}: expected an integer, got 1.9", id="epochs-fraction"),
@@ -182,6 +208,29 @@ class TestTrain:
                      id="null-value"),
         pytest.param(lambda cfg: cfg.update(seed=-1),
                      "malformed config field seed in {cfg}: expected an integer >= 0, got -1", id="negative-seed"),
+        # each value below is refused by the code that consumes it, which named neither field nor file
+        pytest.param(lambda cfg: cfg["dataset"].update(noise=-1),
+                     "malformed config field dataset.noise in {cfg}: expected a finite number >= 0, got -1",
+                     id="negative-noise"),
+        pytest.param(lambda cfg: cfg["dataset"].update(center_scale=-1),
+                     "malformed config field dataset.center_scale in {cfg}: expected a finite number >= 0, got -1",
+                     id="negative-center-scale"),
+        pytest.param(lambda cfg: cfg["train"].update(lr=-1),
+                     "malformed config field train.lr in {cfg}: lr must be positive and finite, got -1.0",
+                     id="negative-lr"),
+        pytest.param(lambda cfg: cfg["train"].update(beta2=1.5),
+                     "malformed config field train.beta2 in {cfg}: beta2 must be in [0, 1), got 1.5",
+                     id="beta2-above-1"),
+        pytest.param(lambda cfg: cfg["train"].update(checkpoint_every=-1),
+                     "malformed config field train.checkpoint_every in {cfg}: expected an integer >= 0, got -1",
+                     id="negative-checkpoint-every"),
+        pytest.param(lambda cfg: cfg["model"].update(init=-1),
+                     "malformed config field model.init in {cfg}: sigma must be positive and finite, got -1.0",
+                     id="negative-init"),
+        # a negative weight is refused as negative, before the missing poison split
+        pytest.param(lambda cfg: cfg["train"].update(poison_alpha=-1),
+                     "malformed config field train.poison_alpha in {cfg}: alpha must be non-negative and finite, "
+                     "got -1.0", id="negative-poison-weight"),
     ])
     def test_malformed_config_exits_2_naming_field_and_file(self, mangle, reason, tmp_path, capsys):
         # "hidden": "12" trained a 3-1-2-2 net, fractions were truncated, a
@@ -349,21 +398,26 @@ class TestEstimate:
         assert all(r["log_terms"] == records[0]["log_terms"] for r in records)
         if max_evals_per_ray is not None:
             assert 1 <= records[0]["evals_per_ray"] <= max_evals_per_ray
+        # each run times the hessian map's probe and decomposition
+        for record in records:
+            build = record["build_seconds"]
+            assert sorted(build) == (["curvature", "eigendecompose"] if "hessian" in argv else [])
+            assert all(t["cpu"] >= 0.0 and 0.0 <= t["wall"] <= record["wall_time_s"] for t in build.values())
 
-    def test_gaussian_adam_nu_and_saved_preconditioner(self, final_checkpoint, tmp_path, capsys):
+    def test_gaussian_adam_nu_preconditioner(self, final_checkpoint, tmp_path, capsys):
         out = tmp_path / "runs.jsonl"
-        saved = tmp_path / "precond.json"
         rc = main([
             "estimate", "--checkpoint", str(final_checkpoint),
             "--k", "6", "--measure", "gaussian", "--preconditioner", "adam-nu",
-            "--save-precond", str(saved), "--out", str(out), "--seed", "2",
+            "--out", str(out), "--seed", "2",
         ])
         assert rc == 0
         (record,) = read_jsonl(out)
         assert record["measure"] == "gaussian"
         assert record["preconditioner"].startswith("adam-nu[")
         assert record["build_seconds"] == {}  # Adam's second moment needs no probe
-        assert Preconditioner.load(saved).describe() == record["preconditioner"]
+        built = from_diagonal(load_checkpoint(final_checkpoint).nu, DEFAULT_EPS["adam-nu"], source="adam-nu")
+        assert built.describe() == record["preconditioner"]
         # a softmax net's Lebesgue volume is infinite, so a checkpoint has
         # only its own init measure
         capsys.readouterr()
@@ -374,54 +428,6 @@ class TestEstimate:
             assert info.value.code == 2
             assert "argument --measure: invalid choice: 'lebesgue'" in capsys.readouterr().err
             assert not lebesgue.exists()
-
-    @pytest.mark.parametrize("k, seed", [(6, 4), (8, 3)])
-    def test_hessian_map_reloads_bit_identically(self, k, seed, final_checkpoint, tmp_path):
-        # the saved file keeps the scales and the eigenvector basis exactly,
-        # so the same seed reproduces the same estimate
-        saved = tmp_path / "precond.json"
-        shared = ["--checkpoint", str(final_checkpoint), "--k", str(k), "--seed", str(seed)]
-        assert main([
-            "estimate", "--preconditioner", "hessian", "--save-precond", str(saved),
-            "--out", str(tmp_path / "a.jsonl"), *shared,
-        ]) == 0
-        assert main(["estimate", "--precond-file", str(saved), "--out", str(tmp_path / "b.jsonl"), *shared]) == 0
-        (first,), (second,) = read_jsonl(tmp_path / "a.jsonl"), read_jsonl(tmp_path / "b.jsonl")
-        assert first["preconditioner"] == second["preconditioner"] == "hessian[dense,n=26]"
-        assert first["log_volume"] == second["log_volume"]
-        assert first["log_terms"] == second["log_terms"]
-        # the built map's record times its probe and decomposition; a loaded map was built by neither
-        build = first["build_seconds"]
-        assert sorted(build) == ["curvature", "eigendecompose"]
-        assert all(t["cpu"] >= 0.0 and 0.0 <= t["wall"] <= first["wall_time_s"] for t in build.values())
-        assert second["build_seconds"] == {}
-
-    def test_save_precond_creates_its_directory(self, final_checkpoint, tmp_path, capsys):
-        # the map's directory is created, and a map that cannot be saved
-        # exits 2 before the record and samples are written
-        saved = tmp_path / "maps" / "precond.json"
-        out = tmp_path / "runs.jsonl"
-        argv = ["estimate", "--checkpoint", str(final_checkpoint), "--k", "2", "--preconditioner", "diag",
-                "--out", str(out)]
-        assert main([*argv, "--save-precond", str(saved)]) == 0
-        assert Preconditioner.load(saved).describe() == read_jsonl(out)[0]["preconditioner"]
-        out.unlink()
-        out.with_suffix(".samples.csv").unlink()
-        assert main([*argv, "--save-precond", str(saved.parent)]) == 2
-        assert "Is a directory" in capsys.readouterr().err
-        assert not out.exists() and not out.with_suffix(".samples.csv").exists()
-
-    def test_map_without_unit_determinant_exits_2(self, final_checkpoint, tmp_path, capsys):
-        saved = tmp_path / "precond.json"
-        Preconditioner.diagonal(np.full(26, 2.0)).save(saved)
-        out = tmp_path / "runs.jsonl"
-        rc = main([
-            "estimate", "--checkpoint", str(final_checkpoint), "--k", "4",
-            "--precond-file", str(saved), "--out", str(out), "--seed", "1",
-        ])
-        assert rc == 2
-        assert f"log det {26 * math.log(2.0):.6g} is not 0" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_loss_cost_works(self, final_checkpoint, tmp_path):
         out = tmp_path / "runs.jsonl"
@@ -471,19 +477,21 @@ class TestEstimate:
             ])
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("command", ["estimate", "sweep"])
-    @pytest.mark.parametrize("flag, value", [("--r-init", "1"), ("--max-iters", "5"), ("--r-max", "10")])
-    def test_deleted_search_flags_exit_2(self, command, flag, value, final_checkpoint, tmp_path, capsys):
+    @pytest.mark.parametrize("command, flag, value", DELETED_FLAGS,
+                             ids=[f"{flag}-{value}-{command}" for command, flag, value in DELETED_FLAGS])
+    def test_deleted_search_flags_exit_2(self, command, flag, value, final_checkpoint, tmp_path, capsys,
+                                         monkeypatch):
         # the search starts ray 0 at radius 1 and later rays at the earlier
         # rays' median, its evaluation budget is fixed, and every ray stops at
-        # the measure's cap, so none of them is a flag
-        out = tmp_path / "o.out"
-        argv = [command, "--checkpoint", str(final_checkpoint), flag, value, "--out", str(out)]
+        # the measure's cap, so none of them is a flag; every map is built
+        # from the checkpoint that the record names, so none is saved or loaded
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--checkpoint", str(final_checkpoint), flag, value, "--out", "o.out"]
         with pytest.raises(SystemExit) as info:
             main(argv + (["--kind", "cutoff", "--values", "1e-2"] if command == "sweep" else []))
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, message", [
         (["estimate", "--eps", "0.1"], "unrecognized arguments: --eps 0.1"),
@@ -560,12 +568,9 @@ class TestEstimate:
         assert not out.exists()
 
     def test_eps_is_recorded_only_for_a_shaped_map(self, final_checkpoint, tmp_path):
-        # a built map is shaped at its DEFAULT_EPS; the identity and a loaded map at none
-        saved = tmp_path / "precond.json"
-        Preconditioner.identity(26).save(saved)
+        # a built map is shaped at its DEFAULT_EPS; the identity at none
         runs = {
             "identity": ([], None),
-            "loaded": (["--precond-file", str(saved)], None),
             "adam-nu": (["--preconditioner", "adam-nu"], 0.001),
             "diag": (["--preconditioner", "diag"], 0.01),
             "hessian": (["--preconditioner", "hessian"], 0.1),
@@ -707,18 +712,13 @@ class TestSweep:
         assert not any("log_volume" in r for r in records)
         assert [(r["cutoff"], r["config"]["checkpoint"]) for r in records] == [(1e-2, None), (1e-1, None)]
         # the quadratic's cost, measure and map come from no flag
-        assert {(r["config"]["cost"], r["config"]["measure"], r["config"]["precond_file"]) for r in records} == {
-            (None, None, None)}
+        assert {(r["config"]["cost"], r["config"]["measure"]) for r in records} == {(None, None)}
         assert _read_csv(out.with_suffix(".samples.csv")) == []
 
     @pytest.mark.parametrize("argv, message", [
         (["--kind", "checkpoint", "--values", "a.json"], "sweep --target quadratic sweeps --kind cutoff only"),
         (["--kind", "preconditioner", "--values", "none"], "sweep --target quadratic sweeps --kind cutoff only"),
-        # the target, and so its identity map, is built before any point runs
-        (["--kind", "cutoff", "--values", "1e-2", "--n", "0"], "dimension must be >= 1, got 0"),
         # its cost is |x|^2/2 under the identity map, so a flag that would change either is refused
-        (["--kind", "cutoff", "--values", "1e-2", "--precond-file", "nonexistent.json"],
-         "sweep --target quadratic takes no --precond-file"),
         (["--kind", "cutoff", "--values", "1e-2", "--cost", "loss"], "sweep --target quadratic takes no --cost"),
         (["--kind", "cutoff", "--values", "1e-2", "--preconditioner", "hessian"],
          "sweep --target quadratic takes no --preconditioner"),
@@ -790,6 +790,7 @@ class TestSweep:
         (["--kind", "cutoff", "--values", "0.1"], "--checkpoint"),
         (["--kind", "preconditioner", "--values", "none"], "--checkpoint"),
         (["--kind", "checkpoint"], "--values"),
+        (["--kind", "cutoff", "--values", ","], "--values"),  # a list of no entries
     ])
     def test_missing_input_exits_2(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -811,8 +812,8 @@ class TestSweep:
           "--preconditioner", "diag"], "sweep --kind preconditioner takes no --preconditioner"),
         # every flag the sweep does not read is named
         (["--kind", "preconditioner", "--checkpoint", "nonexistent.json", "--values", "none",
-          "--preconditioner", "diag", "--precond-file", "nonexistent.json", "--n", "7"],
-         "sweep --kind preconditioner takes no --n, --preconditioner, --precond-file"),
+          "--preconditioner", "diag", "--n", "7"],
+         "sweep --kind preconditioner takes no --n, --preconditioner"),
         # a cutoff that is not a number, or not positive and finite, is named with its flag
         (["--kind", "cutoff", "--checkpoint", "nonexistent.json", "--values", "1e-2,abc"],
          "sweep --values entry 'abc' is not a number"),
@@ -863,29 +864,6 @@ class TestSweep:
         assert len(estimates) == 3 and alive == [0]
         assert len(_read_csv(out.with_suffix(".samples.csv"))) == 3 * 4
 
-    def test_precond_file_rejected_over_maps(self, final_checkpoint, tmp_path, capsys):
-        saved = tmp_path / "precond.json"
-        Preconditioner.identity(26).save(saved)
-        out = tmp_path / "sweep.csv"
-        rc = main([
-            "sweep", "--kind", "preconditioner", "--values", "none,adam-nu", "--checkpoint", str(final_checkpoint),
-            "--preconditioner", "adam-nu", "--precond-file", str(saved), "--out", str(out),
-        ])
-        assert rc == 2
-        assert "--precond-file" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_precond_file_accepted_over_cutoffs(self, final_checkpoint, tmp_path):
-        saved = tmp_path / "precond.json"
-        Preconditioner.diagonal(np.linspace(0.5, 2.0, 26), source="saved").normalize_unit_det().save(saved)
-        out = tmp_path / "sweep.csv"
-        rc = main([
-            "sweep", "--kind", "cutoff", "--values", "1e-2,1e-1", "--checkpoint", str(final_checkpoint),
-            "--precond-file", str(saved), "--k", "4", "--out", str(out), "--seed", "1",
-        ])
-        assert rc == 0
-        assert [r["preconditioner"] for r in _read_csv(out)] == ["saved[diagonal,n=26]"] * 2
-
     def test_failed_rows_describe_their_own_point(self, final_checkpoint, tmp_path):
         out = tmp_path / "precond.csv"
         rc = main([
@@ -916,20 +894,6 @@ class TestSweep:
         assert [r["status"] for r in records] == [failed["status"], "ok"]
         assert (records[0]["preconditioner"], records[0]["measure"], records[0]["k"]) == ("diag", "gaussian", 4)
         assert [r["point"] for r in _read_csv(out.with_suffix(".samples.csv"))] == ["1"] * 4
-
-    def test_malformed_map_file_exits_2_without_rows(self, final_checkpoint, tmp_path, capsys):
-        # the map used to be loaded inside each point's try, so a malformed
-        # file gave every point a "failed:" row and the sweep exited 0
-        bad = tmp_path / "map.json"
-        Preconditioner.identity(26).save(bad)
-        bad.write_text(json.dumps({**json.loads(bad.read_text()), "dim": "26"}))
-        out = tmp_path / "sweep.csv"
-        rc = main(["sweep", "--kind", "cutoff", "--checkpoint", str(final_checkpoint), "--values", "1e-2,1e-1",
-                   "--k", "2", "--precond-file", str(bad), "--out", str(out)])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            f"error: malformed preconditioner field dim in {bad}: expected an integer, got '26'\n")
-        assert not out.exists()
 
 
 class TestConsoleScript:
@@ -1110,6 +1074,15 @@ class TestMdl:
         assert capsys.readouterr().err == (
             "error: description length requires a Gaussian volume record, not measure 'lebesgue'\n"
         )
+        assert not out.exists()
+
+    def test_empty_record_file_is_named(self, final_checkpoint, tmp_path, capsys):
+        rec = tmp_path / "empty.jsonl"
+        rec.write_text("")
+        out = tmp_path / "mdl.json"
+        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: no records in {rec}\n"
         assert not out.exists()
 
     def test_record_file_that_is_not_utf8_is_named(self, final_checkpoint, tmp_path, capsys):

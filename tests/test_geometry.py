@@ -225,6 +225,19 @@ class TestFindRadius:
         assert profile(radius) < 1.0 <= profile(radius * (1.0 + 3.0 * rel_tol))
         assert evals <= 3 * _bisection_evals(profile, start, rel_tol)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 28")
+    def test_returns_the_first_crossing(self):
+        # the cost rises above the cutoff 1 on (0.4, 0.6) and falls back
+        # below it; the star domain ends at 0.4, but the search, started
+        # at radius 1, brackets from there out to the cap
+        def cost(x):
+            r = abs(float(x[0]))
+            return 0.01 * r * r + (2.0 if 0.4 < r < 0.6 else 0.0)
+
+        spec = NeighborhoodSpec(np.zeros(1), cost, 1.0, MeasureSpec.lebesgue())
+        radius, _, _ = find_radius(spec, np.array([1.0]))
+        assert radius <= 0.4
+
     @pytest.mark.parametrize("start", [0.01, 1.0, 100.0])
     @pytest.mark.parametrize("c0", [0.0, 0.3, -2.0])
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -502,6 +515,14 @@ class TestSampleDirection:
         identity = Preconditioner.identity(4)
         raw = np.mean(np.abs(sample_directions(identity, [np.random.default_rng(2)] * 2000)[0][:, 0]))
         assert long_axis > 2.0 * raw
+
+    @pytest.mark.parametrize("scale, basis", [(np.ones(2), np.zeros((2, 2))), (np.full(2, 1e200), None)],
+                             ids=["zero-basis", "overflowing-scale"])
+    def test_zero_or_non_finite_direction_is_refused(self, scale, basis):
+        # a basis is not checked for orthonormality, and a large scale overflows the row's norm
+        p = Preconditioner.diagonal(scale, basis=basis)
+        with pytest.raises(PreconditionerError, match="^preconditioner produced a zero or non-finite direction$"):
+            sample_directions(p, [np.random.default_rng(0)])
 
     def test_reproducible_for_equal_seeds(self):
         p = Preconditioner.diagonal(np.array([3.0, 0.5]))
@@ -817,31 +838,32 @@ class TestGaussianRadialIntegral:
 
 
 class TestEstimateLocalVolume:
-    def test_map_without_unit_determinant_is_refused(self, tmp_path):
+    def test_map_without_unit_determinant_is_refused(self):
         # the log terms assume det 1: this map's estimate would read n log 2
         # (34.66 nats) low, with no warning
         n = 50
-        saved = tmp_path / "precond.json"
-        Preconditioner.diagonal(np.full(n, 2.0)).save(saved)
-        loaded = Preconditioner.load(saved)
+        doubled = Preconditioner.diagonal(np.full(n, 2.0))
         spec = Ellipsoid(np.ones(n)).neighborhood()
         with pytest.raises(PreconditionerError, match=f"log det {n * math.log(2.0):.6g} is not 0"):
-            estimate_local_volume(spec, loaded, k=16, seed=1)
+            estimate_local_volume(spec, doubled, k=16, seed=1)
         # normalized, the same map reads the unit ball's volume, as the identity does
         want = 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
-        for p in (Preconditioner.identity(n), loaded.normalize_unit_det()):
+        for p in (Preconditioner.identity(n), doubled.normalize_unit_det()):
             est = estimate_local_volume(spec, p, k=16, seed=1)
             assert est.log_volume == pytest.approx(want, abs=n * SearchOptions().rel_tol)
 
     def test_seed_is_an_int_and_reruns_are_identical(self):
-        # a SeedSequence would be spawned from, so passing it twice gave two estimates
+        # a SeedSequence would be spawned from, so passing it twice gave two
+        # estimates; True ran as seed 1, and a negative seed was refused by
+        # numpy without the word seed
         e = Ellipsoid(np.array([2.0, 1.0, 0.25, 0.5, 1.5]))
         p = Preconditioner.identity(5)
-        for not_int in (None, np.random.SeedSequence(7), [7]):
+        for not_int in (None, np.random.SeedSequence(7), [7], True):
             with pytest.raises(TypeError):
                 estimate_local_volume(e.neighborhood(), p, k=8, seed=not_int)
-        with pytest.raises(ValueError):
-            estimate_local_volume(e.neighborhood(), p, k=8, seed=-7)
+        for negative in (-7, -1):
+            with pytest.raises(ValueError, match=f"seed must be >= 0, got {negative}"):
+                estimate_local_volume(e.neighborhood(), p, k=8, seed=negative)
         first, again = (estimate_local_volume(e.neighborhood(), p, k=8, seed=7) for _ in range(2))
         assert first.log_volume == again.log_volume
         assert [s.log_term for s in first.samples] == [s.log_term for s in again.samples]
@@ -1258,6 +1280,19 @@ class TestSpecValidation:
     def test_cutoff_validation(self):
         with pytest.raises(ValueError, match="cutoff"):
             NeighborhoodSpec(np.zeros(2), lambda x: 0.0, 0.0, MeasureSpec.lebesgue())
+
+    @pytest.mark.parametrize("cutoff", [-1.0, math.nan, math.inf])
+    def test_cutoff_must_be_positive_and_finite(self, cutoff):
+        # refused before the cost is evaluated
+        reads = []
+        with pytest.raises(ValueError, match=f"^cutoff must be positive and finite, got {cutoff}$"):
+            NeighborhoodSpec(np.zeros(2), lambda x: reads.append(x) or 0.0, cutoff, MeasureSpec.lebesgue())
+        assert reads == []
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_anchor_cost_is_refused(self, value):
+        with pytest.raises(CostEvaluationError, match="^cost evaluation failed at the anchor$"):
+            NeighborhoodSpec(np.zeros(2), lambda x: value, 1.0, MeasureSpec.lebesgue())
 
     def test_sigma_length_checked(self):
         with pytest.raises(ValueError, match="sigma length"):

@@ -1,4 +1,4 @@
-"""Tests for unit-determinant preconditioner construction and serialization."""
+"""Tests for unit-determinant preconditioner construction, and for the array codec."""
 
 import ctypes
 import json
@@ -15,11 +15,10 @@ import pytest
 
 from starvol import blas, precondition
 from starvol.codec import decode_array, write_json
-from starvol.geometry import NeighborhoodSpec, estimate_local_volume, sample_directions
-from starvol.models import hessian_full, init_params, make_blobs, make_kl_cost, make_loss_cost
+from starvol.geometry import sample_directions
+from starvol.models import hessian_full, init_params, make_blobs, make_loss_cost
 from starvol.precondition import (
     DEFAULT_EPS,
-    ORTHONORMAL_ATOL,
     Preconditioner,
     PreconditionerError,
     eigendecompose,
@@ -203,6 +202,11 @@ class TestFromDiagonal:
         with pytest.raises(PreconditionerError, match=f"^exponent must be finite, got {exponent}$"):
             from_diagonal(np.array([4.0, 1.0]), eps=0.1, exponent=exponent)
 
+    @pytest.mark.parametrize("diag", [np.ones(0), np.ones((2, 2))], ids=["empty", "matrix"])
+    def test_curvature_must_be_a_non_empty_vector(self, diag):
+        with pytest.raises(PreconditionerError, match="^diagonal curvature must be a non-empty vector$"):
+            from_diagonal(diag, eps=0.1)
+
     def test_default_eps_table(self):
         assert DEFAULT_EPS == {
             "hessian": 0.1,
@@ -261,102 +265,35 @@ class TestDescribeAndValidation:
         with pytest.raises(ValueError):
             p.scale[0] = 99.0
 
+    @pytest.mark.parametrize("scale", [np.ones(0), np.ones((2, 2)), np.float64(2.0)],
+                             ids=["empty", "matrix", "scalar"])
+    def test_diagonal_scale_must_be_a_non_empty_vector(self, scale):
+        with pytest.raises(PreconditionerError, match="^diagonal scale must be a non-empty vector$"):
+            Preconditioner.diagonal(scale)
 
-class TestSerialization:
-    def test_diagonal_round_trip(self, tmp_path):
-        p = from_diagonal(np.array([3.0, 1.0, 0.25]), eps=0.01)
-        path = tmp_path / "precond.json"
-        p.save(path)
-        q = Preconditioner.load(path)
-        assert q.kind == p.kind
-        assert q.source == p.source
-        np.testing.assert_array_equal(q.scale, p.scale)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_diagonal_rejects_non_finite(self, value):
+        with pytest.raises(PreconditionerError, match="^diagonal entries must be positive and finite$"):
+            Preconditioner.diagonal(np.array([1.0, value]))
 
-    def test_dense_round_trip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(4, 4))
-        p = from_hessian(a @ a.T + np.eye(4), eps=0.1)
-        path = tmp_path / "precond.json"
-        p.save(path)
-        q = Preconditioner.load(path)
-        assert json.loads(path.read_text())["version"] == 4
-        np.testing.assert_array_equal(q.scale, p.scale)
-        np.testing.assert_array_equal(q.basis, p.basis)
-        assert q.describe() == p.describe()
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 4), (3,)], ids=["fewer-rows", "more-columns", "vector"])
+    def test_diagonal_refuses_a_basis_of_another_shape(self, shape):
+        with pytest.raises(PreconditionerError, match=re.escape(f"basis shape {shape} does not match 3 scales")):
+            Preconditioner.diagonal(np.array([1.0, 2.0, 0.5]), basis=np.ones(shape))
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_caller_basis_round_trip_in_either_layout(self, order, tmp_path):
-        # a basis is stored column by column, so a loaded one is F-ordered
-        # whatever layout the caller gave
+    def test_caller_basis_is_kept_bit_for_bit_in_its_layout(self, order):
+        # a writeable basis is copied read-only; the caller's array stays writeable
         q, _ = np.linalg.qr(np.random.default_rng(10).normal(size=(5, 5)))
         q = np.array(q, order=order)
-        path = tmp_path / "precond.json"
-        Preconditioner.diagonal(np.arange(1.0, 6.0), basis=q).save(path)
-        loaded = Preconditioner.load(path)
-        np.testing.assert_array_equal(_bits(loaded.basis), _bits(q))
-        assert loaded.basis.flags.f_contiguous and not loaded.basis.flags.writeable
-        columns = decode_array(json.loads(path.read_text())["basis"], (5, 5))
-        np.testing.assert_array_equal(_bits(columns), _bits(q.T))
+        p = Preconditioner.diagonal(np.arange(1.0, 6.0), basis=q)
+        np.testing.assert_array_equal(_bits(p.basis), _bits(q))
+        assert p.basis.flags[f"{order}_CONTIGUOUS"] and not p.basis.flags.writeable
+        assert p.basis is not q and q.flags.writeable
 
-    @pytest.mark.parametrize("basis, match", [
-        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.001]], "not orthonormal"),
-        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "basis shape"),
-        ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]], "basis shape"),
-    ])
-    def test_rejects_bad_basis(self, basis, match, tmp_path):
-        path = tmp_path / "bad.json"
-        write_json(path, {
-            "format": "starvol-preconditioner", "version": 4, "dim": 3,
-            "source": "hessian", "scale": np.array([1.0, 2.0, 0.5]), "basis": np.array(basis),
-        })
-        with pytest.raises(PreconditionerError, match=match):
-            Preconditioner.load(path)
-
-    def test_rejects_dim_that_disagrees_with_scales(self, tmp_path):
-        path = tmp_path / "bad.json"
-        write_json(path, {"format": "starvol-preconditioner", "version": 4, "dim": 5,
-                          "source": "", "scale": np.array([1.0, 2.0, 0.5]), "basis": None})
-        with pytest.raises(PreconditionerError, match="dim 5 does not match 3 scales"):
-            Preconditioner.load(path)
-
-    @pytest.mark.parametrize("scale", [None, np.array([1.0, 2.0])], ids=["identity", "diagonal"])
-    def test_rejects_missing_dim(self, scale, tmp_path):
-        path = tmp_path / "bad.json"
-        write_json(path, {"format": "starvol-preconditioner", "version": 4, "source": "",
-                          "scale": scale, "basis": None})
-        with pytest.raises(PreconditionerError, match="missing preconditioner field dim in "):
-            Preconditioner.load(path)
-
-    @pytest.mark.parametrize("mangle, reason", [
-        pytest.param(lambda data: [data], "the preconditioner in {path} is not an object", id="root-list"),
-        pytest.param(lambda data: data.update(dim="3"),
-                     "malformed preconditioner field dim in {path}: expected an integer, got '3'", id="dim-string"),
-        pytest.param(lambda data: data.update(dim=True),
-                     "malformed preconditioner field dim in {path}: expected an integer, got True", id="dim-bool"),
-        pytest.param(lambda data: data.update(scale=5),
-                     "malformed preconditioner field scale in {path}: expected a base64 string, got int",
-                     id="scale-number"),
-        pytest.param(lambda data: data.update(basis=5),
-                     "malformed preconditioner field basis in {path}: expected a base64 string, got int",
-                     id="basis-number"),
-    ])
-    def test_malformed_file_is_refused_by_name(self, mangle, reason, tmp_path):
-        # a list root used to end in an AttributeError; a mangle edits the
-        # file's object in place or returns a new root
-        path = tmp_path / "bad.json"
-        from_hessian(np.diag([3.0, 1.0, 0.5]), eps=0.1).save(path)
-        data = json.loads(path.read_text())
-        root = mangle(data)
-        path.write_text(json.dumps(data if root is None else root))
-        with pytest.raises(PreconditionerError) as info:
-            Preconditioner.load(path)
-        assert str(info.value) == reason.format(path=path)
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"format": "something-else", "version": 1}')
-        with pytest.raises(PreconditionerError, match="not a preconditioner file"):
-            Preconditioner.load(path)
+    def test_read_only_basis_is_shared(self):
+        _, vecs = eigendecompose(np.diag([3.0, 1.0, 2.0]))
+        assert Preconditioner.diagonal(np.ones(3), basis=vecs).basis is vecs
 
 
 def _bits(arr):
@@ -404,14 +341,14 @@ def _flags(arr):
 
 
 def _tiny_kl():
-    """A tiny MLP's anchor, its KL cost and measure, and its Gauss-Newton matrix.
+    """A tiny MLP's KL Gauss-Newton matrix.
 
     Six inputs and three classes give rank at most 12 in n = 31, so the
     spectrum has a cluster of 19 zero eigenvalues.
     """
-    anchor, measure = init_params(((3, 4), (4, 3)), rng=np.random.default_rng(61))
+    anchor, _ = init_params(((3, 4), (4, 3)), rng=np.random.default_rng(61))
     inputs = np.random.default_rng(62).normal(size=(6, 3))
-    return anchor, inputs, measure, hessian_full("kl", anchor, (anchor, inputs))
+    return hessian_full("kl", anchor, (anchor, inputs))
 
 
 class TestNonFiniteCurvature:
@@ -456,11 +393,18 @@ class TestEigendecompose:
         residual = mat @ got_vecs - got_vecs * got_vals
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(mat))
         gram = got_vecs.T @ got_vecs
-        assert np.max(np.abs(gram - np.eye(len(mat)))) <= ORTHONORMAL_ATOL
+        # MRRR's eigenvectors measured max |V^T V - I| = 4.0e-12 at n = 4,810
+        assert np.max(np.abs(gram - np.eye(len(mat)))) <= 1e-10
         assert got_vecs.flags.f_contiguous and not got_vecs.flags.writeable
 
+    @pytest.mark.parametrize("mat", [np.ones((0, 0)), np.ones((2, 3)), np.ones(3)],
+                             ids=["empty", "rectangle", "vector"])
+    def test_refuses_what_is_not_a_non_empty_square_matrix(self, mat):
+        with pytest.raises(PreconditionerError, match="^expected a non-empty square matrix$"):
+            eigendecompose(mat)
+
     def test_rank_deficient_gauss_newton(self):
-        *_, hess = _tiny_kl()
+        hess = _tiny_kl()
         assert np.sum(np.linalg.eigvalsh(hess) < 1e-12) >= 19
         self._check_against_numpy(hess)
 
@@ -481,7 +425,7 @@ class TestEigendecompose:
         if case == "kernel":
             mat = _kernel(1500)  # spans three row blocks of the mirror
         else:
-            mat = _tiny_kl()[-1]
+            mat = _tiny_kl()
             if case == "near-symmetric":
                 mat[3, 7] += 1e-12
         mat = np.array(mat, order=order)
@@ -817,81 +761,11 @@ class TestArrayCodec:
         np.testing.assert_array_equal(_bits(strings["big"]), _bits(big))
         expected = json.loads(path.read_text())
         assert path.read_text() == json.dumps(expected, sort_keys=True)
-        assert decode_array(expected["m"], (7, 1)).shape == (7, 1)
+        # any shape is written as its flat C-ordered entries
+        np.testing.assert_array_equal(_bits(strings["m"]), _bits(big[:7]))
 
     @pytest.mark.parametrize("value", [[[1.0, 2.0], [3.0, 4.0]], [1.0], 1.0, None],
                              ids=["nested-list", "list", "float", "none"])
     def test_only_strings_decode(self, value):
         with pytest.raises(ValueError, match="expected a base64 string"):
             decode_array(value)
-
-
-class TestDenseMapOnDisk:
-    def test_resave_is_byte_identical(self, tmp_path):
-        *_, hess = _tiny_kl()
-        p = from_hessian(hess, eps=0.1)
-        first, second = tmp_path / "a.json", tmp_path / "b.json"
-        p.save(first)
-        Preconditioner.load(first).save(second)
-        assert first.read_bytes() == second.read_bytes()
-        data = json.loads(first.read_text())
-        assert data["version"] == 4
-        assert isinstance(data["basis"], str) and isinstance(data["scale"], str)
-
-    @pytest.mark.parametrize("case", ["v1-dense", "v1-diagonal", "v2-lists", "v3-lists",
-                                      "v3-strings", "v4-lists"])
-    def test_old_versions_refused(self, case, tmp_path):
-        # versions 1 and 2 stored float lists (version 1 a dense map as its
-        # matrix), version 3 strings with the basis row by row; none is read,
-        # and a list in a version-4 file is malformed
-        *_, hess = _tiny_kl()
-        p = from_hessian(hess, eps=0.1, source="hessian")
-        version, fields = {
-            "v1-dense": (1, {"kind": "dense", "scale": None, "matrix": (hess + np.eye(p.dim)).tolist()}),
-            "v1-diagonal": (1, {"kind": "diagonal", "scale": p.scale.tolist(), "matrix": None}),
-            "v2-lists": (2, {"scale": p.scale.tolist(), "basis": p.basis.tolist()}),
-            "v3-lists": (3, {"scale": p.scale.tolist(), "basis": None}),
-            "v3-strings": (3, {"scale": p.scale, "basis": np.ascontiguousarray(p.basis)}),
-            "v4-lists": (4, {"scale": p.scale.tolist(), "basis": None}),
-        }[case]
-        path = tmp_path / f"{case}.json"
-        write_json(path, {"format": "starvol-preconditioner", "version": version,
-                          "dim": p.dim, "source": "hessian", **fields})
-        match = ("malformed preconditioner field scale" if version == 4
-                 else f"unsupported preconditioner version {version} in .*{case}.json$")
-        with pytest.raises(PreconditionerError, match=match):
-            Preconditioner.load(path)
-
-    def test_reloaded_map_has_same_layout_and_estimate(self, tmp_path):
-        anchor, inputs, measure, hess = _tiny_kl()
-        fresh = from_hessian(hess, eps=0.1)
-        fresh.save(tmp_path / "p.json")
-        loaded = Preconditioner.load(tmp_path / "p.json")
-        for attr in ("c_contiguous", "f_contiguous", "writeable"):
-            assert getattr(loaded.basis.flags, attr) == getattr(fresh.basis.flags, attr)
-        (a_rows, a_logs), (b_rows, b_logs) = (
-            sample_directions(pre, [np.random.default_rng(65 + i) for i in range(8)])
-            for pre in (fresh, loaded)
-        )
-        np.testing.assert_array_equal(_bits(b_rows), _bits(a_rows))
-        assert b_logs == a_logs
-        spec = NeighborhoodSpec(anchor=anchor.flat, cost=make_kl_cost(anchor, inputs),
-                                cutoff=1e-2, measure=measure)
-        a, b = (estimate_local_volume(spec, pre, 6, seed=3) for pre in (fresh, loaded))
-        assert a.log_volume == b.log_volume
-        assert [s.log_term for s in a.samples] == [s.log_term for s in b.samples]
-
-    def test_orthonormality_checked_in_every_row_block(self, tmp_path):
-        q, _ = np.linalg.qr(np.random.default_rng(66).normal(size=(5, 5)))
-        q[:, 4] *= 1.0 + 1e-6  # only the last column's norm is off
-        path = tmp_path / "p.json"
-        Preconditioner.diagonal(np.ones(5), basis=q).save(path)
-        with pytest.raises(PreconditionerError, match="not orthonormal"):
-            Preconditioner.load(path)
-
-    def test_malformed_array_rejected(self, tmp_path):
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps({"format": "starvol-preconditioner", "version": 4, "dim": 2,
-                                    "source": "", "scale": "AAAA", "basis": None}))
-        with pytest.raises(PreconditionerError, match="malformed"):
-            Preconditioner.load(path)
