@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 import time
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import Fields, count, integer, number, write_json
+from .codec import Fields, count, integer, number, read_jsonl, write_json
 from .geometry import (
     CostEvaluationError,
     EstimationError,
@@ -51,17 +50,7 @@ from .models import (
 )
 from .models.train import AdamHyper
 from .precondition import DEFAULT_EPS, Preconditioner, PreconditionerError, eigendecompose, from_diagonal
-from .runio import (
-    DEFAULT_CONFIG,
-    SAMPLE_FIELDS,
-    make_run_record,
-    merge_config,
-    read_jsonl,
-    sample_rows,
-    write_csv,
-    write_jsonl,
-    write_samples_csv,
-)
+from .runio import DEFAULT_CONFIG, SAMPLE_FIELDS, make_run_record, merge_config, sample_rows, write_csv
 
 # fixed roles for deriving independent streams from the master seed
 SEED_ROLES = {"data": 0, "init": 1, "train": 2}
@@ -124,12 +113,16 @@ def _build_datasets(config: Fields):
             seed=data_seed,
         )
     elif kind == "spirals":
-        full = make_spirals(per_class=-(-total // 2), noise=ds.get("noise", std), dim=ds.get("dim", count),
-                            seed=data_seed)
+        full = make_spirals(per_class=-(-total // 2), noise=ds.get("noise", std),
+                            dim=ds.get("dim", lambda dim: count(dim, 2)), seed=data_seed)
     else:  # csv
-        full = load_csv(ds.get("path"))
-        if full.m < total:
-            raise ValueError(f"csv has {full.m} rows, config needs {total}")
+        def table(path):
+            rows = load_csv(path)
+            if rows.m < total:
+                raise ValueError(f"csv has {rows.m} rows, config needs {total}")
+            return rows
+
+        full = ds.get("path", table)
     splits = split_dataset(full, sizes, seed=data_seed)
     return splits[0], splits[1], (splits[2] if poison_size > 0 else None)
 
@@ -307,8 +300,8 @@ def cmd_estimate(args) -> int:
     target = _Target(args, ckpt, args.checkpoint)
     record, estimate = target.record(args.cutoff, args.preconditioner, args.seed)
     out = Path(args.out)
-    write_jsonl(out, record)
-    write_samples_csv(out.with_suffix(".samples.csv"), estimate)
+    write_json(out, record)
+    write_csv(out.with_suffix(".samples.csv"), sample_rows(estimate), SAMPLE_FIELDS)
 
     print(
         "log_volume={log_volume:.6f} log10={log10_volume:.4f} k={k} n={n} measure={measure} "
@@ -394,7 +387,7 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     rows = [{"kind": args.kind, "value": value, **{f: r[f] for f in SWEEP_FIELDS if f in r}} for value, r in points]
     write_csv(out, rows, ["kind", "value", *SWEEP_FIELDS])
-    write_jsonl(out.with_suffix(".records.jsonl"), *(r for _, r in points))
+    write_json(out.with_suffix(".records.jsonl"), *(r for _, r in points))
     write_csv(out.with_suffix(".samples.csv"), samples, ["point", *SAMPLE_FIELDS])
     # a slope needs two distinct cutoffs that succeeded
     done = [r for _, r in points if r["status"] == "ok"]
@@ -403,8 +396,7 @@ def cmd_sweep(args) -> int:
         xs = [math.log(r["cutoff"]) for r in done]
         slope = float(np.polyfit(xs, [r["log_volume"] for r in done], 1)[0])
         print(f"fitted log-log slope of volume vs cutoff: {slope:.4f}")
-    summary = {"kind": args.kind, "log_log_slope": slope, "seed": args.seed}
-    out.with_suffix(".summary.json").write_text(json.dumps(summary, sort_keys=True))
+    write_json(out.with_suffix(".summary.json"), {"kind": args.kind, "log_log_slope": slope, "seed": args.seed})
     print(f"{len(rows)} sweep rows -> {out}")
     return 0
 

@@ -1,11 +1,12 @@
-"""Run records, config files, and tabular outputs for the command-line tools.
+"""Run records, config defaults, and the CSV writer for the command-line tools.
 
 Configs are one JSON object with the sections documented in the README,
 read through ``codec.Fields``, which refuses a null value; ``--seed``
 overrides the file's seed. An estimate writes one JSON Lines record, and a
-sweep one per point, each holding the resolved config, the seed, and the
-aggregated result, with per-sample detail in a sibling CSV, so any reported
-number can be replayed from its record alone.
+sweep one per point, each built here and written by ``codec.write_json``,
+holding the resolved config, the seed, and the aggregated result, with
+per-sample detail in a sibling CSV, so any reported number can be replayed
+from its record alone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import copy
 import csv
 import dataclasses
 import functools
-import json
 import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
@@ -28,11 +28,8 @@ __all__ = [
     "build_id",
     "make_run_record",
     "merge_config",
-    "read_jsonl",
     "sample_rows",
     "write_csv",
-    "write_jsonl",
-    "write_samples_csv",
 ]
 
 DEFAULT_CONFIG: dict = {
@@ -133,32 +130,6 @@ def make_run_record(
     }
 
 
-def write_jsonl(path: str | Path, *records: dict) -> None:
-    """Write ``records`` to ``path``, one per line, replacing the file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
-
-
-def read_jsonl(path: str | Path) -> list[dict]:
-    """The JSON value on each non-blank line; a file that is not UTF-8 is refused by name,
-    and a line that is not JSON by file and line number."""
-    try:
-        text = Path(path).read_text()
-    except ValueError as exc:  # not UTF-8
-        raise ValueError(f"not a JSON Lines file: {path}: {exc}") from None
-    records = []
-    for number, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except ValueError as exc:
-            raise ValueError(f"line {number} of {path} is not JSON: {exc}") from None
-    return records
-
-
 SAMPLE_FIELDS = ["sample", "radius", "truncated", "failed", "failure", "evals", "log_importance_norm", "log_term"]
 
 
@@ -167,10 +138,6 @@ def sample_rows(estimate: VolumeEstimate, **leading) -> list[dict]:
     return [{**leading, **dict(zip(SAMPLE_FIELDS, (i, repr(s.radius), int(s.truncated), int(s.failed), s.failure,
                                                    s.evals, repr(s.log_importance_norm), repr(s.log_term))))}
             for i, s in enumerate(estimate.samples)]
-
-
-def write_samples_csv(path: str | Path, estimate: VolumeEstimate) -> None:
-    write_csv(path, sample_rows(estimate), SAMPLE_FIELDS)
 
 
 def write_csv(path: str | Path, rows: list[dict], fieldnames: list[str]) -> None:

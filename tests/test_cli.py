@@ -22,12 +22,12 @@ import starvol.cli as cli
 import starvol.geometry as geometry
 import starvol.runio as runio
 from starvol.cli import main
-from starvol.codec import Fields
+from starvol.codec import Fields, read_jsonl
 from starvol.geometry import MeasureSpec, NeighborhoodSpec, estimate_local_volume
 from starvol.logspace import log_sphere_area
-from starvol.models import load_checkpoint, load_csv
+from starvol.models import load_checkpoint, load_csv, save_checkpoint
 from starvol.precondition import DEFAULT_EPS, Preconditioner, from_diagonal
-from starvol.runio import make_run_record, read_jsonl, write_samples_csv
+from starvol.runio import SAMPLE_FIELDS, make_run_record, sample_rows, write_csv
 
 from oracles import mlp_kl_cost_batch, prior_hit_rate
 
@@ -70,6 +70,16 @@ def _drop(obj, key):
 def _drop_last_entry(data, key):
     """Re-encode the array in ``data[key]`` without its last entry, in place."""
     data[key] = base64.b64encode(base64.b64decode(data[key])[:-8]).decode()
+
+
+def _csv_table(text):
+    """A config mangle that trains on ``text``, written to table.csv in the working
+    directory, split 2 train and 1 validation rows."""
+    def mangle(cfg):
+        Path("table.csv").write_text(text)
+        cfg["dataset"] = {"kind": "csv", "path": "table.csv", "train": 2, "val": 1, "poison": 0}
+
+    return mangle
 
 
 def _count_calls(monkeypatch, *names):
@@ -164,18 +174,6 @@ class TestTrain:
         assert f"argument {flag}: expected an integer >= 1, got '0'" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("field, value", [("lr", -0.05), ("poison_alpha", -0.5)])
-    def test_bad_training_setting_exits_nonzero(self, field, value, tmp_path, capsys):
-        cfg_data = json.loads(json.dumps(TRAIN_CONFIG))
-        cfg_data["dataset"]["poison"] = 16
-        cfg_data["train"][field] = value
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(cfg_data))
-        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"), "--seed", "1"])
-        assert rc != 0
-        assert f"{field.removeprefix('poison_')} must be" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
-
     @pytest.mark.parametrize("mangle, reason", [
         pytest.param(lambda cfg: cfg["train"].update(lr="fast"),
                      "malformed config field train.lr in {cfg}: expected a number, got 'fast'", id="lr-string"),
@@ -231,14 +229,27 @@ class TestTrain:
         pytest.param(lambda cfg: cfg["train"].update(poison_alpha=-1),
                      "malformed config field train.poison_alpha in {cfg}: alpha must be non-negative and finite, "
                      "got -1.0", id="negative-poison-weight"),
+        pytest.param(lambda cfg: cfg["dataset"].update(kind="spirals", dim=1),
+                     "malformed config field dataset.dim in {cfg}: expected an integer >= 2, got 1",
+                     id="spirals-one-dim"),
+        pytest.param(_csv_table("0.5,0\n1.5,2.5\n2.5,1\n"),
+                     "malformed config field dataset.path in {cfg}: last csv column must hold integer labels",
+                     id="csv-fractional-label"),
+        pytest.param(_csv_table("0.5,0\n1.5,x\n2.5,1\n"),
+                     "malformed config field dataset.path in {cfg}: could not convert string 'x' to float64 at "
+                     "row 1, column 2.", id="csv-not-a-number"),
+        pytest.param(_csv_table("0.5,0\n1.5,1\n"),
+                     "malformed config field dataset.path in {cfg}: csv has 2 rows, config needs 3",
+                     id="csv-too-few-rows"),
     ])
-    def test_malformed_config_exits_2_naming_field_and_file(self, mangle, reason, tmp_path, capsys):
+    def test_malformed_config_exits_2_naming_field_and_file(self, mangle, reason, tmp_path, monkeypatch, capsys):
         # "hidden": "12" trained a 3-1-2-2 net, fractions were truncated, a
         # negative poison size, a misspelt key or a poison weight with no
         # poison split trained as if it were absent, a null value trained as
         # the default, a negative seed trained under the --seed that
         # overrides it, and the other cases ended in a traceback or named
         # neither field nor file
+        monkeypatch.chdir(tmp_path)  # where a csv case writes its table
         data = json.loads(json.dumps(TRAIN_CONFIG))
         root = mangle(data)
         cfg = tmp_path / "bad.json"
@@ -923,7 +934,7 @@ class TestRunRecords:
         assert 0 < est.failed_count < 16
         record = make_run_record("estimate", 17, {}, est, 0.0)
         assert record["failed_by_reason"] == {reason: est.failed_count}
-        write_samples_csv(tmp_path / "s.csv", est)
+        write_csv(tmp_path / "s.csv", sample_rows(est), SAMPLE_FIELDS)
         rows = _read_csv(tmp_path / "s.csv")
         assert [r["failure"] for r in rows] == [reason if r["failed"] == "1" else "" for r in rows]
         # a failed ray keeps the evaluations it made before failing
@@ -992,6 +1003,32 @@ def _loss_record(checkpoint, cutoff, out, k, seed):
 @pytest.fixture(scope="session")
 def loss_record(final_checkpoint, loss_cutoff, tmp_path_factory):
     return _loss_record(final_checkpoint, loss_cutoff, tmp_path_factory.mktemp("mdl") / "vol.jsonl", 8, 6)
+
+
+class TestJsonFiles:
+    def test_every_json_file_is_sorted_objects_one_per_line(self, train_run, final_checkpoint, loss_record,
+                                                            tmp_path):
+        # checkpoints, records, the sweep summary and mdl's payload all come from one writer
+        sweep, mdl = tmp_path / "sweep.csv", tmp_path / "mdl.json"
+        assert main(["sweep", "--kind", "cutoff", "--checkpoint", str(final_checkpoint), "--values", "1e-2,1e-1",
+                     "--k", "4", "--out", str(sweep)]) == 0
+        assert main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(loss_record),
+                     "--out", str(mdl)]) == 0
+        files = {path: 1 for path in train_run["checkpoints"]}
+        files |= {loss_record: 1, sweep.with_suffix(".records.jsonl"): 2, sweep.with_suffix(".summary.json"): 1,
+                  mdl: 1}
+        for path, count in files.items():
+            text = path.read_text()
+            objects = [json.loads(line) for line in text.splitlines()]
+            assert len(objects) == count, path
+            assert text == "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objects), path
+        # a checkpoint's arrays read back bit for bit, and write the same file again
+        for path in train_run["checkpoints"]:
+            data, ckpt = json.loads(path.read_text()), load_checkpoint(path)
+            for key, got in (("flat", ckpt.params.flat), ("adam_nu", ckpt.nu), ("sigma", ckpt.sigma)):
+                assert got.tobytes() == base64.b64decode(data[key]), (path.name, key)
+            save_checkpoint(tmp_path / path.name, ckpt)
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes()
 
 
 class TestMdl:
@@ -1120,7 +1157,7 @@ class TestMdl:
         out = tmp_path / "mdl.json"
         rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: line 2 of {rec} is not JSON: ")
+        assert capsys.readouterr().err.startswith(f"error: not a JSON Lines file: {rec}: line 2 is not JSON: ")
         assert not out.exists()
 
     def test_record_from_another_network_is_rejected(self, final_checkpoint, loss_record,

@@ -753,16 +753,21 @@ class TestArrayCodec:
 
     def test_file_is_json_dumps_with_strings(self, tmp_path):
         rng = np.random.default_rng(64)
-        big = rng.normal(size=(3 << 20) // 8 * 2 + 5)  # spans three base64 pieces
+        big = rng.normal(size=1000)
         payload = {"z": [1, {"b": 2.5, "a": None}], "big": big, "a": "text", "m": big[:7].reshape(7, 1)}
         path = tmp_path / "p.json"
         write_json(path, payload)
         strings = {key: decode_array(json.loads(path.read_text())[key]) for key in ("big", "m")}
         np.testing.assert_array_equal(_bits(strings["big"]), _bits(big))
         expected = json.loads(path.read_text())
-        assert path.read_text() == json.dumps(expected, sort_keys=True)
+        assert path.read_text() == json.dumps(expected, sort_keys=True) + "\n"
         # any shape is written as its flat C-ordered entries
         np.testing.assert_array_equal(_bits(strings["m"]), _bits(big[:7]))
+        # several objects are written one per line
+        write_json(path, {"b": 1, "a": big[:2]}, {"c": None})
+        first, second = path.read_text().splitlines(keepends=True)
+        assert first == json.dumps(json.loads(first), sort_keys=True) + "\n" and second == '{"c": null}\n'
+        np.testing.assert_array_equal(_bits(decode_array(json.loads(first)["a"])), _bits(big[:2]))
 
     @pytest.mark.parametrize("value", [[[1.0, 2.0], [3.0, 4.0]], [1.0], 1.0, None],
                              ids=["nested-list", "list", "float", "none"])
