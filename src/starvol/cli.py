@@ -117,7 +117,10 @@ def _build_datasets(config: Fields):
                             dim=ds.get("dim", lambda dim: count(dim, 2)), seed=data_seed)
     else:  # csv
         def table(path):
-            rows = load_csv(path)
+            try:
+                rows = load_csv(path)
+            except OSError as exc:  # numpy's refusal names the file alone, or not at all
+                raise ValueError(f"cannot read csv table {path!r}: {exc.strerror or exc}") from None
             if rows.m < total:
                 raise ValueError(f"csv has {rows.m} rows, config needs {total}")
             return rows
@@ -307,7 +310,7 @@ def cmd_estimate(args) -> int:
         "log_volume={log_volume:.6f} log10={log10_volume:.4f} k={k} n={n} measure={measure} "
         "preconditioner={preconditioner} truncated={truncated_count} failed={failed_count} "
         "cost_evals={cost_evals} evals_per_ray={evals_per_ray:.2f} ess={ess:.2f} top_share={top_share:.3f} "
-        "prefix_rise={prefix_rise:.3f} ".format(**record)
+        "prefix_rise={prefix_rise:.3f} ".format(**record | {"prefix_rise": estimate.prefix_rise})
         + " ".join(f"{stage}_cpu_s={took['cpu']:.4f}" for stage, took in record["stage_seconds"].items())
     )
     return 0

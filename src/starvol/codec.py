@@ -34,12 +34,13 @@ def write_json(path: str | Path, *objects: dict) -> None:
     and a newline, replacing the file.
 
     Each top-level numpy array is written as the base64 string of its
-    little-endian float64 bytes, in C order. A missing parent directory is
-    created.
+    little-endian float64 bytes, in C order. Any other non-finite float is
+    refused with ``ValueError``, since JSON has no token for it. A missing
+    parent directory is created.
     """
     def text(value) -> str:
         if not isinstance(value, np.ndarray):
-            return json.dumps(value, sort_keys=True)
+            return json.dumps(value, sort_keys=True, allow_nan=False)
         # base64 needs no escaping, so json.dumps is not asked to scan it: that
         # scan more than doubled the time to write a 4,810-parameter checkpoint
         return '"' + binascii.b2a_base64(np.ascontiguousarray(value, dtype=_FLOAT64_LE), newline=False).decode() + '"'

@@ -8,12 +8,12 @@ the calling thread at an OpenBLAS count of 1, so its bits do not depend on
 the BLAS thread count, even for a plain cost:
 
 - sample: one block of directions, one random stream per ray, optionally
-  importance-shaped by a unit-determinant preconditioner. The k streams are
-  built in one vectorized pass, each equal bit for bit to the matching child
-  of ``SeedSequence(seed).spawn(k)``, and each draws straight into its row
-  of the block. Each uniform draw is taken in the map's own orthonormal
-  axes, where it is just as uniform, so a dense map costs one product with
-  its n x n basis per block;
+  importance-shaped by a unit-determinant preconditioner. Each ray draws
+  from numpy's ``default_rng(child_i)``, child i of
+  ``SeedSequence(seed).spawn(k)``, straight into its row of the block.
+  Each uniform draw is taken in the map's own orthonormal axes, where it is
+  just as uniform, so a dense map costs one product with its n x n basis
+  per block;
 - search: the boundary radius along each ray, started at the median radius
   of the rays before it, by an extrapolated bracket and safeguarded inverse
   quadratic interpolation under one aiming rule, each returned radius
@@ -39,12 +39,11 @@ import time
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from numpy.random.bit_generator import ISeedSequence
 
 from .blas import one_blas_thread
 from .logspace import log_sphere_area, log_sum_exp
@@ -106,12 +105,6 @@ _AIM_PAST = 0.1
 # with no interior point yet, narrowing gives up once its upper end falls
 # below this fraction of the first bracket's
 _INTERIOR_FLOOR = 2.0**-50
-# numpy's SeedSequence hash constants: entropy mixing (A), state generation
-# (B) and the mix of a hashed word into a pool word (L, R); each hash and
-# mix ends with x ^= x >> 16
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
 class RadiusSearchError(RuntimeError):
@@ -553,54 +546,6 @@ def find_radius(
     return lo, False, evals
 
 
-class _StreamState(ISeedSequence):
-    """One child's generated state, handed to ``np.random.PCG64`` as its seed sequence."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words  # generate_state(4, np.uint64): 4 native uint64 words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.words  # PCG64 asks for generate_state(4, np.uint64) alone
-
-
-@cache
-def _spawn_constants(words: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The hash constants a child's last mixing phase and its state generation use.
-
-    For a seed of ``words`` 32-bit words, ``SeedSequence`` makes 16 + 4 max(0,
-    words - 4) hashmix calls before it mixes in a child's spawn word; each
-    call XORs with the running constant and multiplies by the next. Returns
-    the XOR and multiplier constants of the spawn word's four calls, then
-    those of the eight output words of ``generate_state``.
-    """
-    calls = 16 + 4 * max(0, words - 4)
-    mix = [_INIT_A * pow(_MULT_A, calls + j, 2**32) % 2**32 for j in range(5)]
-    out = [_INIT_B * pow(_MULT_B, j, 2**32) % 2**32 for j in range(9)]
-    return tuple(np.array(c, dtype=np.uint32) for c in (mix[:4], mix[1:], out[:8], out[1:]))
-
-
-def _spawn_streams(master: np.random.SeedSequence, k: int) -> list[np.random.Generator]:
-    """``[default_rng(child) for child in master.spawn(k)]``, bit for bit, from one pass.
-
-    Child i differs from ``master`` only in its last mixing phase, which
-    hashes the spawn word i into each of the 4 pool words; that phase and the
-    child's ``generate_state(4, np.uint64)`` run here for every i at once, in
-    wrapping uint32 arithmetic. ``master`` is left unspawned.
-    """
-    # the seed's count of 32-bit words; numpy stores 0 as one word
-    words = max(1, (operator.index(master.entropy).bit_length() + 31) // 32)
-    xor_mix, mul_mix, xor_out, mul_out = _spawn_constants(words)
-    with np.errstate(over="ignore"):
-        hashed = (np.arange(k, dtype=np.uint32)[:, None] ^ xor_mix) * mul_mix
-        hashed ^= hashed >> 16
-        pool = _MIX_MULT_L * master.pool - _MIX_MULT_R * hashed
-        pool ^= pool >> 16
-        state = (np.concatenate([pool, pool], axis=1) ^ xor_out) * mul_out
-        state ^= state >> 16
-    state = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-    return [np.random.Generator(np.random.PCG64(_StreamState(row))) for row in state]
-
-
 @one_blas_thread()
 def sample_directions(
     precond: Preconditioner, rngs: Sequence[np.random.Generator]
@@ -767,10 +712,9 @@ def estimate_local_volume(
     """Estimate the local volume of the anchor's neighborhood from k rays.
 
     Each sample gets its own random stream derived from the integer seed and
-    the sample index: ray i draws from child i of
-    ``np.random.SeedSequence(seed).spawn(k)``, bit for bit, and all k
-    streams are built in one vectorized pass. A seed that is not an int,
-    such as None, a bool, a ``SeedSequence`` or a list, raises
+    the sample index: each ray draws from numpy's ``default_rng(child_i)``,
+    child i of ``np.random.SeedSequence(seed).spawn(k)``. A seed that is not
+    an int, such as None, a bool, a ``SeedSequence`` or a list, raises
     ``TypeError``, and a negative int ``ValueError``. Every stage runs on
     the calling thread, so ``opts.threads`` changes nothing. Rays are
     searched in order: ray 0 starts at ``FIRST_START``, and ray i at the
@@ -797,9 +741,8 @@ def estimate_local_volume(
     if abs(precond.log_det()) > 1e-6:
         raise PreconditionerError(f"preconditioner log det {precond.log_det():.6g} is not 0")
     marks = [_clock()]
-    directions, log_norms = sample_directions(
-        precond, _spawn_streams(np.random.SeedSequence(operator.index(seed)), k)
-    )
+    children = np.random.SeedSequence(operator.index(seed)).spawn(k)
+    directions, log_norms = sample_directions(precond, [np.random.default_rng(c) for c in children])
     marks.append(_clock())
 
     rays = []  # (radius, truncated, evals, failure) of each ray, in order

@@ -44,8 +44,8 @@ class AdamHyper:
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.adam_eps > 0:
-            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
+        if not 0 < self.adam_eps < math.inf:
+            raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps}")
 
 
 @dataclass(frozen=True)

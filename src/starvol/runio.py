@@ -15,6 +15,7 @@ import copy
 import csv
 import dataclasses
 import functools
+import math
 import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
@@ -111,7 +112,11 @@ def make_run_record(
     estimate: VolumeEstimate | None,
     wall_time_s: float,
 ) -> dict:
-    """The run fields, and with an ``estimate`` its fields and ``status`` "ok"."""
+    """The run fields, and with an ``estimate`` its fields and ``status`` "ok".
+
+    JSON has no infinity, so a failed ray's log term (-inf) is null, and so
+    is a ``prefix_rise`` of +inf (every ray of the prefix failed).
+    """
     record = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "build": build_id(),
@@ -122,10 +127,12 @@ def make_run_record(
     }
     if estimate is None:
         return record
-    return record | {name: getattr(estimate, name) for name in ESTIMATE_FIELDS} | {
+    fields = {name: getattr(estimate, name) for name in ESTIMATE_FIELDS}
+    return record | fields | {
+        "prefix_rise": None if fields["prefix_rise"] == math.inf else fields["prefix_rise"],
         "measure": estimate.measure.kind,
         "preconditioner": estimate.preconditioner_id,
-        "log_terms": [s.log_term for s in estimate.samples],
+        "log_terms": [None if s.failed else s.log_term for s in estimate.samples],
         "status": "ok",
     }
 

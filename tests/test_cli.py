@@ -22,7 +22,7 @@ import starvol.cli as cli
 import starvol.geometry as geometry
 import starvol.runio as runio
 from starvol.cli import main
-from starvol.codec import Fields, read_jsonl
+from starvol.codec import Fields, read_jsonl, write_json
 from starvol.geometry import MeasureSpec, NeighborhoodSpec, estimate_local_volume
 from starvol.logspace import log_sphere_area
 from starvol.models import load_checkpoint, load_csv, save_checkpoint
@@ -80,6 +80,16 @@ def _csv_table(text):
         cfg["dataset"] = {"kind": "csv", "path": "table.csv", "train": 2, "val": 1, "poison": 0}
 
     return mangle
+
+
+def _nan_wall_estimate(k, seed):
+    """A Lebesgue estimate of |x|^2/2 < 0.5 at the origin of R^3 whose rays fail
+    past the non-finite wall x_0 > 0.5 and succeed elsewhere."""
+    def cost(x):
+        return float("nan") if x[0] > 0.5 else 0.5 * float(np.sum(x * x))
+
+    spec = NeighborhoodSpec(np.zeros(3), cost, 0.5, MeasureSpec.lebesgue())
+    return estimate_local_volume(spec, Preconditioner.identity(3), k=k, seed=seed)
 
 
 def _count_calls(monkeypatch, *names):
@@ -216,6 +226,10 @@ class TestTrain:
         pytest.param(lambda cfg: cfg["train"].update(lr=-1),
                      "malformed config field train.lr in {cfg}: lr must be positive and finite, got -1.0",
                      id="negative-lr"),
+        # an infinite eps trained with every update 0 and wrote Infinity into each checkpoint
+        pytest.param(lambda cfg: cfg["train"].update(adam_eps=math.inf),
+                     "malformed config field train.adam_eps in {cfg}: adam_eps must be positive and finite, got inf",
+                     id="infinite-adam-eps"),
         pytest.param(lambda cfg: cfg["train"].update(beta2=1.5),
                      "malformed config field train.beta2 in {cfg}: beta2 must be in [0, 1), got 1.5",
                      id="beta2-above-1"),
@@ -241,6 +255,9 @@ class TestTrain:
         pytest.param(_csv_table("0.5,0\n1.5,1\n"),
                      "malformed config field dataset.path in {cfg}: csv has 2 rows, config needs 3",
                      id="csv-too-few-rows"),
+        pytest.param(lambda cfg: cfg["dataset"].update(kind="csv", path="nope.csv"),
+                     "malformed config field dataset.path in {cfg}: cannot read csv table 'nope.csv': nope.csv not "
+                     "found.", id="csv-missing-table"),
     ])
     def test_malformed_config_exits_2_naming_field_and_file(self, mangle, reason, tmp_path, monkeypatch, capsys):
         # "hidden": "12" trained a 3-1-2-2 net, fractions were truncated, a
@@ -358,6 +375,16 @@ class TestEstimate:
             + " ".join(f"{stage}_cpu_s={stages[stage]['cpu']:.4f}" for stage in ("sample", "search", "integrate",
                                                                                  "aggregate"))
         ) in summary
+
+    def test_summary_prints_an_infinite_prefix_rise(self, final_checkpoint, tmp_path, monkeypatch, capsys):
+        # the record holds null where every ray of the prefix failed; the
+        # summary line still reads inf
+        monkeypatch.setattr(cli, "estimate_local_volume", lambda *args: _nan_wall_estimate(4, 19))
+        out = tmp_path / "runs.jsonl"
+        assert main(["estimate", "--checkpoint", str(final_checkpoint), "--k", "4", "--out", str(out)]) == 0
+        (record,) = read_jsonl(out)
+        assert record["prefix_rise"] is None and record["log_terms"][0] is None
+        assert " prefix_rise=inf " in capsys.readouterr().out
 
     def test_rerun_writes_identical_record(self, final_checkpoint, tmp_path):
         # a rerun rewrites the record file, as it rewrites the samples file,
@@ -558,15 +585,20 @@ class TestEstimate:
         pytest.param(lambda data: data["config"].update(seed=-1),
                      "malformed checkpoint config field seed in {bad}: expected an integer >= 0, got -1",
                      id="negative-seed"),
+        # a table is read from the working directory, here one that lacks it
+        pytest.param(lambda data: data["config"]["dataset"].update(kind="csv", path="t.csv"),
+                     "malformed checkpoint config field dataset.path in {bad}: cannot read csv table 't.csv': t.csv "
+                     "not found.", id="csv-missing-table"),
     ])
     def test_malformed_checkpoint_exits_2_naming_field_and_file(self, mangle, reason, final_checkpoint,
-                                                                tmp_path, capsys):
+                                                                tmp_path, monkeypatch, capsys):
         # the missing, config and root cases used to end in a traceback, a
         # negative seed in numpy's refusal, which named no field, the
         # array, shape and dataset cases named neither the field nor the file,
         # and a short adam_nu passed unless the adam-nu map was built;
         # TestCheckpointFile checks every refusal of the file itself.
         # A mangle edits the file's object in place or returns a new root.
+        monkeypatch.chdir(tmp_path)
         data = json.loads(final_checkpoint.read_text())
         root = mangle(data)
         bad = tmp_path / "bad.json"
@@ -925,11 +957,7 @@ class TestConsoleScript:
 class TestRunRecords:
     def test_failure_reasons_reach_record_and_samples(self, tmp_path):
         # rays that run into the non-finite wall fail; the others do not
-        def cost(x):
-            return float("nan") if x[0] > 0.5 else 0.5 * float(np.sum(x * x))
-
-        spec = NeighborhoodSpec(np.zeros(3), cost, 0.5, MeasureSpec.lebesgue())
-        est = estimate_local_volume(spec, Preconditioner.identity(3), k=16, seed=17)
+        est = _nan_wall_estimate(16, 17)
         reason = "CostEvaluationError: cost evaluation failed: non-finite value nan"
         assert 0 < est.failed_count < 16
         record = make_run_record("estimate", 17, {}, est, 0.0)
@@ -941,6 +969,23 @@ class TestRunRecords:
         assert [int(r["evals"]) for r in rows] == [s.evals for s in est.samples]
         assert all(s.evals >= 1 for s in est.samples)
         assert record["cost_evals"] == est.cost_evals
+        # a failed ray's term (-inf) is written as null, and so is the +inf
+        # prefix_rise of a run whose prefix failed: each file is strict JSON,
+        # where both were written as -Infinity and Infinity
+        assert record["log_terms"] == [None if s.failed else s.log_term for s in est.samples]
+        prefix_failed = _nan_wall_estimate(4, 19)  # its prefix is ray 0 alone
+        assert prefix_failed.samples[0].failed and prefix_failed.prefix_rise == math.inf
+        assert make_run_record("estimate", 19, {}, prefix_failed, 0.0)["prefix_rise"] is None
+
+        def refuse(token):  # NaN and the infinities, which RFC 8259 lacks
+            raise ValueError(f"{token} is not JSON")
+
+        for seed, estimate in ((17, est), (19, prefix_failed)):
+            record = make_run_record("estimate", seed, {}, estimate, 0.0)
+            write_json(tmp_path / "r.jsonl", record)
+            assert json.loads((tmp_path / "r.jsonl").read_text(), parse_constant=refuse) == record
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(tmp_path / "r.jsonl", {"log_term": -math.inf})
 
     @staticmethod
     def _build_id_of_copy(root: Path, package_parent: str) -> tuple[str, str]:
