@@ -48,6 +48,7 @@ from .models import (
     save_checkpoint,
     split_dataset,
 )
+from .models.mlp import init_measure
 from .models.train import AdamHyper
 from .precondition import DEFAULT_EPS, Preconditioner, PreconditionerError, eigendecompose, from_diagonal
 from .runio import DEFAULT_CONFIG, SAMPLE_FIELDS, make_run_record, merge_config, sample_rows, write_csv
@@ -68,6 +69,11 @@ def _at_least(least: int):
             return int(text)
         raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
     return parse
+
+
+def _init_rule(rule) -> str | float:
+    """A config's ``model.init``: "fan_in", or a number."""
+    return rule if rule == "fan_in" else number(rule)
 
 
 def _dataset_kind(kind) -> str:
@@ -147,8 +153,7 @@ def cmd_train(args) -> int:
     widths = [train_ds.dim, *hidden, train_ds.classes]
     init_rng = np.random.default_rng(_role_seed(master_seed, "init"))
     # each value is checked by its consumer as it is read, so a refusal names the field and the file
-    params, measure = model.get("init", lambda rule: init_params(
-        tuple(zip(widths, widths[1:])), rule if rule == "fan_in" else number(rule), init_rng))
+    params, _ = model.get("init", lambda rule: init_params(tuple(zip(widths, widths[1:])), _init_rule(rule), init_rng))
 
     tr = fields.section("train")
     poison = tr.get("poison_alpha", lambda alpha: PoisonConfig(poison_ds, number(alpha)))  # refuses alpha < 0
@@ -173,7 +178,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for ckpt_params, adam_state, step in zip(result.checkpoints, result.adam_states, result.steps):
         save_checkpoint(out_dir / f"checkpoint_step{step:06d}.json",
-                        Checkpoint(params=ckpt_params, nu=adam_state.nu, sigma=measure.sigma, step=step, config=config))
+                        Checkpoint(params=ckpt_params, nu=adam_state.nu, step=step, config=config))
     fields = sorted({key for row in result.metrics for key in row} - {"step"})
     write_csv(out_dir / "metrics.csv", list(result.metrics), ["step", *fields])
 
@@ -210,15 +215,15 @@ def _half_square(x: np.ndarray) -> float:
 class _Target:
     """What estimate and every sweep point estimate: a checkpoint, or the quadratic.
 
-    A checkpoint's target is its ``--cost`` under its Gaussian init prior,
-    with its datasets and search options built once, and so is each named
-    map, from the checkpoint alone, shaped at ``DEFAULT_EPS[name]``. The
-    full Hessian is kept only as the hessian map's eigenvectors.
-    ``build_seconds[name]`` holds the process CPU and wall seconds of the
-    map's ``curvature`` probe and, for the hessian map, its
-    ``eigendecompose``; a map built from no probe has no entry. With no
-    checkpoint, the target is |x|^2/2 at ``zeros(--n)`` under the Lebesgue
-    measure, with the identity map.
+    A checkpoint's target is its ``--cost`` under the Gaussian prior that
+    ``init_measure`` builds from its shape and ``model.init``, with its
+    datasets and search options built once, and so is each named map, from
+    the checkpoint alone, shaped at ``DEFAULT_EPS[name]``. The full Hessian
+    is kept only as the hessian map's eigenvectors. ``build_seconds[name]``
+    holds the process CPU and wall seconds of the map's ``curvature`` probe
+    and, for the hessian map, its ``eigendecompose``; a map built from no
+    probe has no entry. With no checkpoint, the target is |x|^2/2 at
+    ``zeros(--n)`` under the Lebesgue measure, with the identity map.
     """
 
     def __init__(self, args, ckpt: Checkpoint | None = None, path: str | None = None):
@@ -229,21 +234,19 @@ class _Target:
         if ckpt is None:
             self.anchor, self.cost, self.measure = np.zeros(args.n), _half_square, MeasureSpec.lebesgue()
         else:
-            train_ds, val_ds, _ = _build_datasets(Fields(ckpt.config, path, "checkpoint config"))
+            config = Fields(ckpt.config, path, "checkpoint config")
+            train_ds, val_ds, _ = _build_datasets(config)
             if args.cost == "kl":
                 self.cost = make_kl_cost(ckpt.params, val_ds.inputs)
                 self.data = (ckpt.params, val_ds.inputs)
-            elif args.cost == "loss":
+            else:  # loss
                 self.cost = make_loss_cost(ckpt.params.shape, train_ds)
                 self.data = train_ds
-            else:
-                raise ValueError(f"unknown cost {args.cost!r}")
-            self.anchor, self.measure = ckpt.params.flat, MeasureSpec.gaussian(ckpt.sigma)
+            self.anchor, prior = ckpt.params.flat, lambda rule: init_measure(ckpt.params.shape, _init_rule(rule))
+            self.measure = config.section("model").get("init", prior)
         self.anchor_sha256 = _anchor_sha256(self.anchor)
 
     def preconditioner(self, name: str) -> Preconditioner:
-        if name not in PRECONDITIONER_CHOICES:
-            raise PreconditionerError("unknown preconditioner")
         if name not in self._maps:
             self._maps[name] = self._build(name)
         return self._maps[name]
@@ -362,6 +365,9 @@ def _sweep_targets(args) -> list[tuple]:
         raise ValueError(f"sweep --kind {kind} requires --values")
     if kind == "cutoff":
         values = [_cutoff_entry(v) for v in values]
+    if kind == "preconditioner" and (unknown := [v for v in values if v not in PRECONDITIONER_CHOICES]):
+        raise ValueError(f"sweep --values entry {unknown[0]!r} is not a map: expected one of "
+                         f"{', '.join(PRECONDITIONER_CHOICES)}")
     if args.target == "quadratic":
         return [((), [(v, v, "none") for v in values])]
     if kind == "checkpoint":

@@ -108,12 +108,12 @@ def count(value, least: int = 1) -> int:
 
 
 def number(value, least: float | None = None) -> float:
-    """``value`` as a float: an int or a float; a bool or a string is refused, and
-    with ``least``, a value below it or not finite."""
+    """``value``, an int or a float, as a float; a bool, a string, NaN, ±inf (which ``json``
+    reads from ``NaN``, ``Infinity`` or ``1e400``) and, with ``least``, a value below it are refused."""
     if type(value) not in (int, float):
         raise ValueError(f"expected a number, got {value!r}")
-    if least is not None and not least <= value < math.inf:
-        raise ValueError(f"expected a finite number >= {least}, got {value!r}")
+    if not math.isfinite(value) or least is not None and value < least:
+        raise ValueError(f"expected a finite number{'' if least is None else f' >= {least}'}, got {value!r}")
     return float(value)
 
 

@@ -1,8 +1,9 @@
-"""Checkpoint files: flat parameters, layer shape, Adam's second moment, init sigmas.
+"""Checkpoint files: flat parameters, layer shape, Adam's second moment, run config.
 
 A checkpoint stores each fact once: ``format``, ``version``, ``step``,
-``shape``, ``flat``, ``adam_nu``, ``sigma`` and ``config`` (the resolved
-run config, which holds the Adam hyperparameters under ``train``). It is
+``shape``, ``flat``, ``adam_nu`` and ``config`` (the resolved run config,
+which holds the Adam hyperparameters under ``train``). Its init prior is
+``mlp.init_measure`` of ``shape`` and the config's ``model.init``. It is
 versioned JSON with each array stored as the base64 text of its float64
 bytes (see ``starvol.codec``), so saving the same state twice produces
 byte-identical files and loading recovers bit-identical vectors. A file of
@@ -24,14 +25,13 @@ from .mlp import MlpParams, _validate_shape, param_count
 __all__ = ["Checkpoint", "load_checkpoint", "save_checkpoint"]
 
 FORMAT_NAME = "starvol-checkpoint"
-FORMAT_VERSION = 3  # Adam's second moment only, with no hyperparameters of its own
+FORMAT_VERSION = 4  # no init stds: the prior is built from the shape and model.init
 
 
 @dataclass(frozen=True)
 class Checkpoint:
     params: MlpParams
     nu: np.ndarray  # Adam's second moment at this step (the adam-nu map's spectrum)
-    sigma: np.ndarray  # per-coordinate init stds (the Gaussian measure)
     step: int
     config: dict  # resolved run config the checkpoint came from
 
@@ -44,7 +44,6 @@ def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
         "shape": [[int(i), int(o)] for i, o in checkpoint.params.shape],
         "flat": checkpoint.params.flat,
         "adam_nu": checkpoint.nu,
-        "sigma": checkpoint.sigma,
         "config": checkpoint.config,
     })
 
@@ -61,5 +60,5 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         return arr
 
     params = MlpParams(ckpt.get("flat", vector), shape)
-    return Checkpoint(params=params, nu=ckpt.get("adam_nu", vector), sigma=ckpt.get("sigma", vector),
-                      step=ckpt.get("step", integer), config=ckpt.section("config").data)
+    return Checkpoint(params=params, nu=ckpt.get("adam_nu", vector), step=ckpt.get("step", integer),
+                      config=ckpt.section("config").data)

@@ -35,6 +35,7 @@ __all__ = [
     "MlpParams",
     "Shape",
     "forward_logits",
+    "init_measure",
     "init_params",
     "log_softmax",
     "loss_value_and_grad",
@@ -105,16 +106,19 @@ def _layer_views(flat: np.ndarray, shape: Shape) -> list[tuple[np.ndarray, np.nd
     return out
 
 
-def layer_sigmas(shape: Shape, sigma_rule: str | float = "fan_in") -> list[float]:
-    """Per-layer init std: 1/sqrt(fan_in), or a constant if a number is given."""
-    if isinstance(sigma_rule, str):
-        if sigma_rule != "fan_in":
-            raise ValueError(f"unknown sigma rule {sigma_rule!r}")
-        return [1.0 / math.sqrt(fan_in) for fan_in, _ in shape]
-    value = float(sigma_rule)
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"sigma must be positive and finite, got {value}")
-    return [value for _ in shape]
+def init_measure(shape: Shape, sigma_rule: str | float = "fan_in") -> MeasureSpec:
+    """The Gaussian prior that a network of this shape is initialized from.
+
+    Every coordinate of layer l, weights and biases alike, has the layer's
+    std: 1/sqrt(fan_in), or ``sigma_rule`` itself if it is a number.
+    """
+    shape = _validate_shape(shape)
+    if isinstance(sigma_rule, str) and sigma_rule != "fan_in":
+        raise ValueError(f"unknown sigma rule {sigma_rule!r}")
+    if sigma_rule != "fan_in" and not 0 < float(sigma_rule) < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {float(sigma_rule)}")
+    sigmas = [1.0 / math.sqrt(fan_in) if sigma_rule == "fan_in" else float(sigma_rule) for fan_in, _ in shape]
+    return MeasureSpec.gaussian(np.repeat(sigmas, [fan_in * fan_out + fan_out for fan_in, fan_out in shape]))
 
 
 def init_params(
@@ -124,26 +128,15 @@ def init_params(
 ) -> tuple[MlpParams, MeasureSpec]:
     """Draw Gaussian init parameters and return them with their own measure.
 
-    Every coordinate of layer l (weights and biases alike) is drawn from a
-    zero-mean Gaussian with the layer's std, and the returned Gaussian
-    measure carries exactly those per-coordinate stds, so the init
-    distribution and the reference measure coincide by construction. ``rng``
-    is required: a generator seeded from OS entropy would draw an init that
-    no record can reproduce.
+    The parameters are one draw from ``init_measure(shape, sigma_rule)``,
+    which is returned with them, so the init distribution and the reference
+    measure coincide by construction. ``rng`` is required: a generator
+    seeded from OS entropy would draw an init that no record can reproduce.
     """
-    shape = _validate_shape(shape)
     if not isinstance(rng, np.random.Generator):
         raise TypeError(f"init_params needs a numpy Generator, got {type(rng).__name__}")
-    sigmas = layer_sigmas(shape, sigma_rule)
-    chunks = []
-    sigma_chunks = []
-    for (fan_in, fan_out), s in zip(shape, sigmas):
-        count = fan_in * fan_out + fan_out
-        chunks.append(rng.normal(0.0, s, size=count))
-        sigma_chunks.append(np.full(count, s))
-    flat = np.concatenate(chunks)
-    sigma = np.concatenate(sigma_chunks)
-    return MlpParams(flat, shape), MeasureSpec.gaussian(sigma)
+    measure = init_measure(shape, sigma_rule)
+    return MlpParams(rng.normal(0.0, measure.sigma), shape), measure
 
 
 def _head(z: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]], activations=None) -> np.ndarray:

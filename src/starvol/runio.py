@@ -20,6 +20,7 @@ import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import __version__
 from .geometry import VolumeEstimate
 from .models.train import AdamHyper, TrainConfig
 
@@ -96,7 +97,7 @@ def build_id() -> str:
                 return f"git:{commit}"
     except (OSError, subprocess.SubprocessError, ValueError):
         pass
-    return "starvol-0.1.0"
+    return f"starvol-{__version__}"
 
 
 # the estimate's fields that a run record holds under their own names

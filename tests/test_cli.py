@@ -26,6 +26,7 @@ from starvol.codec import Fields, read_jsonl, write_json
 from starvol.geometry import MeasureSpec, NeighborhoodSpec, estimate_local_volume
 from starvol.logspace import log_sphere_area
 from starvol.models import load_checkpoint, load_csv, save_checkpoint
+from starvol.models.mlp import init_measure
 from starvol.precondition import DEFAULT_EPS, Preconditioner, from_diagonal
 from starvol.runio import SAMPLE_FIELDS, make_run_record, sample_rows, write_csv
 
@@ -134,8 +135,8 @@ class TestTrain:
         # the step is only `step` and the Adam hyperparameters only the config's train section
         for path, step in zip(train_run["checkpoints"], (0, 3, 6, 9, 12)):
             data = json.loads(path.read_text())
-            assert sorted(data) == ["adam_nu", "config", "flat", "format", "shape", "sigma", "step", "version"]
-            assert (data["version"], data["step"]) == (3, step)
+            assert sorted(data) == ["adam_nu", "config", "flat", "format", "shape", "step", "version"]
+            assert (data["version"], data["step"]) == (4, step)
             assert {k: data["config"]["train"][k] for k in ("lr", "beta1", "beta2", "adam_eps")} == {
                 "lr": 0.05, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8}
 
@@ -228,7 +229,7 @@ class TestTrain:
                      id="negative-lr"),
         # an infinite eps trained with every update 0 and wrote Infinity into each checkpoint
         pytest.param(lambda cfg: cfg["train"].update(adam_eps=math.inf),
-                     "malformed config field train.adam_eps in {cfg}: adam_eps must be positive and finite, got inf",
+                     "malformed config field train.adam_eps in {cfg}: expected a finite number, got inf",
                      id="infinite-adam-eps"),
         pytest.param(lambda cfg: cfg["train"].update(beta2=1.5),
                      "malformed config field train.beta2 in {cfg}: beta2 must be in [0, 1), got 1.5",
@@ -575,8 +576,6 @@ class TestEstimate:
                      "malformed checkpoint field shape in {bad}: too many values to unpack",
                      id="shape-triple"),
         pytest.param(lambda data: [data], "the checkpoint in {bad} is not an object", id="root-list"),
-        pytest.param(lambda data: _drop_last_entry(data, "sigma"),
-                     "malformed checkpoint field sigma in {bad}: 25 entries for 26 parameters", id="sigma-short"),
         pytest.param(lambda data: _drop_last_entry(data, "adam_nu"),
                      "malformed checkpoint field adam_nu in {bad}: 25 entries for 26 parameters", id="adam-nu-short"),
         pytest.param(lambda data: data["config"]["dataset"].update(train="many"),
@@ -589,6 +588,12 @@ class TestEstimate:
         pytest.param(lambda data: data["config"]["dataset"].update(kind="csv", path="t.csv"),
                      "malformed checkpoint config field dataset.path in {bad}: cannot read csv table 't.csv': t.csv "
                      "not found.", id="csv-missing-table"),
+        # a version-3 file also held the init stds, which the shape and model.init now give
+        pytest.param(lambda data: data.update(version=3, sigma=data["adam_nu"]),
+                     "unsupported checkpoint version 3 in {bad}", id="version-3"),
+        pytest.param(lambda data: data["config"]["model"].update(init=-1),
+                     "malformed checkpoint config field model.init in {bad}: sigma must be positive and finite, "
+                     "got -1.0", id="negative-init"),
     ])
     def test_malformed_checkpoint_exits_2_naming_field_and_file(self, mangle, reason, final_checkpoint,
                                                                 tmp_path, monkeypatch, capsys):
@@ -634,7 +639,8 @@ class TestPriorHitRate:
         cutoff, runs, path = 0.1, 20, str(final_checkpoint)
         ckpt = load_checkpoint(path)
         _, val, _ = cli._build_datasets(Fields(ckpt.config, path, "checkpoint config"))
-        truth = prior_hit_rate(mlp_kl_cost_batch(ckpt.params, val.inputs), ckpt.params.flat, cutoff, ckpt.sigma,
+        sigma = init_measure(ckpt.params.shape, ckpt.config["model"]["init"]).sigma
+        truth = prior_hit_rate(mlp_kl_cost_batch(ckpt.params, val.inputs), ckpt.params.flat, cutoff, sigma,
                                draws=4000, seed=0)
         allowed = int(scipy.stats.binom.ppf(1 - 1e-3, runs, 0.1))
         # each map is built as estimate builds it, at the CLI's eps
@@ -698,16 +704,14 @@ class TestSweep:
         assert all(r["status"] == "ok" for r in rows)
 
     def test_preconditioner_sweep_flags_unknown_name(self, final_checkpoint, tmp_path):
+        # an entry that is not a map is refused before any point is estimated
         out = tmp_path / "precond.csv"
-        rc = main([
-            "sweep", "--kind", "preconditioner", "--values", "none,adam-nu,bogus",
-            "--checkpoint", str(final_checkpoint), "--k", "6", "--out", str(out), "--seed", "1",
-        ])
-        assert rc == 0
-        rows = {r["value"]: r for r in _read_csv(out)}
-        assert rows["none"]["status"] == "ok"
-        assert rows["adam-nu"]["status"] == "ok"
-        assert rows["bogus"]["status"].startswith("failed")
+        argv = ["sweep", "--kind", "preconditioner", "--checkpoint", str(final_checkpoint), "--k", "6",
+                "--out", str(out), "--seed", "1"]
+        assert main([*argv, "--values", "none,adam-nu,bogus"]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert main([*argv, "--values", "none,adam-nu"]) == 0
+        assert [(r["value"], r["status"]) for r in _read_csv(out)] == [("none", "ok"), ("adam-nu", "ok")]
 
     @pytest.mark.parametrize("kind, name, counts", [
         # one curvature probe, at most one eigendecomposition and one map,
@@ -829,17 +833,21 @@ class TestSweep:
         # k rows per point, numbered by the point's line in the records file
         assert [r["point"] for r in samples_by_point] == [str(i) for i in range(len(cutoffs)) for _ in range(5)]
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["--kind", "cutoff", "--values", "0.1"], "--checkpoint"),
-        (["--kind", "preconditioner", "--values", "none"], "--checkpoint"),
-        (["--kind", "checkpoint"], "--values"),
-        (["--kind", "cutoff", "--values", ","], "--values"),  # a list of no entries
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "cutoff", "--values", "0.1"], "requires --checkpoint"),
+        (["--kind", "preconditioner", "--values", "none"], "requires --checkpoint"),
+        (["--kind", "checkpoint"], "requires --values"),
+        (["--kind", "cutoff", "--values", ","], "requires --values"),  # a list of no entries
+        # an unknown map estimated the points before it and was written as a failed row
+        pytest.param(["--kind", "preconditioner", "--values", "none,bogus", "--checkpoint", "nonexistent.json"],
+                     "sweep --values entry 'bogus' is not a map: expected one of none, hessian, diag, adam-nu",
+                     id="unknown-map"),
     ])
-    def test_missing_input_exits_2(self, argv, flag, tmp_path, capsys):
+    def test_missing_input_exits_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", *argv, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.strip().endswith(f"requires {flag}")
-        assert not out.exists()
+        assert capsys.readouterr().err.strip().endswith(message)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, message", [
         # a checkpoint sweep's checkpoints are its values
@@ -908,17 +916,17 @@ class TestSweep:
         assert len(_read_csv(out.with_suffix(".samples.csv"))) == 3 * 4
 
     def test_failed_rows_describe_their_own_point(self, final_checkpoint, tmp_path):
+        # the anchor's training loss is about 0.1, so a 1e-6 loss cutoff fails
         out = tmp_path / "precond.csv"
         rc = main([
-            "sweep", "--kind", "preconditioner", "--values", "adam-nu,bogus", "--cutoff", "0.05",
+            "sweep", "--kind", "preconditioner", "--values", "adam-nu,none", "--cost", "loss", "--cutoff", "1e-6",
             "--checkpoint", str(final_checkpoint), "--k", "4", "--out", str(out), "--seed", "1",
         ])
         assert rc == 0
-        bogus = _read_csv(out)[1]
-        assert bogus["status"] == "failed: unknown preconditioner"
-        assert (bogus["preconditioner"], bogus["cutoff"]) == ("bogus", "0.05")
+        failed = _read_csv(out)[1]
+        assert failed["status"].startswith("failed: anchor cost")
+        assert (failed["preconditioner"], failed["cutoff"]) == ("none", "1e-06")
 
-        # the anchor's training loss is about 0.1, so a 1e-6 loss cutoff fails
         out = tmp_path / "cutoff.csv"
         rc = main([
             "sweep", "--kind", "cutoff", "--cost", "loss", "--values", "1e-6,2.0",
@@ -1024,7 +1032,7 @@ class TestRunRecords:
     @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
     def test_build_id_ignores_an_unrelated_repository(self, tmp_path):
         build, _ = self._build_id_of_copy(tmp_path / "other", "lib")
-        assert build == "starvol-0.1.0"
+        assert build == f"starvol-{starvol.__version__}"
 
     @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
     def test_build_id_records_the_checkout_holding_the_package(self, tmp_path):
@@ -1070,7 +1078,7 @@ class TestJsonFiles:
         # a checkpoint's arrays read back bit for bit, and write the same file again
         for path in train_run["checkpoints"]:
             data, ckpt = json.loads(path.read_text()), load_checkpoint(path)
-            for key, got in (("flat", ckpt.params.flat), ("adam_nu", ckpt.nu), ("sigma", ckpt.sigma)):
+            for key, got in (("flat", ckpt.params.flat), ("adam_nu", ckpt.nu)):
                 assert got.tobytes() == base64.b64decode(data[key]), (path.name, key)
             save_checkpoint(tmp_path / path.name, ckpt)
             assert (tmp_path / path.name).read_bytes() == path.read_bytes()
@@ -1176,12 +1184,13 @@ class TestMdl:
         assert capsys.readouterr().err.startswith(f"error: not a JSON Lines file: {rec}: 'utf-8' codec")
         assert not out.exists()
 
-    @pytest.mark.parametrize("values", ["bogus,none", "none,bogus"])
+    @pytest.mark.parametrize("values", ["1e-6,{ok}", "{ok},1e-6"], ids=["failed-then-ok", "ok-then-failed"])
     def test_sweep_records_last_point(self, values, final_checkpoint, loss_cutoff, tmp_path, capsys):
-        # a sweep's records file is read like an estimate's: its last record
+        # a sweep's records file is read like an estimate's: its last record;
+        # a point at a 1e-6 loss cutoff, below the anchor's loss, fails
         sweep = tmp_path / "sweep.csv"
-        assert main(["sweep", "--kind", "preconditioner", "--values", values, "--checkpoint", str(final_checkpoint),
-                     "--cost", "loss", "--cutoff", repr(loss_cutoff), "--k", "4", "--seed", "2",
+        assert main(["sweep", "--kind", "cutoff", "--values", values.format(ok=repr(loss_cutoff)),
+                     "--checkpoint", str(final_checkpoint), "--cost", "loss", "--k", "4", "--seed", "2",
                      "--out", str(sweep)]) == 0
         rec, out = sweep.with_suffix(".records.jsonl"), tmp_path / "mdl.json"
         rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
@@ -1252,12 +1261,19 @@ class TestMdl:
                      "missing record field cutoff in {rec}", id="no-cutoff"),
         pytest.param(lambda record: {**record, "cutoff": "low"},
                      "malformed record field cutoff in {rec}: expected a number, got 'low'", id="cutoff-string"),
+        # json reads the tokens NaN and Infinity, and an overflowing literal as inf
+        pytest.param(lambda record: {**record, "log_volume": math.nan},
+                     "malformed record field log_volume in {rec}: expected a finite number, got nan", id="log-volume-nan"),
+        pytest.param(lambda record: json.dumps({**record, "cutoff": None}).replace('"cutoff": null', '"cutoff": 1e400'),
+                     "malformed record field cutoff in {rec}: expected a finite number, got inf", id="cutoff-overflow"),
     ])
     def test_malformed_record_exits_2_naming_the_field(self, mangle, reason, final_checkpoint, loss_record,
                                                        tmp_path, capsys):
         # each used to end in a KeyError, AttributeError or TypeError traceback
+        # a mangle returns the record, or the text of its line
         rec = tmp_path / "bad.jsonl"
-        rec.write_text(json.dumps(mangle(read_jsonl(loss_record)[-1])) + "\n")
+        line = mangle(read_jsonl(loss_record)[-1])
+        rec.write_text((line if isinstance(line, str) else json.dumps(line)) + "\n")
         out = tmp_path / "mdl.json"
         rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
         assert rc == 2

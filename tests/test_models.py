@@ -21,8 +21,8 @@ from starvol.models.mlp import (
     _forward,
     _with_ones,
     forward_logits,
+    init_measure,
     init_params,
-    layer_sigmas,
     log_softmax,
     loss_value_and_grad,
     make_kl_cost,
@@ -167,17 +167,27 @@ class TestParams:
 
 class TestInit:
     def test_fan_in_sigmas(self):
-        assert layer_sigmas(((64, 64), (64, 10))) == [0.125, 0.125]
-        assert layer_sigmas(((4, 8), (8, 2))) == [0.5, 1.0 / math.sqrt(8)]
+        # every coordinate of a layer, weights and biases alike, has the layer's std
+        np.testing.assert_array_equal(init_measure(((64, 64), (64, 10))).sigma, np.full(4810, 0.125))
+        np.testing.assert_array_equal(init_measure(((4, 8), (8, 2))).sigma,
+                                      np.concatenate([np.full(40, 0.5), np.full(18, 1.0 / math.sqrt(8))]))
 
     def test_constant_sigma(self):
-        assert layer_sigmas(((4, 8), (8, 2)), 0.25) == [0.25, 0.25]
+        np.testing.assert_array_equal(init_measure(((4, 8), (8, 2)), 0.25).sigma, np.full(58, 0.25))
 
     def test_sigma_rule_validation(self):
         with pytest.raises(ValueError, match="unknown sigma rule"):
-            layer_sigmas(((2, 2),), "fan_out")
+            init_measure(((2, 2),), "fan_out")
         with pytest.raises(ValueError, match="positive"):
-            layer_sigmas(((2, 2),), 0.0)
+            init_measure(((2, 2),), 0.0)
+
+    def test_one_draw_equals_per_layer_draws(self):
+        # one draw over the whole std vector reads the stream in layer order, as a draw per layer would
+        shape = ((3, 4), (4, 4), (4, 2))
+        params, _ = init_params(shape, rng=np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        per_layer = [rng.normal(0.0, 1.0 / math.sqrt(i), size=i * o + o) for i, o in shape]
+        assert params.flat.tobytes() == np.concatenate(per_layer).tobytes()
 
     def test_measure_matches_init_distribution(self):
         params, measure = init_params(((2, 2),), rng=np.random.default_rng(0))
@@ -917,14 +927,14 @@ class TestCheckpointFile:
     @staticmethod
     def _checkpoint():
         params, data = TestTraining._setup(3)
-        params, measure = init_params(params.shape, rng=np.random.default_rng(3))
+        params, _ = init_params(params.shape, rng=np.random.default_rng(3))
         result = adam_train(params, data, TrainConfig(epochs=2, batch_size=5, seed=2))
         return Checkpoint(params=result.checkpoints[-1], nu=result.adam_states[-1].nu,
-                          sigma=measure.sigma, step=result.steps[-1], config={"seed": 7, "b": [1, 2]})
+                          step=result.steps[-1], config={"seed": 7, "b": [1, 2]})
 
     @staticmethod
     def _assert_same(a, b):
-        for x, y in ((a.params.flat, b.params.flat), (a.nu, b.nu), (a.sigma, b.sigma)):
+        for x, y in ((a.params.flat, b.params.flat), (a.nu, b.nu)):
             np.testing.assert_array_equal(x.view(np.uint64), np.asarray(y).view(np.uint64))
         assert (a.step, a.config, a.params.shape) == (b.step, b.config, b.params.shape)
 
@@ -938,9 +948,9 @@ class TestCheckpointFile:
         assert first.read_bytes() == second.read_bytes()
         data = json.loads(first.read_text())
         # each fact once: no first moment, and the step and hyperparameters only in step and config
-        assert sorted(data) == ["adam_nu", "config", "flat", "format", "shape", "sigma", "step", "version"]
-        assert data["version"] == 3
-        assert all(isinstance(data[key], str) for key in ("flat", "adam_nu", "sigma"))
+        assert sorted(data) == ["adam_nu", "config", "flat", "format", "shape", "step", "version"]
+        assert data["version"] == 4
+        assert all(isinstance(data[key], str) for key in ("flat", "adam_nu"))
 
     def test_version_one_file_refused(self, tmp_path):
         # a version-1 file, with float lists, is refused with its version named
@@ -954,7 +964,7 @@ class TestCheckpointFile:
             "adam_nu": [float(x) for x in ckpt.nu],
             "adam_step": ckpt.step,
             "hyper": {"lr": 0.01, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8},
-            "sigma": [float(x) for x in ckpt.sigma],
+            "sigma": [float(x) for x in init_measure(ckpt.params.shape).sigma],
             "config": ckpt.config,
         }, sort_keys=True))
         with pytest.raises(ValueError, match="unsupported checkpoint version 1 in .*v1.json$"):
@@ -996,8 +1006,6 @@ class TestCheckpointFile:
         pytest.param(lambda data: data["shape"][0].append(4),
                      "malformed checkpoint field shape in {path}: too many values to unpack", id="shape-triple"),
         pytest.param(lambda data: [data], "the checkpoint in {path} is not an object", id="root-list"),
-        pytest.param(lambda data: _drop_last_entry(data, "sigma"),
-                     "malformed checkpoint field sigma in {path}: 37 entries for 38 parameters", id="sigma-short"),
         pytest.param(lambda data: _drop_last_entry(data, "adam_nu"),
                      "malformed checkpoint field adam_nu in {path}: 37 entries for 38 parameters", id="adam-nu-short"),
         pytest.param(lambda data: _drop_last_entry(data, "flat"),
