@@ -1,4 +1,4 @@
-"""Command-line front end: train, estimate, sweep, mdl.
+"""Command-line front end: train, estimate, sweep.
 
 Every run is reproducible from its record: the master seed is ``--seed``
 (for ``train``, else the config's seed; 0 by default), all internal
@@ -6,8 +6,9 @@ randomness is derived from it by fixed roles, and per-sample streams are
 split by sample index. Estimates run on one thread (``--threads`` changes
 nothing), so run separate processes for parallelism. ``estimate`` and
 every ``sweep`` point run through one point runner, ``_Target.record``, so
-a sweep point has an estimate's record, and each sweep output is read from
-those records.
+a sweep point has an estimate's record, and each sweep output is built
+from those records in the same process. A loss-cost point's record also
+holds its description length, so no command reads a record back.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import Fields, count, integer, number, read_jsonl, write_json
+from .codec import Fields, count, number, write_json
 from .geometry import (
     CostEvaluationError,
     EstimationError,
@@ -69,11 +70,6 @@ def _at_least(least: int):
             return int(text)
         raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
     return parse
-
-
-def _init_rule(rule) -> str | float:
-    """A config's ``model.init``: "fan_in", or a number."""
-    return rule if rule == "fan_in" else number(rule)
 
 
 def _dataset_kind(kind) -> str:
@@ -153,7 +149,7 @@ def cmd_train(args) -> int:
     widths = [train_ds.dim, *hidden, train_ds.classes]
     init_rng = np.random.default_rng(_role_seed(master_seed, "init"))
     # each value is checked by its consumer as it is read, so a refusal names the field and the file
-    params, _ = model.get("init", lambda rule: init_params(tuple(zip(widths, widths[1:])), _init_rule(rule), init_rng))
+    params, _ = model.get("init", lambda rule: init_params(tuple(zip(widths, widths[1:])), rule, init_rng))
 
     tr = fields.section("train")
     poison = tr.get("poison_alpha", lambda alpha: PoisonConfig(poison_ds, number(alpha)))  # refuses alpha < 0
@@ -242,7 +238,7 @@ class _Target:
             else:  # loss
                 self.cost = make_loss_cost(ckpt.params.shape, train_ds)
                 self.data = train_ds
-            self.anchor, prior = ckpt.params.flat, lambda rule: init_measure(ckpt.params.shape, _init_rule(rule))
+            self.anchor, prior = ckpt.params.flat, lambda rule: init_measure(ckpt.params.shape, rule)
             self.measure = config.section("model").get("init", prior)
         self.anchor_sha256 = _anchor_sha256(self.anchor)
 
@@ -272,7 +268,10 @@ class _Target:
         The record's config lists the flags, the checkpoint path (null for
         the quadratic, as are its cost and measure), the point's own cutoff
         and map, the eps that map was shaped at (null for the identity map)
-        and the anchor's ``anchor_sha256``: every input of the map.
+        and the anchor's ``anchor_sha256``: every input of the map. The
+        record's ``preconditioner`` is the map's name. A loss-cost record
+        also holds ``m``, the training rows the loss averages over, and its
+        ``description_length``, −``log_volume`` + m × ``cutoff``.
         ``estimate`` raises a failed estimate; a sweep gets a record with
         ``status`` ``failed: <reason>`` and no estimate fields, and an
         estimate of None.
@@ -297,7 +296,12 @@ class _Target:
                           status=f"failed: {exc}")
             return record, None
         record = make_run_record(args.command, seed, config, estimate, time.perf_counter() - start)
-        record["build_seconds"] = self.build_seconds.get(name, {})
+        record.update(preconditioner=name, build_seconds=self.build_seconds.get(name, {}))
+        if config["cost"] == "loss":
+            # every member of the neighborhood has m * loss < m * cutoff, so this
+            # bounds the bits-back code length of the m training labels
+            m = self.data.m
+            record.update(m=m, description_length=-record["log_volume"] + m * record["cutoff"])
         return record, estimate
 
 
@@ -314,6 +318,7 @@ def cmd_estimate(args) -> int:
         "preconditioner={preconditioner} truncated={truncated_count} failed={failed_count} "
         "cost_evals={cost_evals} evals_per_ray={evals_per_ray:.2f} ess={ess:.2f} top_share={top_share:.3f} "
         "prefix_rise={prefix_rise:.3f} ".format(**record | {"prefix_rise": estimate.prefix_rise})
+        + (f"description_length={record['description_length']:.4f} " if "description_length" in record else "")
         + " ".join(f"{stage}_cpu_s={took['cpu']:.4f}" for stage, took in record["stage_seconds"].items())
     )
     return 0
@@ -322,8 +327,8 @@ def cmd_estimate(args) -> int:
 # -- sweep ---------------------------------------------------------------------
 
 # the record fields a sweep CSV row holds after its kind and value
-SWEEP_FIELDS = ["n", "k", "cutoff", "measure", "preconditioner", "log_volume", "log10_volume", "truncated_count",
-                "failed_count", "status"]
+SWEEP_FIELDS = ["n", "k", "cutoff", "measure", "preconditioner", "log_volume", "log10_volume", "description_length",
+                "truncated_count", "failed_count", "status"]
 
 # the flags each sweep target and kind does not read, refused when given away
 # from their defaults: a kind sets each point's own value of the flag it
@@ -410,41 +415,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-# -- mdl -------------------------------------------------------------------------
-
-
-def cmd_mdl(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    records = read_jsonl(args.record)
-    if not records:
-        raise ValueError(f"no records in {args.record}")
-    record = Fields(records[-1], args.record, "record", root="the last record")
-    if (measure := record.get("measure", optional=True)) != "gaussian":
-        raise ValueError(f"description length requires a Gaussian volume record, not measure {measure!r}")
-    log_volume, n, config = record.get("log_volume", number), record.get("n", integer), record.section("config")
-    if (cost := config.get("cost", optional=True)) != "loss":
-        raise ValueError(f"description length requires a loss-cost volume record, not cost {cost!r}")
-    if n != ckpt.params.n:
-        raise ValueError(f"the record's n = {n} does not match the checkpoint's {ckpt.params.n} parameters")
-    recorded, digest = config.get("anchor_sha256", optional=True), _anchor_sha256(ckpt.params.flat)
-    if recorded != digest:
-        raise ValueError(
-            f"the record's anchor_sha256 {recorded or '(missing)'} does not match the "
-            f"checkpoint's {digest}: the record was estimated at another anchor"
-        )
-    cutoff = record.get("cutoff", number)
-    m = Fields(ckpt.config, args.checkpoint, "checkpoint config").section("dataset").get("train", count)
-    # every member has m * loss < m * cutoff, so the sum bounds the labels' bits-back length
-    kl_term, data_term = -log_volume, m * cutoff
-    total = kl_term + data_term
-    payload = {"kl_term": kl_term, "data_term": data_term, "total": total, "log_volume": log_volume, "n": n,
-               "cutoff": cutoff, "m": m, "slack_per_decade": math.log(10), "checkpoint": str(args.checkpoint)}
-    write_json(args.out, payload)
-    print(f"kl_term={kl_term:.4f} data_term={data_term:.4f} total={total:.4f} nats, "
-          f"+ j*{math.log(10):.4f} at confidence 1-10^-j")
-    return 0
-
-
 # -- parser ----------------------------------------------------------------------
 
 
@@ -482,12 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n", type=_at_least(1), default=100, help="dimension for --target quadratic")
     p_sweep.add_argument("--out", type=str, default="sweep.csv")
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_mdl = sub.add_parser("mdl", help="a bound on the labels' code length from a Gaussian loss-cost volume record")
-    p_mdl.add_argument("--checkpoint", type=str, required=True)
-    p_mdl.add_argument("--record", type=str, required=True, help="JSON Lines file from estimate or sweep")
-    p_mdl.add_argument("--out", type=str, default="mdl.json")
-    p_mdl.set_defaults(func=cmd_mdl)
 
     return parser
 

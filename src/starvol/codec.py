@@ -6,13 +6,12 @@ same bytes. An array is stored as one JSON string, the base64 text of its
 little-endian float64 bytes. The encoding is exact, takes 4/3 bytes per
 byte of data, and costs no number formatting or parsing.
 
-Every checkpoint, run record and config is read through :class:`Fields`,
-which refuses a root that is not an object, a file of another format or
-version, and a missing, null, malformed or (in a ``train`` config) unknown
-field with a ``ValueError`` naming the field (dotted where nested, as
-``dataset.train``) and the file. A file that is not UTF-8 or not JSON is
-refused by name, and in a JSON Lines file the line that is not JSON by
-number.
+starvol reads two kinds of file, checkpoints and ``train`` configs, and the
+config a checkpoint saves, each through :class:`Fields`, which refuses a
+root that is not an object, a file of another format or version, and a
+missing, null, malformed or (in a ``train`` config) unknown field with a
+``ValueError`` naming the field (dotted where nested, as ``dataset.train``)
+and the file. A file that is not UTF-8 or not JSON is refused by name.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Fields", "count", "decode_array", "integer", "number", "read_jsonl", "write_json"]
+__all__ = ["Fields", "count", "decode_array", "integer", "number", "write_json"]
 
 _FLOAT64_LE = np.dtype("<f8")
 
@@ -49,32 +48,6 @@ def write_json(path: str | Path, *objects: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = ("{" + ", ".join(f"{json.dumps(key)}: {text(obj[key])}" for key in sorted(obj)) + "}\n" for obj in objects)
     path.write_bytes("".join(lines).encode())
-
-
-def _read(path, kind: str, parse=json.loads):
-    """``parse`` of the text of the file at ``path``; text that is not UTF-8, or that
-    ``parse`` refuses, is refused as not a ``kind`` file."""
-    try:
-        return parse(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"not a {kind} file: {path}: {exc}") from None
-
-
-def _json_lines(text: str) -> list:
-    values = []
-    for number, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            values.append(json.loads(line))
-        except ValueError as exc:
-            raise ValueError(f"line {number} is not JSON: {exc}") from None
-    return values
-
-
-def read_jsonl(path: str | Path) -> list:
-    """The JSON value on each non-blank line of the file at ``path``."""
-    return _read(path, "JSON Lines", _json_lines)
 
 
 def decode_array(value: str) -> np.ndarray:
@@ -120,20 +93,23 @@ def number(value, least: float | None = None) -> float:
 class Fields:
     """A JSON object from the file ``path``, read field by field.
 
-    ``label`` says what the object is (``checkpoint``, ``record``, ...) and
+    ``label`` says what the object is (``checkpoint``, ``config``, ...) and
     every refusal is a ``ValueError`` naming the field and the file.
-    ``root`` names the object in the refusal of a root that is not one.
     """
 
-    def __init__(self, data, path, label: str, *, root: str | None = None, prefix: str = ""):
+    def __init__(self, data, path, label: str, *, prefix: str = ""):
         if not isinstance(data, dict):
-            raise ValueError(f"{root or 'the ' + label} in {path} is not an object")
+            raise ValueError(f"the {label} in {path} is not an object")
         self.data, self.path, self.label, self.prefix = data, path, label, prefix
 
     @classmethod
     def read(cls, path, label: str, *, format: str | None = None, version: int | None = None):
         """The object in the file at ``path``; with ``format``, a file of another format or version is refused."""
-        fields = cls(_read(path, "JSON"), path, label)
+        try:
+            data = json.loads(Path(path).read_text())
+        except ValueError as exc:  # text that is not UTF-8, or not JSON
+            raise ValueError(f"not a JSON file: {path}: {exc}") from None
+        fields = cls(data, path, label)
         if format is not None and fields.data.get("format") != format:
             raise ValueError(f"not a {label} file: {path}")
         if format is not None and fields.data.get("version") != version:

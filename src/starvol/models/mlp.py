@@ -110,14 +110,17 @@ def init_measure(shape: Shape, sigma_rule: str | float = "fan_in") -> MeasureSpe
     """The Gaussian prior that a network of this shape is initialized from.
 
     Every coordinate of layer l, weights and biases alike, has the layer's
-    std: 1/sqrt(fan_in), or ``sigma_rule`` itself if it is a number.
+    std: 1/sqrt(fan_in), or ``sigma_rule`` itself if it is a number. This is
+    the one check of a rule, so a config's ``model.init`` is read through it:
+    any rule but "fan_in" and a positive finite int or float is refused.
     """
     shape = _validate_shape(shape)
-    if isinstance(sigma_rule, str) and sigma_rule != "fan_in":
-        raise ValueError(f"unknown sigma rule {sigma_rule!r}")
-    if sigma_rule != "fan_in" and not 0 < float(sigma_rule) < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {float(sigma_rule)}")
-    sigmas = [1.0 / math.sqrt(fan_in) if sigma_rule == "fan_in" else float(sigma_rule) for fan_in, _ in shape]
+    if sigma_rule == "fan_in":
+        sigmas = [1.0 / math.sqrt(fan_in) for fan_in, _ in shape]
+    elif isinstance(sigma_rule, (int, float)) and not isinstance(sigma_rule, bool) and 0 < sigma_rule < math.inf:
+        sigmas = [float(sigma_rule)] * len(shape)
+    else:
+        raise ValueError(f'expected "fan_in" or a positive finite number, got {sigma_rule!r}')
     return MeasureSpec.gaussian(np.repeat(sigmas, [fan_in * fan_out + fan_out for fan_in, fan_out in shape]))
 
 

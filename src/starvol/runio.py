@@ -6,7 +6,7 @@ overrides the file's seed. An estimate writes one JSON Lines record, and a
 sweep one per point, each built here and written by ``codec.write_json``,
 holding the resolved config, the seed, and the aggregated result, with
 per-sample detail in a sibling CSV, so any reported number can be replayed
-from its record alone.
+from its record alone. starvol writes records and never reads one back.
 """
 
 from __future__ import annotations
@@ -113,7 +113,8 @@ def make_run_record(
     estimate: VolumeEstimate | None,
     wall_time_s: float,
 ) -> dict:
-    """The run fields, and with an ``estimate`` its fields and ``status`` "ok".
+    """The run fields, and with an ``estimate`` its fields and ``status`` "ok"; the
+    caller adds the map's name as ``preconditioner``.
 
     JSON has no infinity, so a failed ray's log term (-inf) is null, and so
     is a ``prefix_rise`` of +inf (every ray of the prefix failed).
@@ -132,7 +133,6 @@ def make_run_record(
     return record | fields | {
         "prefix_rise": None if fields["prefix_rise"] == math.inf else fields["prefix_rise"],
         "measure": estimate.measure.kind,
-        "preconditioner": estimate.preconditioner_id,
         "log_terms": [None if s.failed else s.log_term for s in estimate.samples],
         "status": "ok",
     }

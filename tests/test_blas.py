@@ -146,6 +146,21 @@ class TestOneBlasThread:
             outer(None)
         assert blas._held.__dict__ == {}
 
+    def test_an_extension_that_links_no_openblas_runs_the_function_unchanged(self):
+        # numpy.random's generator links no BLAS, so its library has no setter
+        extension = "numpy.random._generator"
+        assert blas._thread_setter(extension) is None
+
+        @one_blas_thread(extension)
+        def double(x):
+            """Twice x."""
+            return 2 * x
+
+        assert double(4) == 8 and double.__doc__ == "Twice x."
+        with pytest.raises(TypeError):
+            double(None)
+        assert blas._held.__dict__ == {}
+
     def test_import_resolves_no_setter_and_loads_no_scipy(self):
         # numpy's setter is resolved by the first marked call, and scipy's by
         # the first decomposition, which loads scipy anyway

@@ -22,12 +22,12 @@ import starvol.cli as cli
 import starvol.geometry as geometry
 import starvol.runio as runio
 from starvol.cli import main
-from starvol.codec import Fields, read_jsonl, write_json
+from starvol.codec import Fields, write_json
 from starvol.geometry import MeasureSpec, NeighborhoodSpec, estimate_local_volume
 from starvol.logspace import log_sphere_area
 from starvol.models import load_checkpoint, load_csv, save_checkpoint
 from starvol.models.mlp import init_measure
-from starvol.precondition import DEFAULT_EPS, Preconditioner, from_diagonal
+from starvol.precondition import Preconditioner
 from starvol.runio import SAMPLE_FIELDS, make_run_record, sample_rows, write_csv
 
 from oracles import mlp_kl_cost_batch, prior_hit_rate
@@ -61,6 +61,10 @@ DELETED_FLAGS = [
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _read_jsonl(path):
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]
 
 
 def _drop(obj, key):
@@ -238,8 +242,12 @@ class TestTrain:
                      "malformed config field train.checkpoint_every in {cfg}: expected an integer >= 0, got -1",
                      id="negative-checkpoint-every"),
         pytest.param(lambda cfg: cfg["model"].update(init=-1),
-                     "malformed config field model.init in {cfg}: sigma must be positive and finite, got -1.0",
-                     id="negative-init"),
+                     'malformed config field model.init in {cfg}: expected "fan_in" or a positive finite number, '
+                     "got -1", id="negative-init"),
+        # was refused as "expected a number", which never named the one string accepted
+        pytest.param(lambda cfg: cfg["model"].update(init="fan_out"),
+                     'malformed config field model.init in {cfg}: expected "fan_in" or a positive finite number, '
+                     "got 'fan_out'", id="unknown-init-rule"),
         # a negative weight is refused as negative, before the missing poison split
         pytest.param(lambda cfg: cfg["train"].update(poison_alpha=-1),
                      "malformed config field train.poison_alpha in {cfg}: alpha must be non-negative and finite, "
@@ -342,7 +350,7 @@ class TestEstimate:
             "--k", "8", "--cutoff", "1e-2", "--out", str(out), "--seed", "3",
         ])
         assert rc == 0
-        (record,) = read_jsonl(out)
+        (record,) = _read_jsonl(out)
         assert record["subcommand"] == "estimate"
         assert record["k"] == 8 and record["n"] == 26
         assert record["measure"] == "gaussian"
@@ -383,7 +391,7 @@ class TestEstimate:
         monkeypatch.setattr(cli, "estimate_local_volume", lambda *args: _nan_wall_estimate(4, 19))
         out = tmp_path / "runs.jsonl"
         assert main(["estimate", "--checkpoint", str(final_checkpoint), "--k", "4", "--out", str(out)]) == 0
-        (record,) = read_jsonl(out)
+        (record,) = _read_jsonl(out)
         assert record["prefix_rise"] is None and record["log_terms"][0] is None
         assert " prefix_rise=inf " in capsys.readouterr().out
 
@@ -395,7 +403,7 @@ class TestEstimate:
         runs = []
         for k in ("6", "6", "3"):
             assert main([*argv, "--k", k]) == 0
-            (record,) = read_jsonl(out)
+            (record,) = _read_jsonl(out)
             runs.append((record, _read_csv(out.with_suffix(".samples.csv"))))
         (first, first_rows), (second, second_rows), (third, third_rows) = runs
         assert first["log_volume"] == second["log_volume"]
@@ -408,7 +416,7 @@ class TestEstimate:
         for name, flag in (("default", []), ("zero", ["--seed", "0"])):
             out = tmp_path / f"{name}.jsonl"
             assert main(["estimate", "--checkpoint", str(final_checkpoint), "--k", "2", *flag, "--out", str(out)]) == 0
-            records.append(read_jsonl(out)[0])
+            records.append(_read_jsonl(out)[0])
         assert [r["seed"] for r in records] == [0, 0]
         assert records[0]["log_terms"] == records[1]["log_terms"]
 
@@ -431,7 +439,7 @@ class TestEstimate:
             rc = main(["estimate", "--checkpoint", str(final_checkpoint), *argv, "--threads", threads,
                        "--out", str(out)])
             assert rc == 0
-            records.append(read_jsonl(out)[0])
+            records.append(_read_jsonl(out)[0])
         assert math.isfinite(records[0]["log_volume"])
         assert all(r["log_volume"] == records[0]["log_volume"] for r in records)
         assert all(r["log_terms"] == records[0]["log_terms"] for r in records)
@@ -451,15 +459,14 @@ class TestEstimate:
             "--out", str(out), "--seed", "2",
         ])
         assert rc == 0
-        (record,) = read_jsonl(out)
+        (record,) = _read_jsonl(out)
         assert record["measure"] == "gaussian"
-        assert record["preconditioner"].startswith("adam-nu[")
+        # the record and the summary name the map as --preconditioner does
+        assert record["preconditioner"] == record["config"]["preconditioner"] == "adam-nu"
+        assert " preconditioner=adam-nu " in capsys.readouterr().out
         assert record["build_seconds"] == {}  # Adam's second moment needs no probe
-        built = from_diagonal(load_checkpoint(final_checkpoint).nu, DEFAULT_EPS["adam-nu"], source="adam-nu")
-        assert built.describe() == record["preconditioner"]
         # a softmax net's Lebesgue volume is infinite, so a checkpoint has
         # only its own init measure
-        capsys.readouterr()
         for argv in (["estimate"], ["sweep", "--kind", "cutoff", "--values", "1e-2"]):
             lebesgue = tmp_path / f"{argv[0]}-lebesgue.out"
             with pytest.raises(SystemExit) as info:
@@ -475,7 +482,7 @@ class TestEstimate:
             "--cost", "loss", "--cutoff", "2.0", "--k", "4", "--out", str(out), "--seed", "4",
         ])
         assert rc == 0
-        assert math.isfinite(read_jsonl(out)[0]["log_volume"])
+        assert math.isfinite(_read_jsonl(out)[0]["log_volume"])
 
     def test_anchor_outside_its_neighborhood_exits_2(
         self, final_checkpoint, tmp_path, capsys, monkeypatch
@@ -501,9 +508,9 @@ class TestEstimate:
             "--cutoff", "2.0", "--preconditioner", name, "--k", "4", "--out", str(out), "--seed", "4",
         ])
         assert rc == 0
-        (record,) = read_jsonl(out)
+        (record,) = _read_jsonl(out)
         assert math.isfinite(record["log_volume"])
-        assert record["preconditioner"].startswith(f"{name}[")
+        assert record["preconditioner"] == name
         assert "fd_step" not in record["config"]
         want = ["curvature", "eigendecompose"] if name == "hessian" else ["curvature"]
         assert sorted(record["build_seconds"]) == want
@@ -592,8 +599,11 @@ class TestEstimate:
         pytest.param(lambda data: data.update(version=3, sigma=data["adam_nu"]),
                      "unsupported checkpoint version 3 in {bad}", id="version-3"),
         pytest.param(lambda data: data["config"]["model"].update(init=-1),
-                     "malformed checkpoint config field model.init in {bad}: sigma must be positive and finite, "
-                     "got -1.0", id="negative-init"),
+                     'malformed checkpoint config field model.init in {bad}: expected "fan_in" or a positive finite '
+                     "number, got -1", id="negative-init"),
+        pytest.param(lambda data: data["config"]["model"].update(init="fan_out"),
+                     'malformed checkpoint config field model.init in {bad}: expected "fan_in" or a positive finite '
+                     "number, got 'fan_out'", id="unknown-init-rule"),
     ])
     def test_malformed_checkpoint_exits_2_naming_field_and_file(self, mangle, reason, final_checkpoint,
                                                                 tmp_path, monkeypatch, capsys):
@@ -626,7 +636,7 @@ class TestEstimate:
         for name, (argv, eps) in runs.items():
             out = tmp_path / f"{name}.jsonl"
             assert main(["estimate", "--checkpoint", str(final_checkpoint), "--k", "2", *argv, "--out", str(out)]) == 0
-            assert read_jsonl(out)[0]["config"]["eps"] == eps, name
+            assert _read_jsonl(out)[0]["config"]["eps"] == eps, name
 
 
 class TestPriorHitRate:
@@ -754,7 +764,7 @@ class TestSweep:
         assert [r["status"] for r in rows] == [f"failed: no valid samples (8 rays: {reason})"] * 2
         assert {(r["measure"], r["preconditioner"]) for r in rows} == {("lebesgue", "none")}
         # each failed point still has its record, with the row's status and no estimate fields
-        records = read_jsonl(out.with_suffix(".records.jsonl"))
+        records = _read_jsonl(out.with_suffix(".records.jsonl"))
         assert [r["status"] for r in records] == [r["status"] for r in rows]
         assert not any("log_volume" in r for r in records)
         assert [(r["cutoff"], r["config"]["checkpoint"]) for r in records] == [(1e-2, None), (1e-1, None)]
@@ -806,7 +816,7 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--kind", "cutoff", "--values", ",".join(cutoffs), "--out", str(out), *shared]) == 0
         rows = _read_csv(out)
-        swept = read_jsonl(out.with_suffix(".records.jsonl"))
+        swept = _read_jsonl(out.with_suffix(".records.jsonl"))
         assert len(rows) == len(swept) == len(cutoffs)
         timings = ("wall_time_s", "stage_seconds")
 
@@ -819,7 +829,7 @@ class TestSweep:
         for i, (cutoff, row, point) in enumerate(zip(cutoffs, rows, swept)):
             record_path = tmp_path / f"estimate-{cutoff}.jsonl"
             assert main(["estimate", "--cutoff", cutoff, "--out", str(record_path), *shared]) == 0
-            (record,) = read_jsonl(record_path)
+            (record,) = _read_jsonl(record_path)
             assert row["status"] == "ok"
             assert row["log_volume"] == repr(record["log_volume"])
             assert row["log10_volume"] == repr(record["log10_volume"])
@@ -941,10 +951,22 @@ class TestSweep:
         # one successful point fits no slope
         assert json.loads(out.with_suffix(".summary.json").read_text())["log_log_slope"] is None
         # the failed point has a record but no samples; the other's k rays follow as point 1
-        records = read_jsonl(out.with_suffix(".records.jsonl"))
+        records = _read_jsonl(out.with_suffix(".records.jsonl"))
         assert [r["status"] for r in records] == [failed["status"], "ok"]
         assert (records[0]["preconditioner"], records[0]["measure"], records[0]["k"]) == ("diag", "gaussian", 4)
         assert [r["point"] for r in _read_csv(out.with_suffix(".samples.csv"))] == ["1"] * 4
+
+    def test_every_point_names_its_map_as_the_values_do(self, final_checkpoint, loss_cutoff, tmp_path):
+        # a failed point's record named its map "diag" and a successful one
+        # "diag[diagonal,n=26]", so one CSV column held both
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--kind", "cutoff", "--cost", "loss", "--values", f"1e-6,{loss_cutoff!r}",
+                     "--preconditioner", "diag", "--checkpoint", str(final_checkpoint), "--k", "4",
+                     "--out", str(out)]) == 0
+        rows, records = _read_csv(out), _read_jsonl(out.with_suffix(".records.jsonl"))
+        assert [r["status"][:7] for r in rows] == ["failed:", "ok"]
+        assert [r["preconditioner"] for r in rows] == ["diag", "diag"]
+        assert [(r["preconditioner"], r["config"]["preconditioner"]) for r in records] == [("diag", "diag")] * 2
 
 
 class TestConsoleScript:
@@ -1061,15 +1083,12 @@ def loss_record(final_checkpoint, loss_cutoff, tmp_path_factory):
 class TestJsonFiles:
     def test_every_json_file_is_sorted_objects_one_per_line(self, train_run, final_checkpoint, loss_record,
                                                             tmp_path):
-        # checkpoints, records, the sweep summary and mdl's payload all come from one writer
-        sweep, mdl = tmp_path / "sweep.csv", tmp_path / "mdl.json"
+        # checkpoints, records and the sweep summary all come from one writer
+        sweep = tmp_path / "sweep.csv"
         assert main(["sweep", "--kind", "cutoff", "--checkpoint", str(final_checkpoint), "--values", "1e-2,1e-1",
                      "--k", "4", "--out", str(sweep)]) == 0
-        assert main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(loss_record),
-                     "--out", str(mdl)]) == 0
         files = {path: 1 for path in train_run["checkpoints"]}
-        files |= {loss_record: 1, sweep.with_suffix(".records.jsonl"): 2, sweep.with_suffix(".summary.json"): 1,
-                  mdl: 1}
+        files |= {loss_record: 1, sweep.with_suffix(".records.jsonl"): 2, sweep.with_suffix(".summary.json"): 1}
         for path, count in files.items():
             text = path.read_text()
             objects = [json.loads(line) for line in text.splitlines()]
@@ -1084,210 +1103,71 @@ class TestJsonFiles:
             assert (tmp_path / path.name).read_bytes() == path.read_bytes()
 
 
-class TestMdl:
-    def test_description_length_report(self, final_checkpoint, loss_record, loss_cutoff, tmp_path, capsys):
-        out = tmp_path / "mdl.json"
+class TestDescriptionLength:
+    def test_loss_record_holds_its_description_length(self, final_checkpoint, loss_cutoff, tmp_path, capsys):
         capsys.readouterr()
-        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(loss_record), "--out", str(out)])
-        assert rc == 0
-        payload, record = json.loads(out.read_text()), read_jsonl(loss_record)[-1]
+        (record,) = _read_jsonl(_loss_record(final_checkpoint, loss_cutoff, tmp_path / "vol.jsonl", 8, 6))
         assert record["config"]["cost"] == "loss" and record["cutoff"] == loss_cutoff
-        # both terms are read from the record, bit for bit: the information
-        # content -log V_G, and m = 48 training rows times the cutoff
-        assert payload["kl_term"] == -record["log_volume"]
-        assert payload["data_term"] == 48 * loss_cutoff
-        assert payload["total"] == payload["kl_term"] + payload["data_term"]
-        assert (payload["m"], payload["cutoff"], payload["n"]) == (48, loss_cutoff, 26)
-        assert payload["slack_per_decade"] == math.log(10)
-        assert capsys.readouterr().out == (
-            f"kl_term={payload['kl_term']:.4f} data_term={payload['data_term']:.4f} total={payload['total']:.4f} "
-            "nats, + j*2.3026 at confidence 1-10^-j\n"
-        )
+        # the information content -log V_G plus m = 48 training rows times
+        # the cutoff, over the record's own doubles
+        assert record["m"] == 48
+        assert record["description_length"] == -record["log_volume"] + 48 * loss_cutoff
+        assert f" description_length={record['description_length']:.4f} " in capsys.readouterr().out
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_total_is_below_the_raw_labels_code_length(self, seed, final_checkpoint, loss_cutoff, tmp_path):
+    def test_bound_is_below_the_raw_labels_code_length(self, seed, final_checkpoint, loss_cutoff, tmp_path):
         # the labels sent raw take m log C = 48 log 2 = 33.27 nats; the bound
         # read 11.8-12.7 nats at k = 1,024
-        record = _loss_record(final_checkpoint, loss_cutoff, tmp_path / "vol.jsonl", 1024, seed)
-        out = tmp_path / "mdl.json"
-        assert main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(record), "--out", str(out)]) == 0
-        total = json.loads(out.read_text())["total"]
-        assert total == -read_jsonl(record)[-1]["log_volume"] + 48 * loss_cutoff
-        assert total < 48 * math.log(2)
+        (record,) = _read_jsonl(_loss_record(final_checkpoint, loss_cutoff, tmp_path / "vol.jsonl", 1024, seed))
+        assert record["description_length"] == -record["log_volume"] + 48 * loss_cutoff
+        assert record["description_length"] < 48 * math.log(2)
 
-    def test_reads_no_data_and_evaluates_no_cost(self, final_checkpoint, loss_record, tmp_path, monkeypatch):
-        # both terms come from the record and the checkpoint's config, so mdl
-        # rebuilds no split and builds no cost handle
-        counts = _count_calls(monkeypatch, "_build_datasets", "make_loss_cost", "make_kl_cost")
-        out = tmp_path / "mdl.json"
-        assert main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(loss_record), "--out", str(out)]) == 0
-        assert counts == {"_build_datasets": 0, "make_loss_cost": 0, "make_kl_cost": 0}
-
-    def test_kl_record_is_rejected(self, final_checkpoint, tmp_path, capsys):
+    def test_kl_record_holds_neither_field(self, final_checkpoint, tmp_path, capsys):
         # a KL neighborhood says nothing of the training labels' cross-entropy,
-        # so its -log V plus any data term bounds no code length
-        rec = tmp_path / "kl.jsonl"
-        assert main(["estimate", "--checkpoint", str(final_checkpoint), "--k", "2", "--out", str(rec)]) == 0
-        capsys.readouterr()
-        out = tmp_path / "mdl.json"
-        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
-        assert rc == 2
-        assert capsys.readouterr().err == "error: description length requires a loss-cost volume record, not cost 'kl'\n"
-        assert not out.exists()
+        # so its -log V plus any data term is the length of no code
+        out = tmp_path / "kl.jsonl"
+        assert main(["estimate", "--checkpoint", str(final_checkpoint), "--k", "2", "--out", str(out)]) == 0
+        (record,) = _read_jsonl(out)
+        assert record["config"]["cost"] == "kl" and record["status"] == "ok"
+        assert not {"m", "description_length"} & set(record)
+        assert "description_length" not in capsys.readouterr().out
 
-    def test_out_creates_its_directory(self, final_checkpoint, loss_record, tmp_path):
-        # the report's directory is created, as every writer's is
-        out = tmp_path / "reports" / "mdl.json"
-        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(loss_record), "--out", str(out)])
-        assert rc == 0
-        assert json.loads(out.read_text())["kl_term"] == -read_jsonl(loss_record)[-1]["log_volume"]
-
-    def test_seed_is_rejected(self, final_checkpoint, loss_record, tmp_path, capsys):
-        # mdl's data come from the checkpoint's own seed, so a --seed would be ignored
-        out = tmp_path / "mdl.json"
-        with pytest.raises(SystemExit) as info:
-            main([
-                "mdl", "--checkpoint", str(final_checkpoint),
-                "--record", str(loss_record), "--out", str(out), "--seed", "1",
-            ])
-        assert info.value.code == 2
-        assert "unrecognized arguments: --seed" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_lebesgue_record_is_rejected(self, final_checkpoint, loss_record, tmp_path, capsys):
-        # a record an older build wrote under the Lebesgue measure
-        rec = tmp_path / "lebesgue.jsonl"
-        rec.write_text(json.dumps({**read_jsonl(loss_record)[-1], "measure": "lebesgue"}) + "\n")
-        out = tmp_path / "mdl.json"
-        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            "error: description length requires a Gaussian volume record, not measure 'lebesgue'\n"
-        )
-        assert not out.exists()
-
-    def test_empty_record_file_is_named(self, final_checkpoint, tmp_path, capsys):
-        rec = tmp_path / "empty.jsonl"
-        rec.write_text("")
-        out = tmp_path / "mdl.json"
-        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: no records in {rec}\n"
-        assert not out.exists()
-
-    def test_record_file_that_is_not_utf8_is_named(self, final_checkpoint, tmp_path, capsys):
-        rec = tmp_path / "utf16.jsonl"
-        rec.write_bytes(b"\xff\xfe{}\n")
-        out = tmp_path / "mdl.json"
-        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: not a JSON Lines file: {rec}: 'utf-8' codec")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("values", ["1e-6,{ok}", "{ok},1e-6"], ids=["failed-then-ok", "ok-then-failed"])
-    def test_sweep_records_last_point(self, values, final_checkpoint, loss_cutoff, tmp_path, capsys):
-        # a sweep's records file is read like an estimate's: its last record;
-        # a point at a 1e-6 loss cutoff, below the anchor's loss, fails
+    @pytest.mark.parametrize("values", ["1e-6,{ok},2.0", "{ok},2.0,1e-6"], ids=["failed-first", "failed-last"])
+    def test_each_sweep_point_holds_its_own(self, values, final_checkpoint, loss_cutoff, tmp_path):
+        # every loss point that succeeded holds the bound at its own cutoff; a
+        # point at a 1e-6 loss cutoff, below the anchor's loss, fails and holds neither field
         sweep = tmp_path / "sweep.csv"
         assert main(["sweep", "--kind", "cutoff", "--values", values.format(ok=repr(loss_cutoff)),
                      "--checkpoint", str(final_checkpoint), "--cost", "loss", "--k", "4", "--seed", "2",
                      "--out", str(sweep)]) == 0
-        rec, out = sweep.with_suffix(".records.jsonl"), tmp_path / "mdl.json"
-        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
-        last = read_jsonl(rec)[-1]
-        if last["status"] == "ok":
-            assert rc == 0
-            assert json.loads(out.read_text())["kl_term"] == -last["log_volume"]
-        else:
-            assert rc == 2
-            assert f"missing record field log_volume in {rec}" in capsys.readouterr().err
-            assert not out.exists()
+        records, rows = _read_jsonl(sweep.with_suffix(".records.jsonl")), _read_csv(sweep)
+        assert sorted(r["status"][:7] for r in records) == ["failed:", "ok", "ok"]
+        for record, row in zip(records, rows):
+            if record["status"] == "ok":
+                assert record["m"] == 48
+                assert record["description_length"] == -record["log_volume"] + 48 * record["cutoff"]
+                assert row["description_length"] == repr(record["description_length"])
+            else:
+                assert not {"m", "description_length"} & set(record)
+                assert row["description_length"] == ""
+        bounds = [r["description_length"] for r in records if r["status"] == "ok"]
+        assert bounds[0] != bounds[1]
 
-    def test_truncated_record_line_is_named(self, final_checkpoint, loss_record, tmp_path, capsys):
-        # a run cut off mid-write leaves a last line that is not JSON
-        rec = tmp_path / "cut.jsonl"
-        line = json.dumps(read_jsonl(loss_record)[-1])
-        rec.write_text(f"{line}\n{line[:40]}\n")
-        out = tmp_path / "mdl.json"
-        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: not a JSON Lines file: {rec}: line 2 is not JSON: ")
-        assert not out.exists()
+    def test_quadratic_records_hold_neither_field(self, tmp_path):
+        # the quadratic's cost is no loss, so its points bound no code length
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--kind", "cutoff", "--target", "quadratic", "--n", "5", "--k", "4",
+                     "--values", "1e-2,1e-1", "--out", str(out)]) == 0
+        records = _read_jsonl(out.with_suffix(".records.jsonl"))
+        assert [r["status"] for r in records] == ["ok", "ok"]
+        assert not any({"m", "description_length"} & set(r) for r in records)
+        assert [r["description_length"] for r in _read_csv(out)] == ["", ""]
 
-    def test_record_from_another_network_is_rejected(self, final_checkpoint, loss_record,
-                                                     tmp_path, capsys):
-        record = read_jsonl(loss_record)[-1]
-        assert record["n"] == 26
-        rec = tmp_path / "other.jsonl"
-        rec.write_text(json.dumps({**record, "n": 27}) + "\n")
+    def test_mdl_is_not_a_command(self, final_checkpoint, loss_record, tmp_path, capsys):
+        # the record of a loss estimate holds the bound, so no command reads a record back
         out = tmp_path / "mdl.json"
-        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
-        assert rc == 2
-        assert "n = 27 does not match the checkpoint's 26 parameters" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_record_from_another_checkpoint_is_rejected(self, train_run, loss_record,
-                                                        tmp_path, capsys):
-        # the step-3 checkpoint has the same n as the final one the record came from
-        step3 = train_run["checkpoints"][1]
-        assert step3.name == "checkpoint_step000003.json"
-        recorded = read_jsonl(loss_record)[-1]["config"]["anchor_sha256"]
-        flat = load_checkpoint(step3).params.flat
-        digest = hashlib.sha256(flat.astype("<f8").tobytes()).hexdigest()
-        assert digest != recorded
-        out = tmp_path / "mdl.json"
-        rc = main(["mdl", "--checkpoint", str(step3), "--record", str(loss_record), "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert f"anchor_sha256 {recorded} does not match the checkpoint's {digest}" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("mangle, reason", [
-        pytest.param(lambda record: {k: v for k, v in record.items() if k != "log_volume"},
-                     "missing record field log_volume in {rec}", id="no-log-volume"),
-        pytest.param(lambda record: {k: v for k, v in record.items() if k != "n"}, "missing record field n in {rec}",
-                     id="no-n"),
-        pytest.param(lambda record: [record], "the last record in {rec} is not an object", id="record-not-object"),
-        pytest.param(lambda record: {**record, "config": "x"}, "record field config is not an object in {rec}",
-                     id="config-not-object"),
-        pytest.param(lambda record: {**record, "n": None}, "missing record field n in {rec}", id="n-null"),
-        pytest.param(lambda record: {**record, "log_volume": None}, "missing record field log_volume in {rec}",
-                     id="log-volume-null"),
-        pytest.param(lambda record: {**record, "n": 26.5},
-                     "malformed record field n in {rec}: expected an integer, got 26.5", id="n-fraction"),
-        pytest.param(lambda record: {**record, "log_volume": "big"},
-                     "malformed record field log_volume in {rec}: expected a number, got 'big'", id="log-volume-string"),
-        pytest.param(lambda record: {k: v for k, v in record.items() if k != "cutoff"},
-                     "missing record field cutoff in {rec}", id="no-cutoff"),
-        pytest.param(lambda record: {**record, "cutoff": "low"},
-                     "malformed record field cutoff in {rec}: expected a number, got 'low'", id="cutoff-string"),
-        # json reads the tokens NaN and Infinity, and an overflowing literal as inf
-        pytest.param(lambda record: {**record, "log_volume": math.nan},
-                     "malformed record field log_volume in {rec}: expected a finite number, got nan", id="log-volume-nan"),
-        pytest.param(lambda record: json.dumps({**record, "cutoff": None}).replace('"cutoff": null', '"cutoff": 1e400'),
-                     "malformed record field cutoff in {rec}: expected a finite number, got inf", id="cutoff-overflow"),
-    ])
-    def test_malformed_record_exits_2_naming_the_field(self, mangle, reason, final_checkpoint, loss_record,
-                                                       tmp_path, capsys):
-        # each used to end in a KeyError, AttributeError or TypeError traceback
-        # a mangle returns the record, or the text of its line
-        rec = tmp_path / "bad.jsonl"
-        line = mangle(read_jsonl(loss_record)[-1])
-        rec.write_text((line if isinstance(line, str) else json.dumps(line)) + "\n")
-        out = tmp_path / "mdl.json"
-        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: {reason.format(rec=rec)}\n"
-        assert not out.exists()
-
-    def test_record_without_anchor_digest_is_rejected(self, final_checkpoint, loss_record,
-                                                     tmp_path, capsys):
-        record = read_jsonl(loss_record)[-1]
-        del record["config"]["anchor_sha256"]
-        rec = tmp_path / "old.jsonl"
-        rec.write_text(json.dumps(record) + "\n")
-        out = tmp_path / "mdl.json"
-        rc = main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(rec), "--out", str(out)])
-        assert rc == 2
-        assert "anchor_sha256 (missing) does not match" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["mdl", "--checkpoint", str(final_checkpoint), "--record", str(loss_record), "--out", str(out)])
+        assert info.value.code == 2
+        assert "argument command: invalid choice: 'mdl'" in capsys.readouterr().err
         assert not out.exists()

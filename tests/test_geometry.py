@@ -225,6 +225,15 @@ class TestFindRadius:
         assert profile(radius) < 1.0 <= profile(radius * (1.0 + 3.0 * rel_tol))
         assert evals <= 3 * _bisection_evals(profile, start, rel_tol)
 
+    def test_stops_at_float_resolution(self):
+        # no two doubles near sqrt(2) lie within a 1e-17 relative tolerance,
+        # so narrowing stops once the midpoint is an end of the bracket: at
+        # the largest double whose cost 0.5 r^2 is below the cutoff 1
+        spec = NeighborhoodSpec(np.zeros(1), lambda x: 0.5 * float(x[0]) ** 2, 1.0, MeasureSpec.lebesgue())
+        radius, truncated, _ = find_radius(spec, np.array([1.0]), SearchOptions(rel_tol=1e-17))
+        assert (radius, truncated) == (1.414213562373095, False)
+        assert 0.5 * radius**2 < 1.0 < 0.5 * math.nextafter(radius, 2.0) ** 2 == 1.0000000000000002
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 28")
     def test_returns_the_first_crossing(self):
         # the cost rises above the cutoff 1 on (0.4, 0.6) and falls back

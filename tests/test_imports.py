@@ -1,5 +1,5 @@
 """Every name a module under src/starvol, or the tests' oracles module, imports is used
-there or exported."""
+there or exported, and every private module-level name under src/starvol is used."""
 
 import ast
 from pathlib import Path
@@ -44,6 +44,41 @@ def _unused_imports(path: Path) -> list[str]:
     ]
 
 
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each private name that a top-level def, class or assignment binds, with its statement."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            continue
+        defined |= {name: node for name in names if name.startswith("_") and not name.startswith("__")}
+    return defined
+
+
+def _unreferenced_private_names(paths: list[Path]) -> list[str]:
+    """``module:name`` of each private module-level name that no module of ``paths``
+    mentions outside the statement defining it, as a name, an attribute or an import."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    mentions = []  # (path, node id, name) of every mention
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name is not None:
+                mentions.append((path, id(node), name))
+    unreferenced = []
+    for path, tree in trees.items():
+        for name, statement in _private_definitions(tree).items():
+            own = {id(node) for node in ast.walk(statement)}
+            if not any(n == name and not (p == path and i in own) for p, i, n in mentions):
+                unreferenced.append(f"{path.stem}:{name}")
+    return sorted(unreferenced)
+
+
 def test_modules_are_found():
     names = {path.name for path in SRC.rglob("*.py")}
     assert {"__init__.py", "geometry.py", "mlp.py"} <= names
@@ -65,3 +100,19 @@ def test_detects_an_unused_import(tmp_path):
         "def f():\n    from json import dumps\n    return np.ones(1)\n"
     )
     assert _unused_imports(module) == ["dumps (line 7)", "math (line 2)", "path (line 4)"]
+
+
+def test_no_unreferenced_private_name():
+    # a deletion that leaves a private helper without its caller leaves it here
+    assert _unreferenced_private_names(sorted(SRC.rglob("*.py"))) == []
+
+
+def test_detects_an_unreferenced_private_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n_orphan = _used = 1\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else _used\n"
+        "def _helper():\n    return _LIMIT\n"
+        "class _Kept:\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text("from a import _helper\nimport a\nprint(a._Kept)\n")
+    assert _unreferenced_private_names([tmp_path / "a.py", tmp_path / "b.py"]) == ["a:_orphan", "a:_recursive"]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from starvol import blas
-from starvol.models.data import Dataset, make_blobs, split_dataset
+from starvol.models.data import Dataset, load_csv, make_blobs, make_spirals, split_dataset
 import starvol.models.hessian as hessian_module
 from starvol.models.hessian import hessian_diag, hessian_full
 from starvol.models.io import Checkpoint, load_checkpoint, save_checkpoint
@@ -175,11 +175,19 @@ class TestInit:
     def test_constant_sigma(self):
         np.testing.assert_array_equal(init_measure(((4, 8), (8, 2)), 0.25).sigma, np.full(58, 0.25))
 
-    def test_sigma_rule_validation(self):
-        with pytest.raises(ValueError, match="unknown sigma rule"):
-            init_measure(((2, 2),), "fan_out")
-        with pytest.raises(ValueError, match="positive"):
-            init_measure(((2, 2),), 0.0)
+    @pytest.mark.parametrize("rule", ["fan_out", 0.0, -1, math.inf, math.nan, True, [0.5]],
+                             ids=["fan-out", "zero", "negative", "inf", "nan", "bool", "list"])
+    def test_sigma_rule_validation(self, rule):
+        # the one check of a rule, which a config's model.init is read through
+        with pytest.raises(ValueError, match='^expected "fan_in" or a positive finite number, got '):
+            init_measure(((2, 2),), rule)
+
+    @pytest.mark.parametrize("shape, reason", [((), "network needs at least one layer"),
+                                               (((2, 0),), "layer widths must be positive")],
+                             ids=["no-layers", "zero-width"])
+    def test_shape_validation(self, shape, reason):
+        with pytest.raises(ValueError, match=reason):
+            init_measure(shape)
 
     def test_one_draw_equals_per_layer_draws(self):
         # one draw over the whole std vector reads the stream in layer order, as a draw per layer would
@@ -283,6 +291,38 @@ class TestDataset:
     def test_label_outside_the_class_count_is_rejected(self, bad):
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
             Dataset(np.zeros((3, 2)), [0, bad, 1], 2)
+
+    def test_no_rows_is_rejected(self):
+        with pytest.raises(ValueError, match=r"inputs must be a non-empty \(m, d\) matrix"):
+            Dataset(np.zeros((0, 2)), [], 2)
+
+    def test_csv_with_one_column_is_rejected(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("0\n1\n1\n")
+        with pytest.raises(ValueError, match="csv needs at least one feature column plus a label column"):
+            load_csv(path)
+
+    def test_split_of_more_rows_than_the_dataset_is_rejected(self):
+        with pytest.raises(ValueError, match="requested 5 rows but dataset has 4"):
+            split_dataset(make_blobs(dim=2, classes=2, per_class=2), [3, 2])
+
+    def test_spirals_pad_with_noise_columns(self):
+        # past the plane, each column is N(0, noise^2) whatever the label
+        data = make_spirals(per_class=2000, noise=0.1, dim=4, seed=3)
+        assert data.inputs.shape == (4000, 4) and data.classes == 2
+        extra = data.inputs[:, 2:]
+        assert abs(extra.mean()) < 0.01 and extra.std() == pytest.approx(0.1, rel=0.05)
+        for label in (0, 1):
+            assert extra[data.labels == label].std() == pytest.approx(0.1, rel=0.05)
+        # without noise, the padding is zero and the plane holds the spirals, at radii in [sqrt(0.05), 1)
+        exact = make_spirals(per_class=50, noise=0.0, dim=4, seed=3).inputs
+        assert not exact[:, 2:].any()
+        radius = np.hypot(exact[:, 0], exact[:, 1])
+        assert math.sqrt(0.05) <= radius.min() and radius.max() < 1.0
+
+    def test_spirals_need_two_dimensions(self):
+        with pytest.raises(ValueError, match="spirals need at least 2 dimensions"):
+            make_spirals(per_class=4, dim=1)
 
 
 class TestLossCost:
@@ -696,7 +736,7 @@ class TestTraining:
             setter(previous)
         # the full evaluation's; the ray's origin, direction, and one
         # evaluation in each form; the gradient's forward pass, the folded
-        # route that training and mdl take too, and its one backward product
+        # route that training takes too, and its one backward product
         # with a weight
         folded, readout, back = 1000 * 65 * 64, 1000 * 64 * 10, 1000 * 10 * 64
         assert [m for m, _ in products] == [folded, readout, folded, folded, readout, readout,
@@ -820,6 +860,17 @@ HIDDEN_SHAPES = [((3, 4),), ((3, 5), (5, 4)), ((2, 3), (3, 4), (4, 3))]
 
 
 class TestHessian:
+    @pytest.mark.parametrize("probe", [hessian_full, hessian_diag], ids=["full", "diag"])
+    @pytest.mark.parametrize("data, reason", [
+        pytest.param((np.zeros((3, 2)), np.array([0, 1, 0])), "loss curvature requires a Dataset", id="not-a-dataset"),
+        pytest.param(Dataset(np.zeros((3, 2)), [0, 2, 1], 3), "label 2 >= network output width 2",
+                     id="label-past-the-output-width"),
+    ])
+    def test_loss_refusals(self, probe, data, reason):
+        params, _ = init_params(((2, 4), (4, 2)), rng=np.random.default_rng(18))
+        with pytest.raises(ValueError, match=reason):
+            probe("loss", params, data)
+
     def test_diag_agrees_with_full_on_loss(self):
         params, _ = init_params(((2, 4), (4, 2)), rng=np.random.default_rng(18))
         data = make_blobs(dim=2, classes=2, per_class=8, seed=8)
@@ -989,6 +1040,20 @@ class TestCheckpointFile:
         with pytest.raises(ValueError) as info:
             load_checkpoint(path)
         assert str(info.value).startswith(f"not a JSON file: {path}: ")
+
+    def test_file_that_is_not_utf8_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_text('{"format": "starvol-checkpoint"}', encoding="utf-16")
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"not a JSON file: {path}: 'utf-8' codec can't decode")
+
+    def test_file_of_another_format_is_refused(self, tmp_path):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps({"format": "starvol-record", "version": 4}))
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"not a checkpoint file: {path}"
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "v9.json"
