@@ -1,14 +1,14 @@
-"""Command-line front end: train, estimate, sweep.
+"""Command-line front end: train, estimate.
 
 Every run is reproducible from its record: the master seed is ``--seed``
 (for ``train``, else the config's seed; 0 by default), all internal
 randomness is derived from it by fixed roles, and per-sample streams are
 split by sample index. Estimates run on one thread (``--threads`` changes
-nothing), so run separate processes for parallelism. ``estimate`` and
-every ``sweep`` point run through one point runner, ``_Target.record``, so
-a sweep point has an estimate's record, and each sweep output is built
-from those records in the same process. A loss-cost point's record also
-holds its description length, so no command reads a record back.
+nothing), so run separate processes for parallelism. One ``estimate`` runs
+every point, each combination of its checkpoints, maps and cutoffs, through
+one point runner, ``_Target.record``, and writes one record per point. A
+loss-cost point's record also holds its description length, so no command
+reads a record back.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ SEED_ROLES = {"data": 0, "init": 1, "train": 2}
 PRECONDITIONER_CHOICES = ("none", "hessian", "diag", "adam-nu")
 DATASET_KINDS = ("blobs", "spirals", "csv")
 THREADS_HELP = "accepted and validated (at least 1) but ignored: every ray runs on the calling thread; run separate processes for parallelism"
-TARGET_HELP = "quadratic: a synthetic |x|^2/2 cost under Lebesgue measure with the identity map; --kind cutoff only"
 
 
 def _at_least(least: int):
@@ -72,23 +71,21 @@ def _at_least(least: int):
     return parse
 
 
+def _positive_finite(text: str) -> float:
+    """An argparse type: a positive finite number; argparse names the flag in a refusal."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if 0 < value < math.inf:
+        return value
+    raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+
+
 def _dataset_kind(kind) -> str:
     if kind not in DATASET_KINDS:
         raise ValueError(f"expected one of {', '.join(DATASET_KINDS)}, got {kind!r}")
     return kind
-
-
-# flags shared by estimate and sweep, defined once in an argparse parent
-# parser (with --seed); every point's record lists each under "config"
-ESTIMATE_FLAGS = (
-    ("--cost", {"choices": ("kl", "loss"), "default": "kl"}),
-    ("--cutoff", {"type": float, "default": 1e-2}),
-    ("--k", {"type": _at_least(1), "default": 100}),
-    ("--preconditioner", {"choices": PRECONDITIONER_CHOICES, "default": "none"}),
-    ("--measure", {"choices": ("gaussian",), "default": "gaussian"}),  # only a checkpoint's own init prior
-    ("--threads", {"type": int, "default": SearchOptions.threads, "help": THREADS_HELP}),
-    ("--rel-tol", {"type": float, "default": SearchOptions.rel_tol}),
-)
 
 
 def _role_seed(master: int, role: str) -> np.random.SeedSequence:
@@ -209,7 +206,7 @@ def _half_square(x: np.ndarray) -> float:
 
 
 class _Target:
-    """What estimate and every sweep point estimate: a checkpoint, or the quadratic.
+    """What each point of an estimate estimates: a checkpoint, or the quadratic.
 
     A checkpoint's target is its ``--cost`` under the Gaussian prior that
     ``init_measure`` builds from its shape and ``model.init``, with its
@@ -265,37 +262,32 @@ class _Target:
         """``(record, estimate)`` of one point: the estimate at ``cutoff`` with map ``name``,
         and its run record.
 
-        The record's config lists the flags, the checkpoint path (null for
-        the quadratic, as are its cost and measure), the point's own cutoff
-        and map, the eps that map was shaped at (null for the identity map)
-        and the anchor's ``anchor_sha256``: every input of the map. The
-        record's ``preconditioner`` is the map's name. A loss-cost record
-        also holds ``m``, the training rows the loss averages over, and its
-        ``description_length``, −``log_volume`` + m × ``cutoff``.
-        ``estimate`` raises a failed estimate; a sweep gets a record with
-        ``status`` ``failed: <reason>`` and no estimate fields, and an
-        estimate of None.
+        The record's config lists the flags, the checkpoint path and step
+        (null for the quadratic, as are its cost and measure), the point's
+        own cutoff and map, the eps that map was shaped at (null for the
+        identity map) and the anchor's ``anchor_sha256``: every input of the
+        map. The record's ``preconditioner`` is the map's name. A loss-cost
+        record also holds ``m``, the training rows the loss averages over,
+        and its ``description_length``, −``log_volume`` + m × ``cutoff``. A
+        failed point's record has ``status`` ``failed: <reason>`` and no
+        estimate fields, and its estimate is None.
         """
-        args = self.args
-        config = {"checkpoint": self.path}
-        for flag, _ in ESTIMATE_FLAGS:
-            dest = flag[2:].replace("-", "_")
-            config[dest] = getattr(args, dest)
-        config.update(cutoff=cutoff, preconditioner=name, anchor_sha256=self.anchor_sha256, eps=DEFAULT_EPS.get(name))
-        if self.ckpt is None:  # the quadratic takes its cost, measure and map from no flag
+        args, ckpt = self.args, self.ckpt
+        config = {flag: getattr(args, flag) for flag in ("cost", "k", "measure", "threads", "rel_tol")}
+        config.update(checkpoint=self.path, step=None if ckpt is None else ckpt.step, cutoff=cutoff,
+                      preconditioner=name, anchor_sha256=self.anchor_sha256, eps=DEFAULT_EPS.get(name))
+        if ckpt is None:  # the quadratic takes its cost, measure and map from no flag
             config.update(cost=None, measure=None)
         start = time.perf_counter()
         try:
             spec = NeighborhoodSpec(self.anchor, self.cost, cutoff, self.measure)
             estimate = estimate_local_volume(spec, self.preconditioner(name), args.k, self.opts, seed)
         except (EstimationError, CostEvaluationError, PreconditionerError) as exc:
-            if args.command == "estimate":
-                raise
-            record = make_run_record(args.command, seed, config, None, time.perf_counter() - start)
+            record = make_run_record("estimate", seed, config, None, time.perf_counter() - start)
             record.update(k=args.k, cutoff=cutoff, measure=self.measure.kind, preconditioner=name,
                           status=f"failed: {exc}")
             return record, None
-        record = make_run_record(args.command, seed, config, estimate, time.perf_counter() - start)
+        record = make_run_record("estimate", seed, config, estimate, time.perf_counter() - start)
         record.update(preconditioner=name, build_seconds=self.build_seconds.get(name, {}))
         if config["cost"] == "loss":
             # every member of the neighborhood has m * loss < m * cutoff, so this
@@ -306,14 +298,49 @@ class _Target:
 
 
 def cmd_estimate(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    target = _Target(args, ckpt, args.checkpoint)
-    record, estimate = target.record(args.cutoff, args.preconditioner, args.seed)
-    out = Path(args.out)
-    write_json(out, record)
-    write_csv(out.with_suffix(".samples.csv"), sample_rows(estimate), SAMPLE_FIELDS)
+    """Estimate every point: each checkpoint in the order given (or the
+    quadratic), then each map, then each cutoff.
 
+    Every input is read before any point runs, so a malformed checkpoint
+    writes no file. A failed point gets its record; after every file is
+    written, the command fails if any point did.
+    """
+    if args.n is not None:  # |x|^2/2 has no loss, and its map is the identity
+        if args.cost != "kl":
+            raise ValueError(f"estimate --n takes no --cost {args.cost}")
+        if maps := [name for name in args.preconditioner if name != "none"]:
+            raise ValueError(f"estimate --n takes no --preconditioner {' '.join(maps)}")
+        targets = [_Target(args)]
+    else:
+        targets = [_Target(args, load_checkpoint(path), path) for path in args.checkpoint]
+    records, samples = [], []  # every point's record, and the sample rows of those that succeeded
+    while targets:
+        target = targets.pop(0)  # which frees the last checkpoint's target, and with it its maps
+        for name in args.preconditioner:
+            for cutoff in args.cutoff:
+                record, estimate = target.record(cutoff, name, args.seed)
+                _print_summary(len(records), record, estimate)
+                samples += sample_rows(estimate, point=len(records)) if estimate else []
+                records.append(record)
+                del estimate  # and with it the point's k x n block of directions
+
+    out = Path(args.out)
+    write_json(out, *records)
+    write_csv(out.with_suffix(".samples.csv"), samples, ["point", *SAMPLE_FIELDS])
+    print(f"{len(records)} points -> {out}")
+    if failed := [r["status"] for r in records if r["status"] != "ok"]:
+        first = failed[0].removeprefix("failed: ")
+        raise EstimationError(f"{len(failed)} of {len(records)} points failed; the first: {first}")
+    return 0
+
+
+def _print_summary(point: int, record: dict, estimate) -> None:
+    """One line of a point's numbers, or of its failure."""
+    if estimate is None:
+        print(f"point={point} {record['status']}")
+        return
     print(
+        f"point={point} "
         "log_volume={log_volume:.6f} log10={log10_volume:.4f} k={k} n={n} measure={measure} "
         "preconditioner={preconditioner} truncated={truncated_count} failed={failed_count} "
         "cost_evals={cost_evals} evals_per_ray={evals_per_ray:.2f} ess={ess:.2f} top_share={top_share:.3f} "
@@ -321,98 +348,6 @@ def cmd_estimate(args) -> int:
         + (f"description_length={record['description_length']:.4f} " if "description_length" in record else "")
         + " ".join(f"{stage}_cpu_s={took['cpu']:.4f}" for stage, took in record["stage_seconds"].items())
     )
-    return 0
-
-
-# -- sweep ---------------------------------------------------------------------
-
-# the record fields a sweep CSV row holds after its kind and value
-SWEEP_FIELDS = ["n", "k", "cutoff", "measure", "preconditioner", "log_volume", "log10_volume", "description_length",
-                "truncated_count", "failed_count", "status"]
-
-# the flags each sweep target and kind does not read, refused when given away
-# from their defaults: a kind sets each point's own value of the flag it
-# varies, and the quadratic's cost and map come from no flag
-SWEEP_UNREAD = {
-    ("checkpoint", "cutoff"): ("n", "cutoff"),
-    ("checkpoint", "checkpoint"): ("checkpoint", "n"),
-    ("checkpoint", "preconditioner"): ("n", "preconditioner"),
-    ("quadratic", "cutoff"): ("checkpoint", "cost", "cutoff", "preconditioner"),
-}
-
-
-def _cutoff_entry(entry: str) -> float:
-    """One ``--values`` entry of a cutoff sweep as a positive finite float, or a refusal
-    naming the flag and the entry."""
-    try:
-        cutoff = float(entry)
-    except ValueError:
-        raise ValueError(f"sweep --values entry {entry!r} is not a number") from None
-    if not 0 < cutoff < math.inf:
-        raise ValueError(f"sweep --values entry {entry!r} is not a positive finite cutoff")
-    return cutoff
-
-
-def _sweep_targets(args) -> list[tuple]:
-    """The sweep's targets, each (its checkpoint and path, or () for the quadratic, its points).
-
-    A point is (value, cutoff, preconditioner).
-    """
-    kind, unread = args.kind, SWEEP_UNREAD.get((args.target, args.kind))
-    if unread is None:
-        raise ValueError(f"sweep --target quadratic sweeps --kind cutoff only, not --kind {kind}")
-    defaults = build_parser().parse_args(["sweep", "--kind", kind])
-    if given := [f"--{dest.replace('_', '-')}" for dest in unread if getattr(args, dest) != getattr(defaults, dest)]:
-        scope = "--target quadratic" if args.target == "quadratic" else f"--kind {kind}"
-        raise ValueError(f"sweep {scope} takes no {', '.join(given)}")
-    values = [v for v in args.values.split(",") if v]
-    if not values:
-        raise ValueError(f"sweep --kind {kind} requires --values")
-    if kind == "cutoff":
-        values = [_cutoff_entry(v) for v in values]
-    if kind == "preconditioner" and (unknown := [v for v in values if v not in PRECONDITIONER_CHOICES]):
-        raise ValueError(f"sweep --values entry {unknown[0]!r} is not a map: expected one of "
-                         f"{', '.join(PRECONDITIONER_CHOICES)}")
-    if args.target == "quadratic":
-        return [((), [(v, v, "none") for v in values])]
-    if kind == "checkpoint":
-        ckpts = sorted(((load_checkpoint(p), p) for p in values), key=lambda pair: pair[0].step)
-        return [((c, p), [(c.step, args.cutoff, args.preconditioner)]) for c, p in ckpts]
-    if args.checkpoint is None:
-        raise ValueError(f"sweep --kind {kind} requires --checkpoint")
-    source = (load_checkpoint(args.checkpoint), args.checkpoint)
-    if kind == "cutoff":
-        return [(source, [(v, v, args.preconditioner) for v in values])]
-    return [(source, [(v, args.cutoff, v) for v in values])]
-
-
-def cmd_sweep(args) -> int:
-    points, samples = [], []  # (value, record) of each point, and the sample rows of those that succeeded
-    for source, values in _sweep_targets(args):
-        # an input the target refuses exits; a failed estimate gets a record
-        target = None  # free the last checkpoint's curvature first
-        target = _Target(args, *source)
-        for value, cutoff, name in values:
-            record, estimate = target.record(cutoff, name, args.seed)
-            samples += sample_rows(estimate, point=len(points)) if estimate else []
-            points.append((value, record))
-            del estimate  # and with it the point's k x n block of directions
-
-    out = Path(args.out)
-    rows = [{"kind": args.kind, "value": value, **{f: r[f] for f in SWEEP_FIELDS if f in r}} for value, r in points]
-    write_csv(out, rows, ["kind", "value", *SWEEP_FIELDS])
-    write_json(out.with_suffix(".records.jsonl"), *(r for _, r in points))
-    write_csv(out.with_suffix(".samples.csv"), samples, ["point", *SAMPLE_FIELDS])
-    # a slope needs two distinct cutoffs that succeeded
-    done = [r for _, r in points if r["status"] == "ok"]
-    slope = None
-    if args.kind == "cutoff" and len({r["cutoff"] for r in done}) >= 2:
-        xs = [math.log(r["cutoff"]) for r in done]
-        slope = float(np.polyfit(xs, [r["log_volume"] for r in done], 1)[0])
-        print(f"fitted log-log slope of volume vs cutoff: {slope:.4f}")
-    write_json(out.with_suffix(".summary.json"), {"kind": args.kind, "log_log_slope": slope, "seed": args.seed})
-    print(f"{len(rows)} sweep rows -> {out}")
-    return 0
 
 
 # -- parser ----------------------------------------------------------------------
@@ -431,27 +366,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=_at_least(0), help="master seed (default: the config's seed, else 0)")
     p_train.set_defaults(func=cmd_train)
 
-    shared = argparse.ArgumentParser(add_help=False)
-    for flag, options in ESTIMATE_FLAGS:
-        shared.add_argument(flag, **options)
-    shared.add_argument("--seed", type=_at_least(0), default=0, help="master seed")
-
-    p_est = sub.add_parser("estimate", parents=[shared], help="estimate a checkpoint's local volume")
-    p_est.add_argument("--checkpoint", type=str, required=True)
+    p_est = sub.add_parser("estimate", help="estimate the local volume at every checkpoint, map and cutoff")
+    target = p_est.add_mutually_exclusive_group(required=True)
+    target.add_argument("--checkpoint", nargs="+", help="checkpoint files, estimated in the order given")
+    target.add_argument("--n", type=_at_least(1),
+                        help="estimate a synthetic |x|^2/2 cost in n dimensions under Lebesgue measure instead")
+    # each point's record lists every flag below but --seed and --out under "config"
+    p_est.add_argument("--cost", choices=("kl", "loss"), default="kl")
+    p_est.add_argument("--cutoff", type=_positive_finite, nargs="+", default=[1e-2])
+    p_est.add_argument("--k", type=_at_least(1), default=100)
+    p_est.add_argument("--preconditioner", choices=PRECONDITIONER_CHOICES, nargs="+", default=["none"])
+    p_est.add_argument("--measure", choices=("gaussian",), default="gaussian")  # only a checkpoint's own init prior
+    p_est.add_argument("--threads", type=_at_least(1), default=SearchOptions.threads, help=THREADS_HELP)
+    p_est.add_argument("--rel-tol", type=_positive_finite, default=SearchOptions.rel_tol)
+    p_est.add_argument("--seed", type=_at_least(0), default=0, help="master seed")
     p_est.add_argument("--out", type=str, default="runs.jsonl")
     p_est.set_defaults(func=cmd_estimate)
-
-    p_sweep = sub.add_parser(
-        "sweep", parents=[shared], help="sweep cutoff, checkpoints, or preconditioners"
-    )
-    p_sweep.add_argument("--kind", choices=("cutoff", "checkpoint", "preconditioner"), required=True)
-    p_sweep.add_argument("--values", type=str, default="", help="comma-separated cutoffs, checkpoints or maps")
-    p_sweep.add_argument("--checkpoint", type=str, default=None)
-    targets = ("checkpoint", "quadratic")
-    p_sweep.add_argument("--target", choices=targets, default="checkpoint", help=TARGET_HELP)
-    p_sweep.add_argument("--n", type=_at_least(1), default=100, help="dimension for --target quadratic")
-    p_sweep.add_argument("--out", type=str, default="sweep.csv")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 

@@ -2,11 +2,11 @@
 
 Configs are one JSON object with the sections documented in the README,
 read through ``codec.Fields``, which refuses a null value; ``--seed``
-overrides the file's seed. An estimate writes one JSON Lines record, and a
-sweep one per point, each built here and written by ``codec.write_json``,
-holding the resolved config, the seed, and the aggregated result, with
-per-sample detail in a sibling CSV, so any reported number can be replayed
-from its record alone. starvol writes records and never reads one back.
+overrides the file's seed. An estimate writes one JSON Lines record per
+point, each built here and written by ``codec.write_json``, holding the
+resolved config, the seed, and the aggregated result, with per-sample
+detail in a sibling CSV, so any reported number can be replayed from its
+record alone. starvol writes records and never reads one back.
 """
 
 from __future__ import annotations

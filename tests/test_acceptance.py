@@ -280,13 +280,14 @@ def test_08_radial_integral_accuracy():
 
 def test_09_cutoff_scaling(tmp_path):
     t0 = time.perf_counter()
-    out = tmp_path / "sweep.csv"
+    out = tmp_path / "runs.jsonl"
     rc = cli_main([
-        "sweep", "--kind", "cutoff", "--target", "quadratic", "--n", "100",
-        "--k", "16", "--values", "1e-4,1e-3,1e-2,1e-1", "--out", str(out), "--seed", "9",
+        "estimate", "--n", "100", "--k", "16", "--cutoff", "1e-4", "1e-3", "1e-2", "1e-1",
+        "--out", str(out), "--seed", "9",
     ])
-    summary = json.loads(out.with_suffix(".summary.json").read_text())
-    slope = summary["log_log_slope"]
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    xs = [math.log(r["cutoff"]) for r in records]
+    slope = float(np.polyfit(xs, [r["log_volume"] for r in records], 1)[0])
     dt = time.perf_counter() - t0
     _report(
         9, "cutoff-scaling", rc == 0 and abs(slope - 50.0) / 50.0 <= 0.05 and dt < 60.0,

@@ -6,6 +6,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -49,13 +51,21 @@ TRAIN_CONFIG = {
 }
 
 
-# flags that no command has any longer, each refused by argparse: (command, flag, value)
+# flags that estimate no longer has, each refused by argparse: (target, flag, value)
 DELETED_FLAGS = [
-    *((command, flag, value) for flag, value in (("--r-init", "1"), ("--max-iters", "5"), ("--r-max", "10"),
-                                                 ("--precond-file", "map.json"))
-      for command in ("estimate", "sweep")),
-    ("estimate", "--save-precond", "map.json"),
+    *((target, flag, value) for flag, value in (("--r-init", "1"), ("--max-iters", "5"), ("--r-max", "10"),
+                                                ("--precond-file", "map.json"))
+      for target in ("checkpoint", "quadratic")),
+    ("checkpoint", "--save-precond", "map.json"),
 ]
+
+
+def _readme_commands():
+    """Every ``starvol`` command in README's ``sh`` blocks, its continued lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    return [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("starvol ")]
 
 
 def _read_csv(path):
@@ -161,9 +171,8 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out", str(out), *flag]) == 0
         assert {json.loads(p.read_text())["config"]["seed"] for p in out.glob("checkpoint_step*.json")} == {seed}
 
-    @pytest.mark.parametrize("argv", [["train"], ["estimate", "--checkpoint", "c.json"],
-                                      ["sweep", "--kind", "cutoff", "--values", "1e-2", "--target", "quadratic"]],
-                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", [["train"], ["estimate", "--checkpoint", "c.json"], ["estimate", "--n", "5"]],
+                             ids=["train", "estimate", "estimate-quadratic"])
     @pytest.mark.parametrize("seed", ["-2", "1.5"])
     def test_seed_flag_is_a_non_negative_integer(self, argv, seed, tmp_path, capsys):
         # a negative seed used to exit 2 with only numpy's "expected
@@ -177,9 +186,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("argv, flag", [
         (["estimate", "--checkpoint", "c.json"], "--k"),
-        (["sweep", "--kind", "cutoff", "--values", "1e-2", "--target", "quadratic"], "--k"),
-        (["sweep", "--kind", "cutoff", "--values", "1e-2", "--target", "quadratic"], "--n"),
-    ], ids=["estimate-k", "sweep-k", "sweep-n"])
+        (["estimate", "--n", "5"], "--k"),
+        (["estimate"], "--n"),
+    ], ids=["estimate-k", "quadratic-k", "quadratic-n"])
     def test_count_flag_below_one_exits_2(self, argv, flag, tmp_path, capsys):
         # these named no flag: "k must be >= 1, got 0" and "dimension must be >= 1, got 0"
         out = tmp_path / "out"
@@ -374,9 +383,12 @@ class TestEstimate:
         flat = load_checkpoint(final_checkpoint).params.flat
         digest = hashlib.sha256(flat.astype("<f8").tobytes()).hexdigest()
         assert record["config"]["anchor_sha256"] == digest
+        assert (record["config"]["checkpoint"], record["config"]["step"]) == (str(final_checkpoint), 12)
         assert record["log_term_sd"] >= 0.0 and math.isfinite(record["prefix_rise"])
         assert record["build_seconds"] == {}  # the identity map is built from no probe
         summary = capsys.readouterr().out
+        assert summary.startswith("point=0 log_volume=")
+        assert summary.endswith(f"\n1 points -> {out}\n")
         assert (
             f"cost_evals={record['cost_evals']} evals_per_ray={record['evals_per_ray']:.2f} "
             f"ess={record['ess']:.2f} top_share={record['top_share']:.3f} "
@@ -467,10 +479,11 @@ class TestEstimate:
         assert record["build_seconds"] == {}  # Adam's second moment needs no probe
         # a softmax net's Lebesgue volume is infinite, so a checkpoint has
         # only its own init measure
-        for argv in (["estimate"], ["sweep", "--kind", "cutoff", "--values", "1e-2"]):
-            lebesgue = tmp_path / f"{argv[0]}-lebesgue.out"
+        for cutoffs in (["1e-2"], ["1e-2", "1e-1"]):
+            lebesgue = tmp_path / f"{len(cutoffs)}-lebesgue.out"
             with pytest.raises(SystemExit) as info:
-                main([*argv, "--checkpoint", str(final_checkpoint), "--measure", "lebesgue", "--out", str(lebesgue)])
+                main(["estimate", "--checkpoint", str(final_checkpoint), "--cutoff", *cutoffs,
+                      "--measure", "lebesgue", "--out", str(lebesgue)])
             assert info.value.code == 2
             assert "argument --measure: invalid choice: 'lebesgue'" in capsys.readouterr().err
             assert not lebesgue.exists()
@@ -488,7 +501,7 @@ class TestEstimate:
         self, final_checkpoint, tmp_path, capsys, monkeypatch
     ):
         # the anchor's training loss is about 0.1; the spec rejects it before
-        # any curvature is probed
+        # any curvature is probed, and the failed point still gets its record
         counts = _count_calls(monkeypatch, "hessian_full")
         out = tmp_path / "o.jsonl"
         rc = main([
@@ -496,9 +509,11 @@ class TestEstimate:
             "--preconditioner", "hessian", "--out", str(out),
         ])
         assert rc == 2
-        assert "anchor cost" in capsys.readouterr().err
+        (record,) = _read_jsonl(out)
+        assert record["status"].startswith("failed: anchor cost")
+        assert capsys.readouterr().err == f"error: 1 of 1 points failed; the first: {record['status'][8:]}\n"
         assert counts == {"hessian_full": 0}
-        assert not out.exists()
+        assert _read_csv(out.with_suffix(".samples.csv")) == []
 
     @pytest.mark.parametrize("name", ["hessian", "diag"])
     def test_loss_curvature_maps(self, name, final_checkpoint, tmp_path):
@@ -523,43 +538,51 @@ class TestEstimate:
             ])
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("command, flag, value", DELETED_FLAGS,
-                             ids=[f"{flag}-{value}-{command}" for command, flag, value in DELETED_FLAGS])
-    def test_deleted_search_flags_exit_2(self, command, flag, value, final_checkpoint, tmp_path, capsys,
+    @pytest.mark.parametrize("target, flag, value", DELETED_FLAGS,
+                             ids=[f"{flag}-{value}-{target}" for target, flag, value in DELETED_FLAGS])
+    def test_deleted_search_flags_exit_2(self, target, flag, value, final_checkpoint, tmp_path, capsys,
                                          monkeypatch):
         # the search starts ray 0 at radius 1 and later rays at the earlier
         # rays' median, its evaluation budget is fixed, and every ray stops at
         # the measure's cap, so none of them is a flag; every map is built
         # from the checkpoint that the record names, so none is saved or loaded
         monkeypatch.chdir(tmp_path)
-        argv = [command, "--checkpoint", str(final_checkpoint), flag, value, "--out", "o.out"]
+        source = ["--checkpoint", str(final_checkpoint)] if target == "checkpoint" else ["--n", "5"]
         with pytest.raises(SystemExit) as info:
-            main(argv + (["--kind", "cutoff", "--values", "1e-2"] if command == "sweep" else []))
+            main(["estimate", *source, flag, value, "--out", "o.out"])
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, message", [
-        (["estimate", "--eps", "0.1"], "unrecognized arguments: --eps 0.1"),
-        (["sweep", "--kind", "cutoff", "--values", "1e-2", "--eps", "0.1"], "unrecognized arguments: --eps 0.1"),
-        (["sweep", "--kind", "eps", "--values", "1e-3,1e-2"], "argument --kind: invalid choice: 'eps'"),
-    ])
+        (["--eps", "0.1"], "unrecognized arguments: --eps 0.1"),
+        (["--cutoff", "1e-2", "1e-1", "--eps", "0.1"], "unrecognized arguments: --eps 0.1"),
+        (["--eps", "1e-3", "1e-2"], "unrecognized arguments: --eps 1e-3 1e-2"),
+    ], ids=["one-point", "several-points", "eps-list"])
     def test_eps_is_not_an_option(self, argv, message, final_checkpoint, tmp_path, capsys):
         # each named map is shaped at its DEFAULT_EPS, so there is no eps to set or sweep
         out = tmp_path / "o.out"
         with pytest.raises(SystemExit) as info:
-            main([*argv, "--checkpoint", str(final_checkpoint), "--preconditioner", "diag", "--out", str(out)])
+            main(["estimate", *argv, "--checkpoint", str(final_checkpoint), "--preconditioner", "diag",
+                  "--out", str(out)])
         assert info.value.code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--rel-tol", "-1"), ("--threads", "-3")])
-    def test_invalid_search_option_exits_2(self, flag, value, final_checkpoint, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, expected", [
+        *(("--rel-tol", value, "a positive finite number") for value in ("-1", "0", "nan", "inf")),
+        *(("--threads", value, "an integer >= 1") for value in ("-3", "0")),
+    ])
+    def test_invalid_search_option_exits_2(self, flag, value, expected, tmp_path, capsys):
+        # each was refused only after the checkpoint and its datasets were
+        # built, naming rel_tol or threads, not the flag; now argparse refuses
+        # it before the (missing) checkpoint is read
         out = tmp_path / "o.jsonl"
-        rc = main(["estimate", "--checkpoint", str(final_checkpoint), flag, value, "--out", str(out)])
-        assert rc == 2
-        assert flag[2:].replace("-", "_") in capsys.readouterr().err
-        assert not out.exists()
+        with pytest.raises(SystemExit) as info:
+            main(["estimate", "--checkpoint", str(tmp_path / "nope.json"), flag, value, "--out", str(out)])
+        assert info.value.code == 2
+        assert f"argument {flag}: expected {expected}, got '{value}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         rc = main(["estimate", "--checkpoint", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.jsonl")])
@@ -613,16 +636,19 @@ class TestEstimate:
         # and a short adam_nu passed unless the adam-nu map was built;
         # TestCheckpointFile checks every refusal of the file itself.
         # A mangle edits the file's object in place or returns a new root.
+        # The bad file follows a good one, and is refused before any point runs.
         monkeypatch.chdir(tmp_path)
+        counts = _count_calls(monkeypatch, "estimate_local_volume")
         data = json.loads(final_checkpoint.read_text())
         root = mangle(data)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data if root is None else root))
         out = tmp_path / "o.jsonl"
-        assert main(["estimate", "--checkpoint", str(bad), "--k", "2", "--out", str(out)]) == 2
+        assert main(["estimate", "--checkpoint", str(final_checkpoint), str(bad), "--k", "2", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {reason.format(bad=bad)}")
         assert str(bad) in err
+        assert counts == {"estimate_local_volume": 0}
         assert not out.exists()
 
     def test_eps_is_recorded_only_for_a_shaped_map(self, final_checkpoint, tmp_path):
@@ -663,73 +689,73 @@ class TestPriorHitRate:
             assert above <= allowed
 
 
-class TestSweep:
-    def test_cutoff_sweep_recovers_half_dimension_slope(self, tmp_path):
-        out = tmp_path / "sweep.csv"
+class TestPoints:
+    def test_cutoff_points_recover_half_dimension_slope(self, tmp_path):
+        out = tmp_path / "runs.jsonl"
         rc = main([
-            "sweep", "--kind", "cutoff", "--target", "quadratic", "--n", "40",
-            "--k", "16", "--values", "1e-4,1e-3,1e-2,1e-1",
+            "estimate", "--n", "40", "--k", "16", "--cutoff", "1e-4", "1e-3", "1e-2", "1e-1",
             "--out", str(out), "--seed", "2",
         ])
         assert rc == 0
-        rows = _read_csv(out)
-        assert [r["status"] for r in rows] == ["ok"] * 4
-        summary = json.loads(out.with_suffix(".summary.json").read_text())
-        # n/2 power law for the quadratic cost; same directions per cutoff, so
-        # the only noise is the radius search tolerance (1e-4 relative)
-        assert summary["log_log_slope"] == pytest.approx(20.0, rel=1e-3)
+        records = _read_jsonl(out)
+        assert [r["status"] for r in records] == ["ok"] * 4
+        # n/2 power law for the quadratic cost, fitted from the records; same
+        # directions per cutoff, so the only noise is the radius search
+        # tolerance (1e-4 relative)
+        slope = np.polyfit([math.log(r["cutoff"]) for r in records], [r["log_volume"] for r in records], 1)[0]
+        assert slope == pytest.approx(20.0, rel=1e-3)
 
-    def test_equal_cutoffs_fit_no_slope(self, tmp_path, capsys, recwarn):
-        # a fit through one distinct cutoff warned and reported a slope of noise
-        out = tmp_path / "sweep.csv"
-        rc = main(["sweep", "--kind", "cutoff", "--target", "quadratic", "--n", "5", "--k", "4",
-                   "--values", "1e-2,1e-2", "--out", str(out)])
-        assert rc == 0
-        assert [r["status"] for r in _read_csv(out)] == ["ok"] * 2
-        assert json.loads(out.with_suffix(".summary.json").read_text()) == {
-            "kind": "cutoff", "log_log_slope": None, "seed": 0}
-        assert "slope" not in capsys.readouterr().out
-        assert not recwarn.list
+    def test_every_run_rewrites_its_files(self, tmp_path):
+        # a run of fewer points leaves no record or sample row of the last run
+        out = tmp_path / "runs.jsonl"
+        argv = ["estimate", "--n", "5", "--k", "4", "--out", str(out)]
+        assert main([*argv, "--cutoff", "1e-2", "1e-1"]) == 0
+        assert len(_read_jsonl(out)) == 2
+        assert main([*argv, "--cutoff", "1e-2"]) == 0
+        assert [r["cutoff"] for r in _read_jsonl(out)] == [1e-2]
+        assert {r["point"] for r in _read_csv(out.with_suffix(".samples.csv"))} == {"0"}
 
-    def test_every_sweep_rewrites_its_summary(self, tmp_path):
-        # a sweep that fitted no slope used to leave the last run's summary in place
-        out = tmp_path / "sweep.csv"
-        argv = ["sweep", "--kind", "cutoff", "--target", "quadratic", "--n", "5", "--k", "4", "--out", str(out)]
-        assert main([*argv, "--values", "1e-2,1e-1"]) == 0
-        assert json.loads(out.with_suffix(".summary.json").read_text())["log_log_slope"] is not None
-        assert main([*argv, "--values", "1e-2"]) == 0
-        assert len(_read_csv(out)) == 1
-        assert json.loads(out.with_suffix(".summary.json").read_text())["log_log_slope"] is None
+    def test_checkpoints_run_in_the_order_given(self, train_run, tmp_path):
+        out = tmp_path / "ckpt.jsonl"
+        paths = [str(p) for p in reversed(train_run["checkpoints"])]
+        assert main(["estimate", "--checkpoint", *paths, "--k", "6", "--out", str(out), "--seed", "1"]) == 0
+        records = _read_jsonl(out)
+        assert [(r["config"]["checkpoint"], r["config"]["step"]) for r in records] == list(
+            zip(paths, [12, 9, 6, 3, 0]))
+        assert all(r["status"] == "ok" for r in records)
 
-    def test_checkpoint_sweep_sorts_by_step(self, train_run, tmp_path):
-        out = tmp_path / "ckpt.csv"
-        paths = ",".join(str(p) for p in reversed(train_run["checkpoints"]))
-        rc = main([
-            "sweep", "--kind", "checkpoint", "--values", paths,
-            "--k", "6", "--out", str(out), "--seed", "1",
-        ])
-        assert rc == 0
-        rows = _read_csv(out)
-        assert [int(r["value"]) for r in rows] == [0, 3, 6, 9, 12]
-        assert all(r["status"] == "ok" for r in rows)
+    def test_points_are_checkpoints_then_maps_then_cutoffs(self, train_run, tmp_path):
+        out = tmp_path / "runs.jsonl"
+        first, last = (str(p) for p in train_run["checkpoints"][-2:])
+        assert main(["estimate", "--checkpoint", last, first, "--preconditioner", "adam-nu", "none",
+                     "--cutoff", "1e-2", "1e-1", "--k", "2", "--out", str(out)]) == 0
+        got = [(r["config"]["checkpoint"], r["preconditioner"], r["cutoff"]) for r in _read_jsonl(out)]
+        assert got == [(path, name, cutoff) for path in (last, first) for name in ("adam-nu", "none")
+                       for cutoff in (1e-2, 1e-1)]
+        assert [r["point"] for r in _read_csv(out.with_suffix(".samples.csv"))] == [str(i) for i in range(8)
+                                                                                   for _ in range(2)]
 
-    def test_preconditioner_sweep_flags_unknown_name(self, final_checkpoint, tmp_path):
+    def test_unknown_map_is_refused_before_any_point(self, final_checkpoint, tmp_path, capsys):
         # an entry that is not a map is refused before any point is estimated
-        out = tmp_path / "precond.csv"
-        argv = ["sweep", "--kind", "preconditioner", "--checkpoint", str(final_checkpoint), "--k", "6",
-                "--out", str(out), "--seed", "1"]
-        assert main([*argv, "--values", "none,adam-nu,bogus"]) == 2
+        out = tmp_path / "maps.jsonl"
+        argv = ["estimate", "--checkpoint", str(final_checkpoint), "--k", "6", "--out", str(out), "--seed", "1"]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--preconditioner", "none", "adam-nu", "bogus"])
+        assert info.value.code == 2
+        assert "argument --preconditioner: invalid choice: 'bogus'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-        assert main([*argv, "--values", "none,adam-nu"]) == 0
-        assert [(r["value"], r["status"]) for r in _read_csv(out)] == [("none", "ok"), ("adam-nu", "ok")]
+        assert main([*argv, "--preconditioner", "none", "adam-nu"]) == 0
+        assert [(r["preconditioner"], r["status"]) for r in _read_jsonl(out)] == [("none", "ok"), ("adam-nu", "ok")]
 
-    @pytest.mark.parametrize("kind, name, counts", [
-        # one curvature probe, at most one eigendecomposition and one map,
-        # which every point reuses
-        ("cutoff", "hessian", {"hessian_full": 1, "eigh": 1, "from_diagonal": 1}),
-        ("cutoff", "diag", {"hessian_diag": 1, "eigh": 0, "from_diagonal": 1}),
-    ])
-    def test_sweep_probes_curvature_once(self, kind, name, counts, final_checkpoint, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("names, checkpoints, counts", [
+        # one curvature probe, at most one eigendecomposition and one map per
+        # checkpoint and name, which every cutoff reuses
+        (["hessian"], 1, {"hessian_full": 1, "hessian_diag": 0, "eigh": 1, "from_diagonal": 1}),
+        (["diag"], 1, {"hessian_full": 0, "hessian_diag": 1, "eigh": 0, "from_diagonal": 1}),
+        (["hessian", "diag"], 1, {"hessian_full": 1, "hessian_diag": 1, "eigh": 1, "from_diagonal": 2}),
+        (["hessian"], 2, {"hessian_full": 2, "hessian_diag": 0, "eigh": 2, "from_diagonal": 2}),
+    ], ids=["hessian", "diag", "hessian-diag", "hessian-two-checkpoints"])
+    def test_each_map_is_built_once(self, names, checkpoints, counts, train_run, tmp_path, monkeypatch):
         calls = _count_calls(monkeypatch, *(key for key in counts if key != "eigh"))
         real_eigh = scipy.linalg.eigh
 
@@ -739,168 +765,143 @@ class TestSweep:
 
         calls["eigh"] = 0
         monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+        out = tmp_path / "runs.jsonl"
+        paths = [str(path) for path in train_run["checkpoints"][-checkpoints:]]
         rc = main([
-            "sweep", "--kind", kind, "--preconditioner", name,
-            "--values", "0.01,0.1,1.0", "--checkpoint", str(final_checkpoint),
-            "--k", "4", "--out", str(tmp_path / "sweep.csv"), "--seed", "1",
+            "estimate", "--checkpoint", *paths, "--preconditioner", *names,
+            "--cutoff", "0.01", "0.1", "1.0", "--k", "4", "--out", str(out), "--seed", "1",
         ])
         assert rc == 0
-        assert all(r["status"] == "ok" for r in _read_csv(tmp_path / "sweep.csv"))
+        assert [r["status"] for r in _read_jsonl(out)] == ["ok"] * 3 * len(names) * checkpoints
         assert calls == counts
 
-    def test_quadratic_sweep_writes_failed_rows(self, tmp_path, monkeypatch):
+    def test_failed_quadratic_points_are_written_then_exit_2(self, tmp_path, monkeypatch, capsys):
         # two cost evaluations cannot narrow the bracket to the 1e-4
         # tolerance (on this quadratic the search needs three), so every ray
-        # fails and each point writes a failed row that names the reason
+        # fails and each point writes a failed record that names the reason
         monkeypatch.setattr(geometry, "MAX_EVALS", 2)
-        out = tmp_path / "sweep.csv"
-        rc = main([
-            "sweep", "--kind", "cutoff", "--target", "quadratic", "--n", "20",
-            "--k", "8", "--values", "1e-2,1e-1", "--out", str(out), "--seed", "1",
-        ])
-        assert rc == 0
-        rows = _read_csv(out)
-        reason = "RadiusSearchError: radius search did not converge to rel_tol=0.0001"
-        assert [r["status"] for r in rows] == [f"failed: no valid samples (8 rays: {reason})"] * 2
-        assert {(r["measure"], r["preconditioner"]) for r in rows} == {("lebesgue", "none")}
-        # each failed point still has its record, with the row's status and no estimate fields
-        records = _read_jsonl(out.with_suffix(".records.jsonl"))
-        assert [r["status"] for r in records] == [r["status"] for r in rows]
+        out = tmp_path / "runs.jsonl"
+        rc = main(["estimate", "--n", "20", "--k", "8", "--cutoff", "1e-2", "1e-1", "--out", str(out),
+                   "--seed", "1"])
+        assert rc == 2
+        reason = "no valid samples (8 rays: RadiusSearchError: radius search did not converge to rel_tol=0.0001)"
+        assert capsys.readouterr().err == f"error: 2 of 2 points failed; the first: {reason}\n"
+        # each failed point has its record, with its status and no estimate fields
+        records = _read_jsonl(out)
+        assert [r["status"] for r in records] == [f"failed: {reason}"] * 2
         assert not any("log_volume" in r for r in records)
-        assert [(r["cutoff"], r["config"]["checkpoint"]) for r in records] == [(1e-2, None), (1e-1, None)]
+        assert {(r["measure"], r["preconditioner"]) for r in records} == {("lebesgue", "none")}
+        assert [(r["cutoff"], r["config"]["checkpoint"], r["config"]["step"]) for r in records] == [
+            (1e-2, None, None), (1e-1, None, None)]
         # the quadratic's cost, measure and map come from no flag
         assert {(r["config"]["cost"], r["config"]["measure"]) for r in records} == {(None, None)}
         assert _read_csv(out.with_suffix(".samples.csv")) == []
 
     @pytest.mark.parametrize("argv, message", [
-        (["--kind", "checkpoint", "--values", "a.json"], "sweep --target quadratic sweeps --kind cutoff only"),
-        (["--kind", "preconditioner", "--values", "none"], "sweep --target quadratic sweeps --kind cutoff only"),
         # its cost is |x|^2/2 under the identity map, so a flag that would change either is refused
-        (["--kind", "cutoff", "--values", "1e-2", "--cost", "loss"], "sweep --target quadratic takes no --cost"),
-        (["--kind", "cutoff", "--values", "1e-2", "--preconditioner", "hessian"],
-         "sweep --target quadratic takes no --preconditioner"),
-        # and it has no checkpoint, and the kind sets each point's cutoff
-        (["--kind", "cutoff", "--values", "1e-2", "--checkpoint", "nonexistent.json"],
-         "sweep --target quadratic takes no --checkpoint"),
-        (["--kind", "cutoff", "--values", "1e-2", "--cutoff", "0.5"], "sweep --target quadratic takes no --cutoff"),
-    ])
-    def test_quadratic_sweep_refusals_exit_2(self, argv, message, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--target", "quadratic", *argv, "--k", "2", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        (["--cost", "loss"], "estimate --n takes no --cost loss"),
+        (["--preconditioner", "hessian"], "estimate --n takes no --preconditioner hessian"),
+        (["--preconditioner", "none", "diag", "adam-nu"], "estimate --n takes no --preconditioner diag adam-nu"),
+    ], ids=["cost-loss", "hessian", "maps"])
+    def test_quadratic_refusals_exit_2(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "runs.jsonl"
+        assert main(["estimate", "--n", "5", *argv, "--k", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_quadratic_sweep_truncates_at_the_measure_cap(self, tmp_path, monkeypatch):
+    def test_quadratic_truncates_at_the_measure_cap(self, tmp_path, monkeypatch):
         # both cutoffs' boundaries, radii sqrt(0.02) and sqrt(0.2), lie past
         # a Lebesgue cap of 0.1, so every ray is truncated there and each
         # point is the volume of the n = 20 ball of radius 0.1
         monkeypatch.setattr(geometry, "LEBESGUE_R_MAX", 0.1)
-        out = tmp_path / "sweep.csv"
-        rc = main([
-            "sweep", "--kind", "cutoff", "--target", "quadratic", "--n", "20",
-            "--k", "8", "--values", "1e-2,1e-1", "--out", str(out), "--seed", "1",
-        ])
+        out = tmp_path / "runs.jsonl"
+        rc = main(["estimate", "--n", "20", "--k", "8", "--cutoff", "1e-2", "1e-1", "--out", str(out),
+                   "--seed", "1"])
         assert rc == 0
-        rows = _read_csv(out)
-        assert [(r["status"], r["truncated_count"]) for r in rows] == [("ok", "8")] * 2
+        records = _read_jsonl(out)
+        assert [(r["status"], r["truncated_count"]) for r in records] == [("ok", 8)] * 2
         ball = log_sphere_area(20) - math.log(20) + 20 * math.log(0.1)
-        assert [float(r["log_volume"]) for r in rows] == pytest.approx([ball] * 2, abs=1e-12)
-        assert {r["measure"] for r in rows} == {"lebesgue"}
+        assert [r["log_volume"] for r in records] == pytest.approx([ball] * 2, abs=1e-12)
+        assert {r["measure"] for r in records} == {"lebesgue"}
 
-    def test_cutoff_sweep_rows_match_estimate_runs(self, final_checkpoint, tmp_path):
+    def test_each_point_equals_its_one_point_run(self, final_checkpoint, tmp_path):
         cutoffs = ("1e-3", "1e-2", "1e-1")
         shared = [
             "--checkpoint", str(final_checkpoint), "--k", "5",
             "--preconditioner", "diag", "--seed", "7",
         ]
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--kind", "cutoff", "--values", ",".join(cutoffs), "--out", str(out), *shared]) == 0
-        rows = _read_csv(out)
-        swept = _read_jsonl(out.with_suffix(".records.jsonl"))
-        assert len(rows) == len(swept) == len(cutoffs)
+        out = tmp_path / "runs.jsonl"
+        assert main(["estimate", "--cutoff", *cutoffs, "--out", str(out), *shared]) == 0
+        points = _read_jsonl(out)
+        assert len(points) == len(cutoffs)
         timings = ("wall_time_s", "stage_seconds")
 
         def comparable(record):
-            # all but when, by which code and command, and how long each stage took
-            kept = {k: v for k, v in record.items() if k not in ("timestamp", "build", "subcommand", *timings)}
+            # all but when, by which code, and how long each stage took
+            kept = {k: v for k, v in record.items() if k not in ("timestamp", "build", *timings)}
             return kept | {"build_seconds": sorted(record["build_seconds"])}
 
         samples_by_point = _read_csv(out.with_suffix(".samples.csv"))
-        for i, (cutoff, row, point) in enumerate(zip(cutoffs, rows, swept)):
+        for i, (cutoff, point) in enumerate(zip(cutoffs, points)):
             record_path = tmp_path / f"estimate-{cutoff}.jsonl"
             assert main(["estimate", "--cutoff", cutoff, "--out", str(record_path), *shared]) == 0
             (record,) = _read_jsonl(record_path)
-            assert row["status"] == "ok"
-            assert row["log_volume"] == repr(record["log_volume"])
-            assert row["log10_volume"] == repr(record["log10_volume"])
-            assert row["preconditioner"] == record["preconditioner"]
-            assert row["cutoff"] == repr(record["cutoff"])
-            assert (record["subcommand"], point["subcommand"]) == ("estimate", "sweep")
+            assert point["status"] == "ok" and point["cutoff"] == float(cutoff)
             assert set(point) == set(record) and all(k in point for k in timings)
             assert comparable(point) == comparable(record)
-            samples = [{k: v for k, v in r.items() if k != "point"} for r in samples_by_point if r["point"] == str(i)]
-            assert samples == _read_csv(record_path.with_suffix(".samples.csv"))
+            samples = [r for r in samples_by_point if r["point"] == str(i)]
+            assert [{**r, "point": "0"} for r in samples] == _read_csv(record_path.with_suffix(".samples.csv"))
         # k rows per point, numbered by the point's line in the records file
         assert [r["point"] for r in samples_by_point] == [str(i) for i in range(len(cutoffs)) for _ in range(5)]
 
     @pytest.mark.parametrize("argv, message", [
-        (["--kind", "cutoff", "--values", "0.1"], "requires --checkpoint"),
-        (["--kind", "preconditioner", "--values", "none"], "requires --checkpoint"),
-        (["--kind", "checkpoint"], "requires --values"),
-        (["--kind", "cutoff", "--values", ","], "requires --values"),  # a list of no entries
-        # an unknown map estimated the points before it and was written as a failed row
-        pytest.param(["--kind", "preconditioner", "--values", "none,bogus", "--checkpoint", "nonexistent.json"],
-                     "sweep --values entry 'bogus' is not a map: expected one of none, hessian, diag, adam-nu",
-                     id="unknown-map"),
-    ])
-    def test_missing_input_exits_2(self, argv, message, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", *argv, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.strip().endswith(message)
+        ([], "one of the arguments --checkpoint --n is required"),
+        (["--checkpoint"], "argument --checkpoint: expected at least one argument"),
+        (["--n", "5", "--cutoff"], "argument --cutoff: expected at least one argument"),
+        (["--n", "5", "--preconditioner"], "argument --preconditioner: expected at least one argument"),
+        (["--checkpoint", "nonexistent.json", "--n", "7"], "argument --n: not allowed with argument --checkpoint"),
+    ], ids=["no-target", "no-checkpoint", "no-cutoff", "no-map", "checkpoint-and-n"])
+    def test_missing_or_doubled_input_exits_2(self, argv, message, tmp_path, capsys):
+        # argparse refuses both targets or neither, and a flag with no value,
+        # before any file is read
+        out = tmp_path / "runs.jsonl"
+        with pytest.raises(SystemExit) as info:
+            main(["estimate", *argv, "--out", str(out)])
+        assert info.value.code == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv, message", [
-        # a checkpoint sweep's checkpoints are its values
-        (["--kind", "checkpoint", "--values", "nonexistent.json", "--checkpoint", "nonexistent.json"],
-         "sweep --kind checkpoint takes no --checkpoint"),
-        # --n sizes only the quadratic
-        (["--kind", "cutoff", "--checkpoint", "nonexistent.json", "--values", "1e-2", "--n", "7"],
-         "sweep --kind cutoff takes no --n"),
-        # a kind sets each point's own value of the flag it varies
-        (["--kind", "cutoff", "--checkpoint", "nonexistent.json", "--values", "1e-2", "--cutoff", "0.5"],
-         "sweep --kind cutoff takes no --cutoff"),
-        (["--kind", "preconditioner", "--checkpoint", "nonexistent.json", "--values", "none",
-          "--preconditioner", "diag"], "sweep --kind preconditioner takes no --preconditioner"),
-        # every flag the sweep does not read is named
-        (["--kind", "preconditioner", "--checkpoint", "nonexistent.json", "--values", "none",
-          "--preconditioner", "diag", "--n", "7"],
-         "sweep --kind preconditioner takes no --n, --preconditioner"),
-        # a cutoff that is not a number, or not positive and finite, is named with its flag
-        (["--kind", "cutoff", "--checkpoint", "nonexistent.json", "--values", "1e-2,abc"],
-         "sweep --values entry 'abc' is not a number"),
-        *((["--kind", "cutoff", "--checkpoint", "nonexistent.json", "--values", f"1e-2,{bad}"],
-           f"sweep --values entry '{bad}' is not a positive finite cutoff") for bad in ("0", "inf", "-1", "nan")),
-    ])
-    def test_unread_flag_exits_2(self, argv, message, tmp_path, capsys):
-        # these exited 0 with the flag ignored, and the bad cutoff named no
-        # flag; no file is read before the refusal
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", *argv, "--k", "2", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+    @pytest.mark.parametrize("bad", ["abc", "0", "inf", "-1", "nan"])
+    def test_cutoff_that_is_not_positive_finite_exits_2(self, bad, tmp_path, capsys):
+        # a bad cutoff is named with its flag before any file is read
+        out = tmp_path / "runs.jsonl"
+        with pytest.raises(SystemExit) as info:
+            main(["estimate", "--checkpoint", "nonexistent.json", "--cutoff", "1e-2", bad, "--k", "2",
+                  "--out", str(out)])
+        assert info.value.code == 2
+        assert f"argument --cutoff: expected a positive finite number, got '{bad}'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_checkpoints_flag_is_gone(self, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
+        out = tmp_path / "runs.jsonl"
         with pytest.raises(SystemExit) as info:
-            main(["sweep", "--kind", "cutoff", "--values", "1e-2", "--target", "quadratic",
-                  "--checkpoints", "nonexistent.json", "--out", str(out)])
+            main(["estimate", "--n", "5", "--checkpoints", "nonexistent.json", "--out", str(out)])
         assert info.value.code == 2
         assert "unrecognized arguments: --checkpoints nonexistent.json" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_is_not_a_command(self, tmp_path, capsys):
+        # estimate runs every point of a cutoff, checkpoint or map family
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--kind", "cutoff", "--target", "quadratic", "--values", "1e-2,1e-1", "--out", str(out)])
+        assert info.value.code == 2
+        assert "argument command: invalid choice: 'sweep'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_estimate_outlives_its_point(self, final_checkpoint, tmp_path, monkeypatch):
-        # a sweep keeps each point's record and sample rows, not its
-        # estimate, whose samples view the point's k x n block of directions
+        # a run keeps each point's record and sample rows, not its estimate,
+        # whose samples view the point's k x n block of directions
         estimates, alive = [], []
         real_record, real_write_csv = cli._Target.record, cli.write_csv
 
@@ -916,72 +917,88 @@ class TestSweep:
 
         monkeypatch.setattr(cli._Target, "record", record)
         monkeypatch.setattr(cli, "write_csv", write_csv)
-        out = tmp_path / "sweep.csv"
+        out = tmp_path / "runs.jsonl"
         rc = main([
-            "sweep", "--kind", "cutoff", "--values", "1e-3,1e-2,1e-1", "--checkpoint", str(final_checkpoint),
+            "estimate", "--cutoff", "1e-3", "1e-2", "1e-1", "--checkpoint", str(final_checkpoint),
             "--k", "4", "--out", str(out), "--seed", "1",
         ])
         assert rc == 0
         assert len(estimates) == 3 and alive == [0]
         assert len(_read_csv(out.with_suffix(".samples.csv"))) == 3 * 4
 
-    def test_failed_rows_describe_their_own_point(self, final_checkpoint, tmp_path):
+    def test_no_map_outlives_its_checkpoint(self, train_run, tmp_path, monkeypatch):
+        # a checkpoint's maps are freed before the next checkpoint's points run
+        maps, alive = [], []
+        real_record, real_from_diagonal = cli._Target.record, cli.from_diagonal
+
+        def record(self, *args):
+            alive.append(sum(ref() is not None for ref in maps))
+            return real_record(self, *args)
+
+        def from_diagonal(*args, **kwargs):
+            built = real_from_diagonal(*args, **kwargs)
+            maps.append(weakref.ref(built))
+            return built
+
+        monkeypatch.setattr(cli._Target, "record", record)
+        monkeypatch.setattr(cli, "from_diagonal", from_diagonal)
+        paths = [str(path) for path in train_run["checkpoints"][-2:]]
+        assert main(["estimate", "--checkpoint", *paths, "--preconditioner", "diag", "--cutoff", "1e-2", "1e-1",
+                     "--k", "2", "--out", str(tmp_path / "runs.jsonl")]) == 0
+        assert len(maps) == 2 and alive == [0, 1, 0, 1]
+
+    def test_failed_records_describe_their_own_point(self, final_checkpoint, tmp_path):
         # the anchor's training loss is about 0.1, so a 1e-6 loss cutoff fails
-        out = tmp_path / "precond.csv"
+        out = tmp_path / "maps.jsonl"
         rc = main([
-            "sweep", "--kind", "preconditioner", "--values", "adam-nu,none", "--cost", "loss", "--cutoff", "1e-6",
+            "estimate", "--preconditioner", "adam-nu", "none", "--cost", "loss", "--cutoff", "1e-6",
             "--checkpoint", str(final_checkpoint), "--k", "4", "--out", str(out), "--seed", "1",
         ])
-        assert rc == 0
-        failed = _read_csv(out)[1]
+        assert rc == 2
+        failed = _read_jsonl(out)[1]
         assert failed["status"].startswith("failed: anchor cost")
-        assert (failed["preconditioner"], failed["cutoff"]) == ("none", "1e-06")
+        assert (failed["preconditioner"], failed["cutoff"]) == ("none", 1e-6)
 
-        out = tmp_path / "cutoff.csv"
+        out = tmp_path / "cutoffs.jsonl"
         rc = main([
-            "sweep", "--kind", "cutoff", "--cost", "loss", "--values", "1e-6,2.0",
+            "estimate", "--cost", "loss", "--cutoff", "1e-6", "2.0",
             "--preconditioner", "diag", "--checkpoint", str(final_checkpoint),
             "--k", "4", "--out", str(out), "--seed", "1",
         ])
-        assert rc == 0
-        failed, ok = _read_csv(out)
+        assert rc == 2
+        failed, ok = _read_jsonl(out)
         assert failed["status"].startswith("failed: anchor cost")
-        assert (failed["cutoff"], failed["preconditioner"]) == ("1e-06", "diag")
-        assert (ok["status"], ok["cutoff"]) == ("ok", "2.0")
-        # one successful point fits no slope
-        assert json.loads(out.with_suffix(".summary.json").read_text())["log_log_slope"] is None
+        assert (failed["cutoff"], failed["preconditioner"], failed["measure"], failed["k"]) == (1e-6, "diag",
+                                                                                               "gaussian", 4)
+        assert (ok["status"], ok["cutoff"]) == ("ok", 2.0)
         # the failed point has a record but no samples; the other's k rays follow as point 1
-        records = _read_jsonl(out.with_suffix(".records.jsonl"))
-        assert [r["status"] for r in records] == [failed["status"], "ok"]
-        assert (records[0]["preconditioner"], records[0]["measure"], records[0]["k"]) == ("diag", "gaussian", 4)
         assert [r["point"] for r in _read_csv(out.with_suffix(".samples.csv"))] == ["1"] * 4
 
-    def test_every_point_names_its_map_as_the_values_do(self, final_checkpoint, loss_cutoff, tmp_path):
+    def test_every_point_names_its_map_as_the_flag_does(self, final_checkpoint, loss_cutoff, tmp_path):
         # a failed point's record named its map "diag" and a successful one
-        # "diag[diagonal,n=26]", so one CSV column held both
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--kind", "cutoff", "--cost", "loss", "--values", f"1e-6,{loss_cutoff!r}",
+        # "diag[diagonal,n=26]"
+        out = tmp_path / "runs.jsonl"
+        assert main(["estimate", "--cost", "loss", "--cutoff", "1e-6", repr(loss_cutoff),
                      "--preconditioner", "diag", "--checkpoint", str(final_checkpoint), "--k", "4",
-                     "--out", str(out)]) == 0
-        rows, records = _read_csv(out), _read_jsonl(out.with_suffix(".records.jsonl"))
-        assert [r["status"][:7] for r in rows] == ["failed:", "ok"]
-        assert [r["preconditioner"] for r in rows] == ["diag", "diag"]
+                     "--out", str(out)]) == 2
+        records = _read_jsonl(out)
+        assert [r["status"][:7] for r in records] == ["failed:", "ok"]
         assert [(r["preconditioner"], r["config"]["preconditioner"]) for r in records] == [("diag", "diag")] * 2
 
 
 class TestConsoleScript:
     def test_console_script_entry_point(self, tmp_path):
-        out = tmp_path / "sweep.csv"
+        out = tmp_path / "runs.jsonl"
         proc = subprocess.run(
             [
-                sys.executable, "-m", "starvol.cli", "sweep", "--kind", "cutoff",
-                "--target", "quadratic", "--n", "10", "--k", "4",
-                "--values", "1e-2,1e-1", "--out", str(out),
+                sys.executable, "-m", "starvol.cli", "estimate", "--n", "10", "--k", "4",
+                "--cutoff", "1e-2", "1e-1", "--out", str(out),
             ],
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert f"2 sweep rows -> {out}" in proc.stdout
+        assert proc.stdout.endswith(f"\n2 points -> {out}\n")
+        assert len(_read_jsonl(out)) == 2
 
 
 class TestRunRecords:
@@ -1083,12 +1100,12 @@ def loss_record(final_checkpoint, loss_cutoff, tmp_path_factory):
 class TestJsonFiles:
     def test_every_json_file_is_sorted_objects_one_per_line(self, train_run, final_checkpoint, loss_record,
                                                             tmp_path):
-        # checkpoints, records and the sweep summary all come from one writer
-        sweep = tmp_path / "sweep.csv"
-        assert main(["sweep", "--kind", "cutoff", "--checkpoint", str(final_checkpoint), "--values", "1e-2,1e-1",
-                     "--k", "4", "--out", str(sweep)]) == 0
+        # checkpoints and records all come from one writer
+        points = tmp_path / "points.jsonl"
+        assert main(["estimate", "--checkpoint", str(final_checkpoint), "--cutoff", "1e-2", "1e-1",
+                     "--k", "4", "--out", str(points)]) == 0
         files = {path: 1 for path in train_run["checkpoints"]}
-        files |= {loss_record: 1, sweep.with_suffix(".records.jsonl"): 2, sweep.with_suffix(".summary.json"): 1}
+        files |= {loss_record: 1, points: 2}
         for path, count in files.items():
             text = path.read_text()
             objects = [json.loads(line) for line in text.splitlines()]
@@ -1132,36 +1149,33 @@ class TestDescriptionLength:
         assert not {"m", "description_length"} & set(record)
         assert "description_length" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("values", ["1e-6,{ok},2.0", "{ok},2.0,1e-6"], ids=["failed-first", "failed-last"])
-    def test_each_sweep_point_holds_its_own(self, values, final_checkpoint, loss_cutoff, tmp_path):
+    @pytest.mark.parametrize("cutoffs", [["1e-6", "{ok}", "2.0"], ["{ok}", "2.0", "1e-6"]],
+                             ids=["failed-first", "failed-last"])
+    def test_each_point_holds_its_own(self, cutoffs, final_checkpoint, loss_cutoff, tmp_path):
         # every loss point that succeeded holds the bound at its own cutoff; a
         # point at a 1e-6 loss cutoff, below the anchor's loss, fails and holds neither field
-        sweep = tmp_path / "sweep.csv"
-        assert main(["sweep", "--kind", "cutoff", "--values", values.format(ok=repr(loss_cutoff)),
+        out = tmp_path / "runs.jsonl"
+        assert main(["estimate", "--cutoff", *(c.format(ok=repr(loss_cutoff)) for c in cutoffs),
                      "--checkpoint", str(final_checkpoint), "--cost", "loss", "--k", "4", "--seed", "2",
-                     "--out", str(sweep)]) == 0
-        records, rows = _read_jsonl(sweep.with_suffix(".records.jsonl")), _read_csv(sweep)
+                     "--out", str(out)]) == 2
+        records = _read_jsonl(out)
         assert sorted(r["status"][:7] for r in records) == ["failed:", "ok", "ok"]
-        for record, row in zip(records, rows):
+        for record in records:
             if record["status"] == "ok":
                 assert record["m"] == 48
                 assert record["description_length"] == -record["log_volume"] + 48 * record["cutoff"]
-                assert row["description_length"] == repr(record["description_length"])
             else:
                 assert not {"m", "description_length"} & set(record)
-                assert row["description_length"] == ""
         bounds = [r["description_length"] for r in records if r["status"] == "ok"]
         assert bounds[0] != bounds[1]
 
     def test_quadratic_records_hold_neither_field(self, tmp_path):
         # the quadratic's cost is no loss, so its points bound no code length
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--kind", "cutoff", "--target", "quadratic", "--n", "5", "--k", "4",
-                     "--values", "1e-2,1e-1", "--out", str(out)]) == 0
-        records = _read_jsonl(out.with_suffix(".records.jsonl"))
+        out = tmp_path / "runs.jsonl"
+        assert main(["estimate", "--n", "5", "--k", "4", "--cutoff", "1e-2", "1e-1", "--out", str(out)]) == 0
+        records = _read_jsonl(out)
         assert [r["status"] for r in records] == ["ok", "ok"]
         assert not any({"m", "description_length"} & set(r) for r in records)
-        assert [r["description_length"] for r in _read_csv(out)] == ["", ""]
 
     def test_mdl_is_not_a_command(self, final_checkpoint, loss_record, tmp_path, capsys):
         # the record of a loss estimate holds the bound, so no command reads a record back
@@ -1171,3 +1185,16 @@ class TestDescriptionLength:
         assert info.value.code == 2
         assert "argument command: invalid choice: 'mdl'" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestReadme:
+    def test_every_command_parses(self):
+        # an example that names a deleted command or flag exits 2 here
+        commands, refused = _readme_commands(), []
+        assert len(commands) >= 4
+        for command in commands:
+            try:
+                cli.build_parser().parse_args(shlex.split(command)[1:])
+            except SystemExit:
+                refused.append(command)
+        assert refused == []
